@@ -3,12 +3,12 @@
 __version__ = "0.1.0"
 
 from .bootstrap import (
-    BootstrapCalibrationTable,
     PresmoothResult,
     ValidityDiagnostics,
     bootstrap_calibrate,
     bootstrap_effective_dims,
     bootstrap_joint_draws,
+    bootstrap_table,
     presmooth,
     validity_diagnostics,
 )
@@ -17,6 +17,7 @@ from .calibration import (
     CalibrationTable,
     ExcessRiskEstimate,
     JointDrawMatrix,
+    calibration_table,
     critical_values,
     excess_risk_mc,
     familywise_exceedance,
@@ -32,6 +33,7 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     MissingPair,
+    NonFiniteInput,
     NotFunctional,
     NotOrderedPair,
     NotProjectionFamily,

@@ -2,15 +2,16 @@
 
 The data are presmoothed by projecting onto a large pilot model; the
 residuals, multiplied coordinatewise by fresh standard normal weights,
-replace the unavailable noise law.  Tail values, multiplicity corrections
-and critical values are then computed exactly as in the known-noise path,
-with data-driven effective dimensions in the bias allowance.
+replace the unavailable noise law.  What is specific to this path is the
+residual scale vector of the draws, the residual-weighted effective
+dimensions in the bias allowance, and the residual-weighted single-model
+dimensions behind the power-loss levels; the table itself comes from the
+known-noise path's builder.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +19,14 @@ import numpy as np
 from .calibration import (
     CalibrationTable,
     JointDrawMatrix,
-    PowerLossParams,
-    _pair_levels_and_thresholds,
     _sample_scaled_norms,
-    multiplicity_correction,
+    calibration_table,
     power_loss_params,
-    Q_SLACK,
 )
 from .errors import (
     AllZeroResiduals,
-    CalibrationWarning,
     DimensionMismatch,
+    NonFiniteInput,
     RequiresKnownTruth,
     SingularGram,
 )
@@ -99,6 +97,8 @@ def _residual_vector(residuals, n: int) -> np.ndarray:
         vec = np.asarray(residuals, dtype=float)
     if vec.shape != (n,):
         raise DimensionMismatch("residual vector must have length n")
+    if not np.all(np.isfinite(vec)):
+        raise NonFiniteInput("residual vector contains NaN or infinite values")
     if np.all(vec == 0.0):
         raise AllZeroResiduals("all residuals are zero; calibration is degenerate")
     return vec
@@ -149,16 +149,32 @@ def bootstrap_single_dims(family: ModelFamily, residuals) -> dict[int, float]:
     return {m: _weighted_column_dims(family.operator(m), w2) for m in family.models}
 
 
-@dataclass(frozen=True)
-class BootstrapCalibrationTable(CalibrationTable):
-    """Calibration table with data-driven effective dimensions attached."""
+def bootstrap_table(
+    family: ModelFamily,
+    residuals,
+    draws: JointDrawMatrix,
+    x_level: float,
+    alpha_plus: float,
+    mode: str = "probabilistic",
+    power_a: float | None = None,
+) -> CalibrationTable:
+    """Table on a residual-multiplier draw matrix.
 
-    p_boot: dict[tuple[int, int], float] | None = None
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["p_boot"] = {f"{m}:{mr}": v for (m, mr), v in sorted((self.p_boot or {}).items())}
-        return d
+    The bias allowance uses the residual-weighted effective dimensions; in
+    power-loss mode the per-reference levels come from the
+    residual-weighted single-model dimensions.
+    """
+    vec = _residual_vector(residuals, family.n)
+    if mode == "probabilistic":
+        levels = x_level
+    elif mode == "power_loss":
+        if power_a is None:
+            raise DimensionMismatch("power-loss mode needs the exponent a")
+        levels = power_loss_params(family.models, bootstrap_single_dims(family, vec), power_a)
+    else:
+        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
+    pair_dims = bootstrap_effective_dims(family, vec, pairs=list(draws.pair_index))
+    return calibration_table(draws, pair_dims, alpha_plus, levels)
 
 
 def bootstrap_calibrate(
@@ -173,68 +189,12 @@ def bootstrap_calibrate(
     mode: str = "probabilistic",
     power_a: float | None = None,
     stream_tag: int = 0,
-) -> BootstrapCalibrationTable:
-    """Full calibration on the residual-multiplier draw matrix.
-
-    Identical machinery to the known-noise path above the draw source; the
-    bias allowance uses the residual-weighted effective dimensions.
-    """
-    if alpha_plus < 0:
-        raise DimensionMismatch("alpha_plus must be >= 0")
-    vec = _residual_vector(residuals, family.n)
+) -> CalibrationTable:
+    """Full calibration: ``bootstrap_joint_draws`` then ``bootstrap_table``."""
     draws = bootstrap_joint_draws(
-        family, vec, n_sim, seed, pairs=pairs, n_workers=n_workers, stream_tag=stream_tag
+        family, residuals, n_sim, seed, pairs=pairs, n_workers=n_workers, stream_tag=stream_tag
     )
-    p_boot = bootstrap_effective_dims(family, vec, pairs=list(draws.pair_index))
-
-    if mode == "probabilistic":
-        corrections = {
-            m_ref: multiplicity_correction(draws, m_ref, x_level)
-            for m_ref in draws.references()
-        }
-        for m_ref, q in corrections.items():
-            bound = math.log(len(draws.comparisons(m_ref))) + Q_SLACK
-            if q > bound:
-                warnings.warn(
-                    CalibrationWarning(
-                        f"reference {m_ref}: correction {q:.4f} above the "
-                        f"Bonferroni bound {bound:.4f}"
-                    ),
-                    stacklevel=2,
-                )
-        levels = {m_ref: x_level + q for m_ref, q in corrections.items()}
-        per_model_levels = None
-        table_mode = "probabilistic"
-        a_out = None
-    elif mode == "power_loss":
-        if power_a is None:
-            raise DimensionMismatch("power-loss mode needs the exponent a")
-        params: PowerLossParams = power_loss_params(
-            family.models, bootstrap_single_dims(family, vec), power_a
-        )
-        corrections = {m_ref: 0.0 for m_ref in draws.references()}
-        levels = params.x
-        per_model_levels = dict(params.x)
-        table_mode = "power_loss"
-        a_out = power_a
-    else:
-        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
-
-    critical, clipped = _pair_levels_and_thresholds(draws, levels, p_boot, alpha_plus)
-    return BootstrapCalibrationTable(
-        x_level=x_level,
-        alpha_plus=alpha_plus,
-        corrections=corrections,
-        critical=critical,
-        pair_dims=dict(p_boot),
-        mode=table_mode,
-        power_a=a_out,
-        per_model_levels=per_model_levels,
-        tail_clipped=clipped,
-        n_sim=n_sim,
-        seed=seed,
-        p_boot=dict(p_boot),
-    )
+    return bootstrap_table(family, residuals, draws, x_level, alpha_plus, mode, power_a)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ tail quantiles, per-reference multiplicity corrections, and the final
 critical values are all read off the same draw matrix, so the family-wise
 propagation guarantee holds exactly in-sample.
 
-Two threshold modes are provided: the probabilistic mode with a common
-level plus multiplicity correction, and the power-loss mode where each
-reference model carries its own level chosen to control an excess-risk
-functional rather than a rejection probability.
+One table builder serves both threshold modes and both noise sources: the
+probabilistic mode with a common level plus an exact multiplicity
+correction, and the power-loss mode where each reference model carries its
+own level chosen to control an excess-risk functional rather than a
+rejection probability.
 """
 
 from __future__ import annotations
@@ -25,18 +26,13 @@ from .errors import (
     CalibrationWarning,
     DimensionMismatch,
     MissingPair,
+    NonFiniteInput,
     NotOrderedPair,
     TailTooDeepWarning,
 )
 from .family import ModelFamily
 from .moments import NoiseSpec, PairMoments, single_variance
 from .rng import block_bounds, stream
-
-# Bisection resolution for multiplicity corrections.
-Q_RESOLUTION = 1e-4
-
-# Slack over the Bonferroni value allowed before a correction is suspicious.
-Q_SLACK = 0.1
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
 MIN_TAIL_POINTS = 10
@@ -48,20 +44,36 @@ class JointDrawMatrix:
 
     Column ``pair_index[(m, m_ref)]`` holds the magnitude of the difference
     statistic for that pair; all columns of a row come from the same
-    realization, preserving the joint law.
+    realization, preserving the joint law.  ``sorted_draws[c]`` is column
+    ``c`` in ascending order and ``ranks[c, r]`` the strict rank of draw
+    ``r`` in it (the number of strictly smaller draws in the column); both
+    are computed once, on construction.
     """
 
     draws: np.ndarray
     pair_index: dict[tuple[int, int], int]
     seed: int
     n_sim: int
-    _sorted: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    sorted_draws: np.ndarray = field(init=False, repr=False)
+    ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.draws.shape != (self.n_sim, len(self.pair_index)):
             raise DimensionMismatch("draw matrix shape does not match pair index")
+        if not np.all(np.isfinite(self.draws)):
+            raise NonFiniteInput("draw matrix contains NaN or infinite values")
         if self.n_sim >= 1 and float(self.draws.min(initial=0.0)) < 0:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
+        cols = np.ascontiguousarray(self.draws.T)
+        order = np.argsort(cols, axis=1)
+        self.sorted_draws = np.take_along_axis(cols, order, axis=1)
+        # Equal draws share the strict rank of the first of their run.
+        new_run = np.ones(cols.shape, dtype=bool)
+        np.not_equal(self.sorted_draws[:, 1:], self.sorted_draws[:, :-1], out=new_run[:, 1:])
+        position = np.arange(self.n_sim, dtype=np.int32)
+        run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
+        self.ranks = np.empty(cols.shape, dtype=np.int32)
+        np.put_along_axis(self.ranks, order, run_start, axis=1)
 
     def column(self, m: int, m_ref: int) -> np.ndarray:
         try:
@@ -73,9 +85,7 @@ class JointDrawMatrix:
         col = self.pair_index.get((m, m_ref))
         if col is None:
             raise MissingPair(f"pair ({m}, {m_ref}) not present in draws")
-        if col not in self._sorted:
-            self._sorted[col] = np.sort(self.draws[:, col])
-        return self._sorted[col]
+        return self.sorted_draws[col]
 
     def references(self) -> list[int]:
         """Reference models that have at least one comparison column."""
@@ -191,21 +201,24 @@ def sample_joint_draws(
     return _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
 
 
-def _quantile_at(sorted_col: np.ndarray, t: float) -> tuple[float, bool]:
-    """Empirical tail value at level ``e^-t``; flags out-of-sample requests.
+def _tail_rank(t: float, n: int) -> tuple[int, bool]:
+    """Rank (1-based) of the empirical tail value at level ``e^-t``; flags clipping.
 
     The rank is the upper order statistic ceil((1 - e^-t) n): the smallest
     sample value whose strict empirical exceedance is at most ``e^-t``.
     Degenerate ranks (t = 0, full mass) and tails deeper than the sample
-    both clip to the maximum draw and are flagged.
+    both clip to the maximum draw (rank n) and are flagged.
     """
-    n = sorted_col.shape[0]
     tail = math.exp(-t)
-    clipped = tail < 1.0 / n
     k = math.ceil((1.0 - tail) * n)
     if k < 1:
-        return float(sorted_col[-1]), True
-    k = min(k, n)
+        return n, True
+    return min(k, n), tail < 1.0 / n
+
+
+def _quantile_at(sorted_col: np.ndarray, t: float) -> tuple[float, bool]:
+    """Empirical tail value at level ``e^-t``; flags out-of-sample requests."""
+    k, clipped = _tail_rank(t, sorted_col.shape[0])
     return float(sorted_col[k - 1]), clipped
 
 
@@ -250,54 +263,72 @@ def familywise_exceedance(
     return float(np.mean(np.any(draws.draws[:, cols] > z[None, :], axis=1)))
 
 
-def multiplicity_correction(
-    draws: JointDrawMatrix,
-    m_ref: int,
-    x_level: float,
-    resolution: float = Q_RESOLUTION,
-) -> float:
-    """Smallest shift ``q`` making the family-wise exceedance at most ``e^-x``.
+def _correction_rank(draws: JointDrawMatrix, m_ref: int, x_level: float) -> int:
+    """Smallest shared rank at which the family-wise exceedance is at most ``e^-x``.
 
-    Solved by bisection on the shared draw rows, so the propagation
-    condition holds exactly in-sample.  A single comparison needs no
-    correction and returns 0 exactly.
+    Every comparison against ``m_ref`` takes the same order statistic ``k``
+    of its column, and a row strictly exceeds the rank-``k`` value of a
+    column exactly when its strict rank there is at least ``k``.  So a row
+    is rejected at rank ``k`` exactly when its largest strict rank reaches
+    ``k``, and the answer is one quantile of the row-max ranks: the
+    Westfall-Young max-T adjustment, read off the calibration draws
+    themselves.  The result is never below the rank of ``x`` itself.
     """
     pairs = draws.comparisons(m_ref)
     if not pairs:
         raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
+    k_x = _tail_rank(x_level, draws.n_sim)[0]
     if len(pairs) == 1:
+        return k_x
+    row_max = draws.ranks[[draws.pair_index[p] for p in pairs]].max(axis=0)
+    # reached[k] = number of rows whose largest strict rank is >= k; the
+    # last entry (k = n_sim) is always zero.
+    reached = np.cumsum(np.bincount(row_max, minlength=draws.n_sim + 1)[::-1])[::-1]
+    meets = reached[k_x:] / draws.n_sim <= math.exp(-x_level)
+    return k_x + int(np.argmax(meets))
+
+
+def _lowest_float(start: float, holds) -> float:
+    """Smallest float at which the nondecreasing predicate ``holds`` is true.
+
+    ``start`` should be close to the answer: the walks move one ulp at a
+    time, covering the rounding of the closed form it came from.
+    """
+    while not holds(start):
+        start = math.nextafter(start, math.inf)
+    while holds(math.nextafter(start, -math.inf)):
+        start = math.nextafter(start, -math.inf)
+    return start
+
+
+def _shift_to_rank(x_level: float, k: int, n: int) -> float:
+    """Smallest float ``q`` for which the level ``x_level + q`` has rank ``k``.
+
+    Exactly 0.0 when ``x_level`` itself has rank ``k``.  Otherwise rank
+    ``k`` starts just above the level ``-log(1 - (k - 1) / n)``: find the
+    lowest float level of that rank, then the smallest shift that rounds
+    to it when added to ``x_level`` (half an ulp of the level below it).
+    ``_quantile_at(sorted, x_level + q)`` then returns the rank-``k`` value.
+    """
+    if _tail_rank(x_level, n)[0] == k:
         return 0.0
+    level = _lowest_float(-math.log1p(-(k - 1) / n), lambda t: _tail_rank(t, n)[0] >= k)
+    half_ulp = (level - math.nextafter(level, -math.inf)) / 2
+    return _lowest_float(
+        level - x_level - half_ulp, lambda q: _tail_rank(x_level + q, n)[0] >= k
+    )
 
-    cols = np.array([draws.pair_index[p] for p in pairs])
-    sub = draws.draws[:, cols]
-    sorted_cols = [draws.sorted_column(*p) for p in pairs]
-    target = math.exp(-x_level)
 
-    def fwe(q: float) -> float:
-        z = np.array([_quantile_at(sc, x_level + q)[0] for sc in sorted_cols])
-        return float(np.mean(np.any(sub > z[None, :], axis=1)))
+def multiplicity_correction(draws: JointDrawMatrix, m_ref: int, x_level: float) -> float:
+    """Smallest shift ``q`` making the family-wise exceedance at most ``e^-x``.
 
-    if fwe(0.0) <= target:
-        return 0.0
-    lo, hi = 0.0, math.log(len(pairs)) + 1.0
-    if fwe(hi) > target:
-        # Unreachable for strict exceedance (the Bonferroni point already
-        # meets the target in-sample); kept as a guard for degenerate draws.
-        warnings.warn(
-            CalibrationWarning(
-                f"reference {m_ref}: family-wise target not reachable, "
-                f"returning the domain endpoint"
-            ),
-            stacklevel=2,
-        )
-        return hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if fwe(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    Exact on the shared draw rows, so the propagation condition holds
+    in-sample; 0.0 exactly when no shift is needed (always for a single
+    comparison).  Never above ``log(#comparisons)``: the in-sample
+    Bonferroni level already meets the target.
+    """
+    k = _correction_rank(draws, m_ref, x_level)
+    return _shift_to_rank(x_level, k, draws.n_sim)
 
 
 @dataclass(frozen=True)
@@ -372,68 +403,6 @@ class CalibrationTable:
         )
 
 
-def _pair_levels_and_thresholds(draws, levels, pair_dims, alpha_plus):
-    """Thresholds z(level) + alpha_plus sqrt(dim) for every pair in ``draws``."""
-    critical: dict[tuple[int, int], float] = {}
-    clipped: list[tuple[int, int]] = []
-    for (m, m_ref), _ in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
-        sorted_col = draws.sorted_column(m, m_ref)
-        z, was_clipped = _quantile_at(sorted_col, levels[m_ref])
-        if was_clipped:
-            clipped.append((m, m_ref))
-        critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
-    if clipped:
-        warnings.warn(
-            TailTooDeepWarning(
-                f"{len(clipped)} pair(s) clipped to the maximum draw: "
-                + ", ".join(f"({m},{mr})" for m, mr in clipped[:5])
-                + ("..." if len(clipped) > 5 else "")
-            ),
-            stacklevel=3,
-        )
-    return critical, tuple(clipped)
-
-
-def critical_values(
-    draws: JointDrawMatrix,
-    moments: dict[tuple[int, int], PairMoments],
-    x_level: float,
-    alpha_plus: float = 0.0,
-) -> CalibrationTable:
-    """Probabilistic-mode table: corrected tail value plus bias allowance."""
-    if alpha_plus < 0:
-        raise DimensionMismatch("alpha_plus must be >= 0")
-    corrections = {
-        m_ref: multiplicity_correction(draws, m_ref, x_level)
-        for m_ref in draws.references()
-    }
-    for m_ref, q in corrections.items():
-        bound = math.log(len(draws.comparisons(m_ref))) + Q_SLACK
-        if q > bound:
-            warnings.warn(
-                CalibrationWarning(
-                    f"reference {m_ref}: correction {q:.4f} above the "
-                    f"Bonferroni bound {bound:.4f}"
-                ),
-                stacklevel=2,
-            )
-    pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
-    levels = {m_ref: x_level + q for m_ref, q in corrections.items()}
-    critical, clipped = _pair_levels_and_thresholds(draws, levels, pair_dims, alpha_plus)
-    return CalibrationTable(
-        x_level=x_level,
-        alpha_plus=alpha_plus,
-        corrections=corrections,
-        critical=critical,
-        pair_dims=pair_dims,
-        mode="probabilistic",
-        moments=dict(moments),
-        tail_clipped=clipped,
-        n_sim=draws.n_sim,
-        seed=draws.seed,
-    )
-
-
 @dataclass(frozen=True)
 class PowerLossParams:
     """Per-model excess-risk budgets and per-reference levels."""
@@ -469,6 +438,82 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
     return PowerLossParams(a=a, alpha=alpha, x=x)
 
 
+def calibration_table(
+    draws: JointDrawMatrix,
+    pair_dims: dict[tuple[int, int], float],
+    alpha_plus: float,
+    levels: float | PowerLossParams,
+    moments: dict[tuple[int, int], PairMoments] | None = None,
+) -> CalibrationTable:
+    """Thresholds ``z + alpha_plus * sqrt(dim)`` for every pair in ``draws``.
+
+    ``levels`` is either the probabilistic level ``x``, shifted per
+    reference by its exact multiplicity correction, or power-loss
+    parameters, whose per-reference levels are used unshifted.  ``z`` is
+    the pair's empirical tail value at its reference's level, and
+    ``pair_dims`` the effective dimensions of the bias allowance.
+    """
+    if alpha_plus < 0:
+        raise DimensionMismatch("alpha_plus must be >= 0")
+    references = draws.references()
+    power = isinstance(levels, PowerLossParams)
+    if power:
+        for m_ref in references:
+            if m_ref not in levels.x:
+                raise MissingPair(f"power-loss level missing for reference {m_ref}")
+        corrections = {m_ref: 0.0 for m_ref in references}
+        ref_levels = levels.x
+    else:
+        corrections = {
+            m_ref: multiplicity_correction(draws, m_ref, levels) for m_ref in references
+        }
+        ref_levels = {m_ref: levels + q for m_ref, q in corrections.items()}
+    ref_ranks = {m_ref: _tail_rank(ref_levels[m_ref], draws.n_sim) for m_ref in references}
+
+    critical: dict[tuple[int, int], float] = {}
+    clipped: list[tuple[int, int]] = []
+    for (m, m_ref), col in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
+        k, was_clipped = ref_ranks[m_ref]
+        if was_clipped:
+            clipped.append((m, m_ref))
+        z = float(draws.sorted_draws[col, k - 1])
+        critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
+    if clipped:
+        warnings.warn(
+            TailTooDeepWarning(
+                f"{len(clipped)} pair(s) clipped to the maximum draw: "
+                + ", ".join(f"({m},{mr})" for m, mr in clipped[:5])
+                + ("..." if len(clipped) > 5 else "")
+            ),
+            stacklevel=3,
+        )
+    return CalibrationTable(
+        x_level=0.0 if power else levels,
+        alpha_plus=alpha_plus,
+        corrections=corrections,
+        critical=critical,
+        pair_dims=dict(pair_dims),
+        mode="power_loss" if power else "probabilistic",
+        moments=dict(moments) if moments is not None else None,
+        power_a=levels.a if power else None,
+        per_model_levels=dict(levels.x) if power else None,
+        tail_clipped=tuple(clipped),
+        n_sim=draws.n_sim,
+        seed=draws.seed,
+    )
+
+
+def critical_values(
+    draws: JointDrawMatrix,
+    moments: dict[tuple[int, int], PairMoments],
+    x_level: float,
+    alpha_plus: float = 0.0,
+) -> CalibrationTable:
+    """Probabilistic-mode table: corrected tail value plus bias allowance."""
+    pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
+    return calibration_table(draws, pair_dims, alpha_plus, x_level, moments)
+
+
 def power_loss_critical_values(
     draws: JointDrawMatrix,
     moments: dict[tuple[int, int], PairMoments],
@@ -476,27 +521,8 @@ def power_loss_critical_values(
     alpha_plus: float = 0.0,
 ) -> CalibrationTable:
     """Power-loss-mode table: per-reference levels, no multiplicity shift."""
-    if alpha_plus < 0:
-        raise DimensionMismatch("alpha_plus must be >= 0")
-    for m_ref in draws.references():
-        if m_ref not in params.x:
-            raise MissingPair(f"power-loss level missing for reference {m_ref}")
     pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
-    critical, clipped = _pair_levels_and_thresholds(draws, params.x, pair_dims, alpha_plus)
-    return CalibrationTable(
-        x_level=0.0,
-        alpha_plus=alpha_plus,
-        corrections={m_ref: 0.0 for m_ref in draws.references()},
-        critical=critical,
-        pair_dims=pair_dims,
-        mode="power_loss",
-        moments=dict(moments),
-        power_a=params.a,
-        per_model_levels=dict(params.x),
-        tail_clipped=clipped,
-        n_sim=draws.n_sim,
-        seed=draws.seed,
-    )
+    return calibration_table(draws, pair_dims, alpha_plus, params, moments)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .bootstrap import bootstrap_calibrate, bootstrap_joint_draws, presmooth, validity_diagnostics
-from .bounds import QFParams, qf_lower, qf_upper
-from .calibration import (
-    critical_values,
-    familywise_exceedance,
-    sample_joint_draws,
+from .bootstrap import (
+    bootstrap_calibrate,
+    bootstrap_joint_draws,
+    bootstrap_table,
+    presmooth,
+    validity_diagnostics,
 )
+from .bounds import QFParams, qf_lower, qf_upper
+from .calibration import familywise_exceedance
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
@@ -33,8 +35,9 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
+    _noise_draw,
     generate_scenario,
-    known_noise_table,
+    known_noise_calibration,
     mdagger_sweep,
     meta_record,
     quantile_ratio_table,
@@ -44,7 +47,6 @@ from .experiment import (
     scenario_family,
     sweep_csv,
 )
-from .moments import all_pair_moments
 from .rng import stream
 from .selector import sma_select, test_statistics
 
@@ -52,6 +54,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_SELFTEST = 4
+
+# Rounding allowance of the self-test's tail values, in ulps of the critical
+# value: adding and then subtracting the bias allowance can round a tail
+# value below the order statistic it came from, which would count that draw
+# as strictly exceeding.
+TAIL_ULPS = 4
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -85,41 +93,35 @@ def _outdir(args) -> Path:
 
 
 def _propagation_selftest(draws, table) -> list[str]:
-    """In-sample exceedance checks implied by the table's construction.
+    """In-sample exceedance of a table's own thresholds on its draws.
 
-    Probabilistic mode: family-wise exceedance per reference at most
-    exp(-x).  Power-loss mode: per-pair exceedance at the reference level
-    at most exp(-level).
+    Each pair's tail value is its critical value minus the bias allowance
+    (plus ``TAIL_ULPS`` ulps).  Probabilistic mode: family-wise exceedance
+    per reference at most exp(-x).  Power-loss mode: per-pair exceedance at
+    most exp(-level) of the pair's reference.
     """
+    tails = {
+        pair: crit
+        - table.alpha_plus * math.sqrt(table.pair_dims[pair])
+        + TAIL_ULPS * float(np.spacing(crit))
+        for pair, crit in table.critical.items()
+    }
     failures = []
     for m_ref in draws.references():
         if table.mode == "probabilistic":
-            level = table.x_level + table.corrections.get(m_ref, 0.0)
-            thresholds = {
-                pair: _tail_for_selftest(draws, pair, level)
-                for pair in draws.comparisons(m_ref)
-            }
-            fwe = familywise_exceedance(draws, m_ref, thresholds)
+            fwe = familywise_exceedance(draws, m_ref, tails)
             target = math.exp(-table.x_level)
             if fwe > target + 1e-12:
                 failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
         else:
-            level = table.per_model_levels[m_ref]
-            target = math.exp(-level)
+            target = math.exp(-table.per_model_levels[m_ref])
             for pair in draws.comparisons(m_ref):
-                z = _tail_for_selftest(draws, pair, level)
-                exc = float(np.mean(draws.column(*pair) > z))
+                exc = float(np.mean(draws.column(*pair) > tails[pair]))
                 if exc > target + 1e-12:
                     failures.append(
                         f"pair {pair}: exceedance {exc:.4f} > {target:.4f}"
                     )
     return failures
-
-
-def _tail_for_selftest(draws, pair, level):
-    from .calibration import _quantile_at
-
-    return _quantile_at(draws.sorted_column(*pair), level)[0]
 
 
 def cmd_calibrate(args) -> int:
@@ -128,46 +130,27 @@ def cmd_calibrate(args) -> int:
     scenario = generate_scenario(cfg)
     family = scenario_family(cfg, scenario)
     if args.noise == "known":
-        draws = sample_joint_draws(
-            family, scenario.sigma, cfg.n_sim, cfg.seeds.calibration, n_workers=cfg.n_workers
-        )
-        if cfg.mode == "power_loss":
-            table = known_noise_table(cfg, family, scenario)
-        else:
-            table = critical_values(
-                draws, all_pair_moments(family, scenario.sigma), cfg.x_level, cfg.alpha_plus
-            )
+        draws, table = known_noise_calibration(cfg, family, scenario)
     else:
-        y = scenario.f_true + _noise_vector(scenario, cfg, 0)
+        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
         resid = presmooth(family, y, cfg.m_dagger)
-        table = bootstrap_calibrate(
-            family,
-            resid,
-            cfg.x_level,
-            cfg.alpha_plus,
-            cfg.n_sim,
-            cfg.seeds.bootstrap,
-            n_workers=cfg.n_workers,
-            mode=cfg.mode,
-            power_a=cfg.power_a,
+        draws = bootstrap_joint_draws(
+            family, resid, cfg.n_sim, cfg.seeds.bootstrap, n_workers=cfg.n_workers
         )
-        draws = bootstrap_joint_draws(family, resid, cfg.n_sim, cfg.seeds.bootstrap)
+        table = bootstrap_table(
+            family, resid, draws, cfg.x_level, cfg.alpha_plus, cfg.mode, cfg.power_a
+        )
     io.save_table(table, out / "calibration.json")
     io.save_json(meta_record(cfg), out / "meta.json")
     print(f"calibration table ({args.noise}, {table.mode}) -> {out / 'calibration.json'}")
     if args.self_test:
-        failures = _propagation_selftest(draws, table)
+        failures = _propagation_selftest(draws, io.load_table(out / "calibration.json"))
         if failures:
             for f in failures:
                 print(f"self-test FAIL: {f}", file=sys.stderr)
             return EXIT_SELFTEST
         print("self-test ok: in-sample propagation holds for every reference")
     return EXIT_OK
-
-
-def _noise_vector(scenario, cfg, rep):
-    sd = np.sqrt(scenario.sigma.variances)
-    return stream(cfg.seeds.noise, rep).standard_normal(cfg.n) * sd
 
 
 def cmd_select(args) -> int:
@@ -180,9 +163,9 @@ def cmd_select(args) -> int:
         if y.shape != (cfg.n,):
             raise ConfigInvalid(f"data vector must have length n={cfg.n}")
     else:
-        y = scenario.f_true + _noise_vector(scenario, cfg, 0)
+        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
     if args.noise == "known":
-        table = known_noise_table(cfg, family, scenario)
+        _, table = known_noise_calibration(cfg, family, scenario)
     else:
         resid = presmooth(family, y, cfg.m_dagger)
         table = bootstrap_calibrate(

@@ -49,6 +49,10 @@ class ConfigInvalid(SmaError):
     """Experiment configuration violates its invariants."""
 
 
+class NonFiniteInput(SmaError):
+    """Draws or residuals contain NaN or infinity."""
+
+
 class SingularGramWarning(UserWarning):
     """Rank-deficient Gram handled through the pseudo-inverse path."""
 

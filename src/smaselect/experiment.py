@@ -19,6 +19,7 @@ from . import __version__
 from .bootstrap import bootstrap_calibrate, presmooth
 from .calibration import (
     CalibrationTable,
+    JointDrawMatrix,
     critical_values,
     power_loss_critical_values,
     power_loss_params,
@@ -243,9 +244,10 @@ def scenario_family(config: ExperimentConfig, scenario: Scenario) -> ModelFamily
     return family
 
 
-def known_noise_table(
+def known_noise_calibration(
     config: ExperimentConfig, family: ModelFamily, scenario: Scenario
-) -> CalibrationTable:
+) -> tuple[JointDrawMatrix, CalibrationTable]:
+    """Known-noise draw matrix and the table built on it, in the config's mode."""
     draws = sample_joint_draws(
         family,
         scenario.sigma,
@@ -257,8 +259,8 @@ def known_noise_table(
     if config.mode == "power_loss":
         dims = {m: single_variance(family, scenario.sigma, m).p_pair for m in family.models}
         params = power_loss_params(family.models, dims, config.power_a)
-        return power_loss_critical_values(draws, moments, params, config.alpha_plus)
-    return critical_values(draws, moments, config.x_level, config.alpha_plus)
+        return draws, power_loss_critical_values(draws, moments, params, config.alpha_plus)
+    return draws, critical_values(draws, moments, config.x_level, config.alpha_plus)
 
 
 @dataclass(frozen=True)
@@ -296,7 +298,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
-    table_known = known_noise_table(config, family, scenario)
+    _, table_known = known_noise_calibration(config, family, scenario)
 
     report = oracle(
         family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode
@@ -359,7 +361,7 @@ def quantile_ratio_table(config: ExperimentConfig, m_dagger: int | None = None) 
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
-    table_known = known_noise_table(config, family, scenario)
+    _, table_known = known_noise_calibration(config, family, scenario)
     y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
     md = config.m_dagger if m_dagger is None else int(m_dagger)
     resid = presmooth(family, y, md)

@@ -7,6 +7,7 @@ from smaselect import (
     AllZeroResiduals,
     DesignMatrix,
     NoiseSpec,
+    NonFiniteInput,
     RequiresKnownTruth,
     WeightingScheme,
     bootstrap_calibrate,
@@ -59,6 +60,16 @@ def test_presmooth_residuals_orthogonal_to_span():
 def test_bootstrap_draws_zero_residuals_is_fatal(toy_family):
     with pytest.raises(AllZeroResiduals):
         bootstrap_joint_draws(toy_family, np.zeros(4), 100, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bootstrap_rejects_non_finite_residuals(toy_family, bad):
+    resid = np.array([0.5, bad, 2.0, 0.3])
+    with pytest.raises(NonFiniteInput):
+        bootstrap_calibrate(toy_family, resid, 2.0, 1.0, 100, seed=1)
+    # Data carrying the value reach the check through presmoothing.
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+        bootstrap_effective_dims(toy_family, presmooth(toy_family, resid, 2))
 
 
 def test_bootstrap_draws_negligible_presmooth_is_fatal(toy_family):
@@ -120,8 +131,8 @@ def test_scale_equivariance_exact(toy_family):
         assert scaled.threshold(*pair) == pytest.approx(
             c * base.threshold(*pair), rel=1e-12
         )
-        assert math.sqrt(scaled.p_boot[pair]) == pytest.approx(
-            c * math.sqrt(base.p_boot[pair]), rel=1e-12
+        assert math.sqrt(scaled.pair_dims[pair]) == pytest.approx(
+            c * math.sqrt(base.pair_dims[pair]), rel=1e-12
         )
 
 
@@ -149,7 +160,7 @@ def test_bootstrap_table_serialization(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
     table = bootstrap_calibrate(toy_family, resid, 2.0, 1.0, 2000, seed=359)
     d = table.to_dict()
-    assert "p_boot" in d and d["p_boot"]["3:1"] == pytest.approx(5.0, rel=1e-12)
+    assert d["pair_dims"]["3:1"] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_validity_diagnostics_toy(toy_family, toy_noise):

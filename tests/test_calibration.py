@@ -12,6 +12,7 @@ from smaselect import (
     DesignMatrix,
     JointDrawMatrix,
     NoiseSpec,
+    NonFiniteInput,
     NotOrderedPair,
     TailTooDeepWarning,
     WeightingScheme,
@@ -25,13 +26,71 @@ from smaselect import (
     sample_joint_draws,
     tail_quantile,
 )
-from smaselect.calibration import joint_norms_from_noise
+from smaselect.bootstrap import bootstrap_joint_draws, presmooth
+from smaselect.calibration import (
+    _correction_rank,
+    _quantile_at,
+    _tail_rank,
+    joint_norms_from_noise,
+)
 from smaselect.errors import BadExponent, DimensionMismatch
+from smaselect.experiment import (
+    ExperimentConfig,
+    _noise_draw,
+    generate_scenario,
+    scenario_family,
+)
+from smaselect.io import load_draws, save_draws
 from smaselect.moments import all_pair_moments
 
 
 def toy_moments(family, sigma):
     return all_pair_moments(family, sigma)
+
+
+def bisection_correction(draws, m_ref, x_level, resolution=1e-4):
+    """Reference oracle: the float bisection the exact correction replaced.
+
+    Finds, to ``resolution`` in the level, the smallest shift whose shared
+    tail values bring the family-wise exceedance down to ``e^-x``.
+    """
+    pairs = draws.comparisons(m_ref)
+    if len(pairs) == 1:
+        return 0.0
+    sub = draws.draws[:, [draws.pair_index[p] for p in pairs]]
+    sorted_cols = np.sort(sub, axis=0).T
+    target = math.exp(-x_level)
+
+    def fwe(q):
+        z = np.array([_quantile_at(col, x_level + q)[0] for col in sorted_cols])
+        return float(np.mean(np.any(sub > z[None, :], axis=1)))
+
+    if fwe(0.0) <= target:
+        return 0.0
+    lo, hi = 0.0, math.log(len(pairs)) + 1.0
+    assert fwe(hi) <= target
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if fwe(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def assert_matches_bisection(draws, x_level):
+    """Exact correction vs the bisection oracle on every reference."""
+    n = draws.n_sim
+    for m_ref in draws.references():
+        k = _correction_rank(draws, m_ref, x_level)
+        q = multiplicity_correction(draws, m_ref, x_level)
+        q_bisect = bisection_correction(draws, m_ref, x_level)
+        assert _tail_rank(x_level + q, n)[0] == k, m_ref
+        # q is the smallest float shift selecting rank k, and 0.0 when none is needed.
+        assert q == 0.0 or _tail_rank(x_level + math.nextafter(q, -math.inf), n)[0] < k
+        assert (q == 0.0) == (k == _tail_rank(x_level, n)[0])
+        assert _tail_rank(x_level + q_bisect, n)[0] == k, m_ref
+        assert q <= q_bisect <= q + 1e-4, m_ref
 
 
 def test_zero_noise_hook_gives_zero_draws(toy_family):
@@ -112,7 +171,55 @@ def test_multiplicity_single_comparison_is_zero(toy_family, toy_noise):
 def test_multiplicity_toy_bracket(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 60_000, seed=47)
     q = multiplicity_correction(draws, 1, 2.0)
-    assert 0.0 <= q <= math.log(2) + 0.1
+    # In-sample Bonferroni: the level x + log K already meets the target.
+    assert 0.0 <= q <= math.log(len(draws.comparisons(1)))
+
+
+def test_exact_correction_matches_bisection_toy(toy_family, toy_noise):
+    draws = sample_joint_draws(toy_family, toy_noise, 20_000, seed=48)
+    for x in (0.5, 2.0, 4.0):
+        assert_matches_bisection(draws, x)
+
+
+def test_exact_correction_matches_bisection_multi_reference(toy_extended_family):
+    noise = NoiseSpec.homogeneous(1.0, 8)
+    draws = sample_joint_draws(toy_extended_family, noise, 5000, seed=49)
+    assert len(draws.references()) == 5
+    for x in (1.0, 2.0, 3.0):
+        assert_matches_bisection(draws, x)
+
+
+PAPER_CONFIG = {
+    "n": 200,
+    "p_max": 200,
+    "models": list(range(1, 38)),
+    "m_dagger": 20,
+    "x_level": 2.0,
+    "alpha_plus": 1.0,
+    "n_sim": 1000,
+    "n_hist": 100,
+    "noise_profile": {"kind": "linear", "sigma_lo": 0.5, "sigma_hi": 2.0},
+    "coefficient_rule": {"kind": "paper4"},
+    "weighting": "prediction",
+    "seeds": {"data": 1001, "noise": 2002, "calibration": 3003, "bootstrap": 4004},
+}
+
+
+def test_exact_rank_equals_bisection_rank_paper_config():
+    cfg = ExperimentConfig.from_dict(PAPER_CONFIG)
+    scenario = generate_scenario(cfg)
+    family = scenario_family(cfg, scenario)
+    known = sample_joint_draws(family, scenario.sigma, cfg.n_sim, cfg.seeds.calibration)
+    assert len(known.references()) == 36
+    for x in (0.5, 1.0, 2.0, 3.0, 4.0):
+        assert_matches_bisection(known, x)
+    for rep in range(3):
+        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, rep)
+        resid = presmooth(family, y, cfg.m_dagger)
+        boot = bootstrap_joint_draws(
+            family, resid, cfg.n_sim, cfg.seeds.bootstrap, stream_tag=rep
+        )
+        assert_matches_bisection(boot, cfg.x_level)
 
 
 def test_multiplicity_duplicate_columns_need_no_correction():
@@ -126,6 +233,47 @@ def test_multiplicity_duplicate_columns_need_no_correction():
         n_sim=20_000,
     )
     assert multiplicity_correction(draws, 1, 2.0) == 0.0
+
+
+def test_multiplicity_all_zero_column_needs_no_correction():
+    # A column that never exceeds its (zero) tail value adds nothing to the union.
+    rng = np.random.default_rng(54)
+    col = np.abs(rng.standard_normal(20_000))
+    draws = JointDrawMatrix(
+        draws=np.column_stack([np.zeros(20_000), col]),
+        pair_index={(2, 1): 0, (3, 1): 1},
+        seed=54,
+        n_sim=20_000,
+    )
+    np.testing.assert_array_equal(draws.ranks[0], 0)
+    assert multiplicity_correction(draws, 1, 2.0) == 0.0
+
+
+def test_strict_ranks_count_smaller_draws():
+    draws = JointDrawMatrix(
+        draws=np.array([[0.5, 2.0], [0.1, 2.0], [0.5, 1.0], [0.3, 2.0]]),
+        pair_index={(2, 1): 0, (3, 1): 1},
+        seed=0,
+        n_sim=4,
+    )
+    np.testing.assert_array_equal(draws.ranks, [[2, 0, 2, 1], [1, 1, 0, 1]])
+    np.testing.assert_array_equal(draws.sorted_column(3, 1), [1.0, 2.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_draw_matrix_rejects_non_finite(tmp_path, bad):
+    values = np.ones((3, 2))
+    values[1, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
+    # A draw file carrying the same values is rejected on load.
+    good = JointDrawMatrix(
+        draws=np.ones((3, 2)), pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3
+    )
+    good.draws[1, 0] = bad
+    save_draws(good, tmp_path / "draws.bin")
+    with pytest.raises(NonFiniteInput):
+        load_draws(tmp_path / "draws.bin", pairs=[(2, 1), (3, 1)])
 
 
 def test_multiplicity_nonincreasing_when_comparisons_removed(toy_family, toy_noise):

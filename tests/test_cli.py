@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from smaselect import cli
-from smaselect.calibration import CalibrationTable, sample_joint_draws
-from smaselect.io import load_draws, load_table, save_draws
+from smaselect.calibration import (
+    CalibrationTable,
+    critical_values,
+    power_loss_critical_values,
+    power_loss_params,
+    sample_joint_draws,
+)
+from smaselect.moments import all_pair_moments
+from smaselect.io import load_draws, load_table, save_draws, save_table
 from smaselect.errors import DimensionMismatch
 
 
@@ -42,12 +49,10 @@ def test_calibrate_known_with_self_test(config_file, tmp_path):
 
 def test_calibrate_bootstrap(config_file, tmp_path):
     out = tmp_path / "out"
-    rc = cli.main(
-        ["calibrate", "--config", str(config_file), "--out", str(out), "--noise", "bootstrap"]
-    )
-    assert rc == 0
+    argv = ["calibrate", "--config", str(config_file), "--out", str(out)]
+    assert cli.main(argv + ["--noise", "bootstrap", "--self-test"]) == 0
     payload = json.loads((out / "calibration.json").read_text())
-    assert "p_boot" in payload
+    assert set(payload["pair_dims"]) == set(payload["critical"])
 
 
 def test_select_with_data_file(config_file, tmp_path):
@@ -167,6 +172,26 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
     )
     failures = cli._propagation_selftest(draws, bad)
     assert failures and "reference 1" in failures[0]
+
+
+def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp_path):
+    draws = sample_joint_draws(toy_family, toy_noise, 20_000, seed=73)
+    moments = all_pair_moments(toy_family, toy_noise)
+    params = power_loss_params([1, 2, 3], {1: 1.0, 2: 2.0, 3: 3.0}, a=1.0)
+    tables = {
+        "reference 1": critical_values(draws, moments, x_level=2.0, alpha_plus=1.0),
+        "pair (2, 1)": power_loss_critical_values(draws, moments, params, alpha_plus=1.0),
+    }
+    for flagged, table in tables.items():
+        save_table(table, tmp_path / "calibration.json")
+        saved = load_table(tmp_path / "calibration.json")
+        assert cli._propagation_selftest(draws, saved) == []
+        # Lower one saved threshold below its order statistic: the self-test
+        # must read the saved value, not rebuild it from the draws.
+        allowance = saved.alpha_plus * saved.pair_dims[(2, 1)] ** 0.5
+        saved.critical[(2, 1)] = float(np.median(draws.column(2, 1))) + allowance
+        failures = cli._propagation_selftest(draws, saved)
+        assert failures and flagged in failures[0]
 
 
 def test_seed_override_changes_output(config_file, tmp_path):

@@ -31,7 +31,7 @@ from .errors import (
     SingularGram,
 )
 from .family import GRAM_CUTOFF, ModelFamily
-from .moments import NoiseSpec
+from .moments import NoiseSpec, pair_traces, single_traces
 
 # Residuals below this fraction of the data scale are treated as vanishing.
 RESIDUAL_FLOOR = 1e-12
@@ -74,6 +74,8 @@ def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
     y = np.asarray(y, dtype=float)
     if y.shape != (family.n,):
         raise DimensionMismatch("data vector must have length n")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("data vector contains NaN or infinite values")
     basis = pilot_basis(family, m_dagger)
     residuals = y - basis @ (basis.T @ y)
     # Second projection pass pins the residual orthogonality to the span.
@@ -121,32 +123,19 @@ def bootstrap_joint_draws(
     if n_sim < 1:
         raise DimensionMismatch("n_sim must be >= 1")
     vec = _residual_vector(residuals, family.n)
-    pairs = list(pairs) if pairs is not None else family.pairs()
     return _sample_scaled_norms(family, vec, n_sim, seed, pairs, n_workers, stream_tag)
-
-
-def _weighted_column_dims(op: np.ndarray, weights2: np.ndarray) -> float:
-    return float(np.einsum("qi,qi,i->", op, op, weights2))
 
 
 def bootstrap_effective_dims(
     family: ModelFamily, residuals, pairs=None
 ) -> dict[tuple[int, int], float]:
-    """Data-driven effective dimensions: residual-weighted column masses."""
-    vec = _residual_vector(residuals, family.n)
-    w2 = vec**2
-    pairs = list(pairs) if pairs is not None else family.pairs()
-    return {
-        (m, m_ref): _weighted_column_dims(family.pair_operator(m, m_ref), w2)
-        for m, m_ref in pairs
-    }
+    """Data-driven effective dimensions: residual-weighted variance traces."""
+    return pair_traces(family, _residual_vector(residuals, family.n) ** 2, pairs)
 
 
 def bootstrap_single_dims(family: ModelFamily, residuals) -> dict[int, float]:
     """Single-model analog of the effective dimensions."""
-    vec = _residual_vector(residuals, family.n)
-    w2 = vec**2
-    return {m: _weighted_column_dims(family.operator(m), w2) for m in family.models}
+    return single_traces(family, _residual_vector(residuals, family.n) ** 2)
 
 
 def bootstrap_table(

@@ -109,6 +109,18 @@ class JointDrawMatrix:
         )
 
 
+def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
+    """Pair magnitudes ``|(D_m - D_ref) xi|`` for each row of ``xi`` (``B x r``).
+
+    The one norm kernel: one matmul maps every row to every model's reduced
+    estimate, then each reference takes one vectorised difference.  A pair
+    ``(m, 0)`` gives the magnitude of model ``m``'s own estimate.
+    """
+    flat = family.reduced.reshape(-1, family.reduced.shape[-1])
+    estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
+    return np.sqrt(family.pair_sq_norms(estimates, pairs)).T
+
+
 def joint_norms_from_noise(
     family: ModelFamily, noise: np.ndarray, pairs=None
 ) -> np.ndarray:
@@ -117,12 +129,7 @@ def joint_norms_from_noise(
     if noise.shape[1] != family.n:
         raise DimensionMismatch("noise rows must have length n")
     pairs = list(pairs) if pairs is not None else family.pairs()
-    needed = sorted({m for pair in pairs for m in pair})
-    outputs = {m: noise @ family.operator(m).T for m in needed}
-    out = np.empty((noise.shape[0], len(pairs)))
-    for j, (m, m_ref) in enumerate(pairs):
-        out[:, j] = np.linalg.norm(outputs[m] - outputs[m_ref], axis=1)
-    return out
+    return pair_norms(family, family.reduce(noise), pairs)
 
 
 def _fill_blocks(n_sim, seed, n, scale, worker, n_workers, stream_tag=0):
@@ -155,20 +162,17 @@ def _sample_scaled_norms(
     n_workers: int,
     stream_tag: int = 0,
 ) -> JointDrawMatrix:
-    """Draw matrix for noise ``scale * N(0, I_n)`` rows.
+    """Draw matrix for noise ``scale * N(0, I_n)`` rows; ``pairs=None`` means all.
 
-    Shared core of the known-noise and residual-multiplier paths: the two
-    differ only in the per-coordinate scale vector.
+    Shared core of the known-noise and residual-multiplier paths and of
+    ``excess_risk_mc``: they differ only in the per-coordinate scale vector
+    and the pairs.
     """
-    pairs = list(pairs)
+    pairs = list(pairs) if pairs is not None else family.pairs()
     draws = np.empty((n_sim, len(pairs)))
-    needed = sorted({m for pair in pairs for m in pair})
-    ops = {m: family.operator(m).T for m in needed}
 
     def worker(noise_block, start, stop):
-        outputs = {m: noise_block @ ops[m] for m in needed}
-        for j, (m, m_ref) in enumerate(pairs):
-            draws[start:stop, j] = np.linalg.norm(outputs[m] - outputs[m_ref], axis=1)
+        draws[start:stop] = pair_norms(family, family.reduce(noise_block), pairs)
 
     _fill_blocks(n_sim, seed, family.n, scale, worker, n_workers, stream_tag)
     return JointDrawMatrix(
@@ -197,7 +201,6 @@ def sample_joint_draws(
     if n_sim < 1:
         raise DimensionMismatch("n_sim must be >= 1")
     scale = np.sqrt(sigma.require_known())
-    pairs = list(pairs) if pairs is not None else family.pairs()
     return _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
 
 
@@ -552,31 +555,17 @@ def excess_risk_mc(
     m_prev = family.predecessor(m)
     if m_prev is None:
         raise NotOrderedPair(f"model {m} has no predecessor in the family")
-    variances = sigma.require_known()
-    scale = np.sqrt(variances)
-    succ = family.successors(m_prev)
-    pairs = [(mp, m_prev) for mp in succ]
-    pair_ops = {mp: family.pair_operator(mp, m_prev).T for mp in succ}
-    own_op = family.operator(m).T
-
-    pair_norms = np.empty((n_sim, len(pairs)))
-    own_norm2 = np.empty(n_sim)
-
-    def worker(noise_block, start, stop):
-        for j, mp in enumerate(succ):
-            pair_norms[start:stop, j] = np.linalg.norm(noise_block @ pair_ops[mp], axis=1)
-        own_norm2[start:stop] = np.sum((noise_block @ own_op) ** 2, axis=1)
-
-    _fill_blocks(n_sim, seed, family.n, scale, worker, n_workers)
+    scale = np.sqrt(sigma.require_known())
+    pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs + [(m, 0)], n_workers)
+    compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
     p_m = single_variance(family, sigma, m).p_pair
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:
-        z = np.array(
-            [_quantile_at(np.sort(pair_norms[:, j]), x_candidate)[0] for j in range(len(pairs))]
-        )
-        fired = np.any(pair_norms > z[None, :], axis=1)
+        z = np.array([_quantile_at(col, x_candidate)[0] for col in draws.sorted_draws[:-1]])
+        fired = np.any(compared > z[None, :], axis=1)
     integrand = np.maximum(own_norm2 / p_m, 1.0) * fired
     value = float(integrand.mean())
     stderr = float(integrand.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else float("inf")

@@ -9,6 +9,8 @@ noise replicates and records selected indices and losses.
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -31,7 +33,7 @@ from .moments import (
     NoiseSpec,
     all_pair_moments,
     best_linear_coefficients,
-    single_variance,
+    single_traces,
 )
 from .rng import stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
@@ -102,6 +104,16 @@ class ExperimentConfig:
     power_a: float | None = None
 
     def validate(self) -> "ExperimentConfig":
+        for name in ("n", "p_max", "m_dagger", "n_sim", "n_hist", "n_workers"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be an integer")
+        for name in ("x_level", "alpha_plus") + (("power_a",) if self.power_a is not None else ()):
+            if not _is_number(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be a finite number")
+        if not isinstance(self.random_design, bool):
+            raise ConfigInvalid("random_design must be true or false")
+        if not all(_is_count(m) for m in self.models):
+            raise ConfigInvalid("models must be integers")
         models = tuple(int(m) for m in self.models)
         if not models or any(b <= a for a, b in zip(models, models[1:])):
             raise ConfigInvalid("models must be a nonempty strictly increasing list")
@@ -118,7 +130,8 @@ class ExperimentConfig:
         if self.mode == "power_loss" and (self.power_a is None or self.power_a <= 0):
             raise ConfigInvalid("power_loss mode needs power_a > 0")
         for name in ("data", "noise", "calibration", "bootstrap"):
-            if int(getattr(self.seeds, name)) < 0:
+            seed = getattr(self.seeds, name)
+            if not _is_count(seed) or seed < 0:
                 raise ConfigInvalid("seeds must be nonnegative integers")
         _validate_coeff_rule(self.coefficient_rule)
         _validate_noise_profile(self.noise_profile, self.n)
@@ -132,44 +145,61 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        if "seeds" in d and isinstance(d["seeds"], dict):
-            d["seeds"] = Seeds(**{k: int(v) for k, v in d["seeds"].items()})
         if "models" in d:
-            d["models"] = tuple(int(m) for m in d["models"])
+            if not isinstance(d["models"], (list, tuple)):
+                raise ConfigInvalid("models must be a list of integers")
+            d["models"] = tuple(d["models"])
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
         try:
+            if isinstance(d.get("seeds"), dict):
+                d["seeds"] = Seeds(**d["seeds"])
             cfg = cls(**d)
         except TypeError as exc:
             raise ConfigInvalid(str(exc)) from None
         return cfg.validate()
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _numbers(vals, what: str) -> list:
+    if not isinstance(vals, (list, tuple)) or not vals:
+        raise ConfigInvalid(f"{what} needs a nonempty values list")
+    if not all(_is_number(v) for v in vals):
+        raise ConfigInvalid(f"{what} values must be finite numbers")
+    return list(vals)
+
+
 def _validate_coeff_rule(rule: dict) -> None:
-    kind = rule.get("kind")
+    kind = rule.get("kind") if isinstance(rule, dict) else None
     if kind == "paper4":
         return
     if kind == "explicit":
-        vals = rule.get("values")
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise ConfigInvalid("explicit coefficient rule needs a nonempty values list")
+        _numbers(rule.get("values"), "explicit coefficient rule")
         return
     raise ConfigInvalid("coefficient_rule.kind must be 'paper4' or 'explicit'")
 
 
 def _validate_noise_profile(profile: dict, n: int) -> None:
-    kind = profile.get("kind")
+    kind = profile.get("kind") if isinstance(profile, dict) else None
     if kind == "linear":
         lo, hi = profile.get("sigma_lo"), profile.get("sigma_hi")
-        if lo is None or hi is None or min(lo, hi) <= 0:
-            raise ConfigInvalid("linear profile needs sigma_lo, sigma_hi > 0")
+        if not (_is_number(lo) and _is_number(hi)) or min(lo, hi) <= 0:
+            raise ConfigInvalid("linear profile needs numbers sigma_lo, sigma_hi > 0")
     elif kind == "constant":
-        if profile.get("sigma", 0) <= 0:
-            raise ConfigInvalid("constant profile needs sigma > 0")
+        sigma = profile.get("sigma")
+        if not _is_number(sigma) or sigma <= 0:
+            raise ConfigInvalid("constant profile needs a number sigma > 0")
     elif kind == "explicit":
-        vals = profile.get("values")
-        if not isinstance(vals, (list, tuple)) or len(vals) != n:
+        vals = _numbers(profile.get("values"), "explicit profile")
+        if len(vals) != n:
             raise ConfigInvalid("explicit profile needs n standard deviations")
         if min(vals) <= 0:
             raise ConfigInvalid("explicit profile values must be > 0")
@@ -238,10 +268,7 @@ def scenario_family(config: ExperimentConfig, scenario: Scenario) -> ModelFamily
     else:
         deriv = fourier_derivative_values(scenario.grid, config.p_max)
         weighting = WeightingScheme.custom(deriv.T / np.sqrt(config.n))
-    family = build_projection_family(scenario.design, weighting, config.models)
-    for pair in family.pairs():
-        family.pair_operator(*pair)  # warm the cache before any threading
-    return family
+    return build_projection_family(scenario.design, weighting, config.models)
 
 
 def known_noise_calibration(
@@ -257,7 +284,7 @@ def known_noise_calibration(
     )
     moments = all_pair_moments(family, scenario.sigma)
     if config.mode == "power_loss":
-        dims = {m: single_variance(family, scenario.sigma, m).p_pair for m in family.models}
+        dims = single_traces(family, scenario.sigma.require_known())
         params = power_loss_params(family.models, dims, config.power_a)
         return draws, power_loss_critical_values(draws, moments, params, config.alpha_plus)
     return draws, critical_values(draws, moments, config.x_level, config.alpha_plus)
@@ -305,7 +332,6 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     )
     report = payment_for_adaptation(family, scenario.sigma, report, table_known)
     target = family.weight_matrix @ best_linear_coefficients(family, scenario.f_true)
-    outputs = {m: family.operator(m) for m in family.models}
 
     def run_rep(rep: int) -> ReplicateRecord:
         y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, rep)
@@ -325,8 +351,10 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         )
         m_boot = sma_select(stats, table_boot, models=family.models).m_hat
 
+        fits = dict(zip(family.models, family.outputs(family.reduce(y))))
+
         def loss(m: int) -> float:
-            return float(np.sum((outputs[m] @ y - target) ** 2))
+            return float(np.sum((fits[m] - target) ** 2))
 
         return ReplicateRecord(
             rep=rep,

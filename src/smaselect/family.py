@@ -1,18 +1,25 @@
-"""Ordered families of linear estimators.
+"""Ordered families of linear estimators, held in reduced coordinates.
 
 A family is built from a ``p x n`` design whose leading ``m`` rows define
 the ``m``-th model, a weighting matrix ``W`` fixing the loss, and a strictly
-increasing list of model sizes.  Each model ``m`` carries the estimator
-operator ``K_m = W S_m`` where ``S_m`` is the least-squares operator of the
-leading-``m`` block embedded into the full coefficient space by
-zero-padding; differences ``K_m - K_ref`` are therefore plain matrix
-subtractions and are cached on demand.
+increasing list of model sizes.  Model ``m`` estimates ``K_m y = W S_m y``,
+where ``S_m`` is the least-squares operator of the leading-``m`` block
+zero-padded to the full coefficient space.
+
+No ``q x n`` operator is stored.  With ``M`` the largest model, every
+``S_m`` reads ``y`` only through ``xi = Q^T y``, where ``Q`` (``n x r``,
+``r = min(M, n)``) is an orthonormal basis of the row span of the leading
+``M`` rows, and only the first ``M`` coefficients are ever nonzero.  So the
+family keeps, per model, the ``M x r`` coefficient map ``C_m`` and its
+loss-weighted image ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R``
+has ``min(q, M)`` rows.  Every pair norm is ``|(D_m - D_ref) xi|`` and every
+variance spectrum is an ``r x r`` (or smaller) eigenproblem.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,15 +165,21 @@ def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class ModelFamily:
-    """Estimator family over an ordered model set."""
+    """Estimator family over an ordered model set, in reduced coordinates.
+
+    ``basis`` is ``Q`` (``n x r``); ``coefficients[i]`` is ``C_m`` (``M x r``)
+    and ``reduced[i]`` is ``D_m`` for ``m = models[i]``.  ``K_m y`` equals
+    ``W[:, :M] C_m Q^T y`` and ``|K_m y|`` equals ``|D_m Q^T y|``.
+    """
 
     design: DesignMatrix
     weighting: WeightingScheme
     models: tuple[int, ...]
     weight_matrix: np.ndarray
-    operators: dict[int, np.ndarray]
+    basis: np.ndarray
+    coefficients: np.ndarray
+    reduced: np.ndarray
     rank_deficient: tuple[int, ...] = ()
-    _pair_cache: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def q(self) -> int:
@@ -184,22 +197,78 @@ class ModelFamily:
     def largest(self) -> int:
         return self.models[-1]
 
-    def operator(self, m: int) -> np.ndarray:
+    def position(self, m: int) -> int:
+        """Index of model ``m`` in ``models``."""
         try:
-            return self.operators[m]
-        except KeyError:
+            return self.models.index(m)
+        except ValueError:
             raise NotOrderedPair(f"model {m} not in family") from None
 
+    def operator(self, m: int) -> np.ndarray:
+        """Materialize ``K_m`` (``q x n``); no calibration path needs it."""
+        return self._materialize(self.coefficients[self.position(m)])
+
     def pair_operator(self, m: int, m_ref: int) -> np.ndarray:
-        """Difference operator ``K_m - K_ref`` for ``m > m_ref``; cached."""
+        """Materialize ``K_m - K_ref`` for ``m > m_ref``."""
         if m <= m_ref:
             raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-        if m not in self.operators or m_ref not in self.operators:
-            raise NotOrderedPair(f"pair ({m}, {m_ref}) not in family")
-        key = (m, m_ref)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = self.operators[m] - self.operators[m_ref]
-        return self._pair_cache[key]
+        coef = self.coefficients[self.position(m)] - self.coefficients[self.position(m_ref)]
+        return self._materialize(coef)
+
+    def _materialize(self, coef: np.ndarray) -> np.ndarray:
+        return self.weight_matrix[:, : self.largest] @ coef @ self.basis.T
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Reduced coordinates ``Q^T v`` of a vector, or of each row of a matrix."""
+        return v @ self.basis
+
+    def outputs(self, xi: np.ndarray) -> np.ndarray:
+        """Estimates ``K_m y`` of every model (rows) from ``xi = Q^T y``."""
+        return (self.coefficients @ xi) @ self.weight_matrix[:, : self.largest].T
+
+    def noise_weighted(self, variances: np.ndarray) -> np.ndarray:
+        """``E_m = D_m S^{1/2}`` for every model, ``S = Q^T diag(variances) Q``.
+
+        ``E_m E_m^T`` has the nonzero spectrum of the variance of ``K_m y``
+        under noise with these per-coordinate variances, and so has
+        ``(E_m - E_ref)(E_m - E_ref)^T`` for the difference of two models.
+        """
+        return self.reduced @ _psd_sqrt((self.basis.T * variances) @ self.basis)
+
+    def pair_groups(self, pairs):
+        """Split ``pairs`` by reference: ``(ref, positions, columns)`` per reference.
+
+        ``ref`` is the reference's position in ``models``, or ``None`` for
+        reference 0, the empty model whose estimate is zero; ``positions``
+        holds the larger models' positions and ``columns`` the pairs'
+        indices in ``pairs``, each a slice when it is a contiguous run (as
+        in the canonical order), so indexing by it takes no copy.
+        """
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for col, (m, m_ref) in enumerate(pairs):
+            rows, cols = groups.setdefault(m_ref, ([], []))
+            rows.append(self.position(m))
+            cols.append(col)
+        return [
+            (None if m_ref == 0 else self.position(m_ref), _as_slice(rows), _as_slice(cols))
+            for m_ref, (rows, cols) in groups.items()
+        ]
+
+    def pair_sq_norms(self, values: np.ndarray, pairs) -> np.ndarray:
+        """``|values[m] - values[m_ref]|^2`` summed over axis 1, per pair.
+
+        ``values`` is ``(models, features, columns)``; the result is
+        ``(len(pairs), columns)``.  One vectorised subtraction per reference,
+        into a buffer reused across references.
+        """
+        out = np.empty((len(pairs), values.shape[2]))
+        buf = np.empty((len(self.models),) + values.shape[1:])
+        for ref, positions, cols in self.pair_groups(pairs):
+            diff = values[positions]
+            if ref is not None:
+                diff = np.subtract(diff, values[ref], out=buf[: len(diff)])
+            out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
+        return out
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""
@@ -217,6 +286,20 @@ class ModelFamily:
         return smaller[-1] if smaller else None
 
 
+def _as_slice(index: list[int]) -> slice | np.ndarray:
+    """``index`` as a slice if it is an ascending contiguous run, else an array."""
+    if index == list(range(index[0], index[0] + len(index))):
+        return slice(index[0], index[0] + len(index))
+    return np.array(index)
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root by ``eigh`` (which reads one triangle of
+    ``a``); negative rounding is clipped."""
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def build_projection_family(
     design: DesignMatrix,
     weighting: WeightingScheme,
@@ -224,10 +307,13 @@ def build_projection_family(
 ) -> ModelFamily:
     """Construct the family of least-squares estimators on leading blocks.
 
-    For each ``m`` the operator is ``K_m = W S_m`` where
-    ``S_m = (Psi_m Psi_m^T)^+ Psi_m`` zero-padded from ``m`` to ``p`` rows.
-    Rank-deficient Grams fall back to the pseudo-inverse and attach a
-    ``SingularGramWarning``; an all-zero Gram raises ``SingularGram``.
+    For each ``m`` the estimator is ``K_m = W S_m`` with
+    ``S_m = (Psi_m Psi_m^T)^+ Psi_m`` zero-padded from ``m`` to ``p`` rows,
+    held as ``C_m = pad_M(S_m Q)`` on the untruncated right singular basis
+    ``Q`` of the largest block (a tiny singular direction stays, since the
+    pseudo-inverse may amplify it).  Rank-deficient Grams fall back to the
+    pseudo-inverse and attach a ``SingularGramWarning``; an all-zero Gram
+    raises ``SingularGram``.
     """
     models = tuple(int(m) for m in models)
     if not models:
@@ -241,9 +327,13 @@ def build_projection_family(
     if W.shape[1] != design.p:
         raise DimensionMismatch("W columns must equal the feature dimension p")
 
-    operators: dict[int, np.ndarray] = {}
+    big = models[-1]
+    top = design.leading_block(big)
+    basis = np.linalg.svd(top, full_matrices=False)[2].T
+    projected = top @ basis
+    coefficients = np.zeros((len(models), big, basis.shape[1]))
     deficient: list[int] = []
-    for m in models:
+    for i, m in enumerate(models):
         block = design.leading_block(m)
         gram_inv, truncated = _pinv_gram(block @ block.T, m)
         if truncated:
@@ -254,16 +344,19 @@ def build_projection_family(
                 ),
                 stacklevel=2,
             )
-        s_m = np.zeros((design.p, design.n))
-        s_m[:m] = gram_inv @ block
-        operators[m] = W @ s_m
+        coefficients[i, :m] = gram_inv @ projected[:m]
 
+    # R^T R = W_M^T W_M with min(q, M) rows: W_M itself, or its Gram's root.
+    w_big = W[:, :big]
+    root = w_big if W.shape[0] <= big else _psd_sqrt(w_big.T @ w_big)
     return ModelFamily(
         design=design,
         weighting=weighting,
         models=models,
         weight_matrix=W,
-        operators=operators,
+        basis=basis,
+        coefficients=coefficients,
+        reduced=root @ coefficients,
         rank_deficient=tuple(deficient),
     )
 
@@ -282,26 +375,26 @@ def check_ordering(family: ModelFamily, sigma, tol: float = PSD_TOL) -> Ordering
 
     For each adjacent pair the gap ``V_next - V_m`` must be PSD up to
     ``tol * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
+    Each ``V_m`` is ``E_m E_m^T`` in reduced coordinates; when ``q`` exceeds
+    their size the ``q x q`` gap also has null-space zeros.
     Diagnostic only; never raises on a negative verdict.
     """
-    variances = np.asarray(sigma.variances, dtype=float)
+    factors = family.noise_weighted(sigma.require_known())
+    variances = factors @ factors.transpose(0, 2, 1)
+    padded = family.q > variances.shape[1]
     verdicts: dict[tuple[int, int], bool] = {}
     mins: dict[tuple[int, int], float] = {}
-    for m_ref, m in zip(family.models, family.models[1:]):
-        v_lo = _variance_matrix(family.operator(m_ref), variances)
-        v_hi = _variance_matrix(family.operator(m), variances)
-        gap_eigs = np.linalg.eigvalsh(v_hi - v_lo)
+    for i, (m_ref, m) in enumerate(zip(family.models, family.models[1:])):
+        v_lo, v_hi = variances[i], variances[i + 1]
+        low = float(np.linalg.eigvalsh(v_hi - v_lo)[0])
+        if padded:
+            low = min(low, 0.0)
         scale = float(np.linalg.eigvalsh(v_hi)[-1]) if v_hi.size else 0.0
-        ok = bool(gap_eigs[0] >= -tol * max(scale, 1e-300))
+        ok = bool(low >= -tol * max(scale, 1e-300))
         verdicts[(m, m_ref)] = ok
-        mins[(m, m_ref)] = float(gap_eigs[0])
+        mins[(m, m_ref)] = low
     return OrderingReport(
         pair_ordered=verdicts,
         min_eigenvalues=mins,
         ordered=all(verdicts.values()) if verdicts else True,
     )
-
-
-def _variance_matrix(op: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    v = (op * variances) @ op.T
-    return 0.5 * (v + v.T)

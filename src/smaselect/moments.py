@@ -1,8 +1,13 @@
 """Exact moments and risk profiles under a known diagonal noise covariance.
 
-Everything here is closed-form matrix arithmetic: pairwise variance traces
-and operator norms, bias norms against a known response, and the
-bias/variance risk decomposition used to locate the risk-optimal model.
+Everything here is closed-form matrix arithmetic in the family's reduced
+coordinates: pairwise variance traces and operator norms, bias norms
+against a known response, and the bias/variance risk decomposition used to
+locate the risk-optimal model.  With ``E_m = D_m S^{1/2}`` and
+``S = Q^T diag(v) Q`` (``r x r``), the variance of ``(K_m - K_ref) y`` has
+the nonzero spectrum of ``(E_m - E_ref)(E_m - E_ref)^T``, so a trace is a
+squared Frobenius norm and an operator norm the top eigenvalue of a matrix
+no larger than ``min(q, M, r)`` square.
 """
 
 from __future__ import annotations
@@ -62,48 +67,63 @@ class PairMoments:
 
     p_pair: float
     lambda_pair: float
-    v_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0 <= self.lambda_pair <= self.p_pair * (1 + 1e-9) + 1e-300):
             raise DimensionMismatch("need 0 <= lambda_pair <= p_pair")
 
 
-def _pair_moments_from_op(op: np.ndarray, variances: np.ndarray, keep_matrix: bool) -> PairMoments:
-    v = (op * variances) @ op.T
-    v = 0.5 * (v + v.T)
-    p_pair = float(np.trace(v))
-    lam = float(np.linalg.eigvalsh(v)[-1]) if v.size else 0.0
-    lam = max(lam, 0.0)
-    return PairMoments(p_pair=p_pair, lambda_pair=lam, v_matrix=v if keep_matrix else None)
+def _moments(diffs: np.ndarray) -> list[PairMoments]:
+    """Moments of ``diff diff^T`` for each matrix of a ``(k, a, b)`` stack."""
+    traces = np.einsum("kab,kab->k", diffs, diffs)
+    if diffs.shape[1] > diffs.shape[2]:
+        diffs = diffs.transpose(0, 2, 1)
+    tops = np.linalg.eigvalsh(diffs @ diffs.transpose(0, 2, 1))[:, -1]
+    return [
+        PairMoments(p_pair=float(t), lambda_pair=max(float(lam), 0.0))
+        for t, lam in zip(traces, tops)
+    ]
 
 
-def pair_variance(
-    family: ModelFamily,
-    sigma: NoiseSpec,
-    m: int,
-    m_ref: int,
-    keep_matrix: bool = False,
-) -> PairMoments:
+def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> PairMoments:
     """Variance trace / operator norm of the difference estimator for a pair."""
     if m <= m_ref:
         raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    variances = sigma.require_known()
-    op = family.pair_operator(m, m_ref)
-    return _pair_moments_from_op(op, variances, keep_matrix)
+    factors = family.noise_weighted(sigma.require_known())
+    diff = factors[family.position(m)] - factors[family.position(m_ref)]
+    return _moments(diff[None])[0]
 
 
-def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int, keep_matrix: bool = False) -> PairMoments:
+def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoments:
     """Same moments for a single model's estimator (not a difference)."""
-    variances = sigma.require_known()
-    return _pair_moments_from_op(family.operator(m), variances, keep_matrix)
+    factors = family.noise_weighted(sigma.require_known())
+    return _moments(factors[family.position(m)][None])[0]
 
 
 def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, int], PairMoments]:
-    return {
-        (m, m_ref): pair_variance(family, sigma, m, m_ref)
-        for m, m_ref in family.pairs()
-    }
+    """Moments of every ordered pair: one batched eigensolve per reference."""
+    factors = family.noise_weighted(sigma.require_known())
+    pairs = family.pairs()
+    index = np.arange(len(pairs))
+    out: dict[tuple[int, int], PairMoments] = {}
+    for ref, positions, cols in family.pair_groups(pairs):
+        moments = _moments(factors[positions] - factors[ref])
+        out.update((pairs[c], mom) for c, mom in zip(index[cols], moments))
+    return out
+
+
+def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
+    """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate ``variances``."""
+    pairs = list(pairs) if pairs is not None else family.pairs()
+    factors = family.noise_weighted(variances)
+    flat = factors.reshape(len(family.models), -1, 1)
+    return dict(zip(pairs, map(float, family.pair_sq_norms(flat, pairs)[:, 0])))
+
+
+def single_traces(family: ModelFamily, variances) -> dict[int, float]:
+    """Variance traces ``tr Var(K_m y)`` of every model."""
+    factors = family.noise_weighted(variances)
+    return dict(zip(family.models, map(float, np.einsum("kab,kab->k", factors, factors))))
 
 
 def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndarray:
@@ -112,7 +132,8 @@ def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndar
     f = np.asarray(f_true, dtype=float)
     if f.shape != (family.n,):
         raise DimensionMismatch("f_true must have length n")
-    return family.pair_operator(m, m_ref) @ f
+    fits = family.outputs(family.reduce(f))
+    return fits[family.position(m)] - fits[family.position(m_ref)]
 
 
 def pair_bias(family: ModelFamily, f_true, m: int, m_ref: int) -> float:
@@ -147,12 +168,12 @@ def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoin
     if f.shape != (family.n,):
         raise DimensionMismatch("f_true must have length n")
     target = family.weight_matrix @ best_linear_coefficients(family, f)
+    fits = family.outputs(family.reduce(f))
+    var = single_traces(family, variances)
     out = []
-    for m in family.models:
-        op = family.operator(m)
-        bias2 = float(np.sum((op @ f - target) ** 2))
-        var = float(np.sum(op * op * variances))
-        out.append(RiskPoint(m=m, bias2=bias2, variance=var, risk=bias2 + var))
+    for m, fit in zip(family.models, fits):
+        bias2 = float(np.sum((fit - target) ** 2))
+        out.append(RiskPoint(m=m, bias2=bias2, variance=var[m], risk=bias2 + var[m]))
     return out
 
 
@@ -165,9 +186,7 @@ def functional_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> float:
     """Scalar variance of a rank-one (functional) estimator."""
     if family.q != 1:
         raise NotFunctional(f"weighting output dimension is {family.q}, need 1")
-    variances = sigma.require_known()
-    op = family.operator(m)
-    return float(np.sum(op * op * variances))
+    return single_variance(family, sigma, m).p_pair
 
 
 def risk_profile_csv_rows(profile: list[RiskPoint]) -> list[tuple]:

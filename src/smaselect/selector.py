@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import CalibrationTable, JointDrawMatrix, tail_quantile
+from .calibration import CalibrationTable, JointDrawMatrix, pair_norms, tail_quantile
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotProjectionFamily,
     RequiresKnownTruth,
 )
@@ -25,7 +26,7 @@ from .family import ModelFamily, _pinv_gram
 from .moments import (
     NoiseSpec,
     pair_bias,
-    pair_variance,
+    pair_traces,
     single_variance,
 )
 
@@ -35,11 +36,11 @@ def test_statistics(family: ModelFamily, y) -> dict[tuple[int, int], float]:
     y = np.asarray(y, dtype=float)
     if y.shape != (family.n,):
         raise DimensionMismatch("data vector must have length n")
-    outputs = {m: family.operator(m) @ y for m in family.models}
-    return {
-        (m, m_ref): float(np.linalg.norm(outputs[m] - outputs[m_ref]))
-        for m, m_ref in family.pairs()
-    }
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("data vector contains NaN or infinite values")
+    pairs = family.pairs()
+    norms = pair_norms(family, family.reduce(y)[None], pairs)[0]
+    return dict(zip(pairs, map(float, norms)))
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ def sma_select(
         models = sorted(int(m) for m in models)
     if not models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
+    if not all(math.isfinite(t) for t in statistics.values()):
+        raise NonFiniteInput("test statistics contain NaN or infinite values")
     accepted: dict[int, bool] = {}
     for m_ref in models:
         larger = [m for m in models if m > m_ref]
@@ -134,10 +137,15 @@ def oracle(
     if mode not in ("probabilistic", "power_loss"):
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
 
+    f = np.asarray(f_true, dtype=float)
+    if f.shape != (family.n,):
+        raise DimensionMismatch("f_true must have length n")
+    pairs = family.pairs()
+    bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
+    dims = pair_traces(family, sigma.require_known(), pairs)
+
     def good_pair(m: int, m_ref: int) -> bool:
-        b = pair_bias(family, f_true, m, m_ref)
-        dim = pair_variance(family, sigma, m, m_ref).p_pair
-        return b**2 <= alpha_plus**2 * dim
+        return bias[(m, m_ref)] ** 2 <= alpha_plus**2 * dims[(m, m_ref)]
 
     for m_ref in family.models:
         larger = family.successors(m_ref)

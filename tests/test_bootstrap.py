@@ -72,6 +72,12 @@ def test_bootstrap_rejects_non_finite_residuals(toy_family, bad):
         bootstrap_effective_dims(toy_family, presmooth(toy_family, resid, 2))
 
 
+def test_presmooth_rejects_non_finite_data(toy_family):
+    # Projecting inf would turn every residual into NaN, with a RuntimeWarning.
+    with pytest.raises(NonFiniteInput):
+        presmooth(toy_family, np.array([0.5, np.inf, 2.0, 0.3]), 2)
+
+
 def test_bootstrap_draws_negligible_presmooth_is_fatal(toy_family):
     res = presmooth(toy_family, [1.0, -2.0, 0.5, 0.0], 3)
     with pytest.raises(AllZeroResiduals):

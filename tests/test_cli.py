@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smaselect
 from smaselect import cli
 from smaselect.calibration import (
     CalibrationTable,
@@ -132,6 +137,21 @@ def test_config_error_exit_code(tmp_path):
     notjson = tmp_path / "broken.json"
     notjson.write_text("{")
     assert cli.main(["calibrate", "--config", str(notjson), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_ill_typed_config_exits_cleanly(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 40, "noise_profile": {"kind": "constant", "sigma": "x"}}))
+    src = Path(smaselect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smaselect.cli", "simulate", "--config", str(bad),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -101,6 +101,33 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"n": 10, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"noise_profile": {"kind": "constant", "sigma": "x"}},
+        {"noise_profile": {"kind": "linear", "sigma_lo": "0.5", "sigma_hi": 2.0}},
+        {"noise_profile": {"kind": "linear", "sigma_lo": 0.5, "sigma_hi": None}},
+        {"noise_profile": {"kind": "explicit", "values": ["1.0"] * 10}},
+        {"coefficient_rule": {"kind": "explicit", "values": [1.0, "two"]}},
+        {"x_level": "2"},
+        {"alpha_plus": [1.0]},
+        {"x_level": float("nan")},
+        {"mode": "power_loss", "power_a": "1"},
+        {"n_sim": 100.5},
+        {"n_hist": "4"},
+        {"n_workers": True},
+        {"models": [1, "2", 4]},
+        {"seeds": {"data": "1"}},
+        {"seeds": {"dta": 1}},
+        {"random_design": "yes"},
+    ],
+)
+def test_config_rejects_ill_typed_values(fields):
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict(dict({"n": 10, "p_max": 12, "m_dagger": 4,
+                                         "models": [1, 2, 4]}, **fields))
+
+
 def test_config_json_roundtrip():
     cfg = small_config()
     clone = ExperimentConfig.from_dict(cfg.to_dict())

@@ -9,6 +9,7 @@ from smaselect import (
     DesignMatrix,
     MissingPair,
     NoiseSpec,
+    NonFiniteInput,
     NotProjectionFamily,
     RequiresKnownTruth,
     WeightingScheme,
@@ -36,6 +37,21 @@ def test_statistics_toy_norm(toy_family):
     assert stats[(3, 1)] == pytest.approx(5.0, rel=1e-12)
     # Strict pairs only: no self-comparison columns.
     assert all(m > m_ref for m, m_ref in stats)
+
+
+def test_statistics_reject_non_finite_data(toy_family):
+    with pytest.raises(NonFiniteInput):
+        pairwise_statistics(toy_family, [0.1, np.nan, 0.0, 0.2])
+
+
+def test_sma_rejects_non_finite_statistic(toy_family):
+    # A NaN statistic fails every comparison it enters; without the check
+    # the selector would silently fall back to the largest model.
+    stats = {pair: 0.0 for pair in toy_family.pairs()}
+    stats[(2, 1)] = float("nan")
+    table = table_from_thresholds({pair: 1.0 for pair in stats})
+    with pytest.raises(NonFiniteInput):
+        sma_select(stats, table)
 
 
 def test_sma_all_zero_statistics_selects_smallest(toy_family):

@@ -12,7 +12,7 @@ known-noise path's builder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -212,24 +212,7 @@ class ValidityDiagnostics:
     x_level: float
 
     def to_dict(self) -> dict:
-        return {
-            "delta_psi": self.delta_psi,
-            "d_psi": self.d_psi,
-            "delta_one": self.delta_one,
-            "delta_eps": self.delta_eps,
-            "bias_sup": self.bias_sup,
-            "bias_l2": self.bias_l2,
-            "delta2": self.delta2,
-            "delta0": self.delta0,
-            "delta0_scaled": self.delta0_scaled,
-            "delta_p": self.delta_p,
-            "applicability_ratio": self.applicability_ratio,
-            "asymptotic_regime_reached": self.asymptotic_regime_reached,
-            "p_dim": self.p_dim,
-            "n": self.n,
-            "m_dagger": self.m_dagger,
-            "x_level": self.x_level,
-        }
+        return asdict(self)
 
 
 def validity_diagnostics(

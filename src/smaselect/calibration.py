@@ -30,7 +30,7 @@ from .errors import (
     NotOrderedPair,
     TailTooDeepWarning,
 )
-from .family import ModelFamily
+from .family import ModelFamily, _as_slice
 from .moments import NoiseSpec, PairMoments, single_variance
 from .rng import block_bounds, stream
 
@@ -44,18 +44,17 @@ class JointDrawMatrix:
 
     Column ``pair_index[(m, m_ref)]`` holds the magnitude of the difference
     statistic for that pair; all columns of a row come from the same
-    realization, preserving the joint law.  ``sorted_draws[c]`` is column
-    ``c`` in ascending order and ``ranks[c, r]`` the strict rank of draw
-    ``r`` in it (the number of strictly smaller draws in the column); both
-    are computed once, on construction.
+    realization, preserving the joint law.  ``by_reference[m_ref]`` holds
+    the reference's pairs, ascending in ``m``, and their column indices (a
+    slice when contiguous); it is built once, on construction.  Nothing is
+    sorted: order statistics and strict ranks are selected on demand.
     """
 
     draws: np.ndarray
     pair_index: dict[tuple[int, int], int]
     seed: int
     n_sim: int
-    sorted_draws: np.ndarray = field(init=False, repr=False)
-    ranks: np.ndarray = field(init=False, repr=False)
+    by_reference: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.draws.shape != (self.n_sim, len(self.pair_index)):
@@ -64,16 +63,13 @@ class JointDrawMatrix:
             raise NonFiniteInput("draw matrix contains NaN or infinite values")
         if self.n_sim >= 1 and float(self.draws.min(initial=0.0)) < 0:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
-        cols = np.ascontiguousarray(self.draws.T)
-        order = np.argsort(cols, axis=1)
-        self.sorted_draws = np.take_along_axis(cols, order, axis=1)
-        # Equal draws share the strict rank of the first of their run.
-        new_run = np.ones(cols.shape, dtype=bool)
-        np.not_equal(self.sorted_draws[:, 1:], self.sorted_draws[:, :-1], out=new_run[:, 1:])
-        position = np.arange(self.n_sim, dtype=np.int32)
-        run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
-        self.ranks = np.empty(cols.shape, dtype=np.int32)
-        np.put_along_axis(self.ranks, order, run_start, axis=1)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for pair in sorted(self.pair_index, key=lambda p: (p[1], p[0])):
+            groups.setdefault(pair[1], []).append(pair)
+        self.by_reference = {
+            m_ref: (pairs, _as_slice([self.pair_index[p] for p in pairs]))
+            for m_ref, pairs in groups.items()
+        }
 
     def column(self, m: int, m_ref: int) -> np.ndarray:
         try:
@@ -81,21 +77,34 @@ class JointDrawMatrix:
         except KeyError:
             raise MissingPair(f"pair ({m}, {m_ref}) not present in draws") from None
 
-    def sorted_column(self, m: int, m_ref: int) -> np.ndarray:
-        col = self.pair_index.get((m, m_ref))
-        if col is None:
-            raise MissingPair(f"pair ({m}, {m_ref}) not present in draws")
-        return self.sorted_draws[col]
-
     def references(self) -> list[int]:
         """Reference models that have at least one comparison column."""
-        return sorted({m_ref for (_, m_ref) in self.pair_index})
+        return list(self.by_reference)
 
     def comparisons(self, m_ref: int) -> list[tuple[int, int]]:
-        return sorted(
-            [pair for pair in self.pair_index if pair[1] == m_ref],
-            key=lambda pair: pair[0],
-        )
+        return list(self.by_reference.get(m_ref, ([], None))[0])
+
+    def upper_tail(self, k: int, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending order statistics of ranks ``k..n_sim`` of columns ``cols``,
+        and every draw's strict rank (count of strictly smaller draws, so
+        ties share their run's first rank) floored at ``k - 1``.
+
+        A strict rank reaches ``k`` exactly when the draw exceeds the rank-``k``
+        value, so such draws all lie in the tail: one partial selection per
+        column, and only the tail is sorted.
+        """
+        block = np.ascontiguousarray(self.draws.T[cols])
+        top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :]
+        order = np.argsort(np.take_along_axis(block, top, axis=1), axis=1)
+        top = np.take_along_axis(top, order, axis=1)
+        tail = np.take_along_axis(block, top, axis=1)
+        new_run = np.ones(tail.shape, dtype=bool)
+        np.not_equal(tail[:, 1:], tail[:, :-1], out=new_run[:, 1:])
+        position = np.arange(k - 1, self.n_sim, dtype=np.int32)
+        run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
+        ranks = np.full(block.shape, k - 1, dtype=np.int32)
+        np.put_along_axis(ranks, top, run_start, axis=1)
+        return tail, ranks
 
     def restricted(self, pairs) -> "JointDrawMatrix":
         """View on a subset of pairs (shared rows, fresh column index)."""
@@ -169,14 +178,15 @@ def _sample_scaled_norms(
     and the pairs.
     """
     pairs = list(pairs) if pairs is not None else family.pairs()
-    draws = np.empty((n_sim, len(pairs)))
+    # Column-major, so each column's order statistics read contiguous memory.
+    columns = np.empty((len(pairs), n_sim))
 
     def worker(noise_block, start, stop):
-        draws[start:stop] = pair_norms(family, family.reduce(noise_block), pairs)
+        columns[:, start:stop] = pair_norms(family, family.reduce(noise_block), pairs).T
 
     _fill_blocks(n_sim, seed, family.n, scale, worker, n_workers, stream_tag)
     return JointDrawMatrix(
-        draws=draws,
+        draws=columns.T,
         pair_index={p: i for i, p in enumerate(pairs)},
         seed=seed,
         n_sim=n_sim,
@@ -219,18 +229,23 @@ def _tail_rank(t: float, n: int) -> tuple[int, bool]:
     return min(k, n), tail < 1.0 / n
 
 
-def _quantile_at(sorted_col: np.ndarray, t: float) -> tuple[float, bool]:
-    """Empirical tail value at level ``e^-t``; flags out-of-sample requests."""
-    k, clipped = _tail_rank(t, sorted_col.shape[0])
-    return float(sorted_col[k - 1]), clipped
+def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
+    """Rank-``k`` (1-based) value along the last axis, by one partial selection."""
+    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+
+
+def _quantile_at(col: np.ndarray, t: float) -> tuple[float, bool]:
+    """Empirical tail value of a column (any order) at level ``e^-t``; flags
+    out-of-sample requests."""
+    k, clipped = _tail_rank(t, col.shape[0])
+    return float(_order_statistic(col, k)), clipped
 
 
 def tail_quantile(draws: JointDrawMatrix, m: int, m_ref: int, t: float) -> float:
     """Empirical tail function of one pair at exceedance level ``e^-t``."""
     if t < 0:
         raise DimensionMismatch("tail level t must be >= 0")
-    sorted_col = draws.sorted_column(m, m_ref)
-    value, clipped = _quantile_at(sorted_col, t)
+    value, clipped = _quantile_at(draws.column(m, m_ref), t)
     if clipped:
         warnings.warn(
             TailTooDeepWarning(
@@ -258,37 +273,42 @@ def familywise_exceedance(
     Exceedance is strict, mirroring the selector's rejection rule; for
     continuous draws this matches the non-strict convention almost surely.
     """
-    pairs = draws.comparisons(m_ref)
-    if not pairs:
+    if m_ref not in draws.by_reference:
         raise NotOrderedPair(f"no comparisons available for reference {m_ref}")
-    cols = np.array([draws.pair_index[p] for p in pairs])
+    pairs, cols = draws.by_reference[m_ref]
     z = np.array([thresholds[p] for p in pairs])
     return float(np.mean(np.any(draws.draws[:, cols] > z[None, :], axis=1)))
 
 
-def _correction_rank(draws: JointDrawMatrix, m_ref: int, x_level: float) -> int:
-    """Smallest shared rank at which the family-wise exceedance is at most ``e^-x``.
+def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
+    """Smallest shared rank ``>= k_x`` at which the family-wise exceedance is at most ``e^-x``.
 
-    Every comparison against ``m_ref`` takes the same order statistic ``k``
-    of its column, and a row strictly exceeds the rank-``k`` value of a
-    column exactly when its strict rank there is at least ``k``.  So a row
-    is rejected at rank ``k`` exactly when its largest strict rank reaches
-    ``k``, and the answer is one quantile of the row-max ranks: the
-    Westfall-Young max-T adjustment, read off the calibration draws
-    themselves.  The result is never below the rank of ``x`` itself.
+    ``ranks`` holds the strict ranks of one reference's comparisons (one
+    row per comparison), exact at and above ``k_x``.  Every comparison
+    takes the same order statistic ``k`` of its column, and a draw strictly
+    exceeds the rank-``k`` value exactly when its strict rank is at least
+    ``k``.  So a row is rejected at rank ``k`` exactly when its largest
+    strict rank reaches ``k``, and the answer is one quantile of the
+    row-max ranks: the Westfall-Young max-T adjustment, read off the
+    calibration draws themselves.  A single comparison needs no shift.
     """
-    pairs = draws.comparisons(m_ref)
-    if not pairs:
+    if ranks.shape[0] == 1:
+        return k_x
+    n = ranks.shape[1]
+    # reached[k] = number of rows whose largest strict rank is >= k; the
+    # last entry (k = n) is always zero.
+    reached = np.cumsum(np.bincount(ranks.max(axis=0), minlength=n + 1)[::-1])[::-1]
+    meets = reached[k_x:] / n <= math.exp(-x_level)
+    return k_x + int(np.argmax(meets))
+
+
+def _correction_rank(draws: JointDrawMatrix, m_ref: int, x_level: float) -> int:
+    """Corrected shared rank of reference ``m_ref``; never below the rank of ``x``."""
+    if m_ref not in draws.by_reference:
         raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
     k_x = _tail_rank(x_level, draws.n_sim)[0]
-    if len(pairs) == 1:
-        return k_x
-    row_max = draws.ranks[[draws.pair_index[p] for p in pairs]].max(axis=0)
-    # reached[k] = number of rows whose largest strict rank is >= k; the
-    # last entry (k = n_sim) is always zero.
-    reached = np.cumsum(np.bincount(row_max, minlength=draws.n_sim + 1)[::-1])[::-1]
-    meets = reached[k_x:] / draws.n_sim <= math.exp(-x_level)
-    return k_x + int(np.argmax(meets))
+    ranks = draws.upper_tail(k_x, draws.by_reference[m_ref][1])[1]
+    return _max_t_rank(ranks, k_x, x_level)
 
 
 def _lowest_float(start: float, holds) -> float:
@@ -311,7 +331,7 @@ def _shift_to_rank(x_level: float, k: int, n: int) -> float:
     ``k`` starts just above the level ``-log(1 - (k - 1) / n)``: find the
     lowest float level of that rank, then the smallest shift that rounds
     to it when added to ``x_level`` (half an ulp of the level below it).
-    ``_quantile_at(sorted, x_level + q)`` then returns the rank-``k`` value.
+    ``_quantile_at(column, x_level + q)`` then returns the rank-``k`` value.
     """
     if _tail_rank(x_level, n)[0] == k:
         return 0.0
@@ -385,11 +405,13 @@ class CalibrationTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationTable":
+        """Inverse of ``to_dict``; non-finite values raise ``NonFiniteInput``."""
+
         def pair(key: str) -> tuple[int, int]:
             m, mr = key.split(":")
             return int(m), int(mr)
 
-        return cls(
+        table = cls(
             x_level=float(d["x_level"]),
             alpha_plus=float(d["alpha_plus"]),
             corrections={int(k): float(v) for k, v in d["corrections"].items()},
@@ -404,6 +426,10 @@ class CalibrationTable:
             n_sim=d.get("n_sim"),
             seed=d.get("seed"),
         )
+        for name in ("critical", "pair_dims", "corrections"):
+            if not all(map(math.isfinite, getattr(table, name).values())):
+                raise NonFiniteInput(f"calibration table has non-finite {name} values")
+        return table
 
 
 @dataclass(frozen=True)
@@ -458,29 +484,34 @@ def calibration_table(
     """
     if alpha_plus < 0:
         raise DimensionMismatch("alpha_plus must be >= 0")
-    references = draws.references()
+    n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
+    corrections = dict.fromkeys(draws.by_reference, 0.0)
+    ref_clipped: dict[int, bool] = {}
+    z = np.empty(len(draws.pair_index))
     if power:
-        for m_ref in references:
+        columns = np.ascontiguousarray(draws.draws.T)
+        for m_ref, (_, cols) in draws.by_reference.items():
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
-        corrections = {m_ref: 0.0 for m_ref in references}
-        ref_levels = levels.x
+            k, ref_clipped[m_ref] = _tail_rank(levels.x[m_ref], n)
+            z[cols] = _order_statistic(columns[cols], k)
     else:
-        corrections = {
-            m_ref: multiplicity_correction(draws, m_ref, levels) for m_ref in references
-        }
-        ref_levels = {m_ref: levels + q for m_ref, q in corrections.items()}
-    ref_ranks = {m_ref: _tail_rank(ref_levels[m_ref], draws.n_sim) for m_ref in references}
+        # One partial selection at the rank of x: no corrected rank is lower.
+        k_x = _tail_rank(levels, n)[0]
+        tail, ranks = draws.upper_tail(k_x)
+        for m_ref, (_, cols) in draws.by_reference.items():
+            q = _shift_to_rank(levels, _max_t_rank(ranks[cols], k_x, levels), n)
+            k, ref_clipped[m_ref] = _tail_rank(levels + q, n)
+            z[cols] = tail[cols, k - k_x]
+            corrections[m_ref] = q
 
     critical: dict[tuple[int, int], float] = {}
     clipped: list[tuple[int, int]] = []
     for (m, m_ref), col in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
-        k, was_clipped = ref_ranks[m_ref]
-        if was_clipped:
+        if ref_clipped[m_ref]:
             clipped.append((m, m_ref))
-        z = float(draws.sorted_draws[col, k - 1])
-        critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
+        critical[(m, m_ref)] = float(z[col]) + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
     if clipped:
         warnings.warn(
             TailTooDeepWarning(
@@ -564,7 +595,7 @@ def excess_risk_mc(
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:
-        z = np.array([_quantile_at(col, x_candidate)[0] for col in draws.sorted_draws[:-1]])
+        z = _order_statistic(compared.T, _tail_rank(x_candidate, n_sim)[0])
         fired = np.any(compared > z[None, :], axis=1)
     integrand = np.maximum(own_norm2 / p_m, 1.0) * fired
     value = float(integrand.mean())

@@ -3,7 +3,7 @@
 Subcommands: ``calibrate``, ``select``, ``simulate``, ``sweep``, ``ratios``,
 ``diagnose``, ``bounds-check``.  Exit codes: 0 ok, 2 config error,
 3 numeric failure, 4 property violation under ``--self-test`` or in
-``bounds-check``.
+``bounds-check``, 5 non-finite input.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import io
 from .bootstrap import (
-    bootstrap_calibrate,
     bootstrap_joint_draws,
     bootstrap_table,
     presmooth,
@@ -30,11 +29,13 @@ from .calibration import familywise_exceedance
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
+    NonFiniteInput,
     SingularGram,
     SmaError,
 )
 from .experiment import (
     ExperimentConfig,
+    _multiplier_table,
     _noise_draw,
     generate_scenario,
     known_noise_calibration,
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_SELFTEST = 4
+EXIT_NONFINITE = 5
 
 # Rounding allowance of the self-test's tail values, in ulps of the critical
 # value: adding and then subtracting the bias allowance can round a tail
@@ -168,17 +170,7 @@ def cmd_select(args) -> int:
         _, table = known_noise_calibration(cfg, family, scenario)
     else:
         resid = presmooth(family, y, cfg.m_dagger)
-        table = bootstrap_calibrate(
-            family,
-            resid,
-            cfg.x_level,
-            cfg.alpha_plus,
-            cfg.n_sim,
-            cfg.seeds.bootstrap,
-            n_workers=cfg.n_workers,
-            mode=cfg.mode,
-            power_a=cfg.power_a,
-        )
+        table = _multiplier_table(cfg, family, resid, n_workers=cfg.n_workers)
     result = sma_select(test_statistics(family, y), table)
     io.save_json(result.to_dict(), out / "selection.json")
     io.save_table(table, out / "calibration.json")
@@ -386,6 +378,9 @@ def main(argv=None) -> int:
     except (SingularGram, AllZeroResiduals) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except NonFiniteInput as exc:
+        print(f"non-finite input: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
     except SmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

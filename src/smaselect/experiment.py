@@ -314,6 +314,14 @@ def _noise_draw(scenario: Scenario, seed: int, rep: int) -> np.ndarray:
     return stream(seed, rep).standard_normal(scenario.grid.shape[0]) * sd
 
 
+def _multiplier_table(config, family, resid, n_workers=1, stream_tag=0) -> CalibrationTable:
+    """Residual-multiplier table on ``resid``, in the config's mode and seeds."""
+    return bootstrap_calibrate(
+        family, resid, config.x_level, config.alpha_plus, config.n_sim, config.seeds.bootstrap,
+        n_workers=n_workers, mode=config.mode, power_a=config.power_a, stream_tag=stream_tag,
+    )
+
+
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     """Oracle vs known-noise vs residual-multiplier selection over replicates.
 
@@ -338,17 +346,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         stats = test_statistics(family, y)
         m_known = sma_select(stats, table_known, models=family.models).m_hat
         resid = presmooth(family, y, config.m_dagger)
-        table_boot = bootstrap_calibrate(
-            family,
-            resid,
-            config.x_level,
-            config.alpha_plus,
-            config.n_sim,
-            config.seeds.bootstrap,
-            mode=config.mode,
-            power_a=config.power_a,
-            stream_tag=rep,
-        )
+        table_boot = _multiplier_table(config, family, resid, stream_tag=rep)
         m_boot = sma_select(stats, table_boot, models=family.models).m_hat
 
         fits = dict(zip(family.models, family.outputs(family.reduce(y))))
@@ -393,17 +391,7 @@ def quantile_ratio_table(config: ExperimentConfig, m_dagger: int | None = None) 
     y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
     md = config.m_dagger if m_dagger is None else int(m_dagger)
     resid = presmooth(family, y, md)
-    table_boot = bootstrap_calibrate(
-        family,
-        resid,
-        config.x_level,
-        config.alpha_plus,
-        config.n_sim,
-        config.seeds.bootstrap,
-        mode=config.mode,
-        power_a=config.power_a,
-        n_workers=config.n_workers,
-    )
+    table_boot = _multiplier_table(config, family, resid, n_workers=config.n_workers)
     ratios = {}
     for pair in family.pairs():
         z_known = table_known.threshold(*pair)
@@ -441,17 +429,7 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
         md = int(md)
         try:
             resid = presmooth(family, y, md)
-            table = bootstrap_calibrate(
-                family,
-                resid,
-                config.x_level,
-                config.alpha_plus,
-                config.n_sim,
-                config.seeds.bootstrap,
-                mode=config.mode,
-                power_a=config.power_a,
-                n_workers=config.n_workers,
-            )
+            table = _multiplier_table(config, family, resid, n_workers=config.n_workers)
             out[md] = {"m_hat": sma_select(stats, table).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}

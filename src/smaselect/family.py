@@ -19,7 +19,7 @@ variance spectrum is an ``r x r`` (or smaller) eigenproblem.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,7 +169,10 @@ class ModelFamily:
 
     ``basis`` is ``Q`` (``n x r``); ``coefficients[i]`` is ``C_m`` (``M x r``)
     and ``reduced[i]`` is ``D_m`` for ``m = models[i]``.  ``K_m y`` equals
-    ``W[:, :M] C_m Q^T y`` and ``|K_m y|`` equals ``|D_m Q^T y|``.
+    ``W[:, :M] C_m Q^T y`` and ``|K_m y|`` equals ``|D_m Q^T y|``.  The
+    model positions, the canonical pair list and its grouping by reference
+    are built once, on construction, so the kernels and any worker threads
+    only read them.
     """
 
     design: DesignMatrix
@@ -180,6 +183,16 @@ class ModelFamily:
     coefficients: np.ndarray
     reduced: np.ndarray
     rank_deficient: tuple[int, ...] = ()
+    _positions: dict[int, int] = field(init=False, repr=False, compare=False)
+    _pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _groups: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._positions = {m: i for i, m in enumerate(self.models)}
+        self._pairs = [
+            (m, m_ref) for i, m_ref in enumerate(self.models) for m in self.models[i + 1 :]
+        ]
+        self._groups = self._group(self._pairs)
 
     @property
     def q(self) -> int:
@@ -200,8 +213,8 @@ class ModelFamily:
     def position(self, m: int) -> int:
         """Index of model ``m`` in ``models``."""
         try:
-            return self.models.index(m)
-        except ValueError:
+            return self._positions[m]
+        except KeyError:
             raise NotOrderedPair(f"model {m} not in family") from None
 
     def operator(self, m: int) -> np.ndarray:
@@ -242,8 +255,13 @@ class ModelFamily:
         reference 0, the empty model whose estimate is zero; ``positions``
         holds the larger models' positions and ``columns`` the pairs'
         indices in ``pairs``, each a slice when it is a contiguous run (as
-        in the canonical order), so indexing by it takes no copy.
+        in the canonical order), so indexing by it takes no copy.  For a
+        list equal to ``pairs()`` it returns the grouping built on
+        construction.
         """
+        return self._groups if pairs == self._pairs else self._group(pairs)
+
+    def _group(self, pairs) -> list:
         groups: dict[int, tuple[list[int], list[int]]] = {}
         for col, (m, m_ref) in enumerate(pairs):
             rows, cols = groups.setdefault(m_ref, ([], []))
@@ -272,11 +290,7 @@ class ModelFamily:
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""
-        out = []
-        for i, m_ref in enumerate(self.models):
-            for m in self.models[i + 1 :]:
-                out.append((m, m_ref))
-        return out
+        return list(self._pairs)
 
     def successors(self, m_ref: int) -> list[int]:
         return [m for m in self.models if m > m_ref]

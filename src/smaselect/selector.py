@@ -40,7 +40,7 @@ def test_statistics(family: ModelFamily, y) -> dict[tuple[int, int], float]:
         raise NonFiniteInput("data vector contains NaN or infinite values")
     pairs = family.pairs()
     norms = pair_norms(family, family.reduce(y)[None], pairs)[0]
-    return dict(zip(pairs, map(float, norms)))
+    return dict(zip(pairs, norms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,15 @@ def sma_select(
     if models is None:
         models = sorted({m for pair in statistics for m in pair})
     else:
-        models = sorted(int(m) for m in models)
+        models = sorted({int(m) for m in models})
     if not models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
     if not all(math.isfinite(t) for t in statistics.values()):
         raise NonFiniteInput("test statistics contain NaN or infinite values")
     accepted: dict[int, bool] = {}
-    for m_ref in models:
-        larger = [m for m in models if m > m_ref]
+    for i, m_ref in enumerate(models):
         accepted[m_ref] = all(
-            statistics[(m, m_ref)] <= table.threshold(m, m_ref) for m in larger
+            statistics[(m, m_ref)] <= table.threshold(m, m_ref) for m in models[i + 1 :]
         )
     m_hat = min(m for m, ok in accepted.items() if ok)
     return SelectionResult(

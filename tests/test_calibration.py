@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -28,10 +29,14 @@ from smaselect import (
 )
 from smaselect.bootstrap import bootstrap_joint_draws, presmooth
 from smaselect.calibration import (
+    PowerLossParams,
     _correction_rank,
     _quantile_at,
+    _shift_to_rank,
     _tail_rank,
+    calibration_table,
     joint_norms_from_noise,
+    pair_norms,
 )
 from smaselect.errors import BadExponent, DimensionMismatch
 from smaselect.experiment import (
@@ -40,7 +45,7 @@ from smaselect.experiment import (
     generate_scenario,
     scenario_family,
 )
-from smaselect.io import load_draws, save_draws
+from smaselect.io import load_draws, load_table, save_draws
 from smaselect.moments import all_pair_moments
 
 
@@ -245,7 +250,7 @@ def test_multiplicity_all_zero_column_needs_no_correction():
         seed=54,
         n_sim=20_000,
     )
-    np.testing.assert_array_equal(draws.ranks[0], 0)
+    np.testing.assert_array_equal(draws.upper_tail(1)[1][0], 0)
     assert multiplicity_correction(draws, 1, 2.0) == 0.0
 
 
@@ -256,8 +261,13 @@ def test_strict_ranks_count_smaller_draws():
         seed=0,
         n_sim=4,
     )
-    np.testing.assert_array_equal(draws.ranks, [[2, 0, 2, 1], [1, 1, 0, 1]])
-    np.testing.assert_array_equal(draws.sorted_column(3, 1), [1.0, 2.0, 2.0, 2.0])
+    tail, ranks = draws.upper_tail(1)
+    np.testing.assert_array_equal(ranks, [[2, 0, 2, 1], [1, 1, 0, 1]])
+    np.testing.assert_array_equal(tail[1], [1.0, 2.0, 2.0, 2.0])
+    # From rank 2 up: only the upper tail is sorted, lower ranks read as 1.
+    tail, ranks = draws.upper_tail(2)
+    np.testing.assert_array_equal(ranks, [[2, 1, 2, 1], [1, 1, 1, 1]])
+    np.testing.assert_array_equal(tail, [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -274,6 +284,127 @@ def test_draw_matrix_rejects_non_finite(tmp_path, bad):
     save_draws(good, tmp_path / "draws.bin")
     with pytest.raises(NonFiniteInput):
         load_draws(tmp_path / "draws.bin", pairs=[(2, 1), (3, 1)])
+
+
+def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
+    """Reference oracle: the full sort and dense strict ranks the partial
+    selection replaced, driving the same exact max-T correction.
+
+    Returns the sorted columns, the strict ranks, each reference's
+    corrected rank (probabilistic mode) and the table's corrections,
+    critical values and clipped pairs.
+    """
+    cols = np.ascontiguousarray(draws.draws.T)
+    order = np.argsort(cols, axis=1)
+    sorted_draws = np.take_along_axis(cols, order, axis=1)
+    new_run = np.ones(cols.shape, dtype=bool)
+    np.not_equal(sorted_draws[:, 1:], sorted_draws[:, :-1], out=new_run[:, 1:])
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(draws.n_sim), 0), axis=1)
+    ranks = np.empty(cols.shape, dtype=int)
+    np.put_along_axis(ranks, order, run_start, axis=1)
+
+    n, power = draws.n_sim, isinstance(levels, PowerLossParams)
+    rank, corrections, ref_level = {}, {}, {}
+    for m_ref in sorted({r for _, r in draws.pair_index}):
+        if power:
+            corrections[m_ref], ref_level[m_ref] = 0.0, levels.x[m_ref]
+            continue
+        pairs = [p for p in draws.pair_index if p[1] == m_ref]
+        k = _tail_rank(levels, n)[0]
+        if len(pairs) > 1:
+            row_max = ranks[[draws.pair_index[p] for p in pairs]].max(axis=0)
+            reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
+            k += int(np.argmax(reached[k:] / n <= math.exp(-levels)))
+        rank[m_ref] = k
+        corrections[m_ref] = _shift_to_rank(levels, k, n)
+        ref_level[m_ref] = levels + corrections[m_ref]
+    critical, clipped = {}, []
+    for (m, m_ref), col in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
+        k, was_clipped = _tail_rank(ref_level[m_ref], n)
+        if was_clipped:
+            clipped.append((m, m_ref))
+        z = float(sorted_draws[col, k - 1])
+        critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
+    return sorted_draws, ranks, rank, corrections, critical, tuple(clipped)
+
+
+@st.composite
+def draw_matrices(draw):
+    """Random draw matrices with ties, all-zero columns and, from pair
+    subsets, references with a single comparison."""
+    n_sim = draw(st.sampled_from([1, 7, 600, 1000]))
+    n_models = draw(st.integers(2, 6))
+    canonical = [(m, r) for r in range(1, n_models) for m in range(r + 1, n_models + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(canonical), max_size=len(canonical)))
+    pairs = [p for p, k in zip(canonical, keep) if k] or canonical[-1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A few distinct values make ties common; a continuous law makes them rare.
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(1, 6)), (n_sim, len(pairs))).astype(float)
+    else:
+        values = np.abs(rng.standard_normal((n_sim, len(pairs))))
+    for col in range(len(pairs)):
+        if draw(st.integers(0, 4)) == 0:
+            values[:, col] = 0.0
+    return JointDrawMatrix(
+        draws=values, pair_index={p: i for i, p in enumerate(pairs)}, seed=0, n_sim=n_sim
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    draws=draw_matrices(),
+    x=st.floats(0.0, 8.0),
+    power_levels=st.lists(st.floats(0.0, 8.0), min_size=5, max_size=5),
+    alpha_plus=st.sampled_from([0.0, 1.0]),
+    t=st.floats(0.0, 8.0),
+)
+def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t):
+    n = draws.n_sim
+    pair_dims = {p: float(p[0] - p[1]) for p in draws.pair_index}
+    sorted_draws, ranks, rank, corrections, critical, clipped = full_sort_oracle(
+        draws, pair_dims, alpha_plus, x
+    )
+    for k in sorted({1, _tail_rank(x, n)[0], n}):
+        tail, floored = draws.upper_tail(k)
+        assert np.array_equal(tail, sorted_draws[:, k - 1 :])
+        assert np.array_equal(floored, np.maximum(ranks, k - 1))
+    for m_ref, k in rank.items():
+        assert _correction_rank(draws, m_ref, x) == k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = calibration_table(draws, pair_dims, alpha_plus, x)
+    assert table.corrections == corrections
+    assert table.critical == critical
+    assert table.tail_clipped == clipped
+
+    params = PowerLossParams(a=1.0, alpha={}, x=dict(zip(range(1, 6), power_levels)))
+    _, _, _, corrections, critical, clipped = full_sort_oracle(
+        draws, pair_dims, alpha_plus, params
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = calibration_table(draws, pair_dims, alpha_plus, params)
+    assert table.corrections == corrections
+    assert table.critical == critical
+    assert table.tail_clipped == clipped
+
+    col = draws.pair_index[min(draws.pair_index)]
+    k, was_clipped = _tail_rank(t, n)
+    assert _quantile_at(draws.draws[:, col], t) == (float(sorted_draws[col, k - 1]), was_clipped)
+
+
+def test_pair_norms_on_shuffled_subset(toy_extended_family):
+    family = toy_extended_family
+    rng = np.random.default_rng(5)
+    xi = family.reduce(rng.standard_normal((9, family.n)))
+    pairs = family.pairs()
+    canonical = pair_norms(family, xi, pairs)
+    subset = [int(i) for i in rng.permutation(len(pairs))[:11]]
+    norms = pair_norms(family, xi, [pairs[i] for i in subset])
+    np.testing.assert_array_equal(norms, canonical[:, subset])
+    # Any list equal to the canonical one reads the grouping built once.
+    assert family.pair_groups(family.pairs()) is family.pair_groups(list(pairs))
 
 
 def test_multiplicity_nonincreasing_when_comparisons_removed(toy_family, toy_noise):
@@ -447,6 +578,20 @@ def test_table_json_roundtrip(toy_family, toy_noise):
     assert clone.corrections == table.corrections
     assert clone.pair_dims == table.pair_dims
     assert clone.mode == table.mode
+
+
+@pytest.mark.parametrize("field", ["critical", "pair_dims", "corrections"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_table_load_rejects_non_finite(toy_family, toy_noise, tmp_path, field, bad):
+    # A NaN threshold would make every comparison against it a rejection.
+    draws = sample_joint_draws(toy_family, toy_noise, 2000, seed=131)
+    table = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0)
+    d = table.to_dict()
+    d[field][next(iter(d[field]))] = bad
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(NonFiniteInput):
+        load_table(path)
 
 
 @settings(max_examples=10, deadline=None)

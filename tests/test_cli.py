@@ -154,6 +154,23 @@ def test_ill_typed_config_exits_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_finite_data_exits_with_its_own_code(config_file, tmp_path):
+    data = tmp_path / "nan.json"
+    values = list(np.linspace(-1, 1, 40))
+    values[3] = float("nan")
+    data.write_text(json.dumps(values))
+    src = Path(smaselect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smaselect.cli", "select", "--config", str(config_file),
+         "--out", str(tmp_path / "o"), "--data", str(data)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NONFINITE == 5
+    assert "non-finite input" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_numeric_failure_exit_code(tmp_path):
     cfg = {
         "n": 30,
@@ -180,7 +197,7 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
     # Thresholds without any multiplicity correction: the union over the two
     # comparisons against the smallest model overshoots the target.
     critical = {
-        pair: _quantile_at(draws.sorted_column(*pair), 2.0)[0] for pair in draws.pair_index
+        pair: _quantile_at(draws.column(*pair), 2.0)[0] for pair in draws.pair_index
     }
     bad = CalibrationTable(
         x_level=2.0,

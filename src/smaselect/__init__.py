@@ -8,7 +8,6 @@ from .bootstrap import (
     bootstrap_calibrate,
     bootstrap_effective_dims,
     bootstrap_joint_draws,
-    bootstrap_table,
     presmooth,
     validity_diagnostics,
 )
@@ -17,6 +16,7 @@ from .calibration import (
     CalibrationTable,
     ExcessRiskEstimate,
     JointDrawMatrix,
+    calibrate,
     calibration_table,
     critical_values,
     excess_risk_mc,
@@ -24,6 +24,7 @@ from .calibration import (
     multiplicity_correction,
     power_loss_critical_values,
     power_loss_params,
+    propagation_failures,
     sample_joint_draws,
     tail_quantile,
 )

@@ -2,11 +2,10 @@
 
 The data are presmoothed by projecting onto a large pilot model; the
 residuals, multiplied coordinatewise by fresh standard normal weights,
-replace the unavailable noise law.  What is specific to this path is the
-residual scale vector of the draws, the residual-weighted effective
-dimensions in the bias allowance, and the residual-weighted single-model
-dimensions behind the power-loss levels; the table itself comes from the
-known-noise path's builder.
+replace the unavailable noise law.  What is specific to this path is
+presmoothing, which yields the residual scale vector; ``calibrate`` turns
+it into draws, bias allowances, power-loss levels and a table exactly as
+it does the known noise standard deviations.
 """
 
 from __future__ import annotations
@@ -16,20 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import (
-    CalibrationTable,
-    JointDrawMatrix,
-    _sample_scaled_norms,
-    calibration_table,
-    power_loss_params,
-)
-from .errors import (
-    AllZeroResiduals,
-    DimensionMismatch,
-    NonFiniteInput,
-    RequiresKnownTruth,
-    SingularGram,
-)
+from .calibration import CalibrationTable, JointDrawMatrix, _sample_scaled_norms, calibrate
+from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily
 from .moments import NoiseSpec, pair_traces, single_traces
 
@@ -71,11 +58,7 @@ def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
 
 def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
     """Project the data onto the leading pilot block and keep the residuals."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (family.n,):
-        raise DimensionMismatch("data vector must have length n")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("data vector contains NaN or infinite values")
+    y = family.vector(y)
     basis = pilot_basis(family, m_dagger)
     residuals = y - basis @ (basis.T @ y)
     # Second projection pass pins the residual orthogonality to the span.
@@ -90,17 +73,12 @@ def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
     )
 
 
-def _residual_vector(residuals, n: int) -> np.ndarray:
+def _residual_vector(family: ModelFamily, residuals) -> np.ndarray:
     if isinstance(residuals, PresmoothResult):
         if residuals.negligible:
             raise AllZeroResiduals("presmoothing left no residual signal")
-        vec = residuals.residuals
-    else:
-        vec = np.asarray(residuals, dtype=float)
-    if vec.shape != (n,):
-        raise DimensionMismatch("residual vector must have length n")
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteInput("residual vector contains NaN or infinite values")
+        residuals = residuals.residuals
+    vec = family.vector(residuals, "residual vector")
     if np.all(vec == 0.0):
         raise AllZeroResiduals("all residuals are zero; calibration is degenerate")
     return vec
@@ -120,9 +98,7 @@ def bootstrap_joint_draws(
     Row ``r`` multiplies the residuals coordinatewise by one standard
     normal weight vector shared across all pairs.
     """
-    if n_sim < 1:
-        raise DimensionMismatch("n_sim must be >= 1")
-    vec = _residual_vector(residuals, family.n)
+    vec = _residual_vector(family, residuals)
     return _sample_scaled_norms(family, vec, n_sim, seed, pairs, n_workers, stream_tag)
 
 
@@ -130,40 +106,12 @@ def bootstrap_effective_dims(
     family: ModelFamily, residuals, pairs=None
 ) -> dict[tuple[int, int], float]:
     """Data-driven effective dimensions: residual-weighted variance traces."""
-    return pair_traces(family, _residual_vector(residuals, family.n) ** 2, pairs)
+    return pair_traces(family, _residual_vector(family, residuals) ** 2, pairs)
 
 
 def bootstrap_single_dims(family: ModelFamily, residuals) -> dict[int, float]:
     """Single-model analog of the effective dimensions."""
-    return single_traces(family, _residual_vector(residuals, family.n) ** 2)
-
-
-def bootstrap_table(
-    family: ModelFamily,
-    residuals,
-    draws: JointDrawMatrix,
-    x_level: float,
-    alpha_plus: float,
-    mode: str = "probabilistic",
-    power_a: float | None = None,
-) -> CalibrationTable:
-    """Table on a residual-multiplier draw matrix.
-
-    The bias allowance uses the residual-weighted effective dimensions; in
-    power-loss mode the per-reference levels come from the
-    residual-weighted single-model dimensions.
-    """
-    vec = _residual_vector(residuals, family.n)
-    if mode == "probabilistic":
-        levels = x_level
-    elif mode == "power_loss":
-        if power_a is None:
-            raise DimensionMismatch("power-loss mode needs the exponent a")
-        levels = power_loss_params(family.models, bootstrap_single_dims(family, vec), power_a)
-    else:
-        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
-    pair_dims = bootstrap_effective_dims(family, vec, pairs=list(draws.pair_index))
-    return calibration_table(draws, pair_dims, alpha_plus, levels)
+    return single_traces(family, _residual_vector(family, residuals) ** 2)
 
 
 def bootstrap_calibrate(
@@ -179,11 +127,11 @@ def bootstrap_calibrate(
     power_a: float | None = None,
     stream_tag: int = 0,
 ) -> CalibrationTable:
-    """Full calibration: ``bootstrap_joint_draws`` then ``bootstrap_table``."""
-    draws = bootstrap_joint_draws(
-        family, residuals, n_sim, seed, pairs=pairs, n_workers=n_workers, stream_tag=stream_tag
-    )
-    return bootstrap_table(family, residuals, draws, x_level, alpha_plus, mode, power_a)
+    """Multiplier table: ``calibrate`` with the residuals as the noise scale."""
+    return calibrate(
+        family, _residual_vector(family, residuals), n_sim, seed, x_level, alpha_plus,
+        mode, power_a, pairs, n_workers, stream_tag,
+    )[1]
 
 
 @dataclass(frozen=True)
@@ -230,9 +178,7 @@ def validity_diagnostics(
     """
     if f_true is None or not sigma.is_known:
         raise RequiresKnownTruth("diagnostics need the true response and known noise")
-    f = np.asarray(f_true, dtype=float)
-    if f.shape != (family.n,):
-        raise DimensionMismatch("f_true must have length n")
+    f = family.vector(f_true, "f_true")
     variances = sigma.require_known()
     n = family.n
     p_dim = family.largest

@@ -9,7 +9,9 @@ One table builder serves both threshold modes and both noise sources: the
 probabilistic mode with a common level plus an exact multiplicity
 correction, and the power-loss mode where each reference model carries its
 own level chosen to control an excess-risk functional rather than a
-rejection probability.
+rejection probability.  ``calibrate`` takes both noise sources the same
+way, as a per-coordinate noise scale: the known standard deviations or
+the presmoothing residuals.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     TailTooDeepWarning,
 )
 from .family import ModelFamily, _as_slice
-from .moments import NoiseSpec, PairMoments, single_variance
+from .moments import NoiseSpec, PairMoments, pair_traces, single_traces, single_variance
 from .rng import block_bounds, stream
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
@@ -141,27 +143,6 @@ def joint_norms_from_noise(
     return pair_norms(family, family.reduce(noise), pairs)
 
 
-def _fill_blocks(n_sim, seed, n, scale, worker, n_workers, stream_tag=0):
-    """Run ``worker(gen_block, start, stop)`` over canonical row blocks.
-
-    Block ``b`` always reads stream ``(seed, stream_tag, b)``, so the
-    result is bit-identical for any worker count.
-    """
-    blocks = block_bounds(n_sim)
-
-    def run(block):
-        b, start, stop = block
-        z = stream(seed, stream_tag, b).standard_normal((stop - start, n))
-        worker(z * scale, start, stop)
-
-    if n_workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for block in blocks:
-            run(block)
-
-
 def _sample_scaled_norms(
     family: ModelFamily,
     scale: np.ndarray,
@@ -175,16 +156,28 @@ def _sample_scaled_norms(
 
     Shared core of the known-noise and residual-multiplier paths and of
     ``excess_risk_mc``: they differ only in the per-coordinate scale vector
-    and the pairs.
+    and the pairs.  Row block ``b`` always reads stream
+    ``(seed, stream_tag, b)``, so the result is bit-identical for any
+    worker count.
     """
+    if n_sim < 1:
+        raise DimensionMismatch("n_sim must be >= 1")
     pairs = list(pairs) if pairs is not None else family.pairs()
     # Column-major, so each column's order statistics read contiguous memory.
     columns = np.empty((len(pairs), n_sim))
 
-    def worker(noise_block, start, stop):
-        columns[:, start:stop] = pair_norms(family, family.reduce(noise_block), pairs).T
+    def fill(block):
+        b, start, stop = block
+        z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
+        columns[:, start:stop] = pair_norms(family, family.reduce(z * scale), pairs).T
 
-    _fill_blocks(n_sim, seed, family.n, scale, worker, n_workers, stream_tag)
+    blocks = block_bounds(n_sim)
+    if n_workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(fill, blocks))
+    else:
+        for block in blocks:
+            fill(block)
     return JointDrawMatrix(
         draws=columns.T,
         pair_index={p: i for i, p in enumerate(pairs)},
@@ -208,8 +201,6 @@ def sample_joint_draws(
     realization of centered Gaussian noise with the known covariance;
     deterministic given ``seed``, bit-identical for any ``n_workers``.
     """
-    if n_sim < 1:
-        raise DimensionMismatch("n_sim must be >= 1")
     scale = np.sqrt(sigma.require_known())
     return _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
 
@@ -360,7 +351,9 @@ class CalibrationTable:
 
     ``critical[(m, m_ref)]`` is compared against the observed difference
     statistic; ``pair_dims`` holds the effective dimension entering the
-    bias allowance ``alpha_plus * sqrt(dim)``.
+    bias allowance ``alpha_plus * sqrt(dim)``.  A NaN threshold would
+    reject every comparison it enters, so non-finite thresholds,
+    dimensions and corrections raise ``NonFiniteInput`` on construction.
     """
 
     x_level: float
@@ -375,6 +368,11 @@ class CalibrationTable:
     tail_clipped: tuple[tuple[int, int], ...] = ()
     n_sim: int | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        for name in ("critical", "pair_dims", "corrections"):
+            if not all(map(math.isfinite, getattr(self, name).values())):
+                raise NonFiniteInput(f"calibration table has non-finite {name} values")
 
     def threshold(self, m: int, m_ref: int) -> float:
         try:
@@ -405,13 +403,13 @@ class CalibrationTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationTable":
-        """Inverse of ``to_dict``; non-finite values raise ``NonFiniteInput``."""
+        """Inverse of ``to_dict``."""
 
         def pair(key: str) -> tuple[int, int]:
             m, mr = key.split(":")
             return int(m), int(mr)
 
-        table = cls(
+        return cls(
             x_level=float(d["x_level"]),
             alpha_plus=float(d["alpha_plus"]),
             corrections={int(k): float(v) for k, v in d["corrections"].items()},
@@ -426,10 +424,6 @@ class CalibrationTable:
             n_sim=d.get("n_sim"),
             seed=d.get("seed"),
         )
-        for name in ("critical", "pair_dims", "corrections"):
-            if not all(map(math.isfinite, getattr(table, name).values())):
-                raise NonFiniteInput(f"calibration table has non-finite {name} values")
-        return table
 
 
 @dataclass(frozen=True)
@@ -557,6 +551,80 @@ def power_loss_critical_values(
     """Power-loss-mode table: per-reference levels, no multiplicity shift."""
     pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
     return calibration_table(draws, pair_dims, alpha_plus, params, moments)
+
+
+def calibrate(
+    family: ModelFamily,
+    scale,
+    n_sim: int,
+    seed: int,
+    x_level: float,
+    alpha_plus: float,
+    mode: str = "probabilistic",
+    power_a: float | None = None,
+    pairs=None,
+    n_workers: int = 1,
+    stream_tag: int = 0,
+) -> tuple[JointDrawMatrix, CalibrationTable]:
+    """Draws under noise ``scale * N(0, I_n)`` and the table built on them.
+
+    The one path from a per-coordinate noise scale to thresholds: known
+    noise passes its standard deviations, multiplier calibration its
+    presmoothing residuals.  The bias allowance uses the pair variance
+    traces under the variances ``scale**2``; in power-loss mode the
+    per-reference levels come from the single-model traces of the same
+    variances.
+    """
+    scale = family.vector(scale, "noise scale")
+    variances = scale * scale
+    if mode == "probabilistic":
+        levels = x_level
+    elif mode == "power_loss":
+        if power_a is None:
+            raise DimensionMismatch("power-loss mode needs the exponent a")
+        levels = power_loss_params(family.models, single_traces(family, variances), power_a)
+    else:
+        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
+    pair_dims = pair_traces(family, variances, list(draws.pair_index))
+    return draws, calibration_table(draws, pair_dims, alpha_plus, levels)
+
+
+# Rounding allowance of ``propagation_failures``, in ulps of the critical
+# value: adding and then subtracting the bias allowance can round a tail
+# value below the order statistic it came from, which would count that draw
+# as strictly exceeding.
+TAIL_ULPS = 4
+
+
+def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:
+    """In-sample exceedance of a table's own thresholds on its draws.
+
+    Each pair's tail value is its critical value minus the bias allowance
+    (plus ``TAIL_ULPS`` ulps).  Probabilistic mode: family-wise exceedance
+    per reference at most exp(-x).  Power-loss mode: per-pair exceedance at
+    most exp(-level) of the pair's reference.  Returns one line per failure.
+    """
+    tails = {
+        pair: crit
+        - table.alpha_plus * math.sqrt(table.pair_dims[pair])
+        + TAIL_ULPS * float(np.spacing(crit))
+        for pair, crit in table.critical.items()
+    }
+    failures = []
+    for m_ref in draws.references():
+        if table.mode == "probabilistic":
+            fwe = familywise_exceedance(draws, m_ref, tails)
+            target = math.exp(-table.x_level)
+            if fwe > target + 1e-12:
+                failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
+        else:
+            target = math.exp(-table.per_model_levels[m_ref])
+            for pair in draws.comparisons(m_ref):
+                exc = float(np.mean(draws.column(*pair) > tails[pair]))
+                if exc > target + 1e-12:
+                    failures.append(f"pair {pair}: exceedance {exc:.4f} > {target:.4f}")
+    return failures
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .bootstrap import (
-    bootstrap_joint_draws,
-    bootstrap_table,
-    presmooth,
-    validity_diagnostics,
-)
+from .bootstrap import _residual_vector, presmooth, validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
-from .calibration import familywise_exceedance
+from .calibration import calibrate, propagation_failures
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
@@ -35,10 +30,8 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
-    _multiplier_table,
     _noise_draw,
     generate_scenario,
-    known_noise_calibration,
     mdagger_sweep,
     meta_record,
     quantile_ratio_table,
@@ -56,12 +49,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_SELFTEST = 4
 EXIT_NONFINITE = 5
-
-# Rounding allowance of the self-test's tail values, in ulps of the critical
-# value: adding and then subtracting the bias allowance can round a tail
-# value below the order statistic it came from, which would count that draw
-# as strictly exceeding.
-TAIL_ULPS = 4
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -94,59 +81,43 @@ def _outdir(args) -> Path:
     return out
 
 
-def _propagation_selftest(draws, table) -> list[str]:
-    """In-sample exceedance of a table's own thresholds on its draws.
+def _calibrated(args, cfg: ExperimentConfig):
+    """Family, data vector, draws and table for ``--noise``.
 
-    Each pair's tail value is its critical value minus the bias allowance
-    (plus ``TAIL_ULPS`` ulps).  Probabilistic mode: family-wise exceedance
-    per reference at most exp(-x).  Power-loss mode: per-pair exceedance at
-    most exp(-level) of the pair's reference.
+    Known noise calibrates on the noise standard deviations with the
+    calibration seed, the multiplier path on the data's presmoothing
+    residuals with the bootstrap seed; the data are ``--data`` if given,
+    else the first noise replicate.
     """
-    tails = {
-        pair: crit
-        - table.alpha_plus * math.sqrt(table.pair_dims[pair])
-        + TAIL_ULPS * float(np.spacing(crit))
-        for pair, crit in table.critical.items()
-    }
-    failures = []
-    for m_ref in draws.references():
-        if table.mode == "probabilistic":
-            fwe = familywise_exceedance(draws, m_ref, tails)
-            target = math.exp(-table.x_level)
-            if fwe > target + 1e-12:
-                failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
-        else:
-            target = math.exp(-table.per_model_levels[m_ref])
-            for pair in draws.comparisons(m_ref):
-                exc = float(np.mean(draws.column(*pair) > tails[pair]))
-                if exc > target + 1e-12:
-                    failures.append(
-                        f"pair {pair}: exceedance {exc:.4f} > {target:.4f}"
-                    )
-    return failures
+    scenario = generate_scenario(cfg)
+    family = scenario_family(cfg, scenario)
+    if getattr(args, "data", None):
+        y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
+        if y.shape != (cfg.n,):
+            raise ConfigInvalid(f"data vector must have length n={cfg.n}")
+    else:
+        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
+    if args.noise == "known":
+        scale, seed = np.sqrt(scenario.sigma.variances), cfg.seeds.calibration
+    else:
+        scale = _residual_vector(family, presmooth(family, y, cfg.m_dagger))
+        seed = cfg.seeds.bootstrap
+    draws, table = calibrate(
+        family, scale, cfg.n_sim, seed, cfg.x_level, cfg.alpha_plus, cfg.mode, cfg.power_a,
+        n_workers=cfg.n_workers,
+    )
+    return family, y, draws, table
 
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    scenario = generate_scenario(cfg)
-    family = scenario_family(cfg, scenario)
-    if args.noise == "known":
-        draws, table = known_noise_calibration(cfg, family, scenario)
-    else:
-        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
-        resid = presmooth(family, y, cfg.m_dagger)
-        draws = bootstrap_joint_draws(
-            family, resid, cfg.n_sim, cfg.seeds.bootstrap, n_workers=cfg.n_workers
-        )
-        table = bootstrap_table(
-            family, resid, draws, cfg.x_level, cfg.alpha_plus, cfg.mode, cfg.power_a
-        )
+    _, _, draws, table = _calibrated(args, cfg)
     io.save_table(table, out / "calibration.json")
     io.save_json(meta_record(cfg), out / "meta.json")
     print(f"calibration table ({args.noise}, {table.mode}) -> {out / 'calibration.json'}")
     if args.self_test:
-        failures = _propagation_selftest(draws, io.load_table(out / "calibration.json"))
+        failures = propagation_failures(draws, io.load_table(out / "calibration.json"))
         if failures:
             for f in failures:
                 print(f"self-test FAIL: {f}", file=sys.stderr)
@@ -158,19 +129,7 @@ def cmd_calibrate(args) -> int:
 def cmd_select(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    scenario = generate_scenario(cfg)
-    family = scenario_family(cfg, scenario)
-    if args.data:
-        y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
-        if y.shape != (cfg.n,):
-            raise ConfigInvalid(f"data vector must have length n={cfg.n}")
-    else:
-        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
-    if args.noise == "known":
-        _, table = known_noise_calibration(cfg, family, scenario)
-    else:
-        resid = presmooth(family, y, cfg.m_dagger)
-        table = _multiplier_table(cfg, family, resid, n_workers=cfg.n_workers)
+    family, y, _, table = _calibrated(args, cfg)
     result = sma_select(test_statistics(family, y), table)
     io.save_json(result.to_dict(), out / "selection.json")
     io.save_table(table, out / "calibration.json")

@@ -19,22 +19,10 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import bootstrap_calibrate, presmooth
-from .calibration import (
-    CalibrationTable,
-    JointDrawMatrix,
-    critical_values,
-    power_loss_critical_values,
-    power_loss_params,
-    sample_joint_draws,
-)
+from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, WeightingScheme, build_projection_family
-from .moments import (
-    NoiseSpec,
-    all_pair_moments,
-    best_linear_coefficients,
-    single_traces,
-)
+from .moments import NoiseSpec, best_linear_coefficients
 from .rng import stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
 
@@ -275,19 +263,11 @@ def known_noise_calibration(
     config: ExperimentConfig, family: ModelFamily, scenario: Scenario
 ) -> tuple[JointDrawMatrix, CalibrationTable]:
     """Known-noise draw matrix and the table built on it, in the config's mode."""
-    draws = sample_joint_draws(
-        family,
-        scenario.sigma,
-        config.n_sim,
-        config.seeds.calibration,
+    return calibrate(
+        family, np.sqrt(scenario.sigma.variances), config.n_sim, config.seeds.calibration,
+        config.x_level, config.alpha_plus, config.mode, config.power_a,
         n_workers=config.n_workers,
     )
-    moments = all_pair_moments(family, scenario.sigma)
-    if config.mode == "power_loss":
-        dims = single_traces(family, scenario.sigma.require_known())
-        params = power_loss_params(family.models, dims, config.power_a)
-        return draws, power_loss_critical_values(draws, moments, params, config.alpha_plus)
-    return draws, critical_values(draws, moments, config.x_level, config.alpha_plus)
 
 
 @dataclass(frozen=True)

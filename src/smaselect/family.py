@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotOrderedPair,
     SingularGram,
     SingularGramWarning,
@@ -231,6 +232,16 @@ class ModelFamily:
     def _materialize(self, coef: np.ndarray) -> np.ndarray:
         return self.weight_matrix[:, : self.largest] @ coef @ self.basis.T
 
+    def vector(self, v, what: str = "data vector") -> np.ndarray:
+        """``v`` as a float vector of length ``n``: the one boundary check for
+        data, responses and noise scales."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise DimensionMismatch(f"{what} must have length n")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteInput(f"{what} contains NaN or infinite values")
+        return v
+
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Reduced coordinates ``Q^T v`` of a vector, or of each row of a matrix."""
         return v @ self.basis
@@ -340,6 +351,8 @@ def build_projection_family(
     W = weighting.materialize(design)
     if W.shape[1] != design.p:
         raise DimensionMismatch("W columns must equal the feature dimension p")
+    if not np.all(np.isfinite(W)):
+        raise NonFiniteInput("weighting matrix contains NaN or infinite values")
 
     big = models[-1]
     top = design.leading_block(big)

@@ -129,10 +129,7 @@ def single_traces(family: ModelFamily, variances) -> dict[int, float]:
 def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndarray:
     if m <= m_ref:
         raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    f = np.asarray(f_true, dtype=float)
-    if f.shape != (family.n,):
-        raise DimensionMismatch("f_true must have length n")
-    fits = family.outputs(family.reduce(f))
+    fits = family.outputs(family.reduce(family.vector(f_true, "f_true")))
     return fits[family.position(m)] - fits[family.position(m_ref)]
 
 
@@ -143,7 +140,7 @@ def pair_bias(family: ModelFamily, f_true, m: int, m_ref: int) -> float:
 
 def best_linear_coefficients(family: ModelFamily, f_true) -> np.ndarray:
     """Coefficient vector of the best linear fit to the mean response."""
-    f = np.asarray(f_true, dtype=float)
+    f = family.vector(f_true, "f_true")
     psi = family.design.entries
     gram_inv, _ = _pinv_gram(psi @ psi.T, family.largest)
     return gram_inv @ (psi @ f)
@@ -164,9 +161,7 @@ def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoin
     responses are fully supported.
     """
     variances = sigma.require_known()
-    f = np.asarray(f_true, dtype=float)
-    if f.shape != (family.n,):
-        raise DimensionMismatch("f_true must have length n")
+    f = family.vector(f_true, "f_true")
     target = family.weight_matrix @ best_linear_coefficients(family, f)
     fits = family.outputs(family.reduce(f))
     var = single_traces(family, variances)

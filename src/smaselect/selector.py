@@ -33,13 +33,8 @@ from .moments import (
 
 def test_statistics(family: ModelFamily, y) -> dict[tuple[int, int], float]:
     """Difference-statistic magnitudes for every ordered pair."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (family.n,):
-        raise DimensionMismatch("data vector must have length n")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("data vector contains NaN or infinite values")
     pairs = family.pairs()
-    norms = pair_norms(family, family.reduce(y)[None], pairs)[0]
+    norms = pair_norms(family, family.reduce(family.vector(y))[None], pairs)[0]
     return dict(zip(pairs, norms.tolist()))
 
 
@@ -136,9 +131,7 @@ def oracle(
     if mode not in ("probabilistic", "power_loss"):
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
 
-    f = np.asarray(f_true, dtype=float)
-    if f.shape != (family.n,):
-        raise DimensionMismatch("f_true must have length n")
+    f = family.vector(f_true, "f_true")
     pairs = family.pairs()
     bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
     dims = pair_traces(family, sigma.require_known(), pairs)
@@ -282,10 +275,7 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
         )
     if sigma_homogeneous <= 0:
         raise DimensionMismatch("sigma must be > 0")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (family.n,):
-        raise DimensionMismatch("data vector must have length n")
-
+    y = family.vector(y)
     fits = {}
     for m in family.models:
         block = family.design.leading_block(m)

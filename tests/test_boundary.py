@@ -1,0 +1,68 @@
+"""Every entry point taking a length-n vector or a weighting checks it.
+
+Without the check a NaN in the response propagates: the oracle silently
+returns the largest model, and risks, biases and diagnostics come out NaN.
+"""
+
+import numpy as np
+import pytest
+
+from smaselect import (
+    DimensionMismatch,
+    NoiseSpec,
+    NonFiniteInput,
+    WeightingScheme,
+    aic_equivalence_check,
+    build_projection_family,
+    oracle,
+    pair_bias,
+    presmooth,
+    risk_profile,
+    validity_diagnostics,
+)
+from smaselect import test_statistics as pairwise_statistics
+from smaselect.bootstrap import bootstrap_joint_draws
+from smaselect.moments import best_linear_coefficients
+
+NOISE = NoiseSpec.homogeneous(1.0, 4)
+
+ENTRY_POINTS = {
+    "test_statistics": lambda fam, v: pairwise_statistics(fam, v),
+    "presmooth": lambda fam, v: presmooth(fam, v, 2),
+    "aic_equivalence_check": lambda fam, v: aic_equivalence_check(fam, 1.0, v),
+    "oracle": lambda fam, v: oracle(fam, v, NOISE, 1.0),
+    "pair_bias": lambda fam, v: pair_bias(fam, v, 2, 1),
+    "risk_profile": lambda fam, v: risk_profile(fam, v, NOISE),
+    "best_linear_coefficients": lambda fam, v: best_linear_coefficients(fam, v),
+    "validity_diagnostics": lambda fam, v: validity_diagnostics(fam, NOISE, v, 2, 2.0),
+    "residuals": lambda fam, v: bootstrap_joint_draws(fam, v, 10, seed=1),
+}
+
+BAD_VECTORS = {
+    "nan": (np.array([0.5, np.nan, 1.0, 0.3]), NonFiniteInput),
+    "inf": (np.array([0.5, 1.0, -np.inf, 0.3]), NonFiniteInput),
+    "short": (np.array([0.5, 1.0, 0.3]), DimensionMismatch),
+    "matrix": (np.ones((2, 4)), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_vector_entry_points_reject_bad_vectors(toy_family, entry, bad):
+    vector, error = BAD_VECTORS[bad]
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](toy_family, vector)
+
+
+@pytest.mark.parametrize(
+    "weighting",
+    [
+        WeightingScheme.custom(np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])),
+        WeightingScheme.linear_functional([np.inf, 0.0, 0.0]),
+    ],
+    ids=["custom-nan", "functional-inf"],
+)
+def test_family_rejects_non_finite_weighting(toy_design, weighting):
+    with pytest.raises(NonFiniteInput):
+        build_projection_family(toy_design, weighting, [1, 2, 3])
+

@@ -18,6 +18,7 @@ from smaselect import (
     TailTooDeepWarning,
     WeightingScheme,
     build_projection_family,
+    calibrate,
     critical_values,
     excess_risk_mc,
     familywise_exceedance,
@@ -46,7 +47,7 @@ from smaselect.experiment import (
     scenario_family,
 )
 from smaselect.io import load_draws, load_table, save_draws
-from smaselect.moments import all_pair_moments
+from smaselect.moments import all_pair_moments, single_traces
 
 
 def toy_moments(family, sigma):
@@ -567,6 +568,55 @@ def test_excess_risk_meets_power_budget(toy_extended_family):
 def test_excess_risk_requires_predecessor(toy_family, toy_noise):
     with pytest.raises(NotOrderedPair):
         excess_risk_mc(toy_family, toy_noise, 1, 1.0, 100, seed=127)
+
+
+def test_excess_risk_rejects_empty_sample(toy_family, toy_noise):
+    # The shared draw kernel checks n_sim; an empty sample used to reach an
+    # order statistic and raise a bare IndexError.
+    with pytest.raises(DimensionMismatch):
+        excess_risk_mc(toy_family, toy_noise, 2, 1.0, 0, seed=127)
+
+
+@pytest.mark.parametrize("mode", ["probabilistic", "power_loss"])
+def test_calibrate_known_scale_matches_two_step_path(toy_extended_family, mode):
+    family = toy_extended_family
+    noise = NoiseSpec.known(np.linspace(0.5, 2.0, 8) ** 2)
+    moments = all_pair_moments(family, noise)
+    # The power-loss levels of the larger models lie beyond the sample on
+    # both paths; the clipped pairs are compared below.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailTooDeepWarning)
+        draws, table = calibrate(
+            family, np.sqrt(noise.variances), 3000, 41, 2.0, 1.0, mode, power_a=1.0
+        )
+        reference = sample_joint_draws(family, noise, 3000, seed=41)
+        if mode == "power_loss":
+            dims = single_traces(family, noise.variances)
+            params = power_loss_params(family.models, dims, 1.0)
+            want = power_loss_critical_values(reference, moments, params, 1.0)
+        else:
+            want = critical_values(reference, moments, 2.0, 1.0)
+    assert np.array_equal(draws.draws, reference.draws)
+    assert table.mode == want.mode and table.corrections == want.corrections
+    assert table.tail_clipped == want.tail_clipped
+    for pair, value in want.critical.items():
+        assert table.critical[pair] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scale, kwargs, error",
+    [
+        (np.ones(3), {}, DimensionMismatch),
+        (np.array([1.0, np.nan, 1.0, 1.0]), {}, NonFiniteInput),
+        (np.ones(4), {"mode": "bogus"}, DimensionMismatch),
+        (np.ones(4), {"mode": "power_loss"}, DimensionMismatch),
+        (np.ones(4), {"n_sim": 0}, DimensionMismatch),
+    ],
+)
+def test_calibrate_rejects_bad_input(toy_family, scale, kwargs, error):
+    args = {"n_sim": 100, "seed": 1, "x_level": 2.0, "alpha_plus": 1.0} | kwargs
+    with pytest.raises(error):
+        calibrate(toy_family, scale, **args)
 
 
 def test_table_json_roundtrip(toy_family, toy_noise):

@@ -14,6 +14,7 @@ from smaselect.calibration import (
     critical_values,
     power_loss_critical_values,
     power_loss_params,
+    propagation_failures,
     sample_joint_draws,
 )
 from smaselect.moments import all_pair_moments
@@ -207,7 +208,7 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
         pair_dims={pair: 1.0 for pair in critical},
         mode="probabilistic",
     )
-    failures = cli._propagation_selftest(draws, bad)
+    failures = propagation_failures(draws, bad)
     assert failures and "reference 1" in failures[0]
 
 
@@ -222,12 +223,12 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
     for flagged, table in tables.items():
         save_table(table, tmp_path / "calibration.json")
         saved = load_table(tmp_path / "calibration.json")
-        assert cli._propagation_selftest(draws, saved) == []
+        assert propagation_failures(draws, saved) == []
         # Lower one saved threshold below its order statistic: the self-test
         # must read the saved value, not rebuild it from the draws.
         allowance = saved.alpha_plus * saved.pair_dims[(2, 1)] ** 0.5
         saved.critical[(2, 1)] = float(np.median(draws.column(2, 1))) + allowance
-        failures = cli._propagation_selftest(draws, saved)
+        failures = propagation_failures(draws, saved)
         assert failures and flagged in failures[0]
 
 

@@ -54,6 +54,16 @@ def test_sma_rejects_non_finite_statistic(toy_family):
         sma_select(stats, table)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_table_rejects_non_finite_threshold(toy_family, bad):
+    # A NaN threshold rejects every comparison it enters, so the selector
+    # would silently skip model 1 and return model 2.
+    critical = {pair: 1.0 for pair in toy_family.pairs()}
+    critical[(2, 1)] = bad
+    with pytest.raises(NonFiniteInput):
+        table_from_thresholds(critical)
+
+
 def test_sma_all_zero_statistics_selects_smallest(toy_family):
     stats = {pair: 0.0 for pair in toy_family.pairs()}
     table = table_from_thresholds({pair: 1.0 for pair in toy_family.pairs()})

@@ -61,9 +61,11 @@ class JointDrawMatrix:
     def __post_init__(self):
         if self.draws.shape != (self.n_sim, len(self.pair_index)):
             raise DimensionMismatch("draw matrix shape does not match pair index")
-        if not np.all(np.isfinite(self.draws)):
+        # Two reductions instead of an isfinite mask: NaN propagates to both.
+        low, high = float(self.draws.min(initial=0.0)), float(self.draws.max(initial=0.0))
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise NonFiniteInput("draw matrix contains NaN or infinite values")
-        if self.n_sim >= 1 and float(self.draws.min(initial=0.0)) < 0:
+        if low < 0:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
         groups: dict[int, list[tuple[int, int]]] = {}
         for pair in sorted(self.pair_index, key=lambda p: (p[1], p[0])):
@@ -96,16 +98,18 @@ class JointDrawMatrix:
         column, and only the tail is sorted.
         """
         block = np.ascontiguousarray(self.draws.T[cols])
-        top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :]
-        order = np.argsort(np.take_along_axis(block, top, axis=1), axis=1)
-        top = np.take_along_axis(top, order, axis=1)
-        tail = np.take_along_axis(block, top, axis=1)
+        rows = np.arange(block.shape[0])[:, None]
+        # Flat indices into ``block``, so each gather is one fancy index.
+        top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :] + rows * self.n_sim
+        order = np.argsort(block.ravel()[top], axis=1)
+        top = top.ravel()[order + rows * top.shape[1]]
+        tail = block.ravel()[top]
         new_run = np.ones(tail.shape, dtype=bool)
         np.not_equal(tail[:, 1:], tail[:, :-1], out=new_run[:, 1:])
         position = np.arange(k - 1, self.n_sim, dtype=np.int32)
         run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
         ranks = np.full(block.shape, k - 1, dtype=np.int32)
-        np.put_along_axis(ranks, top, run_start, axis=1)
+        ranks.ravel()[top] = run_start
         return tail, ranks
 
     def restricted(self, pairs) -> "JointDrawMatrix":
@@ -121,15 +125,23 @@ class JointDrawMatrix:
 
 
 def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
-    """Pair magnitudes ``|(D_m - D_ref) xi|`` for each row of ``xi`` (``B x r``).
+    """Pair magnitudes ``|(K_m - K_ref) y|`` for each row of ``xi = Q^T y`` (``B x r``).
 
-    The one norm kernel: one matmul maps every row to every model's reduced
-    estimate, then each reference takes one vectorised difference.  A pair
-    ``(m, 0)`` gives the magnitude of model ``m``'s own estimate.
+    The one norm kernel, with two strategies fixed by the family.  With
+    ``increments`` ``g``, a pair's squared magnitude is the window sum of
+    ``g_j xi_j^2`` over ``(m_ref, m]`` (``ModelFamily.pair_windows``), exact
+    to the relative bound of ``build_projection_family``.  Otherwise one
+    matmul maps every row to every model's reduced estimate ``D_m xi``, and
+    each reference takes one vectorised difference.  A pair ``(m, 0)`` gives
+    the magnitude of model ``m``'s own estimate.
     """
-    flat = family.reduced.reshape(-1, family.reduced.shape[-1])
-    estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
-    return np.sqrt(family.pair_sq_norms(estimates, pairs)).T
+    if family.increments is not None:
+        squares = family.pair_windows((xi * xi * family.increments).T, pairs)
+    else:
+        flat = family.reduced.reshape(-1, family.reduced.shape[-1])
+        estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
+        squares = family.pair_sq_norms(estimates, pairs)
+    return np.sqrt(squares, out=squares).T
 
 
 def joint_norms_from_noise(
@@ -162,6 +174,7 @@ def _sample_scaled_norms(
     """
     if n_sim < 1:
         raise DimensionMismatch("n_sim must be >= 1")
+    scale = family.vector(scale, "noise scale")
     pairs = list(pairs) if pairs is not None else family.pairs()
     # Column-major, so each column's order statistics read contiguous memory.
     columns = np.empty((len(pairs), n_sim))

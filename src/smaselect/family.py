@@ -8,12 +8,23 @@ zero-padded to the full coefficient space.
 
 No ``q x n`` operator is stored.  With ``M`` the largest model, every
 ``S_m`` reads ``y`` only through ``xi = Q^T y``, where ``Q`` (``n x r``,
-``r = min(M, n)``) is an orthonormal basis of the row span of the leading
-``M`` rows, and only the first ``M`` coefficients are ever nonzero.  So the
-family keeps, per model, the ``M x r`` coefficient map ``C_m`` and its
-loss-weighted image ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R``
-has ``min(q, M)`` rows.  Every pair norm is ``|(D_m - D_ref) xi|`` and every
-variance spectrum is an ``r x r`` (or smaller) eigenproblem.
+``r = min(M, n)``) comes from the QR factorisation ``Psi_M^T = Q L^T`` of
+the leading ``M`` rows (``L`` lower-triangular), and only the first ``M``
+coefficients are ever nonzero.  So the family keeps, per model, the
+``M x r`` coefficient map ``C_m`` and its loss-weighted image
+``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R`` has ``min(q, M)``
+rows.  Every pair norm is ``|(D_m - D_ref) xi|`` and every variance
+spectrum is an ``r x r`` (or smaller) eigenproblem.
+
+The basis is nested: when ``Psi_M`` has full row rank, ``Q[:, :m]`` spans
+the leading ``m`` rows, so ``K_m y = A Pi_m xi`` with ``A = W_M L^-T`` and
+``Pi_m`` keeping the first ``m`` coordinates.  When ``G = A^T A`` is
+diagonal -- prediction loss on any design, and the trigonometric families
+under every loss -- a pair difference is a window of coordinates and
+``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
+``g = diag G``: a running sum of nonnegative increments.  The family then
+stores ``g`` as ``increments`` and the norm and trace kernels use it;
+otherwise (or for a rank-deficient leading block) they use ``D_m``.
 """
 
 from __future__ import annotations
@@ -36,6 +47,11 @@ GRAM_CUTOFF = 1e-10
 
 # PSD tolerance used by the variance-ordering diagnostic.
 PSD_TOL = 1e-8
+
+# ``G`` counts as diagonal when ``|G_ij| <= DIAGONAL_TOL sqrt(G_ii G_jj)``
+# for every ``i != j``; the increments then miss a window's squared norm by
+# at most ``(window - 1) DIAGONAL_TOL`` of it (see ``build_projection_family``).
+DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,10 +186,14 @@ class ModelFamily:
 
     ``basis`` is ``Q`` (``n x r``); ``coefficients[i]`` is ``C_m`` (``M x r``)
     and ``reduced[i]`` is ``D_m`` for ``m = models[i]``.  ``K_m y`` equals
-    ``W[:, :M] C_m Q^T y`` and ``|K_m y|`` equals ``|D_m Q^T y|``.  The
-    model positions, the canonical pair list and its grouping by reference
-    are built once, on construction, so the kernels and any worker threads
-    only read them.
+    ``W[:, :M] C_m Q^T y`` and ``|K_m y|`` equals ``|D_m Q^T y|``.
+    ``increments`` is ``g = diag(A^T A)`` (length ``M``) when the nested
+    basis makes ``A^T A`` diagonal, else ``None``; with it,
+    ``|(K_m - K_ref) y|^2`` is ``sum g_j xi_j^2`` over the window
+    ``(m_ref, m]`` (see ``pair_windows``).  The model positions, the
+    canonical pair list, its grouping by reference and its windows are built
+    once, on construction, so the kernels and any worker threads only read
+    them.
     """
 
     design: DesignMatrix
@@ -184,9 +204,11 @@ class ModelFamily:
     coefficients: np.ndarray
     reduced: np.ndarray
     rank_deficient: tuple[int, ...] = ()
+    increments: np.ndarray | None = None
     _positions: dict[int, int] = field(init=False, repr=False, compare=False)
     _pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _groups: list = field(init=False, repr=False, compare=False)
+    _windows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._positions = {m: i for i, m in enumerate(self.models)}
@@ -194,6 +216,7 @@ class ModelFamily:
             (m, m_ref) for i, m_ref in enumerate(self.models) for m in self.models[i + 1 :]
         ]
         self._groups = self._group(self._pairs)
+        self._windows = self._window_bounds(self._pairs)
 
     @property
     def q(self) -> int:
@@ -250,14 +273,19 @@ class ModelFamily:
         """Estimates ``K_m y`` of every model (rows) from ``xi = Q^T y``."""
         return (self.coefficients @ xi) @ self.weight_matrix[:, : self.largest].T
 
-    def noise_weighted(self, variances: np.ndarray) -> np.ndarray:
+    def noise_weighted(self, variances) -> np.ndarray:
         """``E_m = D_m S^{1/2}`` for every model, ``S = Q^T diag(variances) Q``.
 
         ``E_m E_m^T`` has the nonzero spectrum of the variance of ``K_m y``
         under noise with these per-coordinate variances, and so has
         ``(E_m - E_ref)(E_m - E_ref)^T`` for the difference of two models.
         """
+        variances = self.vector(variances, "noise variances")
         return self.reduced @ _psd_sqrt((self.basis.T * variances) @ self.basis)
+
+    def noise_diagonal(self, variances) -> np.ndarray:
+        """Diagonal of ``S = Q^T diag(variances) Q``: ``S_jj = sum_i Q_ij^2 v_i``."""
+        return self.vector(variances, "noise variances") @ (self.basis * self.basis)
 
     def pair_groups(self, pairs):
         """Split ``pairs`` by reference: ``(ref, positions, columns)`` per reference.
@@ -275,6 +303,8 @@ class ModelFamily:
     def _group(self, pairs) -> list:
         groups: dict[int, tuple[list[int], list[int]]] = {}
         for col, (m, m_ref) in enumerate(pairs):
+            if m <= m_ref:
+                raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
             rows, cols = groups.setdefault(m_ref, ([], []))
             rows.append(self.position(m))
             cols.append(col)
@@ -298,6 +328,36 @@ class ModelFamily:
                 diff = np.subtract(diff, values[ref], out=buf[: len(diff)])
             out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
         return out
+
+    def pair_windows(self, weights: np.ndarray, pairs) -> np.ndarray:
+        """Per pair, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
+
+        ``weights`` is ``(M, columns)`` and nonnegative; the result is
+        ``(len(pairs), columns)``.  Each model step is summed once, then
+        every start takes one running sum over the steps above it.  A
+        difference of prefix sums would do the same in fewer additions but
+        cancels on small windows; a running sum of nonnegative terms keeps
+        every window's relative precision.
+        """
+        steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
+        # running[s, j] = steps[s] + ... + steps[j] for s <= j: one
+        # vectorised addition per model, across every start at once.
+        running = np.empty((len(steps),) + steps.shape)
+        for j, step in enumerate(steps):
+            np.add(running[:j, j - 1], step, out=running[:j, j])
+            running[j, j] = step
+        first, last = self._windows if pairs == self._pairs else self._window_bounds(pairs)
+        return running[first, last]
+
+    def _window_bounds(self, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the first and last model step of each pair's window."""
+        first = np.array(
+            [0 if m_ref == 0 else self.position(m_ref) + 1 for _, m_ref in pairs], dtype=np.intp
+        )
+        last = np.array([self.position(m) for m, _ in pairs], dtype=np.intp)
+        if np.any(first > last):
+            raise NotOrderedPair("every pair (m, m_ref) needs m > m_ref")
+        return first, last
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""
@@ -334,11 +394,24 @@ def build_projection_family(
 
     For each ``m`` the estimator is ``K_m = W S_m`` with
     ``S_m = (Psi_m Psi_m^T)^+ Psi_m`` zero-padded from ``m`` to ``p`` rows,
-    held as ``C_m = pad_M(S_m Q)`` on the untruncated right singular basis
-    ``Q`` of the largest block (a tiny singular direction stays, since the
-    pseudo-inverse may amplify it).  Rank-deficient Grams fall back to the
-    pseudo-inverse and attach a ``SingularGramWarning``; an all-zero Gram
-    raises ``SingularGram``.
+    held as ``C_m = pad_M(S_m Q)`` on the basis ``Q`` of the QR
+    factorisation ``Psi_M^T = Q L^T`` of the largest block (all ``min(M, n)``
+    columns: a tiny direction stays, since the pseudo-inverse may amplify
+    it).  Rank-deficient Grams fall back to the pseudo-inverse and attach a
+    ``SingularGramWarning``; an all-zero Gram raises ``SingularGram``.
+
+    When ``Psi_M`` has full row rank and no Gram was truncated,
+    ``S_m y = L^-T Pi_m Q^T y``, so ``K_m y = A Pi_m xi`` with
+    ``A = W_M L^-T``.  ``G = A^T A`` is taken as diagonal when
+    ``|G_ij| <= DIAGONAL_TOL sqrt(G_ii G_jj)`` for all ``i != j`` (a zero
+    ``G_jj`` means a zero column of ``A``, as the derivative loss makes of
+    the constant, and then the whole row must vanish); the family then
+    stores ``g = diag G`` as ``increments``.  Bound: over a window ``w`` the
+    dropped cross terms ``sum_{i != j} G_ij xi_i xi_j`` are at most
+    ``DIAGONAL_TOL sum_{i != j} sqrt(g_i g_j) |xi_i xi_j|``, which by
+    Cauchy-Schwarz is at most ``(|w| - 1) DIAGONAL_TOL`` times the squared
+    norm ``sum_j g_j xi_j^2``.  The same holds for variance traces
+    ``sum_j g_j S_jj``, since ``|S_ij| <= sqrt(S_ii S_jj)`` for the PSD ``S``.
     """
     models = tuple(int(m) for m in models)
     if not models:
@@ -356,7 +429,7 @@ def build_projection_family(
 
     big = models[-1]
     top = design.leading_block(big)
-    basis = np.linalg.svd(top, full_matrices=False)[2].T
+    basis, upper = np.linalg.qr(top.T)  # upper = L^T
     projected = top @ basis
     coefficients = np.zeros((len(models), big, basis.shape[1]))
     deficient: list[int] = []
@@ -376,6 +449,10 @@ def build_projection_family(
     # R^T R = W_M^T W_M with min(q, M) rows: W_M itself, or its Gram's root.
     w_big = W[:, :big]
     root = w_big if W.shape[0] <= big else _psd_sqrt(w_big.T @ w_big)
+    increments = None
+    if not deficient and basis.shape[1] == big:
+        loadings = np.linalg.solve(upper.T, w_big.T).T  # A = W_M L^-T
+        increments = _diagonal_of(loadings.T @ loadings)
     return ModelFamily(
         design=design,
         weighting=weighting,
@@ -385,7 +462,15 @@ def build_projection_family(
         coefficients=coefficients,
         reduced=root @ coefficients,
         rank_deficient=tuple(deficient),
+        increments=increments,
     )
+
+
+def _diagonal_of(gram: np.ndarray) -> np.ndarray | None:
+    """``diag(gram)`` if ``gram`` is diagonal within ``DIAGONAL_TOL``, else ``None``."""
+    diag = np.diag(gram).copy()
+    off = np.abs(gram - np.diag(diag))
+    return diag if np.all(off <= DIAGONAL_TOL * np.sqrt(np.outer(diag, diag))) else None
 
 
 @dataclass(frozen=True)

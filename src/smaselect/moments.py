@@ -73,14 +73,19 @@ class PairMoments:
             raise DimensionMismatch("need 0 <= lambda_pair <= p_pair")
 
 
-def _moments(diffs: np.ndarray) -> list[PairMoments]:
-    """Moments of ``diff diff^T`` for each matrix of a ``(k, a, b)`` stack."""
-    traces = np.einsum("kab,kab->k", diffs, diffs)
+def _moments(diffs: np.ndarray, traces) -> list[PairMoments]:
+    """Moments of ``diff diff^T`` for each matrix of a ``(k, a, b)`` stack.
+
+    ``traces`` come from ``pair_traces``, so a table built on these moments
+    and one built by ``calibration.calibrate`` carry the same dimensions.
+    The top eigenvalue never exceeds the trace; clipping it there absorbs
+    the rounding between the two kernels.
+    """
     if diffs.shape[1] > diffs.shape[2]:
         diffs = diffs.transpose(0, 2, 1)
     tops = np.linalg.eigvalsh(diffs @ diffs.transpose(0, 2, 1))[:, -1]
     return [
-        PairMoments(p_pair=float(t), lambda_pair=max(float(lam), 0.0))
+        PairMoments(p_pair=t, lambda_pair=min(max(float(lam), 0.0), t))
         for t, lam in zip(traces, tops)
     ]
 
@@ -89,41 +94,58 @@ def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> 
     """Variance trace / operator norm of the difference estimator for a pair."""
     if m <= m_ref:
         raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    factors = family.noise_weighted(sigma.require_known())
+    variances = sigma.require_known()
+    factors = family.noise_weighted(variances)
     diff = factors[family.position(m)] - factors[family.position(m_ref)]
-    return _moments(diff[None])[0]
+    return _moments(diff[None], pair_traces(family, variances, [(m, m_ref)]).values())[0]
 
 
 def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoments:
     """Same moments for a single model's estimator (not a difference)."""
-    factors = family.noise_weighted(sigma.require_known())
-    return _moments(factors[family.position(m)][None])[0]
+    variances = sigma.require_known()
+    factors = family.noise_weighted(variances)
+    trace = pair_traces(family, variances, [(m, 0)]).values()
+    return _moments(factors[family.position(m)][None], trace)[0]
 
 
 def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, int], PairMoments]:
     """Moments of every ordered pair: one batched eigensolve per reference."""
-    factors = family.noise_weighted(sigma.require_known())
+    variances = sigma.require_known()
+    factors = family.noise_weighted(variances)
+    traces = pair_traces(family, variances)
     pairs = family.pairs()
     index = np.arange(len(pairs))
     out: dict[tuple[int, int], PairMoments] = {}
     for ref, positions, cols in family.pair_groups(pairs):
-        moments = _moments(factors[positions] - factors[ref])
-        out.update((pairs[c], mom) for c, mom in zip(index[cols], moments))
+        group = [pairs[c] for c in index[cols]]
+        moments = _moments(factors[positions] - factors[ref], [traces[p] for p in group])
+        out.update(zip(group, moments))
     return out
 
 
 def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
-    """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate ``variances``."""
+    """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate ``variances``.
+
+    With the family's ``increments`` ``g``, a trace is the window sum of
+    ``g_j S_jj``, ``S = Q^T diag(variances) Q``; otherwise the squared
+    Frobenius norm of ``E_m - E_ref``.  A pair ``(m, 0)`` gives model ``m``'s
+    own trace.
+    """
     pairs = list(pairs) if pairs is not None else family.pairs()
-    factors = family.noise_weighted(variances)
-    flat = factors.reshape(len(family.models), -1, 1)
-    return dict(zip(pairs, map(float, family.pair_sq_norms(flat, pairs)[:, 0])))
+    if family.increments is not None:
+        weights = family.increments * family.noise_diagonal(variances)
+        traces = family.pair_windows(weights[:, None], pairs)
+    else:
+        factors = family.noise_weighted(variances)
+        flat = factors.reshape(len(family.models), -1, 1)
+        traces = family.pair_sq_norms(flat, pairs)
+    return dict(zip(pairs, map(float, traces[:, 0])))
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     """Variance traces ``tr Var(K_m y)`` of every model."""
-    factors = family.noise_weighted(variances)
-    return dict(zip(family.models, map(float, np.einsum("kab,kab->k", factors, factors))))
+    traces = pair_traces(family, variances, [(m, 0) for m in family.models])
+    return {m: traces[(m, 0)] for m in family.models}
 
 
 def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndarray:

@@ -14,15 +14,17 @@ from smaselect import (
     WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
+    excess_risk_mc,
     oracle,
     pair_bias,
     presmooth,
     risk_profile,
+    sample_joint_draws,
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.bootstrap import bootstrap_joint_draws
-from smaselect.moments import best_linear_coefficients
+from smaselect.moments import all_pair_moments, best_linear_coefficients
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
 
@@ -66,3 +68,18 @@ def test_family_rejects_non_finite_weighting(toy_design, weighting):
     with pytest.raises(NonFiniteInput):
         build_projection_family(toy_design, weighting, [1, 2, 3])
 
+
+
+# Entry points that read a NoiseSpec's variances against the family.
+NOISE_ENTRY_POINTS = {
+    "sample_joint_draws": lambda fam, noise: sample_joint_draws(fam, noise, 10, seed=1),
+    "excess_risk_mc": lambda fam, noise: excess_risk_mc(fam, noise, 2, 1.0, 10, seed=1),
+    "oracle": lambda fam, noise: oracle(fam, np.ones(4), noise, 1.0),
+    "all_pair_moments": lambda fam, noise: all_pair_moments(fam, noise),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOISE_ENTRY_POINTS))
+def test_noise_of_wrong_length_is_rejected(toy_family, entry):
+    with pytest.raises(DimensionMismatch):
+        NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec.homogeneous(1.0, 5))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -406,6 +407,15 @@ def test_pair_norms_on_shuffled_subset(toy_extended_family):
     np.testing.assert_array_equal(norms, canonical[:, subset])
     # Any list equal to the canonical one reads the grouping built once.
     assert family.pair_groups(family.pairs()) is family.pair_groups(list(pairs))
+
+
+def test_pair_norms_reject_reversed_pair(toy_extended_family):
+    # Both kernels refuse a pair whose larger model comes second.
+    xi = toy_extended_family.reduce(np.ones((2, toy_extended_family.n)))
+    general = dataclasses.replace(toy_extended_family, increments=None)
+    for family in (toy_extended_family, general):
+        with pytest.raises(NotOrderedPair):
+            pair_norms(family, xi, [(2, 1), (1, 3)])
 
 
 def test_multiplicity_nonincreasing_when_comparisons_removed(toy_family, toy_noise):

@@ -6,9 +6,12 @@ draws and statistics as norms of ``K`` products, variances as ``q x q``
 matrices.  The family under test never forms those matrices on any
 calibration, moment or selection path; both must agree at the stated
 tolerances on every weighting kind, a rank-deficient design and a design
-with fewer observations than features.
+with fewer observations than features.  The families cover both norm
+kernels: the increments kernel of a diagonal nested-basis Gram and the
+general ``D_m`` kernel.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -37,7 +40,12 @@ from smaselect.experiment import (
     scenario_family,
 )
 from smaselect.family import PSD_TOL, _pinv_gram
-from smaselect.moments import all_pair_moments, best_linear_coefficients, single_variance
+from smaselect.moments import (
+    all_pair_moments,
+    best_linear_coefficients,
+    pair_traces,
+    single_variance,
+)
 from smaselect.rng import block_bounds, stream
 
 DRAW_RTOL = 1e-8
@@ -136,6 +144,12 @@ FAMILIES = {
 }
 
 
+# Families whose nested-basis Gram ``A^T A`` is diagonal take the increments
+# kernel; the others, among them a subvector loss on a random design and the
+# rank-deficient and n < p designs, take the general one.
+INCREMENTS = {"derivative", "prediction", "prediction_scheme"}
+
+
 @pytest.fixture(params=sorted(FAMILIES))
 def case(request):
     with warnings.catch_warnings():
@@ -155,6 +169,33 @@ def test_expected_shapes_are_covered():
     assert deficient.rank_deficient and wide.rank_deficient
     assert wide.basis.shape == (6, 6)  # r = min(M, n) = n
     assert np.all(derivative.weight_matrix[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_kernel_strategy_follows_structure(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family = FAMILIES[name]()
+    assert (family.increments is not None) == (name in INCREMENTS)
+
+
+def test_general_kernel_matches_increments_on_paper_family():
+    config = ExperimentConfig(n=200, seeds=Seeds(data=1001)).validate()
+    scenario = generate_scenario(config)
+    family = scenario_family(config, scenario)
+    general = dataclasses.replace(family, increments=None)
+    assert family.increments is not None
+    variances = scenario.sigma.variances
+
+    fast = sample_joint_draws(family, scenario.sigma, 1000, seed=3).draws
+    slow = sample_joint_draws(general, scenario.sigma, 1000, seed=3).draws
+    np.testing.assert_allclose(fast, slow, rtol=VALUE_RTOL, atol=0.0)
+    y = scenario.f_true + np.sqrt(variances) * np.random.default_rng(5).standard_normal(200)
+    for a, b in [
+        (pairwise_statistics(family, y), pairwise_statistics(general, y)),
+        (pair_traces(family, variances), pair_traces(general, variances)),
+    ]:
+        np.testing.assert_allclose(list(a.values()), list(b.values()), rtol=VALUE_RTOL, atol=0.0)
 
 
 def test_materialized_operators_match(case):

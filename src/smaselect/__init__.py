@@ -6,9 +6,8 @@ from .bootstrap import (
     PresmoothResult,
     ValidityDiagnostics,
     bootstrap_calibrate,
-    bootstrap_effective_dims,
-    bootstrap_joint_draws,
     presmooth,
+    residual_scale,
     validity_diagnostics,
 )
 from .bounds import QFParams, norm_upper, pinsker_tv_bound, pinsker_tv_bound_op, qf_lower, qf_upper
@@ -21,7 +20,6 @@ from .calibration import (
     critical_values,
     excess_risk_mc,
     familywise_exceedance,
-    multiplicity_correction,
     power_loss_critical_values,
     power_loss_params,
     propagation_failures,

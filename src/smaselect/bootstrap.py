@@ -3,9 +3,9 @@
 The data are presmoothed by projecting onto a large pilot model; the
 residuals, multiplied coordinatewise by fresh standard normal weights,
 replace the unavailable noise law.  What is specific to this path is
-presmoothing, which yields the residual scale vector; ``calibrate`` turns
-it into draws, bias allowances, power-loss levels and a table exactly as
-it does the known noise standard deviations.
+presmoothing, which yields the residual scale vector (``residual_scale``);
+``calibrate`` turns it into draws, bias allowances, power-loss levels and a
+table exactly as it does the known noise standard deviations.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibrationTable, JointDrawMatrix, _sample_scaled_norms, calibrate
+from .calibration import CalibrationTable, calibrate
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily
-from .moments import NoiseSpec, pair_traces, single_traces
+from .moments import NoiseSpec
 
 # Residuals below this fraction of the data scale are treated as vanishing.
 RESIDUAL_FLOOR = 1e-12
@@ -28,20 +28,14 @@ RESIDUAL_FLOOR = 1e-12
 class PresmoothResult:
     """Residuals after projecting out a pilot model.
 
-    The projector is held implicitly through an orthonormal basis of the
-    pilot feature span; ``projector_matrix`` materializes it on demand.
+    ``basis`` is an orthonormal basis (``n x k``) of the pilot feature span;
+    the projector ``basis @ basis.T`` is never formed.
     """
 
     residuals: np.ndarray
     projector_dim: int
     basis: np.ndarray
     negligible: bool
-
-    def apply_projector(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
-
-    def projector_matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
 
 def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
@@ -73,7 +67,9 @@ def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
     )
 
 
-def _residual_vector(family: ModelFamily, residuals) -> np.ndarray:
+def residual_scale(family: ModelFamily, residuals) -> np.ndarray:
+    """Residuals (a ``PresmoothResult`` or a vector) as the multiplier noise
+    scale; negligible or all-zero residuals raise ``AllZeroResiduals``."""
     if isinstance(residuals, PresmoothResult):
         if residuals.negligible:
             raise AllZeroResiduals("presmoothing left no residual signal")
@@ -82,36 +78,6 @@ def _residual_vector(family: ModelFamily, residuals) -> np.ndarray:
     if np.all(vec == 0.0):
         raise AllZeroResiduals("all residuals are zero; calibration is degenerate")
     return vec
-
-
-def bootstrap_joint_draws(
-    family: ModelFamily,
-    residuals,
-    n_sim: int,
-    seed: int,
-    pairs=None,
-    n_workers: int = 1,
-    stream_tag: int = 0,
-) -> JointDrawMatrix:
-    """Joint pairwise magnitudes under residual-multiplier noise.
-
-    Row ``r`` multiplies the residuals coordinatewise by one standard
-    normal weight vector shared across all pairs.
-    """
-    vec = _residual_vector(family, residuals)
-    return _sample_scaled_norms(family, vec, n_sim, seed, pairs, n_workers, stream_tag)
-
-
-def bootstrap_effective_dims(
-    family: ModelFamily, residuals, pairs=None
-) -> dict[tuple[int, int], float]:
-    """Data-driven effective dimensions: residual-weighted variance traces."""
-    return pair_traces(family, _residual_vector(family, residuals) ** 2, pairs)
-
-
-def bootstrap_single_dims(family: ModelFamily, residuals) -> dict[int, float]:
-    """Single-model analog of the effective dimensions."""
-    return single_traces(family, _residual_vector(family, residuals) ** 2)
 
 
 def bootstrap_calibrate(
@@ -129,7 +95,7 @@ def bootstrap_calibrate(
 ) -> CalibrationTable:
     """Multiplier table: ``calibrate`` with the residuals as the noise scale."""
     return calibrate(
-        family, _residual_vector(family, residuals), n_sim, seed, x_level, alpha_plus,
+        family, residual_scale(family, residuals), n_sim, seed, x_level, alpha_plus,
         mode, power_a, pairs, n_workers, stream_tag,
     )[1]
 
@@ -174,12 +140,16 @@ def validity_diagnostics(
 
     The relevant feature dimension is the largest model in the collection;
     the design block, pilot projector and noise covariance enter through
-    the whitened quantities defined in the closed-form bounds.
+    the whitened quantities defined in the closed-form bounds.  With ``B``
+    the pilot basis and ``Sigma = diag(sig)``, the whitened smoothed variance
+    minus ``I`` is ``U K U^T``, ``U = [Sigma^-1 B, Sigma B]`` and
+    ``K = [[B^T Sigma^2 B, -I], [-I, 0]]``: its spectrum is that of
+    ``R K R^T`` (``U = Q R``) plus zeros, so no ``n x n`` matrix is formed.
     """
     if f_true is None or not sigma.is_known:
         raise RequiresKnownTruth("diagnostics need the true response and known noise")
     f = family.vector(f_true, "f_true")
-    variances = sigma.require_known()
+    variances = family.vector(sigma.require_known(), "noise variances")
     n = family.n
     p_dim = family.largest
     psi = family.design.leading_block(p_dim)
@@ -193,21 +163,21 @@ def validity_diagnostics(
     delta_psi = float(np.max(np.linalg.norm(s_inv_half @ psi, axis=0) * sig))
 
     basis = pilot_basis(family, m_dagger)
-    proj = basis @ basis.T
 
-    bias_vec = (f - proj @ f) / sig
+    bias_vec = (f - basis @ (basis.T @ f)) / sig
     bias_sup = float(np.max(np.abs(bias_vec), initial=0.0))
     bias_l2 = float(np.linalg.norm(bias_vec))
 
-    resid_op = np.eye(n) - proj
-    var_smoothed = (resid_op * variances) @ resid_op.T / np.outer(sig, sig)
-    var_smoothed = 0.5 * (var_smoothed + var_smoothed.T)
-    gap = var_smoothed - np.eye(n)
-    delta_one = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
-    delta_eps = float(np.max(np.abs(np.diag(gap))))
-
-    upsilon = (proj * sig[None, :]) / sig[:, None]
-    d_psi = float(np.max(np.linalg.norm(upsilon, axis=1)))
+    # B^T Sigma^2 B = root^T root, so (P Sigma^2 P)_ii = |root B[i]|^2.
+    root = np.linalg.qr(basis * sig[:, None], mode="r")
+    spread = np.linalg.norm(basis @ root.T, axis=1) / sig
+    upper = np.linalg.qr(np.hstack([basis / sig[:, None], basis * sig[:, None]]), mode="r")
+    eye = np.eye(basis.shape[1])
+    kernel = np.block([[root.T @ root, -eye], [-eye, np.zeros_like(eye)]])
+    delta_one = float(np.max(np.abs(np.linalg.eigvalsh(upper @ kernel @ upper.T))))
+    # diag(U K U^T)_i = (P Sigma^2 P)_ii / sig_i^2 - 2 P_ii.
+    delta_eps = float(np.max(np.abs(spread**2 - 2.0 * np.einsum("ij,ij->i", basis, basis))))
+    d_psi = float(np.max(spread))  # largest row norm of Upsilon = Sigma^-1 P Sigma
 
     x_n = x_level + math.log(n)
     x_p = x_level + math.log(2 * p_dim)

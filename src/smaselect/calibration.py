@@ -144,17 +144,6 @@ def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
     return np.sqrt(squares, out=squares).T
 
 
-def joint_norms_from_noise(
-    family: ModelFamily, noise: np.ndarray, pairs=None
-) -> np.ndarray:
-    """Pairwise difference magnitudes for explicit noise rows (test hook)."""
-    noise = np.atleast_2d(np.asarray(noise, dtype=float))
-    if noise.shape[1] != family.n:
-        raise DimensionMismatch("noise rows must have length n")
-    pairs = list(pairs) if pairs is not None else family.pairs()
-    return pair_norms(family, family.reduce(noise), pairs)
-
-
 def _sample_scaled_norms(
     family: ModelFamily,
     scale: np.ndarray,
@@ -306,15 +295,6 @@ def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
     return k_x + int(np.argmax(meets))
 
 
-def _correction_rank(draws: JointDrawMatrix, m_ref: int, x_level: float) -> int:
-    """Corrected shared rank of reference ``m_ref``; never below the rank of ``x``."""
-    if m_ref not in draws.by_reference:
-        raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
-    k_x = _tail_rank(x_level, draws.n_sim)[0]
-    ranks = draws.upper_tail(k_x, draws.by_reference[m_ref][1])[1]
-    return _max_t_rank(ranks, k_x, x_level)
-
-
 def _lowest_float(start: float, holds) -> float:
     """Smallest float at which the nondecreasing predicate ``holds`` is true.
 
@@ -344,18 +324,6 @@ def _shift_to_rank(x_level: float, k: int, n: int) -> float:
     return _lowest_float(
         level - x_level - half_ulp, lambda q: _tail_rank(x_level + q, n)[0] >= k
     )
-
-
-def multiplicity_correction(draws: JointDrawMatrix, m_ref: int, x_level: float) -> float:
-    """Smallest shift ``q`` making the family-wise exceedance at most ``e^-x``.
-
-    Exact on the shared draw rows, so the propagation condition holds
-    in-sample; 0.0 exactly when no shift is needed (always for a single
-    comparison).  Never above ``log(#comparisons)``: the in-sample
-    Bonferroni level already meets the target.
-    """
-    k = _correction_rank(draws, m_ref, x_level)
-    return _shift_to_rank(x_level, k, draws.n_sim)
 
 
 @dataclass(frozen=True)
@@ -484,7 +452,10 @@ def calibration_table(
     """Thresholds ``z + alpha_plus * sqrt(dim)`` for every pair in ``draws``.
 
     ``levels`` is either the probabilistic level ``x``, shifted per
-    reference by its exact multiplicity correction, or power-loss
+    reference by its exact multiplicity correction (the smallest shift
+    whose family-wise exceedance on these draws is at most ``e^-x``; 0.0
+    when none is needed, always so for a single comparison; never above
+    ``log(#comparisons)``, the in-sample Bonferroni shift), or power-loss
     parameters, whose per-reference levels are used unshifted.  ``z`` is
     the pair's empirical tail value at its reference's level, and
     ``pair_dims`` the effective dimensions of the bias allowance.
@@ -547,23 +518,19 @@ def calibration_table(
 def critical_values(
     draws: JointDrawMatrix,
     moments: dict[tuple[int, int], PairMoments],
-    x_level: float,
+    x_level: float | PowerLossParams,
     alpha_plus: float = 0.0,
 ) -> CalibrationTable:
-    """Probabilistic-mode table: corrected tail value plus bias allowance."""
+    """``calibration_table`` with the pair moments' traces as dimensions.
+
+    ``x_level`` is the probabilistic level or power-loss parameters, as in
+    ``calibration_table``; ``power_loss_critical_values`` is the same call.
+    """
     pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
     return calibration_table(draws, pair_dims, alpha_plus, x_level, moments)
 
 
-def power_loss_critical_values(
-    draws: JointDrawMatrix,
-    moments: dict[tuple[int, int], PairMoments],
-    params: PowerLossParams,
-    alpha_plus: float = 0.0,
-) -> CalibrationTable:
-    """Power-loss-mode table: per-reference levels, no multiplicity shift."""
-    pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
-    return calibration_table(draws, pair_dims, alpha_plus, params, moments)
+power_loss_critical_values = critical_values
 
 
 def calibrate(

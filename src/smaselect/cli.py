@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .bootstrap import _residual_vector, presmooth, validity_diagnostics
+from .bootstrap import presmooth, residual_scale, validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
 from .calibration import calibrate, propagation_failures
 from .errors import (
@@ -92,7 +92,10 @@ def _calibrated(args, cfg: ExperimentConfig):
     scenario = generate_scenario(cfg)
     family = scenario_family(cfg, scenario)
     if getattr(args, "data", None):
-        y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
+        try:
+            y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigInvalid(f"cannot read data vector: {exc}") from None
         if y.shape != (cfg.n,):
             raise ConfigInvalid(f"data vector must have length n={cfg.n}")
     else:
@@ -100,7 +103,7 @@ def _calibrated(args, cfg: ExperimentConfig):
     if args.noise == "known":
         scale, seed = np.sqrt(scenario.sigma.variances), cfg.seeds.calibration
     else:
-        scale = _residual_vector(family, presmooth(family, y, cfg.m_dagger))
+        scale = residual_scale(family, presmooth(family, y, cfg.m_dagger))
         seed = cfg.seeds.bootstrap
     draws, table = calibrate(
         family, scale, cfg.n_sim, seed, cfg.x_level, cfg.alpha_plus, cfg.mode, cfg.power_a,

@@ -42,7 +42,7 @@ class RequiresKnownTruth(SmaError):
 
 
 class MissingPair(SmaError):
-    """Calibration table lacks a threshold needed by the selector."""
+    """A calibration table or the statistics lack a pair the selector needs."""
 
 
 class ConfigInvalid(SmaError):

@@ -241,20 +241,6 @@ class ModelFamily:
         except KeyError:
             raise NotOrderedPair(f"model {m} not in family") from None
 
-    def operator(self, m: int) -> np.ndarray:
-        """Materialize ``K_m`` (``q x n``); no calibration path needs it."""
-        return self._materialize(self.coefficients[self.position(m)])
-
-    def pair_operator(self, m: int, m_ref: int) -> np.ndarray:
-        """Materialize ``K_m - K_ref`` for ``m > m_ref``."""
-        if m <= m_ref:
-            raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-        coef = self.coefficients[self.position(m)] - self.coefficients[self.position(m_ref)]
-        return self._materialize(coef)
-
-    def _materialize(self, coef: np.ndarray) -> np.ndarray:
-        return self.weight_matrix[:, : self.largest] @ coef @ self.basis.T
-
     def vector(self, v, what: str = "data vector") -> np.ndarray:
         """``v`` as a float vector of length ``n``: the one boundary check for
         data, responses and noise scales."""

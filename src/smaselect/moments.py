@@ -204,8 +204,3 @@ def functional_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> float:
     if family.q != 1:
         raise NotFunctional(f"weighting output dimension is {family.q}, need 1")
     return single_variance(family, sigma, m).p_pair
-
-
-def risk_profile_csv_rows(profile: list[RiskPoint]) -> list[tuple]:
-    """Rows for CSV export: (m, bias2, variance, risk)."""
-    return [(r.m, r.bias2, r.variance, r.risk) for r in profile]

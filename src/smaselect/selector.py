@@ -18,6 +18,7 @@ import numpy as np
 from .calibration import CalibrationTable, JointDrawMatrix, pair_norms, tail_quantile
 from .errors import (
     DimensionMismatch,
+    MissingPair,
     NonFiniteInput,
     NotProjectionFamily,
     RequiresKnownTruth,
@@ -74,10 +75,13 @@ def sma_select(
     if not all(math.isfinite(t) for t in statistics.values()):
         raise NonFiniteInput("test statistics contain NaN or infinite values")
     accepted: dict[int, bool] = {}
-    for i, m_ref in enumerate(models):
-        accepted[m_ref] = all(
-            statistics[(m, m_ref)] <= table.threshold(m, m_ref) for m in models[i + 1 :]
-        )
+    try:
+        for i, m_ref in enumerate(models):
+            accepted[m_ref] = all(
+                statistics[(m, m_ref)] <= table.threshold(m, m_ref) for m in models[i + 1 :]
+            )
+    except KeyError as exc:
+        raise MissingPair(f"no statistic for pair {exc.args[0]}") from None
     m_hat = min(m for m, ok in accepted.items() if ok)
     return SelectionResult(
         m_hat=m_hat,

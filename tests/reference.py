@@ -1,0 +1,170 @@
+"""Reference routes the tests compare the library against.
+
+The library holds every estimator in reduced coordinates and every
+diagnostic in low-rank form, and reads multiplicity corrections and
+multiplier draws off its one calibration path.  The helpers here give the
+tests the dense ``q x n`` operators, the dense ``n x n`` validity
+diagnostics, and single-purpose views of that path, without the library
+carrying them.
+"""
+
+import math
+import warnings
+
+import numpy as np
+
+from smaselect import NotOrderedPair, ValidityDiagnostics, calibrate
+from smaselect.bootstrap import pilot_basis, residual_scale
+from smaselect.calibration import _tail_rank, calibration_table, pair_norms
+from smaselect.errors import DimensionMismatch, RequiresKnownTruth, SingularGram
+
+
+def operator(family, m: int) -> np.ndarray:
+    """``K_m = W[:, :M] C_m Q^T`` (``q x n``) from the reduced family."""
+    return _materialize(family, family.coefficients[family.position(m)])
+
+
+def pair_operator(family, m: int, m_ref: int) -> np.ndarray:
+    """``K_m - K_ref`` for ``m > m_ref``."""
+    if m <= m_ref:
+        raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
+    coef = family.coefficients[family.position(m)] - family.coefficients[family.position(m_ref)]
+    return _materialize(family, coef)
+
+
+def _materialize(family, coef: np.ndarray) -> np.ndarray:
+    return family.weight_matrix[:, : family.largest] @ coef @ family.basis.T
+
+
+def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:
+    """Pairwise difference magnitudes ``|(K_m - K_ref) e|`` for explicit noise rows."""
+    noise = np.atleast_2d(np.asarray(noise, dtype=float))
+    if noise.shape[1] != family.n:
+        raise DimensionMismatch("noise rows must have length n")
+    pairs = list(pairs) if pairs is not None else family.pairs()
+    return pair_norms(family, family.reduce(noise), pairs)
+
+
+def projector_matrix(presmoothed) -> np.ndarray:
+    """The pilot projector ``B B^T`` of a ``PresmoothResult``, as an ``n x n`` matrix."""
+    return presmoothed.basis @ presmoothed.basis.T
+
+
+def risk_profile_csv_rows(profile) -> list[tuple]:
+    """Rows for CSV export: (m, bias2, variance, risk)."""
+    return [(r.m, r.bias2, r.variance, r.risk) for r in profile]
+
+
+def multiplier_draws(family, residuals, n_sim, seed, pairs=None, stream_tag=0):
+    """The multiplier draw matrix: ``calibrate`` on the residual scale."""
+    scale = residual_scale(family, residuals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        draws, _ = calibrate(
+            family, scale, n_sim, seed, 2.0, 0.0, pairs=pairs, stream_tag=stream_tag
+        )
+    return draws
+
+
+def corrections(draws, x_level: float) -> dict[int, float]:
+    """Every reference's multiplicity correction, as the table builder reads it."""
+    pair_dims = dict.fromkeys(draws.pair_index, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return calibration_table(draws, pair_dims, 0.0, x_level).corrections
+
+
+def multiplicity_correction(draws, m_ref: int, x_level: float) -> float:
+    """The correction of one reference; a reference with no larger model has none."""
+    if m_ref not in draws.by_reference:
+        raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
+    return corrections(draws, x_level)[m_ref]
+
+
+def correction_rank(draws, m_ref: int, x_level: float) -> int:
+    """The shared order statistic the corrected level selects."""
+    q = multiplicity_correction(draws, m_ref, x_level)
+    return _tail_rank(x_level + q, draws.n_sim)[0]
+
+
+def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> ValidityDiagnostics:
+    """``validity_diagnostics`` with the pilot projector, the smoothed variance
+    and ``Upsilon`` formed as ``n x n`` matrices and an ``n x n`` eigensolve."""
+    if f_true is None or not sigma.is_known:
+        raise RequiresKnownTruth("diagnostics need the true response and known noise")
+    f = family.vector(f_true, "f_true")
+    variances = sigma.require_known()
+    n = family.n
+    p_dim = family.largest
+    psi = family.design.leading_block(p_dim)
+    sig = np.sqrt(variances)
+
+    s_mat = (psi * variances) @ psi.T
+    vals, vecs = np.linalg.eigh(s_mat)
+    if vals.min() <= 0:
+        raise SingularGram(p_dim, "noise-weighted Gram is degenerate")
+    s_inv_half = (vecs / np.sqrt(vals)) @ vecs.T
+    delta_psi = float(np.max(np.linalg.norm(s_inv_half @ psi, axis=0) * sig))
+
+    basis = pilot_basis(family, m_dagger)
+    proj = basis @ basis.T
+
+    bias_vec = (f - proj @ f) / sig
+    bias_sup = float(np.max(np.abs(bias_vec), initial=0.0))
+    bias_l2 = float(np.linalg.norm(bias_vec))
+
+    resid_op = np.eye(n) - proj
+    var_smoothed = (resid_op * variances) @ resid_op.T / np.outer(sig, sig)
+    var_smoothed = 0.5 * (var_smoothed + var_smoothed.T)
+    gap = var_smoothed - np.eye(n)
+    delta_one = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
+    delta_eps = float(np.max(np.abs(np.diag(gap))))
+
+    upsilon = (proj * sig[None, :]) / sig[:, None]
+    d_psi = float(np.max(np.linalg.norm(upsilon, axis=1)))
+
+    x_n = x_level + math.log(n)
+    x_p = x_level + math.log(2 * p_dim)
+    x_m = x_level + 2.0 * math.log(len(family.models))
+
+    delta2 = (
+        2.0 * math.sqrt(delta_psi**2 * p_dim * x_n)
+        + math.sqrt(delta_eps**2 * p_dim)
+        + math.sqrt(bias_sup**4 * p_dim)
+        + 4.0 * delta_psi**2 * bias_l2 * (1.0 + math.sqrt(x_level))
+    )
+    delta0 = (
+        bias_sup**2
+        + delta_psi**2 * bias_l2 * math.sqrt(2.0 * x_level)
+        + 2.0 * d_psi * x_n
+        + d_psi**2 * x_n
+        + 2.0 * delta_psi * math.sqrt(x_p)
+        + 2.0 * delta_psi**2 * x_p
+    )
+    delta_p = (
+        bias_sup**2
+        + 4.0 * math.sqrt(x_m) * delta_psi**2 * bias_l2
+        + 4.0 * math.sqrt(x_m) * delta_psi
+        + 4.0 * x_m * delta_psi**2
+        + delta_eps
+    )
+    ratio = p_dim**2 * math.log(n) / n
+
+    return ValidityDiagnostics(
+        delta_psi=delta_psi,
+        d_psi=d_psi,
+        delta_one=delta_one,
+        delta_eps=delta_eps,
+        bias_sup=bias_sup,
+        bias_l2=bias_l2,
+        delta2=delta2,
+        delta0=delta0,
+        delta0_scaled=math.sqrt(p_dim) * delta0,
+        delta_p=delta_p,
+        applicability_ratio=ratio,
+        asymptotic_regime_reached=bool(ratio <= 1.0),
+        p_dim=p_dim,
+        n=n,
+        m_dagger=int(m_dagger),
+        x_level=float(x_level),
+    )

@@ -17,11 +17,10 @@ from smaselect import (
     WeightingScheme,
     aic_equivalence_check,
     bootstrap_calibrate,
-    bootstrap_effective_dims,
     build_projection_family,
+    calibrate,
     critical_values,
     excess_risk_mc,
-    multiplicity_correction,
     oracle,
     pair_variance,
     payment_for_adaptation,
@@ -30,13 +29,14 @@ from smaselect import (
     tail_quantile,
     validity_diagnostics,
 )
-from smaselect.bootstrap import bootstrap_joint_draws
-from smaselect.calibration import joint_norms_from_noise, power_loss_params
+from smaselect.bootstrap import residual_scale
+from smaselect.calibration import power_loss_params
 from smaselect.cli import bounds_check_grid, main as cli_main
 from smaselect.experiment import fourier_values
-from smaselect.moments import all_pair_moments
+from smaselect.moments import all_pair_moments, pair_traces
 from smaselect.rng import stream
 from conftest import orthonormal_rows_design
+from reference import joint_norms_from_noise, multiplier_draws, pair_operator
 
 
 def _report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -212,7 +212,7 @@ def test_criterion_07_bootstrap_fidelity():
     resid = presmooth(family, y, 20)
 
     diag = validity_diagnostics(family, noise, f_true, m_dagger=20, x_level=2.0)
-    p_boot = bootstrap_effective_dims(family, resid)
+    p_boot = pair_traces(family, residual_scale(family, resid) ** 2)
     moments = all_pair_moments(family, noise)
     within = [
         abs(p_boot[pair] / moments[pair].p_pair - 1.0) <= diag.delta_p
@@ -247,15 +247,16 @@ def test_criterion_08_bootstrap_familywise_coverage():
     x = 2.0
     n_rep = 500
     pairs = [(m, 1) for m in family.successors(1)]
-    ops = {pair: family.pair_operator(*pair) for pair in pairs}
+    ops = {pair: pair_operator(family, *pair) for pair in pairs}
     accepted = np.zeros(n_rep, dtype=bool)
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
-        draws = bootstrap_joint_draws(
-            family, resid, 1000, seed=8181, pairs=pairs, stream_tag=rep
+        draws, table = calibrate(
+            family, residual_scale(family, resid), 1000, 8181, x, 0.0, pairs=pairs,
+            stream_tag=rep,
         )
-        q = multiplicity_correction(draws, 1, x)
+        q = table.corrections[1]
         ok = True
         for pair in pairs:
             z = tail_quantile(draws, *pair, x + q)
@@ -325,8 +326,8 @@ def test_criterion_12_scale_equivariance(toy_family):
     start = time.perf_counter()
     resid = np.array([0.8, -1.3, 0.6, 1.1])
     c = 7.25
-    base_draws = bootstrap_joint_draws(toy_family, resid, 4000, seed=7777)
-    scaled_draws = bootstrap_joint_draws(toy_family, c * resid, 4000, seed=7777)
+    base_draws = multiplier_draws(toy_family, resid, 4000, seed=7777)
+    scaled_draws = multiplier_draws(toy_family, c * resid, 4000, seed=7777)
     base = bootstrap_calibrate(toy_family, resid, 2.0, 0.0, 4000, seed=7777)
     scaled = bootstrap_calibrate(toy_family, c * resid, 2.0, 0.0, 4000, seed=7777)
     worst = 0.0

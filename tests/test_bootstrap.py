@@ -11,16 +11,16 @@ from smaselect import (
     RequiresKnownTruth,
     WeightingScheme,
     bootstrap_calibrate,
-    bootstrap_effective_dims,
-    bootstrap_joint_draws,
     build_projection_family,
     pair_variance,
     presmooth,
+    residual_scale,
     validity_diagnostics,
 )
-from smaselect.bootstrap import bootstrap_single_dims
 from smaselect.calibration import familywise_exceedance
+from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
+from reference import multiplier_draws, projector_matrix
 
 
 def test_presmooth_toy_coordinates(toy_family):
@@ -41,7 +41,7 @@ def test_presmooth_projector_idempotent():
     design = DesignMatrix(rng.standard_normal((8, 20)))
     family = build_projection_family(design, WeightingScheme.full_vector(), [2, 5, 8])
     res = presmooth(family, rng.standard_normal(20), 8)
-    proj = res.projector_matrix()
+    proj = projector_matrix(res)
     assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
 
 
@@ -59,7 +59,7 @@ def test_presmooth_residuals_orthogonal_to_span():
 
 def test_bootstrap_draws_zero_residuals_is_fatal(toy_family):
     with pytest.raises(AllZeroResiduals):
-        bootstrap_joint_draws(toy_family, np.zeros(4), 100, seed=1)
+        multiplier_draws(toy_family, np.zeros(4), 100, seed=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -69,7 +69,7 @@ def test_bootstrap_rejects_non_finite_residuals(toy_family, bad):
         bootstrap_calibrate(toy_family, resid, 2.0, 1.0, 100, seed=1)
     # Data carrying the value reach the check through presmoothing.
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
-        bootstrap_effective_dims(toy_family, presmooth(toy_family, resid, 2))
+        residual_scale(toy_family, presmooth(toy_family, resid, 2))
 
 
 def test_presmooth_rejects_non_finite_data(toy_family):
@@ -81,12 +81,12 @@ def test_presmooth_rejects_non_finite_data(toy_family):
 def test_bootstrap_draws_negligible_presmooth_is_fatal(toy_family):
     res = presmooth(toy_family, [1.0, -2.0, 0.5, 0.0], 3)
     with pytest.raises(AllZeroResiduals):
-        bootstrap_joint_draws(toy_family, res, 100, seed=1)
+        multiplier_draws(toy_family, res, 100, seed=1)
 
 
 def test_bootstrap_pair_column_coordinate_structure(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
-    draws = bootstrap_joint_draws(toy_family, resid, 256, seed=317)
+    draws = multiplier_draws(toy_family, resid, 256, seed=317)
     from smaselect.rng import stream
 
     w = stream(317, 0, 0).standard_normal((256, 4))
@@ -95,7 +95,7 @@ def test_bootstrap_pair_column_coordinate_structure(toy_family):
 
 def test_bootstrap_mean_square_matches_weighted_dims(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
-    draws = bootstrap_joint_draws(toy_family, resid, 100_000, seed=331)
+    draws = multiplier_draws(toy_family, resid, 100_000, seed=331)
     col2 = draws.column(3, 1) ** 2
     se = np.std(col2, ddof=1) / math.sqrt(col2.shape[0])
     assert abs(col2.mean() - 5.0) <= 3 * se
@@ -103,7 +103,7 @@ def test_bootstrap_mean_square_matches_weighted_dims(toy_family):
 
 def test_effective_dims_toy(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
-    dims = bootstrap_effective_dims(toy_family, resid)
+    dims = pair_traces(toy_family, residual_scale(toy_family, resid) ** 2)
     assert dims[(2, 1)] == pytest.approx(1.0, rel=1e-12)
     assert dims[(3, 1)] == pytest.approx(5.0, rel=1e-12)
 
@@ -113,16 +113,16 @@ def test_effective_dims_reduce_to_known_noise():
     design = orthonormal_rows_design(rng, p=6, n=25)
     family = build_projection_family(design, WeightingScheme.full_vector(), [1, 3, 6])
     sd = rng.uniform(0.5, 2.0, size=25)
-    dims = bootstrap_effective_dims(family, sd)
+    dims = pair_traces(family, residual_scale(family, sd) ** 2)
     noise = NoiseSpec.known(sd**2)
     for pair, val in dims.items():
         assert val == pytest.approx(pair_variance(family, noise, *pair).p_pair, rel=1e-12)
-    singles = bootstrap_single_dims(family, sd)
+    singles = single_traces(family, residual_scale(family, sd) ** 2)
     assert singles[6] > singles[1] > 0
 
 
 def test_effective_dims_match_constant_residual_projection(toy_family):
-    dims = bootstrap_effective_dims(toy_family, np.full(4, 1.5))
+    dims = pair_traces(toy_family, residual_scale(toy_family, np.full(4, 1.5)) ** 2)
     for (m, m_ref), val in dims.items():
         assert val == pytest.approx(1.5**2 * (m - m_ref), rel=1e-12)
 
@@ -146,7 +146,7 @@ def test_bootstrap_in_sample_propagation(toy_family):
     resid = np.array([0.8, -1.3, 0.6, 1.1])
     n_sim = 20_000
     table = bootstrap_calibrate(toy_family, resid, 2.0, 0.0, n_sim, seed=349)
-    draws = bootstrap_joint_draws(toy_family, resid, n_sim, seed=349)
+    draws = multiplier_draws(toy_family, resid, n_sim, seed=349)
     for m_ref in (1, 2):
         thresholds = {
             (m, m_ref): table.threshold(m, m_ref)

@@ -23,8 +23,8 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.bootstrap import bootstrap_joint_draws
 from smaselect.moments import all_pair_moments, best_linear_coefficients
+from reference import multiplier_draws
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
 
@@ -37,7 +37,7 @@ ENTRY_POINTS = {
     "risk_profile": lambda fam, v: risk_profile(fam, v, NOISE),
     "best_linear_coefficients": lambda fam, v: best_linear_coefficients(fam, v),
     "validity_diagnostics": lambda fam, v: validity_diagnostics(fam, NOISE, v, 2, 2.0),
-    "residuals": lambda fam, v: bootstrap_joint_draws(fam, v, 10, seed=1),
+    "residuals": lambda fam, v: multiplier_draws(fam, v, 10, seed=1),
 }
 
 BAD_VECTORS = {
@@ -76,6 +76,9 @@ NOISE_ENTRY_POINTS = {
     "excess_risk_mc": lambda fam, noise: excess_risk_mc(fam, noise, 2, 1.0, 10, seed=1),
     "oracle": lambda fam, noise: oracle(fam, np.ones(4), noise, 1.0),
     "all_pair_moments": lambda fam, noise: all_pair_moments(fam, noise),
+    "validity_diagnostics": lambda fam, noise: validity_diagnostics(
+        fam, noise, np.ones(4), 2, 2.0
+    ),
 }
 
 

@@ -23,21 +23,18 @@ from smaselect import (
     critical_values,
     excess_risk_mc,
     familywise_exceedance,
-    multiplicity_correction,
     power_loss_critical_values,
     power_loss_params,
     sample_joint_draws,
     tail_quantile,
 )
-from smaselect.bootstrap import bootstrap_joint_draws, presmooth
+from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
     PowerLossParams,
-    _correction_rank,
     _quantile_at,
     _shift_to_rank,
     _tail_rank,
     calibration_table,
-    joint_norms_from_noise,
     pair_norms,
 )
 from smaselect.errors import BadExponent, DimensionMismatch
@@ -49,6 +46,13 @@ from smaselect.experiment import (
 )
 from smaselect.io import load_draws, load_table, save_draws
 from smaselect.moments import all_pair_moments, single_traces
+from reference import (
+    correction_rank,
+    corrections,
+    joint_norms_from_noise,
+    multiplicity_correction,
+    multiplier_draws,
+)
 
 
 def toy_moments(family, sigma):
@@ -88,11 +92,11 @@ def bisection_correction(draws, m_ref, x_level, resolution=1e-4):
 def assert_matches_bisection(draws, x_level):
     """Exact correction vs the bisection oracle on every reference."""
     n = draws.n_sim
-    for m_ref in draws.references():
-        k = _correction_rank(draws, m_ref, x_level)
-        q = multiplicity_correction(draws, m_ref, x_level)
+    shifts = corrections(draws, x_level)
+    assert list(shifts) == draws.references()
+    for m_ref, q in shifts.items():
+        k = _tail_rank(x_level + q, n)[0]
         q_bisect = bisection_correction(draws, m_ref, x_level)
-        assert _tail_rank(x_level + q, n)[0] == k, m_ref
         # q is the smallest float shift selecting rank k, and 0.0 when none is needed.
         assert q == 0.0 or _tail_rank(x_level + math.nextafter(q, -math.inf), n)[0] < k
         assert (q == 0.0) == (k == _tail_rank(x_level, n)[0])
@@ -223,7 +227,7 @@ def test_exact_rank_equals_bisection_rank_paper_config():
     for rep in range(3):
         y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, rep)
         resid = presmooth(family, y, cfg.m_dagger)
-        boot = bootstrap_joint_draws(
+        boot = multiplier_draws(
             family, resid, cfg.n_sim, cfg.seeds.bootstrap, stream_tag=rep
         )
         assert_matches_bisection(boot, cfg.x_level)
@@ -372,7 +376,7 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
         assert np.array_equal(tail, sorted_draws[:, k - 1 :])
         assert np.array_equal(floored, np.maximum(ranks, k - 1))
     for m_ref, k in rank.items():
-        assert _correction_rank(draws, m_ref, x) == k
+        assert correction_rank(draws, m_ref, x) == k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, x)

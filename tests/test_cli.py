@@ -74,6 +74,25 @@ def test_select_with_data_file(config_file, tmp_path):
     assert set(sel["accepted"]) == {"1", "2", "3", "4"}
 
 
+@pytest.mark.parametrize(
+    "content", ['["a", 1]', "[1, 2", None], ids=["non-numeric", "non-json", "missing"]
+)
+def test_unreadable_data_file_is_a_config_error(config_file, tmp_path, content):
+    data = tmp_path / "y.json"
+    if content is not None:
+        data.write_text(content)
+    src = Path(smaselect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smaselect.cli", "select", "--config", str(config_file),
+         "--out", str(tmp_path / "o"), "--data", str(data)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_outputs_and_determinism(config_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0

@@ -17,8 +17,9 @@ from smaselect import (
     risk_argmin,
     risk_profile,
 )
-from smaselect.moments import pair_bias_vector, risk_profile_csv_rows
+from smaselect.moments import pair_bias_vector
 from conftest import orthonormal_rows_design
+from reference import pair_operator, risk_profile_csv_rows
 
 
 def test_toy_pair_variance(toy_family, toy_noise):
@@ -34,7 +35,7 @@ def test_toy_pair_variance_heteroscedastic(toy_family):
     # Direct matrix arithmetic oracle: V = K diag(1,4,9,1) K^T on coordinates 2,3.
     noise = NoiseSpec.known([1.0, 4.0, 9.0, 1.0])
     pm = pair_variance(toy_family, noise, 3, 1)
-    k = toy_family.pair_operator(3, 1)
+    k = pair_operator(toy_family, 3, 1)
     v = k @ np.diag([1.0, 4.0, 9.0, 1.0]) @ k.T
     assert pm.p_pair == pytest.approx(np.trace(v), rel=1e-12)
     assert pm.p_pair == pytest.approx(13.0, rel=1e-12)

@@ -8,7 +8,8 @@ calibration, moment or selection path; both must agree at the stated
 tolerances on every weighting kind, a rank-deficient design and a design
 with fewer observations than features.  The families cover both norm
 kernels: the increments kernel of a diagonal nested-basis Gram and the
-general ``D_m`` kernel.
+general ``D_m`` kernel.  The low-rank validity diagnostics are checked the
+same way, against their dense ``n x n`` form.
 """
 
 import dataclasses
@@ -23,15 +24,15 @@ from smaselect import (
     DesignMatrix,
     NoiseSpec,
     WeightingScheme,
-    bootstrap_effective_dims,
     build_projection_family,
     check_ordering,
     excess_risk_mc,
     risk_profile,
     sample_joint_draws,
+    validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.bootstrap import bootstrap_joint_draws, bootstrap_single_dims
+from smaselect.bootstrap import pilot_basis, residual_scale
 from smaselect.calibration import _quantile_at
 from smaselect.experiment import (
     ExperimentConfig,
@@ -44,9 +45,11 @@ from smaselect.moments import (
     all_pair_moments,
     best_linear_coefficients,
     pair_traces,
+    single_traces,
     single_variance,
 )
 from smaselect.rng import block_bounds, stream
+from reference import dense_validity_diagnostics, multiplier_draws, operator
 
 DRAW_RTOL = 1e-8
 MOMENT_RTOL = 1e-12
@@ -202,7 +205,7 @@ def test_materialized_operators_match(case):
     family, ops, _, _ = case
     for m in family.models:
         scale = max(np.abs(ops[m]).max(), 1.0)
-        np.testing.assert_allclose(family.operator(m), ops[m], rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(operator(family, m), ops[m], rtol=0, atol=1e-10 * scale)
 
 
 def test_known_noise_draws_match(case):
@@ -218,13 +221,13 @@ def test_multiplier_draws_and_dims_match(case):
     residuals = rng.standard_normal(family.n)
     residuals[0] = 0.0  # a vanishing residual leaves S singular
     pairs = family.pairs()
-    draws = bootstrap_joint_draws(family, residuals, 600, seed=43, stream_tag=5)
+    draws = multiplier_draws(family, residuals, 600, seed=43, stream_tag=5)
     expected = dense_draws(ops, residuals, 600, 43, pairs, stream_tag=5)
     assert_columns_close(draws.draws, expected, DRAW_RTOL)
 
     w2 = residuals**2
-    dims = bootstrap_effective_dims(family, residuals)
-    singles = bootstrap_single_dims(family, residuals)
+    dims = pair_traces(family, residual_scale(family, residuals) ** 2)
+    singles = single_traces(family, residual_scale(family, residuals) ** 2)
     for m, m_ref in pairs:
         diff = ops[m] - ops[m_ref]
         dense = float(np.einsum("qi,qi,i->", diff, diff, w2))
@@ -323,3 +326,62 @@ def test_paper_family_build_allocates_little():
         tracemalloc.stop()
     assert family.basis.shape == (200, 37)
     assert peak < 20 * 2**20, f"family build peaked at {peak / 2**20:.1f} MB"
+
+
+def _diagnostics_cases():
+    """Families for the low-rank diagnostics, with noise, truth and pilot size."""
+    config = ExperimentConfig(n=200, seeds=Seeds(data=1001)).validate()
+    scenario = generate_scenario(config)
+    paper = scenario_family(config, scenario)
+    full = WeightingScheme.full_vector()
+    toy_design = DesignMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    toy = build_projection_family(toy_design, full, [1, 2, 3])
+    rng = np.random.default_rng(19)
+    random = build_projection_family(_random_design(6, 8, 30), full, [2, 4, 8])
+    # Rows 6 and 7 coincide: the 9-row pilot block has rank 8, the models stay full rank.
+    psi = rng.standard_normal((10, 14))
+    psi[7] = psi[6]
+    truncated = build_projection_family(DesignMatrix(psi), full, [1, 2, 4])
+    return {
+        "paper": (paper, scenario.sigma, scenario.f_true, config.m_dagger),
+        "toy_2k_above_n": (
+            toy, NoiseSpec.known([1.0, 4.0, 0.25, 2.0]), np.array([0.3, -1.0, 2.0, 0.7]), 3
+        ),
+        "random_heteroscedastic": (
+            random, NoiseSpec.known(rng.uniform(0.2, 5.0, 30)), rng.standard_normal(30), 5
+        ),
+        "truncated_pilot": (
+            truncated, NoiseSpec.known(rng.uniform(0.2, 5.0, 14)), rng.standard_normal(14), 9
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["paper", "toy_2k_above_n", "random_heteroscedastic", "truncated_pilot"]
+)
+def test_validity_diagnostics_match_dense(name):
+    family, noise, f_true, m_dagger = _diagnostics_cases()[name]
+    k = pilot_basis(family, m_dagger).shape[1]
+    if name == "toy_2k_above_n":
+        assert 2 * k > family.n
+    if name == "truncated_pilot":
+        assert k < m_dagger
+    low_rank = dataclasses.asdict(validity_diagnostics(family, noise, f_true, m_dagger, 2.0))
+    dense = dataclasses.asdict(dense_validity_diagnostics(family, noise, f_true, m_dagger, 2.0))
+    assert low_rank.keys() == dense.keys() and len(dense) == 16
+    for field, value in dense.items():
+        assert low_rank[field] == pytest.approx(value, rel=1e-12, abs=0.0), field
+
+
+def test_validity_diagnostics_allocate_little():
+    # The paper config at n = 2000: the dense n x n form peaks at ~184 MB.
+    config = ExperimentConfig(n=2000, seeds=Seeds(data=1001)).validate()
+    scenario = generate_scenario(config)
+    family = scenario_family(config, scenario)
+    tracemalloc.start()
+    try:
+        validity_diagnostics(family, scenario.sigma, scenario.f_true, config.m_dagger, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"diagnostics peaked at {peak / 2**20:.1f} MB"

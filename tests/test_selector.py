@@ -93,6 +93,13 @@ def test_sma_missing_pair(toy_family):
         sma_select(stats, table)
 
 
+def test_sma_missing_statistic():
+    # Statistics of a 3-model family that lack (3, 1) and (3, 2).
+    table = table_from_thresholds({(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0})
+    with pytest.raises(MissingPair):
+        sma_select({(2, 1): 0.5}, table, models=[1, 2, 3])
+
+
 def test_sma_explicit_models_for_singleton():
     result = sma_select({}, table_from_thresholds({}), models=[4])
     assert result.m_hat == 4

@@ -33,7 +33,6 @@ class PresmoothResult:
     """
 
     residuals: np.ndarray
-    projector_dim: int
     basis: np.ndarray
     negligible: bool
 
@@ -61,7 +60,6 @@ def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
     negligible = bool(np.max(np.abs(residuals), initial=0.0) <= floor)
     return PresmoothResult(
         residuals=residuals,
-        projector_dim=int(m_dagger),
         basis=basis,
         negligible=negligible,
     )

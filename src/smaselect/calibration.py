@@ -361,9 +361,6 @@ class CalibrationTable:
         except KeyError:
             raise MissingPair(f"no critical value for pair ({m}, {m_ref})") from None
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.critical, key=lambda p: (p[1], p[0]))
-
     def to_dict(self) -> dict:
         d = {
             "mode": self.mode,
@@ -424,8 +421,8 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
     ``sqrt(3) (p_m / p_min)^(-1-a)``; the level indexing follows the
     next-smaller-model convention.
     """
-    if a <= 0:
-        raise BadExponent("power-loss exponent a must be > 0")
+    if not (math.isfinite(a) and a > 0):
+        raise BadExponent("power-loss exponent a must be a finite number > 0")
     models = [int(m) for m in models]
     dims = {m: float(p_singles[m]) for m in models}
     vals = [dims[m] for m in models]
@@ -464,6 +461,10 @@ def calibration_table(
         raise DimensionMismatch("alpha_plus must be >= 0")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
+    if not power and not math.isfinite(levels):
+        raise NonFiniteInput(f"level x must be finite, got {levels}")
+    if not power and levels < 0:
+        raise DimensionMismatch("level x must be >= 0")
     corrections = dict.fromkeys(draws.by_reference, 0.0)
     ref_clipped: dict[int, bool] = {}
     z = np.empty(len(draws.pair_index))

@@ -20,7 +20,7 @@ import numpy as np
 from . import io
 from .bootstrap import presmooth, residual_scale, validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
-from .calibration import calibrate, propagation_failures
+from .calibration import propagation_failures
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
+    _calibrate,
     _noise_draw,
     generate_scenario,
     mdagger_sweep,
@@ -75,6 +76,16 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides).validate()
 
 
+def _m_dagger_list(args) -> list[int]:
+    """``--m-dagger-list`` as integers (empty when not given)."""
+    try:
+        return [int(v) for v in args.m_dagger_list.split(",")] if args.m_dagger_list else []
+    except ValueError:
+        raise ConfigInvalid(
+            f"--m-dagger-list needs comma-separated integers, got {args.m_dagger_list!r}"
+        ) from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,10 +116,7 @@ def _calibrated(args, cfg: ExperimentConfig):
     else:
         scale = residual_scale(family, presmooth(family, y, cfg.m_dagger))
         seed = cfg.seeds.bootstrap
-    draws, table = calibrate(
-        family, scale, cfg.n_sim, seed, cfg.x_level, cfg.alpha_plus, cfg.mode, cfg.power_a,
-        n_workers=cfg.n_workers,
-    )
+    draws, table = _calibrate(cfg, family, scale, seed, cfg.n_workers)
     return family, y, draws, table
 
 
@@ -166,11 +174,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    md_list = _m_dagger_list(args) or sorted(
+        {max(2, cfg.m_dagger // 2), cfg.m_dagger, max(cfg.models)}
+    )
     out = _outdir(args)
-    if args.m_dagger_list:
-        md_list = [int(v) for v in args.m_dagger_list.split(",")]
-    else:
-        md_list = sorted({max(2, cfg.m_dagger // 2), cfg.m_dagger, max(cfg.models)})
     sweep = mdagger_sweep(cfg, md_list)
     (out / "sweep.csv").write_text(sweep_csv(sweep))
     io.save_json(meta_record(cfg), out / "meta.json")
@@ -180,15 +187,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_ratios(args) -> int:
     cfg = _load_config(args)
+    md_list = _m_dagger_list(args)
     out = _outdir(args)
     table = quantile_ratio_table(cfg)
     (out / "ratios.csv").write_text(ratios_csv(table))
     io.save_json(
         {"summary": table.summary, "m_dagger": table.m_dagger}, out / "ratios_summary.json"
     )
-    if args.m_dagger_list:
+    if md_list:
         lines = ["m_dagger,min,mean,max"]
-        for md in (int(v) for v in args.m_dagger_list.split(",")):
+        for md in md_list:
             sweep_table = quantile_ratio_table(cfg, m_dagger=md)
             s = sweep_table.summary
             lines.append(f"{md},{s['min']!r},{s['mean']!r},{s['max']!r}")

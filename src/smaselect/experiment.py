@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bootstrap import bootstrap_calibrate, presmooth
+from .bootstrap import presmooth, residual_scale
 from .calibration import CalibrationTable, JointDrawMatrix, calibrate
-from .errors import ConfigInvalid, DimensionMismatch
+from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, WeightingScheme, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
 from .rng import stream
@@ -259,14 +259,16 @@ def scenario_family(config: ExperimentConfig, scenario: Scenario) -> ModelFamily
     return build_projection_family(scenario.design, weighting, config.models)
 
 
-def known_noise_calibration(
-    config: ExperimentConfig, family: ModelFamily, scenario: Scenario
+def _calibrate(
+    config: ExperimentConfig, family: ModelFamily, scale, seed: int, n_workers=1, stream_tag=0
 ) -> tuple[JointDrawMatrix, CalibrationTable]:
-    """Known-noise draw matrix and the table built on it, in the config's mode."""
+    """``calibrate`` on noise ``scale`` with the config's draw count, level,
+    allowance and mode: known noise passes its standard deviations and the
+    calibration seed, the multiplier path its residual scale and the
+    bootstrap seed."""
     return calibrate(
-        family, np.sqrt(scenario.sigma.variances), config.n_sim, config.seeds.calibration,
-        config.x_level, config.alpha_plus, config.mode, config.power_a,
-        n_workers=config.n_workers,
+        family, scale, config.n_sim, seed, config.x_level, config.alpha_plus,
+        config.mode, config.power_a, n_workers=n_workers, stream_tag=stream_tag,
     )
 
 
@@ -294,14 +296,6 @@ def _noise_draw(scenario: Scenario, seed: int, rep: int) -> np.ndarray:
     return stream(seed, rep).standard_normal(scenario.grid.shape[0]) * sd
 
 
-def _multiplier_table(config, family, resid, n_workers=1, stream_tag=0) -> CalibrationTable:
-    """Residual-multiplier table on ``resid``, in the config's mode and seeds."""
-    return bootstrap_calibrate(
-        family, resid, config.x_level, config.alpha_plus, config.n_sim, config.seeds.bootstrap,
-        n_workers=n_workers, mode=config.mode, power_a=config.power_a, stream_tag=stream_tag,
-    )
-
-
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     """Oracle vs known-noise vs residual-multiplier selection over replicates.
 
@@ -313,7 +307,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
-    _, table_known = known_noise_calibration(config, family, scenario)
+    sd = np.sqrt(scenario.sigma.variances)
+    _, table_known = _calibrate(config, family, sd, config.seeds.calibration, config.n_workers)
 
     report = oracle(
         family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode
@@ -325,8 +320,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, rep)
         stats = test_statistics(family, y)
         m_known = sma_select(stats, table_known, models=family.models).m_hat
-        resid = presmooth(family, y, config.m_dagger)
-        table_boot = _multiplier_table(config, family, resid, stream_tag=rep)
+        scale = residual_scale(family, presmooth(family, y, config.m_dagger))
+        _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, stream_tag=rep)
         m_boot = sma_select(stats, table_boot, models=family.models).m_hat
 
         fits = dict(zip(family.models, family.outputs(family.reduce(y))))
@@ -367,11 +362,12 @@ def quantile_ratio_table(config: ExperimentConfig, m_dagger: int | None = None) 
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
-    _, table_known = known_noise_calibration(config, family, scenario)
+    sd = np.sqrt(scenario.sigma.variances)
+    _, table_known = _calibrate(config, family, sd, config.seeds.calibration, config.n_workers)
     y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
     md = config.m_dagger if m_dagger is None else int(m_dagger)
-    resid = presmooth(family, y, md)
-    table_boot = _multiplier_table(config, family, resid, n_workers=config.n_workers)
+    scale = residual_scale(family, presmooth(family, y, md))
+    _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
     ratios = {}
     for pair in family.pairs():
         z_known = table_known.threshold(*pair)
@@ -397,8 +393,6 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     Degenerate pilots surface their failure in the per-entry record rather
     than aborting the sweep.
     """
-    from .errors import AllZeroResiduals
-
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
@@ -408,8 +402,8 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     for md in m_dagger_list:
         md = int(md)
         try:
-            resid = presmooth(family, y, md)
-            table = _multiplier_table(config, family, resid, n_workers=config.n_workers)
+            scale = residual_scale(family, presmooth(family, y, md))
+            _, table = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
             out[md] = {"m_hat": sma_select(stats, table).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}

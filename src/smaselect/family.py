@@ -82,16 +82,6 @@ class DesignMatrix:
             raise DimensionMismatch(f"block size {m} outside 1..{self.p}")
         return self.entries[:m]
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "entries": self.entries.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DesignMatrix":
-        arr = np.asarray(d["entries"], dtype=float)
-        if arr.shape != (d["p"], d["n"]):
-            raise DimensionMismatch("design entries do not match declared shape")
-        return cls(arr)
-
 
 @dataclass(frozen=True)
 class WeightingScheme:

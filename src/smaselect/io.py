@@ -1,62 +1,20 @@
-"""File formats: binary draw matrices and JSON tables.
-
-Draw files carry a 32-byte header (magic ``SMADRAW1``, then row count,
-pair count and seed as little-endian 8-byte words) followed by the draw
-matrix as little-endian 8-byte reals in row-major order.  Pair identities
-are not stored; they follow the family's canonical pair order.
-"""
+"""JSON files: calibration tables and records."""
 
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
-import numpy as np
-
-from .calibration import CalibrationTable, JointDrawMatrix
-from .errors import DimensionMismatch
-
-DRAWS_MAGIC = b"SMADRAW1"
-_HEADER = struct.Struct("<8sQQQ")
-
-
-def save_draws(draws: JointDrawMatrix, path) -> None:
-    pairs = sorted(draws.pair_index.items(), key=lambda kv: kv[1])
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(DRAWS_MAGIC, draws.n_sim, len(pairs), draws.seed % 2**64))
-        fh.write(np.ascontiguousarray(draws.draws, dtype="<f8").tobytes())
-
-
-def load_draws(path, pairs=None) -> JointDrawMatrix:
-    """Read a draw file; ``pairs`` restores the column identities."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DimensionMismatch("draw file too short for its header")
-    magic, n_sim, n_pairs, seed = _HEADER.unpack_from(raw)
-    if magic != DRAWS_MAGIC:
-        raise DimensionMismatch("draw file magic mismatch")
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if body.size != n_sim * n_pairs:
-        raise DimensionMismatch("draw file body does not match header counts")
-    matrix = body.reshape(n_sim, n_pairs).astype(float)
-    if pairs is None:
-        pair_index = {(-1, -(i + 1)): i for i in range(n_pairs)}
-    else:
-        pairs = list(pairs)
-        if len(pairs) != n_pairs:
-            raise DimensionMismatch("pair list does not match the stored pair count")
-        pair_index = {tuple(p): i for i, p in enumerate(pairs)}
-    return JointDrawMatrix(draws=matrix, pair_index=pair_index, seed=int(seed), n_sim=int(n_sim))
-
-
-def save_table(table: CalibrationTable, path) -> None:
-    Path(path).write_text(json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_table(path) -> CalibrationTable:
-    return CalibrationTable.from_dict(json.loads(Path(path).read_text()))
+from .calibration import CalibrationTable
 
 
 def save_json(obj: dict, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def save_table(table: CalibrationTable, path) -> None:
+    save_json(table.to_dict(), path)
+
+
+def load_table(path) -> CalibrationTable:
+    return CalibrationTable.from_dict(json.loads(Path(path).read_text()))

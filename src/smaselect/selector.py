@@ -126,38 +126,26 @@ def oracle(
 ) -> OracleReport:
     """Smallest reference whose bias is dominated by the variance allowance.
 
-    In probabilistic mode only comparisons against the reference matter; in
-    power-loss mode every pair at or above the reference must pass, so all
-    larger models are unbiased benchmarks too.
+    The smallest-accepted rule with the pair biases as statistics and
+    ``alpha_plus * sqrt(dim)`` as thresholds.  In probabilistic mode only
+    comparisons against the reference matter; in power-loss mode every
+    larger reference must be accepted too, so all larger models are
+    unbiased benchmarks as well.
     """
     if f_true is None or not sigma.is_known:
         raise RequiresKnownTruth("oracle needs the true response and known noise")
     if mode not in ("probabilistic", "power_loss"):
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
-
-    f = family.vector(f_true, "f_true")
-    pairs = family.pairs()
-    bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
-    dims = pair_traces(family, sigma.require_known(), pairs)
-
-    def good_pair(m: int, m_ref: int) -> bool:
-        return bias[(m, m_ref)] ** 2 <= alpha_plus**2 * dims[(m, m_ref)]
-
-    for m_ref in family.models:
-        larger = family.successors(m_ref)
-        if mode == "probabilistic":
-            ok = all(good_pair(m, m_ref) for m in larger)
-        else:
-            above = [m_ref] + larger
-            ok = all(
-                good_pair(hi, lo)
-                for i, lo in enumerate(above)
-                for hi in above[i + 1 :]
-            )
-        if ok:
-            return OracleReport(m_star=m_ref, mode=mode, alpha_plus=alpha_plus)
-    # Unreachable: the largest model is vacuously good.
-    raise AssertionError("no oracle index found")
+    bias = test_statistics(family, f_true)
+    dims = pair_traces(family, sigma.require_known(), list(bias))
+    allowance = {pair: alpha_plus * math.sqrt(dim) for pair, dim in dims.items()}
+    result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
+    m_star = result.m_hat
+    if mode == "power_loss":
+        m_star = min(
+            m for m in family.models if all(ok for r, ok in result.accepted.items() if r >= m)
+        )
+    return OracleReport(m_star=m_star, mode=mode, alpha_plus=alpha_plus)
 
 
 def payment_theory_cap(

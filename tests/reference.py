@@ -4,8 +4,8 @@ The library holds every estimator in reduced coordinates and every
 diagnostic in low-rank form, and reads multiplicity corrections and
 multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
-diagnostics, and single-purpose views of that path, without the library
-carrying them.
+diagnostics, the oracle index as a direct loop over its definition, and
+single-purpose views of that path, without the library carrying them.
 """
 
 import math
@@ -17,6 +17,7 @@ from smaselect import NotOrderedPair, ValidityDiagnostics, calibrate
 from smaselect.bootstrap import pilot_basis, residual_scale
 from smaselect.calibration import _tail_rank, calibration_table, pair_norms
 from smaselect.errors import DimensionMismatch, RequiresKnownTruth, SingularGram
+from smaselect.moments import pair_traces
 
 
 def operator(family, m: int) -> np.ndarray:
@@ -85,6 +86,34 @@ def correction_rank(draws, m_ref: int, x_level: float) -> int:
     """The shared order statistic the corrected level selects."""
     q = multiplicity_correction(draws, m_ref, x_level)
     return _tail_rank(x_level + q, draws.n_sim)[0]
+
+
+def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int:
+    """The oracle index by its definition: the smallest reference whose pairs
+    all satisfy ``bias^2 <= alpha_plus^2 * dim``, against every larger model
+    (probabilistic) or within every pair at or above it (power loss)."""
+    f = family.vector(f_true, "f_true")
+    pairs = family.pairs()
+    bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
+    dims = pair_traces(family, sigma.require_known(), pairs)
+
+    def good_pair(m: int, m_ref: int) -> bool:
+        return bias[(m, m_ref)] ** 2 <= alpha_plus**2 * dims[(m, m_ref)]
+
+    for m_ref in family.models:
+        larger = family.successors(m_ref)
+        if mode == "probabilistic":
+            ok = all(good_pair(m, m_ref) for m in larger)
+        else:
+            above = [m_ref] + larger
+            ok = all(
+                good_pair(hi, lo)
+                for i, lo in enumerate(above)
+                for hi in above[i + 1 :]
+            )
+        if ok:
+            return m_ref
+    raise AssertionError("no oracle index found")
 
 
 def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> ValidityDiagnostics:

@@ -44,7 +44,7 @@ from smaselect.experiment import (
     generate_scenario,
     scenario_family,
 )
-from smaselect.io import load_draws, load_table, save_draws
+from smaselect.io import load_table
 from smaselect.moments import all_pair_moments, single_traces
 from reference import (
     correction_rank,
@@ -277,19 +277,11 @@ def test_strict_ranks_count_smaller_draws():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_draw_matrix_rejects_non_finite(tmp_path, bad):
+def test_draw_matrix_rejects_non_finite(bad):
     values = np.ones((3, 2))
     values[1, 0] = bad
     with pytest.raises(NonFiniteInput):
         JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
-    # A draw file carrying the same values is rejected on load.
-    good = JointDrawMatrix(
-        draws=np.ones((3, 2)), pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3
-    )
-    good.draws[1, 0] = bad
-    save_draws(good, tmp_path / "draws.bin")
-    with pytest.raises(NonFiniteInput):
-        load_draws(tmp_path / "draws.bin", pairs=[(2, 1), (3, 1)])
 
 
 def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
@@ -532,6 +524,9 @@ def test_power_loss_params_rejects_bad_exponent():
         power_loss_params([1, 2], {1: 1.0, 2: 2.0}, a=0.0)
     with pytest.raises(DimensionMismatch):
         power_loss_params([1, 2], {1: 2.0, 2: 1.0}, a=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadExponent):
+            power_loss_params([1, 2], {1: 1.0, 2: 2.0}, a=bad)
 
 
 def test_power_table_matches_probabilistic_at_zero(toy_family, toy_noise):
@@ -625,6 +620,9 @@ def test_calibrate_known_scale_matches_two_step_path(toy_extended_family, mode):
         (np.ones(4), {"mode": "bogus"}, DimensionMismatch),
         (np.ones(4), {"mode": "power_loss"}, DimensionMismatch),
         (np.ones(4), {"n_sim": 0}, DimensionMismatch),
+        (np.ones(4), {"x_level": np.nan}, NonFiniteInput),
+        (np.ones(4), {"x_level": np.inf}, NonFiniteInput),
+        (np.ones(4), {"x_level": -0.5}, DimensionMismatch),
     ],
 )
 def test_calibrate_rejects_bad_input(toy_family, scale, kwargs, error):

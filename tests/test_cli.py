@@ -18,8 +18,7 @@ from smaselect.calibration import (
     sample_joint_draws,
 )
 from smaselect.moments import all_pair_moments
-from smaselect.io import load_draws, load_table, save_draws, save_table
-from smaselect.errors import DimensionMismatch
+from smaselect.io import load_table, save_table
 
 
 @pytest.fixture
@@ -122,6 +121,21 @@ def test_sweep_and_ratios(config_file, tmp_path):
     assert rc == 0
     summary = json.loads((out / "ratios_summary.json").read_text())
     assert summary["summary"]["min"] <= summary["summary"]["max"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "ratios"])
+def test_non_integer_m_dagger_list_is_a_config_error(config_file, tmp_path, command):
+    src = Path(smaselect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smaselect.cli", command, "--config", str(config_file),
+         "--out", str(tmp_path / "o"), "--m-dagger-list", "5,x"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_diagnose_requires_validate(config_file, tmp_path):
@@ -258,30 +272,6 @@ def test_seed_override_changes_output(config_file, tmp_path):
         ["simulate", "--config", str(config_file), "--out", str(out2), "--seed-noise", "999"]
     )
     assert (out1 / "results.csv").read_text() != (out2 / "results.csv").read_text()
-
-
-def test_draws_binary_roundtrip(tmp_path, toy_family, toy_noise):
-    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=911)
-    path = tmp_path / "draws.bin"
-    save_draws(draws, path)
-    assert path.stat().st_size == 32 + 500 * 3 * 8
-    header = path.read_bytes()[:8]
-    assert header == b"SMADRAW1"
-    clone = load_draws(path, pairs=sorted(draws.pair_index, key=draws.pair_index.get))
-    np.testing.assert_array_equal(clone.draws, draws.draws)
-    assert clone.pair_index == draws.pair_index
-    assert clone.seed == 911 and clone.n_sim == 500
-
-
-def test_draws_binary_rejects_corruption(tmp_path, toy_family, toy_noise):
-    draws = sample_joint_draws(toy_family, toy_noise, 50, seed=13)
-    path = tmp_path / "draws.bin"
-    save_draws(draws, path)
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord(b"X")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DimensionMismatch):
-        load_draws(path)
 
 
 def test_calibrate_power_mode_with_self_test(config_file, tmp_path):

@@ -204,11 +204,11 @@ def test_injected_true_residuals_reproduce_known_thresholds(toy_family, toy_nois
     draws = sample_joint_draws(toy_family, noise, 4000, seed=42)
     known = critical_values(draws, all_pair_moments(toy_family, noise), 2.0, 0.0)
     boot = bootstrap_calibrate(toy_family, sd, 2.0, 0.0, 4000, seed=42)
-    for pair in known.pairs():
+    for pair in toy_family.pairs():
         assert boot.threshold(*pair) == known.threshold(*pair)
     boot_b = bootstrap_calibrate(toy_family, sd, 2.0, 1.0, 4000, seed=42)
     known_b = critical_values(draws, all_pair_moments(toy_family, noise), 2.0, 1.0)
-    for pair in known.pairs():
+    for pair in toy_family.pairs():
         assert boot_b.threshold(*pair) == pytest.approx(known_b.threshold(*pair), rel=1e-12)
 
 

@@ -155,11 +155,6 @@ def test_ordering_counterexample():
     assert np.linalg.eigvalsh(v2 - v1)[0] < 0
 
 
-def test_design_serialization_roundtrip(toy_design):
-    clone = DesignMatrix.from_dict(toy_design.to_dict())
-    np.testing.assert_array_equal(clone.entries, toy_design.entries)
-
-
 def test_design_rejects_nan():
     with pytest.raises(DimensionMismatch):
         DesignMatrix(np.array([[1.0, np.nan]]))

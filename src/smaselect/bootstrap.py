@@ -85,7 +85,6 @@ def bootstrap_calibrate(
     alpha_plus: float,
     n_sim: int,
     seed: int,
-    pairs=None,
     n_workers: int = 1,
     mode: str = "probabilistic",
     power_a: float | None = None,
@@ -94,7 +93,7 @@ def bootstrap_calibrate(
     """Multiplier table: ``calibrate`` with the residuals as the noise scale."""
     return calibrate(
         family, residual_scale(family, residuals), n_sim, seed, x_level, alpha_plus,
-        mode, power_a, pairs, n_workers, stream_tag,
+        mode, power_a, n_workers=n_workers, stream_tag=stream_tag,
     )[1]
 
 
@@ -144,10 +143,10 @@ def validity_diagnostics(
     ``K = [[B^T Sigma^2 B, -I], [-I, 0]]``: its spectrum is that of
     ``R K R^T`` (``U = Q R``) plus zeros, so no ``n x n`` matrix is formed.
     """
-    if f_true is None or not sigma.is_known:
-        raise RequiresKnownTruth("diagnostics need the true response and known noise")
+    if f_true is None:
+        raise RequiresKnownTruth("diagnostics need the true response")
     f = family.vector(f_true, "f_true")
-    variances = family.vector(sigma.require_known(), "noise variances")
+    variances = family.vector(sigma.variances, "noise variances")
     n = family.n
     p_dim = family.largest
     psi = family.design.leading_block(p_dim)

@@ -193,9 +193,7 @@ def sample_joint_draws(
     sigma: NoiseSpec,
     n_sim: int,
     seed: int,
-    pairs=None,
     n_workers: int = 1,
-    stream_tag: int = 0,
 ) -> JointDrawMatrix:
     """Simulate the joint law of all pairwise noise magnitudes.
 
@@ -203,8 +201,8 @@ def sample_joint_draws(
     realization of centered Gaussian noise with the known covariance;
     deterministic given ``seed``, bit-identical for any ``n_workers``.
     """
-    scale = np.sqrt(sigma.require_known())
-    return _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
+    scale = np.sqrt(sigma.variances)
+    return _sample_scaled_norms(family, scale, n_sim, seed, None, n_workers)
 
 
 def _tail_rank(t: float, n: int) -> tuple[int, bool]:
@@ -215,6 +213,10 @@ def _tail_rank(t: float, n: int) -> tuple[int, bool]:
     Degenerate ranks (t = 0, full mass) and tails deeper than the sample
     both clip to the maximum draw (rank n) and are flagged.
     """
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"tail level must be finite, got {t}")
+    if t < 0:
+        raise DimensionMismatch("tail level must be >= 0")
     tail = math.exp(-t)
     k = math.ceil((1.0 - tail) * n)
     if k < 1:
@@ -236,8 +238,6 @@ def _quantile_at(col: np.ndarray, t: float) -> tuple[float, bool]:
 
 def tail_quantile(draws: JointDrawMatrix, m: int, m_ref: int, t: float) -> float:
     """Empirical tail function of one pair at exceedance level ``e^-t``."""
-    if t < 0:
-        raise DimensionMismatch("tail level t must be >= 0")
     value, clipped = _quantile_at(draws.column(m, m_ref), t)
     if clipped:
         warnings.warn(
@@ -461,10 +461,6 @@ def calibration_table(
         raise DimensionMismatch("alpha_plus must be >= 0")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
-    if not power and not math.isfinite(levels):
-        raise NonFiniteInput(f"level x must be finite, got {levels}")
-    if not power and levels < 0:
-        raise DimensionMismatch("level x must be >= 0")
     corrections = dict.fromkeys(draws.by_reference, 0.0)
     ref_clipped: dict[int, bool] = {}
     z = np.empty(len(draws.pair_index))
@@ -622,7 +618,6 @@ def excess_risk_mc(
     x_candidate: float,
     n_sim: int,
     seed: int,
-    n_workers: int = 1,
 ) -> ExcessRiskEstimate:
     """Monte-Carlo excess-risk functional for model ``m`` at a trial level.
 
@@ -635,9 +630,9 @@ def excess_risk_mc(
     m_prev = family.predecessor(m)
     if m_prev is None:
         raise NotOrderedPair(f"model {m} has no predecessor in the family")
-    scale = np.sqrt(sigma.require_known())
+    scale = np.sqrt(sigma.variances)
     pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs + [(m, 0)], n_workers)
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs + [(m, 0)], 1)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
     p_m = single_variance(family, sigma, m).p_pair

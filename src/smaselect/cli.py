@@ -35,7 +35,7 @@ from .experiment import (
     generate_scenario,
     mdagger_sweep,
     meta_record,
-    quantile_ratio_table,
+    quantile_ratio_tables,
     ratios_csv,
     results_csv,
     run_comparison,
@@ -63,15 +63,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig(n=200).validate()
     seeds = cfg.seeds
     for name in ("data", "noise", "calibration", "bootstrap"):
-        val = getattr(args, f"seed_{name}", None)
+        val = getattr(args, f"seed_{name}")
         if val is not None:
             seeds = replace(seeds, **{name: int(val)})
     overrides = {"seeds": seeds}
-    if getattr(args, "mode", None):
+    if args.mode:
         overrides["mode"] = {"prob": "probabilistic", "power": "power_loss"}[args.mode]
-    if getattr(args, "a", None) is not None:
+    if args.a is not None:
         overrides["power_a"] = float(args.a)
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         overrides["n_workers"] = int(args.workers)
     return replace(cfg, **overrides).validate()
 
@@ -189,7 +189,8 @@ def cmd_ratios(args) -> int:
     cfg = _load_config(args)
     md_list = _m_dagger_list(args)
     out = _outdir(args)
-    table = quantile_ratio_table(cfg)
+    tables = quantile_ratio_tables(cfg, [cfg.m_dagger, *md_list])
+    table = tables[cfg.m_dagger]
     (out / "ratios.csv").write_text(ratios_csv(table))
     io.save_json(
         {"summary": table.summary, "m_dagger": table.m_dagger}, out / "ratios_summary.json"
@@ -197,8 +198,7 @@ def cmd_ratios(args) -> int:
     if md_list:
         lines = ["m_dagger,min,mean,max"]
         for md in md_list:
-            sweep_table = quantile_ratio_table(cfg, m_dagger=md)
-            s = sweep_table.summary
+            s = tables[md].summary
             lines.append(f"{md},{s['min']!r},{s['mean']!r},{s['max']!r}")
         (out / "ratios_by_mdagger.csv").write_text("\n".join(lines) + "\n")
     io.save_json(meta_record(cfg), out / "meta.json")
@@ -237,20 +237,22 @@ BOUND_GRID_MATRICES = {
     "diag_1_05_01": np.array([1.0, 0.5, 0.1]),
 }
 BOUND_GRID_LEVELS = (0.5, 1.0, 2.0, 3.0)
+BOUND_GRID_DRAWS = 100_000
+BOUND_GRID_SEED = 90210
 
 
-def bounds_check_grid(n_mc: int = 100_000, seed: int = 90210) -> list[dict]:
+def bounds_check_grid() -> list[dict]:
     """MC falsification grid for the quadratic-form tail bounds."""
     rows = []
     for idx, (name, diag) in enumerate(sorted(BOUND_GRID_MATRICES.items())):
-        gen = stream(seed, idx)
-        z = gen.standard_normal((n_mc, diag.shape[0]))
+        gen = stream(BOUND_GRID_SEED, idx)
+        z = gen.standard_normal((BOUND_GRID_DRAWS, diag.shape[0]))
         quad = (z**2 * diag).sum(axis=1)
         p_tr = float(diag.sum())
         v2 = float((diag**2).sum())
         lam = float(diag.max())
         for x in BOUND_GRID_LEVELS:
-            slack = 3.0 * math.sqrt(math.exp(-x) / n_mc)
+            slack = 3.0 * math.sqrt(math.exp(-x) / BOUND_GRID_DRAWS)
             hi = float(np.mean(quad > qf_upper(QFParams(p_tr, v2, lam, x))))
             lo = float(np.mean(quad < qf_lower(p_tr, v2, x)))
             rows.append(
@@ -285,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A subcommand that loads a config takes every flag that resolves it: meta.json records it.
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="sma_out", help="output directory")
@@ -295,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("prob", "power"))
         p.add_argument("--a", type=float, help="power-loss exponent")
         p.add_argument("--workers", type=int, help="worker threads")
-        p.add_argument("--validate", action="store_true", help="allow oracle knowledge")
 
     p = sub.add_parser("calibrate", help="build a calibration table")
     common(p)
@@ -329,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="multiplier validity diagnostics (needs --validate)")
     common(p)
+    p.add_argument("--validate", action="store_true", help="allow oracle knowledge")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("bounds-check", help="MC falsification of the tail bounds")
-    common(p)
+    p.add_argument("--out", default="sma_out", help="output directory")
     p.set_defaults(func=cmd_bounds_check)
     return parser
 

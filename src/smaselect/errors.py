@@ -38,7 +38,7 @@ class AllZeroResiduals(SmaError):
 
 
 class RequiresKnownTruth(SmaError):
-    """Validation-only operation called without the true response/noise."""
+    """Validation-only operation called without the true response."""
 
 
 class MissingPair(SmaError):

@@ -357,34 +357,36 @@ class RatioTable:
     m_dagger: int
 
 
-def quantile_ratio_table(config: ExperimentConfig, m_dagger: int | None = None) -> RatioTable:
-    """Squared multiplier-to-known threshold ratios on one shared scenario."""
+def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, RatioTable]:
+    """Squared multiplier-to-known threshold ratios per pilot dimension on shared data."""
     config = config.validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
     sd = np.sqrt(scenario.sigma.variances)
     _, table_known = _calibrate(config, family, sd, config.seeds.calibration, config.n_workers)
     y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
-    md = config.m_dagger if m_dagger is None else int(m_dagger)
-    scale = residual_scale(family, presmooth(family, y, md))
-    _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
-    ratios = {}
-    for pair in family.pairs():
-        z_known = table_known.threshold(*pair)
-        z_boot = table_boot.threshold(*pair)
-        if z_known <= 0:
-            raise DimensionMismatch(f"known-noise threshold vanished for pair {pair}")
-        ratios[pair] = (z_boot / z_known) ** 2
-    vals = np.array(list(ratios.values()))
-    return RatioTable(
-        ratios=ratios,
-        summary={
-            "min": float(vals.min()),
-            "mean": float(vals.mean()),
-            "max": float(vals.max()),
-        },
-        m_dagger=md,
-    )
+    tables = {}
+    for md in dict.fromkeys(int(m) for m in m_daggers):
+        scale = residual_scale(family, presmooth(family, y, md))
+        _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
+        ratios = {}
+        for pair in family.pairs():
+            z_known = table_known.threshold(*pair)
+            z_boot = table_boot.threshold(*pair)
+            if z_known <= 0:
+                raise DimensionMismatch(f"known-noise threshold vanished for pair {pair}")
+            ratios[pair] = (z_boot / z_known) ** 2
+        vals = np.array(list(ratios.values()))
+        tables[md] = RatioTable(
+            ratios=ratios,
+            summary={
+                "min": float(vals.min()),
+                "mean": float(vals.mean()),
+                "max": float(vals.max()),
+            },
+            m_dagger=md,
+        )
+    return tables
 
 
 def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:

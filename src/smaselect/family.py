@@ -458,16 +458,16 @@ class OrderingReport:
     ordered: bool
 
 
-def check_ordering(family: ModelFamily, sigma, tol: float = PSD_TOL) -> OrderingReport:
+def check_ordering(family: ModelFamily, sigma) -> OrderingReport:
     """Check that pairwise estimator variances grow along the model order.
 
     For each adjacent pair the gap ``V_next - V_m`` must be PSD up to
-    ``tol * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
+    ``PSD_TOL * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
     Each ``V_m`` is ``E_m E_m^T`` in reduced coordinates; when ``q`` exceeds
     their size the ``q x q`` gap also has null-space zeros.
     Diagnostic only; never raises on a negative verdict.
     """
-    factors = family.noise_weighted(sigma.require_known())
+    factors = family.noise_weighted(sigma.variances)
     variances = factors @ factors.transpose(0, 2, 1)
     padded = family.q > variances.shape[1]
     verdicts: dict[tuple[int, int], bool] = {}
@@ -478,7 +478,7 @@ def check_ordering(family: ModelFamily, sigma, tol: float = PSD_TOL) -> Ordering
         if padded:
             low = min(low, 0.0)
         scale = float(np.linalg.eigvalsh(v_hi)[-1]) if v_hi.size else 0.0
-        ok = bool(low >= -tol * max(scale, 1e-300))
+        ok = bool(low >= -PSD_TOL * max(scale, 1e-300))
         verdicts[(m, m_ref)] = ok
         mins[(m, m_ref)] = low
     return OrderingReport(

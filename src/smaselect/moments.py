@@ -22,22 +22,17 @@ from .family import ModelFamily, _pinv_gram
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise model: known per-observation variances, or unknown.
+    """Known per-observation noise variances, each finite and > 0."""
 
-    The unknown marker routes calibration through the residual-multiplier
-    path; every known-noise operation requires ``variances``.
-    """
-
-    variances: np.ndarray | None
+    variances: np.ndarray
 
     def __post_init__(self):
-        if self.variances is not None:
-            arr = np.asarray(self.variances, dtype=float)
-            if arr.ndim != 1:
-                raise DimensionMismatch("noise variances must be a vector")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise DimensionMismatch("noise variances must be finite and > 0")
-            object.__setattr__(self, "variances", arr)
+        arr = np.asarray(self.variances, dtype=float)
+        if arr.ndim != 1:
+            raise DimensionMismatch("noise variances must be a vector")
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise DimensionMismatch("noise variances must be finite and > 0")
+        object.__setattr__(self, "variances", arr)
 
     @classmethod
     def known(cls, variances) -> "NoiseSpec":
@@ -46,19 +41,6 @@ class NoiseSpec:
     @classmethod
     def homogeneous(cls, sigma: float, n: int) -> "NoiseSpec":
         return cls.known(np.full(n, float(sigma) ** 2))
-
-    @classmethod
-    def unknown(cls) -> "NoiseSpec":
-        return cls(variances=None)
-
-    @property
-    def is_known(self) -> bool:
-        return self.variances is not None
-
-    def require_known(self) -> np.ndarray:
-        if self.variances is None:
-            raise DimensionMismatch("operation requires a known noise covariance")
-        return self.variances
 
 
 @dataclass(frozen=True)
@@ -90,37 +72,37 @@ def _moments(diffs: np.ndarray, traces) -> list[PairMoments]:
     ]
 
 
-def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> PairMoments:
-    """Variance trace / operator norm of the difference estimator for a pair."""
-    if m <= m_ref:
-        raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    variances = sigma.require_known()
-    factors = family.noise_weighted(variances)
-    diff = factors[family.position(m)] - factors[family.position(m_ref)]
-    return _moments(diff[None], pair_traces(family, variances, [(m, m_ref)]).values())[0]
+def _pair_moments(
+    family: ModelFamily, sigma: NoiseSpec, pairs
+) -> dict[tuple[int, int], PairMoments]:
+    """Moments of each listed pair: one batched eigensolve per reference.
 
-
-def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoments:
-    """Same moments for a single model's estimator (not a difference)."""
-    variances = sigma.require_known()
-    factors = family.noise_weighted(variances)
-    trace = pair_traces(family, variances, [(m, 0)]).values()
-    return _moments(factors[family.position(m)][None], trace)[0]
-
-
-def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, int], PairMoments]:
-    """Moments of every ordered pair: one batched eigensolve per reference."""
-    variances = sigma.require_known()
-    factors = family.noise_weighted(variances)
-    traces = pair_traces(family, variances)
-    pairs = family.pairs()
+    A pair ``(m, 0)`` gives the moments of model ``m``'s own estimate.
+    """
+    factors = family.noise_weighted(sigma.variances)
+    traces = pair_traces(family, sigma.variances, pairs)
     index = np.arange(len(pairs))
     out: dict[tuple[int, int], PairMoments] = {}
     for ref, positions, cols in family.pair_groups(pairs):
         group = [pairs[c] for c in index[cols]]
-        moments = _moments(factors[positions] - factors[ref], [traces[p] for p in group])
-        out.update(zip(group, moments))
+        diffs = factors[positions] if ref is None else factors[positions] - factors[ref]
+        out.update(zip(group, _moments(diffs, [traces[p] for p in group])))
     return out
+
+
+def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> PairMoments:
+    """Variance trace / operator norm of the difference estimator for a pair."""
+    return _pair_moments(family, sigma, [(m, m_ref)])[(m, m_ref)]
+
+
+def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoments:
+    """Same moments for a single model's estimator (not a difference)."""
+    return _pair_moments(family, sigma, [(m, 0)])[(m, 0)]
+
+
+def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, int], PairMoments]:
+    """Moments of every ordered pair."""
+    return _pair_moments(family, sigma, family.pairs())
 
 
 def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
@@ -182,11 +164,10 @@ def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoin
     Bias is measured against the weighted best linear fit, so misspecified
     responses are fully supported.
     """
-    variances = sigma.require_known()
     f = family.vector(f_true, "f_true")
     target = family.weight_matrix @ best_linear_coefficients(family, f)
     fits = family.outputs(family.reduce(f))
-    var = single_traces(family, variances)
+    var = single_traces(family, sigma.variances)
     out = []
     for m, fit in zip(family.models, fits):
         bias2 = float(np.sum((fit - target) ** 2))

@@ -132,12 +132,12 @@ def oracle(
     larger reference must be accepted too, so all larger models are
     unbiased benchmarks as well.
     """
-    if f_true is None or not sigma.is_known:
-        raise RequiresKnownTruth("oracle needs the true response and known noise")
+    if f_true is None:
+        raise RequiresKnownTruth("oracle needs the true response")
     if mode not in ("probabilistic", "power_loss"):
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
     bias = test_statistics(family, f_true)
-    dims = pair_traces(family, sigma.require_known(), list(bias))
+    dims = pair_traces(family, sigma.variances, list(bias))
     allowance = {pair: alpha_plus * math.sqrt(dim) for pair, dim in dims.items()}
     result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
     m_star = result.m_hat
@@ -192,8 +192,6 @@ def payment_for_adaptation(
     enough to be rejected with high probability are excluded and the
     payment is recomputed over the remaining zone.
     """
-    if not sigma.is_known:
-        raise RequiresKnownTruth("payment diagnostics need a known noise covariance")
     m_star = report.m_star
     smaller = [m for m in family.models if m < m_star]
     z_bar = max((table.threshold(m_star, m) for m in smaller), default=0.0)

@@ -95,7 +95,7 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
     f = family.vector(f_true, "f_true")
     pairs = family.pairs()
     bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
-    dims = pair_traces(family, sigma.require_known(), pairs)
+    dims = pair_traces(family, sigma.variances, pairs)
 
     def good_pair(m: int, m_ref: int) -> bool:
         return bias[(m, m_ref)] ** 2 <= alpha_plus**2 * dims[(m, m_ref)]
@@ -119,10 +119,10 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
 def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> ValidityDiagnostics:
     """``validity_diagnostics`` with the pilot projector, the smoothed variance
     and ``Upsilon`` formed as ``n x n`` matrices and an ``n x n`` eigensolve."""
-    if f_true is None or not sigma.is_known:
-        raise RequiresKnownTruth("diagnostics need the true response and known noise")
+    if f_true is None:
+        raise RequiresKnownTruth("diagnostics need the true response")
     f = family.vector(f_true, "f_true")
-    variances = sigma.require_known()
+    variances = sigma.variances
     n = family.n
     p_dim = family.largest
     psi = family.design.leading_block(p_dim)

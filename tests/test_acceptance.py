@@ -278,7 +278,7 @@ def test_criterion_08_bootstrap_familywise_coverage():
 
 def test_criterion_09_qf_bound_grid():
     start = time.perf_counter()
-    rows = bounds_check_grid(n_mc=100_000)
+    rows = bounds_check_grid()
     bad = [r for r in rows if not r["ok"]]
     _report(9, not bad, f"{len(rows)} MC grid cells, {len(bad)} violations", time.perf_counter() - start, 30.0)
 

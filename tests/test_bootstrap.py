@@ -211,6 +211,4 @@ def test_validity_diagnostics_applicability_ratio():
 
 def test_validity_diagnostics_requires_truth(toy_family):
     with pytest.raises(RequiresKnownTruth):
-        validity_diagnostics(toy_family, NoiseSpec.unknown(), np.zeros(4), 3, 2.0)
-    with pytest.raises(RequiresKnownTruth):
         validity_diagnostics(toy_family, NoiseSpec.known([1.0] * 4), None, 3, 2.0)

@@ -579,6 +579,20 @@ def test_excess_risk_requires_predecessor(toy_family, toy_noise):
         excess_risk_mc(toy_family, toy_noise, 1, 1.0, 100, seed=127)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["tail_quantile", "excess_risk_mc"])
+def test_non_finite_tail_level_is_rejected(toy_family, toy_noise, entry, level):
+    # The level is checked before its rank is computed: ceil of a NaN rank
+    # would raise a bare ValueError.
+    draws = sample_joint_draws(toy_family, toy_noise, 100, seed=1)
+    calls = {
+        "tail_quantile": lambda: tail_quantile(draws, 2, 1, level),
+        "excess_risk_mc": lambda: excess_risk_mc(toy_family, toy_noise, 2, level, 100, seed=1),
+    }
+    with pytest.raises(NonFiniteInput):
+        calls[entry]()
+
+
 def test_excess_risk_rejects_empty_sample(toy_family, toy_noise):
     # The shared draw kernel checks n_sim; an empty sample used to reach an
     # order statistic and raise a bare IndexError.

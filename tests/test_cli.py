@@ -147,6 +147,16 @@ def test_diagnose_requires_validate(config_file, tmp_path):
     assert diag["applicability_ratio"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["bounds-check", "--workers", "2"], ["simulate", "--validate"]],
+    ids=["bounds-check-workers", "simulate-validate"],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_bounds_check_ok(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["bounds-check", "--out", str(out)]) == 0

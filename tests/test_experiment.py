@@ -14,7 +14,7 @@ from smaselect.experiment import (
     generate_scenario,
     mdagger_sweep,
     meta_record,
-    quantile_ratio_table,
+    quantile_ratio_tables,
     ratios_csv,
     results_csv,
     run_comparison,
@@ -150,6 +150,20 @@ def test_run_comparison_deterministic_across_workers():
     assert results_csv(a.records) == results_csv(b.records)
 
 
+def test_random_design_full_vector_takes_the_general_kernel():
+    # A random grid makes the design Gram non-diagonal, so under full-vector
+    # loss the family keeps no increments: the one config route to the
+    # general norm and trace kernels.
+    fields = dict(random_design=True, weighting="full_vector", n_hist=3)
+    cfg = small_config(**fields)
+    scenario = generate_scenario(cfg)
+    grid = scenario.grid
+    assert np.all(np.diff(grid) >= 0) and 0.0 <= grid[0] and grid[-1] <= 1.0
+    assert scenario_family(cfg, scenario).increments is None
+    two = run_comparison(small_config(**fields, n_workers=2))
+    assert run_comparison(cfg).records == two.records
+
+
 def test_zero_noise_limit_selects_bias_optimal():
     # alpha_plus stays positive: an exact-zero allowance would flag the
     # ~1e-16 projector residue of the in-span response as bias.
@@ -214,7 +228,7 @@ def test_injected_true_residuals_reproduce_known_thresholds(toy_family, toy_nois
 
 def test_quantile_ratio_table_shape_and_summary():
     cfg = small_config(coefficient_rule={"kind": "paper4"})
-    table = quantile_ratio_table(cfg)
+    table = quantile_ratio_tables(cfg, [cfg.m_dagger])[cfg.m_dagger]
     assert len(table.ratios) == len(scenario_family(cfg, generate_scenario(cfg)).pairs())
     assert table.summary["min"] <= table.summary["mean"] <= table.summary["max"]
     text = ratios_csv(table)

@@ -149,5 +149,4 @@ def test_noise_spec_validation():
         NoiseSpec.known([1.0, np.inf])
     with pytest.raises(Exception):
         NoiseSpec.known([[1.0, 1.0]])
-    assert not NoiseSpec.unknown().is_known
     assert NoiseSpec.homogeneous(2.0, 3).variances.tolist() == [4.0, 4.0, 4.0]

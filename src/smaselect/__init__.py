@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     MissingPair,
     NonFiniteInput,
-    NotFunctional,
     NotOrderedPair,
     NotProjectionFamily,
     RequiresKnownTruth,
@@ -53,7 +52,6 @@ from .moments import (
     NoiseSpec,
     PairMoments,
     RiskPoint,
-    functional_variance,
     pair_bias,
     pair_variance,
     risk_argmin,

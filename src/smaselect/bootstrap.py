@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibrationTable, calibrate
+from .calibration import CalibrationTable, _check_level, calibrate
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily
 from .moments import NoiseSpec
@@ -145,6 +145,7 @@ def validity_diagnostics(
     """
     if f_true is None:
         raise RequiresKnownTruth("diagnostics need the true response")
+    _check_level(x_level, "x_level")
     f = family.vector(f_true, "f_true")
     variances = family.vector(sigma.variances, "noise variances")
     n = family.n

@@ -33,7 +33,7 @@ from .errors import (
     TailTooDeepWarning,
 )
 from .family import ModelFamily, _as_slice
-from .moments import NoiseSpec, PairMoments, pair_traces, single_traces, single_variance
+from .moments import NoiseSpec, PairMoments, pair_traces, single_traces
 from .rng import block_bounds, stream
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
@@ -47,8 +47,8 @@ class JointDrawMatrix:
     Column ``pair_index[(m, m_ref)]`` holds the magnitude of the difference
     statistic for that pair; all columns of a row come from the same
     realization, preserving the joint law.  ``by_reference[m_ref]`` holds
-    the reference's pairs, ascending in ``m``, and their column indices (a
-    slice when contiguous); it is built once, on construction.  Nothing is
+    the reference's pairs in ``pair_index`` (column) order and their column
+    indices (a slice when contiguous), built once, on construction.  Nothing is
     sorted: order statistics and strict ranks are selected on demand.
     """
 
@@ -68,7 +68,7 @@ class JointDrawMatrix:
         if low < 0:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
         groups: dict[int, list[tuple[int, int]]] = {}
-        for pair in sorted(self.pair_index, key=lambda p: (p[1], p[0])):
+        for pair in self.pair_index:
             groups.setdefault(pair[1], []).append(pair)
         self.by_reference = {
             m_ref: (pairs, _as_slice([self.pair_index[p] for p in pairs]))
@@ -125,22 +125,9 @@ class JointDrawMatrix:
 
 
 def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
-    """Pair magnitudes ``|(K_m - K_ref) y|`` for each row of ``xi = Q^T y`` (``B x r``).
-
-    The one norm kernel, with two strategies fixed by the family.  With
-    ``increments`` ``g``, a pair's squared magnitude is the window sum of
-    ``g_j xi_j^2`` over ``(m_ref, m]`` (``ModelFamily.pair_windows``), exact
-    to the relative bound of ``build_projection_family``.  Otherwise one
-    matmul maps every row to every model's reduced estimate ``D_m xi``, and
-    each reference takes one vectorised difference.  A pair ``(m, 0)`` gives
-    the magnitude of model ``m``'s own estimate.
-    """
-    if family.increments is not None:
-        squares = family.pair_windows((xi * xi * family.increments).T, pairs)
-    else:
-        flat = family.reduced.reshape(-1, family.reduced.shape[-1])
-        estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
-        squares = family.pair_sq_norms(estimates, pairs)
+    """Pair magnitudes ``|(K_m - K_ref) y|`` (``B x pairs``) for each row of
+    ``xi = Q^T y``: the square root of ``ModelFamily.pair_squares``, transposed."""
+    squares = family.pair_squares(xi, pairs)
     return np.sqrt(squares, out=squares).T
 
 
@@ -205,6 +192,16 @@ def sample_joint_draws(
     return _sample_scaled_norms(family, scale, n_sim, seed, None, n_workers)
 
 
+def _check_level(value: float, what: str) -> float:
+    """``value`` itself if finite and >= 0: the one check of a level or allowance.
+    Non-finite raises ``NonFiniteInput``, negative ``DimensionMismatch``."""
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{what} must be finite, got {value}")
+    if value < 0:
+        raise DimensionMismatch(f"{what} must be >= 0")
+    return value
+
+
 def _tail_rank(t: float, n: int) -> tuple[int, bool]:
     """Rank (1-based) of the empirical tail value at level ``e^-t``; flags clipping.
 
@@ -213,11 +210,7 @@ def _tail_rank(t: float, n: int) -> tuple[int, bool]:
     Degenerate ranks (t = 0, full mass) and tails deeper than the sample
     both clip to the maximum draw (rank n) and are flagged.
     """
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"tail level must be finite, got {t}")
-    if t < 0:
-        raise DimensionMismatch("tail level must be >= 0")
-    tail = math.exp(-t)
+    tail = math.exp(-_check_level(t, "tail level"))
     k = math.ceil((1.0 - tail) * n)
     if k < 1:
         return n, True
@@ -457,8 +450,7 @@ def calibration_table(
     the pair's empirical tail value at its reference's level, and
     ``pair_dims`` the effective dimensions of the bias allowance.
     """
-    if alpha_plus < 0:
-        raise DimensionMismatch("alpha_plus must be >= 0")
+    _check_level(alpha_plus, "alpha_plus")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
     corrections = dict.fromkeys(draws.by_reference, 0.0)
@@ -635,7 +627,7 @@ def excess_risk_mc(
     draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs + [(m, 0)], 1)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
-    p_m = single_variance(family, sigma, m).p_pair
+    p_m = pair_traces(family, sigma.variances, [(m, 0)])[(m, 0)]
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:

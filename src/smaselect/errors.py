@@ -21,10 +21,6 @@ class NotOrderedPair(SmaError):
     """A pairwise operation was called with m <= m_ref."""
 
 
-class NotFunctional(SmaError):
-    """Operation requires a rank-one (scalar output) weighting."""
-
-
 class NotProjectionFamily(SmaError):
     """Operation requires a projection family under prediction-type loss."""
 

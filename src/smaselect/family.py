@@ -13,8 +13,10 @@ the leading ``M`` rows (``L`` lower-triangular), and only the first ``M``
 coefficients are ever nonzero.  So the family keeps, per model, the
 ``M x r`` coefficient map ``C_m`` and its loss-weighted image
 ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R`` has ``min(q, M)``
-rows.  Every pair norm is ``|(D_m - D_ref) xi|`` and every variance
-spectrum is an ``r x r`` (or smaller) eigenproblem.
+rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``.
+Noise with variances ``v`` enters as one root ``R_v`` (``noise_root``,
+``R_v^T R_v = Q^T diag(v) Q``): a trace is the kernel summed over the rows
+of ``R_v``, and a variance spectrum that of ``(D_m - D_ref) R_v^T``.
 
 The basis is nested: when ``Psi_M`` has full row rank, ``Q[:, :m]`` spans
 the leading ``m`` rows, so ``K_m y = A Pi_m xi`` with ``A = W_M L^-T`` and
@@ -23,8 +25,8 @@ diagonal -- prediction loss on any design, and the trigonometric families
 under every loss -- a pair difference is a window of coordinates and
 ``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
 ``g = diag G``: a running sum of nonnegative increments.  The family then
-stores ``g`` as ``increments`` and the norm and trace kernels use it;
-otherwise (or for a rank-deficient leading block) they use ``D_m``.
+stores ``g`` as ``increments`` and the pair kernel uses it; otherwise
+(or for a rank-deficient leading block) it uses ``D_m``.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class WeightingScheme:
 
     @classmethod
     def prediction(cls, sigma: float = 1.0) -> "WeightingScheme":
-        if sigma <= 0:
-            raise DimensionMismatch("prediction weighting needs sigma > 0")
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise DimensionMismatch("prediction weighting needs a finite sigma > 0")
         return cls(kind="prediction", sigma=float(sigma))
 
     @classmethod
@@ -180,7 +182,7 @@ class ModelFamily:
     ``increments`` is ``g = diag(A^T A)`` (length ``M``) when the nested
     basis makes ``A^T A`` diagonal, else ``None``; with it,
     ``|(K_m - K_ref) y|^2`` is ``sum g_j xi_j^2`` over the window
-    ``(m_ref, m]`` (see ``pair_windows``).  The model positions, the
+    ``(m_ref, m]`` (see ``pair_squares``).  The model positions, the
     canonical pair list, its grouping by reference and its windows are built
     once, on construction, so the kernels and any worker threads only read
     them.
@@ -249,19 +251,35 @@ class ModelFamily:
         """Estimates ``K_m y`` of every model (rows) from ``xi = Q^T y``."""
         return (self.coefficients @ xi) @ self.weight_matrix[:, : self.largest].T
 
-    def noise_weighted(self, variances) -> np.ndarray:
-        """``E_m = D_m S^{1/2}`` for every model, ``S = Q^T diag(variances) Q``.
-
-        ``E_m E_m^T`` has the nonzero spectrum of the variance of ``K_m y``
-        under noise with these per-coordinate variances, and so has
-        ``(E_m - E_ref)(E_m - E_ref)^T`` for the difference of two models.
-        """
+    def noise_root(self, variances) -> np.ndarray:
+        """Upper-triangular ``R_v`` (``r x r``) with ``R_v^T R_v = Q^T diag(v) Q``,
+        ``v = variances``: the noise in reduced coordinates.  ``F = D_m R_v^T``
+        gives ``F F^T`` the nonzero spectrum of ``Var(K_m y)``."""
         variances = self.vector(variances, "noise variances")
-        return self.reduced @ _psd_sqrt((self.basis.T * variances) @ self.basis)
+        return np.linalg.qr(self.basis * np.sqrt(variances)[:, None], mode="r")
 
-    def noise_diagonal(self, variances) -> np.ndarray:
-        """Diagonal of ``S = Q^T diag(variances) Q``: ``S_jj = sum_i Q_ij^2 v_i``."""
-        return self.vector(variances, "noise variances") @ (self.basis * self.basis)
+    def pair_squares(self, xi: np.ndarray, pairs) -> np.ndarray:
+        """Squared pair magnitudes ``|(K_m - K_ref) y|^2`` (``pairs x B``) for
+        the rows of ``xi = Q^T y`` (``B x r``); ``(m, 0)`` is model ``m`` alone.
+
+        The one pair kernel.  With ``increments`` ``g``, a window sum of
+        ``g_j xi_j^2`` over ``(m_ref, m]``, exact to the relative bound of
+        ``build_projection_family``; otherwise one matmul to every ``D_m xi``
+        and one vectorised subtraction per reference, into a buffer reused
+        across references.
+        """
+        if self.increments is not None:
+            return self.pair_windows((xi * xi * self.increments).T, pairs)
+        flat = self.reduced.reshape(-1, self.reduced.shape[-1])
+        estimates = (flat @ xi.T).reshape(len(self.models), -1, xi.shape[0])
+        out = np.empty((len(pairs), xi.shape[0]))
+        buf = np.empty_like(estimates)
+        for ref, positions, cols in self.pair_groups(pairs):
+            diff = estimates[positions]
+            if ref is not None:
+                diff = np.subtract(diff, estimates[ref], out=buf[: len(diff)])
+            out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
+        return out
 
     def pair_groups(self, pairs):
         """Split ``pairs`` by reference: ``(ref, positions, columns)`` per reference.
@@ -288,22 +306,6 @@ class ModelFamily:
             (None if m_ref == 0 else self.position(m_ref), _as_slice(rows), _as_slice(cols))
             for m_ref, (rows, cols) in groups.items()
         ]
-
-    def pair_sq_norms(self, values: np.ndarray, pairs) -> np.ndarray:
-        """``|values[m] - values[m_ref]|^2`` summed over axis 1, per pair.
-
-        ``values`` is ``(models, features, columns)``; the result is
-        ``(len(pairs), columns)``.  One vectorised subtraction per reference,
-        into a buffer reused across references.
-        """
-        out = np.empty((len(pairs), values.shape[2]))
-        buf = np.empty((len(self.models),) + values.shape[1:])
-        for ref, positions, cols in self.pair_groups(pairs):
-            diff = values[positions]
-            if ref is not None:
-                diff = np.subtract(diff, values[ref], out=buf[: len(diff)])
-            out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
-        return out
 
     def pair_windows(self, weights: np.ndarray, pairs) -> np.ndarray:
         """Per pair, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
@@ -386,8 +388,8 @@ def build_projection_family(
     dropped cross terms ``sum_{i != j} G_ij xi_i xi_j`` are at most
     ``DIAGONAL_TOL sum_{i != j} sqrt(g_i g_j) |xi_i xi_j|``, which by
     Cauchy-Schwarz is at most ``(|w| - 1) DIAGONAL_TOL`` times the squared
-    norm ``sum_j g_j xi_j^2``.  The same holds for variance traces
-    ``sum_j g_j S_jj``, since ``|S_ij| <= sqrt(S_ii S_jj)`` for the PSD ``S``.
+    norm ``sum_j g_j xi_j^2``.  The same holds for variance traces, each a
+    sum of such norms over the rows of the noise root.
     """
     models = tuple(int(m) for m in models)
     if not models:
@@ -463,11 +465,11 @@ def check_ordering(family: ModelFamily, sigma) -> OrderingReport:
 
     For each adjacent pair the gap ``V_next - V_m`` must be PSD up to
     ``PSD_TOL * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
-    Each ``V_m`` is ``E_m E_m^T`` in reduced coordinates; when ``q`` exceeds
-    their size the ``q x q`` gap also has null-space zeros.
-    Diagnostic only; never raises on a negative verdict.
+    Each ``V_m`` is ``F_m F_m^T`` with ``F_m = D_m R_v^T`` in reduced
+    coordinates; when ``q`` exceeds their size the ``q x q`` gap also has
+    null-space zeros.  Diagnostic only; never raises on a negative verdict.
     """
-    factors = family.noise_weighted(sigma.variances)
+    factors = family.reduced @ family.noise_root(sigma.variances).T
     variances = factors @ factors.transpose(0, 2, 1)
     padded = family.q > variances.shape[1]
     verdicts: dict[tuple[int, int], bool] = {}

@@ -3,11 +3,13 @@
 Everything here is closed-form matrix arithmetic in the family's reduced
 coordinates: pairwise variance traces and operator norms, bias norms
 against a known response, and the bias/variance risk decomposition used to
-locate the risk-optimal model.  With ``E_m = D_m S^{1/2}`` and
-``S = Q^T diag(v) Q`` (``r x r``), the variance of ``(K_m - K_ref) y`` has
-the nonzero spectrum of ``(E_m - E_ref)(E_m - E_ref)^T``, so a trace is a
-squared Frobenius norm and an operator norm the top eigenvalue of a matrix
-no larger than ``min(q, M, r)`` square.
+locate the risk-optimal model.  The noise enters as the family's reduced
+root ``R_v`` (``R_v^T R_v = Q^T diag(v) Q``, ``r x r``).  A variance trace
+is the pair kernel's squared magnitude ``ModelFamily.pair_squares`` summed
+over the rows of ``R_v``, the same kernel that gives draws and statistics.
+The variance of ``(K_m - K_ref) y`` has the nonzero spectrum of ``F F^T``
+with ``F = (D_m - D_ref) R_v^T``, so an operator norm is the top eigenvalue
+of a matrix no larger than ``min(q, M, r)`` square.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFunctional, NotOrderedPair
+from .errors import DimensionMismatch, NotOrderedPair
 from .family import ModelFamily, _pinv_gram
 
 
@@ -61,7 +63,7 @@ def _moments(diffs: np.ndarray, traces) -> list[PairMoments]:
     ``traces`` come from ``pair_traces``, so a table built on these moments
     and one built by ``calibration.calibrate`` carry the same dimensions.
     The top eigenvalue never exceeds the trace; clipping it there absorbs
-    the rounding between the two kernels.
+    the rounding between the trace sum and the eigensolve.
     """
     if diffs.shape[1] > diffs.shape[2]:
         diffs = diffs.transpose(0, 2, 1)
@@ -79,7 +81,7 @@ def _pair_moments(
 
     A pair ``(m, 0)`` gives the moments of model ``m``'s own estimate.
     """
-    factors = family.noise_weighted(sigma.variances)
+    factors = family.reduced @ family.noise_root(sigma.variances).T
     traces = pair_traces(family, sigma.variances, pairs)
     index = np.arange(len(pairs))
     out: dict[tuple[int, int], PairMoments] = {}
@@ -108,20 +110,12 @@ def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, i
 def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
     """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate ``variances``.
 
-    With the family's ``increments`` ``g``, a trace is the window sum of
-    ``g_j S_jj``, ``S = Q^T diag(variances) Q``; otherwise the squared
-    Frobenius norm of ``E_m - E_ref``.  A pair ``(m, 0)`` gives model ``m``'s
-    own trace.
+    Each is the sum of the pair's squared magnitudes over the rows of the
+    noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
     pairs = list(pairs) if pairs is not None else family.pairs()
-    if family.increments is not None:
-        weights = family.increments * family.noise_diagonal(variances)
-        traces = family.pair_windows(weights[:, None], pairs)
-    else:
-        factors = family.noise_weighted(variances)
-        flat = factors.reshape(len(family.models), -1, 1)
-        traces = family.pair_sq_norms(flat, pairs)
-    return dict(zip(pairs, map(float, traces[:, 0])))
+    traces = family.pair_squares(family.noise_root(variances), pairs).sum(axis=1)
+    return dict(zip(pairs, map(float, traces)))
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:
@@ -179,9 +173,3 @@ def risk_argmin(profile: list[RiskPoint]) -> int:
     best = min(profile, key=lambda r: r.risk)
     return best.m
 
-
-def functional_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> float:
-    """Scalar variance of a rank-one (functional) estimator."""
-    if family.q != 1:
-        raise NotFunctional(f"weighting output dimension is {family.q}, need 1")
-    return single_variance(family, sigma, m).p_pair

@@ -15,7 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import CalibrationTable, JointDrawMatrix, pair_norms, tail_quantile
+from .calibration import (
+    CalibrationTable,
+    JointDrawMatrix,
+    _check_level,
+    pair_norms,
+    power_loss_params,
+    tail_quantile,
+)
 from .errors import (
     DimensionMismatch,
     MissingPair,
@@ -28,6 +35,7 @@ from .moments import (
     NoiseSpec,
     pair_bias,
     pair_traces,
+    single_traces,
     single_variance,
 )
 
@@ -136,6 +144,7 @@ def oracle(
         raise RequiresKnownTruth("oracle needs the true response")
     if mode not in ("probabilistic", "power_loss"):
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
+    _check_level(alpha_plus, "alpha_plus")
     bias = test_statistics(family, f_true)
     dims = pair_traces(family, sigma.variances, list(bias))
     allowance = {pair: alpha_plus * math.sqrt(dim) for pair, dim in dims.items()}
@@ -157,7 +166,9 @@ def payment_theory_cap(
     mode: str = "probabilistic",
     power_a: float | None = None,
 ) -> float:
-    """Closed-form cap on the adaptation payment for Gaussian noise."""
+    """Closed-form cap on the adaptation payment for Gaussian noise; in power-loss
+    mode at the calibration's level of ``m_star``'s predecessor (0 for the first)."""
+    _check_level(x_level, "x_level")
     mom = single_variance(family, sigma, m_star)
     n_models = len(family.models)
     if mode == "probabilistic":
@@ -167,8 +178,8 @@ def payment_theory_cap(
     if mode == "power_loss":
         if power_a is None:
             raise DimensionMismatch("power-loss cap needs the exponent a")
-        p0 = single_variance(family, sigma, family.models[0]).p_pair
-        level = 2.0 * (1.0 + power_a) * math.log(mom.p_pair / p0) + math.log(n_models)
+        levels = power_loss_params(family.models, single_traces(family, sigma.variances), power_a)
+        level = levels.x.get(family.predecessor(m_star), 0.0) + math.log(n_models)
         return alpha_plus * math.sqrt(mom.p_pair) + math.sqrt(
             2.0 * mom.lambda_pair * level
         )

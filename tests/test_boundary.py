@@ -1,8 +1,10 @@
-"""Every entry point taking a length-n vector or a weighting checks it.
+"""Every entry point taking a length-n vector, a weighting or a level checks it.
 
 Without the check a NaN in the response propagates: the oracle silently
 returns the largest model, and risks, biases and diagnostics come out NaN.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
+from smaselect.experiment import ExperimentConfig, generate_scenario, scenario_family
 from smaselect.moments import all_pair_moments, best_linear_coefficients
+from smaselect.selector import payment_theory_cap
 from reference import multiplier_draws
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
@@ -86,3 +90,56 @@ NOISE_ENTRY_POINTS = {
 def test_noise_of_wrong_length_is_rejected(toy_family, entry):
     with pytest.raises(DimensionMismatch):
         NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec.homogeneous(1.0, 5))
+
+
+# Levels, allowances and scales outside their domain, on a derivative-loss
+# family whose model 1 (the constant) has zero variance, so no power-loss
+# level exists for it.  Each level raises the error ``calibrate`` raises for it.
+BAD_SCALARS = {
+    "payment_theory_cap-power-model-1": (
+        lambda sc, fam: payment_theory_cap(
+            fam, sc.sigma, 3, 2.0, 1.0, mode="power_loss", power_a=1.0
+        ),
+        DimensionMismatch,
+    ),
+    "payment_theory_cap-x-negative": (
+        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, -5.0, 1.0),
+        DimensionMismatch,
+    ),
+    "payment_theory_cap-x-nan": (
+        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, math.nan, 1.0),
+        NonFiniteInput,
+    ),
+    "validity_diagnostics-x-negative": (
+        lambda sc, fam: validity_diagnostics(fam, sc.sigma, sc.f_true, 5, -1.0),
+        DimensionMismatch,
+    ),
+    "validity_diagnostics-x-nan": (
+        lambda sc, fam: validity_diagnostics(fam, sc.sigma, sc.f_true, 5, math.nan),
+        NonFiniteInput,
+    ),
+    "oracle-alpha-negative": (
+        lambda sc, fam: oracle(fam, sc.f_true, sc.sigma, alpha_plus=-1.0),
+        DimensionMismatch,
+    ),
+    "prediction-sigma-nan": (
+        lambda sc, fam: WeightingScheme.prediction(math.nan),
+        DimensionMismatch,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def derivative_scenario():
+    config = ExperimentConfig(
+        n=60, p_max=20, models=tuple(range(1, 8)), m_dagger=5, weighting="derivative"
+    ).validate()
+    scenario = generate_scenario(config)
+    return scenario, scenario_family(config, scenario)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_out_of_domain_scalars_are_rejected(derivative_scenario, case):
+    call, error = BAD_SCALARS[case]
+    with pytest.raises(error):
+        call(*derivative_scenario)

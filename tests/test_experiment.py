@@ -153,7 +153,7 @@ def test_run_comparison_deterministic_across_workers():
 def test_random_design_full_vector_takes_the_general_kernel():
     # A random grid makes the design Gram non-diagonal, so under full-vector
     # loss the family keeps no increments: the one config route to the
-    # general norm and trace kernels.
+    # pair kernel's general strategy.
     fields = dict(random_design=True, weighting="full_vector", n_hist=3)
     cfg = small_config(**fields)
     scenario = generate_scenario(cfg)

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 from smaselect import (
     DesignMatrix,
     NoiseSpec,
-    NotFunctional,
     NotOrderedPair,
     WeightingScheme,
     build_projection_family,
     check_ordering,
-    functional_variance,
     pair_bias,
     pair_variance,
     risk_argmin,
     risk_profile,
 )
-from smaselect.moments import pair_bias_vector
+from smaselect.moments import pair_bias_vector, single_variance
 from conftest import orthonormal_rows_design
 from reference import pair_operator, risk_profile_csv_rows
 
@@ -75,16 +73,11 @@ def test_functional_variance_toy(toy_design, toy_noise):
     family = build_projection_family(
         toy_design, WeightingScheme.linear_functional([1.0, 1.0, 1.0]), [1, 2, 3]
     )
-    assert functional_variance(family, toy_noise, 2) == pytest.approx(2.0, rel=1e-12)
-    assert functional_variance(family, toy_noise, 1) == pytest.approx(1.0, rel=1e-12)
+    assert single_variance(family, toy_noise, 2).p_pair == pytest.approx(2.0, rel=1e-12)
+    assert single_variance(family, toy_noise, 1).p_pair == pytest.approx(1.0, rel=1e-12)
     pm = pair_variance(family, toy_noise, 2, 1)
     assert pm.p_pair == pytest.approx(1.0, rel=1e-12)
     assert pm.lambda_pair == pytest.approx(pm.p_pair, rel=1e-12)
-
-
-def test_functional_variance_requires_rank_one(toy_family, toy_noise):
-    with pytest.raises(NotFunctional):
-        functional_variance(toy_family, toy_noise, 2)
 
 
 @settings(max_examples=20, deadline=None)

@@ -54,7 +54,6 @@ from .moments import (
     RiskPoint,
     pair_bias,
     pair_variance,
-    risk_argmin,
     risk_profile,
 )
 from .selector import (

@@ -48,15 +48,17 @@ class JointDrawMatrix:
     statistic for that pair; all columns of a row come from the same
     realization, preserving the joint law.  ``by_reference[m_ref]`` holds
     the reference's pairs in ``pair_index`` (column) order and their column
-    indices (a slice when contiguous), built once, on construction.  Nothing is
-    sorted: order statistics and strict ranks are selected on demand.
+    indices (a slice when contiguous); the sampler passes the family's
+    grouping, and any other caller gets it built once, on construction.
+    Nothing is sorted: order statistics and strict ranks are selected on
+    demand.
     """
 
     draws: np.ndarray
     pair_index: dict[tuple[int, int], int]
     seed: int
     n_sim: int
-    by_reference: dict = field(init=False, repr=False)
+    by_reference: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.draws.shape != (self.n_sim, len(self.pair_index)):
@@ -67,6 +69,8 @@ class JointDrawMatrix:
             raise NonFiniteInput("draw matrix contains NaN or infinite values")
         if low < 0:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
+        if self.by_reference is not None:
+            return
         groups: dict[int, list[tuple[int, int]]] = {}
         for pair in self.pair_index:
             groups.setdefault(pair[1], []).append(pair)
@@ -153,12 +157,15 @@ def _sample_scaled_norms(
     scale = family.vector(scale, "noise scale")
     pairs = list(pairs) if pairs is not None else family.pairs()
     # Column-major, so each column's order statistics read contiguous memory.
+    # The kernel writes each block's squares straight into its columns, and
+    # one in-place square root turns them into magnitudes.
     columns = np.empty((len(pairs), n_sim))
 
     def fill(block):
         b, start, stop = block
         z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
-        columns[:, start:stop] = pair_norms(family, family.reduce(z * scale), pairs).T
+        xi = family.reduce(np.multiply(z, scale, out=z))
+        family.pair_squares(xi, pairs, out=columns[:, start:stop])
 
     blocks = block_bounds(n_sim)
     if n_workers > 1 and len(blocks) > 1:
@@ -167,11 +174,19 @@ def _sample_scaled_norms(
     else:
         for block in blocks:
             fill(block)
+    np.sqrt(columns, out=columns)
     return JointDrawMatrix(
         draws=columns.T,
         pair_index={p: i for i, p in enumerate(pairs)},
         seed=seed,
         n_sim=n_sim,
+        by_reference={
+            0 if ref is None else family.models[ref]: (
+                pairs[cols] if isinstance(cols, slice) else [pairs[c] for c in cols],
+                cols,
+            )
+            for ref, _, cols in family.pair_groups(pairs)
+        },
     )
 
 
@@ -473,12 +488,11 @@ def calibration_table(
             z[cols] = tail[cols, k - k_x]
             corrections[m_ref] = q
 
-    critical: dict[tuple[int, int], float] = {}
-    clipped: list[tuple[int, int]] = []
-    for (m, m_ref), col in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
-        if ref_clipped[m_ref]:
-            clipped.append((m, m_ref))
-        critical[(m, m_ref)] = float(z[col]) + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
+    pairs = sorted(draws.pair_index, key=draws.pair_index.__getitem__)
+    cols = [draws.pair_index[pair] for pair in pairs]
+    dims = np.array([pair_dims[pair] for pair in pairs])
+    critical = dict(zip(pairs, (z[cols] + alpha_plus * np.sqrt(dims)).tolist()))
+    clipped = [pair for pair in pairs if ref_clipped[pair[1]]]
     if clipped:
         warnings.warn(
             TailTooDeepWarning(

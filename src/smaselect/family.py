@@ -13,7 +13,10 @@ the leading ``M`` rows (``L`` lower-triangular), and only the first ``M``
 coefficients are ever nonzero.  So the family keeps, per model, the
 ``M x r`` coefficient map ``C_m`` and its loss-weighted image
 ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R`` has ``min(q, M)``
-rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``.
+rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``,
+one row per pair and one column per row of ``xi``, written into an array
+the caller may pass: the sampler passes each row block of its column-major
+draw matrix, so the squares are computed where the draws are kept.
 Noise with variances ``v`` enters as one root ``R_v`` (``noise_root``,
 ``R_v^T R_v = Q^T diag(v) Q``): a trace is the kernel summed over the rows
 of ``R_v``, and a variance spectrum that of ``(D_m - D_ref) R_v^T``.
@@ -25,8 +28,10 @@ diagonal -- prediction loss on any design, and the trigonometric families
 under every loss -- a pair difference is a window of coordinates and
 ``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
 ``g = diag G``: a running sum of nonnegative increments.  The family then
-stores ``g`` as ``increments`` and the pair kernel uses it; otherwise
-(or for a rank-deficient leading block) it uses ``D_m``.
+stores ``g`` as ``increments`` and the pair kernel uses it, building the
+windows by length into two ``M``-row buffers and scattering each length to
+its pairs' rows; otherwise (or for a rank-deficient leading block) it uses
+``D_m``.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ class ModelFamily:
     _positions: dict[int, int] = field(init=False, repr=False, compare=False)
     _pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _groups: list = field(init=False, repr=False, compare=False)
-    _windows: tuple = field(init=False, repr=False, compare=False)
+    _lengths: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._positions = {m: i for i, m in enumerate(self.models)}
@@ -208,7 +213,7 @@ class ModelFamily:
             (m, m_ref) for i, m_ref in enumerate(self.models) for m in self.models[i + 1 :]
         ]
         self._groups = self._group(self._pairs)
-        self._windows = self._window_bounds(self._pairs)
+        self._lengths = self._by_length(self._pairs)
 
     @property
     def q(self) -> int:
@@ -258,21 +263,26 @@ class ModelFamily:
         variances = self.vector(variances, "noise variances")
         return np.linalg.qr(self.basis * np.sqrt(variances)[:, None], mode="r")
 
-    def pair_squares(self, xi: np.ndarray, pairs) -> np.ndarray:
+    def pair_squares(self, xi: np.ndarray, pairs, out: np.ndarray | None = None) -> np.ndarray:
         """Squared pair magnitudes ``|(K_m - K_ref) y|^2`` (``pairs x B``) for
         the rows of ``xi = Q^T y`` (``B x r``); ``(m, 0)`` is model ``m`` alone.
 
-        The one pair kernel.  With ``increments`` ``g``, a window sum of
-        ``g_j xi_j^2`` over ``(m_ref, m]``, exact to the relative bound of
-        ``build_projection_family``; otherwise one matmul to every ``D_m xi``
-        and one vectorised subtraction per reference, into a buffer reused
-        across references.
+        The one pair kernel.  Row ``i`` of the result is pair ``i``, so a
+        caller holding a column-major draw buffer passes its block of
+        columns as ``out`` (any ``pairs x B`` float view, strided or not)
+        and gets the squares written there.  With ``increments`` ``g``,
+        each pair is a window sum of ``g_j xi_j^2`` over ``(m_ref, m]``
+        (``pair_windows``), exact to the relative bound of
+        ``build_projection_family``; otherwise one matmul to every
+        ``D_m xi`` and one vectorised subtraction per reference, into a
+        buffer reused across references.
         """
+        if out is None:
+            out = np.empty((len(pairs), xi.shape[0]))
         if self.increments is not None:
-            return self.pair_windows((xi * xi * self.increments).T, pairs)
+            return self.pair_windows((xi * xi * self.increments).T, pairs, out)
         flat = self.reduced.reshape(-1, self.reduced.shape[-1])
         estimates = (flat @ xi.T).reshape(len(self.models), -1, xi.shape[0])
-        out = np.empty((len(pairs), xi.shape[0]))
         buf = np.empty_like(estimates)
         for ref, positions, cols in self.pair_groups(pairs):
             diff = estimates[positions]
@@ -307,35 +317,55 @@ class ModelFamily:
             for m_ref, (rows, cols) in groups.items()
         ]
 
-    def pair_windows(self, weights: np.ndarray, pairs) -> np.ndarray:
+    def pair_windows(
+        self, weights: np.ndarray, pairs, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Per pair, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
 
-        ``weights`` is ``(M, columns)`` and nonnegative; the result is
-        ``(len(pairs), columns)``.  Each model step is summed once, then
-        every start takes one running sum over the steps above it.  A
-        difference of prefix sums would do the same in fewer additions but
-        cancels on small windows; a running sum of nonnegative terms keeps
-        every window's relative precision.
+        ``weights`` is ``(M, B)`` and nonnegative; the result, written to
+        ``out`` if given, is ``(len(pairs), B)``.  Each model step is summed
+        once; then the windows are built by length, every start at once:
+        the windows of ``d + 1`` steps are those of ``d`` steps plus the
+        next step, one vectorised addition into one of two ``M``-row
+        buffers, and each length's windows are scattered to their pairs'
+        rows of ``out``.  So every window is a running sum from its first
+        step to its last, as the steps are added left to right, and ``out``
+        is the only array of the result's size.  A difference of prefix sums
+        would take fewer additions but cancels on small windows; a running
+        sum of nonnegative terms keeps every window's relative precision.
         """
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
-        # running[s, j] = steps[s] + ... + steps[j] for s <= j: one
-        # vectorised addition per model, across every start at once.
-        running = np.empty((len(steps),) + steps.shape)
-        for j, step in enumerate(steps):
-            np.add(running[:j, j - 1], step, out=running[:j, j])
-            running[j, j] = step
-        first, last = self._windows if pairs == self._pairs else self._window_bounds(pairs)
-        return running[first, last]
+        if out is None:
+            out = np.empty((len(pairs), steps.shape[1]))
+        lengths = self._lengths if pairs == self._pairs else self._by_length(pairs)
+        k = len(steps)
+        buf = np.empty((2,) + steps.shape)
+        sums = steps
+        for d, (starts, rows) in enumerate(lengths):
+            if d:
+                sums = np.add(sums[: k - d], steps[d:], out=buf[d % 2, : k - d])
+            out[rows] = sums[starts]
+        return out
 
-    def _window_bounds(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the first and last model step of each pair's window."""
+    def _by_length(self, pairs) -> list:
+        """Pairs grouped by window length: entry ``d`` holds the first model
+        step of each window of ``d + 1`` steps and those pairs' indices."""
         first = np.array(
             [0 if m_ref == 0 else self.position(m_ref) + 1 for _, m_ref in pairs], dtype=np.intp
         )
         last = np.array([self.position(m) for m, _ in pairs], dtype=np.intp)
         if np.any(first > last):
             raise NotOrderedPair("every pair (m, m_ref) needs m > m_ref")
-        return first, last
+        length = last - first
+        groups = []
+        for d in range(int(length.max(initial=-1)) + 1):
+            rows = np.flatnonzero(length == d)
+            groups.append(
+                (_as_slice(first[rows].tolist()), _as_slice(rows.tolist()))
+                if rows.size
+                else (slice(0, 0), slice(0, 0))
+            )
+        return groups
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""

@@ -167,9 +167,3 @@ def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoin
         bias2 = float(np.sum((fit - target) ** 2))
         out.append(RiskPoint(m=m, bias2=bias2, variance=var[m], risk=bias2 + var[m]))
     return out
-
-
-def risk_argmin(profile: list[RiskPoint]) -> int:
-    best = min(profile, key=lambda r: r.risk)
-    return best.m
-

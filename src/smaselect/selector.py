@@ -80,16 +80,19 @@ def sma_select(
         models = sorted({int(m) for m in models})
     if not models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
-    if not all(math.isfinite(t) for t in statistics.values()):
+    if not all(map(math.isfinite, statistics.values())):
         raise NonFiniteInput("test statistics contain NaN or infinite values")
+    critical = table.critical
     accepted: dict[int, bool] = {}
     try:
         for i, m_ref in enumerate(models):
             accepted[m_ref] = all(
-                statistics[(m, m_ref)] <= table.threshold(m, m_ref) for m in models[i + 1 :]
+                statistics[(m, m_ref)] <= critical[(m, m_ref)] for m in models[i + 1 :]
             )
     except KeyError as exc:
-        raise MissingPair(f"no statistic for pair {exc.args[0]}") from None
+        pair = exc.args[0]
+        what = "statistic" if pair not in statistics else "critical value"
+        raise MissingPair(f"no {what} for pair {pair}") from None
     m_hat = min(m for m, ok in accepted.items() if ok)
     return SelectionResult(
         m_hat=m_hat,

@@ -46,6 +46,40 @@ def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:
     return pair_norms(family, family.reduce(noise), pairs)
 
 
+def pair_windows(family, weights: np.ndarray, pairs) -> np.ndarray:
+    """The window sums of ``ModelFamily.pair_windows`` through a running
+    buffer: ``running[s, j]`` is steps ``s..j`` added left to right, one
+    vectorised addition per model across every start, and each pair gathers
+    its ``(first, last)`` entry."""
+    steps = np.add.reduceat(weights, (0,) + family.models[:-1], axis=0)
+    running = np.empty((len(steps),) + steps.shape)
+    for j, step in enumerate(steps):
+        np.add(running[:j, j - 1], step, out=running[:j, j])
+        running[j, j] = step
+    first = [0 if m_ref == 0 else family.position(m_ref) + 1 for _, m_ref in pairs]
+    last = [family.position(m) for m, _ in pairs]
+    if any(f > l for f, l in zip(first, last)):
+        raise NotOrderedPair("every pair (m, m_ref) needs m > m_ref")
+    return running[first, last]
+
+
+def pair_squares(family, xi: np.ndarray, pairs) -> np.ndarray:
+    """``ModelFamily.pair_squares`` into fresh arrays: the windows above with
+    ``increments``, else every ``D_m xi`` and one difference per reference."""
+    pairs = list(pairs)
+    if family.increments is not None:
+        return pair_windows(family, (xi * xi * family.increments).T, pairs)
+    flat = family.reduced.reshape(-1, family.reduced.shape[-1])
+    estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
+    out = np.empty((len(pairs), xi.shape[0]))
+    for ref, positions, cols in family.pair_groups(pairs):
+        diff = estimates[positions]
+        if ref is not None:
+            diff = diff - estimates[ref]
+        out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
+    return out
+
+
 def projector_matrix(presmoothed) -> np.ndarray:
     """The pilot projector ``B B^T`` of a ``PresmoothResult``, as an ``n x n`` matrix."""
     return presmoothed.basis @ presmoothed.basis.T

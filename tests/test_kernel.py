@@ -1,0 +1,200 @@
+"""The pair kernel, written in place, against the running-buffer kernel.
+
+``ModelFamily.pair_squares`` writes its squares straight into the caller's
+array: window sums are built by window length and scattered to their rows,
+and the sampler hands it each row block of the column-major draw matrix.
+``reference.pair_squares`` is the kernel this replaced: a ``M x M x B``
+running buffer gathered into a fresh array.  Both add every window's steps
+left to right, so the results must be equal bit for bit, on increments and
+general ``D_m`` families, for any pair list, any row count and any worker
+count.
+"""
+
+import dataclasses
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from smaselect import (
+    DesignMatrix,
+    NonFiniteInput,
+    WeightingScheme,
+    build_projection_family,
+    calibrate,
+    sample_joint_draws,
+)
+from smaselect.calibration import JointDrawMatrix
+from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
+from smaselect.rng import block_bounds, stream
+import reference
+
+ROWS = (1, "r", 511, 512, 513, 1000)
+
+
+def _paper_like():
+    config = ExperimentConfig(
+        n=60,
+        p_max=20,
+        models=tuple(range(1, 13)),
+        m_dagger=6,
+        n_sim=600,
+        n_hist=1,
+        noise_profile={"kind": "linear", "sigma_lo": 0.5, "sigma_hi": 2.0},
+        seeds=Seeds(data=41, noise=42, calibration=43, bootstrap=44),
+    ).validate()
+    scenario = generate_scenario(config)
+    return scenario_family(config, scenario), scenario
+
+
+def _design(seed, p, n):
+    return DesignMatrix(np.random.default_rng(seed).standard_normal((p, n)))
+
+
+FAMILIES = {
+    # Increments, one model step per coordinate.
+    "increments": lambda: _paper_like()[0],
+    # Increments with gaps: a model step sums several coordinates.
+    "increments_gaps": lambda: build_projection_family(
+        _design(7, 12, 40), WeightingScheme.prediction(sigma=1.3), [2, 3, 6, 7, 11, 12]
+    ),
+    # The general D_m kernel on a loss whose nested Gram is not diagonal.
+    "general": lambda: build_projection_family(
+        _design(8, 10, 40), WeightingScheme.subvector([0, 3, 4, 8]), [1, 2, 4, 5, 8, 10]
+    ),
+    # The general kernel on the paper-like family.
+    "general_paper": lambda: dataclasses.replace(_paper_like()[0], increments=None),
+}
+
+
+def _pair_lists(family, rng):
+    canonical = family.pairs()
+    singles = [(m, 0) for m in family.models]
+    subset = [canonical[i] for i in rng.permutation(len(canonical))[: len(canonical) // 3]]
+    mixed = canonical + singles
+    return {
+        "canonical": canonical,
+        "shuffled_subset": subset,
+        "singles": singles,
+        "mixed_shuffled": [mixed[i] for i in rng.permutation(len(mixed))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_takes_the_kernel_its_name_says(name):
+    assert (FAMILIES[name]().increments is not None) == name.startswith("increments")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_pair_squares_equal_running_buffer_kernel(name):
+    family = FAMILIES[name]()
+    rng = np.random.default_rng(3)
+    r = family.basis.shape[1]
+    for label, pairs in _pair_lists(family, rng).items():
+        for rows in ROWS:
+            b = r if rows == "r" else rows
+            xi = rng.standard_normal((b, r)) * rng.uniform(0.1, 10.0, r)
+            got = family.pair_squares(xi, pairs)
+            assert got.shape == (len(pairs), b)
+            assert np.array_equal(got, reference.pair_squares(family, xi, pairs)), (label, b)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_pair_squares_fill_a_strided_out(name):
+    family = FAMILIES[name]()
+    rng = np.random.default_rng(4)
+    xi = family.reduce(rng.standard_normal((37, family.n)))
+    for pairs in _pair_lists(family, rng).values():
+        expected = reference.pair_squares(family, xi, pairs)
+        # A block of columns of a column-major draw buffer, as the sampler passes.
+        buf = np.full((len(pairs), 50), np.nan)
+        returned = family.pair_squares(xi, pairs, out=buf[:, 5:42])
+        assert np.shares_memory(returned, buf)
+        assert np.array_equal(buf[:, 5:42], expected)
+        assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 42:]).all()
+        # A transposed (Fortran-ordered) view.
+        rows_first = np.full((37, len(pairs)), np.nan)
+        family.pair_squares(xi, pairs, out=rows_first.T)
+        assert np.array_equal(rows_first.T, expected)
+
+
+def _reference_draws(family, scale, n_sim, seed, pairs, stream_tag=0):
+    """Draws block by block from the streams, through the running-buffer kernel."""
+    out = np.empty((n_sim, len(pairs)))
+    for b, start, stop in block_bounds(n_sim):
+        z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
+        squares = reference.pair_squares(family, family.reduce(z * scale), pairs)
+        out[start:stop] = np.sqrt(squares).T
+    return out
+
+
+@pytest.mark.parametrize("name", ["increments", "general_paper"])
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_draws_equal_running_buffer_kernel(name, n_workers):
+    family = FAMILIES[name]()
+    _, scenario = _paper_like()
+    scale = np.sqrt(scenario.sigma.variances)
+    pairs = family.pairs()
+    # Three blocks, the last a short one.
+    n_sim = 1100
+    draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9, n_workers=n_workers)
+    assert np.array_equal(draws.draws, _reference_draws(family, scale, n_sim, 9, pairs))
+
+    rng = np.random.default_rng(5)
+    subset = _pair_lists(family, rng)["mixed_shuffled"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        multiplier, _ = calibrate(
+            family, scale, 700, 11, 2.0, 1.0, pairs=subset, n_workers=n_workers, stream_tag=3
+        )
+    assert list(multiplier.pair_index) == subset
+    assert np.array_equal(
+        multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
+    )
+
+
+def test_draws_at_more_workers_than_cores_under_fast_switching():
+    # Worker threads write disjoint column blocks of one buffer; switching
+    # threads every microsecond must not move a single bit.
+    family, scenario = _paper_like()
+    expected = sample_joint_draws(family, scenario.sigma, 2100, seed=13).draws
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_joint_draws(family, scenario.sigma, 2100, seed=13, n_workers=4).draws
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, expected)
+
+
+def _grouping(draws):
+    columns = np.arange(len(draws.pair_index))
+    return {
+        ref: (pairs, columns[cols].tolist()) for ref, (pairs, cols) in draws.by_reference.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["increments", "general"])
+def test_sampler_grouping_equals_grouping_from_columns(name):
+    # The sampler passes the family's grouping; a draw matrix built from its
+    # columns alone regroups them, with the same references, order and columns.
+    family = FAMILIES[name]()
+    rng = np.random.default_rng(6)
+    scale = np.full(family.n, 0.7)
+    for pairs in _pair_lists(family, rng).values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            draws, _ = calibrate(family, scale, 40, 2, 1.0, 0.0, pairs=pairs)
+        rebuilt = JointDrawMatrix(draws.draws, draws.pair_index, draws.seed, draws.n_sim)
+        assert list(draws.by_reference) == list(rebuilt.by_reference)
+        assert _grouping(draws) == _grouping(rebuilt)
+
+
+@pytest.mark.parametrize("name", ["increments", "general"])
+def test_overflowing_squares_raise_non_finite(name):
+    # A finite scale whose squares overflow: the in-place squares are inf
+    # (or NaN from inf - inf), and calibrate refuses the draw matrix.
+    family = FAMILIES[name]()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+        calibrate(family, np.full(family.n, 1e200), 600, 1, 2.0, 1.0)

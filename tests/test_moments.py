@@ -12,7 +12,6 @@ from smaselect import (
     check_ordering,
     pair_bias,
     pair_variance,
-    risk_argmin,
     risk_profile,
 )
 from smaselect.moments import pair_bias_vector, single_variance
@@ -64,7 +63,6 @@ def test_toy_risk_profile_sparse_signal(toy_family, toy_noise):
     f = np.array([0.0, 0.0, 3.0, 0.0])
     profile = risk_profile(toy_family, f, toy_noise)
     assert [r.risk for r in profile] == pytest.approx([10.0, 11.0, 3.0], rel=1e-12)
-    assert risk_argmin(profile) == 3
     rows = risk_profile_csv_rows(profile)
     assert rows[0][0] == 1 and len(rows[0]) == 4
 

@@ -32,6 +32,7 @@ from .experiment import (
     ExperimentConfig,
     _calibrate,
     _noise_draw,
+    csv_text,
     generate_scenario,
     mdagger_sweep,
     meta_record,
@@ -120,12 +121,10 @@ def _calibrated(args, cfg: ExperimentConfig):
     return family, y, draws, table
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
     _, _, draws, table = _calibrated(args, cfg)
     io.save_table(table, out / "calibration.json")
-    io.save_json(meta_record(cfg), out / "meta.json")
     print(f"calibration table ({args.noise}, {table.mode}) -> {out / 'calibration.json'}")
     if args.self_test:
         failures = propagation_failures(draws, io.load_table(out / "calibration.json"))
@@ -137,56 +136,48 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_select(args) -> int:
-    cfg = _load_config(args)
+def cmd_select(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
     family, y, _, table = _calibrated(args, cfg)
     result = sma_select(test_statistics(family, y), table)
     io.save_json(result.to_dict(), out / "selection.json")
     io.save_table(table, out / "calibration.json")
-    io.save_json(meta_record(cfg), out / "meta.json")
     print(f"selected model: {result.m_hat} -> {out / 'selection.json'}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
     result = run_comparison(cfg)
+    report = result.oracle_report
     (out / "results.csv").write_text(results_csv(result.records))
     io.save_table(result.known_table, out / "calibration.json")
-    meta = meta_record(cfg)
-    meta["oracle"] = {
-        "m_star": result.oracle_report.m_star,
-        "z_bar": result.oracle_report.z_bar,
-        "z_bar_theory": result.oracle_report.z_bar_theory,
-    }
-    io.save_json(meta, out / "meta.json")
+    io.save_json(
+        {"m_star": report.m_star, "z_bar": report.z_bar, "z_bar_theory": report.z_bar_theory},
+        out / "oracle.json",
+    )
     known = [r.m_sma_known for r in result.records]
     boot = [r.m_sma_boot for r in result.records]
     print(
-        f"{len(result.records)} replicates, m*={result.oracle_report.m_star}, "
+        f"{len(result.records)} replicates, m*={report.m_star}, "
         f"median m_hat known={sorted(known)[len(known) // 2]} "
         f"boot={sorted(boot)[len(boot) // 2]} -> {out / 'results.csv'}"
     )
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(args, cfg: ExperimentConfig) -> int:
     md_list = _m_dagger_list(args) or sorted(
         {max(2, cfg.m_dagger // 2), cfg.m_dagger, max(cfg.models)}
     )
     out = _outdir(args)
     sweep = mdagger_sweep(cfg, md_list)
     (out / "sweep.csv").write_text(sweep_csv(sweep))
-    io.save_json(meta_record(cfg), out / "meta.json")
     print(f"sweep over {md_list} -> {out / 'sweep.csv'}")
     return EXIT_OK
 
 
-def cmd_ratios(args) -> int:
-    cfg = _load_config(args)
+def cmd_ratios(args, cfg: ExperimentConfig) -> int:
     md_list = _m_dagger_list(args)
     out = _outdir(args)
     tables = quantile_ratio_tables(cfg, [cfg.m_dagger, *md_list])
@@ -196,12 +187,8 @@ def cmd_ratios(args) -> int:
         {"summary": table.summary, "m_dagger": table.m_dagger}, out / "ratios_summary.json"
     )
     if md_list:
-        lines = ["m_dagger,min,mean,max"]
-        for md in md_list:
-            s = tables[md].summary
-            lines.append(f"{md},{s['min']!r},{s['mean']!r},{s['max']!r}")
-        (out / "ratios_by_mdagger.csv").write_text("\n".join(lines) + "\n")
-    io.save_json(meta_record(cfg), out / "meta.json")
+        rows = ((md, *(tables[md].summary[k] for k in ("min", "mean", "max"))) for md in md_list)
+        (out / "ratios_by_mdagger.csv").write_text(csv_text("m_dagger,min,mean,max", rows))
     print(
         f"threshold ratios: min={table.summary['min']:.3f} "
         f"mean={table.summary['mean']:.3f} max={table.summary['max']:.3f} "
@@ -210,10 +197,9 @@ def cmd_ratios(args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     if not args.validate:
         raise ConfigInvalid("diagnose uses oracle knowledge; pass --validate to confirm")
-    cfg = _load_config(args)
     out = _outdir(args)
     scenario = generate_scenario(cfg)
     family = scenario_family(cfg, scenario)
@@ -221,7 +207,6 @@ def cmd_diagnose(args) -> int:
         family, scenario.sigma, scenario.f_true, cfg.m_dagger, cfg.x_level
     )
     io.save_json(diag.to_dict(), out / "diagnostics.json")
-    io.save_json(meta_record(cfg), out / "meta.json")
     print(
         f"applicability ratio {diag.applicability_ratio:.2f} "
         f"(asymptotic regime {'reached' if diag.asymptotic_regime_reached else 'NOT reached'}) "
@@ -287,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A subcommand that loads a config takes every flag that resolves it: meta.json records it.
+    # A subcommand that loads a config takes every flag that resolves it: main
+    # resolves the config, passes it to the subcommand and records it in meta.json.
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="sma_out", help="output directory")
@@ -344,7 +330,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if "config" not in vars(args):  # bounds-check reads no config
+            return args.func(args)
+        cfg = _load_config(args)
+        rc = args.func(args, cfg)
+        io.save_json(meta_record(cfg), _outdir(args) / "meta.json")
+        return rc
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

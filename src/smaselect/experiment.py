@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -117,11 +117,11 @@ class ExperimentConfig:
             raise ConfigInvalid(f"mode must be one of {MODES}")
         if self.mode == "power_loss" and (self.power_a is None or self.power_a <= 0):
             raise ConfigInvalid("power_loss mode needs power_a > 0")
-        for name in ("data", "noise", "calibration", "bootstrap"):
-            seed = getattr(self.seeds, name)
-            if not _is_count(seed) or seed < 0:
-                raise ConfigInvalid("seeds must be nonnegative integers")
-        _validate_coeff_rule(self.coefficient_rule)
+        if not isinstance(self.seeds, Seeds) or not all(
+            _is_count(s) and s >= 0 for s in astuple(self.seeds)
+        ):
+            raise ConfigInvalid("seeds must map data/noise/calibration/bootstrap to integers >= 0")
+        _validate_coeff_rule(self.coefficient_rule, self.p_max)
         _validate_noise_profile(self.noise_profile, self.n)
         return replace(self, models=models)
 
@@ -132,6 +132,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigInvalid("config must be a JSON object")
         d = dict(d)
         if "models" in d:
             if not isinstance(d["models"], (list, tuple)):
@@ -165,12 +167,13 @@ def _numbers(vals, what: str) -> list:
     return list(vals)
 
 
-def _validate_coeff_rule(rule: dict) -> None:
+def _validate_coeff_rule(rule: dict, p_max: int) -> None:
     kind = rule.get("kind") if isinstance(rule, dict) else None
     if kind == "paper4":
         return
     if kind == "explicit":
-        _numbers(rule.get("values"), "explicit coefficient rule")
+        if len(_numbers(rule.get("values"), "explicit coefficient rule")) > p_max:
+            raise ConfigInvalid("explicit coefficients exceed p_max")
         return
     raise ConfigInvalid("coefficient_rule.kind must be 'paper4' or 'explicit'")
 
@@ -225,8 +228,6 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
         coeff = gamma * damp
     else:
         vals = np.asarray(rule["values"], dtype=float)
-        if vals.shape[0] > p:
-            raise ConfigInvalid("explicit coefficients exceed p_max")
         coeff = np.zeros(p)
         coeff[: vals.shape[0]] = vals
 
@@ -412,29 +413,29 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     return out
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row with every cell through ``str``
+    (for a float, its shortest round-trip text)."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def results_csv(records: list[ReplicateRecord]) -> str:
-    lines = ["rep,m_oracle,m_sma_known,m_sma_boot,loss_oracle,loss_known,loss_boot"]
-    for r in records:
-        lines.append(
-            f"{r.rep},{r.m_oracle},{r.m_sma_known},{r.m_sma_boot},"
-            f"{r.loss_oracle!r},{r.loss_known!r},{r.loss_boot!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "rep,m_oracle,m_sma_known,m_sma_boot,loss_oracle,loss_known,loss_boot",
+        map(astuple, records),
+    )
 
 
 def ratios_csv(table: RatioTable) -> str:
-    lines = ["m,m_ref,ratio_sq"]
-    for (m, m_ref), v in sorted(table.ratios.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        lines.append(f"{m},{m_ref},{v!r}")
-    return "\n".join(lines) + "\n"
+    pairs = sorted(table.ratios, key=lambda pair: (pair[1], pair[0]))
+    return csv_text("m,m_ref,ratio_sq", ((*pair, table.ratios[pair]) for pair in pairs))
 
 
 def sweep_csv(sweep: dict[int, dict]) -> str:
-    lines = ["m_dagger,m_hat,error"]
-    for md in sorted(sweep):
-        entry = sweep[md]
-        lines.append(f"{md},{entry.get('m_hat', '')},{entry.get('error', '')}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "m_dagger,m_hat,error",
+        ((md, sweep[md].get("m_hat", ""), sweep[md].get("error", "")) for md in sorted(sweep)),
+    )
 
 
 def meta_record(config: ExperimentConfig) -> dict:

@@ -107,7 +107,22 @@ def test_simulate_outputs_and_determinism(config_file, tmp_path):
     assert csv1.splitlines()[0].startswith(b"rep,m_oracle,m_sma_known")
     assert len(csv1.splitlines()) == 5  # header + n_hist
     meta = json.loads((out1 / "meta.json").read_text())
-    assert meta["config"]["n"] == 40 and "oracle" in meta
+    oracle = json.loads((out1 / "oracle.json").read_text())
+    assert meta["config"]["n"] == 40 and set(oracle) == {"m_star", "z_bar", "z_bar_theory"}
+
+
+def test_shared_output_directory_keeps_oracle_and_one_meta(config_file, tmp_path):
+    # The paper script's order: simulate, ratios, sweep and diagnose into one --out.
+    out = tmp_path / "out"
+    common = ["--config", str(config_file), "--out", str(out)]
+    metas = []
+    for argv in (["simulate"], ["ratios"], ["sweep"], ["diagnose", "--validate"]):
+        assert cli.main(argv + common) == 0
+        metas.append((out / "meta.json").read_bytes())
+    assert len(set(metas)) == 1
+    m_star = json.loads((out / "oracle.json").read_text())["m_star"]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and {int(row.split(",")[1]) for row in rows} == {m_star}
 
 
 def test_sweep_and_ratios(config_file, tmp_path):

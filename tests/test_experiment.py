@@ -99,6 +99,8 @@ def test_config_validation_errors():
         small_config(mode="power_loss")  # missing exponent
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.from_dict({"n": 10, "bogus": 1})
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict([1, 2])  # top level not a JSON object
 
 
 @pytest.mark.parametrize(
@@ -120,6 +122,10 @@ def test_config_validation_errors():
         {"seeds": {"data": "1"}},
         {"seeds": {"dta": 1}},
         {"random_design": "yes"},
+        {"seeds": 5},
+        {"seeds": None},
+        {"seeds": [1, 2, 3, 4]},
+        {"coefficient_rule": {"kind": "explicit", "values": [1.0] * 13}},  # p_max is 12
     ],
 )
 def test_config_rejects_ill_typed_values(fields):

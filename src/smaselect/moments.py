@@ -9,7 +9,11 @@ is the pair kernel's squared magnitude ``ModelFamily.pair_squares`` summed
 over the rows of ``R_v``, the same kernel that gives draws and statistics.
 The variance of ``(K_m - K_ref) y`` has the nonzero spectrum of ``F F^T``
 with ``F = (D_m - D_ref) R_v^T``, so an operator norm is the top eigenvalue
-of a matrix no larger than ``min(q, M, r)`` square.
+of a matrix no larger than ``min(q, M, r)`` square.  On a family with
+``increments`` ``g`` the pair reads only the coordinate window
+``w = [m_ref, m)``, and the same spectrum is that of the window's block of
+``diag(sqrt g) R_v^T R_v diag(sqrt g)``: a ``|w| x |w|`` eigenproblem,
+``1 x 1`` for adjacent model sizes.
 """
 
 from __future__ import annotations
@@ -57,39 +61,61 @@ class PairMoments:
             raise DimensionMismatch("need 0 <= lambda_pair <= p_pair")
 
 
-def _moments(diffs: np.ndarray, traces) -> list[PairMoments]:
-    """Moments of ``diff diff^T`` for each matrix of a ``(k, a, b)`` stack.
-
-    ``traces`` come from ``pair_traces``, so a table built on these moments
-    and one built by ``calibration.calibrate`` carry the same dimensions.
-    The top eigenvalue never exceeds the trace; clipping it there absorbs
-    the rounding between the trace sum and the eigensolve.
-    """
-    if diffs.shape[1] > diffs.shape[2]:
-        diffs = diffs.transpose(0, 2, 1)
-    tops = np.linalg.eigvalsh(diffs @ diffs.transpose(0, 2, 1))[:, -1]
-    return [
-        PairMoments(p_pair=t, lambda_pair=min(max(float(lam), 0.0), t))
-        for t, lam in zip(traces, tops)
-    ]
-
-
 def _pair_moments(
     family: ModelFamily, sigma: NoiseSpec, pairs
 ) -> dict[tuple[int, int], PairMoments]:
-    """Moments of each listed pair: one batched eigensolve per reference.
+    """Moments of each listed pair; ``(m, 0)`` gives model ``m``'s own estimate.
 
-    A pair ``(m, 0)`` gives the moments of model ``m``'s own estimate.
+    The top eigenvalue is that of the pair's ``|w| x |w|`` window block on a
+    family with ``increments``, else that of ``F F^T``.  The traces come from
+    ``pair_traces``, so a table built on these moments and one built by
+    ``calibration.calibrate`` carry the same dimensions.  The top eigenvalue
+    never exceeds the trace; clipping it there absorbs the rounding between
+    the trace sum and the eigensolve.
     """
-    factors = family.reduced @ family.noise_root(sigma.variances).T
+    root = family.noise_root(sigma.variances)
+    tops = (_gram_tops if family.increments is None else _window_tops)(family, root, pairs)
     traces = pair_traces(family, sigma.variances, pairs)
-    index = np.arange(len(pairs))
-    out: dict[tuple[int, int], PairMoments] = {}
+    return {
+        pair: PairMoments(p_pair=traces[pair], lambda_pair=min(max(float(top), 0.0), traces[pair]))
+        for pair, top in zip(pairs, tops)
+    }
+
+
+def _gram_tops(family: ModelFamily, root: np.ndarray, pairs) -> np.ndarray:
+    """Top eigenvalue of ``F F^T``, ``F = (D_m - D_ref) R_v^T``, per pair: one
+    batched eigensolve per reference, each no larger than ``min(q, M, r)``."""
+    factors = family.reduced @ root.T
+    tops = np.empty(len(pairs))
     for ref, positions, cols in family.pair_groups(pairs):
-        group = [pairs[c] for c in index[cols]]
         diffs = factors[positions] if ref is None else factors[positions] - factors[ref]
-        out.update(zip(group, _moments(diffs, [traces[p] for p in group])))
-    return out
+        if diffs.shape[1] > diffs.shape[2]:
+            diffs = diffs.transpose(0, 2, 1)
+        tops[cols] = np.linalg.eigvalsh(diffs @ diffs.transpose(0, 2, 1))[:, -1]
+    return tops
+
+
+def _window_tops(family: ModelFamily, root: np.ndarray, pairs) -> np.ndarray:
+    """Top eigenvalue per pair on an increments family: the block of
+    ``S = diag(sqrt g) R_v^T R_v diag(sqrt g)`` over the pair's coordinate
+    window ``[m_ref, m)`` (see the module docstring), one batched eigensolve
+    per window length.  Pairs are located through ``pair_groups``, so they
+    raise the Gram route's errors."""
+    sizes = np.array(family.models)
+    start = np.empty(len(pairs), dtype=np.intp)
+    stop = np.empty(len(pairs), dtype=np.intp)
+    for ref, positions, cols in family.pair_groups(pairs):
+        start[cols] = 0 if ref is None else sizes[ref]
+        stop[cols] = sizes[positions]
+    scaled = root * np.sqrt(family.increments)
+    s = scaled.T @ scaled
+    width = stop - start
+    tops = np.empty(len(pairs))
+    for w in np.flatnonzero(np.bincount(width)):
+        rows = np.flatnonzero(width == w)
+        blocks = np.lib.stride_tricks.sliding_window_view(s, (w, w))
+        tops[rows] = np.linalg.eigvalsh(blocks[start[rows], start[rows]])[:, -1]
+    return tops
 
 
 def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> PairMoments:

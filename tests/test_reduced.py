@@ -12,6 +12,7 @@ general ``D_m`` kernel.  The low-rank validity diagnostics are checked the
 same way, against their dense ``n x n`` form.
 """
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -19,10 +20,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smaselect import (
     DesignMatrix,
     NoiseSpec,
+    NotOrderedPair,
     WeightingScheme,
     build_projection_family,
     check_ordering,
@@ -37,14 +41,18 @@ from smaselect.calibration import _quantile_at
 from smaselect.experiment import (
     ExperimentConfig,
     Seeds,
+    fourier_derivative_values,
+    fourier_values,
     generate_scenario,
     scenario_family,
 )
 from smaselect.family import PSD_TOL, _pinv_gram
 from smaselect.moments import (
+    _pair_moments,
     all_pair_moments,
     best_linear_coefficients,
     pair_traces,
+    pair_variance,
     single_traces,
     single_variance,
 )
@@ -251,6 +259,104 @@ def test_moments_match(case):
         tol = MOMENT_RTOL * max(trace, 1e-300)
         assert abs(mom.p_pair - trace) <= tol
         assert abs(mom.lambda_pair - top) <= tol
+
+
+def _load(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family = FAMILIES[name]()
+    return family, NoiseSpec.known(np.random.default_rng(7).uniform(0.25, 4.0, family.n))
+
+
+@pytest.mark.parametrize("name", ["derivative", "prediction", "subvector"])
+def test_pair_moments_do_not_depend_on_the_batch(name):
+    # The window route (increments) and the Gram route (subvector) give a pair
+    # the same bits whether it is solved alone or with every other pair.
+    family, noise = _load(name)
+    batch = all_pair_moments(family, noise)
+    for m, m_ref in family.pairs():
+        assert pair_variance(family, noise, m, m_ref) == batch[(m, m_ref)]
+    singles = _pair_moments(family, noise, [(m, 0) for m in family.models])
+    for m in family.models:
+        assert single_variance(family, noise, m) == singles[(m, 0)]
+
+
+@pytest.mark.parametrize("name", ["prediction_scheme", "subvector"])
+def test_pair_variance_rejects_pairs_outside_the_order(name):
+    # models [1, 3, 5, 7]: reference 2 is no model, and (3, 5) runs backwards.
+    family, noise = _load(name)
+    assert (family.increments is not None) == (name in INCREMENTS)
+    for m, m_ref in [(5, 2), (3, 5), (3, 3)]:
+        with pytest.raises(NotOrderedPair):
+            pair_variance(family, noise, m, m_ref)
+
+
+def _spy_eigvalsh(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["prediction", "prediction_scheme"])
+def test_window_route_solves_window_sized_blocks(name, monkeypatch):
+    # "prediction" has models 1..10 (adjacent windows of one coordinate);
+    # "prediction_scheme" has models [1, 3, 5, 7] (windows of two or more).
+    family, noise = _load(name)
+    assert family.increments is not None
+    shapes = _spy_eigvalsh(monkeypatch)
+    for m_ref, m in zip(family.models, family.models[1:]):
+        shapes.clear()
+        pair_variance(family, noise, m, m_ref)
+        assert shapes == [(1, m - m_ref, m - m_ref)]
+    shapes.clear()
+    all_pair_moments(family, noise)
+    widths = collections.Counter(m - m_ref for m, m_ref in family.pairs())
+    assert {s[1]: s[0] for s in shapes} == widths
+    assert all(s[1] == s[2] for s in shapes) and len(shapes) == len(widths)
+    if name == "prediction":
+        assert (family.models[-1] - 1, 1, 1) in shapes
+
+
+def test_general_family_keeps_the_gram_route(monkeypatch):
+    family, noise = _load("subvector")
+    assert family.increments is None
+    shapes = _spy_eigvalsh(monkeypatch)
+    all_pair_moments(family, noise)
+    side = min(family.reduced.shape[1], family.basis.shape[1])
+    assert len(shapes) == len(family.models) - 1  # one solve per reference
+    assert all(s[1:] == (side, side) for s in shapes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    loss=st.sampled_from(["prediction", "derivative"]),
+    p=st.integers(3, 8),
+    extra=st.integers(2, 10),
+    data=st.data(),
+)
+def test_window_moments_match_dense_on_trigonometric_families(seed, loss, p, extra, data):
+    models = data.draw(
+        st.lists(st.integers(1, p), min_size=2, max_size=p, unique=True).map(sorted)
+    )
+    n = p + extra
+    grid = (np.arange(n) + 0.5) / n
+    design = DesignMatrix(fourier_values(grid, p) / np.sqrt(n))
+    weights = design.entries if loss == "prediction" else fourier_derivative_values(grid, p)
+    family = build_projection_family(design, WeightingScheme.custom(weights.T), models)
+    assert family.increments is not None
+    variances = np.random.default_rng(seed).uniform(0.1, 5.0, n)
+    ops = dense_operators(family)
+    for (m, m_ref), mom in all_pair_moments(family, NoiseSpec.known(variances)).items():
+        v = dense_variance(ops[m] - ops[m_ref], variances)
+        top = max(float(np.linalg.eigvalsh(v)[-1]), 0.0)
+        assert abs(mom.lambda_pair - top) <= MOMENT_RTOL * max(float(np.trace(v)), 1e-300)
 
 
 def test_statistics_match(case):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .bootstrap import presmooth, residual_scale, validity_diagnostics
+from .bootstrap import validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
 from .calibration import propagation_failures
 from .errors import (
@@ -30,17 +30,14 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
-    _calibrate,
-    _noise_draw,
+    Study,
     csv_text,
-    generate_scenario,
     mdagger_sweep,
     meta_record,
     quantile_ratio_tables,
     ratios_csv,
     results_csv,
     run_comparison,
-    scenario_family,
     sweep_csv,
 )
 from .rng import stream
@@ -94,15 +91,9 @@ def _outdir(args) -> Path:
 
 
 def _calibrated(args, cfg: ExperimentConfig):
-    """Family, data vector, draws and table for ``--noise``.
-
-    Known noise calibrates on the noise standard deviations with the
-    calibration seed, the multiplier path on the data's presmoothing
-    residuals with the bootstrap seed; the data are ``--data`` if given,
-    else the first noise replicate.
-    """
-    scenario = generate_scenario(cfg)
-    family = scenario_family(cfg, scenario)
+    """Family, data vector (``--data`` if given, else data vector 0), draws and
+    table for ``--noise``: the study's known noise, or multipliers on the data."""
+    study = Study.of(cfg)
     if getattr(args, "data", None):
         try:
             y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
@@ -111,14 +102,10 @@ def _calibrated(args, cfg: ExperimentConfig):
         if y.shape != (cfg.n,):
             raise ConfigInvalid(f"data vector must have length n={cfg.n}")
     else:
-        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, 0)
+        y = study.data(0)
     if args.noise == "known":
-        scale, seed = np.sqrt(scenario.sigma.variances), cfg.seeds.calibration
-    else:
-        scale = residual_scale(family, presmooth(family, y, cfg.m_dagger))
-        seed = cfg.seeds.bootstrap
-    draws, table = _calibrate(cfg, family, scale, seed, cfg.n_workers)
-    return family, y, draws, table
+        return (study.family, y, *study.known())
+    return (study.family, y, *study.multiplier(y, cfg.m_dagger, cfg.n_workers))
 
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
@@ -139,7 +126,7 @@ def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
 def cmd_select(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
     family, y, _, table = _calibrated(args, cfg)
-    result = sma_select(test_statistics(family, y), table)
+    result = sma_select(test_statistics(family, y), table, models=family.models)
     io.save_json(result.to_dict(), out / "selection.json")
     io.save_table(table, out / "calibration.json")
     print(f"selected model: {result.m_hat} -> {out / 'selection.json'}")
@@ -179,13 +166,11 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 def cmd_ratios(args, cfg: ExperimentConfig) -> int:
     md_list = _m_dagger_list(args)
-    out = _outdir(args)
     tables = quantile_ratio_tables(cfg, [cfg.m_dagger, *md_list])
     table = tables[cfg.m_dagger]
+    out = _outdir(args)
     (out / "ratios.csv").write_text(ratios_csv(table))
-    io.save_json(
-        {"summary": table.summary, "m_dagger": table.m_dagger}, out / "ratios_summary.json"
-    )
+    io.save_json({"summary": table.summary, "m_dagger": cfg.m_dagger}, out / "ratios_summary.json")
     if md_list:
         rows = ((md, *(tables[md].summary[k] for k in ("min", "mean", "max"))) for md in md_list)
         (out / "ratios_by_mdagger.csv").write_text(csv_text("m_dagger,min,mean,max", rows))
@@ -201,10 +186,9 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     if not args.validate:
         raise ConfigInvalid("diagnose uses oracle knowledge; pass --validate to confirm")
     out = _outdir(args)
-    scenario = generate_scenario(cfg)
-    family = scenario_family(cfg, scenario)
+    study = Study.of(cfg)
     diag = validity_diagnostics(
-        family, scenario.sigma, scenario.f_true, cfg.m_dagger, cfg.x_level
+        study.family, study.scenario.sigma, study.scenario.f_true, cfg.m_dagger, cfg.x_level
     )
     io.save_json(diag.to_dict(), out / "diagnostics.json")
     print(

@@ -118,9 +118,11 @@ class ExperimentConfig:
         if self.mode == "power_loss" and (self.power_a is None or self.power_a <= 0):
             raise ConfigInvalid("power_loss mode needs power_a > 0")
         if not isinstance(self.seeds, Seeds) or not all(
-            _is_count(s) and s >= 0 for s in astuple(self.seeds)
+            _is_count(s) and 0 <= s < 2**64 for s in astuple(self.seeds)
         ):
-            raise ConfigInvalid("seeds must map data/noise/calibration/bootstrap to integers >= 0")
+            raise ConfigInvalid(
+                "seeds must map data/noise/calibration/bootstrap to integers in [0, 2**64)"
+            )
         _validate_coeff_rule(self.coefficient_rule, self.p_max)
         _validate_noise_profile(self.noise_profile, self.n)
         return replace(self, models=models)
@@ -260,17 +262,44 @@ def scenario_family(config: ExperimentConfig, scenario: Scenario) -> ModelFamily
     return build_projection_family(scenario.design, weighting, config.models)
 
 
-def _calibrate(
-    config: ExperimentConfig, family: ModelFamily, scale, seed: int, n_workers=1, stream_tag=0
-) -> tuple[JointDrawMatrix, CalibrationTable]:
-    """``calibrate`` on noise ``scale`` with the config's draw count, level,
-    allowance and mode: known noise passes its standard deviations and the
-    calibration seed, the multiplier path its residual scale and the
-    bootstrap seed."""
-    return calibrate(
-        family, scale, config.n_sim, seed, config.x_level, config.alpha_plus,
-        config.mode, config.power_a, n_workers=n_workers, stream_tag=stream_tag,
-    )
+@dataclass(frozen=True)
+class Study:
+    """One run's set-up: the validated config, its scenario and family, and
+    the one recipe for its data vectors, known-noise and multiplier tables."""
+
+    config: ExperimentConfig
+    scenario: Scenario
+    family: ModelFamily
+
+    @classmethod
+    def of(cls, config: ExperimentConfig) -> "Study":
+        config = config.validate()
+        scenario = generate_scenario(config)
+        return cls(config, scenario, scenario_family(config, scenario))
+
+    def data(self, rep: int) -> np.ndarray:
+        """The true response plus noise replicate ``rep`` of the noise seed."""
+        sd = np.sqrt(self.scenario.sigma.variances)
+        noise = stream(self.config.seeds.noise, rep).standard_normal(self.config.n) * sd
+        return self.scenario.f_true + noise
+
+    def known(self) -> tuple[JointDrawMatrix, CalibrationTable]:
+        """Draws and table on the noise standard deviations, calibration seed."""
+        sd = np.sqrt(self.scenario.sigma.variances)
+        return self._calibrate(sd, self.config.seeds.calibration, self.config.n_workers, 0)
+
+    def multiplier(self, y, m_dagger: int, n_workers: int, stream_tag: int = 0) -> tuple:
+        """Draws and table on the residuals of ``y`` off the ``m_dagger``
+        pilot, bootstrap seed."""
+        scale = residual_scale(self.family, presmooth(self.family, y, m_dagger))
+        return self._calibrate(scale, self.config.seeds.bootstrap, n_workers, stream_tag)
+
+    def _calibrate(self, scale, seed: int, n_workers: int, stream_tag: int):
+        c = self.config
+        return calibrate(
+            self.family, scale, c.n_sim, seed, c.x_level, c.alpha_plus, c.mode, c.power_a,
+            n_workers=n_workers, stream_tag=stream_tag,
+        )
 
 
 @dataclass(frozen=True)
@@ -289,12 +318,6 @@ class ComparisonResult:
     records: list[ReplicateRecord]
     oracle_report: OracleReport
     known_table: CalibrationTable
-    config: ExperimentConfig
-
-
-def _noise_draw(scenario: Scenario, seed: int, rep: int) -> np.ndarray:
-    sd = np.sqrt(scenario.sigma.variances)
-    return stream(seed, rep).standard_normal(scenario.grid.shape[0]) * sd
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:
@@ -305,11 +328,9 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     its own residuals.  Replicates are independent and may run on any
     number of workers without changing the output.
     """
-    config = config.validate()
-    scenario = generate_scenario(config)
-    family = scenario_family(config, scenario)
-    sd = np.sqrt(scenario.sigma.variances)
-    _, table_known = _calibrate(config, family, sd, config.seeds.calibration, config.n_workers)
+    study = Study.of(config)
+    config, scenario, family = study.config, study.scenario, study.family
+    _, table_known = study.known()
 
     report = oracle(
         family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode
@@ -318,11 +339,10 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     target = family.weight_matrix @ best_linear_coefficients(family, scenario.f_true)
 
     def run_rep(rep: int) -> ReplicateRecord:
-        y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, rep)
+        y = study.data(rep)
         stats = test_statistics(family, y)
         m_known = sma_select(stats, table_known, models=family.models).m_hat
-        scale = residual_scale(family, presmooth(family, y, config.m_dagger))
-        _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, stream_tag=rep)
+        _, table_boot = study.multiplier(y, config.m_dagger, 1, stream_tag=rep)
         m_boot = sma_select(stats, table_boot, models=family.models).m_hat
 
         fits = dict(zip(family.models, family.outputs(family.reduce(y))))
@@ -346,32 +366,28 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
             records = list(pool.map(run_rep, reps))
     else:
         records = [run_rep(r) for r in reps]
-    return ComparisonResult(
-        records=records, oracle_report=report, known_table=table_known, config=config
-    )
+    return ComparisonResult(records=records, oracle_report=report, known_table=table_known)
 
 
 @dataclass(frozen=True)
 class RatioTable:
     ratios: dict[tuple[int, int], float]
     summary: dict[str, float]
-    m_dagger: int
 
 
 def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, RatioTable]:
-    """Squared multiplier-to-known threshold ratios per pilot dimension on shared data."""
-    config = config.validate()
-    scenario = generate_scenario(config)
-    family = scenario_family(config, scenario)
-    sd = np.sqrt(scenario.sigma.variances)
-    _, table_known = _calibrate(config, family, sd, config.seeds.calibration, config.n_workers)
-    y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
+    """Squared multiplier-to-known threshold ratios per pilot dimension on data vector 0."""
+    study = Study.of(config)
+    pairs = study.family.pairs()
+    if not pairs:
+        raise ConfigInvalid("threshold ratios need at least two models: the family has no pair")
+    _, table_known = study.known()
+    y = study.data(0)
     tables = {}
     for md in dict.fromkeys(int(m) for m in m_daggers):
-        scale = residual_scale(family, presmooth(family, y, md))
-        _, table_boot = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
+        _, table_boot = study.multiplier(y, md, study.config.n_workers)
         ratios = {}
-        for pair in family.pairs():
+        for pair in pairs:
             z_known = table_known.threshold(*pair)
             z_boot = table_boot.threshold(*pair)
             if z_known <= 0:
@@ -385,29 +401,25 @@ def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, Rati
                 "mean": float(vals.mean()),
                 "max": float(vals.max()),
             },
-            m_dagger=md,
         )
     return tables
 
 
 def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
-    """Rerun the multiplier path over pilot dimensions on shared data.
+    """Rerun the multiplier path over pilot dimensions on data vector 0.
 
     Degenerate pilots surface their failure in the per-entry record rather
     than aborting the sweep.
     """
-    config = config.validate()
-    scenario = generate_scenario(config)
-    family = scenario_family(config, scenario)
-    y = scenario.f_true + _noise_draw(scenario, config.seeds.noise, 0)
-    stats = test_statistics(family, y)
+    study = Study.of(config)
+    y = study.data(0)
+    stats = test_statistics(study.family, y)
     out: dict[int, dict] = {}
     for md in m_dagger_list:
         md = int(md)
         try:
-            scale = residual_scale(family, presmooth(family, y, md))
-            _, table = _calibrate(config, family, scale, config.seeds.bootstrap, config.n_workers)
-            out[md] = {"m_hat": sma_select(stats, table).m_hat}
+            _, table = study.multiplier(y, md, study.config.n_workers)
+            out[md] = {"m_hat": sma_select(stats, table, models=study.family.models).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}
     return out

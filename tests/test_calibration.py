@@ -38,12 +38,7 @@ from smaselect.calibration import (
     pair_norms,
 )
 from smaselect.errors import BadExponent, DimensionMismatch
-from smaselect.experiment import (
-    ExperimentConfig,
-    _noise_draw,
-    generate_scenario,
-    scenario_family,
-)
+from smaselect.experiment import ExperimentConfig, Study
 from smaselect.io import load_table
 from smaselect.moments import all_pair_moments, single_traces
 from reference import (
@@ -217,15 +212,14 @@ PAPER_CONFIG = {
 
 
 def test_exact_rank_equals_bisection_rank_paper_config():
-    cfg = ExperimentConfig.from_dict(PAPER_CONFIG)
-    scenario = generate_scenario(cfg)
-    family = scenario_family(cfg, scenario)
-    known = sample_joint_draws(family, scenario.sigma, cfg.n_sim, cfg.seeds.calibration)
+    study = Study.of(ExperimentConfig.from_dict(PAPER_CONFIG))
+    cfg, family = study.config, study.family
+    known = sample_joint_draws(family, study.scenario.sigma, cfg.n_sim, cfg.seeds.calibration)
     assert len(known.references()) == 36
     for x in (0.5, 1.0, 2.0, 3.0, 4.0):
         assert_matches_bisection(known, x)
     for rep in range(3):
-        y = scenario.f_true + _noise_draw(scenario, cfg.seeds.noise, rep)
+        y = study.data(rep)
         resid = presmooth(family, y, cfg.m_dagger)
         boot = multiplier_draws(
             family, resid, cfg.n_sim, cfg.seeds.bootstrap, stream_tag=rep

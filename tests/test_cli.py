@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from smaselect.calibration import (
     propagation_failures,
     sample_joint_draws,
 )
+from smaselect.experiment import ExperimentConfig, Study
 from smaselect.moments import all_pair_moments
 from smaselect.io import load_table, save_table
 
@@ -38,6 +40,15 @@ def config_file(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture
+def one_model_config(tmp_path):
+    path = tmp_path / "one_model.json"
+    path.write_text(json.dumps(
+        {"n": 60, "p_max": 20, "models": [5], "m_dagger": 5, "n_sim": 200, "n_hist": 3}
+    ))
     return path
 
 
@@ -136,6 +147,47 @@ def test_sweep_and_ratios(config_file, tmp_path):
     assert rc == 0
     summary = json.loads((out / "ratios_summary.json").read_text())
     assert summary["summary"]["min"] <= summary["summary"]["max"]
+
+
+@pytest.mark.parametrize("noise", ["known", "bootstrap"])
+def test_select_matches_rep_zero_of_simulate(config_file, tmp_path, noise):
+    # One shared set-up: select's default data vector is simulate's first replicate.
+    common = ["--config", str(config_file)]
+    assert cli.main(["simulate", "--out", str(tmp_path / "sim"), *common]) == 0
+    assert cli.main(["select", "--noise", noise, "--out", str(tmp_path / "sel"), *common]) == 0
+    with open(tmp_path / "sim" / "results.csv") as fh:
+        rep0 = next(csv.DictReader(fh))
+    column = {"known": "m_sma_known", "bootstrap": "m_sma_boot"}[noise]
+    selection = (tmp_path / "sel" / "selection.json").read_bytes()
+    assert rep0["rep"] == "0" and json.loads(selection)["m_hat"] == int(rep0[column])
+    # The selection (statistics included) is that of data vector 0 passed as --data.
+    study = Study.of(ExperimentConfig.from_dict(json.loads(config_file.read_text())))
+    data = tmp_path / "y0.json"
+    data.write_text(json.dumps(study.data(0).tolist()))
+    argv = ["select", "--noise", noise, "--out", str(tmp_path / "sel0"), "--data", str(data)]
+    assert cli.main(argv + common) == 0
+    assert (tmp_path / "sel0" / "selection.json").read_bytes() == selection
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["select", "--noise", "known"], ["select", "--noise", "bootstrap"],
+     ["sweep", "--m-dagger-list", "3,5"]],
+    ids=["select-known", "select-bootstrap", "sweep"],
+)
+def test_one_model_config_selects_its_model(one_model_config, tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", str(one_model_config), "--out", str(out)]) == 0
+    if argv[0] == "select":
+        assert json.loads((out / "selection.json").read_text())["m_hat"] == 5
+    else:
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == ["3,5,", "5,5,"]
+
+
+def test_ratios_on_a_family_without_pairs_is_a_config_error(one_model_config, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["ratios", "--config", str(one_model_config), "--out", str(out)]) == 2
+    assert not (out / "ratios.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "ratios"])

@@ -126,6 +126,8 @@ def test_config_validation_errors():
         {"seeds": None},
         {"seeds": [1, 2, 3, 4]},
         {"coefficient_rule": {"kind": "explicit", "values": [1.0] * 13}},  # p_max is 12
+        {"seeds": {"calibration": 2**64}},  # would alias seed 0 in the 64-bit stream key
+        {"seeds": {"noise": 2**64 + 1}},
     ],
 )
 def test_config_rejects_ill_typed_values(fields):

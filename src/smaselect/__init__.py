@@ -44,6 +44,7 @@ from .family import (
     DesignMatrix,
     ModelFamily,
     OrderingReport,
+    PairValues,
     WeightingScheme,
     build_projection_family,
     check_ordering,

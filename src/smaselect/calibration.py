@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,12 +33,15 @@ from .errors import (
     NotOrderedPair,
     TailTooDeepWarning,
 )
-from .family import ModelFamily, _as_slice
+from .family import ModelFamily, PairValues, _as_slice, pair_values
 from .moments import NoiseSpec, PairMoments, pair_traces, single_traces
 from .rng import block_bounds, stream
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
 MIN_TAIL_POINTS = 10
+
+# The bits of +inf as an unsigned 64-bit integer (see ``JointDrawMatrix``).
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 @dataclass
@@ -63,12 +67,17 @@ class JointDrawMatrix:
     def __post_init__(self):
         if self.draws.shape != (self.n_sim, len(self.pair_index)):
             raise DimensionMismatch("draw matrix shape does not match pair index")
-        # Two reductions instead of an isfinite mask: NaN propagates to both.
-        low, high = float(self.draws.min(initial=0.0)), float(self.draws.max(initial=0.0))
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise NonFiniteInput("draw matrix contains NaN or infinite values")
-        if low < 0:
-            raise DimensionMismatch("draws must be nonnegative magnitudes")
+        # One pass over the draws: read as unsigned integers, every
+        # nonnegative finite double lies below the bits of +inf, and +inf,
+        # NaN and every value with the sign bit set lie at or above them.
+        # Only a matrix that fails this is scanned again, to tell the
+        # cases apart (-0.0 passes both checks).
+        draws = np.asarray(self.draws, dtype=float)
+        if draws.view(np.uint64).max(initial=0) >= _INF_BITS:
+            if not np.isfinite(draws).all():
+                raise NonFiniteInput("draw matrix contains NaN or infinite values")
+            if (draws < 0).any():
+                raise DimensionMismatch("draws must be nonnegative magnitudes")
         if self.by_reference is not None:
             return
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -339,16 +348,19 @@ class CalibrationTable:
     """Acceptance thresholds for every ordered pair.
 
     ``critical[(m, m_ref)]`` is compared against the observed difference
-    statistic; ``pair_dims`` holds the effective dimension entering the
-    bias allowance ``alpha_plus * sqrt(dim)``.  A NaN threshold would
-    reject every comparison it enters, so non-finite thresholds,
-    dimensions and corrections raise ``NonFiniteInput`` on construction.
+    statistic; any mapping given is stored as a read-only ``PairValues``
+    (canonical order when it holds every pair of its models), and
+    ``dict(table.critical)`` is a mutable copy.  ``pair_dims`` holds the
+    effective dimension entering the bias allowance
+    ``alpha_plus * sqrt(dim)``.  A NaN threshold would reject every
+    comparison it enters, so non-finite thresholds, dimensions and
+    corrections raise ``NonFiniteInput`` on construction.
     """
 
     x_level: float
     alpha_plus: float
     corrections: dict[int, float]
-    critical: dict[tuple[int, int], float]
+    critical: Mapping[tuple[int, int], float]
     pair_dims: dict[tuple[int, int], float]
     mode: str
     moments: dict[tuple[int, int], PairMoments] | None = None
@@ -359,7 +371,13 @@ class CalibrationTable:
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("critical", "pair_dims", "corrections"):
+        critical = self.critical
+        if not isinstance(critical, PairValues):
+            critical = pair_values(critical.keys(), list(critical.values()))
+            object.__setattr__(self, "critical", critical)
+        if not np.isfinite(critical.array).all():
+            raise NonFiniteInput("calibration table has non-finite critical values")
+        for name in ("pair_dims", "corrections"):
             if not all(map(math.isfinite, getattr(self, name).values())):
                 raise NonFiniteInput(f"calibration table has non-finite {name} values")
 
@@ -491,7 +509,7 @@ def calibration_table(
     pairs = sorted(draws.pair_index, key=draws.pair_index.__getitem__)
     cols = [draws.pair_index[pair] for pair in pairs]
     dims = np.array([pair_dims[pair] for pair in pairs])
-    critical = dict(zip(pairs, (z[cols] + alpha_plus * np.sqrt(dims)).tolist()))
+    critical = pair_values(pairs, z[cols] + alpha_plus * np.sqrt(dims))
     clipped = [pair for pair in pairs if ref_clipped[pair[1]]]
     if clipped:
         warnings.warn(

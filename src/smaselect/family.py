@@ -37,7 +37,9 @@ its pairs' rows; otherwise (or for a rank-deficient leading block) it uses
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +179,87 @@ def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
     return (vecs * inv_vals) @ vecs.T, bool(np.any(~keep))
 
 
+@dataclass(frozen=True, eq=False)
+class PairOrder:
+    """The canonical order of the pairs ``(m, m_ref)``, ``m > m_ref``, of a
+    model tuple: by reference, then by larger model.
+
+    ``index`` maps each pair to its column and ``starts`` holds the first
+    column of each reference but the largest, whose runs are contiguous.
+    Orders are shared (see ``pair_order``), so nothing here is written.
+    """
+
+    models: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+    starts: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def pair_order(models: tuple[int, ...]) -> PairOrder:
+    """The canonical ``PairOrder`` of a strictly increasing model tuple,
+    built once per tuple, so every family, statistic and table on the same
+    models shares one pair tuple and one index."""
+    pairs = tuple((m, m_ref) for i, m_ref in enumerate(models) for m in models[i + 1 :])
+    runs = np.arange(len(models) - 1, 0, -1, dtype=np.intp)
+    starts = np.cumsum(runs) - runs
+    starts.flags.writeable = False
+    return PairOrder(models, pairs, {p: i for i, p in enumerate(pairs)}, starts)
+
+
+class PairValues(Mapping):
+    """A read-only float per pair, held as one array in the order of ``pairs``.
+
+    A ``Mapping`` from ``(m, m_ref)`` to a float: indexing by a pair,
+    iteration in ``pairs`` order, ``items()``, ``values()`` and ``==``
+    against a plain dict all work, and ``dict()`` of one is a mutable
+    copy.  ``array`` is the values as a read-only float array and
+    ``index`` maps each pair to its entry; both ``pairs`` and ``index``
+    are shared with the ``PairOrder`` when the pairs are canonical.
+    ``pair_values`` builds one in that order whenever it can.
+    """
+
+    __slots__ = ("pairs", "array", "index")
+
+    def __init__(self, pairs: tuple, values, index: dict):
+        array = np.array(values, dtype=float)
+        if array.shape != (len(pairs),):
+            raise DimensionMismatch("need one value per pair")
+        array.flags.writeable = False
+        self.pairs, self.array, self.index = pairs, array, index
+
+    def __getitem__(self, pair) -> float:
+        return self.array.item(self.index[pair])
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"PairValues({dict(self.items())!r})"
+
+
+def pair_values(pairs, values) -> PairValues:
+    """``values[i]`` for ``pairs[i]`` as a read-only ``PairValues``.
+
+    When the pairs are every pair of the models they name, in any order,
+    the result takes their canonical order and shares its pair tuple and
+    index, so the selector reads its array without a gather; any other
+    pair set keeps the order given.
+    """
+    pairs = tuple(pairs)
+    values = np.asarray(values, dtype=float)
+    order = pair_order(tuple(sorted({m for pair in pairs for m in pair})))
+    if pairs == order.pairs:
+        return PairValues(order.pairs, values, order.index)
+    position = {pair: i for i, pair in enumerate(pairs)}
+    if len(position) == len(pairs) and position.keys() == order.index.keys():
+        return PairValues(order.pairs, values[[position[p] for p in order.pairs]], order.index)
+    return PairValues(pairs, values, position)
+
+
 @dataclass
 class ModelFamily:
     """Estimator family over an ordered model set, in reduced coordinates.
@@ -188,9 +271,9 @@ class ModelFamily:
     basis makes ``A^T A`` diagonal, else ``None``; with it,
     ``|(K_m - K_ref) y|^2`` is ``sum g_j xi_j^2`` over the window
     ``(m_ref, m]`` (see ``pair_squares``).  The model positions, the
-    canonical pair list, its grouping by reference and its windows are built
-    once, on construction, so the kernels and any worker threads only read
-    them.
+    canonical pair list (shared through ``pair_order``), its grouping by
+    reference and its windows are built once, on construction, so the
+    kernels and any worker threads only read them.
     """
 
     design: DesignMatrix
@@ -203,15 +286,13 @@ class ModelFamily:
     rank_deficient: tuple[int, ...] = ()
     increments: np.ndarray | None = None
     _positions: dict[int, int] = field(init=False, repr=False, compare=False)
-    _pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _groups: list = field(init=False, repr=False, compare=False)
     _lengths: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._positions = {m: i for i, m in enumerate(self.models)}
-        self._pairs = [
-            (m, m_ref) for i, m_ref in enumerate(self.models) for m in self.models[i + 1 :]
-        ]
+        self._pairs = pair_order(tuple(self.models)).pairs
         self._groups = self._group(self._pairs)
         self._lengths = self._by_length(self._pairs)
 
@@ -298,11 +379,15 @@ class ModelFamily:
         reference 0, the empty model whose estimate is zero; ``positions``
         holds the larger models' positions and ``columns`` the pairs'
         indices in ``pairs``, each a slice when it is a contiguous run (as
-        in the canonical order), so indexing by it takes no copy.  For a
-        list equal to ``pairs()`` it returns the grouping built on
+        in the canonical order), so indexing by it takes no copy.  For any
+        sequence equal to ``pairs()`` it returns the grouping built on
         construction.
         """
-        return self._groups if pairs == self._pairs else self._group(pairs)
+        return self._groups if self._canonical(pairs) else self._group(pairs)
+
+    def _canonical(self, pairs) -> bool:
+        """Whether ``pairs`` is the canonical pair list, as any sequence."""
+        return pairs is self._pairs or tuple(pairs) == self._pairs
 
     def _group(self, pairs) -> list:
         groups: dict[int, tuple[list[int], list[int]]] = {}
@@ -337,7 +422,7 @@ class ModelFamily:
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
         if out is None:
             out = np.empty((len(pairs), steps.shape[1]))
-        lengths = self._lengths if pairs == self._pairs else self._by_length(pairs)
+        lengths = self._lengths if self._canonical(pairs) else self._by_length(pairs)
         k = len(steps)
         buf = np.empty((2,) + steps.shape)
         sums = steps

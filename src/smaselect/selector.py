@@ -11,7 +11,9 @@ families.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import (
     NotProjectionFamily,
     RequiresKnownTruth,
 )
-from .family import ModelFamily, _pinv_gram
+from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, pair_order, pair_values
 from .moments import (
     NoiseSpec,
     pair_bias,
@@ -40,18 +42,19 @@ from .moments import (
 )
 
 
-def test_statistics(family: ModelFamily, y) -> dict[tuple[int, int], float]:
-    """Difference-statistic magnitudes for every ordered pair."""
-    pairs = family.pairs()
-    norms = pair_norms(family, family.reduce(family.vector(y))[None], pairs)[0]
-    return dict(zip(pairs, norms.tolist()))
+def test_statistics(family: ModelFamily, y) -> PairValues:
+    """Difference-statistic magnitudes for every ordered pair, read-only, in
+    the family's canonical pair order."""
+    order = pair_order(family.models)
+    norms = pair_norms(family, family.reduce(family.vector(y))[None], order.pairs)[0]
+    return PairValues(order.pairs, norms, order.index)
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     m_hat: int
     accepted: dict[int, bool]
-    statistics: dict[tuple[int, int], float]
+    statistics: PairValues
     table_mode: str
 
     def to_dict(self) -> dict:
@@ -64,53 +67,68 @@ class SelectionResult:
 
 
 def sma_select(
-    statistics: dict[tuple[int, int], float],
+    statistics: Mapping[tuple[int, int], float],
     table: CalibrationTable,
     models=None,
 ) -> SelectionResult:
     """Smallest reference accepted against all larger models.
 
-    The largest model has nothing to be tested against and is accepted
-    vacuously, so a selection always exists.  ``models`` may be passed
-    explicitly for degenerate families whose statistics are empty.
+    Reference ``m_ref`` is accepted when ``statistics[(m, m_ref)] <=
+    table.critical[(m, m_ref)]`` for every larger model ``m``: one
+    comparison over the canonical pairs of ``models`` and one reduction per
+    reference.  The largest model has nothing to be tested against and is
+    accepted vacuously, so a selection always exists.  ``models`` may be
+    passed explicitly for degenerate families whose statistics are empty;
+    by default it is every model the statistics name.  Every statistic
+    must be finite, and every pair of ``models`` needs a statistic and a
+    critical value.
     """
     if models is None:
-        models = sorted({m for pair in statistics for m in pair})
-    else:
-        models = sorted({int(m) for m in models})
-    if not models:
+        models = {m for pair in statistics for m in pair}
+    order = pair_order(tuple(sorted({int(m) for m in models})))
+    if not order.models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
-    if not all(map(math.isfinite, statistics.values())):
+    if not isinstance(statistics, PairValues):
+        statistics = pair_values(statistics.keys(), list(statistics.values()))
+    if not np.isfinite(statistics.array).all():
         raise NonFiniteInput("test statistics contain NaN or infinite values")
-    critical = table.critical
-    accepted: dict[int, bool] = {}
     try:
-        for i, m_ref in enumerate(models):
-            accepted[m_ref] = all(
-                statistics[(m, m_ref)] <= critical[(m, m_ref)] for m in models[i + 1 :]
-            )
-    except KeyError as exc:
-        pair = exc.args[0]
+        ok = _aligned(statistics, order) <= _aligned(table.critical, order)
+    except KeyError:
+        pair = next(p for p in order.pairs if p not in statistics or p not in table.critical)
         what = "statistic" if pair not in statistics else "critical value"
         raise MissingPair(f"no {what} for pair {pair}") from None
-    m_hat = min(m for m, ok in accepted.items() if ok)
+    accepted = np.ones(len(order.models), dtype=bool)
+    if ok.size:
+        accepted[:-1] = np.logical_and.reduceat(ok, order.starts)
     return SelectionResult(
-        m_hat=m_hat,
-        accepted=accepted,
-        statistics=dict(statistics),
+        m_hat=order.models[int(np.argmax(accepted))],
+        accepted=dict(zip(order.models, accepted.tolist())),
+        statistics=statistics,
         table_mode=table.mode,
     )
 
 
+def _aligned(values: PairValues, order: PairOrder) -> np.ndarray:
+    """``values`` at the pairs of ``order``: its own array when it holds
+    exactly those pairs, else one gather (``KeyError`` when one is missing)."""
+    pairs = order.pairs
+    if values.pairs is pairs or values.pairs == pairs:
+        return values.array
+    if len(pairs) < 2:  # itemgetter returns a bare item for one key
+        return values.array[[values.index[p] for p in pairs]]
+    return values.array[list(itemgetter(*pairs)(values.index))]
+
+
 def table_from_thresholds(
-    critical: dict[tuple[int, int], float], mode: str = "fixed"
+    critical: Mapping[tuple[int, int], float], mode: str = "fixed"
 ) -> CalibrationTable:
     """Wrap externally fixed thresholds so they can drive the selector."""
     return CalibrationTable(
         x_level=float("nan"),
         alpha_plus=0.0,
         corrections={},
-        critical=dict(critical),
+        critical=critical,
         pair_dims={pair: 0.0 for pair in critical},
         mode=mode,
     )

@@ -4,8 +4,9 @@ The library holds every estimator in reduced coordinates and every
 diagnostic in low-rank form, and reads multiplicity corrections and
 multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
-diagnostics, the oracle index as a direct loop over its definition, and
-single-purpose views of that path, without the library carrying them.
+diagnostics, the oracle index as a direct loop over its definition, the
+smallest-accepted rule as a loop over references, and single-purpose views
+of that path, without the library carrying them.
 """
 
 import math
@@ -13,10 +14,16 @@ import warnings
 
 import numpy as np
 
-from smaselect import NotOrderedPair, ValidityDiagnostics, calibrate
+from smaselect import NotOrderedPair, SelectionResult, ValidityDiagnostics, calibrate
 from smaselect.bootstrap import pilot_basis, residual_scale
 from smaselect.calibration import _tail_rank, calibration_table, pair_norms
-from smaselect.errors import DimensionMismatch, RequiresKnownTruth, SingularGram
+from smaselect.errors import (
+    DimensionMismatch,
+    MissingPair,
+    NonFiniteInput,
+    RequiresKnownTruth,
+    SingularGram,
+)
 from smaselect.moments import pair_traces
 
 
@@ -148,6 +155,39 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
         if ok:
             return m_ref
     raise AssertionError("no oracle index found")
+
+
+def sma_select_loop(statistics, table, models=None) -> SelectionResult:
+    """``sma_select`` as a loop over references and dict lookups: each
+    reference is accepted when every larger model's statistic is at most
+    its critical value.  Every comparison is looked up, so any pair of the
+    models missing from either mapping raises ``MissingPair`` (the first in
+    canonical order), whatever the data."""
+    if models is None:
+        models = sorted({m for pair in statistics for m in pair})
+    else:
+        models = sorted({int(m) for m in models})
+    if not models:
+        raise DimensionMismatch("cannot infer the model set from empty statistics")
+    if not all(map(math.isfinite, statistics.values())):
+        raise NonFiniteInput("test statistics contain NaN or infinite values")
+    critical = table.critical
+    accepted: dict[int, bool] = {}
+    try:
+        for i, m_ref in enumerate(models):
+            accepted[m_ref] = all(
+                [statistics[(m, m_ref)] <= critical[(m, m_ref)] for m in models[i + 1 :]]
+            )
+    except KeyError as exc:
+        pair = exc.args[0]
+        what = "statistic" if pair not in statistics else "critical value"
+        raise MissingPair(f"no {what} for pair {pair}") from None
+    return SelectionResult(
+        m_hat=min(m for m, ok in accepted.items() if ok),
+        accepted=accepted,
+        statistics=dict(statistics),
+        table_mode=table.mode,
+    )
 
 
 def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> ValidityDiagnostics:

@@ -278,6 +278,31 @@ def test_draw_matrix_rejects_non_finite(bad):
         JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.nan, NonFiniteInput),
+        (np.inf, NonFiniteInput),
+        (-np.inf, NonFiniteInput),
+        (-1e-300, DimensionMismatch),
+    ],
+    ids=["nan", "inf", "-inf", "negative"],
+)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_draw_matrix_rejects_each_bad_value(bad, error, layout):
+    # Column-major ("F") is how the sampler builds the matrix.
+    values = np.ones((3, 2), order=layout)
+    values[2, 1] = bad
+    with pytest.raises(error):
+        JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
+
+
+def test_draw_matrix_accepts_zeros_of_either_sign():
+    values = np.array([[0.0, -0.0], [1.0, 2.0]])
+    draws = JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=2)
+    assert draws.draws is values
+
+
 def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
     """Reference oracle: the full sort and dense strict ranks the partial
     selection replaced, driving the same exact max-T correction.

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -337,7 +338,8 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         # Lower one saved threshold below its order statistic: the self-test
         # must read the saved value, not rebuild it from the draws.
         allowance = saved.alpha_plus * saved.pair_dims[(2, 1)] ** 0.5
-        saved.critical[(2, 1)] = float(np.median(draws.column(2, 1))) + allowance
+        lowered = float(np.median(draws.column(2, 1))) + allowance
+        saved = dataclasses.replace(saved, critical={**saved.critical, (2, 1): lowered})
         failures = propagation_failures(draws, saved)
         assert failures and flagged in failures[0]
 

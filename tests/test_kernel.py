@@ -19,12 +19,14 @@ import pytest
 
 from smaselect import (
     DesignMatrix,
+    ModelFamily,
     NonFiniteInput,
     WeightingScheme,
     build_projection_family,
     calibrate,
     sample_joint_draws,
 )
+from smaselect import test_statistics as pairwise_statistics
 from smaselect.calibration import JointDrawMatrix
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.rng import block_bounds, stream
@@ -79,6 +81,33 @@ def _pair_lists(family, rng):
         "singles": singles,
         "mixed_shuffled": [mixed[i] for i in rng.permutation(len(mixed))],
     }
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_canonical_pairs_in_any_sequence_skip_regrouping(name, monkeypatch):
+    # A tuple (or list) equal to the canonical pairs reads the grouping and
+    # the windows built on construction; only another order regroups.
+    family = FAMILIES[name]()
+    calls = []
+    for method in ("_group", "_by_length"):
+        real = getattr(ModelFamily, method)
+
+        def spy(self, pairs, real=real, method=method):
+            calls.append(method)
+            return real(self, pairs)
+
+        monkeypatch.setattr(ModelFamily, method, spy)
+    canonical = tuple(family.pairs())
+    xi = family.reduce(np.ones((2, family.n)))
+    family.pair_groups(canonical)
+    family.pair_windows(np.ones((family.largest, 2)), canonical)
+    family.pair_squares(xi, canonical)
+    family.pair_squares(xi, list(canonical))
+    pairwise_statistics(family, np.ones(family.n))
+    assert calls == []
+    family.pair_groups(canonical[::-1])
+    family.pair_windows(np.ones((family.largest, 2)), canonical[::-1])
+    assert calls == ["_group", "_by_length"]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

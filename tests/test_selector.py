@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smaselect import (
+    CalibrationTable,
     DesignMatrix,
+    DimensionMismatch,
     MissingPair,
     NoiseSpec,
     NonFiniteInput,
@@ -16,6 +18,7 @@ from smaselect import (
     WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
+    calibrate,
     critical_values,
     oracle,
     payment_for_adaptation,
@@ -23,10 +26,12 @@ from smaselect import (
     sma_select,
 )
 from smaselect import test_statistics as pairwise_statistics
+from smaselect.calibration import _quantile_at, pair_norms
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
+from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
 from smaselect.selector import payment_theory_cap, table_from_thresholds
-from reference import oracle_index
+from reference import oracle_index, sma_select_loop
 
 
 def test_statistics_toy_zero_coordinates(toy_family):
@@ -115,6 +120,114 @@ def test_sma_result_json(toy_family):
     assert d["m_hat"] == 1
     assert d["accepted"] == {"1": True, "2": True, "3": True}
     assert set(d["stats"]) == {"2:1", "3:1", "3:2"}
+
+
+def _selection(select, statistics, table, models):
+    """What a selector returns, or the error it raises, as comparable values."""
+    try:
+        result = select(statistics, table, models)
+    except (DimensionMismatch, MissingPair, NonFiniteInput) as exc:
+        return type(exc), str(exc)
+    return result.m_hat, result.accepted, result.to_dict()
+
+
+# Few distinct values, so statistics often equal their thresholds exactly.
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+def _as_form(draw, values: dict, form: str):
+    """``values`` as a dict in shuffled key order or as a ``PairValues``
+    built from shuffled pairs (canonical again when none is missing)."""
+    pairs = draw(st.permutations(list(values)))
+    if form == "dict":
+        return {pair: values[pair] for pair in pairs}
+    return pair_values(pairs, [values[pair] for pair in pairs])
+
+
+@st.composite
+def selection_inputs(draw):
+    models = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True)))
+    pairs = pair_order(tuple(models)).pairs
+    critical = {pair: draw(st.one_of(LEVELS, st.floats(0.0, 3.0))) for pair in pairs}
+    stats = {
+        pair: draw(st.one_of(st.just(critical[pair]), LEVELS, st.floats(0.0, 4.0)))
+        for pair in pairs
+    }
+    faults = ["nan", "inf", "no statistic", "no threshold"]
+    fault = draw(st.sampled_from([None] * len(faults) + faults))
+    if fault and pairs:
+        pair = draw(st.sampled_from(pairs))
+        if fault in ("nan", "inf"):
+            stats[pair] = float(fault)
+        else:
+            del (stats if fault == "no statistic" else critical)[pair]
+    choice = draw(st.sampled_from(["inferred", "explicit", "subset"]))
+    if choice == "inferred":
+        chosen = None
+    elif choice == "explicit":
+        chosen = list(models)
+    else:
+        chosen = draw(st.lists(st.sampled_from(models), min_size=1, unique=True))
+    statistics = _as_form(draw, stats, draw(st.sampled_from(["dict", "array"])))
+    table = table_from_thresholds(_as_form(draw, critical, draw(st.sampled_from(["dict", "array"]))))
+    return statistics, table, chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=selection_inputs())
+def test_sma_select_matches_the_loop_selector(inputs):
+    """The array selector against the loop over references: same index,
+    acceptance and record, or the same error, on model lists with gaps,
+    exact ties, shuffled dicts, array-backed inputs, explicit, inferred and
+    partial model lists, and non-finite or missing entries."""
+    statistics, table, models = inputs
+    assert _selection(sma_select, statistics, table, models) == _selection(
+        sma_select_loop, statistics, table, models
+    )
+
+
+def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):
+    family = toy_extended_family
+    y = np.random.default_rng(7).standard_normal(family.n)
+    pairs = family.pairs()
+    stats = pairwise_statistics(family, y)
+    # The dict the selector's statistics used to be.
+    old = dict(zip(pairs, pair_norms(family, family.reduce(y)[None], pairs)[0].tolist()))
+    assert stats == old and old == stats
+    assert list(stats) == pairs
+    assert list(stats.items()) == list(old.items())
+    assert list(stats.values()) == list(old.values())
+    assert all(type(stats[pair]) is float for pair in pairs)
+    with pytest.raises(TypeError):
+        stats[pairs[0]] = 0.0
+    with pytest.raises(ValueError):
+        stats.array[0] = 0.0
+    copy = dict(stats)
+    copy[pairs[0]] = -1.0
+    assert stats[pairs[0]] == old[pairs[0]]
+    result = sma_select(stats, table_from_thresholds(dict.fromkeys(pairs, 1.0)))
+    assert result.statistics is stats
+
+
+def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
+    family = toy_extended_family
+    draws, table = calibrate(family, np.full(family.n, 0.8), 2000, 5, 2.0, 1.0)
+    # The dict the table used to hold: each pair's tail value at its
+    # reference's corrected level, plus the bias allowance.
+    old = {
+        pair: _quantile_at(draws.column(*pair), table.x_level + table.corrections[pair[1]])[0]
+        + table.alpha_plus * math.sqrt(table.pair_dims[pair])
+        for pair in draws.pair_index
+    }
+    fixed = table_from_thresholds(old)
+    loaded = CalibrationTable.from_dict(table.to_dict())
+    for critical in (table.critical, fixed.critical, loaded.critical):
+        assert critical == old and old == critical
+        assert list(critical) == family.pairs()
+        with pytest.raises(TypeError):
+            critical[(2, 1)] = 0.0
+    assert fixed.critical.array is not table.critical.array
+    assert loaded.to_dict() == table.to_dict()
 
 
 @settings(max_examples=30, deadline=None)

@@ -33,7 +33,7 @@ from .errors import (
     NotOrderedPair,
     TailTooDeepWarning,
 )
-from .family import ModelFamily, PairValues, _as_slice, pair_values
+from .family import ModelFamily, PairOrder, PairValues, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, pair_traces, single_traces
 from .rng import block_bounds, stream
 
@@ -50,23 +50,26 @@ class JointDrawMatrix:
 
     Column ``pair_index[(m, m_ref)]`` holds the magnitude of the difference
     statistic for that pair; all columns of a row come from the same
-    realization, preserving the joint law.  ``by_reference[m_ref]`` holds
-    the reference's pairs in ``pair_index`` (column) order and their column
-    indices (a slice when contiguous); the sampler passes the family's
-    grouping, and any other caller gets it built once, on construction.
-    Nothing is sorted: order statistics and strict ranks are selected on
-    demand.
+    realization, preserving the joint law.  ``pair_index`` must map
+    ordered pairs one-to-one onto the columns ``0..k-1``, and ``order`` is
+    those pairs' ``PairOrder`` in column order: the one pair layout, shared
+    with the family when the columns hold its canonical pairs, which groups
+    the columns by reference for the table builder.  Nothing is sorted:
+    order statistics and strict ranks are selected on demand.
     """
 
     draws: np.ndarray
     pair_index: dict[tuple[int, int], int]
     seed: int
     n_sim: int
-    by_reference: dict | None = field(default=None, repr=False)
+    order: PairOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.draws.shape != (self.n_sim, len(self.pair_index)):
-            raise DimensionMismatch("draw matrix shape does not match pair index")
+        k = len(self.pair_index)
+        if self.draws.shape != (self.n_sim, k) or set(self.pair_index.values()) != set(range(k)):
+            raise DimensionMismatch("pair_index must map pairs one-to-one onto the draw columns")
+        pairs = sorted(self.pair_index, key=self.pair_index.__getitem__)
+        self.order = pair_order(sorted({m for pair in pairs for m in pair} - {0}), pairs)
         # One pass over the draws: read as unsigned integers, every
         # nonnegative finite double lies below the bits of +inf, and +inf,
         # NaN and every value with the sign bit set lie at or above them.
@@ -78,14 +81,14 @@ class JointDrawMatrix:
                 raise NonFiniteInput("draw matrix contains NaN or infinite values")
             if (draws < 0).any():
                 raise DimensionMismatch("draws must be nonnegative magnitudes")
-        if self.by_reference is not None:
-            return
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for pair in self.pair_index:
-            groups.setdefault(pair[1], []).append(pair)
-        self.by_reference = {
-            m_ref: (pairs, _as_slice([self.pair_index[p] for p in pairs]))
-            for m_ref, pairs in groups.items()
+
+    @property
+    def by_reference(self) -> dict:
+        """``m_ref -> (pairs, columns)`` per reference of ``order``, in column order."""
+        columns = np.arange(len(self.order.pairs))
+        return {
+            m_ref: ([self.order.pairs[c] for c in columns[cols]], cols)
+            for m_ref, _, _, cols in self.order.groups
         }
 
     def column(self, m: int, m_ref: int) -> np.ndarray:
@@ -96,10 +99,10 @@ class JointDrawMatrix:
 
     def references(self) -> list[int]:
         """Reference models that have at least one comparison column."""
-        return list(self.by_reference)
+        return [m_ref for m_ref, *_ in self.order.groups]
 
     def comparisons(self, m_ref: int) -> list[tuple[int, int]]:
-        return list(self.by_reference.get(m_ref, ([], None))[0])
+        return self.by_reference.get(m_ref, ([], None))[0]
 
     def upper_tail(self, k: int, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Ascending order statistics of ranks ``k..n_sim`` of columns ``cols``,
@@ -164,17 +167,17 @@ def _sample_scaled_norms(
     if n_sim < 1:
         raise DimensionMismatch("n_sim must be >= 1")
     scale = family.vector(scale, "noise scale")
-    pairs = list(pairs) if pairs is not None else family.pairs()
+    order = pair_order(family.models, pairs)
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns, and
     # one in-place square root turns them into magnitudes.
-    columns = np.empty((len(pairs), n_sim))
+    columns = np.empty((len(order.pairs), n_sim))
 
     def fill(block):
         b, start, stop = block
         z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
         xi = family.reduce(np.multiply(z, scale, out=z))
-        family.pair_squares(xi, pairs, out=columns[:, start:stop])
+        family.pair_squares(xi, order.pairs, out=columns[:, start:stop])
 
     blocks = block_bounds(n_sim)
     if n_workers > 1 and len(blocks) > 1:
@@ -184,19 +187,7 @@ def _sample_scaled_norms(
         for block in blocks:
             fill(block)
     np.sqrt(columns, out=columns)
-    return JointDrawMatrix(
-        draws=columns.T,
-        pair_index={p: i for i, p in enumerate(pairs)},
-        seed=seed,
-        n_sim=n_sim,
-        by_reference={
-            0 if ref is None else family.models[ref]: (
-                pairs[cols] if isinstance(cols, slice) else [pairs[c] for c in cols],
-                cols,
-            )
-            for ref, _, cols in family.pair_groups(pairs)
-        },
-    )
+    return JointDrawMatrix(columns.T, dict(order.index), seed, n_sim)
 
 
 def sample_joint_draws(
@@ -486,12 +477,12 @@ def calibration_table(
     _check_level(alpha_plus, "alpha_plus")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
-    corrections = dict.fromkeys(draws.by_reference, 0.0)
+    corrections = dict.fromkeys(draws.references(), 0.0)
     ref_clipped: dict[int, bool] = {}
     z = np.empty(len(draws.pair_index))
     if power:
         columns = np.ascontiguousarray(draws.draws.T)
-        for m_ref, (_, cols) in draws.by_reference.items():
+        for m_ref, _, _, cols in draws.order.groups:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
             k, ref_clipped[m_ref] = _tail_rank(levels.x[m_ref], n)
@@ -500,16 +491,15 @@ def calibration_table(
         # One partial selection at the rank of x: no corrected rank is lower.
         k_x = _tail_rank(levels, n)[0]
         tail, ranks = draws.upper_tail(k_x)
-        for m_ref, (_, cols) in draws.by_reference.items():
+        for m_ref, _, _, cols in draws.order.groups:
             q = _shift_to_rank(levels, _max_t_rank(ranks[cols], k_x, levels), n)
             k, ref_clipped[m_ref] = _tail_rank(levels + q, n)
             z[cols] = tail[cols, k - k_x]
             corrections[m_ref] = q
 
-    pairs = sorted(draws.pair_index, key=draws.pair_index.__getitem__)
-    cols = [draws.pair_index[pair] for pair in pairs]
+    pairs = draws.order.pairs
     dims = np.array([pair_dims[pair] for pair in pairs])
-    critical = pair_values(pairs, z[cols] + alpha_plus * np.sqrt(dims))
+    critical = pair_values(pairs, z + alpha_plus * np.sqrt(dims))
     clipped = [pair for pair in pairs if ref_clipped[pair[1]]]
     if clipped:
         warnings.warn(
@@ -587,7 +577,7 @@ def calibrate(
     else:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
     draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
-    pair_dims = pair_traces(family, variances, list(draws.pair_index))
+    pair_dims = pair_traces(family, variances, draws.order.pairs)
     return draws, calibration_table(draws, pair_dims, alpha_plus, levels)
 
 

@@ -46,7 +46,7 @@ class ConfigInvalid(SmaError):
 
 
 class NonFiniteInput(SmaError):
-    """Draws or residuals contain NaN or infinity."""
+    """An input (design, variances, data, draws, residuals) contains NaN or infinity."""
 
 
 class SingularGramWarning(UserWarning):

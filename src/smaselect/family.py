@@ -32,13 +32,18 @@ stores ``g`` as ``increments`` and the pair kernel uses it, building the
 windows by length into two ``M``-row buffers and scattering each length to
 its pairs' rows; otherwise (or for a rank-deficient leading block) it uses
 ``D_m``.
+
+Every pair list over a model tuple has one layout, ``pair_order``, which
+the kernel, the moments, the draw matrix, the table builder and the
+selector all read.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +79,7 @@ class DesignMatrix:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch("design must be a p x n matrix with p, n >= 1")
         if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch("design contains NaN/Inf entries")
+            raise NonFiniteInput("design contains NaN or infinite entries")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -181,30 +186,101 @@ def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True, eq=False)
 class PairOrder:
-    """The canonical order of the pairs ``(m, m_ref)``, ``m > m_ref``, of a
-    model tuple: by reference, then by larger model.
+    """The layout of pairs ``(m, m_ref)``, ``m > m_ref``, over a model tuple.
 
-    ``index`` maps each pair to its column and ``starts`` holds the first
-    column of each reference but the largest, whose runs are contiguous.
-    Orders are shared (see ``pair_order``), so nothing here is written.
+    ``positions`` maps each model to its position, ``index`` each pair to
+    its column.  ``groups`` holds ``(m_ref, ref, positions, columns)`` per
+    reference, in first-seen order: ``ref`` is the reference's position,
+    or ``None`` for reference 0, the empty model; the larger models'
+    positions and the pairs' columns are slices when contiguous (as in the
+    canonical order), so indexing by them takes no copy.  Pair ``i``
+    covers model steps ``first[i]..last[i]`` (step ``j`` is coordinates
+    ``[models[j - 1], models[j])``, from 0 for ``j = 0``); ``windows[d]``
+    holds the first step of each window of ``d + 1`` steps and those
+    pairs' columns.  ``starts`` holds each group's first column, for
+    ``np.logical_and.reduceat`` over contiguous groups.  Orders are shared
+    (see ``pair_order``), so nothing here is written.
     """
 
     models: tuple[int, ...]
+    positions: dict[int, int]
     pairs: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int]
+    groups: tuple
+    first: np.ndarray
+    last: np.ndarray
+    windows: tuple
     starts: np.ndarray
 
 
+def pair_order(models, pairs=None) -> PairOrder:
+    """The ``PairOrder`` of ``pairs`` over a strictly increasing model tuple.
+
+    The canonical order -- by reference, then by larger model -- is built
+    once per model tuple and returned for ``pairs=None`` and for any
+    sequence equal to its pair tuple, so every family, statistic and table
+    on the same models shares one layout.  Any other order is built on
+    each call; ``(m, 0)`` is model ``m`` alone, and a pair that is not
+    ``m > m_ref`` over ``models`` raises ``NotOrderedPair``.
+    """
+    canonical = _all_pairs(tuple(models))
+    if pairs is None or pairs is canonical.pairs:
+        return canonical
+    pairs = tuple(pairs)
+    return canonical if pairs == canonical.pairs else _layout(canonical.models, pairs)
+
+
 @lru_cache(maxsize=16)
-def pair_order(models: tuple[int, ...]) -> PairOrder:
-    """The canonical ``PairOrder`` of a strictly increasing model tuple,
-    built once per tuple, so every family, statistic and table on the same
-    models shares one pair tuple and one index."""
-    pairs = tuple((m, m_ref) for i, m_ref in enumerate(models) for m in models[i + 1 :])
-    runs = np.arange(len(models) - 1, 0, -1, dtype=np.intp)
-    starts = np.cumsum(runs) - runs
-    starts.flags.writeable = False
-    return PairOrder(models, pairs, {p: i for i, p in enumerate(pairs)}, starts)
+def _all_pairs(models: tuple[int, ...]) -> PairOrder:
+    return _layout(models, tuple((m, r) for i, r in enumerate(models) for m in models[i + 1 :]))
+
+
+def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
+    positions = {m: i for i, m in enumerate(models)}
+    groups: dict[int, tuple[int | None, list[int], list[int]]] = {}
+    first, last = [], []
+    for col, (m, m_ref) in enumerate(pairs):
+        ref = positions.get(m_ref)
+        if m <= m_ref or m not in positions or ref is None and m_ref != 0:
+            raise NotOrderedPair(f"need models m > m_ref (or m_ref = 0), got ({m}, {m_ref})")
+        _, rows, cols = groups.setdefault(m_ref, (ref, [], []))
+        rows.append(positions[m])
+        cols.append(col)
+        first.append(0 if ref is None else ref + 1)
+        last.append(positions[m])
+    windows = [([], []) for _ in range(max(map(operator.sub, last, first), default=-1) + 1)]
+    for col, (lo, hi) in enumerate(zip(first, last)):
+        windows[hi - lo][0].append(lo)
+        windows[hi - lo][1].append(col)
+    return PairOrder(
+        models=models,
+        positions=positions,
+        pairs=pairs,
+        index={p: i for i, p in enumerate(pairs)},
+        groups=tuple(
+            (m_ref, ref, _as_slice(rows), _as_slice(cols))
+            for m_ref, (ref, rows, cols) in groups.items()
+        ),
+        first=_frozen(first),
+        last=_frozen(last),
+        windows=tuple((_as_slice(f), _as_slice(rows)) for f, rows in windows),
+        starts=_frozen([cols[0] for _, _, cols in groups.values()]),
+    )
+
+
+def _frozen(values: list[int]) -> np.ndarray:
+    """``values`` as a read-only index array."""
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
+
+
+def _as_slice(index: list[int]) -> slice | np.ndarray:
+    """``index`` as a slice if it is an ascending run (or empty), else a read-only array."""
+    start = index[0] if index else 0
+    if index == list(range(start, start + len(index))):
+        return slice(start, start + len(index))
+    return _frozen(index)
 
 
 class PairValues(Mapping):
@@ -270,10 +346,8 @@ class ModelFamily:
     ``increments`` is ``g = diag(A^T A)`` (length ``M``) when the nested
     basis makes ``A^T A`` diagonal, else ``None``; with it,
     ``|(K_m - K_ref) y|^2`` is ``sum g_j xi_j^2`` over the window
-    ``(m_ref, m]`` (see ``pair_squares``).  The model positions, the
-    canonical pair list (shared through ``pair_order``), its grouping by
-    reference and its windows are built once, on construction, so the
-    kernels and any worker threads only read them.
+    ``(m_ref, m]`` (see ``pair_squares``).  The kernels take any pair
+    list and read its layout from ``pair_order``.
     """
 
     design: DesignMatrix
@@ -285,16 +359,6 @@ class ModelFamily:
     reduced: np.ndarray
     rank_deficient: tuple[int, ...] = ()
     increments: np.ndarray | None = None
-    _positions: dict[int, int] = field(init=False, repr=False, compare=False)
-    _pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _groups: list = field(init=False, repr=False, compare=False)
-    _lengths: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._positions = {m: i for i, m in enumerate(self.models)}
-        self._pairs = pair_order(tuple(self.models)).pairs
-        self._groups = self._group(self._pairs)
-        self._lengths = self._by_length(self._pairs)
 
     @property
     def q(self) -> int:
@@ -315,7 +379,7 @@ class ModelFamily:
     def position(self, m: int) -> int:
         """Index of model ``m`` in ``models``."""
         try:
-            return self._positions[m]
+            return pair_order(self.models).positions[m]
         except KeyError:
             raise NotOrderedPair(f"model {m} not in family") from None
 
@@ -358,49 +422,20 @@ class ModelFamily:
         ``D_m xi`` and one vectorised subtraction per reference, into a
         buffer reused across references.
         """
+        order = pair_order(self.models, pairs)
         if out is None:
-            out = np.empty((len(pairs), xi.shape[0]))
+            out = np.empty((len(order.pairs), xi.shape[0]))
         if self.increments is not None:
-            return self.pair_windows((xi * xi * self.increments).T, pairs, out)
+            return self._window_sums((xi * xi * self.increments).T, order, out)
         flat = self.reduced.reshape(-1, self.reduced.shape[-1])
         estimates = (flat @ xi.T).reshape(len(self.models), -1, xi.shape[0])
         buf = np.empty_like(estimates)
-        for ref, positions, cols in self.pair_groups(pairs):
+        for _, ref, positions, cols in order.groups:
             diff = estimates[positions]
             if ref is not None:
                 diff = np.subtract(diff, estimates[ref], out=buf[: len(diff)])
             out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
         return out
-
-    def pair_groups(self, pairs):
-        """Split ``pairs`` by reference: ``(ref, positions, columns)`` per reference.
-
-        ``ref`` is the reference's position in ``models``, or ``None`` for
-        reference 0, the empty model whose estimate is zero; ``positions``
-        holds the larger models' positions and ``columns`` the pairs'
-        indices in ``pairs``, each a slice when it is a contiguous run (as
-        in the canonical order), so indexing by it takes no copy.  For any
-        sequence equal to ``pairs()`` it returns the grouping built on
-        construction.
-        """
-        return self._groups if self._canonical(pairs) else self._group(pairs)
-
-    def _canonical(self, pairs) -> bool:
-        """Whether ``pairs`` is the canonical pair list, as any sequence."""
-        return pairs is self._pairs or tuple(pairs) == self._pairs
-
-    def _group(self, pairs) -> list:
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for col, (m, m_ref) in enumerate(pairs):
-            if m <= m_ref:
-                raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-            rows, cols = groups.setdefault(m_ref, ([], []))
-            rows.append(self.position(m))
-            cols.append(col)
-        return [
-            (None if m_ref == 0 else self.position(m_ref), _as_slice(rows), _as_slice(cols))
-            for m_ref, (rows, cols) in groups.items()
-        ]
 
     def pair_windows(
         self, weights: np.ndarray, pairs, out: np.ndarray | None = None
@@ -419,42 +454,24 @@ class ModelFamily:
         would take fewer additions but cancels on small windows; a running
         sum of nonnegative terms keeps every window's relative precision.
         """
+        return self._window_sums(weights, pair_order(self.models, pairs), out)
+
+    def _window_sums(self, weights: np.ndarray, order: PairOrder, out) -> np.ndarray:
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
         if out is None:
-            out = np.empty((len(pairs), steps.shape[1]))
-        lengths = self._lengths if self._canonical(pairs) else self._by_length(pairs)
+            out = np.empty((len(order.pairs), steps.shape[1]))
         k = len(steps)
         buf = np.empty((2,) + steps.shape)
         sums = steps
-        for d, (starts, rows) in enumerate(lengths):
+        for d, (starts, rows) in enumerate(order.windows):
             if d:
                 sums = np.add(sums[: k - d], steps[d:], out=buf[d % 2, : k - d])
             out[rows] = sums[starts]
         return out
 
-    def _by_length(self, pairs) -> list:
-        """Pairs grouped by window length: entry ``d`` holds the first model
-        step of each window of ``d + 1`` steps and those pairs' indices."""
-        first = np.array(
-            [0 if m_ref == 0 else self.position(m_ref) + 1 for _, m_ref in pairs], dtype=np.intp
-        )
-        last = np.array([self.position(m) for m, _ in pairs], dtype=np.intp)
-        if np.any(first > last):
-            raise NotOrderedPair("every pair (m, m_ref) needs m > m_ref")
-        length = last - first
-        groups = []
-        for d in range(int(length.max(initial=-1)) + 1):
-            rows = np.flatnonzero(length == d)
-            groups.append(
-                (_as_slice(first[rows].tolist()), _as_slice(rows.tolist()))
-                if rows.size
-                else (slice(0, 0), slice(0, 0))
-            )
-        return groups
-
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""
-        return list(self._pairs)
+        return list(pair_order(self.models).pairs)
 
     def successors(self, m_ref: int) -> list[int]:
         return [m for m in self.models if m > m_ref]
@@ -462,13 +479,6 @@ class ModelFamily:
     def predecessor(self, m: int) -> int | None:
         smaller = [mm for mm in self.models if mm < m]
         return smaller[-1] if smaller else None
-
-
-def _as_slice(index: list[int]) -> slice | np.ndarray:
-    """``index`` as a slice if it is an ascending contiguous run, else an array."""
-    if index == list(range(index[0], index[0] + len(index))):
-        return slice(index[0], index[0] + len(index))
-    return np.array(index)
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

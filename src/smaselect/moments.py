@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOrderedPair
-from .family import ModelFamily, _pinv_gram
+from .errors import DimensionMismatch, NonFiniteInput, NotOrderedPair
+from .family import ModelFamily, PairOrder, _pinv_gram, pair_order
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,10 @@ class NoiseSpec:
         arr = np.asarray(self.variances, dtype=float)
         if arr.ndim != 1:
             raise DimensionMismatch("noise variances must be a vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise DimensionMismatch("noise variances must be finite and > 0")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteInput("noise variances contain NaN or infinite values")
+        if np.any(arr <= 0):
+            raise DimensionMismatch("noise variances must be > 0")
         object.__setattr__(self, "variances", arr)
 
     @classmethod
@@ -73,21 +75,22 @@ def _pair_moments(
     never exceeds the trace; clipping it there absorbs the rounding between
     the trace sum and the eigensolve.
     """
+    order = pair_order(family.models, pairs)
     root = family.noise_root(sigma.variances)
-    tops = (_gram_tops if family.increments is None else _window_tops)(family, root, pairs)
-    traces = pair_traces(family, sigma.variances, pairs)
+    tops = (_gram_tops if family.increments is None else _window_tops)(family, root, order)
+    traces = pair_traces(family, sigma.variances, order.pairs)
     return {
         pair: PairMoments(p_pair=traces[pair], lambda_pair=min(max(float(top), 0.0), traces[pair]))
-        for pair, top in zip(pairs, tops)
+        for pair, top in zip(order.pairs, tops)
     }
 
 
-def _gram_tops(family: ModelFamily, root: np.ndarray, pairs) -> np.ndarray:
+def _gram_tops(family: ModelFamily, root: np.ndarray, order: PairOrder) -> np.ndarray:
     """Top eigenvalue of ``F F^T``, ``F = (D_m - D_ref) R_v^T``, per pair: one
     batched eigensolve per reference, each no larger than ``min(q, M, r)``."""
     factors = family.reduced @ root.T
-    tops = np.empty(len(pairs))
-    for ref, positions, cols in family.pair_groups(pairs):
+    tops = np.empty(len(order.pairs))
+    for _, ref, positions, cols in order.groups:
         diffs = factors[positions] if ref is None else factors[positions] - factors[ref]
         if diffs.shape[1] > diffs.shape[2]:
             diffs = diffs.transpose(0, 2, 1)
@@ -95,22 +98,18 @@ def _gram_tops(family: ModelFamily, root: np.ndarray, pairs) -> np.ndarray:
     return tops
 
 
-def _window_tops(family: ModelFamily, root: np.ndarray, pairs) -> np.ndarray:
+def _window_tops(family: ModelFamily, root: np.ndarray, order: PairOrder) -> np.ndarray:
     """Top eigenvalue per pair on an increments family: the block of
     ``S = diag(sqrt g) R_v^T R_v diag(sqrt g)`` over the pair's coordinate
     window ``[m_ref, m)`` (see the module docstring), one batched eigensolve
-    per window length.  Pairs are located through ``pair_groups``, so they
-    raise the Gram route's errors."""
-    sizes = np.array(family.models)
-    start = np.empty(len(pairs), dtype=np.intp)
-    stop = np.empty(len(pairs), dtype=np.intp)
-    for ref, positions, cols in family.pair_groups(pairs):
-        start[cols] = 0 if ref is None else sizes[ref]
-        stop[cols] = sizes[positions]
+    per window width.  The window runs from the pair's first model step to
+    its last."""
+    bounds = np.array((0, *family.models))
+    start, stop = bounds[order.first], bounds[order.last + 1]
     scaled = root * np.sqrt(family.increments)
     s = scaled.T @ scaled
     width = stop - start
-    tops = np.empty(len(pairs))
+    tops = np.empty(len(order.pairs))
     for w in np.flatnonzero(np.bincount(width)):
         rows = np.flatnonzero(width == w)
         blocks = np.lib.stride_tricks.sliding_window_view(s, (w, w))
@@ -130,7 +129,7 @@ def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoment
 
 def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, int], PairMoments]:
     """Moments of every ordered pair."""
-    return _pair_moments(family, sigma, family.pairs())
+    return _pair_moments(family, sigma, None)
 
 
 def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
@@ -139,7 +138,7 @@ def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, i
     Each is the sum of the pair's squared magnitudes over the rows of the
     noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
-    pairs = list(pairs) if pairs is not None else family.pairs()
+    pairs = pair_order(family.models, pairs).pairs
     traces = family.pair_squares(family.noise_root(variances), pairs).sum(axis=1)
     return dict(zip(pairs, map(float, traces)))
 

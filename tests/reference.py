@@ -5,8 +5,9 @@ diagnostic in low-rank form, and reads multiplicity corrections and
 multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
 diagnostics, the oracle index as a direct loop over its definition, the
-smallest-accepted rule as a loop over references, and single-purpose views
-of that path, without the library carrying them.
+smallest-accepted rule as a loop over references, the pair layout worked
+out pair by pair, and single-purpose views of that path, without the
+library carrying them.
 """
 
 import math
@@ -24,6 +25,7 @@ from smaselect.errors import (
     RequiresKnownTruth,
     SingularGram,
 )
+from smaselect.family import pair_order
 from smaselect.moments import pair_traces
 
 
@@ -70,6 +72,33 @@ def pair_windows(family, weights: np.ndarray, pairs) -> np.ndarray:
     return running[first, last]
 
 
+def pair_layout(models, pairs) -> dict:
+    """The layout ``pair_order`` builds, worked out pair by pair with plain
+    lists: each pair's column and model steps, the references in the order
+    they first appear with their larger models' positions and their
+    columns, and the pairs of each window length."""
+    models = list(models)
+    first = [0 if m_ref == 0 else models.index(m_ref) + 1 for _, m_ref in pairs]
+    last = [models.index(m) for m, _ in pairs]
+    groups = []
+    for m_ref in dict.fromkeys(m_ref for _, m_ref in pairs):
+        cols = [i for i, (_, r) in enumerate(pairs) if r == m_ref]
+        positions = [models.index(pairs[i][0]) for i in cols]
+        groups.append((m_ref, None if m_ref == 0 else models.index(m_ref), positions, cols))
+    windows = []
+    for d in range(max((l - f for f, l in zip(first, last)), default=-1) + 1):
+        rows = [i for i in range(len(pairs)) if last[i] - first[i] == d]
+        windows.append(([first[i] for i in rows], rows))
+    return {
+        "index": {pair: i for i, pair in enumerate(pairs)},
+        "groups": groups,
+        "first": first,
+        "last": last,
+        "windows": windows,
+        "starts": [cols[0] for *_, cols in groups],
+    }
+
+
 def pair_squares(family, xi: np.ndarray, pairs) -> np.ndarray:
     """``ModelFamily.pair_squares`` into fresh arrays: the windows above with
     ``increments``, else every ``D_m xi`` and one difference per reference."""
@@ -79,7 +108,7 @@ def pair_squares(family, xi: np.ndarray, pairs) -> np.ndarray:
     flat = family.reduced.reshape(-1, family.reduced.shape[-1])
     estimates = (flat @ xi.T).reshape(len(family.models), -1, xi.shape[0])
     out = np.empty((len(pairs), xi.shape[0]))
-    for ref, positions, cols in family.pair_groups(pairs):
+    for _, ref, positions, cols in pair_order(family.models, pairs).groups:
         diff = estimates[positions]
         if ref is not None:
             diff = diff - estimates[ref]

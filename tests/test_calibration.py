@@ -39,6 +39,7 @@ from smaselect.calibration import (
 )
 from smaselect.errors import BadExponent, DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Study
+from smaselect.family import pair_order
 from smaselect.io import load_table
 from smaselect.moments import all_pair_moments, single_traces
 from reference import (
@@ -303,6 +304,28 @@ def test_draw_matrix_accepts_zeros_of_either_sign():
     assert draws.draws is values
 
 
+def _two_columns(pair_index):
+    # Column 1 is 100x column 0, so a table that ignored it would show.
+    values = np.outer(np.arange(1.0, 4.0), [1.0, 100.0])
+    return JointDrawMatrix(draws=values, pair_index=pair_index, seed=0, n_sim=3)
+
+
+def test_draw_matrix_rejects_two_pairs_on_one_column():
+    with pytest.raises(DimensionMismatch):
+        _two_columns({(2, 1): 0, (3, 1): 0})
+
+
+def test_draw_matrix_rejects_a_reversed_pair():
+    with pytest.raises(NotOrderedPair):
+        _two_columns({(2, 1): 0, (1, 3): 1})
+
+
+def test_draw_matrix_rejects_a_column_outside_the_matrix():
+    for col in (5, 2, -1):
+        with pytest.raises(DimensionMismatch):
+            _two_columns({(2, 1): 0, (3, 1): col})
+
+
 def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
     """Reference oracle: the full sort and dense strict ranks the partial
     selection replaced, driving the same exact max-T correction.
@@ -420,8 +443,8 @@ def test_pair_norms_on_shuffled_subset(toy_extended_family):
     subset = [int(i) for i in rng.permutation(len(pairs))[:11]]
     norms = pair_norms(family, xi, [pairs[i] for i in subset])
     np.testing.assert_array_equal(norms, canonical[:, subset])
-    # Any list equal to the canonical one reads the grouping built once.
-    assert family.pair_groups(family.pairs()) is family.pair_groups(list(pairs))
+    # Any list equal to the canonical one reads the layout built once.
+    assert pair_order(family.models, list(pairs)) is pair_order(family.models)
 
 
 def test_pair_norms_reject_reversed_pair(toy_extended_family):

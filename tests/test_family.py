@@ -7,6 +7,7 @@ from smaselect import (
     DesignMatrix,
     DimensionMismatch,
     NoiseSpec,
+    NonFiniteInput,
     NotOrderedPair,
     SingularGram,
     SingularGramWarning,
@@ -156,5 +157,6 @@ def test_ordering_counterexample():
 
 
 def test_design_rejects_nan():
-    with pytest.raises(DimensionMismatch):
-        DesignMatrix(np.array([[1.0, np.nan]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            DesignMatrix(np.array([[1.0, bad]]))

@@ -16,10 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smaselect.family as family_module
 from smaselect import (
     DesignMatrix,
-    ModelFamily,
     NonFiniteInput,
     WeightingScheme,
     build_projection_family,
@@ -29,6 +31,7 @@ from smaselect import (
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.calibration import JointDrawMatrix
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
+from smaselect.family import pair_order
 from smaselect.rng import block_bounds, stream
 import reference
 
@@ -85,29 +88,80 @@ def _pair_lists(family, rng):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_canonical_pairs_in_any_sequence_skip_regrouping(name, monkeypatch):
-    # A tuple (or list) equal to the canonical pairs reads the grouping and
-    # the windows built on construction; only another order regroups.
+    # A tuple (or list) equal to the canonical pairs reads the layout built
+    # once per model tuple; only another order is laid out, once per call.
     family = FAMILIES[name]()
+    canonical = pair_order(family.models).pairs
     calls = []
-    for method in ("_group", "_by_length"):
-        real = getattr(ModelFamily, method)
+    real = family_module._layout
 
-        def spy(self, pairs, real=real, method=method):
-            calls.append(method)
-            return real(self, pairs)
+    def spy(models, pairs):
+        calls.append(pairs)
+        return real(models, pairs)
 
-        monkeypatch.setattr(ModelFamily, method, spy)
-    canonical = tuple(family.pairs())
+    monkeypatch.setattr(family_module, "_layout", spy)
     xi = family.reduce(np.ones((2, family.n)))
-    family.pair_groups(canonical)
-    family.pair_windows(np.ones((family.largest, 2)), canonical)
-    family.pair_squares(xi, canonical)
-    family.pair_squares(xi, list(canonical))
+    weights = np.ones((family.largest, 2))
+    for pairs in (canonical, tuple(family.pairs()), family.pairs()):
+        family.pair_windows(weights, pairs)
+        family.pair_squares(xi, pairs)
     pairwise_statistics(family, np.ones(family.n))
     assert calls == []
-    family.pair_groups(canonical[::-1])
-    family.pair_windows(np.ones((family.largest, 2)), canonical[::-1])
-    assert calls == ["_group", "_by_length"]
+    family.pair_windows(weights, canonical[::-1])
+    family.pair_squares(xi, list(canonical[::-1]))
+    assert calls == [canonical[::-1]] * 2
+
+
+def _plain(index) -> list:
+    """A slice or an index array of a layout as a list."""
+    return list(range(index.start, index.stop)) if isinstance(index, slice) else index.tolist()
+
+
+@st.composite
+def models_and_pairs(draw):
+    """Increasing models with gaps and a pair list over them: the canonical
+    pairs as a list or tuple, or a shuffled subset, with or without
+    ``(m, 0)`` pairs."""
+    models = tuple(sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=8))))
+    canonical = [(m, m_ref) for i, m_ref in enumerate(models) for m in models[i + 1 :]]
+    kind = draw(st.sampled_from(["list", "tuple", "shuffled"]))
+    if kind != "shuffled":
+        return models, canonical if kind == "list" else tuple(canonical)
+    pool = canonical + ([(m, 0) for m in models] if draw(st.booleans()) else [])
+    shuffled = draw(st.permutations(pool))
+    return models, shuffled[: draw(st.integers(0, len(shuffled)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=models_and_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
+    models, pairs = case
+    order = pair_order(models, pairs)
+    expected = reference.pair_layout(models, list(pairs))
+    assert order.pairs == tuple(pairs)
+    assert order.index == expected["index"]
+    groups = [(m_ref, ref, _plain(rows), _plain(cols)) for m_ref, ref, rows, cols in order.groups]
+    assert groups == expected["groups"]
+    assert order.first.tolist() == expected["first"]
+    assert order.last.tolist() == expected["last"]
+    assert [(_plain(f), _plain(rows)) for f, rows in order.windows] == expected["windows"]
+    assert order.starts.tolist() == expected["starts"]
+    if tuple(pairs) == pair_order(models).pairs:
+        assert order is pair_order(models)
+
+    # The kernel on this list gives the canonical columns (and each model
+    # alone for (m, 0)), on the window and the Gram routes.
+    rng = np.random.default_rng(seed)
+    design = DesignMatrix(rng.standard_normal((models[-1], models[-1] + 3)))
+    family = build_projection_family(design, WeightingScheme.prediction(), models)
+    assert family.increments is not None
+    canonical = pair_order(models).pairs
+    singles = [(m, 0) for m in models]
+    xi = family.reduce(rng.standard_normal((3, family.n)))
+    for route in (family, dataclasses.replace(family, increments=None)):
+        whole = np.vstack([route.pair_squares(xi, canonical), route.pair_squares(xi, singles)])
+        rows = [canonical.index(p) if p[1] else len(canonical) + models.index(p[0]) for p in pairs]
+        assert np.array_equal(route.pair_squares(xi, pairs), whole[rows].reshape(len(rows), 3))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

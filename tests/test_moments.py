@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from smaselect import (
     DesignMatrix,
+    DimensionMismatch,
     NoiseSpec,
+    NonFiniteInput,
     NotOrderedPair,
     WeightingScheme,
     build_projection_family,
@@ -134,10 +136,13 @@ def test_variance_column_monotone_when_ordered(seed):
 
 
 def test_noise_spec_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch):
         NoiseSpec.known([1.0, -1.0])
-    with pytest.raises(Exception):
-        NoiseSpec.known([1.0, np.inf])
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch):
+        NoiseSpec.known([1.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            NoiseSpec.known([1.0, bad])
+    with pytest.raises(DimensionMismatch):
         NoiseSpec.known([[1.0, 1.0]])
     assert NoiseSpec.homogeneous(2.0, 3).variances.tolist() == [4.0, 4.0, 4.0]

@@ -54,7 +54,6 @@ from .moments import (
     PairMoments,
     RiskPoint,
     pair_bias,
-    pair_variance,
     risk_profile,
 )
 from .selector import (

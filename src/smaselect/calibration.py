@@ -48,28 +48,22 @@ _INF_BITS = np.float64(np.inf).view(np.uint64)
 class JointDrawMatrix:
     """Simulated pairwise noise magnitudes, one row per noise realization.
 
-    Column ``pair_index[(m, m_ref)]`` holds the magnitude of the difference
-    statistic for that pair; all columns of a row come from the same
-    realization, preserving the joint law.  ``pair_index`` must map
-    ordered pairs one-to-one onto the columns ``0..k-1``, and ``order`` is
-    those pairs' ``PairOrder`` in column order: the one pair layout, shared
-    with the family when the columns hold its canonical pairs, which groups
-    the columns by reference for the table builder.  Nothing is sorted:
-    order statistics and strict ranks are selected on demand.
+    Column ``i`` holds the magnitude of the difference statistic for pair
+    ``order.pairs[i]``; all columns of a row come from the same
+    realization, preserving the joint law.  ``order`` is the pair layout
+    the draws were sampled in (the family's canonical ``PairOrder`` unless
+    a sampler was given other pairs), so ``pair_index`` is its ``index``
+    and its ``groups`` hold the columns of each reference.  Nothing is
+    sorted: order statistics and strict ranks are selected on demand.
     """
 
     draws: np.ndarray
-    pair_index: dict[tuple[int, int], int]
+    order: PairOrder = field(repr=False)
     seed: int
-    n_sim: int
-    order: PairOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = len(self.pair_index)
-        if self.draws.shape != (self.n_sim, k) or set(self.pair_index.values()) != set(range(k)):
-            raise DimensionMismatch("pair_index must map pairs one-to-one onto the draw columns")
-        pairs = sorted(self.pair_index, key=self.pair_index.__getitem__)
-        self.order = pair_order(sorted({m for pair in pairs for m in pair} - {0}), pairs)
+        if self.draws.ndim != 2 or self.draws.shape[1] != len(self.order.pairs):
+            raise DimensionMismatch("draw matrix needs one column per pair of its order")
         # One pass over the draws: read as unsigned integers, every
         # nonnegative finite double lies below the bits of +inf, and +inf,
         # NaN and every value with the sign bit set lie at or above them.
@@ -83,17 +77,16 @@ class JointDrawMatrix:
                 raise DimensionMismatch("draws must be nonnegative magnitudes")
 
     @property
-    def by_reference(self) -> dict:
-        """``m_ref -> (pairs, columns)`` per reference of ``order``, in column order."""
-        columns = np.arange(len(self.order.pairs))
-        return {
-            m_ref: ([self.order.pairs[c] for c in columns[cols]], cols)
-            for m_ref, _, _, cols in self.order.groups
-        }
+    def pair_index(self) -> dict[tuple[int, int], int]:
+        return self.order.index
+
+    @property
+    def n_sim(self) -> int:
+        return self.draws.shape[0]
 
     def column(self, m: int, m_ref: int) -> np.ndarray:
         try:
-            return self.draws[:, self.pair_index[(m, m_ref)]]
+            return self.draws[:, self.order.index[(m, m_ref)]]
         except KeyError:
             raise MissingPair(f"pair ({m}, {m_ref}) not present in draws") from None
 
@@ -102,10 +95,10 @@ class JointDrawMatrix:
         return [m_ref for m_ref, *_ in self.order.groups]
 
     def comparisons(self, m_ref: int) -> list[tuple[int, int]]:
-        return self.by_reference.get(m_ref, ([], None))[0]
+        return [pair for pair in self.order.pairs if pair[1] == m_ref]
 
-    def upper_tail(self, k: int, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending order statistics of ranks ``k..n_sim`` of columns ``cols``,
+    def upper_tail(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending order statistics of ranks ``k..n_sim`` of every column,
         and every draw's strict rank (count of strictly smaller draws, so
         ties share their run's first rank) floored at ``k - 1``.
 
@@ -113,7 +106,7 @@ class JointDrawMatrix:
         value, so such draws all lie in the tail: one partial selection per
         column, and only the tail is sorted.
         """
-        block = np.ascontiguousarray(self.draws.T[cols])
+        block = np.ascontiguousarray(self.draws.T)
         rows = np.arange(block.shape[0])[:, None]
         # Flat indices into ``block``, so each gather is one fancy index.
         top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :] + rows * self.n_sim
@@ -129,15 +122,10 @@ class JointDrawMatrix:
         return tail, ranks
 
     def restricted(self, pairs) -> "JointDrawMatrix":
-        """View on a subset of pairs (shared rows, fresh column index)."""
-        pairs = list(pairs)
-        cols = [self.pair_index[p] for p in pairs]
-        return JointDrawMatrix(
-            draws=self.draws[:, cols].copy(),
-            pair_index={p: i for i, p in enumerate(pairs)},
-            seed=self.seed,
-            n_sim=self.n_sim,
-        )
+        """View on a subset of pairs (shared rows, their own order)."""
+        order = pair_order(self.order.models, pairs)
+        cols = [self.order.index[p] for p in order.pairs]
+        return JointDrawMatrix(self.draws[:, cols].copy(), order, self.seed)
 
 
 def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
@@ -187,7 +175,7 @@ def _sample_scaled_norms(
         for block in blocks:
             fill(block)
     np.sqrt(columns, out=columns)
-    return JointDrawMatrix(columns.T, dict(order.index), seed, n_sim)
+    return JointDrawMatrix(columns.T, order, seed)
 
 
 def sample_joint_draws(
@@ -273,12 +261,16 @@ def familywise_exceedance(
 
     Exceedance is strict, mirroring the selector's rejection rule; for
     continuous draws this matches the non-strict convention almost surely.
+    A comparison without a threshold raises ``MissingPair``.
     """
-    if m_ref not in draws.by_reference:
+    cols = next((cols for ref, _, _, cols in draws.order.groups if ref == m_ref), None)
+    if cols is None:
         raise NotOrderedPair(f"no comparisons available for reference {m_ref}")
-    pairs, cols = draws.by_reference[m_ref]
-    z = np.array([thresholds[p] for p in pairs])
-    return float(np.mean(np.any(draws.draws[:, cols] > z[None, :], axis=1)))
+    try:
+        z = np.array([thresholds[p] for p in draws.comparisons(m_ref)])
+    except KeyError as missing:
+        raise MissingPair(f"no threshold for pair {missing.args[0]}") from None
+    return float(np.mean(np.any(draws.draws[:, cols] > z, axis=1)))
 
 
 def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
@@ -339,20 +331,20 @@ class CalibrationTable:
     """Acceptance thresholds for every ordered pair.
 
     ``critical[(m, m_ref)]`` is compared against the observed difference
-    statistic; any mapping given is stored as a read-only ``PairValues``
-    (canonical order when it holds every pair of its models), and
-    ``dict(table.critical)`` is a mutable copy.  ``pair_dims`` holds the
-    effective dimension entering the bias allowance
-    ``alpha_plus * sqrt(dim)``.  A NaN threshold would reject every
-    comparison it enters, so non-finite thresholds, dimensions and
-    corrections raise ``NonFiniteInput`` on construction.
+    statistic, and ``pair_dims[(m, m_ref)]`` is the effective dimension
+    entering the bias allowance ``alpha_plus * sqrt(dim)``.  Both are
+    stored as read-only ``PairValues`` (through ``pair_values``: canonical
+    order when a plain mapping holds every pair of its models), and
+    ``dict(table.critical)`` is a mutable copy.  A NaN threshold would
+    reject every comparison it enters, so non-finite thresholds,
+    dimensions and corrections raise ``NonFiniteInput`` on construction.
     """
 
     x_level: float
     alpha_plus: float
     corrections: dict[int, float]
     critical: Mapping[tuple[int, int], float]
-    pair_dims: dict[tuple[int, int], float]
+    pair_dims: Mapping[tuple[int, int], float]
     mode: str
     moments: dict[tuple[int, int], PairMoments] | None = None
     power_a: float | None = None
@@ -362,15 +354,13 @@ class CalibrationTable:
     seed: int | None = None
 
     def __post_init__(self):
-        critical = self.critical
-        if not isinstance(critical, PairValues):
-            critical = pair_values(critical.keys(), list(critical.values()))
-            object.__setattr__(self, "critical", critical)
-        if not np.isfinite(critical.array).all():
-            raise NonFiniteInput("calibration table has non-finite critical values")
-        for name in ("pair_dims", "corrections"):
-            if not all(map(math.isfinite, getattr(self, name).values())):
+        for name in ("critical", "pair_dims"):
+            values = pair_values(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not np.isfinite(values.array).all():
                 raise NonFiniteInput(f"calibration table has non-finite {name} values")
+        if not all(map(math.isfinite, self.corrections.values())):
+            raise NonFiniteInput("calibration table has non-finite corrections values")
 
     def threshold(self, m: int, m_ref: int) -> float:
         try:
@@ -458,7 +448,7 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
 
 def calibration_table(
     draws: JointDrawMatrix,
-    pair_dims: dict[tuple[int, int], float],
+    pair_dims: Mapping[tuple[int, int], float],
     alpha_plus: float,
     levels: float | PowerLossParams,
     moments: dict[tuple[int, int], PairMoments] | None = None,
@@ -479,7 +469,7 @@ def calibration_table(
     power = isinstance(levels, PowerLossParams)
     corrections = dict.fromkeys(draws.references(), 0.0)
     ref_clipped: dict[int, bool] = {}
-    z = np.empty(len(draws.pair_index))
+    z = np.empty(len(draws.order.pairs))
     if power:
         columns = np.ascontiguousarray(draws.draws.T)
         for m_ref, _, _, cols in draws.order.groups:
@@ -498,8 +488,9 @@ def calibration_table(
             corrections[m_ref] = q
 
     pairs = draws.order.pairs
-    dims = np.array([pair_dims[pair] for pair in pairs])
-    critical = pair_values(pairs, z + alpha_plus * np.sqrt(dims))
+    dims = pair_values(pair_dims)
+    allowance = alpha_plus * np.sqrt(dims.at(draws.order, "dimension"))
+    critical = PairValues(pairs, z + allowance, draws.order.index)
     clipped = [pair for pair in pairs if ref_clipped[pair[1]]]
     if clipped:
         warnings.warn(
@@ -515,7 +506,7 @@ def calibration_table(
         alpha_plus=alpha_plus,
         corrections=corrections,
         critical=critical,
-        pair_dims=dict(pair_dims),
+        pair_dims=dims,
         mode="power_loss" if power else "probabilistic",
         moments=dict(moments) if moments is not None else None,
         power_a=levels.a if power else None,
@@ -537,7 +528,7 @@ def critical_values(
     ``x_level`` is the probabilistic level or power-loss parameters, as in
     ``calibration_table``; ``power_loss_critical_values`` is the same call.
     """
-    pair_dims = {pair: moments[pair].p_pair for pair in draws.pair_index}
+    pair_dims = {pair: moments[pair].p_pair for pair in draws.order.pairs}
     return calibration_table(draws, pair_dims, alpha_plus, x_level, moments)
 
 
@@ -553,18 +544,18 @@ def calibrate(
     alpha_plus: float,
     mode: str = "probabilistic",
     power_a: float | None = None,
-    pairs=None,
     n_workers: int = 1,
     stream_tag: int = 0,
 ) -> tuple[JointDrawMatrix, CalibrationTable]:
-    """Draws under noise ``scale * N(0, I_n)`` and the table built on them.
+    """Draws under noise ``scale * N(0, I_n)`` and the table built on them,
+    both over every pair of the family, in its canonical order.
 
     The one path from a per-coordinate noise scale to thresholds: known
     noise passes its standard deviations, multiplier calibration its
     presmoothing residuals.  The bias allowance uses the pair variance
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
-    variances.
+    variances.  Draws on a subset of pairs are ``draws.restricted(pairs)``.
     """
     scale = family.vector(scale, "noise scale")
     variances = scale * scale
@@ -576,9 +567,8 @@ def calibrate(
         levels = power_loss_params(family.models, single_traces(family, variances), power_a)
     else:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs, n_workers, stream_tag)
-    pair_dims = pair_traces(family, variances, draws.order.pairs)
-    return draws, calibration_table(draws, pair_dims, alpha_plus, levels)
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, None, n_workers, stream_tag)
+    return draws, calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
 
 
 # Rounding allowance of ``propagation_failures``, in ulps of the critical
@@ -594,25 +584,23 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     Each pair's tail value is its critical value minus the bias allowance
     (plus ``TAIL_ULPS`` ulps).  Probabilistic mode: family-wise exceedance
     per reference at most exp(-x).  Power-loss mode: per-pair exceedance at
-    most exp(-level) of the pair's reference.  Returns one line per failure.
+    most exp(-level) of the pair's reference.  Returns one line per failure;
+    a pair of the draws that the table lacks raises ``MissingPair``.
     """
-    tails = {
-        pair: crit
-        - table.alpha_plus * math.sqrt(table.pair_dims[pair])
-        + TAIL_ULPS * float(np.spacing(crit))
-        for pair, crit in table.critical.items()
-    }
+    critical = table.critical.at(draws.order, "critical value")
+    dims = table.pair_dims.at(draws.order, "dimension")
+    tails = critical - table.alpha_plus * np.sqrt(dims) + TAIL_ULPS * np.spacing(critical)
+    exceeds = draws.draws > tails
     failures = []
-    for m_ref in draws.references():
+    for m_ref, _, _, cols in draws.order.groups:
         if table.mode == "probabilistic":
-            fwe = familywise_exceedance(draws, m_ref, tails)
+            fwe = float(np.mean(np.any(exceeds[:, cols], axis=1)))
             target = math.exp(-table.x_level)
             if fwe > target + 1e-12:
                 failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
         else:
             target = math.exp(-table.per_model_levels[m_ref])
-            for pair in draws.comparisons(m_ref):
-                exc = float(np.mean(draws.column(*pair) > tails[pair]))
+            for pair, exc in zip(draws.comparisons(m_ref), exceeds[:, cols].mean(axis=0).tolist()):
                 if exc > target + 1e-12:
                     failures.append(f"pair {pair}: exceedance {exc:.4f} > {target:.4f}")
     return failures

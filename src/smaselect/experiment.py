@@ -439,8 +439,7 @@ def results_csv(records: list[ReplicateRecord]) -> str:
 
 
 def ratios_csv(table: RatioTable) -> str:
-    pairs = sorted(table.ratios, key=lambda pair: (pair[1], pair[0]))
-    return csv_text("m,m_ref,ratio_sq", ((*pair, table.ratios[pair]) for pair in pairs))
+    return csv_text("m,m_ref,ratio_sq", ((*pair, r) for pair, r in table.ratios.items()))
 
 
 def sweep_csv(sweep: dict[int, dict]) -> str:

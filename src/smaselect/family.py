@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MissingPair,
     NonFiniteInput,
     NotOrderedPair,
     SingularGram,
@@ -220,8 +221,9 @@ def pair_order(models, pairs=None) -> PairOrder:
     once per model tuple and returned for ``pairs=None`` and for any
     sequence equal to its pair tuple, so every family, statistic and table
     on the same models shares one layout.  Any other order is built on
-    each call; ``(m, 0)`` is model ``m`` alone, and a pair that is not
-    ``m > m_ref`` over ``models`` raises ``NotOrderedPair``.
+    each call; ``(m, 0)`` is model ``m`` alone, a pair that is not
+    ``m > m_ref`` over ``models`` raises ``NotOrderedPair`` and a repeated
+    pair ``DimensionMismatch``.
     """
     canonical = _all_pairs(tuple(models))
     if pairs is None or pairs is canonical.pairs:
@@ -238,11 +240,13 @@ def _all_pairs(models: tuple[int, ...]) -> PairOrder:
 def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
     positions = {m: i for i, m in enumerate(models)}
     groups: dict[int, tuple[int | None, list[int], list[int]]] = {}
-    first, last = [], []
+    first, last, index = [], [], {}
     for col, (m, m_ref) in enumerate(pairs):
         ref = positions.get(m_ref)
         if m <= m_ref or m not in positions or ref is None and m_ref != 0:
             raise NotOrderedPair(f"need models m > m_ref (or m_ref = 0), got ({m}, {m_ref})")
+        if index.setdefault((m, m_ref), col) != col:
+            raise DimensionMismatch(f"pair ({m}, {m_ref}) appears more than once")
         _, rows, cols = groups.setdefault(m_ref, (ref, [], []))
         rows.append(positions[m])
         cols.append(col)
@@ -256,7 +260,7 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         models=models,
         positions=positions,
         pairs=pairs,
-        index={p: i for i, p in enumerate(pairs)},
+        index=index,
         groups=tuple(
             (m_ref, ref, _as_slice(rows), _as_slice(cols))
             for m_ref, (ref, rows, cols) in groups.items()
@@ -292,7 +296,8 @@ class PairValues(Mapping):
     copy.  ``array`` is the values as a read-only float array and
     ``index`` maps each pair to its entry; both ``pairs`` and ``index``
     are shared with the ``PairOrder`` when the pairs are canonical.
-    ``pair_values`` builds one in that order whenever it can.
+    ``pair_values`` builds one in that order whenever it can, and ``at``
+    reads the values in any ``PairOrder``.
     """
 
     __slots__ = ("pairs", "array", "index")
@@ -316,24 +321,35 @@ class PairValues(Mapping):
     def __repr__(self) -> str:
         return f"PairValues({dict(self.items())!r})"
 
+    def at(self, order: PairOrder, what: str = "value") -> np.ndarray:
+        """The values at the pairs of ``order``: ``array`` itself when they are
+        these pairs, else one gather.  A missing pair raises ``MissingPair``."""
+        pairs = order.pairs
+        if self.pairs is pairs or self.pairs == pairs:
+            return self.array
+        try:
+            return self.array[np.fromiter(map(self.index.__getitem__, pairs), np.intp, len(pairs))]
+        except KeyError as missing:
+            raise MissingPair(f"no {what} for pair {missing.args[0]}") from None
 
-def pair_values(pairs, values) -> PairValues:
-    """``values[i]`` for ``pairs[i]`` as a read-only ``PairValues``.
+
+def pair_values(values: Mapping) -> PairValues:
+    """A pair-to-float mapping as a read-only ``PairValues`` (itself if it is one).
 
     When the pairs are every pair of the models they name, in any order,
     the result takes their canonical order and shares its pair tuple and
     index, so the selector reads its array without a gather; any other
     pair set keeps the order given.
     """
-    pairs = tuple(pairs)
-    values = np.asarray(values, dtype=float)
+    if isinstance(values, PairValues):
+        return values
+    pairs = tuple(values)
     order = pair_order(tuple(sorted({m for pair in pairs for m in pair})))
     if pairs == order.pairs:
-        return PairValues(order.pairs, values, order.index)
-    position = {pair: i for i, pair in enumerate(pairs)}
-    if len(position) == len(pairs) and position.keys() == order.index.keys():
-        return PairValues(order.pairs, values[[position[p] for p in order.pairs]], order.index)
-    return PairValues(pairs, values, position)
+        return PairValues(order.pairs, list(values.values()), order.index)
+    if values.keys() == order.index.keys():
+        return PairValues(order.pairs, [values[p] for p in order.pairs], order.index)
+    return PairValues(pairs, list(values.values()), {pair: i for i, pair in enumerate(pairs)})
 
 
 @dataclass

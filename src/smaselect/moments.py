@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NotOrderedPair
-from .family import ModelFamily, PairOrder, _pinv_gram, pair_order
+from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, pair_order
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ def _window_tops(family: ModelFamily, root: np.ndarray, order: PairOrder) -> np.
     return tops
 
 
-def pair_variance(family: ModelFamily, sigma: NoiseSpec, m: int, m_ref: int) -> PairMoments:
-    """Variance trace / operator norm of the difference estimator for a pair."""
-    return _pair_moments(family, sigma, [(m, m_ref)])[(m, m_ref)]
-
-
 def single_variance(family: ModelFamily, sigma: NoiseSpec, m: int) -> PairMoments:
     """Same moments for a single model's estimator (not a difference)."""
     return _pair_moments(family, sigma, [(m, 0)])[(m, 0)]
@@ -132,15 +127,16 @@ def all_pair_moments(family: ModelFamily, sigma: NoiseSpec) -> dict[tuple[int, i
     return _pair_moments(family, sigma, None)
 
 
-def pair_traces(family: ModelFamily, variances, pairs=None) -> dict[tuple[int, int], float]:
-    """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate ``variances``.
+def pair_traces(family: ModelFamily, variances, pairs=None) -> PairValues:
+    """Variance traces ``tr Var((K_m - K_ref) y)`` under per-coordinate
+    ``variances``, in the order of ``pairs`` (default: every pair, canonical).
 
     Each is the sum of the pair's squared magnitudes over the rows of the
     noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
-    pairs = pair_order(family.models, pairs).pairs
-    traces = family.pair_squares(family.noise_root(variances), pairs).sum(axis=1)
-    return dict(zip(pairs, map(float, traces)))
+    order = pair_order(family.models, pairs)
+    traces = family.pair_squares(family.noise_root(variances), order.pairs).sum(axis=1)
+    return PairValues(order.pairs, traces, order.index)
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:

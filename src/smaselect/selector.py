@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import (
     NotProjectionFamily,
     RequiresKnownTruth,
 )
-from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, pair_order, pair_values
+from .family import ModelFamily, PairValues, _pinv_gram, pair_order, pair_values
 from .moments import (
     NoiseSpec,
     pair_bias,
@@ -88,13 +87,12 @@ def sma_select(
     order = pair_order(tuple(sorted({int(m) for m in models})))
     if not order.models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
-    if not isinstance(statistics, PairValues):
-        statistics = pair_values(statistics.keys(), list(statistics.values()))
+    statistics = pair_values(statistics)
     if not np.isfinite(statistics.array).all():
         raise NonFiniteInput("test statistics contain NaN or infinite values")
     try:
-        ok = _aligned(statistics, order) <= _aligned(table.critical, order)
-    except KeyError:
+        ok = statistics.at(order) <= table.critical.at(order)
+    except MissingPair:
         pair = next(p for p in order.pairs if p not in statistics or p not in table.critical)
         what = "statistic" if pair not in statistics else "critical value"
         raise MissingPair(f"no {what} for pair {pair}") from None
@@ -107,17 +105,6 @@ def sma_select(
         statistics=statistics,
         table_mode=table.mode,
     )
-
-
-def _aligned(values: PairValues, order: PairOrder) -> np.ndarray:
-    """``values`` at the pairs of ``order``: its own array when it holds
-    exactly those pairs, else one gather (``KeyError`` when one is missing)."""
-    pairs = order.pairs
-    if values.pairs is pairs or values.pairs == pairs:
-        return values.array
-    if len(pairs) < 2:  # itemgetter returns a bare item for one key
-        return values.array[[values.index[p] for p in pairs]]
-    return values.array[list(itemgetter(*pairs)(values.index))]
 
 
 def table_from_thresholds(
@@ -167,8 +154,8 @@ def oracle(
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
     _check_level(alpha_plus, "alpha_plus")
     bias = test_statistics(family, f_true)
-    dims = pair_traces(family, sigma.variances, list(bias))
-    allowance = {pair: alpha_plus * math.sqrt(dim) for pair, dim in dims.items()}
+    dims = pair_traces(family, sigma.variances)
+    allowance = PairValues(dims.pairs, alpha_plus * np.sqrt(dims.array), dims.index)
     result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
     m_star = result.m_hat
     if mode == "power_loss":

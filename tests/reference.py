@@ -26,7 +26,7 @@ from smaselect.errors import (
     SingularGram,
 )
 from smaselect.family import pair_order
-from smaselect.moments import pair_traces
+from smaselect.moments import _pair_moments, pair_traces
 
 
 def operator(family, m: int) -> np.ndarray:
@@ -126,14 +126,18 @@ def risk_profile_csv_rows(profile) -> list[tuple]:
     return [(r.m, r.bias2, r.variance, r.risk) for r in profile]
 
 
-def multiplier_draws(family, residuals, n_sim, seed, pairs=None, stream_tag=0):
+def pair_variance(family, sigma, m: int, m_ref: int):
+    """Variance trace and operator norm (``PairMoments``) of one pair's
+    difference estimator, through the library's batched moments."""
+    return _pair_moments(family, sigma, [(m, m_ref)])[(m, m_ref)]
+
+
+def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
     """The multiplier draw matrix: ``calibrate`` on the residual scale."""
     scale = residual_scale(family, residuals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        draws, _ = calibrate(
-            family, scale, n_sim, seed, 2.0, 0.0, pairs=pairs, stream_tag=stream_tag
-        )
+        draws, _ = calibrate(family, scale, n_sim, seed, 2.0, 0.0, stream_tag=stream_tag)
     return draws
 
 
@@ -147,7 +151,7 @@ def corrections(draws, x_level: float) -> dict[int, float]:
 
 def multiplicity_correction(draws, m_ref: int, x_level: float) -> float:
     """The correction of one reference; a reference with no larger model has none."""
-    if m_ref not in draws.by_reference:
+    if m_ref not in draws.references():
         raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
     return corrections(draws, x_level)[m_ref]
 

@@ -18,11 +18,9 @@ from smaselect import (
     aic_equivalence_check,
     bootstrap_calibrate,
     build_projection_family,
-    calibrate,
     critical_values,
     excess_risk_mc,
     oracle,
-    pair_variance,
     payment_for_adaptation,
     presmooth,
     sample_joint_draws,
@@ -30,13 +28,19 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect.bootstrap import residual_scale
-from smaselect.calibration import power_loss_params
+from smaselect.calibration import _sample_scaled_norms, power_loss_params
 from smaselect.cli import bounds_check_grid, main as cli_main
 from smaselect.experiment import fourier_values
 from smaselect.moments import all_pair_moments, pair_traces
 from smaselect.rng import stream
 from conftest import orthonormal_rows_design
-from reference import joint_norms_from_noise, multiplier_draws, pair_operator
+from reference import (
+    joint_norms_from_noise,
+    multiplicity_correction,
+    multiplier_draws,
+    pair_operator,
+    pair_variance,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -252,11 +256,10 @@ def test_criterion_08_bootstrap_familywise_coverage():
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
-        draws, table = calibrate(
-            family, residual_scale(family, resid), 1000, 8181, x, 0.0, pairs=pairs,
-            stream_tag=rep,
+        draws = _sample_scaled_norms(
+            family, residual_scale(family, resid), 1000, 8181, pairs, 1, stream_tag=rep
         )
-        q = table.corrections[1]
+        q = multiplicity_correction(draws, 1, x)
         ok = True
         for pair in pairs:
             z = tail_quantile(draws, *pair, x + q)

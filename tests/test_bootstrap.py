@@ -12,7 +12,6 @@ from smaselect import (
     WeightingScheme,
     bootstrap_calibrate,
     build_projection_family,
-    pair_variance,
     presmooth,
     residual_scale,
     validity_diagnostics,
@@ -20,7 +19,7 @@ from smaselect import (
 from smaselect.calibration import familywise_exceedance
 from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
-from reference import multiplier_draws, projector_matrix
+from reference import multiplier_draws, pair_variance, projector_matrix
 
 
 def test_presmooth_toy_coordinates(toy_family):

@@ -13,9 +13,11 @@ from smaselect import (
     CalibrationTable,
     DesignMatrix,
     JointDrawMatrix,
+    MissingPair,
     NoiseSpec,
     NonFiniteInput,
     NotOrderedPair,
+    PairValues,
     TailTooDeepWarning,
     WeightingScheme,
     build_projection_family,
@@ -25,6 +27,7 @@ from smaselect import (
     familywise_exceedance,
     power_loss_critical_values,
     power_loss_params,
+    propagation_failures,
     sample_joint_draws,
     tail_quantile,
 )
@@ -41,13 +44,14 @@ from smaselect.errors import BadExponent, DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.family import pair_order
 from smaselect.io import load_table
-from smaselect.moments import all_pair_moments, single_traces
+from smaselect.moments import all_pair_moments, pair_traces, single_traces
 from reference import (
     correction_rank,
     corrections,
     joint_norms_from_noise,
     multiplicity_correction,
     multiplier_draws,
+    pair_variance,
 )
 
 
@@ -228,16 +232,16 @@ def test_exact_rank_equals_bisection_rank_paper_config():
         assert_matches_bisection(boot, cfg.x_level)
 
 
+def two_pair_draws(values, pairs=((2, 1), (3, 1))):
+    """A draw matrix over models 1..3 with one column per pair of ``pairs``."""
+    return JointDrawMatrix(values, pair_order((1, 2, 3), pairs), seed=0)
+
+
 def test_multiplicity_duplicate_columns_need_no_correction():
     # Perfectly correlated comparisons: the union equals a single event.
     rng = np.random.default_rng(53)
     col = np.abs(rng.standard_normal(20_000))
-    draws = JointDrawMatrix(
-        draws=np.column_stack([col, col]),
-        pair_index={(2, 1): 0, (3, 1): 1},
-        seed=53,
-        n_sim=20_000,
-    )
+    draws = two_pair_draws(np.column_stack([col, col]))
     assert multiplicity_correction(draws, 1, 2.0) == 0.0
 
 
@@ -245,23 +249,13 @@ def test_multiplicity_all_zero_column_needs_no_correction():
     # A column that never exceeds its (zero) tail value adds nothing to the union.
     rng = np.random.default_rng(54)
     col = np.abs(rng.standard_normal(20_000))
-    draws = JointDrawMatrix(
-        draws=np.column_stack([np.zeros(20_000), col]),
-        pair_index={(2, 1): 0, (3, 1): 1},
-        seed=54,
-        n_sim=20_000,
-    )
+    draws = two_pair_draws(np.column_stack([np.zeros(20_000), col]))
     np.testing.assert_array_equal(draws.upper_tail(1)[1][0], 0)
     assert multiplicity_correction(draws, 1, 2.0) == 0.0
 
 
 def test_strict_ranks_count_smaller_draws():
-    draws = JointDrawMatrix(
-        draws=np.array([[0.5, 2.0], [0.1, 2.0], [0.5, 1.0], [0.3, 2.0]]),
-        pair_index={(2, 1): 0, (3, 1): 1},
-        seed=0,
-        n_sim=4,
-    )
+    draws = two_pair_draws(np.array([[0.5, 2.0], [0.1, 2.0], [0.5, 1.0], [0.3, 2.0]]))
     tail, ranks = draws.upper_tail(1)
     np.testing.assert_array_equal(ranks, [[2, 0, 2, 1], [1, 1, 0, 1]])
     np.testing.assert_array_equal(tail[1], [1.0, 2.0, 2.0, 2.0])
@@ -276,7 +270,7 @@ def test_draw_matrix_rejects_non_finite(bad):
     values = np.ones((3, 2))
     values[1, 0] = bad
     with pytest.raises(NonFiniteInput):
-        JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
+        two_pair_draws(values)
 
 
 @pytest.mark.parametrize(
@@ -295,35 +289,42 @@ def test_draw_matrix_rejects_each_bad_value(bad, error, layout):
     values = np.ones((3, 2), order=layout)
     values[2, 1] = bad
     with pytest.raises(error):
-        JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=3)
+        two_pair_draws(values)
 
 
 def test_draw_matrix_accepts_zeros_of_either_sign():
     values = np.array([[0.0, -0.0], [1.0, 2.0]])
-    draws = JointDrawMatrix(draws=values, pair_index={(2, 1): 0, (3, 1): 1}, seed=0, n_sim=2)
+    draws = two_pair_draws(values)
     assert draws.draws is values
 
 
-def _two_columns(pair_index):
+def _two_columns(pairs):
     # Column 1 is 100x column 0, so a table that ignored it would show.
-    values = np.outer(np.arange(1.0, 4.0), [1.0, 100.0])
-    return JointDrawMatrix(draws=values, pair_index=pair_index, seed=0, n_sim=3)
+    return two_pair_draws(np.outer(np.arange(1.0, 4.0), [1.0, 100.0]), pairs)
 
 
-def test_draw_matrix_rejects_two_pairs_on_one_column():
+def test_draw_matrix_rejects_a_repeated_pair():
+    # Two columns can no longer name one pair's column twice; the pair list
+    # that would put one pair on both columns is refused.
+    with pytest.raises(DimensionMismatch, match=r"\(2, 1\)"):
+        _two_columns([(2, 1), (2, 1)])
     with pytest.raises(DimensionMismatch):
-        _two_columns({(2, 1): 0, (3, 1): 0})
+        _two_columns([(2, 1), (3, 1), (2, 1)])
 
 
 def test_draw_matrix_rejects_a_reversed_pair():
     with pytest.raises(NotOrderedPair):
-        _two_columns({(2, 1): 0, (1, 3): 1})
+        _two_columns([(2, 1), (1, 3)])
 
 
 def test_draw_matrix_rejects_a_column_outside_the_matrix():
-    for col in (5, 2, -1):
+    # The order's pair count must equal the column count: a third pair has
+    # no column, and a single pair leaves a column without a pair.
+    for pairs in ([(2, 1), (3, 1), (3, 2)], [(2, 1)], []):
         with pytest.raises(DimensionMismatch):
-            _two_columns({(2, 1): 0, (3, 1): col})
+            _two_columns(pairs)
+    with pytest.raises(DimensionMismatch):
+        two_pair_draws(np.ones(2), [(2, 1), (3, 1)])
 
 
 def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
@@ -386,9 +387,7 @@ def draw_matrices(draw):
     for col in range(len(pairs)):
         if draw(st.integers(0, 4)) == 0:
             values[:, col] = 0.0
-    return JointDrawMatrix(
-        draws=values, pair_index={p: i for i, p in enumerate(pairs)}, seed=0, n_sim=n_sim
-    )
+    return JointDrawMatrix(values, pair_order(tuple(range(1, n_models + 1)), pairs), seed=0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -513,6 +512,24 @@ def test_in_sample_propagation_exact(toy_family, toy_noise):
         assert familywise_exceedance(draws, m_ref, thresholds) <= math.exp(-2.0)
 
 
+def test_missing_pair_is_named(toy_extended_family):
+    # The self-test and the exceedance name the pair that the table or the
+    # thresholds lack, for the critical values and for the dimensions.
+    draws = sample_joint_draws(toy_extended_family, NoiseSpec.homogeneous(1.0, 8), 200, seed=3)
+    dims = {(2, 1): 1.0, (3, 1): 2.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = calibration_table(draws.restricted(dims), dims, 1.0, 2.0)
+    assert propagation_failures(draws.restricted(dims), table) == []
+    with pytest.raises(MissingPair, match=r"no critical value for pair \(4, 1\)"):
+        propagation_failures(draws, table)
+    full = dataclasses.replace(table, critical=dict.fromkeys(draws.pair_index, 5.0))
+    with pytest.raises(MissingPair, match=r"no dimension for pair \(4, 1\)"):
+        propagation_failures(draws, full)
+    with pytest.raises(MissingPair, match=r"no threshold for pair \(3, 1\)"):
+        familywise_exceedance(draws, 1, {(2, 1): 1.0})
+
+
 def test_fresh_draw_propagation(toy_family, toy_noise):
     n_cal, n_fresh = 40_000, 40_000
     cal = sample_joint_draws(toy_family, toy_noise, n_cal, seed=83)
@@ -535,8 +552,6 @@ def test_rank_one_tail_upper_bound(toy_design, toy_noise):
         toy_design, WeightingScheme.linear_functional([1.0, 1.0, 1.0]), [1, 2, 3]
     )
     draws = sample_joint_draws(family, toy_noise, 50_000, seed=97)
-    from smaselect import pair_variance
-
     for m, m_ref in family.pairs():
         v = math.sqrt(pair_variance(family, toy_noise, m, m_ref).p_pair)
         for t in (0.5, 1.0, 2.0, 3.0):
@@ -696,6 +711,19 @@ def test_table_json_roundtrip(toy_family, toy_noise):
     assert clone.corrections == table.corrections
     assert clone.pair_dims == table.pair_dims
     assert clone.mode == table.mode
+
+
+def test_traces_and_table_dimensions_are_pair_values(toy_family, toy_noise):
+    traces = pair_traces(toy_family, toy_noise.variances)
+    assert isinstance(traces, PairValues) and list(traces) == toy_family.pairs()
+    # Any other pair list keeps its own order.
+    backwards = pair_traces(toy_family, toy_noise.variances, toy_family.pairs()[::-1])
+    assert list(backwards) == toy_family.pairs()[::-1] and backwards == traces
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=5)
+    table = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0)
+    from_dict = dataclasses.replace(table, pair_dims=dict(table.pair_dims))
+    for t in (table, from_dict, CalibrationTable.from_dict(table.to_dict())):
+        assert isinstance(t.pair_dims, PairValues) and t.pair_dims == traces
 
 
 @pytest.mark.parametrize("field", ["critical", "pair_dims", "corrections"])

@@ -237,10 +237,14 @@ def test_injected_true_residuals_reproduce_known_thresholds(toy_family, toy_nois
 def test_quantile_ratio_table_shape_and_summary():
     cfg = small_config(coefficient_rule={"kind": "paper4"})
     table = quantile_ratio_tables(cfg, [cfg.m_dagger])[cfg.m_dagger]
-    assert len(table.ratios) == len(scenario_family(cfg, generate_scenario(cfg)).pairs())
+    pairs = scenario_family(cfg, generate_scenario(cfg)).pairs()
+    assert len(table.ratios) == len(pairs)
     assert table.summary["min"] <= table.summary["mean"] <= table.summary["max"]
     text = ratios_csv(table)
     assert text.startswith("m,m_ref,ratio_sq\n")
+    # Rows follow the canonical pair order: by reference, then by larger model.
+    rows = [tuple(map(int, line.split(",")[:2])) for line in text.splitlines()[1:]]
+    assert rows == pairs
 
 
 def test_mdagger_sweep_top_equals_default_path():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from smaselect import (
     DesignMatrix,
     DimensionMismatch,
+    MissingPair,
     NoiseSpec,
     NonFiniteInput,
     NotOrderedPair,
@@ -15,6 +16,7 @@ from smaselect import (
     build_projection_family,
     check_ordering,
 )
+from smaselect.family import pair_order, pair_values
 from conftest import orthonormal_rows_design
 from reference import operator, pair_operator
 
@@ -160,3 +162,17 @@ def test_design_rejects_nan():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteInput):
             DesignMatrix(np.array([[1.0, bad]]))
+
+
+def test_pair_values_at_reads_any_order():
+    # Canonical values read in their own order (the array itself), in a
+    # shuffled order and on a subset; a pair they lack is named.
+    order = pair_order((1, 2, 4))
+    values = pair_values(dict(zip(order.pairs[::-1], [3.0, 2.0, 1.0])))
+    assert values.pairs is order.pairs
+    assert values.at(order) is values.array
+    assert values.at(pair_order((1, 2, 4), [(4, 2), (2, 1)])).tolist() == [3.0, 1.0]
+    assert values.at(pair_order((1, 2, 4), [(4, 1)])).tolist() == [2.0]
+    assert values.at(pair_order((1, 2, 4), [])).tolist() == []
+    with pytest.raises(MissingPair, match=r"no threshold for pair \(2, 0\)"):
+        values.at(pair_order((1, 2, 4), [(4, 1), (2, 0)]), "threshold")

@@ -12,7 +12,6 @@ count.
 
 import dataclasses
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from smaselect import (
     sample_joint_draws,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.calibration import JointDrawMatrix
+from smaselect.calibration import _sample_scaled_norms
+from smaselect.errors import DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order
 from smaselect.rng import block_bounds, stream
@@ -121,21 +121,27 @@ def _plain(index) -> list:
 def models_and_pairs(draw):
     """Increasing models with gaps and a pair list over them: the canonical
     pairs as a list or tuple, or a shuffled subset, with or without
-    ``(m, 0)`` pairs."""
+    ``(m, 0)`` pairs, in which one pair may appear twice."""
     models = tuple(sorted(draw(st.sets(st.integers(1, 16), min_size=1, max_size=8))))
     canonical = [(m, m_ref) for i, m_ref in enumerate(models) for m in models[i + 1 :]]
     kind = draw(st.sampled_from(["list", "tuple", "shuffled"]))
     if kind != "shuffled":
         return models, canonical if kind == "list" else tuple(canonical)
     pool = canonical + ([(m, 0) for m in models] if draw(st.booleans()) else [])
-    shuffled = draw(st.permutations(pool))
-    return models, shuffled[: draw(st.integers(0, len(shuffled)))]
+    pairs = draw(st.permutations(pool))[: draw(st.integers(0, len(pool)))]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    return models, pairs
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=models_and_pairs(), seed=st.integers(0, 2**32 - 1))
 def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     models, pairs = case
+    if len(set(pairs)) < len(pairs):
+        with pytest.raises(DimensionMismatch, match="more than once"):
+            pair_order(models, pairs)
+        return
     order = pair_order(models, pairs)
     expected = reference.pair_layout(models, list(pairs))
     assert order.pairs == tuple(pairs)
@@ -226,11 +232,7 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
 
     rng = np.random.default_rng(5)
     subset = _pair_lists(family, rng)["mixed_shuffled"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        multiplier, _ = calibrate(
-            family, scale, 700, 11, 2.0, 1.0, pairs=subset, n_workers=n_workers, stream_tag=3
-        )
+    multiplier = _sample_scaled_norms(family, scale, 700, 11, subset, n_workers, stream_tag=3)
     assert list(multiplier.pair_index) == subset
     assert np.array_equal(
         multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
@@ -251,27 +253,24 @@ def test_draws_at_more_workers_than_cores_under_fast_switching():
     assert np.array_equal(got, expected)
 
 
-def _grouping(draws):
-    columns = np.arange(len(draws.pair_index))
-    return {
-        ref: (pairs, columns[cols].tolist()) for ref, (pairs, cols) in draws.by_reference.items()
-    }
-
-
 @pytest.mark.parametrize("name", ["increments", "general"])
 def test_sampler_grouping_equals_grouping_from_columns(name):
-    # The sampler passes the family's grouping; a draw matrix built from its
-    # columns alone regroups them, with the same references, order and columns.
+    # The sampler hands the draw matrix the order it sampled in; its
+    # references, their comparisons and their columns are those of the
+    # pair-by-pair layout of the columns' pairs.
     family = FAMILIES[name]()
     rng = np.random.default_rng(6)
     scale = np.full(family.n, 0.7)
     for pairs in _pair_lists(family, rng).values():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            draws, _ = calibrate(family, scale, 40, 2, 1.0, 0.0, pairs=pairs)
-        rebuilt = JointDrawMatrix(draws.draws, draws.pair_index, draws.seed, draws.n_sim)
-        assert list(draws.by_reference) == list(rebuilt.by_reference)
-        assert _grouping(draws) == _grouping(rebuilt)
+        draws = _sample_scaled_norms(family, scale, 40, 2, pairs, 1)
+        assert draws.order.pairs == tuple(pairs)
+        if pairs == family.pairs():
+            assert draws.order is pair_order(family.models)
+        groups = reference.pair_layout(family.models, pairs)["groups"]
+        assert draws.references() == [m_ref for m_ref, *_ in groups]
+        for m_ref, _, _, cols in groups:
+            assert draws.comparisons(m_ref) == [pairs[c] for c in cols]
+            assert [draws.pair_index[pairs[c]] for c in cols] == cols
 
 
 @pytest.mark.parametrize("name", ["increments", "general"])

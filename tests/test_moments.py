@@ -13,12 +13,11 @@ from smaselect import (
     build_projection_family,
     check_ordering,
     pair_bias,
-    pair_variance,
     risk_profile,
 )
 from smaselect.moments import pair_bias_vector, single_variance
 from conftest import orthonormal_rows_design
-from reference import pair_operator, risk_profile_csv_rows
+from reference import pair_operator, pair_variance, risk_profile_csv_rows
 
 
 def test_toy_pair_variance(toy_family, toy_noise):

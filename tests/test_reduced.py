@@ -52,12 +52,16 @@ from smaselect.moments import (
     all_pair_moments,
     best_linear_coefficients,
     pair_traces,
-    pair_variance,
     single_traces,
     single_variance,
 )
 from smaselect.rng import block_bounds, stream
-from reference import dense_validity_diagnostics, multiplier_draws, operator
+from reference import (
+    dense_validity_diagnostics,
+    multiplier_draws,
+    operator,
+    pair_variance,
+)
 
 DRAW_RTOL = 1e-8
 MOMENT_RTOL = 1e-12

@@ -141,7 +141,7 @@ def _as_form(draw, values: dict, form: str):
     pairs = draw(st.permutations(list(values)))
     if form == "dict":
         return {pair: values[pair] for pair in pairs}
-    return pair_values(pairs, [values[pair] for pair in pairs])
+    return pair_values({pair: values[pair] for pair in pairs})
 
 
 @st.composite

@@ -34,7 +34,7 @@ from .errors import (
     TailTooDeepWarning,
 )
 from .family import ModelFamily, PairOrder, PairValues, pair_order, pair_values
-from .moments import NoiseSpec, PairMoments, pair_traces, single_traces
+from .moments import NoiseSpec, PairMoments, _pair_traces, pair_traces, single_traces
 from .rng import block_bounds, stream
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
@@ -52,9 +52,9 @@ class JointDrawMatrix:
     ``order.pairs[i]``; all columns of a row come from the same
     realization, preserving the joint law.  ``order`` is the pair layout
     the draws were sampled in (the family's canonical ``PairOrder`` unless
-    a sampler was given other pairs), so ``pair_index`` is its ``index``
-    and its ``groups`` hold the columns of each reference.  Nothing is
-    sorted: order statistics and strict ranks are selected on demand.
+    a sampler was given another): ``order.index`` maps pairs to columns and
+    ``order.groups`` holds each reference's columns.  Nothing is sorted:
+    order statistics and strict ranks are selected on demand.
     """
 
     draws: np.ndarray
@@ -75,10 +75,6 @@ class JointDrawMatrix:
                 raise NonFiniteInput("draw matrix contains NaN or infinite values")
             if (draws < 0).any():
                 raise DimensionMismatch("draws must be nonnegative magnitudes")
-
-    @property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return self.order.index
 
     @property
     def n_sim(self) -> int:
@@ -128,10 +124,10 @@ class JointDrawMatrix:
         return JointDrawMatrix(self.draws[:, cols].copy(), order, self.seed)
 
 
-def pair_norms(family: ModelFamily, xi: np.ndarray, pairs) -> np.ndarray:
+def pair_norms(family: ModelFamily, xi: np.ndarray, order: PairOrder) -> np.ndarray:
     """Pair magnitudes ``|(K_m - K_ref) y|`` (``B x pairs``) for each row of
     ``xi = Q^T y``: the square root of ``ModelFamily.pair_squares``, transposed."""
-    squares = family.pair_squares(xi, pairs)
+    squares = family.pair_squares(xi, order)
     return np.sqrt(squares, out=squares).T
 
 
@@ -140,22 +136,21 @@ def _sample_scaled_norms(
     scale: np.ndarray,
     n_sim: int,
     seed: int,
-    pairs,
+    order: PairOrder,
     n_workers: int,
     stream_tag: int = 0,
 ) -> JointDrawMatrix:
-    """Draw matrix for noise ``scale * N(0, I_n)`` rows; ``pairs=None`` means all.
+    """Draw matrix for noise ``scale * N(0, I_n)`` rows over the pairs of ``order``.
 
     Shared core of the known-noise and residual-multiplier paths and of
     ``excess_risk_mc``: they differ only in the per-coordinate scale vector
-    and the pairs.  Row block ``b`` always reads stream
+    and the pair layout.  Row block ``b`` always reads stream
     ``(seed, stream_tag, b)``, so the result is bit-identical for any
     worker count.
     """
     if n_sim < 1:
         raise DimensionMismatch("n_sim must be >= 1")
     scale = family.vector(scale, "noise scale")
-    order = pair_order(family.models, pairs)
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns, and
     # one in-place square root turns them into magnitudes.
@@ -165,7 +160,7 @@ def _sample_scaled_norms(
         b, start, stop = block
         z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
         xi = family.reduce(np.multiply(z, scale, out=z))
-        family.pair_squares(xi, order.pairs, out=columns[:, start:stop])
+        family.pair_squares(xi, order, out=columns[:, start:stop])
 
     blocks = block_bounds(n_sim)
     if n_workers > 1 and len(blocks) > 1:
@@ -192,7 +187,7 @@ def sample_joint_draws(
     deterministic given ``seed``, bit-identical for any ``n_workers``.
     """
     scale = np.sqrt(sigma.variances)
-    return _sample_scaled_norms(family, scale, n_sim, seed, None, n_workers)
+    return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models), n_workers)
 
 
 def _check_level(value: float, what: str) -> float:
@@ -333,11 +328,14 @@ class CalibrationTable:
     ``critical[(m, m_ref)]`` is compared against the observed difference
     statistic, and ``pair_dims[(m, m_ref)]`` is the effective dimension
     entering the bias allowance ``alpha_plus * sqrt(dim)``.  Both are
-    stored as read-only ``PairValues`` (through ``pair_values``: canonical
-    order when a plain mapping holds every pair of its models), and
+    stored as read-only ``PairValues`` (through ``pair_values``), and
     ``dict(table.critical)`` is a mutable copy.  A NaN threshold would
-    reject every comparison it enters, so non-finite thresholds,
-    dimensions and corrections raise ``NonFiniteInput`` on construction.
+    reject every comparison it enters, and a negative dimension or a NaN
+    allowance would make the self-test's tails NaN, hiding every
+    exceedance.  So non-finite thresholds, dimensions, corrections or
+    ``alpha_plus`` raise ``NonFiniteInput`` on construction, and negative
+    dimensions or ``alpha_plus`` ``DimensionMismatch``; ``x_level`` may be
+    NaN, as fixed thresholds carry no level.
     """
 
     x_level: float
@@ -354,6 +352,7 @@ class CalibrationTable:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_level(self.alpha_plus, "alpha_plus")
         for name in ("critical", "pair_dims"):
             values = pair_values(getattr(self, name))
             object.__setattr__(self, name, values)
@@ -361,6 +360,7 @@ class CalibrationTable:
                 raise NonFiniteInput(f"calibration table has non-finite {name} values")
         if not all(map(math.isfinite, self.corrections.values())):
             raise NonFiniteInput("calibration table has non-finite corrections values")
+        _check_level(float(self.pair_dims.array.min(initial=0.0)), "every pair_dims value")
 
     def threshold(self, m: int, m_ref: int) -> float:
         try:
@@ -464,7 +464,6 @@ def calibration_table(
     the pair's empirical tail value at its reference's level, and
     ``pair_dims`` the effective dimensions of the bias allowance.
     """
-    _check_level(alpha_plus, "alpha_plus")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
     corrections = dict.fromkeys(draws.references(), 0.0)
@@ -487,11 +486,10 @@ def calibration_table(
             z[cols] = tail[cols, k - k_x]
             corrections[m_ref] = q
 
-    pairs = draws.order.pairs
     dims = pair_values(pair_dims)
     allowance = alpha_plus * np.sqrt(dims.at(draws.order, "dimension"))
-    critical = PairValues(pairs, z + allowance, draws.order.index)
-    clipped = [pair for pair in pairs if ref_clipped[pair[1]]]
+    critical = PairValues(draws.order, z + allowance)
+    clipped = [pair for pair in draws.order.pairs if ref_clipped[pair[1]]]
     if clipped:
         warnings.warn(
             TailTooDeepWarning(
@@ -528,7 +526,7 @@ def critical_values(
     ``x_level`` is the probabilistic level or power-loss parameters, as in
     ``calibration_table``; ``power_loss_critical_values`` is the same call.
     """
-    pair_dims = {pair: moments[pair].p_pair for pair in draws.order.pairs}
+    pair_dims = PairValues(draws.order, [moments[pair].p_pair for pair in draws.order.pairs])
     return calibration_table(draws, pair_dims, alpha_plus, x_level, moments)
 
 
@@ -567,7 +565,8 @@ def calibrate(
         levels = power_loss_params(family.models, single_traces(family, variances), power_a)
     else:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, None, n_workers, stream_tag)
+    order = pair_order(family.models)
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, n_workers, stream_tag)
     return draws, calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
 
 
@@ -634,10 +633,11 @@ def excess_risk_mc(
         raise NotOrderedPair(f"model {m} has no predecessor in the family")
     scale = np.sqrt(sigma.variances)
     pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, pairs + [(m, 0)], 1)
+    order = pair_order(family.models, pairs + [(m, 0)])
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, 1)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
-    p_m = pair_traces(family, sigma.variances, [(m, 0)])[(m, 0)]
+    p_m = _pair_traces(family, sigma.variances, order)[(m, 0)]
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:

@@ -35,7 +35,7 @@ its pairs' rows; otherwise (or for a rank-deficient leading block) it uses
 
 Every pair list over a model tuple has one layout, ``pair_order``, which
 the kernel, the moments, the draw matrix, the table builder and the
-selector all read.
+selector all read and pass on; a list is laid out once, where it enters.
 """
 
 from __future__ import annotations
@@ -288,68 +288,65 @@ def _as_slice(index: list[int]) -> slice | np.ndarray:
 
 
 class PairValues(Mapping):
-    """A read-only float per pair, held as one array in the order of ``pairs``.
+    """A read-only float per pair, held as one array in the layout ``order``.
 
     A ``Mapping`` from ``(m, m_ref)`` to a float: indexing by a pair,
-    iteration in ``pairs`` order, ``items()``, ``values()`` and ``==``
+    iteration in ``order.pairs`` order, ``items()``, ``values()`` and ``==``
     against a plain dict all work, and ``dict()`` of one is a mutable
-    copy.  ``array`` is the values as a read-only float array and
-    ``index`` maps each pair to its entry; both ``pairs`` and ``index``
-    are shared with the ``PairOrder`` when the pairs are canonical.
-    ``pair_values`` builds one in that order whenever it can, and ``at``
-    reads the values in any ``PairOrder``.
+    copy.  ``array`` is the values as a read-only float array, entry ``i``
+    for ``order.pairs[i]``.  ``pair_values`` builds one in the canonical
+    order whenever it can, and ``at`` reads the values in any ``PairOrder``.
     """
 
-    __slots__ = ("pairs", "array", "index")
+    __slots__ = ("order", "array")
 
-    def __init__(self, pairs: tuple, values, index: dict):
+    def __init__(self, order: PairOrder, values):
         array = np.array(values, dtype=float)
-        if array.shape != (len(pairs),):
+        if array.shape != (len(order.pairs),):
             raise DimensionMismatch("need one value per pair")
         array.flags.writeable = False
-        self.pairs, self.array, self.index = pairs, array, index
+        self.order, self.array = order, array
 
     def __getitem__(self, pair) -> float:
-        return self.array.item(self.index[pair])
+        return self.array.item(self.order.index[pair])
 
     def __iter__(self):
-        return iter(self.pairs)
+        return iter(self.order.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.order.pairs)
 
     def __repr__(self) -> str:
         return f"PairValues({dict(self.items())!r})"
 
     def at(self, order: PairOrder, what: str = "value") -> np.ndarray:
-        """The values at the pairs of ``order``: ``array`` itself when they are
-        these pairs, else one gather.  A missing pair raises ``MissingPair``."""
-        pairs = order.pairs
-        if self.pairs is pairs or self.pairs == pairs:
+        """The values at the pairs of ``order``: ``array`` itself when it is
+        this order, else one gather.  A missing pair raises ``MissingPair``."""
+        if order is self.order:
             return self.array
+        pairs = order.pairs
         try:
-            return self.array[np.fromiter(map(self.index.__getitem__, pairs), np.intp, len(pairs))]
+            cols = np.fromiter(map(self.order.index.__getitem__, pairs), np.intp, len(pairs))
         except KeyError as missing:
             raise MissingPair(f"no {what} for pair {missing.args[0]}") from None
+        return self.array[cols]
 
 
 def pair_values(values: Mapping) -> PairValues:
     """A pair-to-float mapping as a read-only ``PairValues`` (itself if it is one).
 
     When the pairs are every pair of the models they name, in any order,
-    the result takes their canonical order and shares its pair tuple and
-    index, so the selector reads its array without a gather; any other
-    pair set keeps the order given.
+    the result takes their canonical ``PairOrder``, so the selector reads
+    its array without a gather; any other pair set is laid out in the
+    order given by ``pair_order``, which raises ``NotOrderedPair`` for a
+    pair that is not ``m > m_ref``.
     """
     if isinstance(values, PairValues):
         return values
-    pairs = tuple(values)
-    order = pair_order(tuple(sorted({m for pair in pairs for m in pair})))
-    if pairs == order.pairs:
-        return PairValues(order.pairs, list(values.values()), order.index)
-    if values.keys() == order.index.keys():
-        return PairValues(order.pairs, [values[p] for p in order.pairs], order.index)
-    return PairValues(pairs, list(values.values()), {pair: i for i, pair in enumerate(pairs)})
+    order = pair_order(tuple(sorted({m for pair in values for m in pair})))
+    if values.keys() != order.index.keys():
+        order = pair_order(order.models, values)
+    return PairValues(order, [values[pair] for pair in order.pairs])
 
 
 @dataclass
@@ -362,8 +359,8 @@ class ModelFamily:
     ``increments`` is ``g = diag(A^T A)`` (length ``M``) when the nested
     basis makes ``A^T A`` diagonal, else ``None``; with it,
     ``|(K_m - K_ref) y|^2`` is ``sum g_j xi_j^2`` over the window
-    ``(m_ref, m]`` (see ``pair_squares``).  The kernels take any pair
-    list and read its layout from ``pair_order``.
+    ``(m_ref, m]`` (see ``pair_squares``).  The kernels take a
+    ``PairOrder`` over ``models``, laid out once by the caller.
     """
 
     design: DesignMatrix
@@ -424,12 +421,14 @@ class ModelFamily:
         variances = self.vector(variances, "noise variances")
         return np.linalg.qr(self.basis * np.sqrt(variances)[:, None], mode="r")
 
-    def pair_squares(self, xi: np.ndarray, pairs, out: np.ndarray | None = None) -> np.ndarray:
+    def pair_squares(
+        self, xi: np.ndarray, order: PairOrder, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Squared pair magnitudes ``|(K_m - K_ref) y|^2`` (``pairs x B``) for
         the rows of ``xi = Q^T y`` (``B x r``); ``(m, 0)`` is model ``m`` alone.
 
-        The one pair kernel.  Row ``i`` of the result is pair ``i``, so a
-        caller holding a column-major draw buffer passes its block of
+        The one pair kernel.  Row ``i`` of the result is ``order.pairs[i]``,
+        so a caller holding a column-major draw buffer passes its block of
         columns as ``out`` (any ``pairs x B`` float view, strided or not)
         and gets the squares written there.  With ``increments`` ``g``,
         each pair is a window sum of ``g_j xi_j^2`` over ``(m_ref, m]``
@@ -438,11 +437,10 @@ class ModelFamily:
         ``D_m xi`` and one vectorised subtraction per reference, into a
         buffer reused across references.
         """
-        order = pair_order(self.models, pairs)
         if out is None:
             out = np.empty((len(order.pairs), xi.shape[0]))
         if self.increments is not None:
-            return self._window_sums((xi * xi * self.increments).T, order, out)
+            return self.pair_windows((xi * xi * self.increments).T, order, out)
         flat = self.reduced.reshape(-1, self.reduced.shape[-1])
         estimates = (flat @ xi.T).reshape(len(self.models), -1, xi.shape[0])
         buf = np.empty_like(estimates)
@@ -454,15 +452,15 @@ class ModelFamily:
         return out
 
     def pair_windows(
-        self, weights: np.ndarray, pairs, out: np.ndarray | None = None
+        self, weights: np.ndarray, order: PairOrder, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per pair, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
+        """Per pair of ``order``, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
 
         ``weights`` is ``(M, B)`` and nonnegative; the result, written to
-        ``out`` if given, is ``(len(pairs), B)``.  Each model step is summed
-        once; then the windows are built by length, every start at once:
-        the windows of ``d + 1`` steps are those of ``d`` steps plus the
-        next step, one vectorised addition into one of two ``M``-row
+        ``out`` if given, is ``(len(order.pairs), B)``.  Each model step is
+        summed once; then the windows are built by length, every start at
+        once: the windows of ``d + 1`` steps are those of ``d`` steps plus
+        the next step, one vectorised addition into one of two ``M``-row
         buffers, and each length's windows are scattered to their pairs'
         rows of ``out``.  So every window is a running sum from its first
         step to its last, as the steps are added left to right, and ``out``
@@ -470,9 +468,6 @@ class ModelFamily:
         would take fewer additions but cancels on small windows; a running
         sum of nonnegative terms keeps every window's relative precision.
         """
-        return self._window_sums(weights, pair_order(self.models, pairs), out)
-
-    def _window_sums(self, weights: np.ndarray, order: PairOrder, out) -> np.ndarray:
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))

@@ -78,10 +78,10 @@ def _pair_moments(
     order = pair_order(family.models, pairs)
     root = family.noise_root(sigma.variances)
     tops = (_gram_tops if family.increments is None else _window_tops)(family, root, order)
-    traces = pair_traces(family, sigma.variances, order.pairs)
+    traces = _pair_traces(family, sigma.variances, order).array.tolist()
     return {
-        pair: PairMoments(p_pair=traces[pair], lambda_pair=min(max(float(top), 0.0), traces[pair]))
-        for pair, top in zip(order.pairs, tops)
+        pair: PairMoments(p_pair=trace, lambda_pair=min(max(float(top), 0.0), trace))
+        for pair, trace, top in zip(order.pairs, traces, tops)
     }
 
 
@@ -134,15 +134,18 @@ def pair_traces(family: ModelFamily, variances, pairs=None) -> PairValues:
     Each is the sum of the pair's squared magnitudes over the rows of the
     noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
-    order = pair_order(family.models, pairs)
-    traces = family.pair_squares(family.noise_root(variances), order.pairs).sum(axis=1)
-    return PairValues(order.pairs, traces, order.index)
+    return _pair_traces(family, variances, pair_order(family.models, pairs))
+
+
+def _pair_traces(family: ModelFamily, variances, order: PairOrder) -> PairValues:
+    """``pair_traces`` over the pairs of a ``PairOrder`` the caller holds."""
+    return PairValues(order, family.pair_squares(family.noise_root(variances), order).sum(axis=1))
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     """Variance traces ``tr Var(K_m y)`` of every model."""
     traces = pair_traces(family, variances, [(m, 0) for m in family.models])
-    return {m: traces[(m, 0)] for m in family.models}
+    return dict(zip(family.models, traces.array.tolist()))
 
 
 def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndarray:

@@ -45,8 +45,7 @@ def test_statistics(family: ModelFamily, y) -> PairValues:
     """Difference-statistic magnitudes for every ordered pair, read-only, in
     the family's canonical pair order."""
     order = pair_order(family.models)
-    norms = pair_norms(family, family.reduce(family.vector(y))[None], order.pairs)[0]
-    return PairValues(order.pairs, norms, order.index)
+    return PairValues(order, pair_norms(family, family.reduce(family.vector(y))[None], order)[0])
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,13 @@ def table_from_thresholds(
     critical: Mapping[tuple[int, int], float], mode: str = "fixed"
 ) -> CalibrationTable:
     """Wrap externally fixed thresholds so they can drive the selector."""
+    critical = pair_values(critical)
     return CalibrationTable(
         x_level=float("nan"),
         alpha_plus=0.0,
         corrections={},
         critical=critical,
-        pair_dims={pair: 0.0 for pair in critical},
+        pair_dims=PairValues(critical.order, np.zeros(len(critical))),
         mode=mode,
     )
 
@@ -155,7 +155,7 @@ def oracle(
     _check_level(alpha_plus, "alpha_plus")
     bias = test_statistics(family, f_true)
     dims = pair_traces(family, sigma.variances)
-    allowance = PairValues(dims.pairs, alpha_plus * np.sqrt(dims.array), dims.index)
+    allowance = PairValues(dims.order, alpha_plus * np.sqrt(dims.array))
     result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
     m_star = result.m_hat
     if mode == "power_loss":

@@ -51,8 +51,7 @@ def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
     if noise.shape[1] != family.n:
         raise DimensionMismatch("noise rows must have length n")
-    pairs = list(pairs) if pairs is not None else family.pairs()
-    return pair_norms(family, family.reduce(noise), pairs)
+    return pair_norms(family, family.reduce(noise), pair_order(family.models, pairs))
 
 
 def pair_windows(family, weights: np.ndarray, pairs) -> np.ndarray:
@@ -143,7 +142,7 @@ def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
 
 def corrections(draws, x_level: float) -> dict[int, float]:
     """Every reference's multiplicity correction, as the table builder reads it."""
-    pair_dims = dict.fromkeys(draws.pair_index, 0.0)
+    pair_dims = dict.fromkeys(draws.order.index, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return calibration_table(draws, pair_dims, 0.0, x_level).corrections
@@ -168,7 +167,8 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
     (probabilistic) or within every pair at or above it (power loss)."""
     f = family.vector(f_true, "f_true")
     pairs = family.pairs()
-    bias = dict(zip(pairs, pair_norms(family, family.reduce(f)[None], pairs)[0]))
+    norms = pair_norms(family, family.reduce(f)[None], pair_order(family.models))
+    bias = dict(zip(pairs, norms[0]))
     dims = pair_traces(family, sigma.variances, pairs)
 
     def good_pair(m: int, m_ref: int) -> bool:

@@ -31,6 +31,7 @@ from smaselect.bootstrap import residual_scale
 from smaselect.calibration import _sample_scaled_norms, power_loss_params
 from smaselect.cli import bounds_check_grid, main as cli_main
 from smaselect.experiment import fourier_values
+from smaselect.family import pair_order
 from smaselect.moments import all_pair_moments, pair_traces
 from smaselect.rng import stream
 from conftest import orthonormal_rows_design
@@ -251,13 +252,14 @@ def test_criterion_08_bootstrap_familywise_coverage():
     x = 2.0
     n_rep = 500
     pairs = [(m, 1) for m in family.successors(1)]
+    order = pair_order(family.models, pairs)
     ops = {pair: pair_operator(family, *pair) for pair in pairs}
     accepted = np.zeros(n_rep, dtype=bool)
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
         draws = _sample_scaled_norms(
-            family, residual_scale(family, resid), 1000, 8181, pairs, 1, stream_tag=rep
+            family, residual_scale(family, resid), 1000, 8181, order, 1, stream_tag=rep
         )
         q = multiplicity_correction(draws, 1, x)
         ok = True

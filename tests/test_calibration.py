@@ -68,7 +68,7 @@ def bisection_correction(draws, m_ref, x_level, resolution=1e-4):
     pairs = draws.comparisons(m_ref)
     if len(pairs) == 1:
         return 0.0
-    sub = draws.draws[:, [draws.pair_index[p] for p in pairs]]
+    sub = draws.draws[:, [draws.order.index[p] for p in pairs]]
     sorted_cols = np.sort(sub, axis=0).T
     target = math.exp(-x_level)
 
@@ -346,21 +346,21 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
 
     n, power = draws.n_sim, isinstance(levels, PowerLossParams)
     rank, corrections, ref_level = {}, {}, {}
-    for m_ref in sorted({r for _, r in draws.pair_index}):
+    for m_ref in sorted({r for _, r in draws.order.index}):
         if power:
             corrections[m_ref], ref_level[m_ref] = 0.0, levels.x[m_ref]
             continue
-        pairs = [p for p in draws.pair_index if p[1] == m_ref]
+        pairs = [p for p in draws.order.index if p[1] == m_ref]
         k = _tail_rank(levels, n)[0]
         if len(pairs) > 1:
-            row_max = ranks[[draws.pair_index[p] for p in pairs]].max(axis=0)
+            row_max = ranks[[draws.order.index[p] for p in pairs]].max(axis=0)
             reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
             k += int(np.argmax(reached[k:] / n <= math.exp(-levels)))
         rank[m_ref] = k
         corrections[m_ref] = _shift_to_rank(levels, k, n)
         ref_level[m_ref] = levels + corrections[m_ref]
     critical, clipped = {}, []
-    for (m, m_ref), col in sorted(draws.pair_index.items(), key=lambda kv: kv[1]):
+    for (m, m_ref), col in sorted(draws.order.index.items(), key=lambda kv: kv[1]):
         k, was_clipped = _tail_rank(ref_level[m_ref], n)
         if was_clipped:
             clipped.append((m, m_ref))
@@ -400,7 +400,7 @@ def draw_matrices(draw):
 )
 def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t):
     n = draws.n_sim
-    pair_dims = {p: float(p[0] - p[1]) for p in draws.pair_index}
+    pair_dims = {p: float(p[0] - p[1]) for p in draws.order.index}
     sorted_draws, ranks, rank, corrections, critical, clipped = full_sort_oracle(
         draws, pair_dims, alpha_plus, x
     )
@@ -428,7 +428,7 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
     assert table.critical == critical
     assert table.tail_clipped == clipped
 
-    col = draws.pair_index[min(draws.pair_index)]
+    col = draws.order.index[min(draws.order.index)]
     k, was_clipped = _tail_rank(t, n)
     assert _quantile_at(draws.draws[:, col], t) == (float(sorted_draws[col, k - 1]), was_clipped)
 
@@ -438,21 +438,22 @@ def test_pair_norms_on_shuffled_subset(toy_extended_family):
     rng = np.random.default_rng(5)
     xi = family.reduce(rng.standard_normal((9, family.n)))
     pairs = family.pairs()
-    canonical = pair_norms(family, xi, pairs)
+    canonical = pair_norms(family, xi, pair_order(family.models))
     subset = [int(i) for i in rng.permutation(len(pairs))[:11]]
-    norms = pair_norms(family, xi, [pairs[i] for i in subset])
+    norms = pair_norms(family, xi, pair_order(family.models, [pairs[i] for i in subset]))
     np.testing.assert_array_equal(norms, canonical[:, subset])
     # Any list equal to the canonical one reads the layout built once.
     assert pair_order(family.models, list(pairs)) is pair_order(family.models)
 
 
 def test_pair_norms_reject_reversed_pair(toy_extended_family):
-    # Both kernels refuse a pair whose larger model comes second.
+    # Both kernels take a layout, and a pair list whose larger model comes
+    # second has none.
     xi = toy_extended_family.reduce(np.ones((2, toy_extended_family.n)))
     general = dataclasses.replace(toy_extended_family, increments=None)
     for family in (toy_extended_family, general):
         with pytest.raises(NotOrderedPair):
-            pair_norms(family, xi, [(2, 1), (1, 3)])
+            pair_norms(family, xi, pair_order(family.models, [(2, 1), (1, 3)]))
 
 
 def test_multiplicity_nonincreasing_when_comparisons_removed(toy_family, toy_noise):
@@ -523,7 +524,7 @@ def test_missing_pair_is_named(toy_extended_family):
     assert propagation_failures(draws.restricted(dims), table) == []
     with pytest.raises(MissingPair, match=r"no critical value for pair \(4, 1\)"):
         propagation_failures(draws, table)
-    full = dataclasses.replace(table, critical=dict.fromkeys(draws.pair_index, 5.0))
+    full = dataclasses.replace(table, critical=dict.fromkeys(draws.order.index, 5.0))
     with pytest.raises(MissingPair, match=r"no dimension for pair \(4, 1\)"):
         propagation_failures(draws, full)
     with pytest.raises(MissingPair, match=r"no threshold for pair \(3, 1\)"):
@@ -738,6 +739,34 @@ def test_table_load_rejects_non_finite(toy_family, toy_noise, tmp_path, field, b
     path.write_text(json.dumps(d))
     with pytest.raises(NonFiniteInput):
         load_table(path)
+
+
+def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noise):
+    draws = sample_joint_draws(toy_family, toy_noise, 2000, seed=131)
+    table = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0)
+    zero = table.to_dict() | {"critical": dict.fromkeys(table.to_dict()["critical"], 0.0)}
+    assert propagation_failures(draws, CalibrationTable.from_dict(zero))
+    # Negative dimensions would make every tail NaN, so the self-test would
+    # see no exceedance at all; a NaN allowance would do the same.
+    corrupt = zero | {"pair_dims": dict.fromkeys(zero["pair_dims"], -4.0)}
+    with pytest.raises(DimensionMismatch, match="pair_dims"):
+        CalibrationTable.from_dict(corrupt)
+    bad_allowances = [(-1.0, DimensionMismatch), (math.nan, NonFiniteInput), (math.inf, NonFiniteInput)]
+    for bad, error in bad_allowances:
+        with pytest.raises(error, match="alpha_plus"):
+            CalibrationTable.from_dict(zero | {"alpha_plus": bad})
+    # Fixed thresholds carry no level.
+    assert math.isnan(CalibrationTable.from_dict(zero | {"x_level": math.nan}).x_level)
+
+
+def test_reversed_pair_in_table_input_is_refused(toy_family, toy_noise):
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
+    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
+    for field in ("critical", "pair_dims"):
+        with pytest.raises(NotOrderedPair, match=r"\(1, 3\)"):
+            CalibrationTable.from_dict(d | {field: {"1:3": 1.0} | d[field]})
+    with pytest.raises(NotOrderedPair):
+        calibration_table(draws, {(2, 1): 1.0, (3, 1): 1.0, (2, 3): 1.0}, 1.0, 2.0)
 
 
 @settings(max_examples=10, deadline=None)

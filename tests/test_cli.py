@@ -309,7 +309,7 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
     # Thresholds without any multiplicity correction: the union over the two
     # comparisons against the smallest model overshoots the target.
     critical = {
-        pair: _quantile_at(draws.column(*pair), 2.0)[0] for pair in draws.pair_index
+        pair: _quantile_at(draws.column(*pair), 2.0)[0] for pair in draws.order.index
     }
     bad = CalibrationTable(
         x_level=2.0,

@@ -169,7 +169,7 @@ def test_pair_values_at_reads_any_order():
     # shuffled order and on a subset; a pair they lack is named.
     order = pair_order((1, 2, 4))
     values = pair_values(dict(zip(order.pairs[::-1], [3.0, 2.0, 1.0])))
-    assert values.pairs is order.pairs
+    assert values.order is order
     assert values.at(order) is values.array
     assert values.at(pair_order((1, 2, 4), [(4, 2), (2, 1)])).tolist() == [3.0, 1.0]
     assert values.at(pair_order((1, 2, 4), [(4, 1)])).tolist() == [2.0]

@@ -25,6 +25,7 @@ from smaselect import (
     WeightingScheme,
     build_projection_family,
     calibrate,
+    excess_risk_mc,
     sample_joint_draws,
 )
 from smaselect import test_statistics as pairwise_statistics
@@ -32,7 +33,9 @@ from smaselect.calibration import _sample_scaled_norms
 from smaselect.errors import DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order
-from smaselect.rng import block_bounds, stream
+from smaselect.moments import single_traces
+from smaselect.rng import BLOCK_ROWS, block_bounds, stream
+from smaselect.selector import payment_theory_cap
 import reference
 
 ROWS = (1, "r", 511, 512, 513, 1000)
@@ -89,7 +92,8 @@ def _pair_lists(family, rng):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_canonical_pairs_in_any_sequence_skip_regrouping(name, monkeypatch):
     # A tuple (or list) equal to the canonical pairs reads the layout built
-    # once per model tuple; only another order is laid out, once per call.
+    # once per model tuple; only another order is laid out, once, and the
+    # kernels read the layout they are given.
     family = FAMILIES[name]()
     canonical = pair_order(family.models).pairs
     calls = []
@@ -103,13 +107,40 @@ def test_canonical_pairs_in_any_sequence_skip_regrouping(name, monkeypatch):
     xi = family.reduce(np.ones((2, family.n)))
     weights = np.ones((family.largest, 2))
     for pairs in (canonical, tuple(family.pairs()), family.pairs()):
-        family.pair_windows(weights, pairs)
-        family.pair_squares(xi, pairs)
+        order = pair_order(family.models, pairs)
+        family.pair_windows(weights, order)
+        family.pair_squares(xi, order)
     pairwise_statistics(family, np.ones(family.n))
     assert calls == []
-    family.pair_windows(weights, canonical[::-1])
-    family.pair_squares(xi, list(canonical[::-1]))
-    assert calls == [canonical[::-1]] * 2
+    order = pair_order(family.models, list(canonical[::-1]))
+    family.pair_windows(weights, order)
+    family.pair_squares(xi, order)
+    assert calls == [canonical[::-1]]
+
+
+def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
+    # A list becomes a layout where it enters; the sampler's row blocks,
+    # the traces and the moments read that layout instead of building it
+    # again, so an excess-risk run over several row blocks lays out once.
+    family, scenario = _paper_like()
+    sigma = scenario.sigma
+    pair_order(family.models)  # the canonical layout, built once per model tuple
+    calls = []
+    real = family_module._layout
+
+    def spy(models, pairs):
+        calls.append(pairs)
+        return real(models, pairs)
+
+    monkeypatch.setattr(family_module, "_layout", spy)
+    for entry in (
+        lambda: excess_risk_mc(family, sigma, 5, 2.0, 3 * BLOCK_ROWS, seed=1),
+        lambda: single_traces(family, sigma.variances),
+        lambda: payment_theory_cap(family, sigma, 5, 2.0, 1.0),
+    ):
+        calls.clear()
+        entry()
+        assert len(calls) == 1
 
 
 def _plain(index) -> list:
@@ -162,12 +193,12 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     family = build_projection_family(design, WeightingScheme.prediction(), models)
     assert family.increments is not None
     canonical = pair_order(models).pairs
-    singles = [(m, 0) for m in models]
+    layouts = [pair_order(models), pair_order(models, [(m, 0) for m in models])]
     xi = family.reduce(rng.standard_normal((3, family.n)))
     for route in (family, dataclasses.replace(family, increments=None)):
-        whole = np.vstack([route.pair_squares(xi, canonical), route.pair_squares(xi, singles)])
+        whole = np.vstack([route.pair_squares(xi, layout) for layout in layouts])
         rows = [canonical.index(p) if p[1] else len(canonical) + models.index(p[0]) for p in pairs]
-        assert np.array_equal(route.pair_squares(xi, pairs), whole[rows].reshape(len(rows), 3))
+        assert np.array_equal(route.pair_squares(xi, order), whole[rows].reshape(len(rows), 3))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -184,7 +215,7 @@ def test_pair_squares_equal_running_buffer_kernel(name):
         for rows in ROWS:
             b = r if rows == "r" else rows
             xi = rng.standard_normal((b, r)) * rng.uniform(0.1, 10.0, r)
-            got = family.pair_squares(xi, pairs)
+            got = family.pair_squares(xi, pair_order(family.models, pairs))
             assert got.shape == (len(pairs), b)
             assert np.array_equal(got, reference.pair_squares(family, xi, pairs)), (label, b)
 
@@ -196,15 +227,16 @@ def test_pair_squares_fill_a_strided_out(name):
     xi = family.reduce(rng.standard_normal((37, family.n)))
     for pairs in _pair_lists(family, rng).values():
         expected = reference.pair_squares(family, xi, pairs)
+        order = pair_order(family.models, pairs)
         # A block of columns of a column-major draw buffer, as the sampler passes.
         buf = np.full((len(pairs), 50), np.nan)
-        returned = family.pair_squares(xi, pairs, out=buf[:, 5:42])
+        returned = family.pair_squares(xi, order, out=buf[:, 5:42])
         assert np.shares_memory(returned, buf)
         assert np.array_equal(buf[:, 5:42], expected)
         assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 42:]).all()
         # A transposed (Fortran-ordered) view.
         rows_first = np.full((37, len(pairs)), np.nan)
-        family.pair_squares(xi, pairs, out=rows_first.T)
+        family.pair_squares(xi, order, out=rows_first.T)
         assert np.array_equal(rows_first.T, expected)
 
 
@@ -232,8 +264,9 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
 
     rng = np.random.default_rng(5)
     subset = _pair_lists(family, rng)["mixed_shuffled"]
-    multiplier = _sample_scaled_norms(family, scale, 700, 11, subset, n_workers, stream_tag=3)
-    assert list(multiplier.pair_index) == subset
+    order = pair_order(family.models, subset)
+    multiplier = _sample_scaled_norms(family, scale, 700, 11, order, n_workers, stream_tag=3)
+    assert list(multiplier.order.index) == subset
     assert np.array_equal(
         multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
     )
@@ -262,7 +295,7 @@ def test_sampler_grouping_equals_grouping_from_columns(name):
     rng = np.random.default_rng(6)
     scale = np.full(family.n, 0.7)
     for pairs in _pair_lists(family, rng).values():
-        draws = _sample_scaled_norms(family, scale, 40, 2, pairs, 1)
+        draws = _sample_scaled_norms(family, scale, 40, 2, pair_order(family.models, pairs), 1)
         assert draws.order.pairs == tuple(pairs)
         if pairs == family.pairs():
             assert draws.order is pair_order(family.models)
@@ -270,7 +303,7 @@ def test_sampler_grouping_equals_grouping_from_columns(name):
         assert draws.references() == [m_ref for m_ref, *_ in groups]
         for m_ref, _, _, cols in groups:
             assert draws.comparisons(m_ref) == [pairs[c] for c in cols]
-            assert [draws.pair_index[pairs[c]] for c in cols] == cols
+            assert [draws.order.index[pairs[c]] for c in cols] == cols
 
 
 @pytest.mark.parametrize("name", ["increments", "general"])

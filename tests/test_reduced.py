@@ -38,14 +38,7 @@ from smaselect import (
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.bootstrap import pilot_basis, residual_scale
 from smaselect.calibration import _quantile_at
-from smaselect.experiment import (
-    ExperimentConfig,
-    Seeds,
-    fourier_derivative_values,
-    fourier_values,
-    generate_scenario,
-    scenario_family,
-)
+from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import PSD_TOL, _pinv_gram
 from smaselect.moments import (
     _pair_moments,
@@ -56,6 +49,7 @@ from smaselect.moments import (
     single_variance,
 )
 from smaselect.rng import block_bounds, stream
+from conftest import small_families
 from reference import (
     dense_validity_diagnostics,
     multiplier_draws,
@@ -338,24 +332,10 @@ def test_general_family_keeps_the_gram_route(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    loss=st.sampled_from(["prediction", "derivative"]),
-    p=st.integers(3, 8),
-    extra=st.integers(2, 10),
-    data=st.data(),
-)
-def test_window_moments_match_dense_on_trigonometric_families(seed, loss, p, extra, data):
-    models = data.draw(
-        st.lists(st.integers(1, p), min_size=2, max_size=p, unique=True).map(sorted)
-    )
-    n = p + extra
-    grid = (np.arange(n) + 0.5) / n
-    design = DesignMatrix(fourier_values(grid, p) / np.sqrt(n))
-    weights = design.entries if loss == "prediction" else fourier_derivative_values(grid, p)
-    family = build_projection_family(design, WeightingScheme.custom(weights.T), models)
+@given(seed=st.integers(0, 10_000), family=small_families(kinds=("prediction", "derivative")))
+def test_window_moments_match_dense_on_trigonometric_families(seed, family):
     assert family.increments is not None
-    variances = np.random.default_rng(seed).uniform(0.1, 5.0, n)
+    variances = np.random.default_rng(seed).uniform(0.1, 5.0, family.n)
     ops = dense_operators(family)
     for (m, m_ref), mom in all_pair_moments(family, NoiseSpec.known(variances)).items():
         v = dense_variance(ops[m] - ops[m_ref], variances)

@@ -13,6 +13,7 @@ from smaselect import (
     MissingPair,
     NoiseSpec,
     NonFiniteInput,
+    NotOrderedPair,
     NotProjectionFamily,
     RequiresKnownTruth,
     WeightingScheme,
@@ -108,6 +109,19 @@ def test_sma_missing_statistic():
         sma_select({(2, 1): 0.5}, table, models=[1, 2, 3])
 
 
+def test_reversed_pair_in_a_mapping_is_refused(toy_family):
+    # A pair whose larger model comes second has no layout, at every
+    # mapping boundary: the selector's statistics and fixed thresholds.
+    valid = dict.fromkeys(toy_family.pairs(), 1.0)
+    reversed_pair = {(1, 3): 1.0} | {pair: 1.0 for pair in valid if pair != (3, 1)}
+    with pytest.raises(NotOrderedPair, match=r"\(1, 3\)"):
+        table_from_thresholds(reversed_pair)
+    with pytest.raises(NotOrderedPair, match=r"\(1, 3\)"):
+        sma_select(reversed_pair, table_from_thresholds(valid))
+    with pytest.raises(NotOrderedPair):
+        table_from_thresholds({(1, 3): 1.0})
+
+
 def test_sma_explicit_models_for_singleton():
     result = sma_select({}, table_from_thresholds({}), models=[4])
     assert result.m_hat == 4
@@ -192,7 +206,8 @@ def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):
     pairs = family.pairs()
     stats = pairwise_statistics(family, y)
     # The dict the selector's statistics used to be.
-    old = dict(zip(pairs, pair_norms(family, family.reduce(y)[None], pairs)[0].tolist()))
+    norms = pair_norms(family, family.reduce(y)[None], pair_order(family.models))
+    old = dict(zip(pairs, norms[0].tolist()))
     assert stats == old and old == stats
     assert list(stats) == pairs
     assert list(stats.items()) == list(old.items())
@@ -217,7 +232,7 @@ def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
     old = {
         pair: _quantile_at(draws.column(*pair), table.x_level + table.corrections[pair[1]])[0]
         + table.alpha_plus * math.sqrt(table.pair_dims[pair])
-        for pair in draws.pair_index
+        for pair in draws.order.index
     }
     fixed = table_from_thresholds(old)
     loaded = CalibrationTable.from_dict(table.to_dict())

@@ -62,14 +62,16 @@ class JointDrawMatrix:
     seed: int
 
     def __post_init__(self):
-        if self.draws.ndim != 2 or self.draws.shape[1] != len(self.order.pairs):
+        # A float array view passes through uncopied (the sampler's
+        # column-major one included); anything else is converted first.
+        draws = self.draws = np.asarray(self.draws, dtype=float)
+        if draws.ndim != 2 or draws.shape[1] != len(self.order.pairs):
             raise DimensionMismatch("draw matrix needs one column per pair of its order")
         # One pass over the draws: read as unsigned integers, every
         # nonnegative finite double lies below the bits of +inf, and +inf,
         # NaN and every value with the sign bit set lie at or above them.
         # Only a matrix that fails this is scanned again, to tell the
         # cases apart (-0.0 passes both checks).
-        draws = np.asarray(self.draws, dtype=float)
         if draws.view(np.uint64).max(initial=0) >= _INF_BITS:
             if not np.isfinite(draws).all():
                 raise NonFiniteInput("draw matrix contains NaN or infinite values")
@@ -335,7 +337,9 @@ class CalibrationTable:
     exceedance.  So non-finite thresholds, dimensions, corrections or
     ``alpha_plus`` raise ``NonFiniteInput`` on construction, and negative
     dimensions or ``alpha_plus`` ``DimensionMismatch``; ``x_level`` may be
-    NaN, as fixed thresholds carry no level.
+    NaN, as fixed thresholds carry no level.  ``level(m_ref)`` is the level
+    a reference was calibrated at; a power-loss table records ``x_level``
+    0.0, the level of its first model, which has no predecessor.
     """
 
     x_level: float
@@ -361,6 +365,18 @@ class CalibrationTable:
         if not all(map(math.isfinite, self.corrections.values())):
             raise NonFiniteInput("calibration table has non-finite corrections values")
         _check_level(float(self.pair_dims.array.min(initial=0.0)), "every pair_dims value")
+
+    def level(self, m_ref: int) -> float:
+        """Tail level the thresholds against reference ``m_ref`` were
+        calibrated at: ``x_level`` in probabilistic mode, the reference's
+        entry of ``per_model_levels`` in power-loss mode (``MissingPair``
+        when it has none)."""
+        if self.mode != "power_loss":
+            return self.x_level
+        level = (self.per_model_levels or {}).get(m_ref)
+        if level is None:
+            raise MissingPair(f"no power-loss level for reference {m_ref}")
+        return level
 
     def threshold(self, m: int, m_ref: int) -> float:
         try:
@@ -592,13 +608,12 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     exceeds = draws.draws > tails
     failures = []
     for m_ref, _, _, cols in draws.order.groups:
+        target = math.exp(-_check_level(table.level(m_ref), "level"))
         if table.mode == "probabilistic":
             fwe = float(np.mean(np.any(exceeds[:, cols], axis=1)))
-            target = math.exp(-table.x_level)
             if fwe > target + 1e-12:
                 failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
         else:
-            target = math.exp(-table.per_model_levels[m_ref])
             for pair, exc in zip(draws.comparisons(m_ref), exceeds[:, cols].mean(axis=0).tolist()):
                 if exc > target + 1e-12:
                     failures.append(f"pair {pair}: exceedance {exc:.4f} > {target:.4f}")

@@ -23,7 +23,7 @@ from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, WeightingScheme, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
-from .rng import stream
+from .rng import is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
 
 WEIGHTINGS = ("prediction", "full_vector", "derivative")
@@ -117,9 +117,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"mode must be one of {MODES}")
         if self.mode == "power_loss" and (self.power_a is None or self.power_a <= 0):
             raise ConfigInvalid("power_loss mode needs power_a > 0")
-        if not isinstance(self.seeds, Seeds) or not all(
-            _is_count(s) and 0 <= s < 2**64 for s in astuple(self.seeds)
-        ):
+        if not isinstance(self.seeds, Seeds) or not all(map(is_seed, astuple(self.seeds))):
             raise ConfigInvalid(
                 "seeds must map data/noise/calibration/bootstrap to integers in [0, 2**64)"
             )

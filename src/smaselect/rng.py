@@ -9,27 +9,44 @@ thread produced it or in what order.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import DimensionMismatch
 
 # Rows of a Monte-Carlo draw matrix are generated in fixed-size blocks, one
 # stream per block.  The block size is part of the output format: changing it
 # changes the draws.
 BLOCK_ROWS = 512
 
-_U32 = np.uint64(0xFFFFFFFF)
+
+def is_seed(value, bits: int = 64) -> bool:
+    """True for an integer, not a bool, in ``[0, 2**bits)``: a seed, or with
+    ``bits=32`` a stream id.  Nothing else is a key word, so no two
+    arguments can alias one stream."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and 0 <= value < 1 << bits
+    )
 
 
 def stream(seed: int, major: int, minor: int = 0) -> np.random.Generator:
     """Return the generator for stream ``(seed, major, minor)``.
 
-    ``major`` and ``minor`` must fit in 32 bits each; they are packed into
-    the second word of the Philox key.
+    ``seed`` fills the first word of the Philox key; ``major`` and
+    ``minor`` must fit in 32 bits each and are packed into the second.
+    Anything else raises ``DimensionMismatch``.
     """
-    if not (0 <= major <= 0xFFFFFFFF and 0 <= minor <= 0xFFFFFFFF):
-        raise ValueError("stream ids must fit in 32 bits")
+    if not is_seed(seed):
+        raise DimensionMismatch(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not (is_seed(major, 32) and is_seed(minor, 32)):
+        raise DimensionMismatch(
+            f"stream ids must be integers in [0, 2**32), got {major!r}, {minor!r}"
+        )
     key = np.array(
-        [np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-         (np.uint64(major) << np.uint64(32)) | (np.uint64(minor) & _U32)],
+        [np.uint64(seed), (np.uint64(major) << np.uint64(32)) | np.uint64(minor)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

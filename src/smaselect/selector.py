@@ -21,24 +21,16 @@ from .calibration import (
     JointDrawMatrix,
     _check_level,
     pair_norms,
-    power_loss_params,
     tail_quantile,
 )
 from .errors import (
     DimensionMismatch,
-    MissingPair,
     NonFiniteInput,
     NotProjectionFamily,
     RequiresKnownTruth,
 )
 from .family import ModelFamily, PairValues, _pinv_gram, pair_order, pair_values
-from .moments import (
-    NoiseSpec,
-    pair_bias,
-    pair_traces,
-    single_traces,
-    single_variance,
-)
+from .moments import NoiseSpec, pair_traces, single_variance
 
 
 def test_statistics(family: ModelFamily, y) -> PairValues:
@@ -89,12 +81,7 @@ def sma_select(
     statistics = pair_values(statistics)
     if not np.isfinite(statistics.array).all():
         raise NonFiniteInput("test statistics contain NaN or infinite values")
-    try:
-        ok = statistics.at(order) <= table.critical.at(order)
-    except MissingPair:
-        pair = next(p for p in order.pairs if p not in statistics or p not in table.critical)
-        what = "statistic" if pair not in statistics else "critical value"
-        raise MissingPair(f"no {what} for pair {pair}") from None
+    ok = statistics.at(order, "statistic") <= table.critical.at(order, "critical value")
     accepted = np.ones(len(order.models), dtype=bool)
     if ok.size:
         accepted[:-1] = np.logical_and.reduceat(ok, order.starts)
@@ -166,32 +153,18 @@ def oracle(
 
 
 def payment_theory_cap(
-    family: ModelFamily,
-    sigma: NoiseSpec,
-    m_star: int,
-    x_level: float,
-    alpha_plus: float,
-    mode: str = "probabilistic",
-    power_a: float | None = None,
+    family: ModelFamily, sigma: NoiseSpec, m_star: int, table: CalibrationTable
 ) -> float:
-    """Closed-form cap on the adaptation payment for Gaussian noise; in power-loss
-    mode at the calibration's level of ``m_star``'s predecessor (0 for the first)."""
-    _check_level(x_level, "x_level")
+    """Closed-form cap on the adaptation payment for Gaussian noise, at the
+    table's level of ``m_star``'s predecessor (its ``x_level`` for the first
+    model) plus ``log(#models)``, with the table's allowance ``alpha_plus``."""
+    ref = family.predecessor(m_star)
+    level = _check_level(table.x_level if ref is None else table.level(ref), "level")
     mom = single_variance(family, sigma, m_star)
-    n_models = len(family.models)
-    if mode == "probabilistic":
-        return (1.0 + alpha_plus) * math.sqrt(mom.p_pair) + math.sqrt(
-            2.0 * mom.lambda_pair * (x_level + math.log(n_models))
-        )
-    if mode == "power_loss":
-        if power_a is None:
-            raise DimensionMismatch("power-loss cap needs the exponent a")
-        levels = power_loss_params(family.models, single_traces(family, sigma.variances), power_a)
-        level = levels.x.get(family.predecessor(m_star), 0.0) + math.log(n_models)
-        return alpha_plus * math.sqrt(mom.p_pair) + math.sqrt(
-            2.0 * mom.lambda_pair * level
-        )
-    raise DimensionMismatch(f"unknown mode {mode!r}")
+    spread = math.sqrt(2.0 * mom.lambda_pair * (level + math.log(len(family.models))))
+    if table.mode == "power_loss":
+        return table.alpha_plus * math.sqrt(mom.p_pair) + spread
+    return (1.0 + table.alpha_plus) * math.sqrt(mom.p_pair) + spread
 
 
 def payment_for_adaptation(
@@ -214,15 +187,7 @@ def payment_for_adaptation(
     m_star = report.m_star
     smaller = [m for m in family.models if m < m_star]
     z_bar = max((table.threshold(m_star, m) for m in smaller), default=0.0)
-    z_bar_theory = payment_theory_cap(
-        family,
-        sigma,
-        m_star,
-        table.x_level if table.mode == "probabilistic" else 0.0,
-        table.alpha_plus,
-        mode="power_loss" if table.mode == "power_loss" else "probabilistic",
-        power_a=table.power_a,
-    )
+    z_bar_theory = payment_theory_cap(family, sigma, m_star, table)
     note = None
     if f_true is not None and draws is not None and smaller:
         note = _insensitivity_note(family, f_true, m_star, table, draws)
@@ -234,40 +199,36 @@ def payment_for_adaptation(
 def _insensitivity_note(family, f_true, m_star, table, draws) -> dict:
     """Exclude strongly biased smaller models by fixed-point iteration.
 
-    Starting from an empty excluded set, a model below the benchmark is
-    excluded when its bias exceeds the acceptance threshold plus the tail
-    value at the current union-adjusted level; the level is refreshed from
-    the excluded-set size until stable (at most one pass per model).
+    Starting from an empty excluded set, a model ``m`` below the benchmark
+    is excluded when its bias exceeds the acceptance threshold plus the
+    tail value at its calibrated level ``table.level(m)``, union-adjusted
+    by ``log`` of the excluded-set size; the levels ``x_s`` are refreshed
+    from that size until stable (at most one pass per model).
     """
     smaller = [m for m in family.models if m < m_star]
-    bias = {m: pair_bias(family, f_true, m_star, m) for m in smaller}
-    x_level = table.x_level
-
-    def qualify(x_s: float) -> set[int]:
-        out = set()
-        for m in smaller:
-            z_tail = tail_quantile(draws, m_star, m, x_s)
-            if bias[m] > table.threshold(m_star, m) + z_tail:
-                out.add(m)
-        return out
+    statistics = test_statistics(family, f_true)
+    bias = {m: statistics[(m_star, m)] for m in smaller}
+    threshold = {m: table.threshold(m_star, m) for m in smaller}
+    levels = {m: table.level(m) for m in smaller}
 
     excluded: set[int] = set()
-    x_s = x_level
     for _ in range(len(family.models)):
-        x_s = x_level + math.log(max(1, len(excluded)))
-        nxt = qualify(x_s)
+        shift = math.log(max(1, len(excluded)))
+        x_s = {m: level + shift for m, level in levels.items()}
+        nxt = {
+            m for m in smaller if bias[m] > threshold[m] + tail_quantile(draws, m_star, m, x_s[m])
+        }
         if nxt == excluded:
             break
         excluded = nxt
     zone = [m for m in smaller if m not in excluded]
-    z_bar_zone = max((table.threshold(m_star, m) for m in zone), default=0.0)
     return {
         "x_s": x_s,
         "excluded": sorted(excluded),
         "zone": zone,
-        "z_bar_zone": z_bar_zone,
-        "bias": {m: bias[m] for m in smaller},
-        "threshold": {m: table.threshold(m_star, m) for m in smaller},
+        "z_bar_zone": max((threshold[m] for m in zone), default=0.0),
+        "bias": bias,
+        "threshold": threshold,
     }
 
 

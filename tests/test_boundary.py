@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from smaselect import (
+    CalibrationTable,
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
     WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
+    calibrate,
     excess_risk_mc,
     oracle,
     pair_bias,
@@ -27,6 +29,7 @@ from smaselect import (
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.experiment import ExperimentConfig, generate_scenario, scenario_family
 from smaselect.moments import all_pair_moments, best_linear_coefficients
+from smaselect.rng import stream
 from smaselect.selector import payment_theory_cap
 from reference import multiplier_draws
 
@@ -92,22 +95,51 @@ def test_noise_of_wrong_length_is_rejected(toy_family, entry):
         NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec.homogeneous(1.0, 5))
 
 
-# Levels, allowances and scales outside their domain, on a derivative-loss
-# family whose model 1 (the constant) has zero variance, so no power-loss
-# level exists for it.  Each level raises the error ``calibrate`` raises for it.
+def _table(x_level: float) -> CalibrationTable:
+    """A probabilistic table at level ``x_level`` with allowance 1."""
+    return CalibrationTable(
+        x_level=x_level,
+        alpha_plus=1.0,
+        corrections={},
+        critical={},
+        pair_dims={},
+        mode="probabilistic",
+    )
+
+
+def _calibrate(sc, fam, seed=1, **kwargs):
+    return calibrate(fam, np.sqrt(sc.sigma.variances), 10, seed, 2.0, 1.0, **kwargs)
+
+
+# Levels, allowances, scales, seeds and stream ids outside their domain, on
+# a derivative-loss family whose model 1 (the constant) has zero variance,
+# so no power-loss level exists for it.  Each level raises the error
+# ``calibrate`` raises for it.  A seed masked to 64 bits would alias
+# another stream: 2**64 drew seed 0's matrix, -1 that of 2**64 - 1 and 1.5
+# that of 1.
 BAD_SCALARS = {
-    "payment_theory_cap-power-model-1": (
-        lambda sc, fam: payment_theory_cap(
-            fam, sc.sigma, 3, 2.0, 1.0, mode="power_loss", power_a=1.0
-        ),
+    "calibrate-power-model-1": (
+        lambda sc, fam: _calibrate(sc, fam, mode="power_loss", power_a=1.0),
         DimensionMismatch,
     ),
+    **{
+        f"calibrate-seed-{name}": (
+            lambda sc, fam, seed=seed: _calibrate(sc, fam, seed=seed),
+            DimensionMismatch,
+        )
+        for name, seed in [("2**64", 2**64), ("negative", -1), ("float", 1.5), ("bool", True)]
+    },
+    "calibrate-stream-tag-2**32": (
+        lambda sc, fam: _calibrate(sc, fam, stream_tag=2**32),
+        DimensionMismatch,
+    ),
+    "stream-minor-bool": (lambda sc, fam: stream(1, 0, True), DimensionMismatch),
     "payment_theory_cap-x-negative": (
-        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, -5.0, 1.0),
+        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, _table(-5.0)),
         DimensionMismatch,
     ),
     "payment_theory_cap-x-nan": (
-        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, math.nan, 1.0),
+        lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, _table(math.nan)),
         NonFiniteInput,
     ),
     "validity_diagnostics-x-negative": (
@@ -136,6 +168,14 @@ def derivative_scenario():
     ).validate()
     scenario = generate_scenario(config)
     return scenario, scenario_family(config, scenario)
+
+
+def test_every_64_bit_seed_is_accepted(toy_family):
+    def draws(seed):
+        return sample_joint_draws(toy_family, NOISE, 10, seed).draws
+
+    np.testing.assert_array_equal(draws(2**64 - 1), draws(np.uint64(2**64 - 1)))
+    assert not np.array_equal(draws(2**64 - 1), draws(0))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCALARS))

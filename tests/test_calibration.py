@@ -298,6 +298,23 @@ def test_draw_matrix_accepts_zeros_of_either_sign():
     assert draws.draws is values
 
 
+def test_draw_matrix_converts_its_input_before_checking_it(toy_family, toy_noise):
+    # A nested list or an integer array becomes a float matrix, as a
+    # design's entries do, and is then checked like any other.
+    nested = two_pair_draws([[1, 2], [3, 4]])
+    assert nested.draws.dtype == np.float64
+    np.testing.assert_array_equal(nested.draws, [[1.0, 2.0], [3.0, 4.0]])
+    assert two_pair_draws(np.array([[1, 2], [3, 4]])).draws.dtype == np.float64
+    with pytest.raises(DimensionMismatch):
+        two_pair_draws([[1.0, -2.0]])
+    with pytest.raises(DimensionMismatch):
+        two_pair_draws([1.0, 2.0])
+    # A float view, the sampler's column-major one included, is not copied.
+    view = np.ones((2, 5)).T
+    assert two_pair_draws(view).draws is view
+    assert sample_joint_draws(toy_family, toy_noise, 600, seed=3).draws.flags.f_contiguous
+
+
 def _two_columns(pairs):
     # Column 1 is 100x column 0, so a table that ignored it would show.
     return two_pair_draws(np.outer(np.arange(1.0, 4.0), [1.0, 100.0]), pairs)
@@ -529,6 +546,16 @@ def test_missing_pair_is_named(toy_extended_family):
         propagation_failures(draws, full)
     with pytest.raises(MissingPair, match=r"no threshold for pair \(3, 1\)"):
         familywise_exceedance(draws, 1, {(2, 1): 1.0})
+    # A power-loss table loaded without a reference's level names it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        draws, power = calibrate(
+            toy_extended_family, np.ones(8), 200, 3, 2.0, 1.0, mode="power_loss", power_a=1.0
+        )
+    d = power.to_dict()
+    del d["per_model_levels"]["2"]
+    with pytest.raises(MissingPair, match="no power-loss level for reference 2"):
+        propagation_failures(draws, CalibrationTable.from_dict(d))
 
 
 def test_fresh_draw_propagation(toy_family, toy_noise):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import smaselect.family as family_module
 from smaselect import (
+    CalibrationTable,
     DesignMatrix,
     NonFiniteInput,
     WeightingScheme,
@@ -125,6 +126,14 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
     family, scenario = _paper_like()
     sigma = scenario.sigma
     pair_order(family.models)  # the canonical layout, built once per model tuple
+    table = CalibrationTable(
+        x_level=2.0,
+        alpha_plus=1.0,
+        corrections={},
+        critical={},
+        pair_dims={},
+        mode="probabilistic",
+    )
     calls = []
     real = family_module._layout
 
@@ -136,7 +145,7 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
     for entry in (
         lambda: excess_risk_mc(family, sigma, 5, 2.0, 3 * BLOCK_ROWS, seed=1),
         lambda: single_traces(family, sigma.variances),
-        lambda: payment_theory_cap(family, sigma, 5, 2.0, 1.0),
+        lambda: payment_theory_cap(family, sigma, 5, table),
     ):
         calls.clear()
         entry()

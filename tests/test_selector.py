@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from smaselect import (
     NotOrderedPair,
     NotProjectionFamily,
     RequiresKnownTruth,
+    TailTooDeepWarning,
     WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
@@ -350,17 +352,27 @@ def test_payment_zero_for_smallest_oracle(toy_family, toy_noise):
 
 
 def test_payment_theory_cap_values(toy_family, toy_noise):
-    cap = payment_theory_cap(toy_family, toy_noise, 3, x_level=2.0, alpha_plus=1.0)
+    # The cap reads its level and allowance off the table: the common level
+    # in probabilistic mode, and in power-loss mode the calibrated level of
+    # the benchmark's predecessor (4 log 3 for model 2 on the toy family's
+    # dimensions 1, 2, 3), or 0 for the first model.
+    scale = np.sqrt(toy_noise.variances)
+    _, table = calibrate(toy_family, scale, 1000, 229, 2.0, 1.0)
+    cap = payment_theory_cap(toy_family, toy_noise, 3, table)
     expected = 2 * math.sqrt(3) + math.sqrt(2 * (2 + math.log(3)))
     assert cap == pytest.approx(expected, rel=1e-12)
     assert cap == pytest.approx(5.9535, abs=1e-4)
 
-    power = payment_theory_cap(
-        toy_family, toy_noise, 3, x_level=2.0, alpha_plus=1.0, mode="power_loss", power_a=1.0
+    _, power_table = calibrate(
+        toy_family, scale, 1000, 229, 2.0, 1.0, mode="power_loss", power_a=1.0
     )
+    assert power_table.level(2) == pytest.approx(4 * math.log(3), rel=1e-12)
+    power = payment_theory_cap(toy_family, toy_noise, 3, power_table)
     expected_power = math.sqrt(3) + math.sqrt(2 * (4 * math.log(3) + math.log(3)))
     assert power == pytest.approx(expected_power, rel=1e-12)
     assert power == pytest.approx(5.0466, abs=2e-4)
+    first = payment_theory_cap(toy_family, toy_noise, 1, power_table)
+    assert first == pytest.approx(1 + math.sqrt(2 * math.log(3)), rel=1e-12)
 
 
 def test_payment_within_cap(toy_family, toy_noise):
@@ -376,6 +388,29 @@ def test_payment_within_cap(toy_family, toy_noise):
     assert note is not None
     assert set(note["zone"]) | set(note["excluded"]) == {1, 2}
     assert note["z_bar_zone"] <= rep.z_bar
+
+
+def test_power_loss_note_reads_the_calibrated_levels(toy_extended_family):
+    # The levels 4 log 2, 4 log 3 and 4 log 4 of models 1..3 lie below
+    # log(n_sim), so no tail is clipped to the maximum draw, as every one
+    # was at the level 0.0 a power-loss table records as x_level.
+    family = toy_extended_family
+    noise = NoiseSpec.known(np.ones(family.n))
+    draws, table = calibrate(
+        family, np.ones(family.n), 20_000, 233, 2.0, 1.0, mode="power_loss", power_a=1.0
+    )
+    f = np.zeros(family.n)
+    f[3] = 5.0
+    report = oracle(family, f, noise, 1.0, mode="power_loss")
+    assert report.m_star == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TailTooDeepWarning)
+        report = payment_for_adaptation(family, noise, report, table, f_true=f, draws=draws)
+    assert max(table.per_model_levels[m] for m in (1, 2, 3)) < math.log(draws.n_sim)
+    note = report.insensitivity_note
+    shift = math.log(max(1, len(note["excluded"])))
+    assert note["x_s"] == {m: table.per_model_levels[m] + shift for m in (1, 2, 3)}
+    assert set(note["zone"]) | set(note["excluded"]) == {1, 2, 3}
 
 
 def test_aic_equivalence_toy(toy_family):

@@ -10,7 +10,7 @@ from .bootstrap import (
     residual_scale,
     validity_diagnostics,
 )
-from .bounds import QFParams, norm_upper, pinsker_tv_bound, pinsker_tv_bound_op, qf_lower, qf_upper
+from .bounds import QFParams, norm_upper, qf_lower, qf_upper
 from .calibration import (
     CalibrationTable,
     ExcessRiskEstimate,
@@ -53,7 +53,6 @@ from .moments import (
     NoiseSpec,
     PairMoments,
     RiskPoint,
-    pair_bias,
     risk_profile,
 )
 from .selector import (

@@ -1,7 +1,7 @@
-"""Closed-form Gaussian quadratic-form tails and a TV comparison bound.
+"""Closed-form deviation bounds for Gaussian quadratic forms.
 
-Pure functions used as threshold caps in diagnostics and as MC-falsifiable
-properties in the test suite.
+Pure functions, each violated with probability at most e^-x.  ``sma
+bounds-check`` and the test suite falsify them by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -46,22 +46,3 @@ def qf_lower(p_trace: float, v2: float, x: float) -> float:
     """Lower deviation threshold, clamped at zero."""
     return max(0.0, p_trace - 2.0 * math.sqrt(v2 * x))
 
-
-def pinsker_tv_bound(delta2: float, beta_quad: float) -> float:
-    """Total-variation bound between two Gaussians from KL ingredients.
-
-    ``delta2`` bounds the squared Frobenius distance of the whitened
-    covariance ratio from the identity; ``beta_quad`` is the quadratic form
-    of the mean shift.  The caller asserts the operator-norm precondition
-    (whitened covariance within 1/2 of the identity).
-    """
-    if delta2 < 0 or beta_quad < 0:
-        raise DimensionMismatch("TV bound inputs must be >= 0")
-    return 0.5 * math.sqrt(delta2 + beta_quad)
-
-
-def pinsker_tv_bound_op(p: float, eps: float, beta_norm2: float = 0.0) -> float:
-    """Operator-norm corollary of the TV bound: 0.5 sqrt(p eps^2 + (1+eps)|beta|^2)."""
-    if p < 0 or eps < 0 or beta_norm2 < 0:
-        raise DimensionMismatch("TV bound inputs must be >= 0")
-    return 0.5 * math.sqrt(p * eps**2 + (1.0 + eps) * beta_norm2)

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .family import ModelFamily, PairOrder, PairValues, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, _pair_traces, pair_traces, single_traces
-from .rng import block_bounds, stream
+from .rng import block_bounds, is_integer, stream
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
 MIN_TAIL_POINTS = 10
@@ -150,8 +150,10 @@ def _sample_scaled_norms(
     ``(seed, stream_tag, b)``, so the result is bit-identical for any
     worker count.
     """
-    if n_sim < 1:
-        raise DimensionMismatch("n_sim must be >= 1")
+    if not all(is_integer(n) and n >= 1 for n in (n_sim, n_workers)):
+        raise DimensionMismatch(
+            f"n_sim and n_workers must be integers >= 1, got {n_sim!r}, {n_workers!r}"
+        )
     scale = family.vector(scale, "noise scale")
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns, and

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -313,25 +314,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if "config" not in vars(args):  # bounds-check reads no config
-            return args.func(args)
-        cfg = _load_config(args)
-        rc = args.func(args, cfg)
-        io.save_json(meta_record(cfg), _outdir(args) / "meta.json")
-        return rc
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SingularGram, AllZeroResiduals) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except NonFiniteInput as exc:
-        print(f"non-finite input: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except SmaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # A warning reads "<Category>: <message>", without the source line.
+        warnings.showwarning = lambda message, category, *_: print(
+            f"{category.__name__}: {message}", file=sys.stderr
+        )
+        try:
+            if "config" not in vars(args):  # bounds-check reads no config
+                return args.func(args)
+            cfg = _load_config(args)
+            rc = args.func(args, cfg)
+            io.save_json(meta_record(cfg), _outdir(args) / "meta.json")
+            return rc
+        except ConfigInvalid as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (SingularGram, AllZeroResiduals) as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except NonFiniteInput as exc:
+            print(f"non-finite input: {exc}", file=sys.stderr)
+            return EXIT_NONFINITE
+        except SmaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

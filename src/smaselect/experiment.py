@@ -23,7 +23,7 @@ from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, WeightingScheme, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
-from .rng import is_seed, stream
+from .rng import is_integer, is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
 
 WEIGHTINGS = ("prediction", "full_vector", "derivative")
@@ -93,14 +93,14 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         for name in ("n", "p_max", "m_dagger", "n_sim", "n_hist", "n_workers"):
-            if not _is_count(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be an integer")
         for name in ("x_level", "alpha_plus") + (("power_a",) if self.power_a is not None else ()):
             if not _is_number(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be a finite number")
         if not isinstance(self.random_design, bool):
             raise ConfigInvalid("random_design must be true or false")
-        if not all(_is_count(m) for m in self.models):
+        if not all(is_integer(m) for m in self.models):
             raise ConfigInvalid("models must be integers")
         models = tuple(int(m) for m in self.models)
         if not models or any(b <= a for a, b in zip(models, models[1:])):
@@ -149,10 +149,6 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigInvalid(str(exc)) from None
         return cfg.validate()
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:

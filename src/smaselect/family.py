@@ -389,13 +389,6 @@ class ModelFamily:
     def largest(self) -> int:
         return self.models[-1]
 
-    def position(self, m: int) -> int:
-        """Index of model ``m`` in ``models``."""
-        try:
-            return pair_order(self.models).positions[m]
-        except KeyError:
-            raise NotOrderedPair(f"model {m} not in family") from None
-
     def vector(self, v, what: str = "data vector") -> np.ndarray:
         """``v`` as a float vector of length ``n``: the one boundary check for
         data, responses and noise scales."""

@@ -1,12 +1,12 @@
 """Exact moments and risk profiles under a known diagonal noise covariance.
 
 Everything here is closed-form matrix arithmetic in the family's reduced
-coordinates: pairwise variance traces and operator norms, bias norms
-against a known response, and the bias/variance risk decomposition used to
-locate the risk-optimal model.  The noise enters as the family's reduced
-root ``R_v`` (``R_v^T R_v = Q^T diag(v) Q``, ``r x r``).  A variance trace
-is the pair kernel's squared magnitude ``ModelFamily.pair_squares`` summed
-over the rows of ``R_v``, the same kernel that gives draws and statistics.
+coordinates: pairwise variance traces and operator norms, and the
+bias/variance risk decomposition used to locate the risk-optimal model.
+The noise enters as the family's reduced root ``R_v`` (``R_v^T R_v =
+Q^T diag(v) Q``, ``r x r``).  A variance trace is the pair kernel's
+squared magnitude ``ModelFamily.pair_squares`` summed over the rows of
+``R_v``, the same kernel that gives draws and statistics.
 The variance of ``(K_m - K_ref) y`` has the nonzero spectrum of ``F F^T``
 with ``F = (D_m - D_ref) R_v^T``, so an operator norm is the top eigenvalue
 of a matrix no larger than ``min(q, M, r)`` square.  On a family with
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NotOrderedPair
+from .errors import DimensionMismatch, NonFiniteInput
 from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, pair_order
 
 
@@ -146,18 +146,6 @@ def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     """Variance traces ``tr Var(K_m y)`` of every model."""
     traces = pair_traces(family, variances, [(m, 0) for m in family.models])
     return dict(zip(family.models, traces.array.tolist()))
-
-
-def pair_bias_vector(family: ModelFamily, f_true, m: int, m_ref: int) -> np.ndarray:
-    if m <= m_ref:
-        raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    fits = family.outputs(family.reduce(family.vector(f_true, "f_true")))
-    return fits[family.position(m)] - fits[family.position(m_ref)]
-
-
-def pair_bias(family: ModelFamily, f_true, m: int, m_ref: int) -> float:
-    """Norm of the bias between two models' estimator means."""
-    return float(np.linalg.norm(pair_bias_vector(family, f_true, m, m_ref)))
 
 
 def best_linear_coefficients(family: ModelFamily, f_true) -> np.ndarray:

@@ -21,15 +21,17 @@ from .errors import DimensionMismatch
 BLOCK_ROWS = 512
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool: the one type check of a seed,
+    a stream id or a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_seed(value, bits: int = 64) -> bool:
     """True for an integer, not a bool, in ``[0, 2**bits)``: a seed, or with
     ``bits=32`` a stream id.  Nothing else is a key word, so no two
     arguments can alias one stream."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and 0 <= value < 1 << bits
-    )
+    return is_integer(value) and 0 <= value < 1 << bits
 
 
 def stream(seed: int, major: int, minor: int = 0) -> np.random.Generator:

@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import (
-    CalibrationTable,
-    JointDrawMatrix,
-    _check_level,
-    pair_norms,
-    tail_quantile,
-)
+from .calibration import CalibrationTable, _check_level, pair_norms
 from .errors import (
     DimensionMismatch,
     NonFiniteInput,
@@ -117,7 +111,6 @@ class OracleReport:
     alpha_plus: float
     z_bar: float | None = None
     z_bar_theory: float | None = None
-    insensitivity_note: dict | None = None
 
 
 def oracle(
@@ -172,64 +165,17 @@ def payment_for_adaptation(
     sigma: NoiseSpec,
     report: OracleReport,
     table: CalibrationTable,
-    f_true=None,
-    draws: JointDrawMatrix | None = None,
 ) -> OracleReport:
     """Fill in the adaptation payment and its theoretical cap.
 
     The payment maximizes the thresholds of the benchmark index against all
-    smaller models (zero when the benchmark is the smallest model).  When
-    the true response and calibration draws are available, a zone-of-
-    insensitivity note is attached: smaller models whose bias is large
-    enough to be rejected with high probability are excluded and the
-    payment is recomputed over the remaining zone.
+    smaller models (zero when the benchmark is the smallest model).
     """
     m_star = report.m_star
-    smaller = [m for m in family.models if m < m_star]
-    z_bar = max((table.threshold(m_star, m) for m in smaller), default=0.0)
-    z_bar_theory = payment_theory_cap(family, sigma, m_star, table)
-    note = None
-    if f_true is not None and draws is not None and smaller:
-        note = _insensitivity_note(family, f_true, m_star, table, draws)
+    z_bar = max((table.threshold(m_star, m) for m in family.models if m < m_star), default=0.0)
     return replace(
-        report, z_bar=z_bar, z_bar_theory=z_bar_theory, insensitivity_note=note
+        report, z_bar=z_bar, z_bar_theory=payment_theory_cap(family, sigma, m_star, table)
     )
-
-
-def _insensitivity_note(family, f_true, m_star, table, draws) -> dict:
-    """Exclude strongly biased smaller models by fixed-point iteration.
-
-    Starting from an empty excluded set, a model ``m`` below the benchmark
-    is excluded when its bias exceeds the acceptance threshold plus the
-    tail value at its calibrated level ``table.level(m)``, union-adjusted
-    by ``log`` of the excluded-set size; the levels ``x_s`` are refreshed
-    from that size until stable (at most one pass per model).
-    """
-    smaller = [m for m in family.models if m < m_star]
-    statistics = test_statistics(family, f_true)
-    bias = {m: statistics[(m_star, m)] for m in smaller}
-    threshold = {m: table.threshold(m_star, m) for m in smaller}
-    levels = {m: table.level(m) for m in smaller}
-
-    excluded: set[int] = set()
-    for _ in range(len(family.models)):
-        shift = math.log(max(1, len(excluded)))
-        x_s = {m: level + shift for m, level in levels.items()}
-        nxt = {
-            m for m in smaller if bias[m] > threshold[m] + tail_quantile(draws, m_star, m, x_s[m])
-        }
-        if nxt == excluded:
-            break
-        excluded = nxt
-    zone = [m for m in smaller if m not in excluded]
-    return {
-        "x_s": x_s,
-        "excluded": sorted(excluded),
-        "zone": zone,
-        "z_bar_zone": max((threshold[m] for m in zone), default=0.0),
-        "bias": bias,
-        "threshold": threshold,
-    }
 
 
 def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> bool:

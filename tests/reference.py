@@ -31,14 +31,14 @@ from smaselect.moments import _pair_moments, pair_traces
 
 def operator(family, m: int) -> np.ndarray:
     """``K_m = W[:, :M] C_m Q^T`` (``q x n``) from the reduced family."""
-    return _materialize(family, family.coefficients[family.position(m)])
+    return _materialize(family, family.coefficients[family.models.index(m)])
 
 
 def pair_operator(family, m: int, m_ref: int) -> np.ndarray:
     """``K_m - K_ref`` for ``m > m_ref``."""
     if m <= m_ref:
         raise NotOrderedPair(f"need m > m_ref, got ({m}, {m_ref})")
-    coef = family.coefficients[family.position(m)] - family.coefficients[family.position(m_ref)]
+    coef = family.coefficients[family.models.index(m)] - family.coefficients[family.models.index(m_ref)]
     return _materialize(family, coef)
 
 
@@ -64,8 +64,8 @@ def pair_windows(family, weights: np.ndarray, pairs) -> np.ndarray:
     for j, step in enumerate(steps):
         np.add(running[:j, j - 1], step, out=running[:j, j])
         running[j, j] = step
-    first = [0 if m_ref == 0 else family.position(m_ref) + 1 for _, m_ref in pairs]
-    last = [family.position(m) for m, _ in pairs]
+    first = [0 if m_ref == 0 else family.models.index(m_ref) + 1 for _, m_ref in pairs]
+    last = [family.models.index(m) for m, _ in pairs]
     if any(f > l for f, l in zip(first, last)):
         raise NotOrderedPair("every pair (m, m_ref) needs m > m_ref")
     return running[first, last]

@@ -20,7 +20,6 @@ from smaselect import (
     calibrate,
     excess_risk_mc,
     oracle,
-    pair_bias,
     presmooth,
     risk_profile,
     sample_joint_draws,
@@ -40,7 +39,6 @@ ENTRY_POINTS = {
     "presmooth": lambda fam, v: presmooth(fam, v, 2),
     "aic_equivalence_check": lambda fam, v: aic_equivalence_check(fam, 1.0, v),
     "oracle": lambda fam, v: oracle(fam, v, NOISE, 1.0),
-    "pair_bias": lambda fam, v: pair_bias(fam, v, 2, 1),
     "risk_profile": lambda fam, v: risk_profile(fam, v, NOISE),
     "best_linear_coefficients": lambda fam, v: best_linear_coefficients(fam, v),
     "validity_diagnostics": lambda fam, v: validity_diagnostics(fam, NOISE, v, 2, 2.0),
@@ -107,16 +105,17 @@ def _table(x_level: float) -> CalibrationTable:
     )
 
 
-def _calibrate(sc, fam, seed=1, **kwargs):
-    return calibrate(fam, np.sqrt(sc.sigma.variances), 10, seed, 2.0, 1.0, **kwargs)
+def _calibrate(sc, fam, seed=1, n_sim=10, **kwargs):
+    return calibrate(fam, np.sqrt(sc.sigma.variances), n_sim, seed, 2.0, 1.0, **kwargs)
 
 
-# Levels, allowances, scales, seeds and stream ids outside their domain, on
-# a derivative-loss family whose model 1 (the constant) has zero variance,
-# so no power-loss level exists for it.  Each level raises the error
-# ``calibrate`` raises for it.  A seed masked to 64 bits would alias
+# Levels, allowances, scales, seeds, stream ids and counts outside their
+# domain, on a derivative-loss family whose model 1 (the constant) has zero
+# variance, so no power-loss level exists for it.  Each level raises the
+# error ``calibrate`` raises for it.  A seed masked to 64 bits would alias
 # another stream: 2**64 drew seed 0's matrix, -1 that of 2**64 - 1 and 1.5
-# that of 1.
+# that of 1.  A draw count or worker count must be an integer >= 1: 2.5 and
+# True raised a bare TypeError, and 0 or -3 workers ran on one thread.
 BAD_SCALARS = {
     "calibrate-power-model-1": (
         lambda sc, fam: _calibrate(sc, fam, mode="power_loss", power_a=1.0),
@@ -134,6 +133,25 @@ BAD_SCALARS = {
         DimensionMismatch,
     ),
     "stream-minor-bool": (lambda sc, fam: stream(1, 0, True), DimensionMismatch),
+    **{
+        f"calibrate-{name}": (
+            lambda sc, fam, kwargs=kwargs: _calibrate(sc, fam, **kwargs),
+            DimensionMismatch,
+        )
+        for name, kwargs in [
+            ("n_sim-float", {"n_sim": 2.5}),
+            ("n_sim-bool", {"n_sim": True}),
+            ("n_sim-zero", {"n_sim": 0}),
+            ("n_workers-zero", {"n_workers": 0}),
+            ("n_workers-negative", {"n_workers": -3}),
+            ("n_workers-float", {"n_workers": 2.5}),
+            ("n_workers-string", {"n_workers": "2"}),
+        ]
+    },
+    "sample_joint_draws-n_workers-bool": (
+        lambda sc, fam: sample_joint_draws(fam, sc.sigma, 10, 1, n_workers=True),
+        DimensionMismatch,
+    ),
     "payment_theory_cap-x-negative": (
         lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, _table(-5.0)),
         DimensionMismatch,

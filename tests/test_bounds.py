@@ -9,8 +9,6 @@ from smaselect import (
     DimensionMismatch,
     QFParams,
     norm_upper,
-    pinsker_tv_bound,
-    pinsker_tv_bound_op,
     qf_lower,
     qf_upper,
 )
@@ -70,14 +68,6 @@ def test_qf_params_invariant():
         QFParams(p_trace=1.0, v2=5.0, lam=1.0, x=1.0)  # v2 > p * lam
     with pytest.raises(DimensionMismatch):
         QFParams(p_trace=-1.0, v2=0.0, lam=0.0, x=1.0)
-
-
-def test_pinsker_values():
-    assert pinsker_tv_bound(0.0, 0.0) == 0.0
-    assert pinsker_tv_bound_op(10.0, 0.1, 0.0) == pytest.approx(0.5 * math.sqrt(0.1), rel=1e-12)
-    assert pinsker_tv_bound_op(10.0, 0.1) == pytest.approx(0.1581, abs=1e-4)
-    # The two forms agree when delta2 = p * eps^2 and there is no mean shift.
-    assert pinsker_tv_bound(10 * 0.1**2, 0.0) == pytest.approx(pinsker_tv_bound_op(10, 0.1))
 
 
 @settings(max_examples=50, deadline=None)

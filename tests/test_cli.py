@@ -24,6 +24,16 @@ from smaselect.moments import all_pair_moments
 from smaselect.io import load_table, save_table
 
 
+def _run_sma(*argv) -> subprocess.CompletedProcess:
+    """``sma *argv`` in a fresh process on this checkout's sources."""
+    src = Path(smaselect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "smaselect.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.fixture
 def config_file(tmp_path):
     cfg = {
@@ -92,13 +102,7 @@ def test_unreadable_data_file_is_a_config_error(config_file, tmp_path, content):
     data = tmp_path / "y.json"
     if content is not None:
         data.write_text(content)
-    src = Path(smaselect.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "smaselect.cli", "select", "--config", str(config_file),
-         "--out", str(tmp_path / "o"), "--data", str(data)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_sma("select", "--config", config_file, "--out", tmp_path / "o", "--data", data)
     assert proc.returncode == cli.EXIT_CONFIG == 2
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -193,12 +197,8 @@ def test_ratios_on_a_family_without_pairs_is_a_config_error(one_model_config, tm
 
 @pytest.mark.parametrize("command", ["sweep", "ratios"])
 def test_non_integer_m_dagger_list_is_a_config_error(config_file, tmp_path, command):
-    src = Path(smaselect.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "smaselect.cli", command, "--config", str(config_file),
-         "--out", str(tmp_path / "o"), "--m-dagger-list", "5,x"],
-        capture_output=True, text=True, env=env, timeout=120,
+    proc = _run_sma(
+        command, "--config", config_file, "--out", tmp_path / "o", "--m-dagger-list", "5,x"
     )
     assert proc.returncode == cli.EXIT_CONFIG == 2
     assert "config error" in proc.stderr
@@ -254,13 +254,7 @@ def test_config_error_exit_code(tmp_path):
 def test_ill_typed_config_exits_cleanly(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 40, "noise_profile": {"kind": "constant", "sigma": "x"}}))
-    src = Path(smaselect.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "smaselect.cli", "simulate", "--config", str(bad),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_sma("simulate", "--config", bad, "--out", tmp_path / "o")
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -271,13 +265,7 @@ def test_non_finite_data_exits_with_its_own_code(config_file, tmp_path):
     values = list(np.linspace(-1, 1, 40))
     values[3] = float("nan")
     data.write_text(json.dumps(values))
-    src = Path(smaselect.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "smaselect.cli", "select", "--config", str(config_file),
-         "--out", str(tmp_path / "o"), "--data", str(data)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_sma("select", "--config", config_file, "--out", tmp_path / "o", "--data", data)
     assert proc.returncode == cli.EXIT_NONFINITE == 5
     assert "non-finite input" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -374,6 +362,18 @@ def test_calibrate_power_mode_with_self_test(config_file, tmp_path):
     assert table.mode == "power_loss"
     assert table.power_a == 1.0
     assert table.per_model_levels is not None
+
+
+def test_a_warning_prints_as_category_and_message(tmp_path):
+    # Power-loss levels on the default config pass log(n_sim), so the table
+    # clips pairs to the maximum draw and warns once.
+    proc = _run_sma(
+        "calibrate", "--noise", "known", "--mode", "power", "--a", "1", "--out", tmp_path / "o"
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("TailTooDeepWarning: ")
+    assert "pair(s) clipped to the maximum draw" in proc.stderr
+    assert ".py:" not in proc.stderr
 
 
 def test_ratios_pilot_sweep_summary(config_file, tmp_path):

@@ -12,10 +12,10 @@ from smaselect import (
     WeightingScheme,
     build_projection_family,
     check_ordering,
-    pair_bias,
     risk_profile,
 )
-from smaselect.moments import pair_bias_vector, single_variance
+from smaselect import test_statistics as pairwise_statistics
+from smaselect.moments import single_variance
 from conftest import orthonormal_rows_design
 from reference import pair_operator, pair_variance, risk_profile_csv_rows
 
@@ -47,12 +47,13 @@ def test_pair_variance_rejects_unordered(toy_family, toy_noise):
 
 
 def test_toy_pair_bias(toy_family):
-    assert pair_bias(toy_family, [5.0, 0.0, 0.0, 0.0], 2, 1) == pytest.approx(0.0, abs=1e-14)
-    assert pair_bias(toy_family, [0.0, 0.0, 3.0, 0.0], 3, 2) == pytest.approx(3.0, rel=1e-12)
+    def bias(f, m, m_ref):
+        return pairwise_statistics(toy_family, f)[(m, m_ref)]
+
+    assert bias([5.0, 0.0, 0.0, 0.0], 2, 1) == pytest.approx(0.0, abs=1e-14)
+    assert bias([0.0, 0.0, 3.0, 0.0], 3, 2) == pytest.approx(3.0, rel=1e-12)
     # sqrt(2^2 + 2^2) by direct arithmetic.
-    assert pair_bias(toy_family, [1.0, 2.0, 2.0, 7.0], 3, 1) == pytest.approx(
-        np.sqrt(8.0), rel=1e-12
-    )
+    assert bias([1.0, 2.0, 2.0, 7.0], 3, 1) == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
 
 def test_toy_risk_profile_pure_variance(toy_family, toy_noise):
@@ -115,8 +116,9 @@ def test_bias_telescoping(seed):
     design = DesignMatrix(rng.standard_normal((6, 12)))
     family = build_projection_family(design, WeightingScheme.full_vector(), [2, 4, 6])
     f = rng.standard_normal(12)
-    lhs = pair_bias_vector(family, f, 6, 4) + pair_bias_vector(family, f, 4, 2)
-    rhs = pair_bias_vector(family, f, 6, 2)
+    fit2, fit4, fit6 = family.outputs(family.reduce(family.vector(f)))
+    lhs = (fit6 - fit4) + (fit4 - fit2)
+    rhs = fit6 - fit2
     scale = max(np.linalg.norm(rhs), 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * scale)
 

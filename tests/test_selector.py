@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,6 @@ from smaselect import (
     NotOrderedPair,
     NotProjectionFamily,
     RequiresKnownTruth,
-    TailTooDeepWarning,
     WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
@@ -380,37 +378,10 @@ def test_payment_within_cap(toy_family, toy_noise):
     table = critical_values(draws, all_pair_moments(toy_family, toy_noise), 2.0, 1.0)
     f = np.array([0.0, 0.0, 3.0, 0.0])
     rep = oracle(toy_family, f, toy_noise, alpha_plus=1.0)
-    rep = payment_for_adaptation(toy_family, toy_noise, rep, table, f_true=f, draws=draws)
+    rep = payment_for_adaptation(toy_family, toy_noise, rep, table)
     assert rep.m_star == 3
     assert rep.z_bar == max(table.threshold(3, 1), table.threshold(3, 2))
     assert rep.z_bar <= rep.z_bar_theory
-    note = rep.insensitivity_note
-    assert note is not None
-    assert set(note["zone"]) | set(note["excluded"]) == {1, 2}
-    assert note["z_bar_zone"] <= rep.z_bar
-
-
-def test_power_loss_note_reads_the_calibrated_levels(toy_extended_family):
-    # The levels 4 log 2, 4 log 3 and 4 log 4 of models 1..3 lie below
-    # log(n_sim), so no tail is clipped to the maximum draw, as every one
-    # was at the level 0.0 a power-loss table records as x_level.
-    family = toy_extended_family
-    noise = NoiseSpec.known(np.ones(family.n))
-    draws, table = calibrate(
-        family, np.ones(family.n), 20_000, 233, 2.0, 1.0, mode="power_loss", power_a=1.0
-    )
-    f = np.zeros(family.n)
-    f[3] = 5.0
-    report = oracle(family, f, noise, 1.0, mode="power_loss")
-    assert report.m_star == 4
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TailTooDeepWarning)
-        report = payment_for_adaptation(family, noise, report, table, f_true=f, draws=draws)
-    assert max(table.per_model_levels[m] for m in (1, 2, 3)) < math.log(draws.n_sim)
-    note = report.insensitivity_note
-    shift = math.log(max(1, len(note["excluded"])))
-    assert note["x_s"] == {m: table.per_model_levels[m] + shift for m in (1, 2, 3)}
-    assert set(note["zone"]) | set(note["excluded"]) == {1, 2, 3}
 
 
 def test_aic_equivalence_toy(toy_family):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import CalibrationTable, _check_level, calibrate
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
-from .family import GRAM_CUTOFF, ModelFamily
+from .family import GRAM_CUTOFF, ModelFamily, noise_variances
 from .moments import NoiseSpec
 
 # Residuals below this fraction of the data scale are treated as vanishing.
@@ -147,7 +147,7 @@ def validity_diagnostics(
         raise RequiresKnownTruth("diagnostics need the true response")
     _check_level(x_level, "x_level")
     f = family.vector(f_true, "f_true")
-    variances = family.vector(sigma.variances, "noise variances")
+    variances = family.vector(noise_variances(sigma), "noise variances")
     n = family.n
     p_dim = family.largest
     psi = family.design.leading_block(p_dim)

@@ -33,7 +33,7 @@ from .errors import (
     NotOrderedPair,
     TailTooDeepWarning,
 )
-from .family import ModelFamily, PairOrder, PairValues, pair_order, pair_values
+from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, _pair_traces, pair_traces, single_traces
 from .rng import block_bounds, is_integer, stream
 
@@ -190,7 +190,7 @@ def sample_joint_draws(
     realization of centered Gaussian noise with the known covariance;
     deterministic given ``seed``, bit-identical for any ``n_workers``.
     """
-    scale = np.sqrt(sigma.variances)
+    scale = np.sqrt(noise_variances(sigma))
     return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models), n_workers)
 
 
@@ -444,13 +444,17 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
     For each model ``m`` with predecessor ``ref``, the level attached to
     ``ref`` is ``2 (1 + a) log(p_m / p_min)`` and the budget for ``m`` is
     ``sqrt(3) (p_m / p_min)^(-1-a)``; the level indexing follows the
-    next-smaller-model convention.
+    next-smaller-model convention.  A NaN or infinite dimension raises
+    ``NonFiniteInput``; one that is not > 0 or not nondecreasing,
+    ``DimensionMismatch``.
     """
     if not (math.isfinite(a) and a > 0):
         raise BadExponent("power-loss exponent a must be a finite number > 0")
     models = [int(m) for m in models]
     dims = {m: float(p_singles[m]) for m in models}
     vals = [dims[m] for m in models]
+    if not all(map(math.isfinite, vals)):
+        raise NonFiniteInput("single-model dimensions must be finite")
     if min(vals) <= 0:
         raise DimensionMismatch("single-model dimensions must be > 0")
     if any(b < a_ for a_, b in zip(vals, vals[1:])):
@@ -648,13 +652,14 @@ def excess_risk_mc(
     m_prev = family.predecessor(m)
     if m_prev is None:
         raise NotOrderedPair(f"model {m} has no predecessor in the family")
-    scale = np.sqrt(sigma.variances)
+    variances = noise_variances(sigma)
+    scale = np.sqrt(variances)
     pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
     order = pair_order(family.models, pairs + [(m, 0)])
     draws = _sample_scaled_norms(family, scale, n_sim, seed, order, 1)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
-    p_m = _pair_traces(family, sigma.variances, order)[(m, 0)]
+    p_m = _pair_traces(family, variances, order)[(m, 0)]
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:

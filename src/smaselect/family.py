@@ -28,10 +28,11 @@ diagonal -- prediction loss on any design, and the trigonometric families
 under every loss -- a pair difference is a window of coordinates and
 ``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
 ``g = diag G``: a running sum of nonnegative increments.  The family then
-stores ``g`` as ``increments`` and the pair kernel uses it, building the
-windows by length into two ``M``-row buffers and scattering each length to
-its pairs' rows; otherwise (or for a rank-deficient leading block) it uses
-``D_m``.
+stores ``g`` as ``increments`` and the pair kernel uses it, building a
+block's windows by length into two ``M``-row buffers and a single row's
+(a data vector's) by one cumulative sum over a Hankel view of its steps,
+in the same order of additions; otherwise (or for a rank-deficient
+leading block) it uses ``D_m``.
 
 Every pair list over a model tuple has one layout, ``pair_order``, which
 the kernel, the moments, the draw matrix, the table builder and the
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -198,9 +200,12 @@ class PairOrder:
     covers model steps ``first[i]..last[i]`` (step ``j`` is coordinates
     ``[models[j - 1], models[j])``, from 0 for ``j = 0``); ``windows[d]``
     holds the first step of each window of ``d + 1`` steps and those
-    pairs' columns.  ``starts`` holds each group's first column, for
-    ``np.logical_and.reduceat`` over contiguous groups.  Orders are shared
-    (see ``pair_order``), so nothing here is written.
+    pairs' columns; ``hankel[i]``, ``first[i] * k + last[i] - first[i]``
+    for ``k`` models, is pair ``i``'s entry in one row's flattened
+    ``k x k`` window sums (``ModelFamily.pair_windows``).  ``starts``
+    holds each group's first column, for ``np.logical_and.reduceat`` over
+    contiguous groups.  Orders are shared (see ``pair_order``), so nothing
+    here is written.
     """
 
     models: tuple[int, ...]
@@ -211,6 +216,7 @@ class PairOrder:
     first: np.ndarray
     last: np.ndarray
     windows: tuple
+    hankel: np.ndarray
     starts: np.ndarray
 
 
@@ -268,6 +274,7 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         first=_frozen(first),
         last=_frozen(last),
         windows=tuple((_as_slice(f), _as_slice(rows)) for f, rows in windows),
+        hankel=_frozen([lo * len(models) + hi - lo for lo, hi in zip(first, last)]),
         starts=_frozen([cols[0] for _, _, cols in groups.values()]),
     )
 
@@ -451,20 +458,34 @@ class ModelFamily:
 
         ``weights`` is ``(M, B)`` and nonnegative; the result, written to
         ``out`` if given, is ``(len(order.pairs), B)``.  Each model step is
-        summed once; then the windows are built by length, every start at
-        once: the windows of ``d + 1`` steps are those of ``d`` steps plus
-        the next step, one vectorised addition into one of two ``M``-row
-        buffers, and each length's windows are scattered to their pairs'
-        rows of ``out``.  So every window is a running sum from its first
-        step to its last, as the steps are added left to right, and ``out``
-        is the only array of the result's size.  A difference of prefix sums
-        would take fewer additions but cancels on small windows; a running
-        sum of nonnegative terms keeps every window's relative precision.
+        summed once; then a block of rows builds the windows by length,
+        every start at once: the windows of ``d + 1`` steps are those of
+        ``d`` steps plus the next step, one vectorised addition into one of
+        two ``M``-row buffers, and each length's windows are scattered to
+        their pairs' rows of ``out``.  So every window is a running sum from
+        its first step to its last, as the steps are added left to right,
+        and ``out`` is the only array of the result's size.  A difference of
+        prefix sums would take fewer additions but cancels on small windows;
+        a running sum of nonnegative terms keeps every window's relative
+        precision.
+
+        One row (``B = 1``, a data vector) takes one pass, not two numpy
+        calls per length: the ``k`` steps (one per model), zero-padded to
+        ``2k - 1``, form the Hankel view ``H[i, d] = steps[i + d]``; its
+        cumulative sum along ``d`` adds steps ``i..i + d`` left to right, as
+        the loop does, and ``order.hankel`` gathers each pair's entry, none
+        in the padding.  So the bits are the loop's; larger blocks keep the
+        loop, which is faster there.
         """
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
         k = len(steps)
+        if steps.shape[1] == 1:
+            padded = np.zeros(2 * k - 1)
+            padded[:k] = steps[:, 0]
+            out[:, 0] = np.cumsum(sliding_window_view(padded, k), axis=1).ravel()[order.hankel]
+            return out
         buf = np.empty((2,) + steps.shape)
         sums = steps
         for d, (starts, rows) in enumerate(order.windows):
@@ -580,6 +601,16 @@ def _diagonal_of(gram: np.ndarray) -> np.ndarray | None:
     return diag if np.all(off <= DIAGONAL_TOL * np.sqrt(np.outer(diag, diag))) else None
 
 
+def noise_variances(noise) -> np.ndarray:
+    """The variances a ``NoiseSpec`` holds: the one read of a noise argument.
+    A bare array, which could hold variances or scales, raises
+    ``DimensionMismatch``."""
+    variances = getattr(noise, "variances", None)
+    if variances is None:
+        raise DimensionMismatch(f"noise must be a NoiseSpec, not {type(noise).__name__}")
+    return variances
+
+
 @dataclass(frozen=True)
 class OrderingReport:
     """Variance-ordering verdicts for adjacent model pairs."""
@@ -598,7 +629,7 @@ def check_ordering(family: ModelFamily, sigma) -> OrderingReport:
     coordinates; when ``q`` exceeds their size the ``q x q`` gap also has
     null-space zeros.  Diagnostic only; never raises on a negative verdict.
     """
-    factors = family.reduced @ family.noise_root(sigma.variances).T
+    factors = family.reduced @ family.noise_root(noise_variances(sigma)).T
     variances = factors @ factors.transpose(0, 2, 1)
     padded = family.q > variances.shape[1]
     verdicts: dict[tuple[int, int], bool] = {}

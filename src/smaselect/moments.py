@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
-from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, pair_order
+from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, noise_variances, pair_order
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ def _pair_moments(
     the trace sum and the eigensolve.
     """
     order = pair_order(family.models, pairs)
-    root = family.noise_root(sigma.variances)
+    variances = noise_variances(sigma)
+    root = family.noise_root(variances)
     tops = (_gram_tops if family.increments is None else _window_tops)(family, root, order)
-    traces = _pair_traces(family, sigma.variances, order).array.tolist()
+    traces = _pair_traces(family, variances, order).array.tolist()
     return {
         pair: PairMoments(p_pair=trace, lambda_pair=min(max(float(top), 0.0), trace))
         for pair, trace, top in zip(order.pairs, traces, tops)
@@ -173,7 +174,7 @@ def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoin
     f = family.vector(f_true, "f_true")
     target = family.weight_matrix @ best_linear_coefficients(family, f)
     fits = family.outputs(family.reduce(f))
-    var = single_traces(family, sigma.variances)
+    var = single_traces(family, noise_variances(sigma))
     out = []
     for m, fit in zip(family.models, fits):
         bias2 = float(np.sum((fit - target) ** 2))

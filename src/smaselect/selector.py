@@ -23,7 +23,7 @@ from .errors import (
     NotProjectionFamily,
     RequiresKnownTruth,
 )
-from .family import ModelFamily, PairValues, _pinv_gram, pair_order, pair_values
+from .family import ModelFamily, PairValues, _pinv_gram, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
 
 
@@ -134,7 +134,7 @@ def oracle(
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
     _check_level(alpha_plus, "alpha_plus")
     bias = test_statistics(family, f_true)
-    dims = pair_traces(family, sigma.variances)
+    dims = pair_traces(family, noise_variances(sigma))
     allowance = PairValues(dims.order, alpha_plus * np.sqrt(dims.array))
     result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
     m_star = result.m_hat

@@ -75,7 +75,8 @@ def pair_layout(models, pairs) -> dict:
     """The layout ``pair_order`` builds, worked out pair by pair with plain
     lists: each pair's column and model steps, the references in the order
     they first appear with their larger models' positions and their
-    columns, and the pairs of each window length."""
+    columns, the pairs of each window length, and each pair's cell in the
+    row-major ``k x k`` grid of window sums by first step and length."""
     models = list(models)
     first = [0 if m_ref == 0 else models.index(m_ref) + 1 for _, m_ref in pairs]
     last = [models.index(m) for m, _ in pairs]
@@ -94,6 +95,7 @@ def pair_layout(models, pairs) -> dict:
         "first": first,
         "last": last,
         "windows": windows,
+        "hankel": [f * len(models) + (l - f) for f, l in zip(first, last)],
         "starts": [cols[0] for *_, cols in groups],
     }
 

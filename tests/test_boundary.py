@@ -18,6 +18,7 @@ from smaselect import (
     aic_equivalence_check,
     build_projection_family,
     calibrate,
+    check_ordering,
     excess_risk_mc,
     oracle,
     presmooth,
@@ -84,6 +85,7 @@ NOISE_ENTRY_POINTS = {
     "validity_diagnostics": lambda fam, noise: validity_diagnostics(
         fam, noise, np.ones(4), 2, 2.0
     ),
+    "check_ordering": lambda fam, noise: check_ordering(fam, noise),
 }
 
 
@@ -91,6 +93,14 @@ NOISE_ENTRY_POINTS = {
 def test_noise_of_wrong_length_is_rejected(toy_family, entry):
     with pytest.raises(DimensionMismatch):
         NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec.homogeneous(1.0, 5))
+
+
+@pytest.mark.parametrize("entry", sorted(NOISE_ENTRY_POINTS))
+def test_bare_array_for_noise_is_rejected(toy_family, entry):
+    # An array could hold variances or scales; reading ``.variances`` off it
+    # raised a raw AttributeError.
+    with pytest.raises(DimensionMismatch, match="NoiseSpec"):
+        NOISE_ENTRY_POINTS[entry](toy_family, np.ones(4))
 
 
 def _table(x_level: float) -> CalibrationTable:

@@ -614,6 +614,18 @@ def test_power_loss_params_rejects_bad_exponent():
             power_loss_params([1, 2], {1: 1.0, 2: 2.0}, a=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("model", [1, 3])
+def test_power_loss_params_rejects_non_finite_dimensions(model, bad):
+    # NaN passed both the positivity and the monotone check and gave NaN
+    # levels and budgets; a last +inf gave an infinite level and a zero
+    # budget, and a first one failed the monotone check as a mismatch.
+    dims = {1: 1.0, 2: 2.0, 3: 4.0}
+    dims[model] = bad
+    with pytest.raises(NonFiniteInput):
+        power_loss_params([1, 2, 3], dims, a=1.0)
+
+
 def test_power_table_matches_probabilistic_at_zero(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 10_000, seed=101)
     moments = toy_moments(toy_family, toy_noise)

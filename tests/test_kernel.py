@@ -1,13 +1,15 @@
 """The pair kernel, written in place, against the running-buffer kernel.
 
 ``ModelFamily.pair_squares`` writes its squares straight into the caller's
-array: window sums are built by window length and scattered to their rows,
-and the sampler hands it each row block of the column-major draw matrix.
-``reference.pair_squares`` is the kernel this replaced: a ``M x M x B``
-running buffer gathered into a fresh array.  Both add every window's steps
-left to right, so the results must be equal bit for bit, on increments and
-general ``D_m`` families, for any pair list, any row count and any worker
-count.
+array.  For a block of rows, window sums are built by window length and
+scattered to their rows, and the sampler hands it each row block of the
+column-major draw matrix.  A single row (a data vector) takes one
+cumulative sum over the Hankel view of its zero-padded model steps and one
+gather by ``PairOrder.hankel``.  ``reference.pair_squares`` is the kernel
+these replaced: a ``M x M x B`` running buffer gathered into a fresh array.
+All three add every window's steps left to right from its first step, so
+the results must be equal bit for bit, on increments and general ``D_m``
+families, for any pair list, any row count and any worker count.
 """
 
 import dataclasses
@@ -191,23 +193,27 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     assert order.first.tolist() == expected["first"]
     assert order.last.tolist() == expected["last"]
     assert [(_plain(f), _plain(rows)) for f, rows in order.windows] == expected["windows"]
+    assert order.hankel.tolist() == expected["hankel"]
+    assert not order.hankel.flags.writeable
     assert order.starts.tolist() == expected["starts"]
     if tuple(pairs) == pair_order(models).pairs:
         assert order is pair_order(models)
 
     # The kernel on this list gives the canonical columns (and each model
-    # alone for (m, 0)), on the window and the Gram routes.
+    # alone for (m, 0)), on the window and the Gram routes, for one row (the
+    # window route's Hankel pass) and for a block.
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((models[-1], models[-1] + 3)))
     family = build_projection_family(design, WeightingScheme.prediction(), models)
     assert family.increments is not None
     canonical = pair_order(models).pairs
     layouts = [pair_order(models), pair_order(models, [(m, 0) for m in models])]
-    xi = family.reduce(rng.standard_normal((3, family.n)))
-    for route in (family, dataclasses.replace(family, increments=None)):
-        whole = np.vstack([route.pair_squares(xi, layout) for layout in layouts])
-        rows = [canonical.index(p) if p[1] else len(canonical) + models.index(p[0]) for p in pairs]
-        assert np.array_equal(route.pair_squares(xi, order), whole[rows].reshape(len(rows), 3))
+    rows = [canonical.index(p) if p[1] else len(canonical) + models.index(p[0]) for p in pairs]
+    for b in (1, 3):
+        xi = family.reduce(rng.standard_normal((b, family.n)))
+        for route in (family, dataclasses.replace(family, increments=None)):
+            whole = np.vstack([route.pair_squares(xi, layout) for layout in layouts])
+            assert np.array_equal(route.pair_squares(xi, order), whole[rows].reshape(len(rows), b))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -231,22 +237,41 @@ def test_pair_squares_equal_running_buffer_kernel(name):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_pair_squares_fill_a_strided_out(name):
+    # 37 rows, and one row, which an increments family writes by its Hankel
+    # pass into column 0 of the view.
     family = FAMILIES[name]()
     rng = np.random.default_rng(4)
-    xi = family.reduce(rng.standard_normal((37, family.n)))
-    for pairs in _pair_lists(family, rng).values():
-        expected = reference.pair_squares(family, xi, pairs)
-        order = pair_order(family.models, pairs)
-        # A block of columns of a column-major draw buffer, as the sampler passes.
-        buf = np.full((len(pairs), 50), np.nan)
-        returned = family.pair_squares(xi, order, out=buf[:, 5:42])
-        assert np.shares_memory(returned, buf)
-        assert np.array_equal(buf[:, 5:42], expected)
-        assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 42:]).all()
-        # A transposed (Fortran-ordered) view.
-        rows_first = np.full((37, len(pairs)), np.nan)
-        family.pair_squares(xi, order, out=rows_first.T)
-        assert np.array_equal(rows_first.T, expected)
+    for b in (37, 1):
+        xi = family.reduce(rng.standard_normal((b, family.n)))
+        for pairs in _pair_lists(family, rng).values():
+            expected = reference.pair_squares(family, xi, pairs)
+            order = pair_order(family.models, pairs)
+            # A block of columns of a column-major draw buffer, as the sampler passes.
+            buf = np.full((len(pairs), 50), np.nan)
+            returned = family.pair_squares(xi, order, out=buf[:, 5 : 5 + b])
+            assert np.shares_memory(returned, buf)
+            assert np.array_equal(buf[:, 5 : 5 + b], expected)
+            assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 5 + b :]).all()
+            # A transposed (Fortran-ordered) view.
+            rows_first = np.full((b, len(pairs)), np.nan)
+            family.pair_squares(xi, order, out=rows_first.T)
+            assert np.array_equal(rows_first.T, expected)
+
+
+def test_paper_config_statistics_equal_running_buffer_kernel():
+    # The paper's n = 200, 37-model family has 36 window lengths, against at
+    # most 11 in FAMILIES: each data vector takes the one-row Hankel pass.
+    config = ExperimentConfig(n=200).validate()
+    scenario = generate_scenario(config)
+    family = scenario_family(config, scenario)
+    assert len(family.models) == 37 and family.increments is not None
+    pairs = family.pairs()
+    sd = np.sqrt(scenario.sigma.variances)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        y = scenario.f_true + sd * rng.standard_normal(family.n)
+        expected = np.sqrt(reference.pair_squares(family, family.reduce(y)[None], pairs))[:, 0]
+        assert np.array_equal(pairwise_statistics(family, y).array, expected)
 
 
 def _reference_draws(family, scale, n_sim, seed, pairs, stream_tag=0):

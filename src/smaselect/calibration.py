@@ -95,16 +95,18 @@ class JointDrawMatrix:
     def comparisons(self, m_ref: int) -> list[tuple[int, int]]:
         return [pair for pair in self.order.pairs if pair[1] == m_ref]
 
-    def upper_tail(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending order statistics of ranks ``k..n_sim`` of every column,
-        and every draw's strict rank (count of strictly smaller draws, so
-        ties share their run's first rank) floored at ``k - 1``.
+    def upper_tail(self, k: int, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending order statistics of ranks ``k..n_sim`` of each column
+        ``cols`` (a slice or an index array; every column by default), and
+        every draw's strict rank (count of strictly smaller draws, so ties
+        share their run's first rank) floored at ``k - 1``; one row per column.
 
         A strict rank reaches ``k`` exactly when the draw exceeds the rank-``k``
         value, so such draws all lie in the tail: one partial selection per
-        column, and only the tail is sorted.
+        column, and only the tail is sorted.  Every temporary is the size of
+        the columns asked for: a table asks for one reference's at a time.
         """
-        block = np.ascontiguousarray(self.draws.T)
+        block = np.ascontiguousarray(self.draws.T[cols])
         rows = np.arange(block.shape[0])[:, None]
         # Flat indices into ``block``, so each gather is one fancy index.
         top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :] + rows * self.n_sim
@@ -484,7 +486,9 @@ def calibration_table(
     ``log(#comparisons)``, the in-sample Bonferroni shift), or power-loss
     parameters, whose per-reference levels are used unshifted.  ``z`` is
     the pair's empirical tail value at its reference's level, and
-    ``pair_dims`` the effective dimensions of the bias allowance.
+    ``pair_dims`` the effective dimensions of the bias allowance.  Both
+    modes read one reference's columns at a time, so nothing the size of
+    the draws is built besides the draws themselves.
     """
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
@@ -492,20 +496,19 @@ def calibration_table(
     ref_clipped: dict[int, bool] = {}
     z = np.empty(len(draws.order.pairs))
     if power:
-        columns = np.ascontiguousarray(draws.draws.T)
         for m_ref, _, _, cols in draws.order.groups:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
             k, ref_clipped[m_ref] = _tail_rank(levels.x[m_ref], n)
-            z[cols] = _order_statistic(columns[cols], k)
+            z[cols] = _order_statistic(draws.draws.T[cols], k)
     else:
-        # One partial selection at the rank of x: no corrected rank is lower.
+        # One partial selection per reference at the rank of x: no corrected rank is lower.
         k_x = _tail_rank(levels, n)[0]
-        tail, ranks = draws.upper_tail(k_x)
         for m_ref, _, _, cols in draws.order.groups:
-            q = _shift_to_rank(levels, _max_t_rank(ranks[cols], k_x, levels), n)
+            tail, ranks = draws.upper_tail(k_x, cols)
+            q = _shift_to_rank(levels, _max_t_rank(ranks, k_x, levels), n)
             k, ref_clipped[m_ref] = _tail_rank(levels + q, n)
-            z[cols] = tail[cols, k - k_x]
+            z[cols] = tail[:, k - k_x]
             corrections[m_ref] = q
 
     dims = pair_values(pair_dims)

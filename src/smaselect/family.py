@@ -30,9 +30,9 @@ under every loss -- a pair difference is a window of coordinates and
 ``g = diag G``: a running sum of nonnegative increments.  The family then
 stores ``g`` as ``increments`` and the pair kernel uses it, building a
 block's windows by length into two ``M``-row buffers and a single row's
-(a data vector's) by one cumulative sum over a Hankel view of its steps,
-in the same order of additions; otherwise (or for a rank-deficient
-leading block) it uses ``D_m``.
+(a data vector's) by one cumulative sum over a strided Hankel view of its
+zero-padded steps, in the same order of additions; otherwise (or for a
+rank-deficient leading block) it uses ``D_m``.
 
 Every pair list over a model tuple has one layout, ``pair_order``, which
 the kernel, the moments, the draw matrix, the table builder and the
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -471,7 +470,8 @@ class ModelFamily:
 
         One row (``B = 1``, a data vector) takes one pass, not two numpy
         calls per length: the ``k`` steps (one per model), zero-padded to
-        ``2k - 1``, form the Hankel view ``H[i, d] = steps[i + d]``; its
+        ``2k - 1``, form the Hankel view ``H[i, d] = steps[i + d]`` (one
+        read-only ``as_strided`` view, both strides one element); its
         cumulative sum along ``d`` adds steps ``i..i + d`` left to right, as
         the loop does, and ``order.hankel`` gathers each pair's entry, none
         in the padding.  So the bits are the loop's; larger blocks keep the
@@ -484,7 +484,10 @@ class ModelFamily:
         if steps.shape[1] == 1:
             padded = np.zeros(2 * k - 1)
             padded[:k] = steps[:, 0]
-            out[:, 0] = np.cumsum(sliding_window_view(padded, k), axis=1).ravel()[order.hankel]
+            hankel = np.lib.stride_tricks.as_strided(
+                padded, (k, k), (padded.itemsize,) * 2, writeable=False
+            )
+            out[:, 0] = np.cumsum(hankel, axis=1).ravel()[order.hankel]
             return out
         buf = np.empty((2,) + steps.shape)
         sums = steps

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,10 @@ def test_strict_ranks_count_smaller_draws():
     tail, ranks = draws.upper_tail(2)
     np.testing.assert_array_equal(ranks, [[2, 1, 2, 1], [1, 1, 1, 1]])
     np.testing.assert_array_equal(tail, [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
+    # A subset of columns, as a slice or an index array, reads the same rows.
+    for cols in (slice(1, 2), np.array([1, 0])):
+        for part, whole in zip(draws.upper_tail(2, cols), (tail, ranks)):
+            np.testing.assert_array_equal(part, whole[cols])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -405,6 +410,63 @@ def draw_matrices(draw):
         if draw(st.integers(0, 4)) == 0:
             values[:, col] = 0.0
     return JointDrawMatrix(values, pair_order(tuple(range(1, n_models + 1)), pairs), seed=0)
+
+
+def _table(draws, levels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dims = {p: float(p[0] - p[1]) for p in draws.order.pairs}
+        return calibration_table(draws, dims, 1.0, levels)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [2.0, 7.0, PowerLossParams(a=1.0, alpha={}, x={1: 0.5, 2: 7.0, 3: 2.0, 4: 3.0, 5: 1.0})],
+    ids=["x2", "x7-clipped", "power"],
+)
+def test_table_ignores_the_pair_layout(levels):
+    # Pairs listed by larger model first spread every reference's columns
+    # over the matrix, so each group is an index array, not a slice.
+    models = (1, 2, 3, 4, 5, 6)
+    scattered = pair_order(models, [(m, r) for m in models for r in models if r < m])
+    canonical = pair_order(models)
+    assert not any(isinstance(cols, slice) for _, _, _, cols in scattered.groups[:-1])
+    rng = np.random.default_rng(62)
+    # Twelve distinct values make ties common; one column is all zeros.
+    values = rng.integers(0, 12, (600, len(canonical.pairs))).astype(float)
+    values[:, canonical.index[(4, 2)]] = 0.0
+    by_canonical = _table(JointDrawMatrix(values, canonical, seed=0), levels)
+    cols = [canonical.index[p] for p in scattered.pairs]
+    by_scattered = _table(JointDrawMatrix(values[:, cols], scattered, seed=0), levels)
+    assert by_scattered.critical == by_canonical.critical
+    assert by_scattered.corrections == by_canonical.corrections
+    assert set(by_scattered.tail_clipped) == set(by_canonical.tail_clipped)
+    if levels == 2.0:
+        assert any(by_canonical.corrections.values())
+    else:
+        assert by_canonical.tail_clipped
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])
+@pytest.mark.parametrize("mode", ["probabilistic", "power_loss"])
+def test_table_builds_nothing_the_size_of_the_draws(mode, layout):
+    # The paper config's shape: 37 models, 666 pairs, 1000 draws; "F" is
+    # the sampler's column-major layout.  The table reads one reference's
+    # columns at a time, so its peak allocation is a small share of the draws.
+    order = pair_order(tuple(range(1, 38)))
+    values = np.abs(np.random.default_rng(63).standard_normal((1000, len(order.pairs))))
+    draws = JointDrawMatrix(np.asarray(values, order=layout), order, seed=0)
+    dims = PairValues(order, np.ones(len(order.pairs)))
+    levels = 2.0
+    if mode == "power_loss":
+        levels = PowerLossParams(a=1.0, alpha={}, x=dict.fromkeys(range(1, 37), 2.0))
+    tracemalloc.start()
+    try:
+        calibration_table(draws, dims, 1.0, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.draws.nbytes / 4
 
 
 @settings(max_examples=150, deadline=None)

@@ -34,7 +34,6 @@ from .errors import (
     MissingPair,
     NonFiniteInput,
     NotOrderedPair,
-    NotProjectionFamily,
     RequiresKnownTruth,
     SingularGram,
     SingularGramWarning,
@@ -45,7 +44,6 @@ from .family import (
     ModelFamily,
     OrderingReport,
     PairValues,
-    WeightingScheme,
     build_projection_family,
     check_ordering,
 )

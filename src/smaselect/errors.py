@@ -21,10 +21,6 @@ class NotOrderedPair(SmaError):
     """A pairwise operation was called with m <= m_ref."""
 
 
-class NotProjectionFamily(SmaError):
-    """Operation requires a projection family under prediction-type loss."""
-
-
 class BadExponent(SmaError):
     """Power-loss decay exponent must be strictly positive."""
 

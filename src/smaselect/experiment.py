@@ -21,7 +21,7 @@ from . import __version__
 from .bootstrap import presmooth, residual_scale
 from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
-from .family import DesignMatrix, ModelFamily, WeightingScheme, build_projection_family
+from .family import DesignMatrix, ModelFamily, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
 from .rng import is_integer, is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
@@ -247,13 +247,12 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
 
 def scenario_family(config: ExperimentConfig, scenario: Scenario) -> ModelFamily:
     if config.weighting == "full_vector":
-        weighting = WeightingScheme.full_vector()
+        weights = np.eye(scenario.design.p)
     elif config.weighting == "prediction":
-        weighting = WeightingScheme.custom(scenario.design.entries.T)
+        weights = scenario.design.entries.T
     else:
-        deriv = fourier_derivative_values(scenario.grid, config.p_max)
-        weighting = WeightingScheme.custom(deriv.T / np.sqrt(config.n))
-    return build_projection_family(scenario.design, weighting, config.models)
+        weights = fourier_derivative_values(scenario.grid, config.p_max).T / np.sqrt(config.n)
+    return build_projection_family(scenario.design, weights, config.models)
 
 
 @dataclass(frozen=True)

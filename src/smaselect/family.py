@@ -1,8 +1,11 @@
 """Ordered families of linear estimators, held in reduced coordinates.
 
 A family is built from a ``p x n`` design whose leading ``m`` rows define
-the ``m``-th model, a weighting matrix ``W`` fixing the loss, and a strictly
-increasing list of model sizes.  Model ``m`` estimates ``K_m y = W S_m y``,
+the ``m``-th model, a ``q x p`` weight matrix ``W`` that is the loss, and a
+strictly increasing list of model sizes.  The loss of a coefficient
+estimate is the norm of ``W`` applied to it: ``I_p`` for the full vector,
+``Psi^T`` for prediction, rows of ``I_p`` for a subvector, one row for a
+linear functional.  Model ``m`` estimates ``K_m y = W S_m y``,
 where ``S_m`` is the least-squares operator of the leading-``m`` block
 zero-padded to the full coefficient space.
 
@@ -99,77 +102,6 @@ class DesignMatrix:
         return self.entries[:m]
 
 
-@dataclass(frozen=True)
-class WeightingScheme:
-    """Loss weighting ``W`` (q x p).
-
-    ``kind`` is one of ``full_vector`` (W = I_p), ``prediction``
-    (W symmetric PSD with W^2 = sigma^-2 Psi Psi^T), ``subvector``
-    (coordinate selector rows), ``linear_functional`` (single row), or
-    ``custom`` (explicit matrix).
-    """
-
-    kind: str
-    coords: tuple[int, ...] | None = None
-    vector: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-    sigma: float = 1.0
-
-    @classmethod
-    def full_vector(cls) -> "WeightingScheme":
-        return cls(kind="full_vector")
-
-    @classmethod
-    def prediction(cls, sigma: float = 1.0) -> "WeightingScheme":
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise DimensionMismatch("prediction weighting needs a finite sigma > 0")
-        return cls(kind="prediction", sigma=float(sigma))
-
-    @classmethod
-    def subvector(cls, coords) -> "WeightingScheme":
-        return cls(kind="subvector", coords=tuple(int(c) for c in coords))
-
-    @classmethod
-    def linear_functional(cls, vector) -> "WeightingScheme":
-        return cls(kind="linear_functional", vector=np.asarray(vector, dtype=float))
-
-    @classmethod
-    def custom(cls, matrix) -> "WeightingScheme":
-        return cls(kind="custom", matrix=np.asarray(matrix, dtype=float))
-
-    def materialize(self, design: DesignMatrix) -> np.ndarray:
-        """Return the explicit q x p weight matrix for this design."""
-        p = design.p
-        if self.kind == "full_vector":
-            return np.eye(p)
-        if self.kind == "prediction":
-            fisher = design.entries @ design.entries.T / self.sigma**2
-            vals, vecs = np.linalg.eigh(fisher)
-            if vals.min() < -1e-10 * max(vals.max(), 1.0):
-                raise DimensionMismatch("prediction Fisher matrix is not PSD")
-            vals = np.clip(vals, 0.0, None)
-            return (vecs * np.sqrt(vals)) @ vecs.T
-        if self.kind == "subvector":
-            assert self.coords is not None
-            if any(not 0 <= c < p for c in self.coords):
-                raise DimensionMismatch("subvector coordinates outside 0..p-1")
-            W = np.zeros((len(self.coords), p))
-            for i, c in enumerate(self.coords):
-                W[i, c] = 1.0
-            return W
-        if self.kind == "linear_functional":
-            assert self.vector is not None
-            if self.vector.shape != (p,):
-                raise DimensionMismatch("functional vector length must equal p")
-            return self.vector.reshape(1, p)
-        if self.kind == "custom":
-            assert self.matrix is not None
-            if self.matrix.ndim != 2 or self.matrix.shape[1] != p:
-                raise DimensionMismatch("custom W must have p columns")
-            return self.matrix
-        raise DimensionMismatch(f"unknown weighting kind {self.kind!r}")
-
-
 def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
     """Pseudo-inverse of a symmetric PSD Gram via truncated eigendecomposition.
 
@@ -190,25 +122,23 @@ def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
 class PairOrder:
     """The layout of pairs ``(m, m_ref)``, ``m > m_ref``, over a model tuple.
 
-    ``positions`` maps each model to its position, ``index`` each pair to
-    its column.  ``groups`` holds ``(m_ref, ref, positions, columns)`` per
-    reference, in first-seen order: ``ref`` is the reference's position,
-    or ``None`` for reference 0, the empty model; the larger models'
-    positions and the pairs' columns are slices when contiguous (as in the
-    canonical order), so indexing by them takes no copy.  Pair ``i``
-    covers model steps ``first[i]..last[i]`` (step ``j`` is coordinates
-    ``[models[j - 1], models[j])``, from 0 for ``j = 0``); ``windows[d]``
-    holds the first step of each window of ``d + 1`` steps and those
-    pairs' columns; ``hankel[i]``, ``first[i] * k + last[i] - first[i]``
-    for ``k`` models, is pair ``i``'s entry in one row's flattened
-    ``k x k`` window sums (``ModelFamily.pair_windows``).  ``starts``
-    holds each group's first column, for ``np.logical_and.reduceat`` over
-    contiguous groups.  Orders are shared (see ``pair_order``), so nothing
-    here is written.
+    ``index`` maps each pair to its column.  ``groups`` holds ``(m_ref, ref,
+    positions, columns)`` per reference, in first-seen order: ``ref`` is the
+    reference's position, or ``None`` for reference 0, the empty model; the
+    larger models' positions and the pairs' columns are slices when
+    contiguous (as in the canonical order), so indexing by them takes no
+    copy.  Pair ``i`` covers model steps ``first[i]..last[i]`` (step ``j``
+    is coordinates ``[models[j - 1], models[j])``, from 0 for ``j = 0``);
+    ``windows[d]`` holds the first step of each window of ``d + 1`` steps
+    and those pairs' columns; ``hankel[i]``, ``first[i] * k + last[i] -
+    first[i]`` for ``k`` models, is pair ``i``'s entry in one row's
+    flattened ``k x k`` window sums (``ModelFamily.pair_windows``).
+    ``starts`` holds each group's first column, for
+    ``np.logical_and.reduceat`` over contiguous groups.  Orders are shared
+    (see ``pair_order``), so nothing here is written.
     """
 
     models: tuple[int, ...]
-    positions: dict[int, int]
     pairs: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int]
     groups: tuple
@@ -263,7 +193,6 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         windows[hi - lo][1].append(col)
     return PairOrder(
         models=models,
-        positions=positions,
         pairs=pairs,
         index=index,
         groups=tuple(
@@ -370,7 +299,6 @@ class ModelFamily:
     """
 
     design: DesignMatrix
-    weighting: WeightingScheme
     models: tuple[int, ...]
     weight_matrix: np.ndarray
     basis: np.ndarray
@@ -516,14 +444,12 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def build_projection_family(
-    design: DesignMatrix,
-    weighting: WeightingScheme,
-    models,
-) -> ModelFamily:
+def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamily:
     """Construct the family of least-squares estimators on leading blocks.
 
-    For each ``m`` the estimator is ``K_m = W S_m`` with
+    ``weights`` is the loss as its ``q x p`` matrix ``W``: a matrix that is
+    not 2-D with ``p`` columns raises ``DimensionMismatch``, a non-finite
+    one ``NonFiniteInput``.  For each ``m`` the estimator is ``K_m = W S_m`` with
     ``S_m = (Psi_m Psi_m^T)^+ Psi_m`` zero-padded from ``m`` to ``p`` rows,
     held as ``C_m = pad_M(S_m Q)`` on the basis ``Q`` of the QR
     factorisation ``Psi_M^T = Q L^T`` of the largest block (all ``min(M, n)``
@@ -552,9 +478,9 @@ def build_projection_family(
     if models[0] < 1 or models[-1] > design.p:
         raise DimensionMismatch("model sizes must lie in 1..p")
 
-    W = weighting.materialize(design)
-    if W.shape[1] != design.p:
-        raise DimensionMismatch("W columns must equal the feature dimension p")
+    W = np.asarray(weights, dtype=float)
+    if W.ndim != 2 or W.shape[1] != design.p:
+        raise DimensionMismatch("W must be a q x p matrix, p the feature dimension")
     if not np.all(np.isfinite(W)):
         raise NonFiniteInput("weighting matrix contains NaN or infinite values")
 
@@ -586,7 +512,6 @@ def build_projection_family(
         increments = _diagonal_of(loadings.T @ loadings)
     return ModelFamily(
         design=design,
-        weighting=weighting,
         models=models,
         weight_matrix=W,
         basis=basis,

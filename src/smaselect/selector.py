@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import CalibrationTable, _check_level, pair_norms
-from .errors import (
-    DimensionMismatch,
-    NonFiniteInput,
-    NotProjectionFamily,
-    RequiresKnownTruth,
-)
+from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
 from .family import ModelFamily, PairValues, _pinv_gram, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
 
@@ -107,8 +102,6 @@ class OracleReport:
     """Risk-side benchmark: best index, payment, and its closed-form cap."""
 
     m_star: int
-    mode: str
-    alpha_plus: float
     z_bar: float | None = None
     z_bar_theory: float | None = None
 
@@ -142,7 +135,7 @@ def oracle(
         m_star = min(
             m for m in family.models if all(ok for r, ok in result.accepted.items() if r >= m)
         )
-    return OracleReport(m_star=m_star, mode=mode, alpha_plus=alpha_plus)
+    return OracleReport(m_star=m_star)
 
 
 def payment_theory_cap(
@@ -184,11 +177,9 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
     Compares the minimizer of ``|y - P_m y|^2 + 2 sigma^2 m`` with the
     smallest-accepted choice under prediction-loss statistics and
     thresholds ``sigma sqrt(2 (m - m_ref))`` on the same projection family.
+    It reads only the family's design and models: the statistics are
+    prediction-loss norms whatever the family's own loss.
     """
-    if family.weighting.kind in ("linear_functional", "subvector"):
-        raise NotProjectionFamily(
-            "equivalence check requires prediction-type loss on a projection family"
-        )
     if sigma_homogeneous <= 0:
         raise DimensionMismatch("sigma must be > 0")
     y = family.vector(y)

@@ -8,7 +8,6 @@ from smaselect import (
     DesignMatrix,
     NoiseSpec,
     SingularGramWarning,
-    WeightingScheme,
     build_projection_family,
 )
 from smaselect.experiment import fourier_derivative_values, fourier_values
@@ -22,7 +21,7 @@ def toy_design():
 
 @pytest.fixture
 def toy_family(toy_design):
-    return build_projection_family(toy_design, WeightingScheme.full_vector(), [1, 2, 3])
+    return build_projection_family(toy_design, np.eye(toy_design.p), [1, 2, 3])
 
 
 @pytest.fixture
@@ -34,7 +33,7 @@ def toy_noise():
 def toy_extended_family():
     # Same coordinate-selector structure, models 1..6 on an 6x8 design.
     design = DesignMatrix(np.hstack([np.eye(6), np.zeros((6, 2))]))
-    return build_projection_family(design, WeightingScheme.full_vector(), range(1, 7))
+    return build_projection_family(design, np.eye(design.p), range(1, 7))
 
 
 def orthonormal_rows_design(rng, p, n):
@@ -61,16 +60,16 @@ def small_families(draw, kinds=("prediction", "derivative", "full_vector", "cust
         grid = (np.arange(n) + 0.5) / n
         design = DesignMatrix(fourier_values(grid, p) / np.sqrt(n))
         weights = design.entries if kind == "prediction" else fourier_derivative_values(grid, p)
-        weighting = WeightingScheme.custom(weights.T)
+        weighting = weights.T
     else:
         entries = rng.standard_normal((p, n))
         if kind == "deficient":
             row = draw(st.integers(1, models[-1] - 1))
             entries[row] = entries[row - 1]
         design = DesignMatrix(entries)
-        weighting = WeightingScheme.full_vector()
+        weighting = np.eye(p)
         if kind == "custom":
-            weighting = WeightingScheme.custom(rng.standard_normal((draw(st.integers(1, p)), p)))
+            weighting = rng.standard_normal((draw(st.integers(1, p)), p))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularGramWarning)
         return build_projection_family(design, weighting, models)

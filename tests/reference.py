@@ -4,10 +4,10 @@ The library holds every estimator in reduced coordinates and every
 diagnostic in low-rank form, and reads multiplicity corrections and
 multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
-diagnostics, the oracle index as a direct loop over its definition, the
-smallest-accepted rule as a loop over references, the pair layout worked
-out pair by pair, and single-purpose views of that path, without the
-library carrying them.
+diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
+a direct loop over its definition, the smallest-accepted rule as a loop
+over references, the pair layout worked out pair by pair, and
+single-purpose views of that path, without the library carrying them.
 """
 
 import math
@@ -44,6 +44,13 @@ def pair_operator(family, m: int, m_ref: int) -> np.ndarray:
 
 def _materialize(family, coef: np.ndarray) -> np.ndarray:
     return family.weight_matrix[:, : family.largest] @ coef @ family.basis.T
+
+
+def prediction_weights(design, sigma: float = 1.0) -> np.ndarray:
+    """The prediction loss as a ``p x p`` weight matrix: the symmetric PSD
+    ``W`` with ``W^2 = sigma^-2 Psi Psi^T``."""
+    vals, vecs = np.linalg.eigh(design.entries @ design.entries.T / sigma**2)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:

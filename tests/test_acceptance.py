@@ -14,7 +14,6 @@ import pytest
 from smaselect import (
     DesignMatrix,
     NoiseSpec,
-    WeightingScheme,
     aic_equivalence_check,
     bootstrap_calibrate,
     build_projection_family,
@@ -35,6 +34,7 @@ from smaselect.family import pair_order
 from smaselect.moments import all_pair_moments, pair_traces
 from smaselect.rng import stream
 from conftest import orthonormal_rows_design
+from reference import prediction_weights
 from reference import (
     joint_norms_from_noise,
     multiplicity_correction,
@@ -68,7 +68,7 @@ def test_criterion_01_exact_moment_identities(toy_family, toy_noise):
         design = orthonormal_rows_design(rng, p, n)
         k = int(rng.integers(2, min(p, 5) + 1))
         models = sorted(rng.choice(np.arange(1, p + 1), size=k, replace=False).tolist())
-        family = build_projection_family(design, WeightingScheme.full_vector(), models)
+        family = build_projection_family(design, np.eye(design.p), models)
         sigma = float(rng.uniform(0.3, 3.0))
         noise = NoiseSpec.homogeneous(sigma, n)
         for m, m_ref in family.pairs():
@@ -90,7 +90,7 @@ def test_criterion_02_tail_function_oracle(toy_family, toy_noise):
 
 def _harness_family(n=100, p=10):
     design = coordinate_design(p, n)
-    return build_projection_family(design, WeightingScheme.full_vector(), range(1, p + 1))
+    return build_projection_family(design, np.eye(design.p), range(1, p + 1))
 
 
 def _vectorized_select(family, table, stats_matrix, pair_cols):
@@ -192,7 +192,7 @@ def test_criterion_06_aic_equivalence():
         design = DesignMatrix(rng.standard_normal((p, n)))
         k = int(rng.integers(2, min(p, 6) + 1))
         models = sorted(rng.choice(np.arange(1, p + 1), size=k, replace=False).tolist())
-        family = build_projection_family(design, WeightingScheme.prediction(), models)
+        family = build_projection_family(design, prediction_weights(design), models)
         y = rng.standard_normal(n)
         sigma = float(rng.uniform(0.2, 3.0))
         agree += aic_equivalence_check(family, sigma, y)
@@ -203,7 +203,7 @@ def _fidelity_setup():
     n, p = 400, 20
     grid = (np.arange(1, n + 1) - 0.5) / n
     design = DesignMatrix(fourier_values(grid, p) / math.sqrt(n))
-    family = build_projection_family(design, WeightingScheme.full_vector(), range(1, p + 1))
+    family = build_projection_family(design, np.eye(design.p), range(1, p + 1))
     noise = NoiseSpec.homogeneous(1.0, n)
     theta = 2.0 / np.arange(1, p + 1)
     f_true = design.entries.T @ theta  # exactly inside the pilot span

@@ -9,7 +9,6 @@ from smaselect import (
     NoiseSpec,
     NonFiniteInput,
     RequiresKnownTruth,
-    WeightingScheme,
     bootstrap_calibrate,
     build_projection_family,
     presmooth,
@@ -37,7 +36,7 @@ def test_presmooth_in_span_vanishes(toy_family):
 def test_presmooth_projector_idempotent():
     rng = np.random.default_rng(311)
     design = DesignMatrix(rng.standard_normal((8, 20)))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [2, 5, 8])
+    family = build_projection_family(design, np.eye(design.p), [2, 5, 8])
     res = presmooth(family, rng.standard_normal(20), 8)
     proj = projector_matrix(res)
     assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
@@ -46,7 +45,7 @@ def test_presmooth_projector_idempotent():
 def test_presmooth_residuals_orthogonal_to_span():
     rng = np.random.default_rng(313)
     design = DesignMatrix(rng.standard_normal((6, 30)))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [3, 6])
+    family = build_projection_family(design, np.eye(design.p), [3, 6])
     y = rng.standard_normal(30)
     res = presmooth(family, y, 6)
     gram_products = design.leading_block(6) @ res.residuals
@@ -109,7 +108,7 @@ def test_effective_dims_toy(toy_family):
 def test_effective_dims_reduce_to_known_noise():
     rng = np.random.default_rng(337)
     design = orthonormal_rows_design(rng, p=6, n=25)
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 3, 6])
+    family = build_projection_family(design, np.eye(design.p), [1, 3, 6])
     sd = rng.uniform(0.5, 2.0, size=25)
     dims = pair_traces(family, residual_scale(family, sd) ** 2)
     noise = NoiseSpec.known(sd**2)
@@ -155,7 +154,7 @@ def test_bootstrap_in_sample_propagation(toy_family):
 
 def test_single_pair_family_needs_no_correction():
     design = DesignMatrix(np.hstack([np.eye(2), np.zeros((2, 2))]))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 2])
+    family = build_projection_family(design, np.eye(design.p), [1, 2])
     table = bootstrap_calibrate(family, np.array([1.0, 0.5, 0.2, -0.4]), 2.0, 0.0, 2000, seed=353)
     assert table.corrections == {1: 0.0}
 
@@ -182,7 +181,7 @@ def test_validity_diagnostics_toy(toy_family, toy_noise):
 def test_validity_diagnostics_span_bias_vanishes():
     rng = np.random.default_rng(367)
     design = orthonormal_rows_design(rng, p=8, n=40)
-    family = build_projection_family(design, WeightingScheme.full_vector(), [2, 4, 8])
+    family = build_projection_family(design, np.eye(design.p), [2, 4, 8])
     theta = rng.standard_normal(4)
     f = design.entries[:4].T @ theta
     diag = validity_diagnostics(family, NoiseSpec.homogeneous(1.0, 40), f, 4, 2.0)
@@ -199,7 +198,7 @@ def test_validity_diagnostics_span_bias_vanishes():
 def test_validity_diagnostics_applicability_ratio():
     rng = np.random.default_rng(373)
     design = orthonormal_rows_design(rng, p=37, n=200)
-    family = build_projection_family(design, WeightingScheme.full_vector(), list(range(1, 38)))
+    family = build_projection_family(design, np.eye(design.p), list(range(1, 38)))
     diag = validity_diagnostics(
         family, NoiseSpec.homogeneous(1.0, 200), np.zeros(200), 20, 2.0
     )

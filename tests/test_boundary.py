@@ -14,7 +14,6 @@ from smaselect import (
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
-    WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
     calibrate,
@@ -65,13 +64,23 @@ def test_vector_entry_points_reject_bad_vectors(toy_family, entry, bad):
 @pytest.mark.parametrize(
     "weighting",
     [
-        WeightingScheme.custom(np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])),
-        WeightingScheme.linear_functional([np.inf, 0.0, 0.0]),
+        np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]]),
+        np.array([[np.inf, 0.0, 0.0]]),
     ],
     ids=["custom-nan", "functional-inf"],
 )
 def test_family_rejects_non_finite_weighting(toy_design, weighting):
     with pytest.raises(NonFiniteInput):
+        build_projection_family(toy_design, weighting, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "weighting",
+    [np.ones(3), np.ones((1, 3, 3)), np.ones((2, 4)), np.ones((2, 5)), [[1.0, 1.0]]],
+    ids=["vector", "3-d", "p-plus-1-columns", "p-plus-2-columns", "short-row"],
+)
+def test_family_rejects_a_weighting_that_is_not_q_by_p(toy_design, weighting):
+    with pytest.raises(DimensionMismatch):
         build_projection_family(toy_design, weighting, [1, 2, 3])
 
 
@@ -180,10 +189,6 @@ BAD_SCALARS = {
     ),
     "oracle-alpha-negative": (
         lambda sc, fam: oracle(fam, sc.f_true, sc.sigma, alpha_plus=-1.0),
-        DimensionMismatch,
-    ),
-    "prediction-sigma-nan": (
-        lambda sc, fam: WeightingScheme.prediction(math.nan),
         DimensionMismatch,
     ),
 }

@@ -20,7 +20,6 @@ from smaselect import (
     NotOrderedPair,
     PairValues,
     TailTooDeepWarning,
-    WeightingScheme,
     build_projection_family,
     calibrate,
     critical_values,
@@ -639,7 +638,7 @@ def test_fresh_draw_propagation(toy_family, toy_noise):
 def test_rank_one_tail_upper_bound(toy_design, toy_noise):
     # Rank-one pairs: the tail value is bounded by v sqrt(2 t).
     family = build_projection_family(
-        toy_design, WeightingScheme.linear_functional([1.0, 1.0, 1.0]), [1, 2, 3]
+        toy_design, np.atleast_2d([1.0, 1.0, 1.0]), [1, 2, 3]
     )
     draws = sample_joint_draws(family, toy_noise, 50_000, seed=97)
     for m, m_ref in family.pairs():
@@ -874,7 +873,7 @@ def test_reversed_pair_in_table_input_is_refused(toy_family, toy_noise):
 @given(x=st.floats(0.5, 4.0))
 def test_correction_monotone_in_level(x):
     design = DesignMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 2, 3])
+    family = build_projection_family(design, np.eye(design.p), [1, 2, 3])
     noise = NoiseSpec.homogeneous(1.0, 4)
     draws = sample_joint_draws(family, noise, 8000, seed=137)
     q_lo = multiplicity_correction(draws, 1, x)

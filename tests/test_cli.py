@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from smaselect.calibration import (
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.moments import all_pair_moments
 from smaselect.io import load_table, save_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_sma(*argv) -> subprocess.CompletedProcess:
@@ -365,11 +368,12 @@ def test_calibrate_power_mode_with_self_test(config_file, tmp_path):
 
 
 def test_a_warning_prints_as_category_and_message(tmp_path):
-    # Power-loss levels on the default config pass log(n_sim), so the table
-    # clips pairs to the maximum draw and warns once.
-    proc = _run_sma(
-        "calibrate", "--noise", "known", "--mode", "power", "--a", "1", "--out", tmp_path / "o"
-    )
+    # Level 8 asks past log(n_sim) = log(400) on the quick config, so the
+    # table clips pairs to the maximum draw and warns once.
+    quick = runpy.run_path(str(ROOT / "scripts" / "run_paper_sim.py"))["QUICK"]
+    config = tmp_path / "quick-level-8.json"
+    config.write_text(json.dumps(dict(quick, x_level=8)))
+    proc = _run_sma("calibrate", "--noise", "known", "--config", config, "--out", tmp_path / "o")
     assert proc.returncode == 0
     assert proc.stderr.startswith("TailTooDeepWarning: ")
     assert "pair(s) clipped to the maximum draw" in proc.stderr

@@ -12,13 +12,12 @@ from smaselect import (
     NotOrderedPair,
     SingularGram,
     SingularGramWarning,
-    WeightingScheme,
     build_projection_family,
     check_ordering,
 )
 from smaselect.family import pair_order, pair_values
 from conftest import orthonormal_rows_design
-from reference import operator, pair_operator
+from reference import operator, pair_operator, prediction_weights
 
 
 def test_toy_operator_is_coordinate_selector(toy_family):
@@ -47,7 +46,7 @@ def test_rank_deficient_design_uses_pseudo_inverse():
     psi = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
     design = DesignMatrix(psi)
     with pytest.warns(SingularGramWarning):
-        family = build_projection_family(design, WeightingScheme.full_vector(), [2, 3])
+        family = build_projection_family(design, np.eye(design.p), [2, 3])
     assert 2 in family.rank_deficient
 
     # Fitted-value operator must agree with the rank-revealing projector.
@@ -64,11 +63,11 @@ def test_rank_deficient_design_uses_pseudo_inverse():
 def test_all_zero_gram_is_fatal():
     design = DesignMatrix(np.vstack([np.zeros((1, 4)), np.eye(3, 4)[:2]]))
     with pytest.raises(SingularGram):
-        build_projection_family(design, WeightingScheme.full_vector(), [1, 2])
+        build_projection_family(design, np.eye(design.p), [1, 2])
 
 
 def test_model_list_validation(toy_design):
-    w = WeightingScheme.full_vector()
+    w = np.eye(toy_design.p)
     with pytest.raises(DimensionMismatch):
         build_projection_family(toy_design, w, [])
     with pytest.raises(DimensionMismatch):
@@ -89,7 +88,7 @@ def test_pair_operators_telescope(seed):
     rng = np.random.default_rng(seed)
     p, n = 5, 9
     design = DesignMatrix(rng.standard_normal((p, n)))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 3, 5])
+    family = build_projection_family(design, np.eye(design.p), [1, 3, 5])
     lhs = pair_operator(family, 5, 3) + pair_operator(family, 3, 1)
     rhs = pair_operator(family, 5, 1)
     scale = max(np.abs(rhs).max(), 1.0)
@@ -103,7 +102,7 @@ def test_pair_operators_telescope(seed):
 def test_orthonormal_family_matches_normal_equations(seed):
     rng = np.random.default_rng(seed)
     design = orthonormal_rows_design(rng, p=6, n=20)
-    family = build_projection_family(design, WeightingScheme.full_vector(), [2, 4, 6])
+    family = build_projection_family(design, np.eye(design.p), [2, 4, 6])
     y = rng.standard_normal(20)
     for m in family.models:
         block = design.entries[:m]
@@ -114,18 +113,11 @@ def test_orthonormal_family_matches_normal_equations(seed):
 
 
 def test_weighting_shapes(toy_design):
-    assert WeightingScheme.full_vector().materialize(toy_design).shape == (3, 3)
-    w = WeightingScheme.prediction(sigma=2.0).materialize(toy_design)
+    w = prediction_weights(toy_design, sigma=2.0)
     # W^2 must reproduce the scaled Gram.
     np.testing.assert_allclose(
         w @ w, toy_design.entries @ toy_design.entries.T / 4.0, atol=1e-12
     )
-    assert WeightingScheme.subvector([0, 2]).materialize(toy_design).shape == (2, 3)
-    assert WeightingScheme.linear_functional([1.0, 1.0, 1.0]).materialize(toy_design).shape == (1, 3)
-    with pytest.raises(DimensionMismatch):
-        WeightingScheme.linear_functional([1.0, 1.0]).materialize(toy_design)
-    with pytest.raises(DimensionMismatch):
-        WeightingScheme.custom(np.ones((2, 5))).materialize(toy_design)
 
 
 def test_ordering_toy(toy_family, toy_noise):
@@ -145,7 +137,7 @@ def test_ordering_counterexample():
     # variance gap has a negative eigenvalue.
     psi = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     family = build_projection_family(
-        DesignMatrix(psi), WeightingScheme.full_vector(), [1, 2]
+        DesignMatrix(psi), np.eye(2), [1, 2]
     )
     noise = NoiseSpec.known([1.0, 100.0, 1.0])
     report = check_ordering(family, noise)

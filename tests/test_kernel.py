@@ -25,7 +25,6 @@ from smaselect import (
     CalibrationTable,
     DesignMatrix,
     NonFiniteInput,
-    WeightingScheme,
     build_projection_family,
     calibrate,
     excess_risk_mc,
@@ -68,11 +67,11 @@ FAMILIES = {
     "increments": lambda: _paper_like()[0],
     # Increments with gaps: a model step sums several coordinates.
     "increments_gaps": lambda: build_projection_family(
-        _design(7, 12, 40), WeightingScheme.prediction(sigma=1.3), [2, 3, 6, 7, 11, 12]
+        d := _design(7, 12, 40), reference.prediction_weights(d, sigma=1.3), [2, 3, 6, 7, 11, 12]
     ),
     # The general D_m kernel on a loss whose nested Gram is not diagonal.
     "general": lambda: build_projection_family(
-        _design(8, 10, 40), WeightingScheme.subvector([0, 3, 4, 8]), [1, 2, 4, 5, 8, 10]
+        _design(8, 10, 40), np.eye(10)[[0, 3, 4, 8]], [1, 2, 4, 5, 8, 10]
     ),
     # The general kernel on the paper-like family.
     "general_paper": lambda: dataclasses.replace(_paper_like()[0], increments=None),
@@ -204,7 +203,7 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     # window route's Hankel pass) and for a block.
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((models[-1], models[-1] + 3)))
-    family = build_projection_family(design, WeightingScheme.prediction(), models)
+    family = build_projection_family(design, reference.prediction_weights(design), models)
     assert family.increments is not None
     canonical = pair_order(models).pairs
     layouts = [pair_order(models), pair_order(models, [(m, 0) for m in models])]

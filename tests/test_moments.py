@@ -9,7 +9,6 @@ from smaselect import (
     NoiseSpec,
     NonFiniteInput,
     NotOrderedPair,
-    WeightingScheme,
     build_projection_family,
     check_ordering,
     risk_profile,
@@ -71,7 +70,7 @@ def test_toy_risk_profile_sparse_signal(toy_family, toy_noise):
 
 def test_functional_variance_toy(toy_design, toy_noise):
     family = build_projection_family(
-        toy_design, WeightingScheme.linear_functional([1.0, 1.0, 1.0]), [1, 2, 3]
+        toy_design, np.atleast_2d([1.0, 1.0, 1.0]), [1, 2, 3]
     )
     assert single_variance(family, toy_noise, 2).p_pair == pytest.approx(2.0, rel=1e-12)
     assert single_variance(family, toy_noise, 1).p_pair == pytest.approx(1.0, rel=1e-12)
@@ -87,7 +86,7 @@ def test_projection_moment_identity(seed, sigma):
     # sigma^2 (m - m_ref) and the operator norm is sigma^2, exactly.
     rng = np.random.default_rng(seed)
     design = orthonormal_rows_design(rng, p=7, n=18)
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 3, 4, 7])
+    family = build_projection_family(design, np.eye(design.p), [1, 3, 4, 7])
     noise = NoiseSpec.homogeneous(sigma, 18)
     for m, m_ref in family.pairs():
         pm = pair_variance(family, noise, m, m_ref)
@@ -101,7 +100,7 @@ def test_rank_one_pairs_have_equal_trace_and_norm(seed):
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((4, 10)))
     family = build_projection_family(
-        design, WeightingScheme.linear_functional(rng.standard_normal(4)), [1, 2, 4]
+        design, np.atleast_2d(rng.standard_normal(4)), [1, 2, 4]
     )
     noise = NoiseSpec.known(rng.uniform(0.5, 2.0, size=10))
     for m, m_ref in family.pairs():
@@ -114,7 +113,7 @@ def test_rank_one_pairs_have_equal_trace_and_norm(seed):
 def test_bias_telescoping(seed):
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((6, 12)))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [2, 4, 6])
+    family = build_projection_family(design, np.eye(design.p), [2, 4, 6])
     f = rng.standard_normal(12)
     fit2, fit4, fit6 = family.outputs(family.reduce(family.vector(f)))
     lhs = (fit6 - fit4) + (fit4 - fit2)
@@ -128,7 +127,7 @@ def test_bias_telescoping(seed):
 def test_variance_column_monotone_when_ordered(seed):
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((5, 14)))
-    family = build_projection_family(design, WeightingScheme.full_vector(), [1, 2, 3, 5])
+    family = build_projection_family(design, np.eye(design.p), [1, 2, 3, 5])
     noise = NoiseSpec.known(rng.uniform(0.5, 3.0, size=14))
     if check_ordering(family, noise).ordered:
         profile = risk_profile(family, rng.standard_normal(14), noise)

@@ -27,7 +27,6 @@ from smaselect import (
     DesignMatrix,
     NoiseSpec,
     NotOrderedPair,
-    WeightingScheme,
     build_projection_family,
     check_ordering,
     excess_risk_mc,
@@ -55,6 +54,7 @@ from reference import (
     multiplier_draws,
     operator,
     pair_variance,
+    prediction_weights,
 )
 
 DRAW_RTOL = 1e-8
@@ -130,25 +130,25 @@ def _paper_like(weighting):
 FAMILIES = {
     "prediction": lambda: _paper_like("prediction"),
     "prediction_scheme": lambda: build_projection_family(
-        _random_design(1, 7, 25), WeightingScheme.prediction(sigma=1.5), [1, 3, 5, 7]
+        d := _random_design(1, 7, 25), prediction_weights(d, sigma=1.5), [1, 3, 5, 7]
     ),
     "full_vector": lambda: build_projection_family(
-        _random_design(2, 8, 25), WeightingScheme.full_vector(), [1, 2, 4, 6]
+        _random_design(2, 8, 25), np.eye(8), [1, 2, 4, 6]
     ),
     "derivative": lambda: _paper_like("derivative"),
     "subvector": lambda: build_projection_family(
-        _random_design(3, 8, 25), WeightingScheme.subvector([0, 2, 5]), [1, 3, 5, 7]
+        _random_design(3, 8, 25), np.eye(8)[[0, 2, 5]], [1, 3, 5, 7]
     ),
     "linear_functional": lambda: build_projection_family(
         _random_design(4, 6, 25),
-        WeightingScheme.linear_functional([1.0, -0.5, 0.25, 0.0, 2.0, 1.0]),
+        np.atleast_2d([1.0, -0.5, 0.25, 0.0, 2.0, 1.0]),
         [1, 2, 4, 6],
     ),
     "duplicate_row": lambda: build_projection_family(
-        _duplicate_row_design(), WeightingScheme.full_vector(), [1, 2, 3, 4, 6]
+        _duplicate_row_design(), np.eye(6), [1, 2, 3, 4, 6]
     ),
     "n_below_m": lambda: build_projection_family(
-        _random_design(5, 10, 6), WeightingScheme.full_vector(), [2, 4, 5, 8, 10]
+        _random_design(5, 10, 6), np.eye(10), [2, 4, 5, 8, 10]
     ),
 }
 
@@ -423,15 +423,14 @@ def _diagnostics_cases():
     config = ExperimentConfig(n=200, seeds=Seeds(data=1001)).validate()
     scenario = generate_scenario(config)
     paper = scenario_family(config, scenario)
-    full = WeightingScheme.full_vector()
     toy_design = DesignMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
-    toy = build_projection_family(toy_design, full, [1, 2, 3])
+    toy = build_projection_family(toy_design, np.eye(3), [1, 2, 3])
     rng = np.random.default_rng(19)
-    random = build_projection_family(_random_design(6, 8, 30), full, [2, 4, 8])
+    random = build_projection_family(_random_design(6, 8, 30), np.eye(8), [2, 4, 8])
     # Rows 6 and 7 coincide: the 9-row pilot block has rank 8, the models stay full rank.
     psi = rng.standard_normal((10, 14))
     psi[7] = psi[6]
-    truncated = build_projection_family(DesignMatrix(psi), full, [1, 2, 4])
+    truncated = build_projection_family(DesignMatrix(psi), np.eye(10), [1, 2, 4])
     return {
         "paper": (paper, scenario.sigma, scenario.f_true, config.m_dagger),
         "toy_2k_above_n": (

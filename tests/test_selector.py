@@ -14,9 +14,8 @@ from smaselect import (
     NoiseSpec,
     NonFiniteInput,
     NotOrderedPair,
-    NotProjectionFamily,
+    PairValues,
     RequiresKnownTruth,
-    WeightingScheme,
     aic_equivalence_check,
     build_projection_family,
     calibrate,
@@ -32,7 +31,7 @@ from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, sce
 from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
 from smaselect.selector import payment_theory_cap, table_from_thresholds
-from reference import oracle_index, sma_select_loop
+from reference import oracle_index, prediction_weights, sma_select_loop
 
 
 def test_statistics_toy_zero_coordinates(toy_family):
@@ -120,6 +119,19 @@ def test_reversed_pair_in_a_mapping_is_refused(toy_family):
         sma_select(reversed_pair, table_from_thresholds(valid))
     with pytest.raises(NotOrderedPair):
         table_from_thresholds({(1, 3): 1.0})
+
+
+def test_sma_inferred_models_of_a_subset_layout():
+    # Statistics laid out over models 1..4 that name only 2..4: the inferred
+    # model set is the one the pairs name, not the layout's.
+    stats = PairValues(pair_order((1, 2, 3, 4), [(4, 3), (3, 2), (4, 2)]), [0.5, 2.0, 0.5])
+    table = table_from_thresholds({(3, 2): 1.0, (4, 2): 1.0, (4, 3): 1.0})
+    result = sma_select(stats, table)
+    assert result.m_hat == 3
+    assert result.accepted == {2: False, 3: True, 4: True}
+    assert _selection(sma_select, stats, table, None) == _selection(
+        sma_select_loop, stats, table, None
+    )
 
 
 def test_sma_explicit_models_for_singleton():
@@ -397,15 +409,7 @@ def test_aic_equivalence_random_instances():
         design = DesignMatrix(rng.standard_normal((p, n)))
         k = int(rng.integers(2, min(p, 6) + 1))
         models = sorted(rng.choice(np.arange(1, p + 1), size=k, replace=False).tolist())
-        family = build_projection_family(design, WeightingScheme.prediction(), models)
+        family = build_projection_family(design, prediction_weights(design), models)
         y = rng.standard_normal(n)
         sigma = float(rng.uniform(0.2, 3.0))
         assert aic_equivalence_check(family, sigma, y) is True
-
-
-def test_aic_equivalence_rejects_functional_family(toy_design):
-    family = build_projection_family(
-        toy_design, WeightingScheme.linear_functional([1.0, 0.0, 0.0]), [1, 2]
-    )
-    with pytest.raises(NotProjectionFamily):
-        aic_equivalence_check(family, 1.0, np.zeros(4))

@@ -3,11 +3,9 @@
 __version__ = "0.1.0"
 
 from .bootstrap import (
-    PresmoothResult,
     ValidityDiagnostics,
     bootstrap_calibrate,
     presmooth,
-    residual_scale,
     validity_diagnostics,
 )
 from .bounds import QFParams, norm_upper, qf_lower, qf_upper

@@ -3,8 +3,8 @@
 The data are presmoothed by projecting onto a large pilot model; the
 residuals, multiplied coordinatewise by fresh standard normal weights,
 replace the unavailable noise law.  What is specific to this path is
-presmoothing, which yields the residual scale vector (``residual_scale``);
-``calibrate`` turns it into draws, bias allowances, power-loss levels and a
+presmoothing, which yields the residual vector, the noise scale
+``calibrate`` turns into draws, bias allowances, power-loss levels and a
 table exactly as it does the known noise standard deviations.
 """
 
@@ -24,19 +24,6 @@ from .moments import NoiseSpec
 RESIDUAL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PresmoothResult:
-    """Residuals after projecting out a pilot model.
-
-    ``basis`` is an orthonormal basis (``n x k``) of the pilot feature span;
-    the projector ``basis @ basis.T`` is never formed.
-    """
-
-    residuals: np.ndarray
-    basis: np.ndarray
-    negligible: bool
-
-
 def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the leading pilot block."""
     if not 1 <= m_dagger <= family.p:
@@ -49,33 +36,19 @@ def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
     return vt[keep].T
 
 
-def presmooth(family: ModelFamily, y, m_dagger: int) -> PresmoothResult:
-    """Project the data onto the leading pilot block and keep the residuals."""
+def presmooth(family: ModelFamily, y, m_dagger: int) -> np.ndarray:
+    """Residuals of the data off the leading pilot block: the multiplier
+    noise scale.  Residuals within ``RESIDUAL_FLOOR`` of the data scale
+    raise ``AllZeroResiduals``."""
     y = family.vector(y)
     basis = pilot_basis(family, m_dagger)
     residuals = y - basis @ (basis.T @ y)
     # Second projection pass pins the residual orthogonality to the span.
     residuals = residuals - basis @ (basis.T @ residuals)
     floor = RESIDUAL_FLOOR * float(np.max(np.abs(y), initial=0.0))
-    negligible = bool(np.max(np.abs(residuals), initial=0.0) <= floor)
-    return PresmoothResult(
-        residuals=residuals,
-        basis=basis,
-        negligible=negligible,
-    )
-
-
-def residual_scale(family: ModelFamily, residuals) -> np.ndarray:
-    """Residuals (a ``PresmoothResult`` or a vector) as the multiplier noise
-    scale; negligible or all-zero residuals raise ``AllZeroResiduals``."""
-    if isinstance(residuals, PresmoothResult):
-        if residuals.negligible:
-            raise AllZeroResiduals("presmoothing left no residual signal")
-        residuals = residuals.residuals
-    vec = family.vector(residuals, "residual vector")
-    if np.all(vec == 0.0):
-        raise AllZeroResiduals("all residuals are zero; calibration is degenerate")
-    return vec
+    if np.max(np.abs(residuals), initial=0.0) <= floor:
+        raise AllZeroResiduals("presmoothing left no residual signal")
+    return residuals
 
 
 def bootstrap_calibrate(
@@ -92,8 +65,8 @@ def bootstrap_calibrate(
 ) -> CalibrationTable:
     """Multiplier table: ``calibrate`` with the residuals as the noise scale."""
     return calibrate(
-        family, residual_scale(family, residuals), n_sim, seed, x_level, alpha_plus,
-        mode, power_a, n_workers=n_workers, stream_tag=stream_tag,
+        family, residuals, n_sim, seed, x_level, alpha_plus, mode, power_a,
+        n_workers=n_workers, stream_tag=stream_tag,
     )[1]
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AllZeroResiduals,
     BadExponent,
     CalibrationWarning,
     DimensionMismatch,
@@ -575,12 +576,15 @@ def calibrate(
 
     The one path from a per-coordinate noise scale to thresholds: known
     noise passes its standard deviations, multiplier calibration its
-    presmoothing residuals.  The bias allowance uses the pair variance
+    presmoothing residuals.  A scale that is zero everywhere raises
+    ``AllZeroResiduals``.  The bias allowance uses the pair variance
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
     variances.  Draws on a subset of pairs are ``draws.restricted(pairs)``.
     """
     scale = family.vector(scale, "noise scale")
+    if not scale.any():
+        raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
     variances = scale * scale
     if mode == "probabilistic":
         levels = x_level

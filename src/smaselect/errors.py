@@ -26,7 +26,8 @@ class BadExponent(SmaError):
 
 
 class AllZeroResiduals(SmaError):
-    """Presmoothing residuals vanish; multiplier calibration is degenerate."""
+    """A noise scale or the presmoothing residuals vanish; calibration is
+    degenerate."""
 
 
 class RequiresKnownTruth(SmaError):

@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bootstrap import presmooth, residual_scale
+from .bootstrap import presmooth
 from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, build_projection_family
@@ -284,7 +284,7 @@ class Study:
     def multiplier(self, y, m_dagger: int, n_workers: int, stream_tag: int = 0) -> tuple:
         """Draws and table on the residuals of ``y`` off the ``m_dagger``
         pilot, bootstrap seed."""
-        scale = residual_scale(self.family, presmooth(self.family, y, m_dagger))
+        scale = presmooth(self.family, y, m_dagger)
         return self._calibrate(scale, self.config.seeds.bootstrap, n_workers, stream_tag)
 
     def _calibrate(self, scale, seed: int, n_workers: int, stream_tag: int):

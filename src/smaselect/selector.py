@@ -82,9 +82,7 @@ def sma_select(
     )
 
 
-def table_from_thresholds(
-    critical: Mapping[tuple[int, int], float], mode: str = "fixed"
-) -> CalibrationTable:
+def table_from_thresholds(critical: Mapping[tuple[int, int], float]) -> CalibrationTable:
     """Wrap externally fixed thresholds so they can drive the selector."""
     critical = pair_values(critical)
     return CalibrationTable(
@@ -93,7 +91,7 @@ def table_from_thresholds(
         corrections={},
         critical=critical,
         pair_dims=PairValues(critical.order, np.zeros(len(critical))),
-        mode=mode,
+        mode="fixed",
     )
 
 
@@ -129,7 +127,7 @@ def oracle(
     bias = test_statistics(family, f_true)
     dims = pair_traces(family, noise_variances(sigma))
     allowance = PairValues(dims.order, alpha_plus * np.sqrt(dims.array))
-    result = sma_select(bias, table_from_thresholds(allowance, mode="oracle"), family.models)
+    result = sma_select(bias, table_from_thresholds(allowance), family.models)
     m_star = result.m_hat
     if mode == "power_loss":
         m_star = min(
@@ -201,5 +199,5 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
         (m, m_ref): sigma_homogeneous * math.sqrt(2.0 * (m - m_ref))
         for m, m_ref in family.pairs()
     }
-    sma_choice = sma_select(stats, table_from_thresholds(thresholds, mode="aic")).m_hat
+    sma_choice = sma_select(stats, table_from_thresholds(thresholds)).m_hat
     return aic_choice == sma_choice

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from smaselect import NotOrderedPair, SelectionResult, ValidityDiagnostics, calibrate
-from smaselect.bootstrap import pilot_basis, residual_scale
+from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import _tail_rank, calibration_table, pair_norms
 from smaselect.errors import (
     DimensionMismatch,
@@ -124,9 +124,9 @@ def pair_squares(family, xi: np.ndarray, pairs) -> np.ndarray:
     return out
 
 
-def projector_matrix(presmoothed) -> np.ndarray:
-    """The pilot projector ``B B^T`` of a ``PresmoothResult``, as an ``n x n`` matrix."""
-    return presmoothed.basis @ presmoothed.basis.T
+def projector_matrix(basis) -> np.ndarray:
+    """The pilot projector ``B B^T`` of a ``pilot_basis``, as an ``n x n`` matrix."""
+    return basis @ basis.T
 
 
 def risk_profile_csv_rows(profile) -> list[tuple]:
@@ -142,10 +142,9 @@ def pair_variance(family, sigma, m: int, m_ref: int):
 
 def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
     """The multiplier draw matrix: ``calibrate`` on the residual scale."""
-    scale = residual_scale(family, residuals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        draws, _ = calibrate(family, scale, n_sim, seed, 2.0, 0.0, stream_tag=stream_tag)
+        draws, _ = calibrate(family, residuals, n_sim, seed, 2.0, 0.0, stream_tag=stream_tag)
     return draws
 
 

@@ -26,7 +26,6 @@ from smaselect import (
     tail_quantile,
     validity_diagnostics,
 )
-from smaselect.bootstrap import residual_scale
 from smaselect.calibration import _sample_scaled_norms, power_loss_params
 from smaselect.cli import bounds_check_grid, main as cli_main
 from smaselect.experiment import fourier_values
@@ -217,7 +216,7 @@ def test_criterion_07_bootstrap_fidelity():
     resid = presmooth(family, y, 20)
 
     diag = validity_diagnostics(family, noise, f_true, m_dagger=20, x_level=2.0)
-    p_boot = pair_traces(family, residual_scale(family, resid) ** 2)
+    p_boot = pair_traces(family, resid**2)
     moments = all_pair_moments(family, noise)
     within = [
         abs(p_boot[pair] / moments[pair].p_pair - 1.0) <= diag.delta_p
@@ -258,9 +257,7 @@ def test_criterion_08_bootstrap_familywise_coverage():
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
-        draws = _sample_scaled_norms(
-            family, residual_scale(family, resid), 1000, 8181, order, 1, stream_tag=rep
-        )
+        draws = _sample_scaled_norms(family, resid, 1000, 8181, order, 1, stream_tag=rep)
         q = multiplicity_correction(draws, 1, x)
         ok = True
         for pair in pairs:

@@ -12,9 +12,9 @@ from smaselect import (
     bootstrap_calibrate,
     build_projection_family,
     presmooth,
-    residual_scale,
     validity_diagnostics,
 )
+from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import familywise_exceedance
 from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
@@ -23,22 +23,22 @@ from reference import multiplier_draws, pair_variance, projector_matrix
 
 def test_presmooth_toy_coordinates(toy_family):
     res = presmooth(toy_family, [1.0, 2.0, 3.0, 4.0], 3)
-    np.testing.assert_allclose(res.residuals, [0.0, 0.0, 0.0, 4.0], atol=1e-12)
-    assert not res.negligible
+    np.testing.assert_allclose(res, [0.0, 0.0, 0.0, 4.0], atol=1e-12)
 
 
 def test_presmooth_in_span_vanishes(toy_family):
-    res = presmooth(toy_family, [1.0, -2.0, 0.5, 0.0], 3)
-    np.testing.assert_allclose(res.residuals, 0.0, atol=1e-12)
-    assert res.negligible
+    y = np.array([1.0, -2.0, 0.5, 0.0])
+    proj = projector_matrix(pilot_basis(toy_family, 3))
+    np.testing.assert_allclose(y - proj @ y, 0.0, atol=1e-12)
+    with pytest.raises(AllZeroResiduals, match="no residual signal"):
+        presmooth(toy_family, y, 3)
 
 
 def test_presmooth_projector_idempotent():
     rng = np.random.default_rng(311)
     design = DesignMatrix(rng.standard_normal((8, 20)))
     family = build_projection_family(design, np.eye(design.p), [2, 5, 8])
-    res = presmooth(family, rng.standard_normal(20), 8)
-    proj = projector_matrix(res)
+    proj = projector_matrix(pilot_basis(family, 8))
     assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
 
 
@@ -48,7 +48,7 @@ def test_presmooth_residuals_orthogonal_to_span():
     family = build_projection_family(design, np.eye(design.p), [3, 6])
     y = rng.standard_normal(30)
     res = presmooth(family, y, 6)
-    gram_products = design.leading_block(6) @ res.residuals
+    gram_products = design.leading_block(6) @ res
     assert np.max(np.abs(gram_products)) <= 1e-10 * np.linalg.norm(y) * np.max(
         np.abs(design.entries)
     ) * 30
@@ -66,7 +66,7 @@ def test_bootstrap_rejects_non_finite_residuals(toy_family, bad):
         bootstrap_calibrate(toy_family, resid, 2.0, 1.0, 100, seed=1)
     # Data carrying the value reach the check through presmoothing.
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
-        residual_scale(toy_family, presmooth(toy_family, resid, 2))
+        bootstrap_calibrate(toy_family, presmooth(toy_family, resid, 2), 2.0, 1.0, 100, seed=1)
 
 
 def test_presmooth_rejects_non_finite_data(toy_family):
@@ -76,9 +76,8 @@ def test_presmooth_rejects_non_finite_data(toy_family):
 
 
 def test_bootstrap_draws_negligible_presmooth_is_fatal(toy_family):
-    res = presmooth(toy_family, [1.0, -2.0, 0.5, 0.0], 3)
     with pytest.raises(AllZeroResiduals):
-        multiplier_draws(toy_family, res, 100, seed=1)
+        multiplier_draws(toy_family, presmooth(toy_family, [1.0, -2.0, 0.5, 0.0], 3), 100, seed=1)
 
 
 def test_bootstrap_pair_column_coordinate_structure(toy_family):
@@ -100,7 +99,7 @@ def test_bootstrap_mean_square_matches_weighted_dims(toy_family):
 
 def test_effective_dims_toy(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
-    dims = pair_traces(toy_family, residual_scale(toy_family, resid) ** 2)
+    dims = pair_traces(toy_family, resid**2)
     assert dims[(2, 1)] == pytest.approx(1.0, rel=1e-12)
     assert dims[(3, 1)] == pytest.approx(5.0, rel=1e-12)
 
@@ -110,16 +109,16 @@ def test_effective_dims_reduce_to_known_noise():
     design = orthonormal_rows_design(rng, p=6, n=25)
     family = build_projection_family(design, np.eye(design.p), [1, 3, 6])
     sd = rng.uniform(0.5, 2.0, size=25)
-    dims = pair_traces(family, residual_scale(family, sd) ** 2)
+    dims = pair_traces(family, sd**2)
     noise = NoiseSpec.known(sd**2)
     for pair, val in dims.items():
         assert val == pytest.approx(pair_variance(family, noise, *pair).p_pair, rel=1e-12)
-    singles = single_traces(family, residual_scale(family, sd) ** 2)
+    singles = single_traces(family, sd**2)
     assert singles[6] > singles[1] > 0
 
 
 def test_effective_dims_match_constant_residual_projection(toy_family):
-    dims = pair_traces(toy_family, residual_scale(toy_family, np.full(4, 1.5)) ** 2)
+    dims = pair_traces(toy_family, np.full(4, 1.5) ** 2)
     for (m, m_ref), val in dims.items():
         assert val == pytest.approx(1.5**2 * (m - m_ref), rel=1e-12)
 

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from smaselect import (
+    AllZeroResiduals,
     CalibrationTable,
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
     aic_equivalence_check,
+    bootstrap_calibrate,
     build_projection_family,
     calibrate,
     check_ordering,
@@ -26,7 +28,7 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.experiment import ExperimentConfig, generate_scenario, scenario_family
+from smaselect.experiment import ExperimentConfig, Study, generate_scenario, scenario_family
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
 from smaselect.selector import payment_theory_cap
@@ -37,6 +39,8 @@ NOISE = NoiseSpec.homogeneous(1.0, 4)
 ENTRY_POINTS = {
     "test_statistics": lambda fam, v: pairwise_statistics(fam, v),
     "presmooth": lambda fam, v: presmooth(fam, v, 2),
+    "calibrate": lambda fam, v: calibrate(fam, v, 10, 1, 2.0, 1.0),
+    "bootstrap_calibrate": lambda fam, v: bootstrap_calibrate(fam, v, 2.0, 1.0, 10, seed=1),
     "aic_equivalence_check": lambda fam, v: aic_equivalence_check(fam, 1.0, v),
     "oracle": lambda fam, v: oracle(fam, v, NOISE, 1.0),
     "risk_profile": lambda fam, v: risk_profile(fam, v, NOISE),
@@ -59,6 +63,24 @@ def test_vector_entry_points_reject_bad_vectors(toy_family, entry, bad):
     vector, error = BAD_VECTORS[bad]
     with pytest.raises(error):
         ENTRY_POINTS[entry](toy_family, vector)
+
+
+@pytest.mark.parametrize("entry", ["bootstrap_calibrate", "calibrate", "presmooth", "residuals"])
+def test_all_zero_noise_scale_is_rejected(toy_family, entry):
+    # A zero scale gives all-zero thresholds, under which the selector
+    # falls through to the largest model.
+    with pytest.raises(AllZeroResiduals):
+        ENTRY_POINTS[entry](toy_family, np.zeros(4))
+
+
+def test_readme_multiplier_route_rejects_data_in_the_pilot_span():
+    # Residuals of such data are rounding error; a table calibrated on
+    # them has thresholds of order 1e-15.
+    family = Study.of(ExperimentConfig(n=200)).family
+    y = family.design.leading_block(20).T @ stream(1, 0).standard_normal(20)
+    with pytest.raises(AllZeroResiduals, match="no residual signal"):
+        resid = presmooth(family, y, m_dagger=20)
+        calibrate(family, resid, n_sim=200, seed=7, x_level=2.0, alpha_plus=1.0)
 
 
 @pytest.mark.parametrize(

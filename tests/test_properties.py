@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from smaselect import CalibrationTable, calibrate, propagation_failures, sma_select
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.bootstrap import presmooth, residual_scale
+from smaselect.bootstrap import presmooth
 from smaselect.experiment import MODES, WEIGHTINGS, ExperimentConfig, Seeds
 from smaselect.moments import single_traces
 from conftest import small_families
@@ -55,7 +55,7 @@ def test_every_calibrated_table_propagates_on_its_draws(family, seed, x_level, a
     rng = np.random.default_rng(seed)
     known = rng.uniform(0.5, 2.0, family.n)
     pilot = presmooth(family, _data(family, rng, known), family.models[0])
-    for scale in (known, residual_scale(family, pilot)):
+    for scale in (known, pilot):
         for mode in _modes(family, scale):
             draws, table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
             assert propagation_failures(draws, table) == [], mode

@@ -35,7 +35,7 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.bootstrap import pilot_basis, residual_scale
+from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import _quantile_at
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import PSD_TOL, _pinv_gram
@@ -232,8 +232,8 @@ def test_multiplier_draws_and_dims_match(case):
     assert_columns_close(draws.draws, expected, DRAW_RTOL)
 
     w2 = residuals**2
-    dims = pair_traces(family, residual_scale(family, residuals) ** 2)
-    singles = single_traces(family, residual_scale(family, residuals) ** 2)
+    dims = pair_traces(family, w2)
+    singles = single_traces(family, w2)
     for m, m_ref in pairs:
         diff = ops[m] - ops[m_ref]
         dense = float(np.einsum("qi,qi,i->", diff, diff, w2))

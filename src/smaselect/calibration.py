@@ -129,13 +129,6 @@ class JointDrawMatrix:
         return JointDrawMatrix(self.draws[:, cols].copy(), order, self.seed)
 
 
-def pair_norms(family: ModelFamily, xi: np.ndarray, order: PairOrder) -> np.ndarray:
-    """Pair magnitudes ``|(K_m - K_ref) y|`` (``B x pairs``) for each row of
-    ``xi = Q^T y``: the square root of ``ModelFamily.pair_squares``, transposed."""
-    squares = family.pair_squares(xi, order)
-    return np.sqrt(squares, out=squares).T
-
-
 def _sample_scaled_norms(
     family: ModelFamily,
     scale: np.ndarray,

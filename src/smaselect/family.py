@@ -32,9 +32,9 @@ under every loss -- a pair difference is a window of coordinates and
 ``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
 ``g = diag G``: a running sum of nonnegative increments.  The family then
 stores ``g`` as ``increments`` and the pair kernel uses it, building a
-block's windows by length into two ``M``-row buffers and a single row's
-(a data vector's) by one cumulative sum over a strided Hankel view of its
-zero-padded steps, in the same order of additions; otherwise (or for a
+block's windows by length into two ``M``-row buffers and one data vector's
+by one cumulative sum over the Hankel matrix its zero-padded steps are
+gathered into, in the same order of additions; otherwise (or for a
 rank-deficient leading block) it uses ``D_m``.
 
 Every pair list over a model tuple has one layout, ``pair_order``, which
@@ -130,9 +130,10 @@ class PairOrder:
     copy.  Pair ``i`` covers model steps ``first[i]..last[i]`` (step ``j``
     is coordinates ``[models[j - 1], models[j])``, from 0 for ``j = 0``);
     ``windows[d]`` holds the first step of each window of ``d + 1`` steps
-    and those pairs' columns; ``hankel[i]``, ``first[i] * k + last[i] -
-    first[i]`` for ``k`` models, is pair ``i``'s entry in one row's
-    flattened ``k x k`` window sums (``ModelFamily.pair_windows``).
+    and those pairs' columns; for one data vector's ``k x k`` window sums
+    (``ModelFamily.pair_windows``, ``k`` models), ``hankel_steps[i, d]``,
+    ``i + d``, gathers the Hankel matrix of its zero-padded steps, and
+    ``hankel[i]``, ``first[i] * k + last[i] - first[i]``, is pair ``i``'s.
     ``starts`` holds each group's first column, for
     ``np.logical_and.reduceat`` over contiguous groups.  Orders are shared
     (see ``pair_order``), so nothing here is written.
@@ -145,6 +146,7 @@ class PairOrder:
     first: np.ndarray
     last: np.ndarray
     windows: tuple
+    hankel_steps: np.ndarray
     hankel: np.ndarray
     starts: np.ndarray
 
@@ -202,12 +204,13 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         first=_frozen(first),
         last=_frozen(last),
         windows=tuple((_as_slice(f), _as_slice(rows)) for f, rows in windows),
+        hankel_steps=_frozen(np.add.outer(range(len(models)), range(len(models)))),
         hankel=_frozen([lo * len(models) + hi - lo for lo, hi in zip(first, last)]),
         starts=_frozen([cols[0] for _, _, cols in groups.values()]),
     )
 
 
-def _frozen(values: list[int]) -> np.ndarray:
+def _frozen(values) -> np.ndarray:
     """``values`` as a read-only index array."""
     array = np.array(values, dtype=np.intp)
     array.flags.writeable = False
@@ -352,7 +355,8 @@ class ModelFamily:
         self, xi: np.ndarray, order: PairOrder, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Squared pair magnitudes ``|(K_m - K_ref) y|^2`` (``pairs x B``) for
-        the rows of ``xi = Q^T y`` (``B x r``); ``(m, 0)`` is model ``m`` alone.
+        the rows of ``xi = Q^T y`` (``B x r``), or for one ``xi`` (``r``,
+        a data vector, then ``pairs``); ``(m, 0)`` is model ``m`` alone.
 
         The one pair kernel.  Row ``i`` of the result is ``order.pairs[i]``,
         so a caller holding a column-major draw buffer passes its block of
@@ -362,12 +366,14 @@ class ModelFamily:
         (``pair_windows``), exact to the relative bound of
         ``build_projection_family``; otherwise one matmul to every
         ``D_m xi`` and one vectorised subtraction per reference, into a
-        buffer reused across references.
+        buffer reused across references (a data vector takes its row).
         """
-        if out is None:
-            out = np.empty((len(order.pairs), xi.shape[0]))
         if self.increments is not None:
             return self.pair_windows((xi * xi * self.increments).T, order, out)
+        if xi.ndim == 1:
+            return self.pair_squares(xi[None], order, None if out is None else out[:, None])[:, 0]
+        if out is None:
+            out = np.empty((len(order.pairs), xi.shape[0]))
         flat = self.reduced.reshape(-1, self.reduced.shape[-1])
         estimates = (flat @ xi.T).reshape(len(self.models), -1, xi.shape[0])
         buf = np.empty_like(estimates)
@@ -383,40 +389,35 @@ class ModelFamily:
     ) -> np.ndarray:
         """Per pair of ``order``, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
 
-        ``weights`` is ``(M, B)`` and nonnegative; the result, written to
-        ``out`` if given, is ``(len(order.pairs), B)``.  Each model step is
-        summed once; then a block of rows builds the windows by length,
-        every start at once: the windows of ``d + 1`` steps are those of
-        ``d`` steps plus the next step, one vectorised addition into one of
-        two ``M``-row buffers, and each length's windows are scattered to
-        their pairs' rows of ``out``.  So every window is a running sum from
-        its first step to its last, as the steps are added left to right,
-        and ``out`` is the only array of the result's size.  A difference of
-        prefix sums would take fewer additions but cancels on small windows;
-        a running sum of nonnegative terms keeps every window's relative
-        precision.
+        ``weights`` is ``(M, B)`` and nonnegative, or ``(M,)`` for one data
+        vector; the result, written to ``out`` if given, is
+        ``(len(order.pairs), B)``, or ``(len(order.pairs),)``.  Each model
+        step is summed once; then a block of rows builds the windows by
+        length, every start at once: the windows of ``d + 1`` steps are
+        those of ``d`` steps plus the next step, one vectorised addition
+        into one of two ``M``-row buffers, and each length's windows are
+        scattered to their pairs' rows of ``out``.  So every window is a
+        running sum from its first step to its last, as the steps are added
+        left to right, and ``out`` is the only array of the result's size.
+        A difference of prefix sums would take fewer additions but cancels
+        on small windows; a running sum of nonnegative terms keeps every
+        window's relative precision.
 
-        One row (``B = 1``, a data vector) takes one pass, not two numpy
-        calls per length: the ``k`` steps (one per model), zero-padded to
-        ``2k - 1``, form the Hankel view ``H[i, d] = steps[i + d]`` (one
-        read-only ``as_strided`` view, both strides one element); its
-        cumulative sum along ``d`` adds steps ``i..i + d`` left to right, as
-        the loop does, and ``order.hankel`` gathers each pair's entry, none
-        in the padding.  So the bits are the loop's; larger blocks keep the
-        loop, which is faster there.
+        One data vector takes one pass, not two numpy calls per length:
+        ``order.hankel_steps`` gathers its ``k`` steps (one per model),
+        zero-padded to ``2k - 1``, into the Hankel matrix
+        ``H[i, d] = steps[i + d]``, whose cumulative sum along ``d`` adds
+        steps ``i..i + d`` left to right, as the loop does; ``order.hankel``
+        gathers each pair's entry, none in the padding: the block row's bits.
         """
         steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
+        k = len(steps)
+        if steps.ndim == 1:
+            padded = np.concatenate((steps, np.zeros(k - 1)))
+            sums = np.add.accumulate(padded[order.hankel_steps], axis=1)
+            return sums.ravel().take(order.hankel, out=out)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
-        k = len(steps)
-        if steps.shape[1] == 1:
-            padded = np.zeros(2 * k - 1)
-            padded[:k] = steps[:, 0]
-            hankel = np.lib.stride_tricks.as_strided(
-                padded, (k, k), (padded.itemsize,) * 2, writeable=False
-            )
-            out[:, 0] = np.cumsum(hankel, axis=1).ravel()[order.hankel]
-            return out
         buf = np.empty((2,) + steps.shape)
         sums = steps
         for d, (starts, rows) in enumerate(order.windows):

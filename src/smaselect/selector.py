@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .calibration import CalibrationTable, _check_level, pair_norms
+from .calibration import CalibrationTable, _check_level
 from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
 from .family import ModelFamily, PairValues, _pinv_gram, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
@@ -26,7 +27,7 @@ def test_statistics(family: ModelFamily, y) -> PairValues:
     """Difference-statistic magnitudes for every ordered pair, read-only, in
     the family's canonical pair order."""
     order = pair_order(family.models)
-    return PairValues(order, pair_norms(family, family.reduce(family.vector(y))[None], order)[0])
+    return PairValues(order, np.sqrt(family.pair_squares(family.reduce(family.vector(y)), order)))
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ def sma_select(
     table.critical[(m, m_ref)]`` for every larger model ``m``: one
     comparison over the canonical pairs of ``models`` and one reduction per
     reference.  The largest model has nothing to be tested against and is
-    accepted vacuously, so a selection always exists.  ``models`` may be
+    accepted vacuously, so a selection always exists.  ``models`` (any
+    order, repeats allowed; derived once per distinct sequence) may be
     passed explicitly for degenerate families whose statistics are empty;
     by default it is every model the statistics name.  Every statistic
     must be finite, and every pair of ``models`` needs a statistic and a
@@ -64,7 +66,7 @@ def sma_select(
     """
     if models is None:
         models = {m for pair in statistics for m in pair}
-    order = pair_order(tuple(sorted({int(m) for m in models})))
+    order = _model_order(tuple(models))
     if not order.models:
         raise DimensionMismatch("cannot infer the model set from empty statistics")
     statistics = pair_values(statistics)
@@ -80,6 +82,12 @@ def sma_select(
         statistics=statistics,
         table_mode=table.mode,
     )
+
+
+@lru_cache(maxsize=16)
+def _model_order(models: tuple):
+    """The canonical ``PairOrder`` of a model list's sorted distinct sizes."""
+    return pair_order(tuple(sorted({int(m) for m in models})))
 
 
 def table_from_thresholds(critical: Mapping[tuple[int, int], float]) -> CalibrationTable:
@@ -191,13 +199,7 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
     penalized = [float(np.sum((y - fits[m]) ** 2) + 2.0 * s2 * m) for m in family.models]
     aic_choice = family.models[int(np.argmin(penalized))]
 
-    stats = {
-        (m, m_ref): float(np.linalg.norm(fits[m] - fits[m_ref]))
-        for m, m_ref in family.pairs()
-    }
-    thresholds = {
-        (m, m_ref): sigma_homogeneous * math.sqrt(2.0 * (m - m_ref))
-        for m, m_ref in family.pairs()
-    }
+    stats = {(m, r): float(np.linalg.norm(fits[m] - fits[r])) for m, r in family.pairs()}
+    thresholds = {(m, r): sigma_homogeneous * math.sqrt(2.0 * (m - r)) for m, r in family.pairs()}
     sma_choice = sma_select(stats, table_from_thresholds(thresholds)).m_hat
     return aic_choice == sma_choice

@@ -17,7 +17,7 @@ import numpy as np
 
 from smaselect import NotOrderedPair, SelectionResult, ValidityDiagnostics, calibrate
 from smaselect.bootstrap import pilot_basis
-from smaselect.calibration import _tail_rank, calibration_table, pair_norms
+from smaselect.calibration import _tail_rank, calibration_table
 from smaselect.errors import (
     DimensionMismatch,
     MissingPair,
@@ -53,6 +53,14 @@ def prediction_weights(design, sigma: float = 1.0) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def pair_norms(family, xi: np.ndarray, order) -> np.ndarray:
+    """Pair magnitudes ``|(K_m - K_ref) y|`` (``B x pairs``) for each row of
+    ``xi = Q^T y``: the square root of the block kernel, transposed; row
+    ``b`` is the oracle of ``test_statistics`` on the data vector of row ``b``."""
+    squares = family.pair_squares(xi, order)
+    return np.sqrt(squares, out=squares).T
+
+
 def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:
     """Pairwise difference magnitudes ``|(K_m - K_ref) e|`` for explicit noise rows."""
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
@@ -82,8 +90,9 @@ def pair_layout(models, pairs) -> dict:
     """The layout ``pair_order`` builds, worked out pair by pair with plain
     lists: each pair's column and model steps, the references in the order
     they first appear with their larger models' positions and their
-    columns, the pairs of each window length, and each pair's cell in the
-    row-major ``k x k`` grid of window sums by first step and length."""
+    columns, the pairs of each window length, the padded step each cell of
+    the ``k x k`` grid of window sums by first step and length adds last,
+    and each pair's cell in that grid, row-major."""
     models = list(models)
     first = [0 if m_ref == 0 else models.index(m_ref) + 1 for _, m_ref in pairs]
     last = [models.index(m) for m, _ in pairs]
@@ -102,6 +111,7 @@ def pair_layout(models, pairs) -> dict:
         "first": first,
         "last": last,
         "windows": windows,
+        "hankel_steps": [[i + d for d in range(len(models))] for i in range(len(models))],
         "hankel": [f * len(models) + (l - f) for f, l in zip(first, last)],
         "starts": [cols[0] for *_, cols in groups],
     }

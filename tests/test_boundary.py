@@ -32,7 +32,6 @@ from smaselect.experiment import ExperimentConfig, Study, generate_scenario, sce
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
 from smaselect.selector import payment_theory_cap
-from reference import multiplier_draws
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
 
@@ -46,7 +45,6 @@ ENTRY_POINTS = {
     "risk_profile": lambda fam, v: risk_profile(fam, v, NOISE),
     "best_linear_coefficients": lambda fam, v: best_linear_coefficients(fam, v),
     "validity_diagnostics": lambda fam, v: validity_diagnostics(fam, NOISE, v, 2, 2.0),
-    "residuals": lambda fam, v: multiplier_draws(fam, v, 10, seed=1),
 }
 
 BAD_VECTORS = {
@@ -65,7 +63,7 @@ def test_vector_entry_points_reject_bad_vectors(toy_family, entry, bad):
         ENTRY_POINTS[entry](toy_family, vector)
 
 
-@pytest.mark.parametrize("entry", ["bootstrap_calibrate", "calibrate", "presmooth", "residuals"])
+@pytest.mark.parametrize("entry", ["bootstrap_calibrate", "calibrate", "presmooth"])
 def test_all_zero_noise_scale_is_rejected(toy_family, entry):
     # A zero scale gives all-zero thresholds, under which the selector
     # falls through to the largest model.

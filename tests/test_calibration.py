@@ -38,7 +38,6 @@ from smaselect.calibration import (
     _shift_to_rank,
     _tail_rank,
     calibration_table,
-    pair_norms,
 )
 from smaselect.errors import BadExponent, DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Study
@@ -51,6 +50,7 @@ from reference import (
     joint_norms_from_noise,
     multiplicity_correction,
     multiplier_draws,
+    pair_norms,
     pair_variance,
 )
 

@@ -3,13 +3,15 @@
 ``ModelFamily.pair_squares`` writes its squares straight into the caller's
 array.  For a block of rows, window sums are built by window length and
 scattered to their rows, and the sampler hands it each row block of the
-column-major draw matrix.  A single row (a data vector) takes one
-cumulative sum over the Hankel view of its zero-padded model steps and one
-gather by ``PairOrder.hankel``.  ``reference.pair_squares`` is the kernel
-these replaced: a ``M x M x B`` running buffer gathered into a fresh array.
-All three add every window's steps left to right from its first step, so
-the results must be equal bit for bit, on increments and general ``D_m``
-families, for any pair list, any row count and any worker count.
+column-major draw matrix.  One data vector (a 1-D ``xi``) is gathered by
+``PairOrder.hankel_steps`` into the Hankel matrix of its zero-padded model
+steps, summed cumulatively along its rows and gathered by
+``PairOrder.hankel``; on the general ``D_m`` route it takes its row of the
+block.  ``reference.pair_squares`` is the kernel these replaced: a
+``M x M x B`` running buffer gathered into a fresh array.  All three add
+every window's steps left to right from its first step, so the results
+must be equal bit for bit, on increments and general ``D_m`` families, for
+any pair list, any row count, one data vector and any worker count.
 """
 
 import dataclasses
@@ -76,6 +78,17 @@ FAMILIES = {
     # The general kernel on the paper-like family.
     "general_paper": lambda: dataclasses.replace(_paper_like()[0], increments=None),
 }
+
+# One model: no pair to compare, so the canonical layout is empty.
+ONE_MODEL = {
+    "increments_one_model": lambda: build_projection_family(
+        d := _design(9, 6, 20), reference.prediction_weights(d), [4]
+    ),
+    "general_one_model": lambda: build_projection_family(
+        _design(10, 6, 20), np.eye(6)[[0, 2]] + 0.5, [4]
+    ),
+}
+WITH_ONE_MODEL = {**FAMILIES, **ONE_MODEL}
 
 
 def _pair_lists(family, rng):
@@ -192,15 +205,17 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     assert order.first.tolist() == expected["first"]
     assert order.last.tolist() == expected["last"]
     assert [(_plain(f), _plain(rows)) for f, rows in order.windows] == expected["windows"]
+    assert order.hankel_steps.tolist() == expected["hankel_steps"]
     assert order.hankel.tolist() == expected["hankel"]
-    assert not order.hankel.flags.writeable
+    assert not order.hankel_steps.flags.writeable and not order.hankel.flags.writeable
     assert order.starts.tolist() == expected["starts"]
     if tuple(pairs) == pair_order(models).pairs:
         assert order is pair_order(models)
 
     # The kernel on this list gives the canonical columns (and each model
-    # alone for (m, 0)), on the window and the Gram routes, for one row (the
-    # window route's Hankel pass) and for a block.
+    # alone for (m, 0)), on the window and the Gram routes, for blocks of
+    # one and three rows and for one data vector (the window route's Hankel
+    # gather), which equals its row of the block.
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((models[-1], models[-1] + 3)))
     family = build_projection_family(design, reference.prediction_weights(design), models)
@@ -212,33 +227,46 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
         xi = family.reduce(rng.standard_normal((b, family.n)))
         for route in (family, dataclasses.replace(family, increments=None)):
             whole = np.vstack([route.pair_squares(xi, layout) for layout in layouts])
-            assert np.array_equal(route.pair_squares(xi, order), whole[rows].reshape(len(rows), b))
+            got = route.pair_squares(xi, order)
+            assert np.array_equal(got, whole[rows].reshape(len(rows), b))
+            if b == 1:
+                vector = route.pair_squares(xi[0], order)
+                assert vector.shape == (len(rows),)
+                assert np.array_equal(vector, got[:, 0])
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(WITH_ONE_MODEL))
 def test_family_takes_the_kernel_its_name_says(name):
-    assert (FAMILIES[name]().increments is not None) == name.startswith("increments")
+    assert (WITH_ONE_MODEL[name]().increments is not None) == name.startswith("increments")
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(WITH_ONE_MODEL))
 def test_pair_squares_equal_running_buffer_kernel(name):
-    family = FAMILIES[name]()
+    family = WITH_ONE_MODEL[name]()
     rng = np.random.default_rng(3)
     r = family.basis.shape[1]
     for label, pairs in _pair_lists(family, rng).items():
+        order = pair_order(family.models, pairs)
         for rows in ROWS:
             b = r if rows == "r" else rows
             xi = rng.standard_normal((b, r)) * rng.uniform(0.1, 10.0, r)
-            got = family.pair_squares(xi, pair_order(family.models, pairs))
+            got = family.pair_squares(xi, order)
             assert got.shape == (len(pairs), b)
             assert np.array_equal(got, reference.pair_squares(family, xi, pairs)), (label, b)
+        # One data vector: a 1-D result, bit-equal to the block's B = 1 row.
+        xi = rng.standard_normal(r) * rng.uniform(0.1, 10.0, r)
+        got = family.pair_squares(xi, order)
+        assert got.shape == (len(pairs),)
+        assert np.array_equal(got, family.pair_squares(xi[None], order)[:, 0]), label
+        assert np.array_equal(got, reference.pair_squares(family, xi[None], pairs)[:, 0]), label
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(WITH_ONE_MODEL))
 def test_pair_squares_fill_a_strided_out(name):
-    # 37 rows, and one row, which an increments family writes by its Hankel
-    # pass into column 0 of the view.
-    family = FAMILIES[name]()
+    # 37 rows, and one row, which takes the by-length loop as any block
+    # does; then one data vector into a strided column.  An empty pair
+    # list has nothing to write, so its result shares no memory.
+    family = WITH_ONE_MODEL[name]()
     rng = np.random.default_rng(4)
     for b in (37, 1):
         xi = family.reduce(rng.standard_normal((b, family.n)))
@@ -248,18 +276,22 @@ def test_pair_squares_fill_a_strided_out(name):
             # A block of columns of a column-major draw buffer, as the sampler passes.
             buf = np.full((len(pairs), 50), np.nan)
             returned = family.pair_squares(xi, order, out=buf[:, 5 : 5 + b])
-            assert np.shares_memory(returned, buf)
+            assert np.shares_memory(returned, buf) or not pairs
             assert np.array_equal(buf[:, 5 : 5 + b], expected)
             assert np.isnan(buf[:, :5]).all() and np.isnan(buf[:, 5 + b :]).all()
             # A transposed (Fortran-ordered) view.
             rows_first = np.full((b, len(pairs)), np.nan)
             family.pair_squares(xi, order, out=rows_first.T)
             assert np.array_equal(rows_first.T, expected)
+            if b == 1:
+                returned = family.pair_squares(xi[0], order, out=buf[:, 7])
+                assert np.shares_memory(returned, buf) or not pairs
+                assert np.array_equal(buf[:, 7], expected[:, 0])
 
 
 def test_paper_config_statistics_equal_running_buffer_kernel():
     # The paper's n = 200, 37-model family has 36 window lengths, against at
-    # most 11 in FAMILIES: each data vector takes the one-row Hankel pass.
+    # most 11 in FAMILIES: each data vector takes the one-row Hankel gather.
     config = ExperimentConfig(n=200).validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)

@@ -26,12 +26,12 @@ from smaselect import (
     sma_select,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.calibration import _quantile_at, pair_norms
+from smaselect.calibration import _quantile_at
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
 from smaselect.selector import payment_theory_cap, table_from_thresholds
-from reference import oracle_index, prediction_weights, sma_select_loop
+from reference import oracle_index, pair_norms, prediction_weights, sma_select_loop
 
 
 def test_statistics_toy_zero_coordinates(toy_family):
@@ -194,9 +194,12 @@ def selection_inputs(draw):
         chosen = list(models)
     else:
         chosen = draw(st.lists(st.sampled_from(models), min_size=1, unique=True))
+    shuffled = None
+    if chosen is not None:
+        shuffled = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(chosen)))))
     statistics = _as_form(draw, stats, draw(st.sampled_from(["dict", "array"])))
     table = table_from_thresholds(_as_form(draw, critical, draw(st.sampled_from(["dict", "array"]))))
-    return statistics, table, chosen
+    return statistics, table, chosen, shuffled
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,11 +208,21 @@ def test_sma_select_matches_the_loop_selector(inputs):
     """The array selector against the loop over references: same index,
     acceptance and record, or the same error, on model lists with gaps,
     exact ties, shuffled dicts, array-backed inputs, explicit, inferred and
-    partial model lists, and non-finite or missing entries."""
-    statistics, table, models = inputs
-    assert _selection(sma_select, statistics, table, models) == _selection(
-        sma_select_loop, statistics, table, models
-    )
+    partial model lists, and non-finite or missing entries.  An explicit
+    list selects alike as given, as a sorted tuple, as a shuffled list with
+    repeats, as an ``int64`` array and, when it names every model of the
+    statistics, as ``None``.  The examples run in one process and their model
+    sets differ, so a memo of model sets that let two of them alias (say,
+    by their length) gives some example another set's selection."""
+    statistics, table, models, shuffled = inputs
+    expected = _selection(sma_select_loop, statistics, table, models)
+    forms = [models]
+    if models is not None:
+        forms += [tuple(sorted(models)), shuffled, np.array(shuffled, dtype=np.int64)]
+        if set(models) == {m for pair in statistics for m in pair}:
+            forms.append(None)
+    for form in forms:
+        assert _selection(sma_select, statistics, table, form) == expected, form
 
 
 def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):

@@ -134,9 +134,9 @@ class PairOrder:
     (``ModelFamily.pair_windows``, ``k`` models), ``hankel_steps[i, d]``,
     ``i + d``, gathers the Hankel matrix of its zero-padded steps, and
     ``hankel[i]``, ``first[i] * k + last[i] - first[i]``, is pair ``i``'s.
-    ``starts`` holds each group's first column, for
-    ``np.logical_and.reduceat`` over contiguous groups.  Orders are shared
-    (see ``pair_order``), so nothing here is written.
+    ``starts`` holds each group's first column, for ``np.logical_and.reduceat``
+    over contiguous groups, and ``step_starts`` each step's first coordinate.
+    Orders are shared (see ``pair_order``), so nothing here is written.
     """
 
     models: tuple[int, ...]
@@ -149,6 +149,7 @@ class PairOrder:
     hankel_steps: np.ndarray
     hankel: np.ndarray
     starts: np.ndarray
+    step_starts: np.ndarray
 
 
 def pair_order(models, pairs=None) -> PairOrder:
@@ -207,6 +208,7 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         hankel_steps=_frozen(np.add.outer(range(len(models)), range(len(models)))),
         hankel=_frozen([lo * len(models) + hi - lo for lo, hi in zip(first, last)]),
         starts=_frozen([cols[0] for _, _, cols in groups.values()]),
+        step_starts=_frozen((0,) + models[:-1]),
     )
 
 
@@ -328,11 +330,14 @@ class ModelFamily:
 
     def vector(self, v, what: str = "data vector") -> np.ndarray:
         """``v`` as a float vector of length ``n``: the one boundary check for
-        data, responses and noise scales."""
-        v = np.asarray(v, dtype=float)
+        data, responses and noise scales, refusing text and complex values."""
+        try:
+            v = np.asarray(v).astype(float, casting="same_kind", copy=False)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"{what} must be real numbers: {exc}") from None
         if v.shape != (self.n,):
             raise DimensionMismatch(f"{what} must have length n")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteInput(f"{what} contains NaN or infinite values")
         return v
 
@@ -410,12 +415,13 @@ class ModelFamily:
         steps ``i..i + d`` left to right, as the loop does; ``order.hankel``
         gathers each pair's entry, none in the padding: the block row's bits.
         """
-        steps = np.add.reduceat(weights, (0,) + self.models[:-1], axis=0)
-        k = len(steps)
-        if steps.ndim == 1:
-            padded = np.concatenate((steps, np.zeros(k - 1)))
+        k = len(order.models)
+        if weights.ndim == 1:
+            padded = np.zeros(2 * k - 1)
+            np.add.reduceat(weights, order.step_starts, out=padded[:k])
             sums = np.add.accumulate(padded[order.hankel_steps], axis=1)
             return sums.ravel().take(order.hankel, out=out)
+        steps = np.add.reduceat(weights, order.step_starts, axis=0)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
         buf = np.empty((2,) + steps.shape)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,15 +27,21 @@ def test_statistics(family: ModelFamily, y) -> PairValues:
     """Difference-statistic magnitudes for every ordered pair, read-only, in
     the family's canonical pair order."""
     order = pair_order(family.models)
-    return PairValues(order, np.sqrt(family.pair_squares(family.reduce(family.vector(y)), order)))
+    squares = family.pair_squares(family.reduce(family.vector(y)), order)
+    return PairValues(order, np.sqrt(squares, out=squares))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     m_hat: int
-    accepted: dict[int, bool]
+    flags: np.ndarray  # flags[i]: is models[i] accepted
+    models: tuple[int, ...]
     statistics: PairValues
     table_mode: str
+
+    @cached_property
+    def accepted(self) -> dict[int, bool]:  # the flags as a dict, built on first read
+        return dict(zip(self.models, self.flags.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -64,21 +70,22 @@ def sma_select(
     must be finite, and every pair of ``models`` needs a statistic and a
     critical value.
     """
-    if models is None:
-        models = {m for pair in statistics for m in pair}
-    order = _model_order(tuple(models))
+    named = {m for pair in statistics for m in pair} if models is None else models
+    order = _model_order(tuple(named))
     if not order.models:
-        raise DimensionMismatch("cannot infer the model set from empty statistics")
+        what = "the statistics name no model" if models is None else "the model list is empty"
+        raise DimensionMismatch(f"cannot select: {what}")
     statistics = pair_values(statistics)
     if not np.isfinite(statistics.array).all():
         raise NonFiniteInput("test statistics contain NaN or infinite values")
     ok = statistics.at(order, "statistic") <= table.critical.at(order, "critical value")
-    accepted = np.ones(len(order.models), dtype=bool)
+    flags = np.ones(len(order.models), dtype=bool)
     if ok.size:
-        accepted[:-1] = np.logical_and.reduceat(ok, order.starts)
+        flags[:-1] = np.logical_and.reduceat(ok, order.starts)
     return SelectionResult(
-        m_hat=order.models[int(np.argmax(accepted))],
-        accepted=dict(zip(order.models, accepted.tolist())),
+        m_hat=order.models[flags.argmax()],
+        flags=flags,
+        models=order.models,
         statistics=statistics,
         table_mode=table.mode,
     )
@@ -135,13 +142,10 @@ def oracle(
     bias = test_statistics(family, f_true)
     dims = pair_traces(family, noise_variances(sigma))
     allowance = PairValues(dims.order, alpha_plus * np.sqrt(dims.array))
-    result = sma_select(bias, table_from_thresholds(allowance), family.models)
-    m_star = result.m_hat
+    flags = sma_select(bias, table_from_thresholds(allowance), family.models).flags
     if mode == "power_loss":
-        m_star = min(
-            m for m in family.models if all(ok for r, ok in result.accepted.items() if r >= m)
-        )
-    return OracleReport(m_star=m_star)
+        flags = np.logical_and.accumulate(flags[::-1])[::-1]  # and every larger reference
+    return OracleReport(m_star=family.models[flags.argmax()])
 
 
 def payment_theory_cap(

@@ -216,10 +216,11 @@ def sma_select_loop(statistics, table, models=None) -> SelectionResult:
     canonical order), whatever the data."""
     if models is None:
         models = sorted({m for pair in statistics for m in pair})
-    else:
-        models = sorted({int(m) for m in models})
+        if not models:
+            raise DimensionMismatch("cannot select: the statistics name no model")
+    models = sorted({int(m) for m in models})
     if not models:
-        raise DimensionMismatch("cannot infer the model set from empty statistics")
+        raise DimensionMismatch("cannot select: the model list is empty")
     if not all(map(math.isfinite, statistics.values())):
         raise NonFiniteInput("test statistics contain NaN or infinite values")
     critical = table.critical
@@ -235,7 +236,8 @@ def sma_select_loop(statistics, table, models=None) -> SelectionResult:
         raise MissingPair(f"no {what} for pair {pair}") from None
     return SelectionResult(
         m_hat=min(m for m, ok in accepted.items() if ok),
-        accepted=accepted,
+        flags=np.array(list(accepted.values())),
+        models=tuple(accepted),
         statistics=dict(statistics),
         table_mode=table.mode,
     )

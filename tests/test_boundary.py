@@ -52,6 +52,10 @@ BAD_VECTORS = {
     "inf": (np.array([0.5, 1.0, -np.inf, 0.3]), NonFiniteInput),
     "short": (np.array([0.5, 1.0, 0.3]), DimensionMismatch),
     "matrix": (np.ones((2, 4)), DimensionMismatch),
+    # numpy raises a bare ValueError for text, and for complex values warns
+    # and drops the imaginary part.
+    "text": (["0.5", "one", "1.0", "0.3"], DimensionMismatch),
+    "complex": (np.array([0.5, 1.0 + 2.0j, 1.0, 0.3]), DimensionMismatch),
 }
 
 

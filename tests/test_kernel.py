@@ -209,6 +209,8 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     assert order.hankel.tolist() == expected["hankel"]
     assert not order.hankel_steps.flags.writeable and not order.hankel.flags.writeable
     assert order.starts.tolist() == expected["starts"]
+    assert order.step_starts.tolist() == [0, *models[:-1]]
+    assert not order.step_starts.flags.writeable
     if tuple(pairs) == pair_order(models).pairs:
         assert order is pair_order(models)
 

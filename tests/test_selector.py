@@ -31,6 +31,7 @@ from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, sce
 from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
 from smaselect.selector import payment_theory_cap, table_from_thresholds
+from conftest import small_families
 from reference import oracle_index, pair_norms, prediction_weights, sma_select_loop
 
 
@@ -134,6 +135,15 @@ def test_sma_inferred_models_of_a_subset_layout():
     )
 
 
+def test_sma_empty_model_list_is_named():
+    # The statistics are not empty; the model list is.
+    table = table_from_thresholds({(2, 1): 1.0})
+    with pytest.raises(DimensionMismatch, match="the model list is empty"):
+        sma_select({(2, 1): 0.5}, table, models=[])
+    with pytest.raises(DimensionMismatch, match="the statistics name no model"):
+        sma_select({}, table)
+
+
 def test_sma_explicit_models_for_singleton():
     result = sma_select({}, table_from_thresholds({}), models=[4])
     assert result.m_hat == 4
@@ -223,6 +233,25 @@ def test_sma_select_matches_the_loop_selector(inputs):
             forms.append(None)
     for form in forms:
         assert _selection(sma_select, statistics, table, form) == expected, form
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=small_families(), seed=st.integers(0, 2**32 - 1))
+def test_flags_backed_result_matches_the_loop_selector(family, seed):
+    """On a family's own statistics, against thresholds of half, all or
+    twice each statistic (so exact ties occur), the selector's lazily built
+    ``accepted`` and record equal the loop's, and ``m_hat``, read first,
+    is the smallest accepted model without building ``accepted``."""
+    rng = np.random.default_rng(seed)
+    statistics = pairwise_statistics(family, rng.standard_normal(family.n))
+    factors = rng.choice([0.5, 1.0, 2.0], len(statistics))
+    table = table_from_thresholds(PairValues(statistics.order, statistics.array * factors))
+    result = sma_select(statistics, table)
+    expected = sma_select_loop(statistics, table, family.models)
+    assert result.m_hat == min(m for m, ok in expected.accepted.items() if ok)
+    assert "accepted" not in vars(result)
+    assert result.accepted == expected.accepted
+    assert result.to_dict() == expected.to_dict()
 
 
 def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):

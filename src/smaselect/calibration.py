@@ -1,17 +1,17 @@
 """Monte-Carlo calibration of the pairwise acceptance thresholds.
 
 The joint law of all pairwise noise magnitudes is sampled once; empirical
-tail quantiles, per-reference multiplicity corrections, and the final
+tail quantiles, each reference's multiplicity-corrected rank, and the final
 critical values are all read off the same draw matrix, so the family-wise
 propagation guarantee holds exactly in-sample.
 
 One table builder serves both threshold modes and both noise sources: the
-probabilistic mode with a common level plus an exact multiplicity
-correction, and the power-loss mode where each reference model carries its
-own level chosen to control an excess-risk functional rather than a
-rejection probability.  ``calibrate`` takes both noise sources the same
-way, as a per-coordinate noise scale: the known standard deviations or
-the presmoothing residuals.
+probabilistic mode with a common level whose rank each reference raises by
+an exact multiplicity correction, and the power-loss mode where each
+reference model carries its own level chosen to control an excess-risk
+functional rather than a rejection probability.  ``calibrate`` takes both
+noise sources the same way, as a per-coordinate noise scale: the known
+standard deviations or the presmoothing residuals.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     AllZeroResiduals,
     BadExponent,
     CalibrationWarning,
+    ConfigInvalid,
     DimensionMismatch,
     MissingPair,
     NonFiniteInput,
@@ -200,19 +201,17 @@ def _check_level(value: float, what: str) -> float:
     return value
 
 
-def _tail_rank(t: float, n: int) -> tuple[int, bool]:
-    """Rank (1-based) of the empirical tail value at level ``e^-t``; flags clipping.
+def _tail_rank(t: float, n: int) -> int:
+    """Rank (1-based) of the empirical tail value at level ``e^-t``.
 
     The rank is the upper order statistic ceil((1 - e^-t) n): the smallest
-    sample value whose strict empirical exceedance is at most ``e^-t``.
+    sample value whose strict empirical exceedance is at most ``e^-t``, so
+    rank ``k`` answers every level in ``(-log(1 - (k-1)/n), -log(1 - k/n)]``.
     Degenerate ranks (t = 0, full mass) and tails deeper than the sample
-    both clip to the maximum draw (rank n) and are flagged.
+    both clip to the maximum draw, rank n.
     """
-    tail = math.exp(-_check_level(t, "tail level"))
-    k = math.ceil((1.0 - tail) * n)
-    if k < 1:
-        return n, True
-    return min(k, n), tail < 1.0 / n
+    k = math.ceil((1.0 - math.exp(-_check_level(t, "tail level"))) * n)
+    return n if k < 1 else min(k, n)
 
 
 def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
@@ -220,17 +219,11 @@ def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
-def _quantile_at(col: np.ndarray, t: float) -> tuple[float, bool]:
-    """Empirical tail value of a column (any order) at level ``e^-t``; flags
-    out-of-sample requests."""
-    k, clipped = _tail_rank(t, col.shape[0])
-    return float(_order_statistic(col, k)), clipped
-
-
 def tail_quantile(draws: JointDrawMatrix, m: int, m_ref: int, t: float) -> float:
     """Empirical tail function of one pair at exceedance level ``e^-t``."""
-    value, clipped = _quantile_at(draws.column(m, m_ref), t)
-    if clipped:
+    col = draws.column(m, m_ref)
+    k = _tail_rank(t, draws.n_sim)
+    if k == draws.n_sim:
         warnings.warn(
             TailTooDeepWarning(
                 f"pair ({m}, {m_ref}): tail level exp(-{t:g}) outside the "
@@ -246,7 +239,7 @@ def tail_quantile(draws: JointDrawMatrix, m: int, m_ref: int, t: float) -> float
             ),
             stacklevel=2,
         )
-    return value
+    return float(_order_statistic(col, k))
 
 
 def familywise_exceedance(
@@ -278,7 +271,7 @@ def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
     ``k``.  So a row is rejected at rank ``k`` exactly when its largest
     strict rank reaches ``k``, and the answer is one quantile of the
     row-max ranks: the Westfall-Young max-T adjustment, read off the
-    calibration draws themselves.  A single comparison needs no shift.
+    calibration draws themselves.  A single comparison keeps the rank of x.
     """
     if ranks.shape[0] == 1:
         return k_x
@@ -290,37 +283,6 @@ def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
     return k_x + int(np.argmax(meets))
 
 
-def _lowest_float(start: float, holds) -> float:
-    """Smallest float at which the nondecreasing predicate ``holds`` is true.
-
-    ``start`` should be close to the answer: the walks move one ulp at a
-    time, covering the rounding of the closed form it came from.
-    """
-    while not holds(start):
-        start = math.nextafter(start, math.inf)
-    while holds(math.nextafter(start, -math.inf)):
-        start = math.nextafter(start, -math.inf)
-    return start
-
-
-def _shift_to_rank(x_level: float, k: int, n: int) -> float:
-    """Smallest float ``q`` for which the level ``x_level + q`` has rank ``k``.
-
-    Exactly 0.0 when ``x_level`` itself has rank ``k``.  Otherwise rank
-    ``k`` starts just above the level ``-log(1 - (k - 1) / n)``: find the
-    lowest float level of that rank, then the smallest shift that rounds
-    to it when added to ``x_level`` (half an ulp of the level below it).
-    ``_quantile_at(column, x_level + q)`` then returns the rank-``k`` value.
-    """
-    if _tail_rank(x_level, n)[0] == k:
-        return 0.0
-    level = _lowest_float(-math.log1p(-(k - 1) / n), lambda t: _tail_rank(t, n)[0] >= k)
-    half_ulp = (level - math.nextafter(level, -math.inf)) / 2
-    return _lowest_float(
-        level - x_level - half_ulp, lambda q: _tail_rank(x_level + q, n)[0] >= k
-    )
-
-
 @dataclass(frozen=True)
 class CalibrationTable:
     """Acceptance thresholds for every ordered pair.
@@ -329,27 +291,28 @@ class CalibrationTable:
     statistic, and ``pair_dims[(m, m_ref)]`` is the effective dimension
     entering the bias allowance ``alpha_plus * sqrt(dim)``.  Both are
     stored as read-only ``PairValues`` (through ``pair_values``), and
-    ``dict(table.critical)`` is a mutable copy.  A NaN threshold would
-    reject every comparison it enters, and a negative dimension or a NaN
-    allowance would make the self-test's tails NaN, hiding every
-    exceedance.  So non-finite thresholds, dimensions, corrections or
-    ``alpha_plus`` raise ``NonFiniteInput`` on construction, and negative
-    dimensions or ``alpha_plus`` ``DimensionMismatch``; ``x_level`` may be
-    NaN, as fixed thresholds carry no level.  ``level(m_ref)`` is the level
-    a reference was calibrated at; a power-loss table records ``x_level``
-    0.0, the level of its first model, which has no predecessor.
+    ``dict(table.critical)`` is a mutable copy.  ``ranks[m_ref]`` is the
+    order statistic (1-based) of the ``n_sim`` draws that every threshold
+    against ``m_ref`` took.  A NaN threshold would reject every comparison
+    it enters, and a negative dimension or a NaN allowance would make the
+    self-test's tails NaN, hiding every exceedance.  So non-finite
+    thresholds, dimensions or ``alpha_plus`` raise ``NonFiniteInput`` on
+    construction, and negative dimensions or ``alpha_plus``, or a rank
+    outside the integers ``1..n_sim``, ``DimensionMismatch``; ``x_level``
+    may be NaN, as fixed thresholds carry no level.  ``level(m_ref)`` is
+    the level a reference was calibrated at; a power-loss table records
+    ``x_level`` 0.0, the level of its first model, which has no predecessor.
     """
 
     x_level: float
     alpha_plus: float
-    corrections: dict[int, float]
+    ranks: dict[int, int]
     critical: Mapping[tuple[int, int], float]
     pair_dims: Mapping[tuple[int, int], float]
     mode: str
     moments: dict[tuple[int, int], PairMoments] | None = None
     power_a: float | None = None
     per_model_levels: dict[int, float] | None = None
-    tail_clipped: tuple[tuple[int, int], ...] = ()
     n_sim: int | None = None
     seed: int | None = None
 
@@ -360,9 +323,16 @@ class CalibrationTable:
             object.__setattr__(self, name, values)
             if not np.isfinite(values.array).all():
                 raise NonFiniteInput(f"calibration table has non-finite {name} values")
-        if not all(map(math.isfinite, self.corrections.values())):
-            raise NonFiniteInput("calibration table has non-finite corrections values")
+        n = self.n_sim if is_integer(self.n_sim) else 0
+        if not all(is_integer(k) and 1 <= k <= n for k in self.ranks.values()):
+            raise DimensionMismatch(f"calibration table ranks must be integers in 1..{self.n_sim}")
         _check_level(float(self.pair_dims.array.min(initial=0.0)), "every pair_dims value")
+
+    @property
+    def tail_clipped(self) -> tuple[tuple[int, int], ...]:
+        """Pairs whose reference takes rank ``n_sim``, the sample maximum."""
+        top = {m_ref for m_ref, k in self.ranks.items() if k == self.n_sim}
+        return tuple(pair for pair in self.critical if pair[1] in top)
 
     def level(self, m_ref: int) -> float:
         """Tail level the thresholds against reference ``m_ref`` were
@@ -387,7 +357,7 @@ class CalibrationTable:
             "mode": self.mode,
             "x_level": self.x_level,
             "alpha_plus": self.alpha_plus,
-            "corrections": {str(k): v for k, v in sorted(self.corrections.items())},
+            "ranks": {str(m_ref): k for m_ref, k in sorted(self.ranks.items())},
             "critical": {f"{m}:{mr}": v for (m, mr), v in sorted(self.critical.items())},
             "pair_dims": {f"{m}:{mr}": v for (m, mr), v in sorted(self.pair_dims.items())},
             "tail_clipped": [f"{m}:{mr}" for (m, mr) in self.tail_clipped],
@@ -402,24 +372,32 @@ class CalibrationTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationTable":
-        """Inverse of ``to_dict``."""
+        """Inverse of ``to_dict``; a bad or missing key raises ``ConfigInvalid``."""
+
+        def read(key: str, parse=float):
+            try:
+                return parse(d[key])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigInvalid(f"calibration table: bad or missing {key!r}: {exc}") from None
+
+        def by(key_of, value_of=float):
+            return lambda entries: {key_of(k): value_of(v) for k, v in entries.items()}
 
         def pair(key: str) -> tuple[int, int]:
-            m, mr = key.split(":")
-            return int(m), int(mr)
+            m, mr = map(int, key.split(":"))
+            return m, mr
 
         return cls(
-            x_level=float(d["x_level"]),
-            alpha_plus=float(d["alpha_plus"]),
-            corrections={int(k): float(v) for k, v in d["corrections"].items()},
-            critical={pair(k): float(v) for k, v in d["critical"].items()},
-            pair_dims={pair(k): float(v) for k, v in d["pair_dims"].items()},
-            mode=d["mode"],
+            x_level=read("x_level"),
+            alpha_plus=read("alpha_plus"),
+            ranks=read("ranks", by(int, lambda k: k)),
+            critical=read("critical", by(pair)),
+            pair_dims=read("pair_dims", by(pair)),
+            mode=read("mode", str),
             power_a=d.get("power_a"),
-            per_model_levels={int(k): float(v) for k, v in d["per_model_levels"].items()}
+            per_model_levels=read("per_model_levels", by(int))
             if d.get("per_model_levels")
             else None,
-            tail_clipped=tuple(pair(k) for k in d.get("tail_clipped", [])),
             n_sim=d.get("n_sim"),
             seed=d.get("seed"),
         )
@@ -473,42 +451,49 @@ def calibration_table(
 ) -> CalibrationTable:
     """Thresholds ``z + alpha_plus * sqrt(dim)`` for every pair in ``draws``.
 
-    ``levels`` is either the probabilistic level ``x``, shifted per
-    reference by its exact multiplicity correction (the smallest shift
-    whose family-wise exceedance on these draws is at most ``e^-x``; 0.0
-    when none is needed, always so for a single comparison; never above
-    ``log(#comparisons)``, the in-sample Bonferroni shift), or power-loss
-    parameters, whose per-reference levels are used unshifted.  ``z`` is
-    the pair's empirical tail value at its reference's level, and
-    ``pair_dims`` the effective dimensions of the bias allowance.  Both
-    modes read one reference's columns at a time, so nothing the size of
-    the draws is built besides the draws themselves.
+    ``z`` is the pair's draw of its reference's rank.  ``levels`` is either
+    the probabilistic level ``x``, each reference taking its exact
+    multiplicity-corrected rank (the smallest whose family-wise exceedance
+    on these draws is at most ``e^-x``; the rank of ``x`` for a single
+    comparison; never above that of ``x + log(#comparisons)``, the in-sample
+    Bonferroni level), or power-loss parameters, each reference taking the
+    rank of its own level.  ``pair_dims`` are the bias allowance's
+    dimensions.  Both modes read one reference's columns at a time, so
+    nothing the size of the draws is built besides the draws themselves.
     """
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
-    corrections = dict.fromkeys(draws.references(), 0.0)
-    ref_clipped: dict[int, bool] = {}
+    # One partial selection per reference at the rank of x: no corrected rank is lower.
+    k_x = None if power else _tail_rank(levels, n)
+    ranks: dict[int, int] = {}
     z = np.empty(len(draws.order.pairs))
-    if power:
-        for m_ref, _, _, cols in draws.order.groups:
+    for m_ref, _, _, cols in draws.order.groups:
+        if power:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
-            k, ref_clipped[m_ref] = _tail_rank(levels.x[m_ref], n)
+            k = ranks[m_ref] = _tail_rank(levels.x[m_ref], n)
             z[cols] = _order_statistic(draws.draws.T[cols], k)
-    else:
-        # One partial selection per reference at the rank of x: no corrected rank is lower.
-        k_x = _tail_rank(levels, n)[0]
-        for m_ref, _, _, cols in draws.order.groups:
-            tail, ranks = draws.upper_tail(k_x, cols)
-            q = _shift_to_rank(levels, _max_t_rank(ranks, k_x, levels), n)
-            k, ref_clipped[m_ref] = _tail_rank(levels + q, n)
+        else:
+            tail, strict = draws.upper_tail(k_x, cols)
+            k = ranks[m_ref] = _max_t_rank(strict, k_x, levels)
             z[cols] = tail[:, k - k_x]
-            corrections[m_ref] = q
 
     dims = pair_values(pair_dims)
     allowance = alpha_plus * np.sqrt(dims.at(draws.order, "dimension"))
-    critical = PairValues(draws.order, z + allowance)
-    clipped = [pair for pair in draws.order.pairs if ref_clipped[pair[1]]]
+    table = CalibrationTable(
+        x_level=0.0 if power else levels,
+        alpha_plus=alpha_plus,
+        ranks=ranks,
+        critical=PairValues(draws.order, z + allowance),
+        pair_dims=dims,
+        mode="power_loss" if power else "probabilistic",
+        moments=dict(moments) if moments is not None else None,
+        power_a=levels.a if power else None,
+        per_model_levels=dict(levels.x) if power else None,
+        n_sim=n,
+        seed=draws.seed,
+    )
+    clipped = table.tail_clipped
     if clipped:
         warnings.warn(
             TailTooDeepWarning(
@@ -518,20 +503,7 @@ def calibration_table(
             ),
             stacklevel=3,
         )
-    return CalibrationTable(
-        x_level=0.0 if power else levels,
-        alpha_plus=alpha_plus,
-        corrections=corrections,
-        critical=critical,
-        pair_dims=dims,
-        mode="power_loss" if power else "probabilistic",
-        moments=dict(moments) if moments is not None else None,
-        power_a=levels.a if power else None,
-        per_model_levels=dict(levels.x) if power else None,
-        tail_clipped=tuple(clipped),
-        n_sim=draws.n_sim,
-        seed=draws.seed,
-    )
+    return table
 
 
 def critical_values(
@@ -663,7 +635,7 @@ def excess_risk_mc(
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:
-        z = _order_statistic(compared.T, _tail_rank(x_candidate, n_sim)[0])
+        z = _order_statistic(compared.T, _tail_rank(x_candidate, n_sim))
         fired = np.any(compared > z[None, :], axis=1)
     integrand = np.maximum(own_norm2 / p_m, 1.0) * fired
     value = float(integrand.mean())

@@ -73,6 +73,14 @@ PSD_TOL = 1e-8
 DIAGONAL_TOL = 1e-12
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; text and complex values raise ``DimensionMismatch``."""
+    try:
+        return np.asarray(values).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{what} must be real numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Feature vectors as columns of a ``p x n`` matrix."""
@@ -80,7 +88,7 @@ class DesignMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = real_array(self.entries, "design")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch("design must be a p x n matrix with p, n >= 1")
         if not np.all(np.isfinite(arr)):
@@ -331,10 +339,7 @@ class ModelFamily:
     def vector(self, v, what: str = "data vector") -> np.ndarray:
         """``v`` as a float vector of length ``n``: the one boundary check for
         data, responses and noise scales, refusing text and complex values."""
-        try:
-            v = np.asarray(v).astype(float, casting="same_kind", copy=False)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatch(f"{what} must be real numbers: {exc}") from None
+        v = real_array(v, what)
         if v.shape != (self.n,):
             raise DimensionMismatch(f"{what} must have length n")
         if not np.isfinite(v).all():
@@ -485,7 +490,7 @@ def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamil
     if models[0] < 1 or models[-1] > design.p:
         raise DimensionMismatch("model sizes must lie in 1..p")
 
-    W = np.asarray(weights, dtype=float)
+    W = real_array(weights, "W")
     if W.ndim != 2 or W.shape[1] != design.p:
         raise DimensionMismatch("W must be a q x p matrix, p the feature dimension")
     if not np.all(np.isfinite(W)):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, noise_variances, pair_order
+from .family import real_array
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class NoiseSpec:
     variances: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.variances, dtype=float)
+        arr = real_array(self.variances, "noise variances")
         if arr.ndim != 1:
             raise DimensionMismatch("noise variances must be a vector")
         if not np.all(np.isfinite(arr)):
@@ -44,7 +45,7 @@ class NoiseSpec:
 
     @classmethod
     def known(cls, variances) -> "NoiseSpec":
-        return cls(variances=np.asarray(variances, dtype=float))
+        return cls(variances=variances)
 
     @classmethod
     def homogeneous(cls, sigma: float, n: int) -> "NoiseSpec":

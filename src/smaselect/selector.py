@@ -103,7 +103,7 @@ def table_from_thresholds(critical: Mapping[tuple[int, int], float]) -> Calibrat
     return CalibrationTable(
         x_level=float("nan"),
         alpha_plus=0.0,
-        corrections={},
+        ranks={},
         critical=critical,
         pair_dims=PairValues(critical.order, np.zeros(len(critical))),
         mode="fixed",

@@ -1,7 +1,7 @@
 """Reference routes the tests compare the library against.
 
 The library holds every estimator in reduced coordinates and every
-diagnostic in low-rank form, and reads multiplicity corrections and
+diagnostic in low-rank form, and reads multiplicity-corrected ranks and
 multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
 diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
@@ -17,7 +17,7 @@ import numpy as np
 
 from smaselect import NotOrderedPair, SelectionResult, ValidityDiagnostics, calibrate
 from smaselect.bootstrap import pilot_basis
-from smaselect.calibration import _tail_rank, calibration_table
+from smaselect.calibration import calibration_table
 from smaselect.errors import (
     DimensionMismatch,
     MissingPair,
@@ -158,25 +158,20 @@ def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
     return draws
 
 
-def corrections(draws, x_level: float) -> dict[int, float]:
-    """Every reference's multiplicity correction, as the table builder reads it."""
+def corrected_ranks(draws, x_level: float) -> dict[int, int]:
+    """Every reference's multiplicity-corrected rank, as the table builder reads it."""
     pair_dims = dict.fromkeys(draws.order.index, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return calibration_table(draws, pair_dims, 0.0, x_level).corrections
-
-
-def multiplicity_correction(draws, m_ref: int, x_level: float) -> float:
-    """The correction of one reference; a reference with no larger model has none."""
-    if m_ref not in draws.references():
-        raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
-    return corrections(draws, x_level)[m_ref]
+        return calibration_table(draws, pair_dims, 0.0, x_level).ranks
 
 
 def correction_rank(draws, m_ref: int, x_level: float) -> int:
-    """The shared order statistic the corrected level selects."""
-    q = multiplicity_correction(draws, m_ref, x_level)
-    return _tail_rank(x_level + q, draws.n_sim)[0]
+    """The shared order statistic of one reference's comparisons; a
+    reference with no larger model has none."""
+    if m_ref not in draws.references():
+        raise NotOrderedPair(f"reference {m_ref} has no larger models to test against")
+    return corrected_ranks(draws, x_level)[m_ref]
 
 
 def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int:

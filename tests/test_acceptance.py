@@ -36,7 +36,7 @@ from conftest import orthonormal_rows_design
 from reference import prediction_weights
 from reference import (
     joint_norms_from_noise,
-    multiplicity_correction,
+    correction_rank,
     multiplier_draws,
     pair_operator,
     pair_variance,
@@ -258,10 +258,10 @@ def test_criterion_08_bootstrap_familywise_coverage():
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
         draws = _sample_scaled_norms(family, resid, 1000, 8181, order, 1, stream_tag=rep)
-        q = multiplicity_correction(draws, 1, x)
+        k = correction_rank(draws, 1, x)
         ok = True
         for pair in pairs:
-            z = tail_quantile(draws, *pair, x + q)
+            z = np.sort(draws.column(*pair))[k - 1]
             if np.linalg.norm(ops[pair] @ eps) > z:
                 ok = False
                 break

@@ -15,7 +15,7 @@ from smaselect import (
     validity_diagnostics,
 )
 from smaselect.bootstrap import pilot_basis
-from smaselect.calibration import familywise_exceedance
+from smaselect.calibration import _tail_rank, familywise_exceedance
 from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
 from reference import multiplier_draws, pair_variance, projector_matrix
@@ -128,7 +128,7 @@ def test_scale_equivariance_exact(toy_family):
     c = 3.7
     base = bootstrap_calibrate(toy_family, resid, 2.0, 0.0, 4000, seed=347)
     scaled = bootstrap_calibrate(toy_family, c * resid, 2.0, 0.0, 4000, seed=347)
-    assert scaled.corrections == base.corrections
+    assert scaled.ranks == base.ranks
     for pair in toy_family.pairs():
         assert scaled.threshold(*pair) == pytest.approx(
             c * base.threshold(*pair), rel=1e-12
@@ -155,7 +155,7 @@ def test_single_pair_family_needs_no_correction():
     design = DesignMatrix(np.hstack([np.eye(2), np.zeros((2, 2))]))
     family = build_projection_family(design, np.eye(design.p), [1, 2])
     table = bootstrap_calibrate(family, np.array([1.0, 0.5, 0.2, -0.4]), 2.0, 0.0, 2000, seed=353)
-    assert table.corrections == {1: 0.0}
+    assert table.ranks == {1: _tail_rank(2.0, 2000)}
 
 
 def test_bootstrap_table_serialization(toy_family):

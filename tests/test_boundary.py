@@ -12,6 +12,7 @@ import pytest
 from smaselect import (
     AllZeroResiduals,
     CalibrationTable,
+    DesignMatrix,
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
@@ -108,6 +109,29 @@ def test_family_rejects_a_weighting_that_is_not_q_by_p(toy_design, weighting):
         build_projection_family(toy_design, weighting, [1, 2, 3])
 
 
+# The array boundaries besides the length-n vectors: each converts through
+# ``family.real_array``.  numpy raised a bare ValueError for text and, for
+# complex values, warned and dropped the imaginary part.
+ARRAY_BOUNDARIES = {
+    "design": lambda fam, a: DesignMatrix(a),
+    "weights": lambda fam, a: build_projection_family(fam.design, a, [1, 2, 3]),
+    "NoiseSpec": lambda fam, a: NoiseSpec(a),
+    "NoiseSpec.known": lambda fam, a: NoiseSpec.known(a),
+}
+
+BAD_ARRAYS = {
+    "text": lambda shape: np.full(shape, "one"),
+    "complex": lambda shape: np.full(shape, 1.0 + 2.0j),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("entry", sorted(ARRAY_BOUNDARIES))
+def test_array_boundaries_reject_text_and_complex(toy_family, entry, bad):
+    shapes = {"design": (3, 4), "weights": (3, 3)}
+    with pytest.raises(DimensionMismatch, match="real numbers"):
+        ARRAY_BOUNDARIES[entry](toy_family, BAD_ARRAYS[bad](shapes.get(entry, (4,))))
+
 
 # Entry points that read a NoiseSpec's variances against the family.
 NOISE_ENTRY_POINTS = {
@@ -141,7 +165,7 @@ def _table(x_level: float) -> CalibrationTable:
     return CalibrationTable(
         x_level=x_level,
         alpha_plus=1.0,
-        corrections={},
+        ranks={},
         critical={},
         pair_dims={},
         mode="probabilistic",

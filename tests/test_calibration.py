@@ -34,21 +34,18 @@ from smaselect import (
 from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
     PowerLossParams,
-    _quantile_at,
-    _shift_to_rank,
     _tail_rank,
     calibration_table,
 )
-from smaselect.errors import BadExponent, DimensionMismatch
+from smaselect.errors import BadExponent, ConfigInvalid, DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.family import pair_order
 from smaselect.io import load_table
 from smaselect.moments import all_pair_moments, pair_traces, single_traces
 from reference import (
+    corrected_ranks,
     correction_rank,
-    corrections,
     joint_norms_from_noise,
-    multiplicity_correction,
     multiplier_draws,
     pair_norms,
     pair_variance,
@@ -69,11 +66,11 @@ def bisection_correction(draws, m_ref, x_level, resolution=1e-4):
     if len(pairs) == 1:
         return 0.0
     sub = draws.draws[:, [draws.order.index[p] for p in pairs]]
-    sorted_cols = np.sort(sub, axis=0).T
+    sorted_cols = np.sort(sub, axis=0)
     target = math.exp(-x_level)
 
     def fwe(q):
-        z = np.array([_quantile_at(col, x_level + q)[0] for col in sorted_cols])
+        z = sorted_cols[_tail_rank(x_level + q, draws.n_sim) - 1]
         return float(np.mean(np.any(sub > z[None, :], axis=1)))
 
     if fwe(0.0) <= target:
@@ -89,19 +86,18 @@ def bisection_correction(draws, m_ref, x_level, resolution=1e-4):
     return hi
 
 
-def assert_matches_bisection(draws, x_level):
-    """Exact correction vs the bisection oracle on every reference."""
+def assert_matches_bisection(draws, x_level, resolution=1e-4):
+    """Exact corrected rank vs the bisection oracle on every reference."""
     n = draws.n_sim
-    shifts = corrections(draws, x_level)
-    assert list(shifts) == draws.references()
-    for m_ref, q in shifts.items():
-        k = _tail_rank(x_level + q, n)[0]
-        q_bisect = bisection_correction(draws, m_ref, x_level)
-        # q is the smallest float shift selecting rank k, and 0.0 when none is needed.
-        assert q == 0.0 or _tail_rank(x_level + math.nextafter(q, -math.inf), n)[0] < k
-        assert (q == 0.0) == (k == _tail_rank(x_level, n)[0])
-        assert _tail_rank(x_level + q_bisect, n)[0] == k, m_ref
-        assert q <= q_bisect <= q + 1e-4, m_ref
+    ranks = corrected_ranks(draws, x_level)
+    assert list(ranks) == draws.references()
+    for m_ref, k in ranks.items():
+        q_bisect = bisection_correction(draws, m_ref, x_level, resolution)
+        # The bisection shift selects rank k, and is 0.0 exactly when x's own
+        # rank is kept; a shift one resolution step smaller selects a lower rank.
+        assert _tail_rank(x_level + q_bisect, n) == k, m_ref
+        assert (q_bisect == 0.0) == (k == _tail_rank(x_level, n)), m_ref
+        assert q_bisect == 0.0 or _tail_rank(x_level + max(q_bisect - resolution, 0.0), n) < k
 
 
 def test_zero_noise_hook_gives_zero_draws(toy_family):
@@ -176,14 +172,15 @@ def test_tail_quantile_monotone_in_t(toy_family, toy_noise):
 
 def test_multiplicity_single_comparison_is_zero(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 4000, seed=43)
-    assert multiplicity_correction(draws, 2, 2.0) == 0.0
+    assert correction_rank(draws, 2, 2.0) == _tail_rank(2.0, draws.n_sim)
 
 
 def test_multiplicity_toy_bracket(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 60_000, seed=47)
-    q = multiplicity_correction(draws, 1, 2.0)
-    # In-sample Bonferroni: the level x + log K already meets the target.
-    assert 0.0 <= q <= math.log(len(draws.comparisons(1)))
+    k = correction_rank(draws, 1, 2.0)
+    # In-sample Bonferroni: the rank of the level x + log K already meets the target.
+    n = draws.n_sim
+    assert _tail_rank(2.0, n) <= k <= _tail_rank(2.0 + math.log(len(draws.comparisons(1))), n)
 
 
 def test_exact_correction_matches_bisection_toy(toy_family, toy_noise):
@@ -242,7 +239,7 @@ def test_multiplicity_duplicate_columns_need_no_correction():
     rng = np.random.default_rng(53)
     col = np.abs(rng.standard_normal(20_000))
     draws = two_pair_draws(np.column_stack([col, col]))
-    assert multiplicity_correction(draws, 1, 2.0) == 0.0
+    assert correction_rank(draws, 1, 2.0) == _tail_rank(2.0, 20_000)
 
 
 def test_multiplicity_all_zero_column_needs_no_correction():
@@ -251,7 +248,7 @@ def test_multiplicity_all_zero_column_needs_no_correction():
     col = np.abs(rng.standard_normal(20_000))
     draws = two_pair_draws(np.column_stack([np.zeros(20_000), col]))
     np.testing.assert_array_equal(draws.upper_tail(1)[1][0], 0)
-    assert multiplicity_correction(draws, 1, 2.0) == 0.0
+    assert correction_rank(draws, 1, 2.0) == _tail_rank(2.0, 20_000)
 
 
 def test_strict_ranks_count_smaller_draws():
@@ -352,9 +349,10 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
     """Reference oracle: the full sort and dense strict ranks the partial
     selection replaced, driving the same exact max-T correction.
 
-    Returns the sorted columns, the strict ranks, each reference's
-    corrected rank (probabilistic mode) and the table's corrections,
-    critical values and clipped pairs.
+    Returns the sorted columns, the strict ranks, each reference's rank
+    (the max-T corrected rank of the level in probabilistic mode, the rank
+    of the reference's level in power-loss mode) and the table's critical
+    values and clipped pairs, those whose reference takes rank ``n_sim``.
     """
     cols = np.ascontiguousarray(draws.draws.T)
     order = np.argsort(cols, axis=1)
@@ -366,28 +364,25 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
     np.put_along_axis(ranks, order, run_start, axis=1)
 
     n, power = draws.n_sim, isinstance(levels, PowerLossParams)
-    rank, corrections, ref_level = {}, {}, {}
+    rank = {}
     for m_ref in sorted({r for _, r in draws.order.index}):
         if power:
-            corrections[m_ref], ref_level[m_ref] = 0.0, levels.x[m_ref]
+            rank[m_ref] = _tail_rank(levels.x[m_ref], n)
             continue
         pairs = [p for p in draws.order.index if p[1] == m_ref]
-        k = _tail_rank(levels, n)[0]
+        k = _tail_rank(levels, n)
         if len(pairs) > 1:
             row_max = ranks[[draws.order.index[p] for p in pairs]].max(axis=0)
             reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
             k += int(np.argmax(reached[k:] / n <= math.exp(-levels)))
         rank[m_ref] = k
-        corrections[m_ref] = _shift_to_rank(levels, k, n)
-        ref_level[m_ref] = levels + corrections[m_ref]
     critical, clipped = {}, []
     for (m, m_ref), col in sorted(draws.order.index.items(), key=lambda kv: kv[1]):
-        k, was_clipped = _tail_rank(ref_level[m_ref], n)
-        if was_clipped:
+        if rank[m_ref] == n:
             clipped.append((m, m_ref))
-        z = float(sorted_draws[col, k - 1])
+        z = float(sorted_draws[col, rank[m_ref] - 1])
         critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
-    return sorted_draws, ranks, rank, corrections, critical, tuple(clipped)
+    return sorted_draws, ranks, rank, critical, tuple(clipped)
 
 
 @st.composite
@@ -438,10 +433,10 @@ def test_table_ignores_the_pair_layout(levels):
     cols = [canonical.index[p] for p in scattered.pairs]
     by_scattered = _table(JointDrawMatrix(values[:, cols], scattered, seed=0), levels)
     assert by_scattered.critical == by_canonical.critical
-    assert by_scattered.corrections == by_canonical.corrections
+    assert by_scattered.ranks == by_canonical.ranks
     assert set(by_scattered.tail_clipped) == set(by_canonical.tail_clipped)
     if levels == 2.0:
-        assert any(by_canonical.corrections.values())
+        assert max(by_canonical.ranks.values()) > _tail_rank(2.0, 600)
     else:
         assert by_canonical.tail_clipped
 
@@ -479,36 +474,37 @@ def test_table_builds_nothing_the_size_of_the_draws(mode, layout):
 def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t):
     n = draws.n_sim
     pair_dims = {p: float(p[0] - p[1]) for p in draws.order.index}
-    sorted_draws, ranks, rank, corrections, critical, clipped = full_sort_oracle(
+    sorted_draws, ranks, rank, critical, clipped = full_sort_oracle(
         draws, pair_dims, alpha_plus, x
     )
-    for k in sorted({1, _tail_rank(x, n)[0], n}):
+    for k in sorted({1, _tail_rank(x, n), n}):
         tail, floored = draws.upper_tail(k)
         assert np.array_equal(tail, sorted_draws[:, k - 1 :])
         assert np.array_equal(floored, np.maximum(ranks, k - 1))
-    for m_ref, k in rank.items():
-        assert correction_rank(draws, m_ref, x) == k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, x)
-    assert table.corrections == corrections
+    assert table.ranks == rank
     assert table.critical == critical
     assert table.tail_clipped == clipped
 
     params = PowerLossParams(a=1.0, alpha={}, x=dict(zip(range(1, 6), power_levels)))
-    _, _, _, corrections, critical, clipped = full_sort_oracle(
-        draws, pair_dims, alpha_plus, params
-    )
+    _, _, rank, critical, clipped = full_sort_oracle(draws, pair_dims, alpha_plus, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, params)
-    assert table.corrections == corrections
+    assert table.ranks == rank
     assert table.critical == critical
     assert table.tail_clipped == clipped
 
-    col = draws.order.index[min(draws.order.index)]
-    k, was_clipped = _tail_rank(t, n)
-    assert _quantile_at(draws.draws[:, col], t) == (float(sorted_draws[col, k - 1]), was_clipped)
+    # One pair's tail value, and the warning when its rank clips to the maximum.
+    pair = min(draws.order.index)
+    k = _tail_rank(t, n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert tail_quantile(draws, *pair, t) == sorted_draws[draws.order.index[pair], k - 1]
+    clip_warnings = [w for w in caught if issubclass(w.category, TailTooDeepWarning)]
+    assert len(clip_warnings) == (k == n)
 
 
 def test_pair_norms_on_shuffled_subset(toy_extended_family):
@@ -536,26 +532,26 @@ def test_pair_norms_reject_reversed_pair(toy_extended_family):
 
 def test_multiplicity_nonincreasing_when_comparisons_removed(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 30_000, seed=59)
-    q_full = multiplicity_correction(draws, 1, 2.0)
-    q_single = multiplicity_correction(draws.restricted([(2, 1)]), 1, 2.0)
-    assert q_single <= q_full
+    k_full = correction_rank(draws, 1, 2.0)
+    k_single = correction_rank(draws.restricted([(2, 1)]), 1, 2.0)
+    assert k_single <= k_full
 
 
 def test_multiplicity_requires_comparisons(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 100, seed=61)
     with pytest.raises(NotOrderedPair):
-        multiplicity_correction(draws, 3, 2.0)
+        correction_rank(draws, 3, 2.0)
 
 
 def test_critical_values_toy(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 60_000, seed=67)
     moments = toy_moments(toy_family, toy_noise)
     table = critical_values(draws, moments, x_level=2.0, alpha_plus=1.0)
-    q1 = table.corrections[1]
     z31 = table.threshold(3, 1) - math.sqrt(2.0)
-    # chi2_2 closed form at the bracketing correction values.
+    # chi2_2 closed form at the bracketing levels x and x + log 2.
     assert math.sqrt(2 * 2.0) - 0.05 <= z31 <= math.sqrt(2 * (2 + math.log(2))) + 0.05
-    assert 0 <= q1 <= math.log(2) + 0.1
+    n = draws.n_sim
+    assert _tail_rank(2.0, n) <= table.ranks[1] <= _tail_rank(2.0 + math.log(2) + 0.1, n)
     # Theoretical cap from the closed-form threshold bound.
     cap = 2 * math.sqrt(2.0) + math.sqrt(2 * 1.0 * (2.0 + math.log(3)))
     assert cap == pytest.approx(5.3178, abs=1e-4)
@@ -567,8 +563,9 @@ def test_critical_values_alpha_zero_equals_tail(toy_family, toy_noise):
     moments = toy_moments(toy_family, toy_noise)
     table = critical_values(draws, moments, x_level=2.0, alpha_plus=0.0)
     for m, m_ref in toy_family.pairs():
-        z = tail_quantile(draws, m, m_ref, 2.0 + table.corrections[m_ref])
-        assert table.threshold(m, m_ref) == pytest.approx(z, rel=1e-12)
+        z = np.sort(draws.column(m, m_ref))[table.ranks[m_ref] - 1]
+        allowance = table.alpha_plus * math.sqrt(table.pair_dims[(m, m_ref)])
+        assert table.threshold(m, m_ref) == z + allowance
 
 
 def test_table_threshold_floor(toy_family, toy_noise):
@@ -778,7 +775,7 @@ def test_calibrate_known_scale_matches_two_step_path(toy_extended_family, mode):
         else:
             want = critical_values(reference, moments, 2.0, 1.0)
     assert np.array_equal(draws.draws, reference.draws)
-    assert table.mode == want.mode and table.corrections == want.corrections
+    assert table.mode == want.mode and table.ranks == want.ranks
     assert table.tail_clipped == want.tail_clipped
     for pair, value in want.critical.items():
         assert table.critical[pair] == pytest.approx(value, rel=1e-12)
@@ -809,7 +806,8 @@ def test_table_json_roundtrip(toy_family, toy_noise):
     table = critical_values(draws, moments, x_level=2.0, alpha_plus=1.0)
     clone = CalibrationTable.from_dict(table.to_dict())
     assert clone.critical == table.critical
-    assert clone.corrections == table.corrections
+    assert clone.ranks == table.ranks
+    assert clone.tail_clipped == table.tail_clipped
     assert clone.pair_dims == table.pair_dims
     assert clone.mode == table.mode
 
@@ -827,18 +825,23 @@ def test_traces_and_table_dimensions_are_pair_values(toy_family, toy_noise):
         assert isinstance(t.pair_dims, PairValues) and t.pair_dims == traces
 
 
-@pytest.mark.parametrize("field", ["critical", "pair_dims", "corrections"])
+@pytest.mark.parametrize("field", ["critical", "pair_dims", "ranks"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_table_load_rejects_non_finite(toy_family, toy_noise, tmp_path, field, bad):
     # A NaN threshold would make every comparison against it a rejection.
+    # A rank must be an integer in 1..n_sim: anything else is a mismatch.
     draws = sample_joint_draws(toy_family, toy_noise, 2000, seed=131)
     table = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0)
-    d = table.to_dict()
-    d[field][next(iter(d[field]))] = bad
+    cases = [(bad, NonFiniteInput)]
+    if field == "ranks":
+        cases = [(v, DimensionMismatch) for v in (bad, 0, table.n_sim + 1, 2.5, True)]
     path = tmp_path / "calibration.json"
-    path.write_text(json.dumps(d))
-    with pytest.raises(NonFiniteInput):
-        load_table(path)
+    for value, error in cases:
+        d = table.to_dict()
+        d[field][next(iter(d[field]))] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(error):
+            load_table(path)
 
 
 def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noise):
@@ -857,6 +860,18 @@ def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noi
             CalibrationTable.from_dict(zero | {"alpha_plus": bad})
     # Fixed thresholds carry no level.
     assert math.isnan(CalibrationTable.from_dict(zero | {"x_level": math.nan}).x_level)
+    # A malformed table names its bad or missing key; one written with level
+    # shifts (``corrections``) in place of ranks names ``ranks``.
+    shifts = {k: v for k, v in zero.items() if k != "ranks"} | {"corrections": {"1": 0.0}}
+    malformed = [
+        ({"x_level": 2.0}, "alpha_plus"),
+        (zero | {"critical": {"2-1": 1.0}}, "2-1"),
+        ([], "x_level"),
+        (shifts, "ranks"),
+    ]
+    for d, key in malformed:
+        with pytest.raises(ConfigInvalid, match=key):
+            CalibrationTable.from_dict(d)
 
 
 def test_reversed_pair_in_table_input_is_refused(toy_family, toy_noise):
@@ -876,7 +891,7 @@ def test_correction_monotone_in_level(x):
     family = build_projection_family(design, np.eye(design.p), [1, 2, 3])
     noise = NoiseSpec.homogeneous(1.0, 4)
     draws = sample_joint_draws(family, noise, 8000, seed=137)
-    q_lo = multiplicity_correction(draws, 1, x)
-    q_hi = multiplicity_correction(draws, 1, x + 0.5)
-    # The solved level x + q is nondecreasing in x by tail monotonicity.
-    assert x + 0.5 + q_hi >= x + q_lo - 1e-9
+    k_lo = correction_rank(draws, 1, x)
+    k_hi = correction_rank(draws, 1, x + 0.5)
+    # The corrected rank is nondecreasing in x by tail monotonicity.
+    assert k_hi >= k_lo

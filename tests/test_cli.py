@@ -14,11 +14,13 @@ import smaselect
 from smaselect import cli
 from smaselect.calibration import (
     CalibrationTable,
+    _tail_rank,
     critical_values,
     power_loss_critical_values,
     power_loss_params,
     propagation_failures,
     sample_joint_draws,
+    tail_quantile,
 )
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.moments import all_pair_moments
@@ -295,20 +297,18 @@ def test_numeric_failure_exit_code(tmp_path):
 
 def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 20_000, seed=71)
-    from smaselect.calibration import _quantile_at
-
     # Thresholds without any multiplicity correction: the union over the two
     # comparisons against the smallest model overshoots the target.
-    critical = {
-        pair: _quantile_at(draws.column(*pair), 2.0)[0] for pair in draws.order.index
-    }
+    critical = {pair: tail_quantile(draws, *pair, 2.0) for pair in draws.order.index}
+    k = _tail_rank(2.0, draws.n_sim)
     bad = CalibrationTable(
         x_level=2.0,
         alpha_plus=0.0,
-        corrections={1: 0.0, 2: 0.0},
+        ranks={1: k, 2: k},
         critical=critical,
         pair_dims={pair: 1.0 for pair in critical},
         mode="probabilistic",
+        n_sim=draws.n_sim,
     )
     failures = propagation_failures(draws, bad)
     assert failures and "reference 1" in failures[0]

@@ -143,7 +143,7 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
     table = CalibrationTable(
         x_level=2.0,
         alpha_plus=1.0,
-        corrections={},
+        ranks={},
         critical={},
         pair_dims={},
         mode="probabilistic",

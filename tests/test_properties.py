@@ -99,14 +99,14 @@ def test_selection_does_not_grow_with_level_or_allowance(
 def test_thresholds_scale_exactly_with_the_noise(family, seed, x_level, alpha_plus, k):
     # Scaling by a power of two is exact in floating point: the draws and
     # the traces scale by exactly 2**k, so every threshold does too, while
-    # the ranks, the corrections, the clipped pairs and the power-loss
-    # levels (ratios of traces) stay put.
+    # the strict ranks, each reference's rank, the clipped pairs and the
+    # power-loss levels (ratios of traces) stay put.
     scale = np.random.default_rng(seed).uniform(0.5, 2.0, family.n)
     for mode in _modes(family, scale):
         _, table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
         _, scaled = _calibrate(family, 2.0**k * scale, seed, x_level, alpha_plus, mode)
         np.testing.assert_array_equal(scaled.critical.array, 2.0**k * table.critical.array)
-        assert scaled.corrections == table.corrections, mode
+        assert scaled.ranks == table.ranks, mode
         assert scaled.tail_clipped == table.tail_clipped, mode
         assert scaled.per_model_levels == table.per_model_levels, mode
 

@@ -26,7 +26,6 @@ from smaselect import (
     sma_select,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.calibration import _quantile_at
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
@@ -281,10 +280,10 @@ def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):
 def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
     family = toy_extended_family
     draws, table = calibrate(family, np.full(family.n, 0.8), 2000, 5, 2.0, 1.0)
-    # The dict the table used to hold: each pair's tail value at its
-    # reference's corrected level, plus the bias allowance.
+    # The dict the table used to hold: each pair's draw of its reference's
+    # rank, plus the bias allowance, bit for bit.
     old = {
-        pair: _quantile_at(draws.column(*pair), table.x_level + table.corrections[pair[1]])[0]
+        pair: np.sort(draws.column(*pair))[table.ranks[pair[1]] - 1]
         + table.alpha_plus * math.sqrt(table.pair_dims[pair])
         for pair in draws.order.index
     }

@@ -36,8 +36,10 @@ from .errors import (
     TailTooDeepWarning,
 )
 from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
-from .moments import NoiseSpec, PairMoments, _pair_traces, pair_traces, single_traces
-from .rng import block_bounds, is_integer, stream
+from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
+from .rng import block_bounds, is_integer, is_number, is_seed, stream
+
+TABLE_MODES = ("probabilistic", "power_loss", "fixed")
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
 MIN_TAIL_POINTS = 10
@@ -95,33 +97,8 @@ class JointDrawMatrix:
         return [m_ref for m_ref, *_ in self.order.groups]
 
     def comparisons(self, m_ref: int) -> list[tuple[int, int]]:
-        return [pair for pair in self.order.pairs if pair[1] == m_ref]
-
-    def upper_tail(self, k: int, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending order statistics of ranks ``k..n_sim`` of each column
-        ``cols`` (a slice or an index array; every column by default), and
-        every draw's strict rank (count of strictly smaller draws, so ties
-        share their run's first rank) floored at ``k - 1``; one row per column.
-
-        A strict rank reaches ``k`` exactly when the draw exceeds the rank-``k``
-        value, so such draws all lie in the tail: one partial selection per
-        column, and only the tail is sorted.  Every temporary is the size of
-        the columns asked for: a table asks for one reference's at a time.
-        """
-        block = np.ascontiguousarray(self.draws.T[cols])
-        rows = np.arange(block.shape[0])[:, None]
-        # Flat indices into ``block``, so each gather is one fancy index.
-        top = np.argpartition(block, k - 1, axis=1)[:, k - 1 :] + rows * self.n_sim
-        order = np.argsort(block.ravel()[top], axis=1)
-        top = top.ravel()[order + rows * top.shape[1]]
-        tail = block.ravel()[top]
-        new_run = np.ones(tail.shape, dtype=bool)
-        np.not_equal(tail[:, 1:], tail[:, :-1], out=new_run[:, 1:])
-        position = np.arange(k - 1, self.n_sim, dtype=np.int32)
-        run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
-        ranks = np.full(block.shape, k - 1, dtype=np.int32)
-        ranks.ravel()[top] = run_start
-        return tail, ranks
+        cols = next((cols for ref, _, _, cols in self.order.groups if ref == m_ref), [])
+        return [self.order.pairs[c] for c in np.arange(len(self.order.pairs))[cols].tolist()]
 
     def restricted(self, pairs) -> "JointDrawMatrix":
         """View on a subset of pairs (shared rows, their own order)."""
@@ -261,26 +238,32 @@ def familywise_exceedance(
     return float(np.mean(np.any(draws.draws[:, cols] > z, axis=1)))
 
 
-def _max_t_rank(ranks: np.ndarray, k_x: int, x_level: float) -> int:
-    """Smallest shared rank ``>= k_x`` at which the family-wise exceedance is at most ``e^-x``.
-
-    ``ranks`` holds the strict ranks of one reference's comparisons (one
-    row per comparison), exact at and above ``k_x``.  Every comparison
-    takes the same order statistic ``k`` of its column, and a draw strictly
-    exceeds the rank-``k`` value exactly when its strict rank is at least
-    ``k``.  So a row is rejected at rank ``k`` exactly when its largest
-    strict rank reaches ``k``, and the answer is one quantile of the
-    row-max ranks: the Westfall-Young max-T adjustment, read off the
-    calibration draws themselves.  A single comparison keeps the rank of x.
-    """
-    if ranks.shape[0] == 1:
-        return k_x
-    n = ranks.shape[1]
-    # reached[k] = number of rows whose largest strict rank is >= k; the
-    # last entry (k = n) is always zero.
+def _max_t(block: np.ndarray, k_x: int, x_level: float) -> tuple[int, np.ndarray]:
+    """Max-T rank ``k`` of one reference and the sorted ranks ``k_x..n`` of each
+    row of ``block``, its comparisons' draws.  ``k`` is the smallest rank ``>= k_x``
+    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison).
+    A draw exceeds the rank-``k`` value exactly when its strict rank (ties share
+    their run's first rank) reaches ``k``, so only the tail is selected and sorted,
+    and ``k`` is a quantile of each realization's largest strict rank (max-T)."""
+    block = np.ascontiguousarray(block)
+    g, n = block.shape
+    rows = np.arange(g)[:, None]
+    # Flat indices into ``block``, so each gather is one fancy index.
+    top = np.argpartition(block, k_x - 1, axis=1)[:, k_x - 1 :] + rows * n
+    order = np.argsort(block.ravel()[top], axis=1)
+    top = top.ravel()[order + rows * top.shape[1]]
+    tail = block.ravel()[top]
+    if g == 1:
+        return k_x, tail
+    new_run = np.ones(tail.shape, dtype=bool)
+    np.not_equal(tail[:, 1:], tail[:, :-1], out=new_run[:, 1:])
+    position = np.arange(k_x - 1, n, dtype=np.int32)
+    run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
+    ranks = np.full(block.shape, k_x - 1, dtype=np.int32)
+    ranks.ravel()[top] = run_start
+    # reached[k]: realizations whose largest strict rank is >= k (none at k = n).
     reached = np.cumsum(np.bincount(ranks.max(axis=0), minlength=n + 1)[::-1])[::-1]
-    meets = reached[k_x:] / n <= math.exp(-x_level)
-    return k_x + int(np.argmax(meets))
+    return k_x + int(np.argmax(reached[k_x:] / n <= math.exp(-x_level))), tail
 
 
 @dataclass(frozen=True)
@@ -331,8 +314,12 @@ class CalibrationTable:
     @property
     def tail_clipped(self) -> tuple[tuple[int, int], ...]:
         """Pairs whose reference takes rank ``n_sim``, the sample maximum."""
-        top = {m_ref for m_ref, k in self.ranks.items() if k == self.n_sim}
-        return tuple(pair for pair in self.critical if pair[1] in top)
+        if self.n_sim not in self.ranks.values():
+            return ()
+        clipped = np.zeros(len(self.critical), dtype=bool)
+        for m_ref, _, _, cols in self.critical.order.groups:
+            clipped[cols] = self.ranks.get(m_ref) == self.n_sim
+        return tuple(pair for pair, top in zip(self.critical, clipped.tolist()) if top)
 
     def level(self, m_ref: int) -> float:
         """Tail level the thresholds against reference ``m_ref`` were
@@ -387,19 +374,24 @@ class CalibrationTable:
             m, mr = map(int, key.split(":"))
             return m, mr
 
+        def checked(key: str, ok, what: str):
+            if not ok(value := d.get(key)):
+                raise ConfigInvalid(f"calibration table: {key!r} must be {what}, not {value!r}")
+            return value
+
         return cls(
             x_level=read("x_level"),
             alpha_plus=read("alpha_plus"),
             ranks=read("ranks", by(int, lambda k: k)),
             critical=read("critical", by(pair)),
             pair_dims=read("pair_dims", by(pair)),
-            mode=read("mode", str),
-            power_a=d.get("power_a"),
+            mode=checked("mode", TABLE_MODES.__contains__, f"one of {TABLE_MODES}"),
+            power_a=checked("power_a", lambda a: a is None or is_number(a), "null or finite"),
             per_model_levels=read("per_model_levels", by(int))
             if d.get("per_model_levels")
             else None,
-            n_sim=d.get("n_sim"),
-            seed=d.get("seed"),
+            n_sim=checked("n_sim", lambda n: n is None or is_integer(n) and n > 0, "null or >= 1"),
+            seed=checked("seed", lambda s: s is None or is_seed(s), "null or a 64-bit seed"),
         )
 
 
@@ -471,12 +463,12 @@ def calibration_table(
         if power:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
-            k = ranks[m_ref] = _tail_rank(levels.x[m_ref], n)
+            k = _tail_rank(levels.x[m_ref], n)
             z[cols] = _order_statistic(draws.draws.T[cols], k)
         else:
-            tail, strict = draws.upper_tail(k_x, cols)
-            k = ranks[m_ref] = _max_t_rank(strict, k_x, levels)
+            k, tail = _max_t(draws.draws.T[cols], k_x, levels)
             z[cols] = tail[:, k - k_x]
+        ranks[m_ref] = k
 
     dims = pair_values(pair_dims)
     allowance = alpha_plus * np.sqrt(dims.at(draws.order, "dimension"))
@@ -550,18 +542,18 @@ def calibrate(
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
-    variances = scale * scale
+    root = family.noise_root(scale * scale)
     if mode == "probabilistic":
         levels = x_level
     elif mode == "power_loss":
         if power_a is None:
             raise DimensionMismatch("power-loss mode needs the exponent a")
-        levels = power_loss_params(family.models, single_traces(family, variances), power_a)
+        levels = power_loss_params(family.models, _single_traces(family, root), power_a)
     else:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
     order = pair_order(family.models)
     draws = _sample_scaled_norms(family, scale, n_sim, seed, order, n_workers, stream_tag)
-    return draws, calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
+    return draws, calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
 
 
 # Rounding allowance of ``propagation_failures``, in ulps of the critical
@@ -631,7 +623,7 @@ def excess_risk_mc(
     draws = _sample_scaled_norms(family, scale, n_sim, seed, order, 1)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
-    p_m = _pair_traces(family, variances, order)[(m, 0)]
+    p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:

@@ -9,8 +9,6 @@ noise replicates and records selected indices and losses.
 
 from __future__ import annotations
 
-import math
-import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -23,7 +21,7 @@ from .calibration import CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
-from .rng import is_integer, is_seed, stream
+from .rng import is_integer, is_number, is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
 
 WEIGHTINGS = ("prediction", "full_vector", "derivative")
@@ -96,7 +94,7 @@ class ExperimentConfig:
             if not is_integer(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be an integer")
         for name in ("x_level", "alpha_plus") + (("power_a",) if self.power_a is not None else ()):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be a finite number")
         if not isinstance(self.random_design, bool):
             raise ConfigInvalid("random_design must be true or false")
@@ -151,14 +149,10 @@ class ExperimentConfig:
         return cfg.validate()
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _numbers(vals, what: str) -> list:
     if not isinstance(vals, (list, tuple)) or not vals:
         raise ConfigInvalid(f"{what} needs a nonempty values list")
-    if not all(_is_number(v) for v in vals):
+    if not all(is_number(v) for v in vals):
         raise ConfigInvalid(f"{what} values must be finite numbers")
     return list(vals)
 
@@ -178,11 +172,11 @@ def _validate_noise_profile(profile: dict, n: int) -> None:
     kind = profile.get("kind") if isinstance(profile, dict) else None
     if kind == "linear":
         lo, hi = profile.get("sigma_lo"), profile.get("sigma_hi")
-        if not (_is_number(lo) and _is_number(hi)) or min(lo, hi) <= 0:
+        if not (is_number(lo) and is_number(hi)) or min(lo, hi) <= 0:
             raise ConfigInvalid("linear profile needs numbers sigma_lo, sigma_hi > 0")
     elif kind == "constant":
         sigma = profile.get("sigma")
-        if not _is_number(sigma) or sigma <= 0:
+        if not is_number(sigma) or sigma <= 0:
             raise ConfigInvalid("constant profile needs a number sigma > 0")
     elif kind == "explicit":
         vals = _numbers(profile.get("values"), "explicit profile")

@@ -244,12 +244,13 @@ class PairValues(Mapping):
     copy.  ``array`` is the values as a read-only float array, entry ``i``
     for ``order.pairs[i]``.  ``pair_values`` builds one in the canonical
     order whenever it can, and ``at`` reads the values in any ``PairOrder``.
+    The values are a copy, unless ``_owned`` says nothing else holds them.
     """
 
     __slots__ = ("order", "array")
 
-    def __init__(self, order: PairOrder, values):
-        array = np.array(values, dtype=float)
+    def __init__(self, order: PairOrder, values, _owned: bool = False):
+        array = values if _owned else np.array(values, dtype=float)
         if array.shape != (len(order.pairs),):
             raise DimensionMismatch("need one value per pair")
         array.flags.writeable = False

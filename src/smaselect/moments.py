@@ -80,7 +80,7 @@ def _pair_moments(
     variances = noise_variances(sigma)
     root = family.noise_root(variances)
     tops = (_gram_tops if family.increments is None else _window_tops)(family, root, order)
-    traces = _pair_traces(family, variances, order).array.tolist()
+    traces = _pair_traces(family, root, order).array.tolist()
     return {
         pair: PairMoments(p_pair=trace, lambda_pair=min(max(float(top), 0.0), trace))
         for pair, trace, top in zip(order.pairs, traces, tops)
@@ -136,18 +136,22 @@ def pair_traces(family: ModelFamily, variances, pairs=None) -> PairValues:
     Each is the sum of the pair's squared magnitudes over the rows of the
     noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
-    return _pair_traces(family, variances, pair_order(family.models, pairs))
+    return _pair_traces(family, family.noise_root(variances), pair_order(family.models, pairs))
 
 
-def _pair_traces(family: ModelFamily, variances, order: PairOrder) -> PairValues:
-    """``pair_traces`` over the pairs of a ``PairOrder`` the caller holds."""
-    return PairValues(order, family.pair_squares(family.noise_root(variances), order).sum(axis=1))
+def _pair_traces(family: ModelFamily, root: np.ndarray, order: PairOrder) -> PairValues:
+    """``pair_traces`` from the noise root ``R_v``, over a ``PairOrder`` the caller holds."""
+    return PairValues(order, family.pair_squares(root, order).sum(axis=1))
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     """Variance traces ``tr Var(K_m y)`` of every model."""
-    traces = pair_traces(family, variances, [(m, 0) for m in family.models])
-    return dict(zip(family.models, traces.array.tolist()))
+    return _single_traces(family, family.noise_root(variances))
+
+
+def _single_traces(family: ModelFamily, root: np.ndarray) -> dict[int, float]:
+    order = pair_order(family.models, [(m, 0) for m in family.models])
+    return dict(zip(family.models, _pair_traces(family, root, order).array.tolist()))
 
 
 def best_linear_coefficients(family: ModelFamily, f_true) -> np.ndarray:

@@ -9,6 +9,7 @@ thread produced it or in what order.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -25,6 +26,11 @@ def is_integer(value) -> bool:
     """True for an integer that is not a bool: the one type check of a seed,
     a stream id or a count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def is_seed(value, bits: int = 64) -> bool:

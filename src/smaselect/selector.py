@@ -28,7 +28,7 @@ def test_statistics(family: ModelFamily, y) -> PairValues:
     the family's canonical pair order."""
     order = pair_order(family.models)
     squares = family.pair_squares(family.reduce(family.vector(y)), order)
-    return PairValues(order, np.sqrt(squares, out=squares))
+    return PairValues(order, np.sqrt(squares, out=squares), _owned=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,9 +31,11 @@ from smaselect import (
     sample_joint_draws,
     tail_quantile,
 )
+from smaselect.selector import table_from_thresholds
 from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
     PowerLossParams,
+    _max_t,
     _tail_rank,
     calibration_table,
 )
@@ -246,24 +248,42 @@ def test_multiplicity_all_zero_column_needs_no_correction():
     # A column that never exceeds its (zero) tail value adds nothing to the union.
     rng = np.random.default_rng(54)
     col = np.abs(rng.standard_normal(20_000))
-    draws = two_pair_draws(np.column_stack([np.zeros(20_000), col]))
-    np.testing.assert_array_equal(draws.upper_tail(1)[1][0], 0)
-    assert correction_rank(draws, 1, 2.0) == _tail_rank(2.0, 20_000)
+    block = np.vstack([np.zeros(20_000), col])
+    # Even from rank 1, the max-T rank is the other column's own rank of x.
+    k, tail = _max_t(block, 1, 2.0)
+    np.testing.assert_array_equal(tail[0], 0)
+    assert k == _tail_rank(2.0, 20_000)
+    assert correction_rank(two_pair_draws(block.T), 1, 2.0) == _tail_rank(2.0, 20_000)
 
 
 def test_strict_ranks_count_smaller_draws():
-    draws = two_pair_draws(np.array([[0.5, 2.0], [0.1, 2.0], [0.5, 1.0], [0.3, 2.0]]))
-    tail, ranks = draws.upper_tail(1)
-    np.testing.assert_array_equal(ranks, [[2, 0, 2, 1], [1, 1, 0, 1]])
-    np.testing.assert_array_equal(tail[1], [1.0, 2.0, 2.0, 2.0])
-    # From rank 2 up: only the upper tail is sorted, lower ranks read as 1.
-    tail, ranks = draws.upper_tail(2)
-    np.testing.assert_array_equal(ranks, [[2, 1, 2, 1], [1, 1, 1, 1]])
-    np.testing.assert_array_equal(tail, [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
-    # A subset of columns, as a slice or an index array, reads the same rows.
-    for cols in (slice(1, 2), np.array([1, 0])):
-        for part, whole in zip(draws.upper_tail(2, cols), (tail, ranks)):
-            np.testing.assert_array_equal(part, whole[cols])
+    # Strict ranks [[2, 0, 2, 1], [1, 1, 0, 1]]: tied draws share their run's
+    # first rank, so the realizations' largest ranks are [2, 1, 2, 1], and
+    # the family-wise exceedance is 1 at rank 1, 1/2 at rank 2 and 0 at rank 3.
+    block = np.array([[0.5, 0.1, 0.5, 0.3], [2.0, 2.0, 1.0, 2.0]])
+    for x, want in ((0.0, 1), (0.6, 2), (math.log(5.0), 3)):
+        assert _max_t(block, 1, x)[0] == want
+    # Every start rank and level agrees with the definition: the smallest
+    # rank k >= k_x at which no more than e^-x of the realizations has a
+    # draw strictly above its row's rank-k value.  The tail is sorted.
+    ordered = np.sort(block, axis=1)
+    fwe = [np.mean(np.any(block > ordered[:, [k - 1]], axis=0)) for k in range(1, 5)]
+    for k_x in range(1, 5):
+        for x in (0.0, 0.6, math.log(5.0), 8.0):
+            k, tail = _max_t(block, k_x, x)
+            assert k == next(k for k in range(k_x, 5) if fwe[k - 1] <= math.exp(-x))
+            np.testing.assert_array_equal(tail, ordered[:, k_x - 1 :])
+    # From rank 2 up only the upper tail is selected and sorted.
+    np.testing.assert_array_equal(_max_t(block, 2, 0.6)[1], [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
+
+
+def test_max_t_single_comparison_keeps_rank_of_x():
+    # One comparison needs no multiplicity correction, even at a level no rank meets.
+    row = np.array([[3.0, 1.0, 2.0, 0.0]])
+    for k_x in range(1, 5):
+        k, tail = _max_t(row, k_x, 8.0)
+        assert k == k_x
+        np.testing.assert_array_equal(tail, [[0.0, 1.0, 2.0, 3.0][k_x - 1 :]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -345,14 +365,15 @@ def test_draw_matrix_rejects_a_column_outside_the_matrix():
         two_pair_draws(np.ones(2), [(2, 1), (3, 1)])
 
 
-def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
+def full_sort_oracle(draws, pair_dims, alpha_plus, levels, k_x=None):
     """Reference oracle: the full sort and dense strict ranks the partial
     selection replaced, driving the same exact max-T correction.
 
-    Returns the sorted columns, the strict ranks, each reference's rank
-    (the max-T corrected rank of the level in probabilistic mode, the rank
-    of the reference's level in power-loss mode) and the table's critical
-    values and clipped pairs, those whose reference takes rank ``n_sim``.
+    Returns the sorted columns, each reference's rank (in probabilistic
+    mode the max-T corrected rank of the level, the smallest at or above
+    ``k_x``, by default the level's own rank; in power-loss mode the rank
+    of the reference's level) and the table's critical values and clipped
+    pairs, those whose reference takes rank ``n_sim``.
     """
     cols = np.ascontiguousarray(draws.draws.T)
     order = np.argsort(cols, axis=1)
@@ -370,7 +391,7 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
             rank[m_ref] = _tail_rank(levels.x[m_ref], n)
             continue
         pairs = [p for p in draws.order.index if p[1] == m_ref]
-        k = _tail_rank(levels, n)
+        k = _tail_rank(levels, n) if k_x is None else k_x
         if len(pairs) > 1:
             row_max = ranks[[draws.order.index[p] for p in pairs]].max(axis=0)
             reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
@@ -382,7 +403,7 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels):
             clipped.append((m, m_ref))
         z = float(sorted_draws[col, rank[m_ref] - 1])
         critical[(m, m_ref)] = z + alpha_plus * math.sqrt(pair_dims[(m, m_ref)])
-    return sorted_draws, ranks, rank, critical, tuple(clipped)
+    return sorted_draws, rank, critical, tuple(clipped)
 
 
 @st.composite
@@ -474,13 +495,14 @@ def test_table_builds_nothing_the_size_of_the_draws(mode, layout):
 def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t):
     n = draws.n_sim
     pair_dims = {p: float(p[0] - p[1]) for p in draws.order.index}
-    sorted_draws, ranks, rank, critical, clipped = full_sort_oracle(
-        draws, pair_dims, alpha_plus, x
-    )
-    for k in sorted({1, _tail_rank(x, n), n}):
-        tail, floored = draws.upper_tail(k)
-        assert np.array_equal(tail, sorted_draws[:, k - 1 :])
-        assert np.array_equal(floored, np.maximum(ranks, k - 1))
+    sorted_draws, rank, critical, clipped = full_sort_oracle(draws, pair_dims, alpha_plus, x)
+    # Each reference's one step, from every start rank a table could take.
+    for k_x in sorted({1, _tail_rank(x, n), n}):
+        _, want, _, _ = full_sort_oracle(draws, pair_dims, alpha_plus, x, k_x)
+        for m_ref, _, _, cols in draws.order.groups:
+            k, tail = _max_t(draws.draws.T[cols], k_x, x)
+            assert k == want[m_ref]
+            assert np.array_equal(tail, sorted_draws[cols, k_x - 1 :])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, x)
@@ -489,7 +511,7 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
     assert table.tail_clipped == clipped
 
     params = PowerLossParams(a=1.0, alpha={}, x=dict(zip(range(1, 6), power_levels)))
-    _, _, rank, critical, clipped = full_sort_oracle(draws, pair_dims, alpha_plus, params)
+    _, rank, critical, clipped = full_sort_oracle(draws, pair_dims, alpha_plus, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, params)
@@ -810,6 +832,55 @@ def test_table_json_roundtrip(toy_family, toy_noise):
     assert clone.tail_clipped == table.tail_clipped
     assert clone.pair_dims == table.pair_dims
     assert clone.mode == table.mode
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("mode", "bogus"),
+        ("mode", None),
+        ("seed", "abc"),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", True),
+        ("power_a", "x"),
+        ("power_a", math.nan),
+        ("n_sim", "400"),
+        ("n_sim", 0),
+    ],
+)
+def test_table_load_refuses_bad_metadata(toy_family, toy_noise, key, bad):
+    # A bogus mode would read as probabilistic in ``level`` but as power
+    # loss in ``propagation_failures``; each bad key is named, not passed on.
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
+    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
+    with pytest.raises(ConfigInvalid, match=key):
+        CalibrationTable.from_dict(d | {key: bad})
+
+
+def test_table_load_takes_null_metadata(toy_family, toy_noise):
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
+    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
+    assert CalibrationTable.from_dict(d | {"seed": None, "power_a": None}).seed is None
+    # A fixed table has no draws, so neither a seed nor a sample size.
+    fixed = table_from_thresholds({(2, 1): 1.0, (3, 1): 2.0, (3, 2): 0.5})
+    assert CalibrationTable.from_dict(fixed.to_dict()).critical == fixed.critical
+
+
+def test_one_noise_root_per_variance_vector(toy_family, toy_noise, monkeypatch):
+    # The traces and the top eigenvalues (or, in power-loss mode, the
+    # single-model and pair traces) share one QR of the scaled basis.
+    calls = []
+    noise_root = type(toy_family).noise_root
+    monkeypatch.setattr(
+        type(toy_family), "noise_root", lambda self, v: calls.append(1) or noise_root(self, v)
+    )
+    all_pair_moments(toy_family, toy_noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for mode in ("probabilistic", "power_loss"):
+            calibrate(toy_family, np.ones(4), 100, 1, 2.0, 1.0, mode=mode, power_a=1.0)
+    assert len(calls) == 3
 
 
 def test_traces_and_table_dimensions_are_pair_values(toy_family, toy_noise):

@@ -15,7 +15,7 @@ from smaselect import (
     build_projection_family,
     check_ordering,
 )
-from smaselect.family import pair_order, pair_values
+from smaselect.family import PairValues, pair_order, pair_values
 from conftest import orthonormal_rows_design
 from reference import operator, pair_operator, prediction_weights
 
@@ -168,3 +168,14 @@ def test_pair_values_at_reads_any_order():
     assert values.at(pair_order((1, 2, 4), [])).tolist() == []
     with pytest.raises(MissingPair, match=r"no threshold for pair \(2, 0\)"):
         values.at(pair_order((1, 2, 4), [(4, 1), (2, 0)]), "threshold")
+
+
+def test_pair_values_copy_the_callers_array():
+    # The caller's array stays writable, and later writes to it do not reach
+    # the values; only the values' own array is read-only.
+    order = pair_order((1, 2, 4))
+    mine = np.array([1.0, 2.0, 3.0])
+    values = PairValues(order, mine)
+    assert mine.flags.writeable and not values.array.flags.writeable
+    mine[:] = -1.0
+    assert values.array.tolist() == [1.0, 2.0, 3.0] and values[(2, 1)] == 1.0

@@ -37,9 +37,9 @@ from .errors import (
 )
 from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
-from .rng import block_bounds, is_integer, is_number, is_seed, stream
+from .rng import block_bounds, is_integer, is_number, is_real, is_seed, stream
 
-TABLE_MODES = ("probabilistic", "power_loss", "fixed")
+MODES = ("probabilistic", "power_loss")
 
 # Tails thinner than this many sample points trigger a thin-tail warning.
 MIN_TAIL_POINTS = 10
@@ -279,12 +279,12 @@ class CalibrationTable:
     against ``m_ref`` took.  A NaN threshold would reject every comparison
     it enters, and a negative dimension or a NaN allowance would make the
     self-test's tails NaN, hiding every exceedance.  So non-finite
-    thresholds, dimensions or ``alpha_plus`` raise ``NonFiniteInput`` on
-    construction, and negative dimensions or ``alpha_plus``, or a rank
-    outside the integers ``1..n_sim``, ``DimensionMismatch``; ``x_level``
-    may be NaN, as fixed thresholds carry no level.  ``level(m_ref)`` is
-    the level a reference was calibrated at; a power-loss table records
-    ``x_level`` 0.0, the level of its first model, which has no predecessor.
+    thresholds, dimensions, levels or ``alpha_plus`` raise
+    ``NonFiniteInput`` on construction, and negative dimensions, levels or
+    ``alpha_plus``, or a rank outside the integers ``1..n_sim``,
+    ``DimensionMismatch``.  ``level(m_ref)`` is the level a reference was
+    calibrated at; a power-loss table records ``x_level`` 0.0, the level
+    of its first model, which has no predecessor.
     """
 
     x_level: float
@@ -301,6 +301,9 @@ class CalibrationTable:
 
     def __post_init__(self):
         _check_level(self.alpha_plus, "alpha_plus")
+        _check_level(self.x_level, "x_level")
+        for level in (self.per_model_levels or {}).values():
+            _check_level(level, "every per_model_levels value")
         for name in ("critical", "pair_dims"):
             values = pair_values(getattr(self, name))
             object.__setattr__(self, name, values)
@@ -359,40 +362,42 @@ class CalibrationTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationTable":
-        """Inverse of ``to_dict``; a bad or missing key raises ``ConfigInvalid``."""
+        """Inverse of ``to_dict``.  A missing key, a value of the wrong type
+        or range (NaN and infinities are numbers, left to the constructor),
+        or ranks not keyed by ``critical``'s references raise ``ConfigInvalid``."""
 
-        def read(key: str, parse=float):
+        def read(key: str, ok=is_real, what="a real number", keys=None):
+            """``d[key]``, or its entries re-keyed by ``keys``, each value checked by ``ok``."""
+            value = d.get(key) if isinstance(d, Mapping) else None
             try:
-                return parse(d[key])
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                entries = {keys(k): v for k, v in value.items()} if keys else {key: value}
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(f"calibration table: bad or missing {key!r}: {exc}") from None
-
-        def by(key_of, value_of=float):
-            return lambda entries: {key_of(k): value_of(v) for k, v in entries.items()}
+            if bad := [v for v in entries.values() if not ok(v)]:
+                raise ConfigInvalid(f"calibration table: {key!r}: {bad[0]!r} is not {what}")
+            return entries if keys else value
 
         def pair(key: str) -> tuple[int, int]:
             m, mr = map(int, key.split(":"))
             return m, mr
 
-        def checked(key: str, ok, what: str):
-            if not ok(value := d.get(key)):
-                raise ConfigInvalid(f"calibration table: {key!r} must be {what}, not {value!r}")
-            return value
-
-        return cls(
-            x_level=read("x_level"),
-            alpha_plus=read("alpha_plus"),
-            ranks=read("ranks", by(int, lambda k: k)),
-            critical=read("critical", by(pair)),
-            pair_dims=read("pair_dims", by(pair)),
-            mode=checked("mode", TABLE_MODES.__contains__, f"one of {TABLE_MODES}"),
-            power_a=checked("power_a", lambda a: a is None or is_number(a), "null or finite"),
-            per_model_levels=read("per_model_levels", by(int))
+        table = cls(
+            x_level=float(read("x_level")),
+            alpha_plus=float(read("alpha_plus")),
+            ranks=read("ranks", lambda k: True, keys=int),  # the constructor checks each rank
+            critical=read("critical", keys=pair),
+            pair_dims=read("pair_dims", keys=pair),
+            mode=read("mode", MODES.__contains__, f"one of {MODES}"),
+            power_a=read("power_a", lambda a: a is None or is_number(a), "null or finite"),
+            per_model_levels=read("per_model_levels", keys=int)
             if d.get("per_model_levels")
             else None,
-            n_sim=checked("n_sim", lambda n: n is None or is_integer(n) and n > 0, "null or >= 1"),
-            seed=checked("seed", lambda s: s is None or is_seed(s), "null or a 64-bit seed"),
+            n_sim=read("n_sim", lambda n: n is None or is_integer(n) and n > 0, "null or >= 1"),
+            seed=read("seed", lambda s: s is None or is_seed(s), "null or a 64-bit seed"),
         )
+        if sorted(table.ranks) != (references := sorted({m_ref for _, m_ref in table.critical})):
+            raise ConfigInvalid(f"calibration table: 'ranks' must name the references {references}")
+        return table
 
 
 @dataclass(frozen=True)
@@ -543,14 +548,13 @@ def calibrate(
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
     root = family.noise_root(scale * scale)
-    if mode == "probabilistic":
-        levels = x_level
-    elif mode == "power_loss":
+    if mode not in MODES:
+        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
+    levels = x_level
+    if mode == "power_loss":
         if power_a is None:
             raise DimensionMismatch("power-loss mode needs the exponent a")
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
-    else:
-        raise DimensionMismatch(f"unknown calibration mode {mode!r}")
     order = pair_order(family.models)
     draws = _sample_scaled_norms(family, scale, n_sim, seed, order, n_workers, stream_tag)
     return draws, calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
@@ -578,7 +582,7 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     exceeds = draws.draws > tails
     failures = []
     for m_ref, _, _, cols in draws.order.groups:
-        target = math.exp(-_check_level(table.level(m_ref), "level"))
+        target = math.exp(-table.level(m_ref))
         if table.mode == "probabilistic":
             fwe = float(np.mean(np.any(exceeds[:, cols], axis=1)))
             if fwe > target + 1e-12:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import presmooth
-from .calibration import CalibrationTable, JointDrawMatrix, calibrate
+from .calibration import MODES, CalibrationTable, JointDrawMatrix, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
@@ -25,7 +25,6 @@ from .rng import is_integer, is_number, is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
 
 WEIGHTINGS = ("prediction", "full_vector", "derivative")
-MODES = ("probabilistic", "power_loss")
 
 
 def fourier_values(points: np.ndarray, n_terms: int) -> np.ndarray:

@@ -28,9 +28,14 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool (NaN and infinities included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
     """True for a finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return is_real(value) and math.isfinite(value)
 
 
 def is_seed(value, bits: int = 64) -> bool:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .calibration import CalibrationTable, _check_level
+from .calibration import MODES, CalibrationTable, _check_level
 from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
 from .family import ModelFamily, PairValues, _pinv_gram, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
@@ -70,6 +70,13 @@ def sma_select(
     must be finite, and every pair of ``models`` needs a statistic and a
     critical value.
     """
+    models, flags, statistics = _accepted(statistics, table.critical, models)
+    return SelectionResult(models[flags.argmax()], flags, models, statistics, table.mode)
+
+
+def _accepted(statistics, thresholds: Mapping[tuple[int, int], float], models):
+    """The sorted models, their accept flags and the statistics as
+    ``PairValues``: ``sma_select``'s rule against any finite thresholds."""
     named = {m for pair in statistics for m in pair} if models is None else models
     order = _model_order(tuple(named))
     if not order.models:
@@ -78,36 +85,17 @@ def sma_select(
     statistics = pair_values(statistics)
     if not np.isfinite(statistics.array).all():
         raise NonFiniteInput("test statistics contain NaN or infinite values")
-    ok = statistics.at(order, "statistic") <= table.critical.at(order, "critical value")
+    ok = statistics.at(order, "statistic") <= pair_values(thresholds).at(order, "critical value")
     flags = np.ones(len(order.models), dtype=bool)
     if ok.size:
         flags[:-1] = np.logical_and.reduceat(ok, order.starts)
-    return SelectionResult(
-        m_hat=order.models[flags.argmax()],
-        flags=flags,
-        models=order.models,
-        statistics=statistics,
-        table_mode=table.mode,
-    )
+    return order.models, flags, statistics
 
 
 @lru_cache(maxsize=16)
 def _model_order(models: tuple):
     """The canonical ``PairOrder`` of a model list's sorted distinct sizes."""
     return pair_order(tuple(sorted({int(m) for m in models})))
-
-
-def table_from_thresholds(critical: Mapping[tuple[int, int], float]) -> CalibrationTable:
-    """Wrap externally fixed thresholds so they can drive the selector."""
-    critical = pair_values(critical)
-    return CalibrationTable(
-        x_level=float("nan"),
-        alpha_plus=0.0,
-        ranks={},
-        critical=critical,
-        pair_dims=PairValues(critical.order, np.zeros(len(critical))),
-        mode="fixed",
-    )
 
 
 @dataclass(frozen=True)
@@ -136,13 +124,13 @@ def oracle(
     """
     if f_true is None:
         raise RequiresKnownTruth("oracle needs the true response")
-    if mode not in ("probabilistic", "power_loss"):
+    if mode not in MODES:
         raise DimensionMismatch(f"unknown oracle mode {mode!r}")
     _check_level(alpha_plus, "alpha_plus")
     bias = test_statistics(family, f_true)
     dims = pair_traces(family, noise_variances(sigma))
     allowance = PairValues(dims.order, alpha_plus * np.sqrt(dims.array))
-    flags = sma_select(bias, table_from_thresholds(allowance), family.models).flags
+    _, flags, _ = _accepted(bias, allowance, family.models)
     if mode == "power_loss":
         flags = np.logical_and.accumulate(flags[::-1])[::-1]  # and every larger reference
     return OracleReport(m_star=family.models[flags.argmax()])
@@ -155,7 +143,7 @@ def payment_theory_cap(
     table's level of ``m_star``'s predecessor (its ``x_level`` for the first
     model) plus ``log(#models)``, with the table's allowance ``alpha_plus``."""
     ref = family.predecessor(m_star)
-    level = _check_level(table.x_level if ref is None else table.level(ref), "level")
+    level = table.x_level if ref is None else table.level(ref)
     mom = single_variance(family, sigma, m_star)
     spread = math.sqrt(2.0 * mom.lambda_pair * (level + math.log(len(family.models))))
     if table.mode == "power_loss":
@@ -190,6 +178,8 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
     It reads only the family's design and models: the statistics are
     prediction-loss norms whatever the family's own loss.
     """
+    if not math.isfinite(sigma_homogeneous):
+        raise NonFiniteInput(f"sigma must be finite, got {sigma_homogeneous}")
     if sigma_homogeneous <= 0:
         raise DimensionMismatch("sigma must be > 0")
     y = family.vector(y)
@@ -205,5 +195,5 @@ def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> b
 
     stats = {(m, r): float(np.linalg.norm(fits[m] - fits[r])) for m, r in family.pairs()}
     thresholds = {(m, r): sigma_homogeneous * math.sqrt(2.0 * (m - r)) for m, r in family.pairs()}
-    sma_choice = sma_select(stats, table_from_thresholds(thresholds)).m_hat
-    return aic_choice == sma_choice
+    models, flags, _ = _accepted(stats, thresholds, None)
+    return aic_choice == models[flags.argmax()]

@@ -6,8 +6,9 @@ multiplier draws off its one calibration path.  The helpers here give the
 tests the dense ``q x n`` operators, the dense ``n x n`` validity
 diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
 a direct loop over its definition, the smallest-accepted rule as a loop
-over references, the pair layout worked out pair by pair, and
-single-purpose views of that path, without the library carrying them.
+over references, tables of hand-set thresholds, the pair layout worked
+out pair by pair, and single-purpose views of that path, without the
+library carrying them.
 """
 
 import math
@@ -15,7 +16,14 @@ import warnings
 
 import numpy as np
 
-from smaselect import NotOrderedPair, SelectionResult, ValidityDiagnostics, calibrate
+from smaselect import (
+    CalibrationTable,
+    NotOrderedPair,
+    PairValues,
+    SelectionResult,
+    ValidityDiagnostics,
+    calibrate,
+)
 from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import calibration_table
 from smaselect.errors import (
@@ -25,7 +33,7 @@ from smaselect.errors import (
     RequiresKnownTruth,
     SingularGram,
 )
-from smaselect.family import pair_order
+from smaselect.family import pair_order, pair_values
 from smaselect.moments import _pair_moments, pair_traces
 
 
@@ -201,6 +209,21 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
         if ok:
             return m_ref
     raise AssertionError("no oracle index found")
+
+
+def threshold_table(critical) -> CalibrationTable:
+    """A probabilistic table holding hand-set thresholds ``critical`` (with no
+    allowance and no draws), to drive ``sma_select`` on chosen thresholds.
+    The library builds tables only by calibration."""
+    critical = pair_values(critical)
+    return CalibrationTable(
+        x_level=0.0,
+        alpha_plus=0.0,
+        ranks={},
+        critical=critical,
+        pair_dims=PairValues(critical.order, np.zeros(len(critical))),
+        mode="probabilistic",
+    )
 
 
 def sma_select_loop(statistics, table, models=None) -> SelectionResult:

@@ -219,6 +219,8 @@ BAD_SCALARS = {
         lambda sc, fam: sample_joint_draws(fam, sc.sigma, 10, 1, n_workers=True),
         DimensionMismatch,
     ),
+    # A table checks its own levels, so these two raise where ``_table``
+    # builds the table, before ``payment_theory_cap`` reads it.
     "payment_theory_cap-x-negative": (
         lambda sc, fam: payment_theory_cap(fam, sc.sigma, 3, _table(-5.0)),
         DimensionMismatch,
@@ -239,6 +241,16 @@ BAD_SCALARS = {
         lambda sc, fam: oracle(fam, sc.f_true, sc.sigma, alpha_plus=-1.0),
         DimensionMismatch,
     ),
+    # The AIC check names a non-finite sigma where it enters, rather than
+    # in the thresholds built from it.
+    **{
+        f"aic_equivalence_check-sigma-{name}": (
+            lambda sc, fam, sigma=sigma: aic_equivalence_check(fam, sigma, sc.f_true),
+            NonFiniteInput,
+            "sigma",
+        )
+        for name, sigma in [("nan", math.nan), ("inf", math.inf)]
+    },
 }
 
 
@@ -261,6 +273,6 @@ def test_every_64_bit_seed_is_accepted(toy_family):
 
 @pytest.mark.parametrize("case", sorted(BAD_SCALARS))
 def test_out_of_domain_scalars_are_rejected(derivative_scenario, case):
-    call, error = BAD_SCALARS[case]
-    with pytest.raises(error):
+    call, error, *match = BAD_SCALARS[case]
+    with pytest.raises(error, match=match[0] if match else None):
         call(*derivative_scenario)

@@ -31,7 +31,6 @@ from smaselect import (
     sample_joint_draws,
     tail_quantile,
 )
-from smaselect.selector import table_from_thresholds
 from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
     PowerLossParams,
@@ -847,11 +846,16 @@ def test_table_json_roundtrip(toy_family, toy_noise):
         ("power_a", math.nan),
         ("n_sim", "400"),
         ("n_sim", 0),
+        ("x_level", "2"),
+        ("x_level", True),
+        ("alpha_plus", "1"),
+        ("alpha_plus", False),
     ],
 )
 def test_table_load_refuses_bad_metadata(toy_family, toy_noise, key, bad):
     # A bogus mode would read as probabilistic in ``level`` but as power
-    # loss in ``propagation_failures``; each bad key is named, not passed on.
+    # loss in ``propagation_failures``, and the level "2" loaded as 2.0 and
+    # true as 1.0; each bad key is named, not passed on.
     draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
     d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
     with pytest.raises(ConfigInvalid, match=key):
@@ -862,9 +866,20 @@ def test_table_load_takes_null_metadata(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
     d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
     assert CalibrationTable.from_dict(d | {"seed": None, "power_a": None}).seed is None
-    # A fixed table has no draws, so neither a seed nor a sample size.
-    fixed = table_from_thresholds({(2, 1): 1.0, (3, 1): 2.0, (3, 2): 0.5})
-    assert CalibrationTable.from_dict(fixed.to_dict()).critical == fixed.critical
+
+
+@pytest.mark.parametrize("key", ["critical", "pair_dims", "per_model_levels"])
+def test_table_load_refuses_values_that_are_not_numbers(toy_family, toy_noise, key):
+    # Every threshold, dimension and level must be a real number: the string
+    # "2" loaded as 2.0 and true as 1.0.  NaN and infinities are numbers,
+    # refused by the constructor (test_table_load_rejects_non_finite).
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
+    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
+    d["per_model_levels"] = {"1": 2.0, "2": 1.0}
+    CalibrationTable.from_dict(d)
+    for bad in ("2", True, False, None):
+        with pytest.raises(ConfigInvalid, match=key):
+            CalibrationTable.from_dict(d | {key: d[key] | {next(iter(d[key])): bad}})
 
 
 def test_one_noise_root_per_variance_vector(toy_family, toy_noise, monkeypatch):
@@ -929,16 +944,29 @@ def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noi
     for bad, error in bad_allowances:
         with pytest.raises(error, match="alpha_plus"):
             CalibrationTable.from_dict(zero | {"alpha_plus": bad})
-    # Fixed thresholds carry no level.
-    assert math.isnan(CalibrationTable.from_dict(zero | {"x_level": math.nan}).x_level)
+    # Every table is calibrated at a level, so a level must be finite and >= 0.
+    bad_levels = [
+        ({"x_level": math.nan}, NonFiniteInput),
+        ({"x_level": math.inf}, NonFiniteInput),
+        ({"x_level": -3.0}, DimensionMismatch),
+        ({"per_model_levels": {"1": 2.0, "2": math.nan}}, NonFiniteInput),
+    ]
+    for bad, error in bad_levels:
+        with pytest.raises(error, match=next(iter(bad))):
+            CalibrationTable.from_dict(zero | bad)
     # A malformed table names its bad or missing key; one written with level
-    # shifts (``corrections``) in place of ranks names ``ranks``.
+    # shifts (``corrections``) in place of ranks names ``ranks``, and so do
+    # ranks that lack a reference (whose clipped pairs went unlisted) or name
+    # a model that is no reference.
     shifts = {k: v for k, v in zero.items() if k != "ranks"} | {"corrections": {"1": 0.0}}
+    assert set(zero["ranks"]) == {"1", "2"}
     malformed = [
         ({"x_level": 2.0}, "alpha_plus"),
         (zero | {"critical": {"2-1": 1.0}}, "2-1"),
         ([], "x_level"),
         (shifts, "ranks"),
+        (zero | {"ranks": {"2": zero["ranks"]["2"]}}, "ranks"),
+        (zero | {"ranks": zero["ranks"] | {"99": 1}}, "ranks"),
     ]
     for d, key in malformed:
         with pytest.raises(ConfigInvalid, match=key):

@@ -29,9 +29,15 @@ from smaselect import test_statistics as pairwise_statistics
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order, pair_values
 from smaselect.moments import all_pair_moments
-from smaselect.selector import payment_theory_cap, table_from_thresholds
+from smaselect.selector import payment_theory_cap
 from conftest import small_families
-from reference import oracle_index, pair_norms, prediction_weights, sma_select_loop
+from reference import (
+    oracle_index,
+    pair_norms,
+    prediction_weights,
+    sma_select_loop,
+    threshold_table,
+)
 
 
 def test_statistics_toy_zero_coordinates(toy_family):
@@ -57,7 +63,7 @@ def test_sma_rejects_non_finite_statistic(toy_family):
     # the selector would silently fall back to the largest model.
     stats = {pair: 0.0 for pair in toy_family.pairs()}
     stats[(2, 1)] = float("nan")
-    table = table_from_thresholds({pair: 1.0 for pair in stats})
+    table = threshold_table({pair: 1.0 for pair in stats})
     with pytest.raises(NonFiniteInput):
         sma_select(stats, table)
 
@@ -69,18 +75,18 @@ def test_table_rejects_non_finite_threshold(toy_family, bad):
     critical = {pair: 1.0 for pair in toy_family.pairs()}
     critical[(2, 1)] = bad
     with pytest.raises(NonFiniteInput):
-        table_from_thresholds(critical)
+        threshold_table(critical)
 
 
 def test_sma_all_zero_statistics_selects_smallest(toy_family):
     stats = {pair: 0.0 for pair in toy_family.pairs()}
-    table = table_from_thresholds({pair: 1.0 for pair in toy_family.pairs()})
+    table = threshold_table({pair: 1.0 for pair in toy_family.pairs()})
     assert sma_select(stats, table).m_hat == 1
 
 
 def test_sma_vacuous_top(toy_family):
     stats = {pair: 5.0 for pair in toy_family.pairs()}
-    table = table_from_thresholds({pair: 0.0 for pair in toy_family.pairs()})
+    table = threshold_table({pair: 0.0 for pair in toy_family.pairs()})
     result = sma_select(stats, table)
     assert result.m_hat == 3
     assert result.accepted == {1: False, 2: False, 3: True}
@@ -88,7 +94,7 @@ def test_sma_vacuous_top(toy_family):
 
 def test_sma_interior_choice(toy_family):
     stats = {(2, 1): 10.0, (3, 1): 0.5, (3, 2): 0.5}
-    table = table_from_thresholds({(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0})
+    table = threshold_table({(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0})
     result = sma_select(stats, table)
     assert result.m_hat == 2
     assert result.accepted == {1: False, 2: True, 3: True}
@@ -96,36 +102,36 @@ def test_sma_interior_choice(toy_family):
 
 def test_sma_missing_pair(toy_family):
     stats = {(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0}
-    table = table_from_thresholds({(2, 1): 1.0, (3, 2): 1.0})
+    table = threshold_table({(2, 1): 1.0, (3, 2): 1.0})
     with pytest.raises(MissingPair):
         sma_select(stats, table)
 
 
 def test_sma_missing_statistic():
     # Statistics of a 3-model family that lack (3, 1) and (3, 2).
-    table = table_from_thresholds({(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0})
+    table = threshold_table({(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0})
     with pytest.raises(MissingPair):
         sma_select({(2, 1): 0.5}, table, models=[1, 2, 3])
 
 
 def test_reversed_pair_in_a_mapping_is_refused(toy_family):
     # A pair whose larger model comes second has no layout, at every
-    # mapping boundary: the selector's statistics and fixed thresholds.
+    # mapping boundary: the selector's statistics and a table's thresholds.
     valid = dict.fromkeys(toy_family.pairs(), 1.0)
     reversed_pair = {(1, 3): 1.0} | {pair: 1.0 for pair in valid if pair != (3, 1)}
     with pytest.raises(NotOrderedPair, match=r"\(1, 3\)"):
-        table_from_thresholds(reversed_pair)
+        threshold_table(reversed_pair)
     with pytest.raises(NotOrderedPair, match=r"\(1, 3\)"):
-        sma_select(reversed_pair, table_from_thresholds(valid))
+        sma_select(reversed_pair, threshold_table(valid))
     with pytest.raises(NotOrderedPair):
-        table_from_thresholds({(1, 3): 1.0})
+        threshold_table({(1, 3): 1.0})
 
 
 def test_sma_inferred_models_of_a_subset_layout():
     # Statistics laid out over models 1..4 that name only 2..4: the inferred
     # model set is the one the pairs name, not the layout's.
     stats = PairValues(pair_order((1, 2, 3, 4), [(4, 3), (3, 2), (4, 2)]), [0.5, 2.0, 0.5])
-    table = table_from_thresholds({(3, 2): 1.0, (4, 2): 1.0, (4, 3): 1.0})
+    table = threshold_table({(3, 2): 1.0, (4, 2): 1.0, (4, 3): 1.0})
     result = sma_select(stats, table)
     assert result.m_hat == 3
     assert result.accepted == {2: False, 3: True, 4: True}
@@ -136,7 +142,7 @@ def test_sma_inferred_models_of_a_subset_layout():
 
 def test_sma_empty_model_list_is_named():
     # The statistics are not empty; the model list is.
-    table = table_from_thresholds({(2, 1): 1.0})
+    table = threshold_table({(2, 1): 1.0})
     with pytest.raises(DimensionMismatch, match="the model list is empty"):
         sma_select({(2, 1): 0.5}, table, models=[])
     with pytest.raises(DimensionMismatch, match="the statistics name no model"):
@@ -144,13 +150,13 @@ def test_sma_empty_model_list_is_named():
 
 
 def test_sma_explicit_models_for_singleton():
-    result = sma_select({}, table_from_thresholds({}), models=[4])
+    result = sma_select({}, threshold_table({}), models=[4])
     assert result.m_hat == 4
 
 
 def test_sma_result_json(toy_family):
     stats = {(2, 1): 0.0, (3, 1): 0.0, (3, 2): 0.0}
-    table = table_from_thresholds({pair: 1.0 for pair in stats})
+    table = threshold_table({pair: 1.0 for pair in stats})
     d = sma_select(stats, table).to_dict()
     assert d["m_hat"] == 1
     assert d["accepted"] == {"1": True, "2": True, "3": True}
@@ -207,7 +213,7 @@ def selection_inputs(draw):
     if chosen is not None:
         shuffled = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(chosen)))))
     statistics = _as_form(draw, stats, draw(st.sampled_from(["dict", "array"])))
-    table = table_from_thresholds(_as_form(draw, critical, draw(st.sampled_from(["dict", "array"]))))
+    table = threshold_table(_as_form(draw, critical, draw(st.sampled_from(["dict", "array"]))))
     return statistics, table, chosen, shuffled
 
 
@@ -244,7 +250,7 @@ def test_flags_backed_result_matches_the_loop_selector(family, seed):
     rng = np.random.default_rng(seed)
     statistics = pairwise_statistics(family, rng.standard_normal(family.n))
     factors = rng.choice([0.5, 1.0, 2.0], len(statistics))
-    table = table_from_thresholds(PairValues(statistics.order, statistics.array * factors))
+    table = threshold_table(PairValues(statistics.order, statistics.array * factors))
     result = sma_select(statistics, table)
     expected = sma_select_loop(statistics, table, family.models)
     assert result.m_hat == min(m for m, ok in expected.accepted.items() if ok)
@@ -273,7 +279,7 @@ def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):
     copy = dict(stats)
     copy[pairs[0]] = -1.0
     assert stats[pairs[0]] == old[pairs[0]]
-    result = sma_select(stats, table_from_thresholds(dict.fromkeys(pairs, 1.0)))
+    result = sma_select(stats, threshold_table(dict.fromkeys(pairs, 1.0)))
     assert result.statistics is stats
 
 
@@ -287,14 +293,14 @@ def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
         + table.alpha_plus * math.sqrt(table.pair_dims[pair])
         for pair in draws.order.index
     }
-    fixed = table_from_thresholds(old)
+    hand_set = threshold_table(old)
     loaded = CalibrationTable.from_dict(table.to_dict())
-    for critical in (table.critical, fixed.critical, loaded.critical):
+    for critical in (table.critical, hand_set.critical, loaded.critical):
         assert critical == old and old == critical
         assert list(critical) == family.pairs()
         with pytest.raises(TypeError):
             critical[(2, 1)] = 0.0
-    assert fixed.critical.array is not table.critical.array
+    assert hand_set.critical.array is not table.critical.array
     assert loaded.to_dict() == table.to_dict()
 
 
@@ -306,8 +312,8 @@ def test_acceptance_monotone_in_thresholds(bump, seed):
     stats = {pair: float(rng.uniform(0, 3)) for pair in pairs}
     base = {pair: float(rng.uniform(0, 3)) for pair in pairs}
     raised = {pair: v + bump for pair, v in base.items()}
-    m_base = sma_select(stats, table_from_thresholds(base)).m_hat
-    m_raised = sma_select(stats, table_from_thresholds(raised)).m_hat
+    m_base = sma_select(stats, threshold_table(base)).m_hat
+    m_raised = sma_select(stats, threshold_table(raised)).m_hat
     assert m_raised <= m_base
 
 

@@ -32,7 +32,7 @@ CONFIG = {
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="sma_out/derivative_demo")
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=4, help="replicate workers")
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -47,7 +47,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="sma_out/paper_sim")
     ap.add_argument("--quick", action="store_true", help="reduced-scale run")
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=4, help="replicate workers")
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibrationTable, _check_level, calibrate
+from .calibration import CalibrationTable, _check_level, _check_workers, calibrate
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily, noise_variances
 from .moments import NoiseSpec
@@ -63,10 +63,11 @@ def bootstrap_calibrate(
     power_a: float | None = None,
     stream_tag: int = 0,
 ) -> CalibrationTable:
-    """Multiplier table: ``calibrate`` with the residuals as the noise scale."""
+    """Multiplier table: ``calibrate`` with the residuals as the noise scale.
+    ``n_workers`` is checked, otherwise unused."""
+    _check_workers(n_workers)
     return calibrate(
-        family, residuals, n_sim, seed, x_level, alpha_plus, mode, power_a,
-        n_workers=n_workers, stream_tag=stream_tag,
+        family, residuals, n_sim, seed, x_level, alpha_plus, mode, power_a, stream_tag=stream_tag
     )[1]
 
 

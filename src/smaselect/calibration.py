@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +112,6 @@ def _sample_scaled_norms(
     n_sim: int,
     seed: int,
     order: PairOrder,
-    n_workers: int,
     stream_tag: int = 0,
 ) -> JointDrawMatrix:
     """Draw matrix for noise ``scale * N(0, I_n)`` rows over the pairs of ``order``.
@@ -121,34 +119,27 @@ def _sample_scaled_norms(
     Shared core of the known-noise and residual-multiplier paths and of
     ``excess_risk_mc``: they differ only in the per-coordinate scale vector
     and the pair layout.  Row block ``b`` always reads stream
-    ``(seed, stream_tag, b)``, so the result is bit-identical for any
-    worker count.
+    ``(seed, stream_tag, b)``.
     """
-    if not all(is_integer(n) and n >= 1 for n in (n_sim, n_workers)):
-        raise DimensionMismatch(
-            f"n_sim and n_workers must be integers >= 1, got {n_sim!r}, {n_workers!r}"
-        )
+    if not (is_integer(n_sim) and n_sim >= 1):
+        raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
     scale = family.vector(scale, "noise scale")
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns, and
     # one in-place square root turns them into magnitudes.
     columns = np.empty((len(order.pairs), n_sim))
-
-    def fill(block):
-        b, start, stop = block
+    for b, start, stop in block_bounds(n_sim):
         z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
         xi = family.reduce(np.multiply(z, scale, out=z))
         family.pair_squares(xi, order, out=columns[:, start:stop])
-
-    blocks = block_bounds(n_sim)
-    if n_workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
     np.sqrt(columns, out=columns)
     return JointDrawMatrix(columns.T, order, seed)
+
+
+def _check_workers(n_workers) -> None:
+    """Refuse a worker count that is not an integer >= 1; a table takes one thread."""
+    if not (is_integer(n_workers) and n_workers >= 1):
+        raise DimensionMismatch(f"n_workers must be an integer >= 1, got {n_workers!r}")
 
 
 def sample_joint_draws(
@@ -162,10 +153,11 @@ def sample_joint_draws(
 
     Row ``r`` holds the magnitudes of every difference statistic under one
     realization of centered Gaussian noise with the known covariance;
-    deterministic given ``seed``, bit-identical for any ``n_workers``.
+    deterministic given ``seed``.  ``n_workers`` is checked, otherwise unused.
     """
     scale = np.sqrt(noise_variances(sigma))
-    return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models), n_workers)
+    _check_workers(n_workers)
+    return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models))
 
 
 def _check_level(value: float, what: str) -> float:
@@ -284,7 +276,8 @@ class CalibrationTable:
     ``alpha_plus``, or a rank outside the integers ``1..n_sim``,
     ``DimensionMismatch``.  ``level(m_ref)`` is the level a reference was
     calibrated at; a power-loss table records ``x_level`` 0.0, the level
-    of its first model, which has no predecessor.
+    of its first model, which has no predecessor.  A probabilistic table
+    refuses ``power_a`` and ``per_model_levels``, which it never reads.
     """
 
     x_level: float
@@ -302,6 +295,10 @@ class CalibrationTable:
     def __post_init__(self):
         _check_level(self.alpha_plus, "alpha_plus")
         _check_level(self.x_level, "x_level")
+        if self.mode == "probabilistic":
+            for key in ("power_a", "per_model_levels"):
+                if getattr(self, key) is not None:
+                    raise DimensionMismatch(f"a probabilistic table takes no {key}")
         for level in (self.per_model_levels or {}).values():
             _check_level(level, "every per_model_levels value")
         for name in ("critical", "pair_dims"):
@@ -530,7 +527,6 @@ def calibrate(
     alpha_plus: float,
     mode: str = "probabilistic",
     power_a: float | None = None,
-    n_workers: int = 1,
     stream_tag: int = 0,
 ) -> tuple[JointDrawMatrix, CalibrationTable]:
     """Draws under noise ``scale * N(0, I_n)`` and the table built on them,
@@ -556,7 +552,7 @@ def calibrate(
             raise DimensionMismatch("power-loss mode needs the exponent a")
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
     order = pair_order(family.models)
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, n_workers, stream_tag)
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, stream_tag)
     return draws, calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
 
 
@@ -624,7 +620,7 @@ def excess_risk_mc(
     scale = np.sqrt(variances)
     pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
     order = pair_order(family.models, pairs + [(m, 0)])
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, 1)
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, order)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
     p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]

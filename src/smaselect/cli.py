@@ -106,7 +106,7 @@ def _calibrated(args, cfg: ExperimentConfig):
         y = study.data(0)
     if args.noise == "known":
         return (study.family, y, *study.known())
-    return (study.family, y, *study.multiplier(y, cfg.m_dagger, cfg.n_workers))
+    return (study.family, y, *study.multiplier(y, cfg.m_dagger))
 
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-bootstrap", type=int, dest="seed_bootstrap")
         p.add_argument("--mode", choices=("prob", "power"))
         p.add_argument("--a", type=float, help="power-loss exponent")
-        p.add_argument("--workers", type=int, help="worker threads")
+        p.add_argument("--workers", type=int, help="replicate workers (simulate)")
 
     p = sub.add_parser("calibrate", help="build a calibration table")
     common(p)

@@ -272,19 +272,19 @@ class Study:
     def known(self) -> tuple[JointDrawMatrix, CalibrationTable]:
         """Draws and table on the noise standard deviations, calibration seed."""
         sd = np.sqrt(self.scenario.sigma.variances)
-        return self._calibrate(sd, self.config.seeds.calibration, self.config.n_workers, 0)
+        return self._calibrate(sd, self.config.seeds.calibration, 0)
 
-    def multiplier(self, y, m_dagger: int, n_workers: int, stream_tag: int = 0) -> tuple:
+    def multiplier(self, y, m_dagger: int, stream_tag: int = 0) -> tuple:
         """Draws and table on the residuals of ``y`` off the ``m_dagger``
         pilot, bootstrap seed."""
         scale = presmooth(self.family, y, m_dagger)
-        return self._calibrate(scale, self.config.seeds.bootstrap, n_workers, stream_tag)
+        return self._calibrate(scale, self.config.seeds.bootstrap, stream_tag)
 
-    def _calibrate(self, scale, seed: int, n_workers: int, stream_tag: int):
+    def _calibrate(self, scale, seed: int, stream_tag: int):
         c = self.config
         return calibrate(
             self.family, scale, c.n_sim, seed, c.x_level, c.alpha_plus, c.mode, c.power_a,
-            n_workers=n_workers, stream_tag=stream_tag,
+            stream_tag=stream_tag,
         )
 
 
@@ -328,7 +328,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         y = study.data(rep)
         stats = test_statistics(family, y)
         m_known = sma_select(stats, table_known, models=family.models).m_hat
-        _, table_boot = study.multiplier(y, config.m_dagger, 1, stream_tag=rep)
+        _, table_boot = study.multiplier(y, config.m_dagger, stream_tag=rep)
         m_boot = sma_select(stats, table_boot, models=family.models).m_hat
 
         fits = dict(zip(family.models, family.outputs(family.reduce(y))))
@@ -371,7 +371,7 @@ def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, Rati
     y = study.data(0)
     tables = {}
     for md in dict.fromkeys(int(m) for m in m_daggers):
-        _, table_boot = study.multiplier(y, md, study.config.n_workers)
+        _, table_boot = study.multiplier(y, md)
         ratios = {}
         for pair in pairs:
             z_known = table_known.threshold(*pair)
@@ -404,7 +404,7 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     for md in m_dagger_list:
         md = int(md)
         try:
-            _, table = study.multiplier(y, md, study.config.n_workers)
+            _, table = study.multiplier(y, md)
             out[md] = {"m_hat": sma_select(stats, table, models=study.family.models).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}

@@ -257,7 +257,7 @@ def test_criterion_08_bootstrap_familywise_coverage():
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
-        draws = _sample_scaled_norms(family, resid, 1000, 8181, order, 1, stream_tag=rep)
+        draws = _sample_scaled_norms(family, resid, 1000, 8181, order, stream_tag=rep)
         k = correction_rank(draws, 1, x)
         ok = True
         for pair in pairs:

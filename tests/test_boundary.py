@@ -181,8 +181,9 @@ def _calibrate(sc, fam, seed=1, n_sim=10, **kwargs):
 # variance, so no power-loss level exists for it.  Each level raises the
 # error ``calibrate`` raises for it.  A seed masked to 64 bits would alias
 # another stream: 2**64 drew seed 0's matrix, -1 that of 2**64 - 1 and 1.5
-# that of 1.  A draw count or worker count must be an integer >= 1: 2.5 and
-# True raised a bare TypeError, and 0 or -3 workers ran on one thread.
+# that of 1.  A draw count must be an integer >= 1: 2.5 and True raised a
+# bare TypeError.  A table is built on one thread, but the two wrappers that
+# still take a worker count refuse one that is not an integer >= 1.
 BAD_SCALARS = {
     "calibrate-power-model-1": (
         lambda sc, fam: _calibrate(sc, fam, mode="power_loss", power_a=1.0),
@@ -209,15 +210,22 @@ BAD_SCALARS = {
             ("n_sim-float", {"n_sim": 2.5}),
             ("n_sim-bool", {"n_sim": True}),
             ("n_sim-zero", {"n_sim": 0}),
-            ("n_workers-zero", {"n_workers": 0}),
-            ("n_workers-negative", {"n_workers": -3}),
-            ("n_workers-float", {"n_workers": 2.5}),
-            ("n_workers-string", {"n_workers": "2"}),
         ]
+    },
+    **{
+        f"bootstrap_calibrate-n_workers-{name}": (
+            lambda sc, fam, n=n: bootstrap_calibrate(
+                fam, np.sqrt(sc.sigma.variances), 2.0, 1.0, 10, 1, n_workers=n
+            ),
+            DimensionMismatch,
+            "n_workers",
+        )
+        for name, n in [("zero", 0), ("negative", -3), ("float", 2.5), ("string", "2")]
     },
     "sample_joint_draws-n_workers-bool": (
         lambda sc, fam: sample_joint_draws(fam, sc.sigma, 10, 1, n_workers=True),
         DimensionMismatch,
+        "n_workers",
     ),
     # A table checks its own levels, so these two raise where ``_table``
     # builds the table, before ``payment_theory_cap`` reads it.

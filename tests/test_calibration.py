@@ -125,12 +125,6 @@ def test_joint_draw_mean_square(toy_family, toy_noise):
     assert abs(mean_sq - 2.0) <= 3 * se
 
 
-def test_draws_deterministic_across_workers(toy_family, toy_noise):
-    a = sample_joint_draws(toy_family, toy_noise, 2000, seed=3, n_workers=1)
-    b = sample_joint_draws(toy_family, toy_noise, 2000, seed=3, n_workers=4)
-    np.testing.assert_array_equal(a.draws, b.draws)
-
-
 def test_tail_quantile_chi2_pair(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 50_000, seed=23)
     for t in (1.0, 2.0, 3.0):
@@ -868,14 +862,19 @@ def test_table_load_takes_null_metadata(toy_family, toy_noise):
     assert CalibrationTable.from_dict(d | {"seed": None, "power_a": None}).seed is None
 
 
+def _power_table(family, noise, n_sim, seed) -> CalibrationTable:
+    """A power-loss table (a = 1) under ``noise``: one that carries levels."""
+    scale = np.sqrt(noise.variances)
+    return calibrate(family, scale, n_sim, seed, 2.0, 1.0, "power_loss", 1.0)[1]
+
+
 @pytest.mark.parametrize("key", ["critical", "pair_dims", "per_model_levels"])
 def test_table_load_refuses_values_that_are_not_numbers(toy_family, toy_noise, key):
     # Every threshold, dimension and level must be a real number: the string
     # "2" loaded as 2.0 and true as 1.0.  NaN and infinities are numbers,
     # refused by the constructor (test_table_load_rejects_non_finite).
-    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
-    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
-    d["per_model_levels"] = {"1": 2.0, "2": 1.0}
+    d = _power_table(toy_family, toy_noise, 500, 131).to_dict()
+    assert set(d["per_model_levels"]) == {"1", "2"}
     CalibrationTable.from_dict(d)
     for bad in ("2", True, False, None):
         with pytest.raises(ConfigInvalid, match=key):
@@ -945,15 +944,16 @@ def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noi
         with pytest.raises(error, match="alpha_plus"):
             CalibrationTable.from_dict(zero | {"alpha_plus": bad})
     # Every table is calibrated at a level, so a level must be finite and >= 0.
+    power = _power_table(toy_family, toy_noise, 2000, 131).to_dict()
     bad_levels = [
-        ({"x_level": math.nan}, NonFiniteInput),
-        ({"x_level": math.inf}, NonFiniteInput),
-        ({"x_level": -3.0}, DimensionMismatch),
-        ({"per_model_levels": {"1": 2.0, "2": math.nan}}, NonFiniteInput),
+        (zero, {"x_level": math.nan}, NonFiniteInput),
+        (zero, {"x_level": math.inf}, NonFiniteInput),
+        (zero, {"x_level": -3.0}, DimensionMismatch),
+        (power, {"per_model_levels": {"1": 2.0, "2": math.nan}}, NonFiniteInput),
     ]
-    for bad, error in bad_levels:
+    for base, bad, error in bad_levels:
         with pytest.raises(error, match=next(iter(bad))):
-            CalibrationTable.from_dict(zero | bad)
+            CalibrationTable.from_dict(base | bad)
     # A malformed table names its bad or missing key; one written with level
     # shifts (``corrections``) in place of ranks names ``ranks``, and so do
     # ranks that lack a reference (whose clipped pairs went unlisted) or name
@@ -971,6 +971,20 @@ def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noi
     for d, key in malformed:
         with pytest.raises(ConfigInvalid, match=key):
             CalibrationTable.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["power_a", "per_model_levels"])
+def test_probabilistic_table_refuses_power_loss_keys(toy_family, toy_noise, tmp_path, key):
+    # ``level`` never reads these in probabilistic mode, so a table that
+    # carries them is refused rather than written back unread.
+    power = _power_table(toy_family, toy_noise, 500, 131).to_dict()
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=131)
+    d = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0).to_dict()
+    assert key not in d
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(d | {key: power[key]}))
+    with pytest.raises(DimensionMismatch, match=key):
+        load_table(path)
 
 
 def test_reversed_pair_in_table_input_is_refused(toy_family, toy_noise):

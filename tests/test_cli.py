@@ -159,6 +159,28 @@ def test_sweep_and_ratios(config_file, tmp_path):
     assert summary["summary"]["min"] <= summary["summary"]["max"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--noise", "bootstrap", "--self-test"],
+     ["sweep", "--m-dagger-list", "2,4"], ["ratios", "--m-dagger-list", "2,4"]],
+    ids=["calibrate-bootstrap", "sweep", "ratios"],
+)
+def test_worker_count_leaves_table_commands_unchanged(config_file, tmp_path, argv):
+    # Only simulate's replicates take workers; a table over three row blocks
+    # is the same at any count, and meta.json merely records the count.
+    cfg = json.loads(config_file.read_text()) | {"n_sim": 1100}
+    config_file.write_text(json.dumps(cfg))
+    outputs = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"w{workers}"
+        assert cli.main([*argv, "--config", str(config_file), "--out", str(out),
+                         "--workers", workers]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["n_workers"] == int(workers)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "meta.json"})
+    assert outputs[0] == outputs[1] and len(outputs[0]) >= 1
+
+
 @pytest.mark.parametrize("noise", ["known", "bootstrap"])
 def test_select_matches_rep_zero_of_simulate(config_file, tmp_path, noise):
     # One shared set-up: select's default data vector is simulate's first replicate.

@@ -11,11 +11,10 @@ block.  ``reference.pair_squares`` is the kernel these replaced: a
 ``M x M x B`` running buffer gathered into a fresh array.  All three add
 every window's steps left to right from its first step, so the results
 must be equal bit for bit, on increments and general ``D_m`` families, for
-any pair list, any row count, one data vector and any worker count.
+any pair list, any row count and one data vector.
 """
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -318,39 +317,24 @@ def _reference_draws(family, scale, n_sim, seed, pairs, stream_tag=0):
 
 
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_draws_equal_running_buffer_kernel(name, n_workers):
+def test_draws_equal_running_buffer_kernel(name):
     family = FAMILIES[name]()
     _, scenario = _paper_like()
     scale = np.sqrt(scenario.sigma.variances)
     pairs = family.pairs()
     # Three blocks, the last a short one.
     n_sim = 1100
-    draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9, n_workers=n_workers)
+    draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9)
     assert np.array_equal(draws.draws, _reference_draws(family, scale, n_sim, 9, pairs))
 
     rng = np.random.default_rng(5)
     subset = _pair_lists(family, rng)["mixed_shuffled"]
     order = pair_order(family.models, subset)
-    multiplier = _sample_scaled_norms(family, scale, 700, 11, order, n_workers, stream_tag=3)
+    multiplier = _sample_scaled_norms(family, scale, 700, 11, order, stream_tag=3)
     assert list(multiplier.order.index) == subset
     assert np.array_equal(
         multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
     )
-
-
-def test_draws_at_more_workers_than_cores_under_fast_switching():
-    # Worker threads write disjoint column blocks of one buffer; switching
-    # threads every microsecond must not move a single bit.
-    family, scenario = _paper_like()
-    expected = sample_joint_draws(family, scenario.sigma, 2100, seed=13).draws
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = sample_joint_draws(family, scenario.sigma, 2100, seed=13, n_workers=4).draws
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("name", ["increments", "general"])
@@ -362,7 +346,7 @@ def test_sampler_grouping_equals_grouping_from_columns(name):
     rng = np.random.default_rng(6)
     scale = np.full(family.n, 0.7)
     for pairs in _pair_lists(family, rng).values():
-        draws = _sample_scaled_norms(family, scale, 40, 2, pair_order(family.models, pairs), 1)
+        draws = _sample_scaled_norms(family, scale, 40, 2, pair_order(family.models, pairs))
         assert draws.order.pairs == tuple(pairs)
         if pairs == family.pairs():
             assert draws.order is pair_order(family.models)

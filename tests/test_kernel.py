@@ -317,14 +317,17 @@ def _reference_draws(family, scale, n_sim, seed, pairs, stream_tag=0):
 
 
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
-def test_draws_equal_running_buffer_kernel(name):
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_draws_equal_running_buffer_kernel(name, n_workers):
+    # The wrapper checks n_workers and samples on one thread: its draws
+    # are the same bits whatever worker count it is handed.
     family = FAMILIES[name]()
     _, scenario = _paper_like()
     scale = np.sqrt(scenario.sigma.variances)
     pairs = family.pairs()
     # Three blocks, the last a short one.
     n_sim = 1100
-    draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9)
+    draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9, n_workers=n_workers)
     assert np.array_equal(draws.draws, _reference_draws(family, scale, n_sim, 9, pairs))
 
     rng = np.random.default_rng(5)

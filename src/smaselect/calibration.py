@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -173,14 +174,15 @@ def _check_level(value: float, what: str) -> float:
 def _tail_rank(t: float, n: int) -> int:
     """Rank (1-based) of the empirical tail value at level ``e^-t``.
 
-    The rank is the upper order statistic ceil((1 - e^-t) n): the smallest
-    sample value whose strict empirical exceedance is at most ``e^-t``, so
-    rank ``k`` answers every level in ``(-log(1 - (k-1)/n), -log(1 - k/n)]``.
+    The smallest rank ``k`` whose exceedance bound ``(n - k) / n``, computed
+    as the self-test computes it, is at most ``e^-t``: the upper order
+    statistic ceil((1 - e^-t) n), which the float product can round past.
+    Rank ``k`` answers every level in ``(-log(1 - (k-1)/n), -log(1 - k/n)]``.
     Degenerate ranks (t = 0, full mass) and tails deeper than the sample
     both clip to the maximum draw, rank n.
     """
-    k = math.ceil((1.0 - math.exp(-_check_level(t, "tail level"))) * n)
-    return n if k < 1 else min(k, n)
+    level = math.exp(-_check_level(t, "tail level"))
+    return bisect_left(range(n + 1), True, key=lambda k: (n - k) / n <= level) or n
 
 
 def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
@@ -269,8 +271,7 @@ class CalibrationTable:
     ``dict(table.critical)`` is a mutable copy.  ``ranks[m_ref]`` is the
     order statistic (1-based) of the ``n_sim`` draws that every threshold
     against ``m_ref`` took.  A NaN threshold would reject every comparison
-    it enters, and a negative dimension or a NaN allowance would make the
-    self-test's tails NaN, hiding every exceedance.  So non-finite
+    it enters, and a negative dimension has no allowance.  So non-finite
     thresholds, dimensions, levels or ``alpha_plus`` raise
     ``NonFiniteInput`` on construction, and negative dimensions, levels or
     ``alpha_plus``, or a rank outside the integers ``1..n_sim``,
@@ -429,10 +430,7 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
         raise DimensionMismatch("single-model dimensions must be nondecreasing")
     p0 = dims[models[0]]
     alpha = {m: math.sqrt(3.0) * (dims[m] / p0) ** (-1.0 - a) for m in models}
-    x = {
-        ref: 2.0 * (1.0 + a) * math.log(dims[m] / p0)
-        for ref, m in zip(models, models[1:])
-    }
+    x = {ref: 2.0 * (1.0 + a) * math.log(dims[m] / p0) for ref, m in zip(models, models[1:])}
     return PowerLossParams(a=a, alpha=alpha, x=x)
 
 
@@ -487,16 +485,10 @@ def calibration_table(
         n_sim=n,
         seed=draws.seed,
     )
-    clipped = table.tail_clipped
-    if clipped:
-        warnings.warn(
-            TailTooDeepWarning(
-                f"{len(clipped)} pair(s) clipped to the maximum draw: "
-                + ", ".join(f"({m},{mr})" for m, mr in clipped[:5])
-                + ("..." if len(clipped) > 5 else "")
-            ),
-            stacklevel=3,
-        )
+    if clipped := table.tail_clipped:
+        shown = ", ".join(f"({m},{mr})" for m, mr in clipped[:5]) + ("..." if clipped[5:] else "")
+        message = f"{len(clipped)} pair(s) clipped to the maximum draw: {shown}"
+        warnings.warn(TailTooDeepWarning(message), stacklevel=3)
     return table
 
 
@@ -556,37 +548,42 @@ def calibrate(
     return draws, calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
 
 
-# Rounding allowance of ``propagation_failures``, in ulps of the critical
-# value: adding and then subtracting the bias allowance can round a tail
-# value below the order statistic it came from, which would count that draw
-# as strictly exceeding.
-TAIL_ULPS = 4
-
-
 def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:
-    """In-sample exceedance of a table's own thresholds on its draws.
+    """Exact in-sample check of a table on its draws, one line per failure.
 
-    Each pair's tail value is its critical value minus the bias allowance
-    (plus ``TAIL_ULPS`` ulps).  Probabilistic mode: family-wise exceedance
-    per reference at most exp(-x).  Power-loss mode: per-pair exceedance at
-    most exp(-level) of the pair's reference.  Returns one line per failure;
-    a pair of the draws that the table lacks raises ``MissingPair``.
+    Each threshold must equal its pair's draw at the reference's rank (as
+    ``calibration_table`` selects it) plus ``alpha_plus * sqrt(dim)`` bit for
+    bit, and the draws strictly above that rank must meet the level with no
+    slack: family-wise per reference in probabilistic mode, per pair in
+    power-loss mode.  A pair the table lacks or a reference without a rank
+    raises ``MissingPair``; draws of another ``n_sim``, ``DimensionMismatch``.
     """
+    n = draws.n_sim
+    if n != table.n_sim:
+        raise DimensionMismatch(f"draws have {n} rows, the table was calibrated on {table.n_sim}")
     critical = table.critical.at(draws.order, "critical value")
-    dims = table.pair_dims.at(draws.order, "dimension")
-    tails = critical - table.alpha_plus * np.sqrt(dims) + TAIL_ULPS * np.spacing(critical)
-    exceeds = draws.draws > tails
-    failures = []
+    allowance = table.alpha_plus * np.sqrt(table.pair_dims.at(draws.order, "dimension"))
+    columns, failures = np.arange(len(critical)), []
     for m_ref, _, _, cols in draws.order.groups:
-        target = math.exp(-table.level(m_ref))
+        if m_ref not in table.ranks:
+            raise MissingPair(f"no rank for reference {m_ref}")
+        k, target = table.ranks[m_ref], math.exp(-table.level(m_ref))
+        block = draws.draws.T[cols]
+        z = _order_statistic(block, k)
+        pairs = [draws.order.pairs[i] for i in columns[cols].tolist()]
+        expected = (z + allowance[cols]).tolist()
+        for pair, threshold, rebuilt in zip(pairs, critical[cols].tolist(), expected):
+            if threshold != rebuilt:
+                failures.append(f"pair {pair}: threshold {threshold!r} is not {rebuilt!r}, "
+                                f"reference {m_ref}'s rank-{k} draw plus the allowance")
+        above = block > z[:, None]
         if table.mode == "probabilistic":
-            fwe = float(np.mean(np.any(exceeds[:, cols], axis=1)))
-            if fwe > target + 1e-12:
-                failures.append(f"reference {m_ref}: exceedance {fwe:.4f} > {target:.4f}")
+            counts = {f"reference {m_ref}": np.count_nonzero(above.any(axis=0))}
         else:
-            for pair, exc in zip(draws.comparisons(m_ref), exceeds[:, cols].mean(axis=0).tolist()):
-                if exc > target + 1e-12:
-                    failures.append(f"pair {pair}: exceedance {exc:.4f} > {target:.4f}")
+            per_pair = np.count_nonzero(above, axis=1).tolist()
+            counts = {f"pair {pair}": c for pair, c in zip(pairs, per_pair)}
+        failures += [f"{what}: exceedance {c / n:.4f} > {target:.4f}"
+                     for what, c in counts.items() if c / n > target]
     return failures
 
 

@@ -41,7 +41,7 @@ from .experiment import (
     run_comparison,
     sweep_csv,
 )
-from .rng import stream
+from .rng import is_real, stream
 from .selector import sma_select, test_statistics
 
 EXIT_OK = 0
@@ -97,11 +97,13 @@ def _calibrated(args, cfg: ExperimentConfig):
     study = Study.of(cfg)
     if getattr(args, "data", None):
         try:
-            y = np.asarray(json.loads(Path(args.data).read_text()), dtype=float)
-        except (OSError, ValueError, TypeError) as exc:
+            entries = json.loads(Path(args.data).read_text())
+            y = np.asarray(entries, dtype=float)
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigInvalid(f"cannot read data vector: {exc}") from None
-        if y.shape != (cfg.n,):
-            raise ConfigInvalid(f"data vector must have length n={cfg.n}")
+        # Numeric text and booleans convert to floats, so each entry is checked.
+        if y.shape != (cfg.n,) or not all(map(is_real, entries)):
+            raise ConfigInvalid(f"data vector must be a list of n={cfg.n} numbers")
     else:
         y = study.data(0)
     if args.noise == "known":

@@ -155,6 +155,25 @@ def test_tail_quantile_rank_zero_boundary(toy_family, toy_noise):
     assert val == draws.column(3, 1).max()
 
 
+def test_tail_rank_is_the_smallest_meeting_its_level(toy_family, toy_noise):
+    # Levels log(n / j) put (1 - e^-t) n on an integer, where the float
+    # product can round onto the neighbouring rank either way.  The rank is
+    # the smallest whose exceedance bound (n - k) / n, computed as the
+    # self-test computes it, is at most e^-t.
+    for n in (300, 500, 2000):
+        for j in range(1, n):
+            for t in (math.log(n / j), -math.log(j / n)):
+                k, level = _tail_rank(t, n), math.exp(-t)
+                assert (n - k) / n <= level < (n - k + 1) / n, (n, j, t)
+    # Power-loss levels 3 log(5/2) and 3 log(6/5) at a = 0.5 put reference 1's
+    # level at 32/500 of the sample; its table passes its own exact self-test.
+    draws = sample_joint_draws(toy_family, toy_noise, 500, seed=1)
+    params = power_loss_params([1, 2, 3], {1: 2.0, 2: 5.0, 3: 6.0}, a=0.5)
+    assert math.exp(-params.x[1]) * 500 == pytest.approx(32.0)
+    table = power_loss_critical_values(draws, toy_moments(toy_family, toy_noise), params, 1.0)
+    assert propagation_failures(draws, table) == []
+
+
 def test_tail_quantile_monotone_in_t(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 5000, seed=41)
     for pair in toy_family.pairs():
@@ -614,6 +633,13 @@ def test_missing_pair_is_named(toy_extended_family):
     assert propagation_failures(draws.restricted(dims), table) == []
     with pytest.raises(MissingPair, match=r"no critical value for pair \(4, 1\)"):
         propagation_failures(draws, table)
+    # The self-test also names a reference without a rank, and refuses
+    # draws of another n_sim than the table was calibrated on.
+    with pytest.raises(MissingPair, match="no rank for reference 1"):
+        propagation_failures(draws.restricted(dims), dataclasses.replace(table, ranks={}))
+    fewer = JointDrawMatrix(draws.restricted(dims).draws[:100], table.critical.order, 3)
+    with pytest.raises(DimensionMismatch, match="100 rows"):
+        propagation_failures(fewer, table)
     full = dataclasses.replace(table, critical=dict.fromkeys(draws.order.index, 5.0))
     with pytest.raises(MissingPair, match=r"no dimension for pair \(4, 1\)"):
         propagation_failures(draws, full)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -101,9 +102,19 @@ def test_select_with_data_file(config_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", ['["a", 1]', "[1, 2", None], ids=["non-numeric", "non-json", "missing"]
+    "content",
+    [
+        '["a", 1]',
+        "[1, 2",
+        None,
+        json.dumps([str(v) for v in np.linspace(-1, 1, 40).tolist()]),
+        json.dumps((np.linspace(-1, 1, 40) > 0).tolist()),
+        "[" + "1, " * 39 + "1" + "0" * 400 + "]",
+    ],
+    ids=["non-numeric", "non-json", "missing", "numeric-text", "boolean", "integer-overflow"],
 )
 def test_unreadable_data_file_is_a_config_error(config_file, tmp_path, content):
+    # Numeric text and booleans would convert to floats; each entry must be a number.
     data = tmp_path / "y.json"
     if content is not None:
         data.write_text(content)
@@ -332,8 +343,17 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
         mode="probabilistic",
         n_sim=draws.n_sim,
     )
-    failures = propagation_failures(draws, bad)
-    assert failures and "reference 1" in failures[0]
+    # Reference 1's corrected rank lies above the rank of x; one rank below
+    # it, with the thresholds rebuilt to match, already overshoots.
+    k_1 = critical_values(draws, all_pair_moments(toy_family, toy_noise), 2.0).ranks[1]
+    assert k_1 - 1 > k
+    below = {pair: float(np.sort(draws.column(*pair))[k_1 - 2]) for pair in [(2, 1), (3, 1)]}
+    one_below = dataclasses.replace(
+        bad, ranks={1: k_1 - 1, 2: k}, critical={**bad.critical, **below}
+    )
+    for table in (bad, one_below):
+        failures = propagation_failures(draws, table)
+        assert failures == [failures[0]] and failures[0].startswith("reference 1: exceedance")
 
 
 def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp_path):
@@ -348,13 +368,24 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         save_table(table, tmp_path / "calibration.json")
         saved = load_table(tmp_path / "calibration.json")
         assert propagation_failures(draws, saved) == []
-        # Lower one saved threshold below its order statistic: the self-test
-        # must read the saved value, not rebuild it from the draws.
+        # Move one saved threshold off its order statistic, to the median or
+        # by one ulp either way: the self-test must read the saved value, not
+        # rebuild it from the draws, and compare it bit for bit.
         allowance = saved.alpha_plus * saved.pair_dims[(2, 1)] ** 0.5
-        lowered = float(np.median(draws.column(2, 1))) + allowance
-        saved = dataclasses.replace(saved, critical={**saved.critical, (2, 1): lowered})
-        failures = propagation_failures(draws, saved)
-        assert failures and flagged in failures[0]
+        threshold = saved.critical[(2, 1)]
+        moved = [
+            float(np.median(draws.column(2, 1))) + allowance,
+            math.nextafter(threshold, math.inf),
+            math.nextafter(threshold, -math.inf),
+        ]
+        mutants = [dataclasses.replace(saved, critical={**saved.critical, (2, 1): value})
+                   for value in moved]
+        # A rank moved while its thresholds stay disagrees with them.
+        mutants.append(dataclasses.replace(saved, ranks={**saved.ranks, 1: saved.ranks[1] + 1}))
+        for mutant in mutants:
+            failures = propagation_failures(draws, mutant)
+            assert failures and flagged in failures[0] and "pair (2, 1)" in failures[0]
+            assert all("is not" in f and "reference 1's" in f for f in failures)
 
 
 def test_seed_override_changes_output(config_file, tmp_path):

@@ -19,6 +19,7 @@ from .calibration import CalibrationTable, _check_level, _check_workers, calibra
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily, noise_variances
 from .moments import NoiseSpec
+from .rng import is_integer
 
 # Residuals below this fraction of the data scale are treated as vanishing.
 RESIDUAL_FLOOR = 1e-12
@@ -26,8 +27,8 @@ RESIDUAL_FLOOR = 1e-12
 
 def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the leading pilot block."""
-    if not 1 <= m_dagger <= family.p:
-        raise DimensionMismatch(f"pilot dimension {m_dagger} outside 1..{family.p}")
+    if not (is_integer(m_dagger) and 1 <= m_dagger <= family.p):
+        raise DimensionMismatch(f"pilot dimension {m_dagger!r} is not an integer in 1..{family.p}")
     block = family.design.leading_block(m_dagger)
     _, svals, vt = np.linalg.svd(block, full_matrices=False)
     if svals.size == 0 or svals[0] <= 0.0:
@@ -100,6 +101,16 @@ class ValidityDiagnostics:
         return asdict(self)
 
 
+def _finite(name: str, term) -> float:
+    """``term()``, one error term, checked as a level: a term that overflows
+    or is not finite raises ``NonFiniteInput`` naming it."""
+    try:
+        value = term()
+    except OverflowError:
+        value = math.inf
+    return _check_level(value, f"validity term {name}")
+
+
 def validity_diagnostics(
     family: ModelFamily,
     sigma: NoiseSpec,
@@ -116,6 +127,7 @@ def validity_diagnostics(
     minus ``I`` is ``U K U^T``, ``U = [Sigma^-1 B, Sigma B]`` and
     ``K = [[B^T Sigma^2 B, -I], [-I, 0]]``: its spectrum is that of
     ``R K R^T`` (``U = Q R``) plus zeros, so no ``n x n`` matrix is formed.
+    A term that overflows the floats raises ``NonFiniteInput`` naming it.
     """
     if f_true is None:
         raise RequiresKnownTruth("diagnostics need the true response")
@@ -155,27 +167,27 @@ def validity_diagnostics(
     x_p = x_level + math.log(2 * p_dim)
     x_m = x_level + 2.0 * math.log(len(family.models))
 
-    delta2 = (
+    delta2 = _finite("delta2", lambda: (
         2.0 * math.sqrt(delta_psi**2 * p_dim * x_n)
         + math.sqrt(delta_eps**2 * p_dim)
         + math.sqrt(bias_sup**4 * p_dim)
         + 4.0 * delta_psi**2 * bias_l2 * (1.0 + math.sqrt(x_level))
-    )
-    delta0 = (
+    ))
+    delta0 = _finite("delta0", lambda: (
         bias_sup**2
         + delta_psi**2 * bias_l2 * math.sqrt(2.0 * x_level)
         + 2.0 * d_psi * x_n
         + d_psi**2 * x_n
         + 2.0 * delta_psi * math.sqrt(x_p)
         + 2.0 * delta_psi**2 * x_p
-    )
-    delta_p = (
+    ))
+    delta_p = _finite("delta_p", lambda: (
         bias_sup**2
         + 4.0 * math.sqrt(x_m) * delta_psi**2 * bias_l2
         + 4.0 * math.sqrt(x_m) * delta_psi
         + 4.0 * x_m * delta_psi**2
         + delta_eps
-    )
+    ))
     ratio = p_dim**2 * math.log(n) / n
 
     return ValidityDiagnostics(
@@ -187,7 +199,7 @@ def validity_diagnostics(
         bias_l2=bias_l2,
         delta2=delta2,
         delta0=delta0,
-        delta0_scaled=math.sqrt(p_dim) * delta0,
+        delta0_scaled=_finite("delta0_scaled", lambda: math.sqrt(p_dim) * delta0),
         delta_p=delta_p,
         applicability_ratio=ratio,
         asymptotic_regime_reached=bool(ratio <= 1.0),

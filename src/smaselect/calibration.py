@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     AllZeroResiduals,
     BadExponent,
-    CalibrationWarning,
     ConfigInvalid,
     DimensionMismatch,
     MissingPair,
@@ -40,9 +39,6 @@ from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
 from .rng import block_bounds, is_integer, is_number, is_real, is_seed, stream
 
 MODES = ("probabilistic", "power_loss")
-
-# Tails thinner than this many sample points trigger a thin-tail warning.
-MIN_TAIL_POINTS = 10
 
 # The bits of +inf as an unsigned 64-bit integer (see ``JointDrawMatrix``).
 _INF_BITS = np.float64(np.inf).view(np.uint64)
@@ -117,10 +113,9 @@ def _sample_scaled_norms(
 ) -> JointDrawMatrix:
     """Draw matrix for noise ``scale * N(0, I_n)`` rows over the pairs of ``order``.
 
-    Shared core of the known-noise and residual-multiplier paths and of
-    ``excess_risk_mc``: they differ only in the per-coordinate scale vector
-    and the pair layout.  Row block ``b`` always reads stream
-    ``(seed, stream_tag, b)``.
+    Shared core of the known-noise and residual-multiplier paths: they
+    differ only in the per-coordinate scale vector.  Row block ``b`` always
+    reads stream ``(seed, stream_tag, b)``.
     """
     if not (is_integer(n_sim) and n_sim >= 1):
         raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
@@ -162,8 +157,10 @@ def sample_joint_draws(
 
 
 def _check_level(value: float, what: str) -> float:
-    """``value`` itself if finite and >= 0: the one check of a level or allowance.
-    Non-finite raises ``NonFiniteInput``, negative ``DimensionMismatch``."""
+    """``value`` itself if a finite real >= 0: the one check of a level or allowance.
+    Non-finite raises ``NonFiniteInput``; anything else ``DimensionMismatch``."""
+    if not is_real(value):
+        raise DimensionMismatch(f"{what} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise NonFiniteInput(f"{what} must be finite, got {value}")
     if value < 0:
@@ -188,29 +185,6 @@ def _tail_rank(t: float, n: int) -> int:
 def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
     """Rank-``k`` (1-based) value along the last axis, by one partial selection."""
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
-
-
-def tail_quantile(draws: JointDrawMatrix, m: int, m_ref: int, t: float) -> float:
-    """Empirical tail function of one pair at exceedance level ``e^-t``."""
-    col = draws.column(m, m_ref)
-    k = _tail_rank(t, draws.n_sim)
-    if k == draws.n_sim:
-        warnings.warn(
-            TailTooDeepWarning(
-                f"pair ({m}, {m_ref}): tail level exp(-{t:g}) outside the "
-                f"{draws.n_sim}-sample; returning the maximum draw"
-            ),
-            stacklevel=2,
-        )
-    elif math.exp(-t) * draws.n_sim < MIN_TAIL_POINTS:
-        warnings.warn(
-            CalibrationWarning(
-                f"pair ({m}, {m_ref}): fewer than {MIN_TAIL_POINTS} tail points "
-                f"support the requested level"
-            ),
-            stacklevel=2,
-        )
-    return float(_order_statistic(col, k))
 
 
 def familywise_exceedance(
@@ -417,7 +391,7 @@ def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
     ``NonFiniteInput``; one that is not > 0 or not nondecreasing,
     ``DimensionMismatch``.
     """
-    if not (math.isfinite(a) and a > 0):
+    if not (is_number(a) and a > 0):
         raise BadExponent("power-loss exponent a must be a finite number > 0")
     models = [int(m) for m in models]
     dims = {m: float(p_singles[m]) for m in models}
@@ -453,6 +427,7 @@ def calibration_table(
     dimensions.  Both modes read one reference's columns at a time, so
     nothing the size of the draws is built besides the draws themselves.
     """
+    _check_level(alpha_plus, "alpha_plus")
     n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
     # One partial selection per reference at the rank of x: no corrected rank is lower.
@@ -586,47 +561,3 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
                      for what, c in counts.items() if c / n > target]
     return failures
 
-
-@dataclass(frozen=True)
-class ExcessRiskEstimate:
-    value: float
-    stderr: float
-    n_sim: int
-
-
-def excess_risk_mc(
-    family: ModelFamily,
-    sigma: NoiseSpec,
-    m: int,
-    x_candidate: float,
-    n_sim: int,
-    seed: int,
-) -> ExcessRiskEstimate:
-    """Monte-Carlo excess-risk functional for model ``m`` at a trial level.
-
-    Averages ``max(|xi_m|^2 / p_m, 1)`` over the event that any comparison
-    against the predecessor of ``m`` exceeds its tail value at
-    ``x_candidate``; the tail values come from the same simulated rows.
-    A level at or below zero means a full-mass threshold: the indicator is
-    identically one.
-    """
-    m_prev = family.predecessor(m)
-    if m_prev is None:
-        raise NotOrderedPair(f"model {m} has no predecessor in the family")
-    variances = noise_variances(sigma)
-    scale = np.sqrt(variances)
-    pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
-    order = pair_order(family.models, pairs + [(m, 0)])
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, order)
-    compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
-
-    p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]
-    if x_candidate <= 0:
-        fired = np.ones(n_sim, dtype=bool)
-    else:
-        z = _order_statistic(compared.T, _tail_rank(x_candidate, n_sim))
-        fired = np.any(compared > z[None, :], axis=1)
-    integrand = np.maximum(own_norm2 / p_m, 1.0) * fired
-    value = float(integrand.mean())
-    stderr = float(integrand.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else float("inf")
-    return ExcessRiskEstimate(value=value, stderr=stderr, n_sim=n_sim)

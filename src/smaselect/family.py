@@ -60,12 +60,10 @@ from .errors import (
     SingularGram,
     SingularGramWarning,
 )
+from .rng import is_integer
 
 # Relative spectral cutoff for pseudo-inverting a Gram matrix.
 GRAM_CUTOFF = 1e-10
-
-# PSD tolerance used by the variance-ordering diagnostic.
-PSD_TOL = 1e-8
 
 # ``G`` counts as diagonal when ``|G_ij| <= DIAGONAL_TOL sqrt(G_ii G_jj)``
 # for every ``i != j``; the increments then miss a window's squared norm by
@@ -483,7 +481,10 @@ def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamil
     norm ``sum_j g_j xi_j^2``.  The same holds for variance traces, each a
     sum of such norms over the rows of the noise root.
     """
-    models = tuple(int(m) for m in models)
+    models = tuple(models)
+    if not all(map(is_integer, models)):
+        raise DimensionMismatch(f"model sizes must be integers, got {list(models)!r}")
+    models = tuple(map(int, models))
     if not models:
         raise DimensionMismatch("model list is empty")
     if any(b <= a for a, b in zip(models, models[1:])):
@@ -551,41 +552,3 @@ def noise_variances(noise) -> np.ndarray:
         raise DimensionMismatch(f"noise must be a NoiseSpec, not {type(noise).__name__}")
     return variances
 
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Variance-ordering verdicts for adjacent model pairs."""
-
-    pair_ordered: dict[tuple[int, int], bool]
-    min_eigenvalues: dict[tuple[int, int], float]
-    ordered: bool
-
-
-def check_ordering(family: ModelFamily, sigma) -> OrderingReport:
-    """Check that pairwise estimator variances grow along the model order.
-
-    For each adjacent pair the gap ``V_next - V_m`` must be PSD up to
-    ``PSD_TOL * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
-    Each ``V_m`` is ``F_m F_m^T`` with ``F_m = D_m R_v^T`` in reduced
-    coordinates; when ``q`` exceeds their size the ``q x q`` gap also has
-    null-space zeros.  Diagnostic only; never raises on a negative verdict.
-    """
-    factors = family.reduced @ family.noise_root(noise_variances(sigma)).T
-    variances = factors @ factors.transpose(0, 2, 1)
-    padded = family.q > variances.shape[1]
-    verdicts: dict[tuple[int, int], bool] = {}
-    mins: dict[tuple[int, int], float] = {}
-    for i, (m_ref, m) in enumerate(zip(family.models, family.models[1:])):
-        v_lo, v_hi = variances[i], variances[i + 1]
-        low = float(np.linalg.eigvalsh(v_hi - v_lo)[0])
-        if padded:
-            low = min(low, 0.0)
-        scale = float(np.linalg.eigvalsh(v_hi)[-1]) if v_hi.size else 0.0
-        ok = bool(low >= -PSD_TOL * max(scale, 1e-300))
-        verdicts[(m, m_ref)] = ok
-        mins[(m, m_ref)] = low
-    return OrderingReport(
-        pair_ordered=verdicts,
-        min_eigenvalues=mins,
-        ordered=all(verdicts.values()) if verdicts else True,
-    )

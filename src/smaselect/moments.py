@@ -1,8 +1,8 @@
-"""Exact moments and risk profiles under a known diagonal noise covariance.
+"""Exact moments under a known diagonal noise covariance.
 
 Everything here is closed-form matrix arithmetic in the family's reduced
-coordinates: pairwise variance traces and operator norms, and the
-bias/variance risk decomposition used to locate the risk-optimal model.
+coordinates: pairwise variance traces and operator norms, and the best
+linear fit each replicate's loss is measured against.
 The noise enters as the family's reduced root ``R_v`` (``R_v^T R_v =
 Q^T diag(v) Q``, ``r x r``).  A variance trace is the pair kernel's
 squared magnitude ``ModelFamily.pair_squares`` summed over the rows of
@@ -161,27 +161,3 @@ def best_linear_coefficients(family: ModelFamily, f_true) -> np.ndarray:
     gram_inv, _ = _pinv_gram(psi @ psi.T, family.largest)
     return gram_inv @ (psi @ f)
 
-
-@dataclass(frozen=True)
-class RiskPoint:
-    m: int
-    bias2: float
-    variance: float
-    risk: float
-
-
-def risk_profile(family: ModelFamily, f_true, sigma: NoiseSpec) -> list[RiskPoint]:
-    """Per-model bias-squared / variance / total risk in the weighted loss.
-
-    Bias is measured against the weighted best linear fit, so misspecified
-    responses are fully supported.
-    """
-    f = family.vector(f_true, "f_true")
-    target = family.weight_matrix @ best_linear_coefficients(family, f)
-    fits = family.outputs(family.reduce(f))
-    var = single_traces(family, noise_variances(sigma))
-    out = []
-    for m, fit in zip(family.models, fits):
-        bias2 = float(np.sum((fit - target) ** 2))
-        out.append(RiskPoint(m=m, bias2=bias2, variance=var[m], risk=bias2 + var[m]))
-    return out

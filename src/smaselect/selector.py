@@ -3,9 +3,7 @@
 A reference model is accepted when every comparison against a larger model
 stays below its calibrated threshold; the selector returns the smallest
 accepted reference.  Validation-mode helpers compute the risk-optimal
-benchmark index, the adaptation payment implied by a threshold table, and
-the equivalence with penalized least-squares selection on projection
-families.
+benchmark index and the adaptation payment implied by a threshold table.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .calibration import MODES, CalibrationTable, _check_level
 from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
-from .family import ModelFamily, PairValues, _pinv_gram, noise_variances, pair_order, pair_values
+from .family import ModelFamily, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
 
 
@@ -168,32 +166,3 @@ def payment_for_adaptation(
         report, z_bar=z_bar, z_bar_theory=payment_theory_cap(family, sigma, m_star, table)
     )
 
-
-def aic_equivalence_check(family: ModelFamily, sigma_homogeneous: float, y) -> bool:
-    """Penalized projection fit agrees with thresholded pairwise selection.
-
-    Compares the minimizer of ``|y - P_m y|^2 + 2 sigma^2 m`` with the
-    smallest-accepted choice under prediction-loss statistics and
-    thresholds ``sigma sqrt(2 (m - m_ref))`` on the same projection family.
-    It reads only the family's design and models: the statistics are
-    prediction-loss norms whatever the family's own loss.
-    """
-    if not math.isfinite(sigma_homogeneous):
-        raise NonFiniteInput(f"sigma must be finite, got {sigma_homogeneous}")
-    if sigma_homogeneous <= 0:
-        raise DimensionMismatch("sigma must be > 0")
-    y = family.vector(y)
-    fits = {}
-    for m in family.models:
-        block = family.design.leading_block(m)
-        gram_inv, _ = _pinv_gram(block @ block.T, m)
-        fits[m] = block.T @ (gram_inv @ (block @ y))
-
-    s2 = sigma_homogeneous**2
-    penalized = [float(np.sum((y - fits[m]) ** 2) + 2.0 * s2 * m) for m in family.models]
-    aic_choice = family.models[int(np.argmin(penalized))]
-
-    stats = {(m, r): float(np.linalg.norm(fits[m] - fits[r])) for m, r in family.pairs()}
-    thresholds = {(m, r): sigma_homogeneous * math.sqrt(2.0 * (m - r)) for m, r in family.pairs()}
-    models, flags, _ = _accepted(stats, thresholds, None)
-    return aic_choice == models[flags.argmax()]

@@ -8,11 +8,15 @@ diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
 a direct loop over its definition, the smallest-accepted rule as a loop
 over references, tables of hand-set thresholds, the pair layout worked
 out pair by pair, and single-purpose views of that path, without the
-library carrying them.
+library carrying them.  The paper's side results that ``sma`` never runs
+live here too, as oracles: one pair's empirical tail function, the
+variance-ordering check, the bias/variance risk profile, the Monte-Carlo
+excess-risk functional and the AIC equivalence.
 """
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +29,30 @@ from smaselect import (
     calibrate,
 )
 from smaselect.bootstrap import pilot_basis
-from smaselect.calibration import calibration_table
+from smaselect.calibration import (
+    _order_statistic,
+    _sample_scaled_norms,
+    _tail_rank,
+    calibration_table,
+)
 from smaselect.errors import (
+    CalibrationWarning,
     DimensionMismatch,
     MissingPair,
     NonFiniteInput,
     RequiresKnownTruth,
     SingularGram,
+    TailTooDeepWarning,
 )
-from smaselect.family import pair_order, pair_values
-from smaselect.moments import _pair_moments, pair_traces
+from smaselect.family import _pinv_gram, noise_variances, pair_order, pair_values
+from smaselect.moments import (
+    _pair_moments,
+    _pair_traces,
+    best_linear_coefficients,
+    pair_traces,
+    single_traces,
+)
+from smaselect.selector import _accepted
 
 
 def operator(family, m: int) -> np.ndarray:
@@ -342,3 +360,166 @@ def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> Vali
         m_dagger=int(m_dagger),
         x_level=float(x_level),
     )
+
+
+# Tails thinner than this many sample points trigger a thin-tail warning.
+MIN_TAIL_POINTS = 10
+
+
+def tail_quantile(draws, m: int, m_ref: int, t: float) -> float:
+    """Empirical tail function of one pair at exceedance level ``e^-t``."""
+    col = draws.column(m, m_ref)
+    k = _tail_rank(t, draws.n_sim)
+    if k == draws.n_sim:
+        warnings.warn(
+            TailTooDeepWarning(
+                f"pair ({m}, {m_ref}): tail level exp(-{t:g}) outside the "
+                f"{draws.n_sim}-sample; returning the maximum draw"
+            ),
+            stacklevel=2,
+        )
+    elif math.exp(-t) * draws.n_sim < MIN_TAIL_POINTS:
+        warnings.warn(
+            CalibrationWarning(
+                f"pair ({m}, {m_ref}): fewer than {MIN_TAIL_POINTS} tail points "
+                f"support the requested level"
+            ),
+            stacklevel=2,
+        )
+    return float(_order_statistic(col, k))
+
+
+# PSD tolerance used by the variance-ordering check.
+PSD_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class OrderingReport:
+    """Variance-ordering verdicts for adjacent model pairs."""
+
+    pair_ordered: dict[tuple[int, int], bool]
+    min_eigenvalues: dict[tuple[int, int], float]
+    ordered: bool
+
+
+def check_ordering(family, sigma) -> OrderingReport:
+    """Check that pairwise estimator variances grow along the model order.
+
+    For each adjacent pair the gap ``V_next - V_m`` must be PSD up to
+    ``PSD_TOL * ||V_next||_op``.  Transitivity extends the verdict to all pairs.
+    Each ``V_m`` is ``F_m F_m^T`` with ``F_m = D_m R_v^T`` in reduced
+    coordinates; when ``q`` exceeds their size the ``q x q`` gap also has
+    null-space zeros.  Diagnostic only; never raises on a negative verdict.
+    """
+    factors = family.reduced @ family.noise_root(noise_variances(sigma)).T
+    variances = factors @ factors.transpose(0, 2, 1)
+    padded = family.q > variances.shape[1]
+    verdicts: dict[tuple[int, int], bool] = {}
+    mins: dict[tuple[int, int], float] = {}
+    for i, (m_ref, m) in enumerate(zip(family.models, family.models[1:])):
+        v_lo, v_hi = variances[i], variances[i + 1]
+        low = float(np.linalg.eigvalsh(v_hi - v_lo)[0])
+        if padded:
+            low = min(low, 0.0)
+        scale = float(np.linalg.eigvalsh(v_hi)[-1]) if v_hi.size else 0.0
+        ok = bool(low >= -PSD_TOL * max(scale, 1e-300))
+        verdicts[(m, m_ref)] = ok
+        mins[(m, m_ref)] = low
+    return OrderingReport(
+        pair_ordered=verdicts,
+        min_eigenvalues=mins,
+        ordered=all(verdicts.values()) if verdicts else True,
+    )
+
+
+@dataclass(frozen=True)
+class RiskPoint:
+    m: int
+    bias2: float
+    variance: float
+    risk: float
+
+
+def risk_profile(family, f_true, sigma) -> list[RiskPoint]:
+    """Per-model bias-squared / variance / total risk in the weighted loss.
+
+    Bias is measured against the weighted best linear fit, so misspecified
+    responses are fully supported.
+    """
+    f = family.vector(f_true, "f_true")
+    target = family.weight_matrix @ best_linear_coefficients(family, f)
+    fits = family.outputs(family.reduce(f))
+    var = single_traces(family, noise_variances(sigma))
+    out = []
+    for m, fit in zip(family.models, fits):
+        bias2 = float(np.sum((fit - target) ** 2))
+        out.append(RiskPoint(m=m, bias2=bias2, variance=var[m], risk=bias2 + var[m]))
+    return out
+
+
+@dataclass(frozen=True)
+class ExcessRiskEstimate:
+    value: float
+    stderr: float
+    n_sim: int
+
+
+def excess_risk_mc(family, sigma, m: int, x_candidate: float, n_sim: int, seed: int):
+    """Monte-Carlo excess-risk functional for model ``m`` at a trial level.
+
+    Averages ``max(|xi_m|^2 / p_m, 1)`` over the event that any comparison
+    against the predecessor of ``m`` exceeds its tail value at
+    ``x_candidate``; the tail values come from the same simulated rows.
+    A level at or below zero means a full-mass threshold: the indicator is
+    identically one.
+    """
+    m_prev = family.predecessor(m)
+    if m_prev is None:
+        raise NotOrderedPair(f"model {m} has no predecessor in the family")
+    variances = noise_variances(sigma)
+    scale = np.sqrt(variances)
+    pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
+    order = pair_order(family.models, pairs + [(m, 0)])
+    draws = _sample_scaled_norms(family, scale, n_sim, seed, order)
+    compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
+
+    p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]
+    if x_candidate <= 0:
+        fired = np.ones(n_sim, dtype=bool)
+    else:
+        z = _order_statistic(compared.T, _tail_rank(x_candidate, n_sim))
+        fired = np.any(compared > z[None, :], axis=1)
+    integrand = np.maximum(own_norm2 / p_m, 1.0) * fired
+    value = float(integrand.mean())
+    stderr = float(integrand.std(ddof=1) / math.sqrt(n_sim)) if n_sim > 1 else float("inf")
+    return ExcessRiskEstimate(value=value, stderr=stderr, n_sim=n_sim)
+
+
+def aic_equivalence_check(family, sigma_homogeneous: float, y) -> bool:
+    """Penalized projection fit agrees with thresholded pairwise selection.
+
+    Compares the minimizer of ``|y - P_m y|^2 + 2 sigma^2 m`` with the
+    smallest-accepted choice under prediction-loss statistics and
+    thresholds ``sigma sqrt(2 (m - m_ref))`` on the same projection family.
+    It reads only the family's design and models: the statistics are
+    prediction-loss norms whatever the family's own loss.
+    """
+    if not math.isfinite(sigma_homogeneous):
+        raise NonFiniteInput(f"sigma must be finite, got {sigma_homogeneous}")
+    if sigma_homogeneous <= 0:
+        raise DimensionMismatch("sigma must be > 0")
+    y = family.vector(y)
+    fits = {}
+    for m in family.models:
+        block = family.design.leading_block(m)
+        gram_inv, _ = _pinv_gram(block @ block.T, m)
+        fits[m] = block.T @ (gram_inv @ (block @ y))
+
+    s2 = sigma_homogeneous**2
+    penalized = [float(np.sum((y - fits[m]) ** 2) + 2.0 * s2 * m) for m in family.models]
+    aic_choice = family.models[int(np.argmin(penalized))]
+
+    stats = {(m, r): float(np.linalg.norm(fits[m] - fits[r])) for m, r in family.pairs()}
+    thresholds = {(m, r): sigma_homogeneous * math.sqrt(2.0 * (m - r)) for m, r in family.pairs()}
+    models, flags, _ = _accepted(stats, thresholds, None)
+    return aic_choice == models[flags.argmax()]

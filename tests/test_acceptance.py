@@ -14,16 +14,13 @@ import pytest
 from smaselect import (
     DesignMatrix,
     NoiseSpec,
-    aic_equivalence_check,
     bootstrap_calibrate,
     build_projection_family,
     critical_values,
-    excess_risk_mc,
     oracle,
     payment_for_adaptation,
     presmooth,
     sample_joint_draws,
-    tail_quantile,
     validity_diagnostics,
 )
 from smaselect.calibration import _sample_scaled_norms, power_loss_params
@@ -35,11 +32,14 @@ from smaselect.rng import stream
 from conftest import orthonormal_rows_design
 from reference import prediction_weights
 from reference import (
+    aic_equivalence_check,
     joint_norms_from_noise,
     correction_rank,
+    excess_risk_mc,
     multiplier_draws,
     pair_operator,
     pair_variance,
+    tail_quantile,
 )
 
 

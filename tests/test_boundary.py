@@ -11,28 +11,27 @@ import pytest
 
 from smaselect import (
     AllZeroResiduals,
+    BadExponent,
     CalibrationTable,
     DesignMatrix,
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
-    aic_equivalence_check,
     bootstrap_calibrate,
     build_projection_family,
     calibrate,
-    check_ordering,
-    excess_risk_mc,
     oracle,
     presmooth,
-    risk_profile,
     sample_joint_draws,
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
+from smaselect.calibration import calibration_table, power_loss_params
 from smaselect.experiment import ExperimentConfig, Study, generate_scenario, scenario_family
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
 from smaselect.selector import payment_theory_cap
+from reference import aic_equivalence_check, check_ordering, excess_risk_mc, risk_profile
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
 
@@ -248,6 +247,49 @@ BAD_SCALARS = {
     "oracle-alpha-negative": (
         lambda sc, fam: oracle(fam, sc.f_true, sc.sigma, alpha_plus=-1.0),
         DimensionMismatch,
+    ),
+    # Ill-typed levels, allowances, exponents, pilots and model sizes.  A
+    # string level or allowance raised a bare TypeError (a UFuncTypeError in
+    # ``calibration_table``), a float pilot a bare TypeError; a bool pilot
+    # ran as pilot 1 and fractional model sizes were truncated.
+    "calibrate-x_level-string": (
+        lambda sc, fam: calibrate(fam, np.sqrt(sc.sigma.variances), 10, 1, "2", 1.0),
+        DimensionMismatch,
+        "real number",
+    ),
+    "calibrate-alpha_plus-none": (
+        lambda sc, fam: calibrate(fam, np.sqrt(sc.sigma.variances), 10, 1, 2.0, None),
+        DimensionMismatch,
+        "alpha_plus",
+    ),
+    "calibration_table-alpha_plus-string": (
+        lambda sc, fam: calibration_table(
+            _calibrate(sc, fam, n_sim=200)[0], dict.fromkeys(fam.pairs(), 1.0), "1", 2.0
+        ),
+        DimensionMismatch,
+        "alpha_plus",
+    ),
+    "oracle-alpha-string": (
+        lambda sc, fam: oracle(fam, sc.f_true, sc.sigma, alpha_plus="1"),
+        DimensionMismatch,
+        "alpha_plus",
+    ),
+    "power_loss_params-a-string": (
+        lambda sc, fam: power_loss_params(fam.models, dict.fromkeys(fam.models, 1.0), a="1"),
+        BadExponent,
+    ),
+    **{
+        f"presmooth-m_dagger-{name}": (
+            lambda sc, fam, m=m: presmooth(fam, sc.f_true, m),
+            DimensionMismatch,
+            "pilot dimension",
+        )
+        for name, m in [("float", 5.0), ("bool", True)]
+    },
+    "build_projection_family-models-float": (
+        lambda sc, fam: build_projection_family(fam.design, fam.weight_matrix, [1.5, 2.5]),
+        DimensionMismatch,
+        "integers",
     ),
     # The AIC check names a non-finite sigma where it enters, rather than
     # in the thresholds built from it.

@@ -23,13 +23,11 @@ from smaselect import (
     build_projection_family,
     calibrate,
     critical_values,
-    excess_risk_mc,
     familywise_exceedance,
     power_loss_critical_values,
     power_loss_params,
     propagation_failures,
     sample_joint_draws,
-    tail_quantile,
 )
 from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
@@ -46,10 +44,12 @@ from smaselect.moments import all_pair_moments, pair_traces, single_traces
 from reference import (
     corrected_ranks,
     correction_rank,
+    excess_risk_mc,
     joint_norms_from_noise,
     multiplier_draws,
     pair_norms,
     pair_variance,
+    tail_quantile,
 )
 
 

@@ -21,11 +21,11 @@ from smaselect.calibration import (
     power_loss_params,
     propagation_failures,
     sample_joint_draws,
-    tail_quantile,
 )
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.moments import all_pair_moments
 from smaselect.io import load_table, save_table
+from reference import tail_quantile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -307,6 +307,28 @@ def test_non_finite_data_exits_with_its_own_code(config_file, tmp_path):
     assert proc.returncode == cli.EXIT_NONFINITE == 5
     assert "non-finite input" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"noise_profile": {"kind": "constant", "sigma": 1e-150}},
+        {"coefficient_rule": {"kind": "explicit", "values": [1e300, 1e300]}},
+        {"x_level": 1e308},
+    ],
+    ids=["tiny-noise", "huge-coefficients", "huge-level"],
+)
+def test_diagnose_refuses_a_term_out_of_float_range(tmp_path, change):
+    # The first two overflowed in a power (a raw OverflowError); the third
+    # wrote Infinity into diagnostics.json and exited 0.
+    cfg = {"n": 40, "p_max": 12, "models": [1, 2, 3, 4, 5, 6], "m_dagger": 5, "n_sim": 200, "n_hist": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg | change))
+    proc = _run_sma("diagnose", "--validate", "--config", path, "--out", tmp_path / "o")
+    assert proc.returncode == cli.EXIT_NONFINITE == 5
+    assert "non-finite input: validity term" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o" / "diagnostics.json").exists()
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -21,8 +21,9 @@ from smaselect.experiment import (
     scenario_family,
     sweep_csv,
 )
-from smaselect.moments import all_pair_moments, risk_profile
+from smaselect.moments import all_pair_moments
 from smaselect.rng import stream
+from reference import risk_profile
 
 
 def small_config(**overrides):

@@ -13,11 +13,10 @@ from smaselect import (
     SingularGram,
     SingularGramWarning,
     build_projection_family,
-    check_ordering,
 )
 from smaselect.family import PairValues, pair_order, pair_values
 from conftest import orthonormal_rows_design
-from reference import operator, pair_operator, prediction_weights
+from reference import check_ordering, operator, pair_operator, prediction_weights
 
 
 def test_toy_operator_is_coordinate_selector(toy_family):

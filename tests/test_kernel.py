@@ -28,7 +28,6 @@ from smaselect import (
     NonFiniteInput,
     build_projection_family,
     calibrate,
-    excess_risk_mc,
     sample_joint_draws,
 )
 from smaselect import test_statistics as pairwise_statistics
@@ -40,6 +39,7 @@ from smaselect.moments import single_traces
 from smaselect.rng import BLOCK_ROWS, block_bounds, stream
 from smaselect.selector import payment_theory_cap
 import reference
+from reference import excess_risk_mc
 
 ROWS = (1, "r", 511, 512, 513, 1000)
 

@@ -10,13 +10,17 @@ from smaselect import (
     NonFiniteInput,
     NotOrderedPair,
     build_projection_family,
-    check_ordering,
-    risk_profile,
 )
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.moments import single_variance
 from conftest import orthonormal_rows_design
-from reference import pair_operator, pair_variance, risk_profile_csv_rows
+from reference import (
+    check_ordering,
+    pair_operator,
+    pair_variance,
+    risk_profile,
+    risk_profile_csv_rows,
+)
 
 
 def test_toy_pair_variance(toy_family, toy_noise):

@@ -28,9 +28,6 @@ from smaselect import (
     NoiseSpec,
     NotOrderedPair,
     build_projection_family,
-    check_ordering,
-    excess_risk_mc,
-    risk_profile,
     sample_joint_draws,
     validity_diagnostics,
 )
@@ -38,7 +35,7 @@ from smaselect import test_statistics as pairwise_statistics
 from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import _tail_rank
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
-from smaselect.family import PSD_TOL, _pinv_gram
+from smaselect.family import _pinv_gram
 from smaselect.moments import (
     _pair_moments,
     all_pair_moments,
@@ -50,11 +47,15 @@ from smaselect.moments import (
 from smaselect.rng import block_bounds, stream
 from conftest import small_families
 from reference import (
+    PSD_TOL,
+    check_ordering,
     dense_validity_diagnostics,
+    excess_risk_mc,
     multiplier_draws,
     operator,
     pair_variance,
     prediction_weights,
+    risk_profile,
 )
 
 DRAW_RTOL = 1e-8

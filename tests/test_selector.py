@@ -16,7 +16,6 @@ from smaselect import (
     NotOrderedPair,
     PairValues,
     RequiresKnownTruth,
-    aic_equivalence_check,
     build_projection_family,
     calibrate,
     critical_values,
@@ -32,6 +31,7 @@ from smaselect.moments import all_pair_moments
 from smaselect.selector import payment_theory_cap
 from conftest import small_families
 from reference import (
+    aic_equivalence_check,
     oracle_index,
     pair_norms,
     prediction_weights,

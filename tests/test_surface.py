@@ -14,11 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "smaselect" / "__init__.py"
 
 UNREAD = {
-    "tail_quantile": "test oracle: the empirical tail value every table threshold is checked against",
-    "excess_risk_mc": "paper guarantee: the Monte-Carlo excess-risk functional (acceptance criterion 10)",
-    "check_ordering": "paper guarantee: the ordering of the family's variances (README feature)",
-    "risk_profile": "paper guarantee: the bias/variance decomposition behind the oracle (README feature)",
-    "aic_equivalence_check": "paper guarantee: penalized-fit (AIC) equivalence (ROADMAP aim 3)",
     "norm_upper": "ROADMAP item 3: the bracket of the exact power-loss quantile search",
 }
 

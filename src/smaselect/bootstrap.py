@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibrationTable, _check_level, _check_workers, calibrate
+from .calibration import CalibrationTable, _check_workers, calibrate
 from .errors import AllZeroResiduals, DimensionMismatch, RequiresKnownTruth, SingularGram
 from .family import GRAM_CUTOFF, ModelFamily, noise_variances
 from .moments import NoiseSpec
-from .rng import is_integer
+from .rng import _check_level, is_integer
 
 # Residuals below this fraction of the data scale are treated as vanishing.
 RESIDUAL_FLOOR = 1e-12

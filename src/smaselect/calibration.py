@@ -36,7 +36,7 @@ from .errors import (
 )
 from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
-from .rng import block_bounds, is_integer, is_number, is_real, is_seed, stream
+from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_seed, stream
 
 MODES = ("probabilistic", "power_loss")
 
@@ -54,7 +54,7 @@ class JointDrawMatrix:
     the draws were sampled in (the family's canonical ``PairOrder`` unless
     a sampler was given another): ``order.index`` maps pairs to columns and
     ``order.groups`` holds each reference's columns.  Nothing is sorted:
-    order statistics and strict ranks are selected on demand.
+    order statistics are selected on demand.
     """
 
     draws: np.ndarray
@@ -156,18 +156,6 @@ def sample_joint_draws(
     return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models))
 
 
-def _check_level(value: float, what: str) -> float:
-    """``value`` itself if a finite real >= 0: the one check of a level or allowance.
-    Non-finite raises ``NonFiniteInput``; anything else ``DimensionMismatch``."""
-    if not is_real(value):
-        raise DimensionMismatch(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"{what} must be finite, got {value}")
-    if value < 0:
-        raise DimensionMismatch(f"{what} must be >= 0")
-    return value
-
-
 def _tail_rank(t: float, n: int) -> int:
     """Rank (1-based) of the empirical tail value at level ``e^-t``.
 
@@ -187,6 +175,11 @@ def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
     return np.partition(values, k - 1, axis=-1)[..., k - 1]
 
 
+def _exceeding(block: np.ndarray, z: np.ndarray) -> int:
+    """Realizations (columns) of ``block`` with a draw strictly above their row's ``z``."""
+    return np.count_nonzero((block > z[:, None]).any(axis=0))
+
+
 def familywise_exceedance(
     draws: JointDrawMatrix, m_ref: int, thresholds: dict[tuple[int, int], float]
 ) -> float:
@@ -203,35 +196,21 @@ def familywise_exceedance(
         z = np.array([thresholds[p] for p in draws.comparisons(m_ref)])
     except KeyError as missing:
         raise MissingPair(f"no threshold for pair {missing.args[0]}") from None
-    return float(np.mean(np.any(draws.draws[:, cols] > z, axis=1)))
+    return _exceeding(draws.draws[:, cols].T, z) / draws.n_sim
 
 
 def _max_t(block: np.ndarray, k_x: int, x_level: float) -> tuple[int, np.ndarray]:
     """Max-T rank ``k`` of one reference and the sorted ranks ``k_x..n`` of each
     row of ``block``, its comparisons' draws.  ``k`` is the smallest rank ``>= k_x``
-    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison).
-    A draw exceeds the rank-``k`` value exactly when its strict rank (ties share
-    their run's first rank) reaches ``k``, so only the tail is selected and sorted,
-    and ``k`` is a quantile of each realization's largest strict rank (max-T)."""
-    block = np.ascontiguousarray(block)
-    g, n = block.shape
-    rows = np.arange(g)[:, None]
-    # Flat indices into ``block``, so each gather is one fancy index.
-    top = np.argpartition(block, k_x - 1, axis=1)[:, k_x - 1 :] + rows * n
-    order = np.argsort(block.ravel()[top], axis=1)
-    top = top.ravel()[order + rows * top.shape[1]]
-    tail = block.ravel()[top]
-    if g == 1:
+    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison), by
+    bisection (the count falls as ``k`` rises) over the realizations above rank ``k_x``."""
+    n, level = block.shape[1], math.exp(-x_level)
+    tail = np.sort(np.partition(block, k_x - 1, axis=1)[:, k_x - 1 :], axis=1)
+    if block.shape[0] == 1:
         return k_x, tail
-    new_run = np.ones(tail.shape, dtype=bool)
-    np.not_equal(tail[:, 1:], tail[:, :-1], out=new_run[:, 1:])
-    position = np.arange(k_x - 1, n, dtype=np.int32)
-    run_start = np.maximum.accumulate(np.where(new_run, position, 0), axis=1)
-    ranks = np.full(block.shape, k_x - 1, dtype=np.int32)
-    ranks.ravel()[top] = run_start
-    # reached[k]: realizations whose largest strict rank is >= k (none at k = n).
-    reached = np.cumsum(np.bincount(ranks.max(axis=0), minlength=n + 1)[::-1])[::-1]
-    return k_x + int(np.argmax(reached[k_x:] / n <= math.exp(-x_level))), tail
+    top = block.take(np.flatnonzero((block > tail[:, :1]).any(axis=0)), axis=1)
+    k = bisect_left(range(len(tail.T)), True, key=lambda j: _exceeding(top, tail.T[j]) / n <= level)
+    return k_x + k, tail
 
 
 @dataclass(frozen=True)
@@ -370,6 +349,13 @@ class CalibrationTable:
         if sorted(table.ranks) != (references := sorted({m_ref for _, m_ref in table.critical})):
             raise ConfigInvalid(f"calibration table: 'ranks' must name the references {references}")
         return table
+
+
+def _check_table(table) -> CalibrationTable:
+    """``table`` itself if a ``CalibrationTable``; anything else raises ``DimensionMismatch``."""
+    if not isinstance(table, CalibrationTable):
+        raise DimensionMismatch(f"table must be a CalibrationTable, got {table!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -530,9 +516,14 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     ``calibration_table`` selects it) plus ``alpha_plus * sqrt(dim)`` bit for
     bit, and the draws strictly above that rank must meet the level with no
     slack: family-wise per reference in probabilistic mode, per pair in
-    power-loss mode.  A pair the table lacks or a reference without a rank
-    raises ``MissingPair``; draws of another ``n_sim``, ``DimensionMismatch``.
+    power-loss mode.  The rank must be the one the builder takes: in
+    probabilistic mode the smallest at or above the level's own rank that
+    meets it (the draws above the rank below must not), in power-loss mode
+    the level's own rank.  A pair the table lacks or a reference without a
+    rank raises ``MissingPair``; draws of another ``n_sim``, or a table that
+    is not a ``CalibrationTable``, ``DimensionMismatch``.
     """
+    _check_table(table)
     n = draws.n_sim
     if n != table.n_sim:
         raise DimensionMismatch(f"draws have {n} rows, the table was calibrated on {table.n_sim}")
@@ -542,7 +533,8 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     for m_ref, _, _, cols in draws.order.groups:
         if m_ref not in table.ranks:
             raise MissingPair(f"no rank for reference {m_ref}")
-        k, target = table.ranks[m_ref], math.exp(-table.level(m_ref))
+        k, level = table.ranks[m_ref], table.level(m_ref)
+        k_level, target = _tail_rank(level, n), math.exp(-level)
         block = draws.draws.T[cols]
         z = _order_statistic(block, k)
         pairs = [draws.order.pairs[i] for i in columns[cols].tolist()]
@@ -551,13 +543,19 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
             if threshold != rebuilt:
                 failures.append(f"pair {pair}: threshold {threshold!r} is not {rebuilt!r}, "
                                 f"reference {m_ref}'s rank-{k} draw plus the allowance")
-        above = block > z[:, None]
         if table.mode == "probabilistic":
-            counts = {f"reference {m_ref}": np.count_nonzero(above.any(axis=0))}
+            if k < k_level or k > k_level and (
+                _exceeding(block, _order_statistic(block, k - 1)) / n <= target
+            ):
+                failures.append(f"reference {m_ref}'s rank {k} is not the smallest from "
+                                f"rank {k_level} whose exceedance is at most {target:.4f}")
+            counts = {f"reference {m_ref}": _exceeding(block, z)}
         else:
-            per_pair = np.count_nonzero(above, axis=1).tolist()
+            if k != k_level:
+                failures.append(f"reference {m_ref}'s rank {k} is not {k_level}, "
+                                f"the rank of its level {level!r}")
+            per_pair = np.count_nonzero(block > z[:, None], axis=1).tolist()
             counts = {f"pair {pair}": c for pair, c in zip(pairs, per_pair)}
         failures += [f"{what}: exceedance {c / n:.4f} > {target:.4f}"
                      for what, c in counts.items() if c / n > target]
     return failures
-

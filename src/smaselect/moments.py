@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 from .family import ModelFamily, PairOrder, PairValues, _pinv_gram, noise_variances, pair_order
 from .family import real_array
+from .rng import _check_level
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,9 @@ class NoiseSpec:
 
     @classmethod
     def homogeneous(cls, sigma: float, n: int) -> "NoiseSpec":
-        return cls.known(np.full(n, float(sigma) ** 2))
+        """Variance ``sigma**2`` at each of ``n`` observations; ``sigma`` is
+        checked as a level is, so text or a negative value is refused."""
+        return cls.known(np.full(n, float(_check_level(sigma, "sigma")) ** 2))
 
 
 @dataclass(frozen=True)

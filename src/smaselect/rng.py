@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 
 # Rows of a Monte-Carlo draw matrix are generated in fixed-size blocks, one
 # stream per block.  The block size is part of the output format: changing it
@@ -36,6 +36,19 @@ def is_real(value) -> bool:
 def is_number(value) -> bool:
     """True for a finite real number that is not a bool."""
     return is_real(value) and math.isfinite(value)
+
+
+def _check_level(value: float, what: str) -> float:
+    """``value`` itself if a finite real >= 0: the one check of a level, an
+    allowance, a noise scale or a bound's parameter.  Non-finite raises
+    ``NonFiniteInput``; anything else ``DimensionMismatch``."""
+    if not is_real(value):
+        raise DimensionMismatch(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{what} must be finite, got {value}")
+    if value < 0:
+        raise DimensionMismatch(f"{what} must be >= 0")
+    return value
 
 
 def is_seed(value, bits: int = 64) -> bool:

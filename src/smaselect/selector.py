@@ -15,10 +15,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .calibration import MODES, CalibrationTable, _check_level
+from .calibration import MODES, CalibrationTable, _check_table
 from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
 from .family import ModelFamily, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
+from .rng import _check_level
 
 
 def test_statistics(family: ModelFamily, y) -> PairValues:
@@ -66,9 +67,10 @@ def sma_select(
     passed explicitly for degenerate families whose statistics are empty;
     by default it is every model the statistics name.  Every statistic
     must be finite, and every pair of ``models`` needs a statistic and a
-    critical value.
+    critical value.  A table that is not a ``CalibrationTable`` raises
+    ``DimensionMismatch``.
     """
-    models, flags, statistics = _accepted(statistics, table.critical, models)
+    models, flags, statistics = _accepted(statistics, _check_table(table).critical, models)
     return SelectionResult(models[flags.argmax()], flags, models, statistics, table.mode)
 
 
@@ -158,8 +160,10 @@ def payment_for_adaptation(
     """Fill in the adaptation payment and its theoretical cap.
 
     The payment maximizes the thresholds of the benchmark index against all
-    smaller models (zero when the benchmark is the smallest model).
+    smaller models (zero when the benchmark is the smallest model).  A table
+    that is not a ``CalibrationTable`` raises ``DimensionMismatch``.
     """
+    _check_table(table)
     m_star = report.m_star
     z_bar = max((table.threshold(m_star, m) for m in family.models if m < m_star), default=0.0)
     return replace(

@@ -17,20 +17,25 @@ from smaselect import (
     DimensionMismatch,
     NoiseSpec,
     NonFiniteInput,
+    QFParams,
     bootstrap_calibrate,
     build_projection_family,
     calibrate,
+    norm_upper,
     oracle,
     presmooth,
+    qf_lower,
+    qf_upper,
     sample_joint_draws,
+    sma_select,
     validity_diagnostics,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.calibration import calibration_table, power_loss_params
+from smaselect.calibration import calibration_table, power_loss_params, propagation_failures
 from smaselect.experiment import ExperimentConfig, Study, generate_scenario, scenario_family
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
-from smaselect.selector import payment_theory_cap
+from smaselect.selector import OracleReport, payment_for_adaptation, payment_theory_cap
 from reference import aic_equivalence_check, check_ordering, excess_risk_mc, risk_profile
 
 NOISE = NoiseSpec.homogeneous(1.0, 4)
@@ -301,6 +306,46 @@ BAD_SCALARS = {
         )
         for name, sigma in [("nan", math.nan), ("inf", math.inf)]
     },
+    # A missing table raised a bare AttributeError where it was first read.
+    "sma_select-table-none": (
+        lambda sc, fam: sma_select(pairwise_statistics(fam, sc.f_true), None),
+        DimensionMismatch,
+        "table",
+    ),
+    "payment_for_adaptation-table-none": (
+        lambda sc, fam: payment_for_adaptation(fam, sc.sigma, OracleReport(m_star=3), None),
+        DimensionMismatch,
+        "table",
+    ),
+    "propagation_failures-table-none": (
+        lambda sc, fam: propagation_failures(_calibrate(sc, fam, n_sim=200)[0], None),
+        DimensionMismatch,
+        "table",
+    ),
+    # The bounds returned NaN or 0.0 for a NaN level, raised a bare
+    # TypeError for text and a bare ValueError for a negative trace; a text
+    # noise scale ran as its float.
+    "qf_upper-x-nan": (
+        lambda sc, fam: qf_upper(QFParams(1.0, 1.0, 1.0, math.nan)),
+        NonFiniteInput,
+        "x",
+    ),
+    "qf_lower-x-nan": (lambda sc, fam: qf_lower(1.0, 1.0, math.nan), NonFiniteInput, "x"),
+    "QFParams-p_trace-string": (
+        lambda sc, fam: QFParams("1", 1.0, 1.0, 1.0),
+        DimensionMismatch,
+        "p_trace",
+    ),
+    "norm_upper-p_trace-negative": (
+        lambda sc, fam: norm_upper(-1.0, 1.0, 1.0),
+        DimensionMismatch,
+        "p_trace",
+    ),
+    "NoiseSpec.homogeneous-sigma-string": (
+        lambda sc, fam: NoiseSpec.homogeneous("1", 4),
+        DimensionMismatch,
+        "sigma",
+    ),
 }
 
 

@@ -29,9 +29,11 @@ from smaselect import (
     propagation_failures,
     sample_joint_draws,
 )
+from smaselect import calibration
 from smaselect.bootstrap import presmooth
 from smaselect.calibration import (
     PowerLossParams,
+    _exceeding,
     _max_t,
     _tail_rank,
     calibration_table,
@@ -268,7 +270,7 @@ def test_multiplicity_all_zero_column_needs_no_correction():
     assert correction_rank(two_pair_draws(block.T), 1, 2.0) == _tail_rank(2.0, 20_000)
 
 
-def test_strict_ranks_count_smaller_draws():
+def test_strict_ranks_count_smaller_draws(monkeypatch):
     # Strict ranks [[2, 0, 2, 1], [1, 1, 0, 1]]: tied draws share their run's
     # first rank, so the realizations' largest ranks are [2, 1, 2, 1], and
     # the family-wise exceedance is 1 at rank 1, 1/2 at rank 2 and 0 at rank 3.
@@ -287,6 +289,17 @@ def test_strict_ranks_count_smaller_draws():
             np.testing.assert_array_equal(tail, ordered[:, k_x - 1 :])
     # From rank 2 up only the upper tail is selected and sorted.
     np.testing.assert_array_equal(_max_t(block, 2, 0.6)[1], [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
+    # No realization lies above its rank-k_x values (every column all zero):
+    # the rank stays k_x, and the bisection counts over no realization.
+    widths = []
+    monkeypatch.setattr(
+        calibration, "_exceeding", lambda b, z: widths.append(b.shape[1]) or _exceeding(b, z)
+    )
+    for k_x in range(1, 5):
+        k, tail = _max_t(np.zeros((2, 4)), k_x, 8.0)
+        assert k == k_x
+        np.testing.assert_array_equal(tail, np.zeros((2, 5 - k_x)))
+    assert widths and set(widths) == {0}
 
 
 def test_max_t_single_comparison_keeps_rank_of_x():

@@ -408,6 +408,21 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
             failures = propagation_failures(draws, mutant)
             assert failures and flagged in failures[0] and "pair (2, 1)" in failures[0]
             assert all("is not" in f and "reference 1's" in f for f in failures)
+        # Reference 1's rank raised by one with its thresholds rebuilt there:
+        # every threshold and exceedance holds, but the rank is not the one
+        # the builder takes (not the smallest that meets the level, not the
+        # rank of the reference's own level).
+        k = saved.ranks[1] + 1
+        rebuilt = {
+            pair: float(np.sort(draws.column(*pair))[k - 1])
+            + saved.alpha_plus * math.sqrt(saved.pair_dims[pair])
+            for pair in draws.comparisons(1)
+        }
+        raised = dataclasses.replace(
+            saved, ranks={**saved.ranks, 1: k}, critical={**saved.critical, **rebuilt}
+        )
+        failures = propagation_failures(draws, raised)
+        assert len(failures) == 1 and failures[0].startswith(f"reference 1's rank {k} is not")
 
 
 def test_seed_override_changes_output(config_file, tmp_path):

@@ -82,12 +82,6 @@ class JointDrawMatrix:
     def n_sim(self) -> int:
         return self.draws.shape[0]
 
-    def column(self, m: int, m_ref: int) -> np.ndarray:
-        try:
-            return self.draws[:, self.order.index[(m, m_ref)]]
-        except KeyError:
-            raise MissingPair(f"pair ({m}, {m_ref}) not present in draws") from None
-
     def references(self) -> list[int]:
         """Reference models that have at least one comparison column."""
         return [m_ref for m_ref, *_ in self.order.groups]

@@ -311,8 +311,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
 
     The true response is fixed; each replicate draws fresh noise, reuses
     the shared known-noise table, and recalibrates the multiplier path on
-    its own residuals.  Replicates are independent and may run on any
-    number of workers without changing the output.
+    its own residuals.  Replicates are independent and run on a pool of
+    ``config.n_workers`` threads; the output is the same for any count.
     """
     study = Study.of(config)
     config, scenario, family = study.config, study.scenario, study.family
@@ -346,12 +346,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
             loss_boot=loss(m_boot),
         )
 
-    reps = range(config.n_hist)
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            records = list(pool.map(run_rep, reps))
-    else:
-        records = [run_rep(r) for r in reps]
+    with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+        records = list(pool.map(run_rep, range(config.n_hist)))
     return ComparisonResult(records=records, oracle_report=report, known_table=table_known)
 
 

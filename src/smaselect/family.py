@@ -440,9 +440,6 @@ class ModelFamily:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""
         return list(pair_order(self.models).pairs)
 
-    def successors(self, m_ref: int) -> list[int]:
-        return [m for m in self.models if m > m_ref]
-
     def predecessor(self, m: int) -> int | None:
         smaller = [mm for mm in self.models if mm < m]
         return smaller[-1] if smaller else None

@@ -7,11 +7,12 @@ tests the dense ``q x n`` operators, the dense ``n x n`` validity
 diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
 a direct loop over its definition, the smallest-accepted rule as a loop
 over references, tables of hand-set thresholds, the pair layout worked
-out pair by pair, and single-purpose views of that path, without the
-library carrying them.  The paper's side results that ``sma`` never runs
-live here too, as oracles: one pair's empirical tail function, the
-variance-ordering check, the bias/variance risk profile, the Monte-Carlo
-excess-risk functional and the AIC equivalence.
+out pair by pair, one pair's draw column, each reference's larger models,
+and single-purpose views of that path, without the library carrying
+them.  The paper's side results that ``sma`` never runs live here too, as
+oracles: one pair's empirical tail function, the variance-ordering check,
+the bias/variance risk profile, the Monte-Carlo excess-risk functional
+and the AIC equivalence.
 """
 
 import math
@@ -200,6 +201,11 @@ def correction_rank(draws, m_ref: int, x_level: float) -> int:
     return corrected_ranks(draws, x_level)[m_ref]
 
 
+def successors(family, m_ref: int) -> list[int]:
+    """The family's models larger than ``m_ref``, in order."""
+    return [m for m in family.models if m > m_ref]
+
+
 def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int:
     """The oracle index by its definition: the smallest reference whose pairs
     all satisfy ``bias^2 <= alpha_plus^2 * dim``, against every larger model
@@ -214,7 +220,7 @@ def oracle_index(family, f_true, sigma, alpha_plus, mode="probabilistic") -> int
         return bias[(m, m_ref)] ** 2 <= alpha_plus**2 * dims[(m, m_ref)]
 
     for m_ref in family.models:
-        larger = family.successors(m_ref)
+        larger = successors(family, m_ref)
         if mode == "probabilistic":
             ok = all(good_pair(m, m_ref) for m in larger)
         else:
@@ -366,9 +372,17 @@ def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> Vali
 MIN_TAIL_POINTS = 10
 
 
+def column(draws, m: int, m_ref: int) -> np.ndarray:
+    """One pair's draws; a pair ``draws`` does not hold raises ``MissingPair``."""
+    try:
+        return draws.draws[:, draws.order.index[(m, m_ref)]]
+    except KeyError:
+        raise MissingPair(f"pair ({m}, {m_ref}) not present in draws") from None
+
+
 def tail_quantile(draws, m: int, m_ref: int, t: float) -> float:
     """Empirical tail function of one pair at exceedance level ``e^-t``."""
-    col = draws.column(m, m_ref)
+    col = column(draws, m, m_ref)
     k = _tail_rank(t, draws.n_sim)
     if k == draws.n_sim:
         warnings.warn(
@@ -478,7 +492,7 @@ def excess_risk_mc(family, sigma, m: int, x_candidate: float, n_sim: int, seed: 
         raise NotOrderedPair(f"model {m} has no predecessor in the family")
     variances = noise_variances(sigma)
     scale = np.sqrt(variances)
-    pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
+    pairs = [(mp, m_prev) for mp in successors(family, m_prev)]
     order = pair_order(family.models, pairs + [(m, 0)])
     draws = _sample_scaled_norms(family, scale, n_sim, seed, order)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2

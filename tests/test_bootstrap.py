@@ -18,7 +18,7 @@ from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import _tail_rank, familywise_exceedance
 from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
-from reference import multiplier_draws, pair_variance, projector_matrix
+from reference import column, multiplier_draws, pair_variance, projector_matrix, successors
 
 
 def test_presmooth_toy_coordinates(toy_family):
@@ -86,13 +86,13 @@ def test_bootstrap_pair_column_coordinate_structure(toy_family):
     from smaselect.rng import stream
 
     w = stream(317, 0, 0).standard_normal((256, 4))
-    np.testing.assert_allclose(draws.column(2, 1), np.abs(-1.0 * w[:, 1]), rtol=1e-12)
+    np.testing.assert_allclose(column(draws, 2, 1), np.abs(-1.0 * w[:, 1]), rtol=1e-12)
 
 
 def test_bootstrap_mean_square_matches_weighted_dims(toy_family):
     resid = np.array([0.5, -1.0, 2.0, 0.3])
     draws = multiplier_draws(toy_family, resid, 100_000, seed=331)
-    col2 = draws.column(3, 1) ** 2
+    col2 = column(draws, 3, 1) ** 2
     se = np.std(col2, ddof=1) / math.sqrt(col2.shape[0])
     assert abs(col2.mean() - 5.0) <= 3 * se
 
@@ -146,7 +146,7 @@ def test_bootstrap_in_sample_propagation(toy_family):
     for m_ref in (1, 2):
         thresholds = {
             (m, m_ref): table.threshold(m, m_ref)
-            for m in toy_family.successors(m_ref)
+            for m in successors(toy_family, m_ref)
         }
         assert familywise_exceedance(draws, m_ref, thresholds) <= math.exp(-2.0)
 

@@ -44,6 +44,7 @@ from smaselect.family import pair_order
 from smaselect.io import load_table
 from smaselect.moments import all_pair_moments, pair_traces, single_traces
 from reference import (
+    column,
     corrected_ranks,
     correction_rank,
     excess_risk_mc,
@@ -51,6 +52,7 @@ from reference import (
     multiplier_draws,
     pair_norms,
     pair_variance,
+    successors,
     tail_quantile,
 )
 
@@ -116,12 +118,12 @@ def test_pair_column_matches_coordinates(toy_family, toy_noise):
 
     eps = stream(5, 0, 0).standard_normal((64, 4))
     expected = np.sqrt(eps[:, 1] ** 2 + eps[:, 2] ** 2)
-    np.testing.assert_allclose(draws.column(3, 1), expected, rtol=1e-12)
+    np.testing.assert_allclose(column(draws, 3, 1), expected, rtol=1e-12)
 
 
 def test_joint_draw_mean_square(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 100_000, seed=17)
-    col = draws.column(3, 1)
+    col = column(draws, 3, 1)
     mean_sq = np.mean(col**2)
     se = np.std(col**2, ddof=1) / np.sqrt(col.shape[0])
     assert abs(mean_sq - 2.0) <= 3 * se
@@ -146,7 +148,7 @@ def test_tail_quantile_too_deep_clips_to_max(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 200, seed=31)
     with pytest.warns(TailTooDeepWarning):
         val = tail_quantile(draws, 3, 1, 50.0)
-    assert val == draws.column(3, 1).max()
+    assert val == column(draws, 3, 1).max()
 
 
 def test_tail_quantile_rank_zero_boundary(toy_family, toy_noise):
@@ -154,7 +156,7 @@ def test_tail_quantile_rank_zero_boundary(toy_family, toy_noise):
     draws = sample_joint_draws(toy_family, toy_noise, 200, seed=37)
     with pytest.warns(TailTooDeepWarning):
         val = tail_quantile(draws, 3, 1, 0.0)
-    assert val == draws.column(3, 1).max()
+    assert val == column(draws, 3, 1).max()
 
 
 def test_tail_rank_is_the_smallest_meeting_its_level(toy_family, toy_noise):
@@ -610,7 +612,7 @@ def test_critical_values_alpha_zero_equals_tail(toy_family, toy_noise):
     moments = toy_moments(toy_family, toy_noise)
     table = critical_values(draws, moments, x_level=2.0, alpha_plus=0.0)
     for m, m_ref in toy_family.pairs():
-        z = np.sort(draws.column(m, m_ref))[table.ranks[m_ref] - 1]
+        z = np.sort(column(draws, m, m_ref))[table.ranks[m_ref] - 1]
         allowance = table.alpha_plus * math.sqrt(table.pair_dims[(m, m_ref)])
         assert table.threshold(m, m_ref) == z + allowance
 
@@ -630,7 +632,7 @@ def test_in_sample_propagation_exact(toy_family, toy_noise):
     for m_ref in (1, 2):
         thresholds = {
             (m, m_ref): table.threshold(m, m_ref)
-            for m in toy_family.successors(m_ref)
+            for m in successors(toy_family, m_ref)
         }
         assert familywise_exceedance(draws, m_ref, thresholds) <= math.exp(-2.0)
 
@@ -680,7 +682,7 @@ def test_fresh_draw_propagation(toy_family, toy_noise):
     for m_ref in (1, 2):
         thresholds = {
             (m, m_ref): table.threshold(m, m_ref)
-            for m in toy_family.successors(m_ref)
+            for m in successors(toy_family, m_ref)
         }
         fwe = familywise_exceedance(fresh, m_ref, thresholds)
         assert fwe <= target + 3 * math.sqrt(target / n_fresh)

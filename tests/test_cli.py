@@ -25,7 +25,7 @@ from smaselect.calibration import (
 from smaselect.experiment import ExperimentConfig, Study
 from smaselect.moments import all_pair_moments
 from smaselect.io import load_table, save_table
-from reference import tail_quantile
+from reference import column, tail_quantile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,9 +200,9 @@ def test_select_matches_rep_zero_of_simulate(config_file, tmp_path, noise):
     assert cli.main(["select", "--noise", noise, "--out", str(tmp_path / "sel"), *common]) == 0
     with open(tmp_path / "sim" / "results.csv") as fh:
         rep0 = next(csv.DictReader(fh))
-    column = {"known": "m_sma_known", "bootstrap": "m_sma_boot"}[noise]
+    field = {"known": "m_sma_known", "bootstrap": "m_sma_boot"}[noise]
     selection = (tmp_path / "sel" / "selection.json").read_bytes()
-    assert rep0["rep"] == "0" and json.loads(selection)["m_hat"] == int(rep0[column])
+    assert rep0["rep"] == "0" and json.loads(selection)["m_hat"] == int(rep0[field])
     # The selection (statistics included) is that of data vector 0 passed as --data.
     study = Study.of(ExperimentConfig.from_dict(json.loads(config_file.read_text())))
     data = tmp_path / "y0.json"
@@ -331,7 +331,7 @@ def test_diagnose_refuses_a_term_out_of_float_range(tmp_path, change):
     assert not (tmp_path / "o" / "diagnostics.json").exists()
 
 
-def test_numeric_failure_exit_code(tmp_path):
+def test_numeric_failure_exit_code(tmp_path, capsys):
     cfg = {
         "n": 30,
         "p_max": 8,
@@ -344,10 +344,17 @@ def test_numeric_failure_exit_code(tmp_path):
     }
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps(cfg))
-    rc = cli.main(
-        ["select", "--config", str(path), "--out", str(tmp_path / "o"), "--noise", "bootstrap"]
-    )
-    assert rc == 3
+    # simulate meets the failure in its replicate pool, at one worker and at two.
+    runs = [["select", "--noise", "bootstrap"]] + [
+        ["simulate", "--workers", workers] for workers in ("1", "2")
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert "numeric failure: presmoothing left no residual signal" in err, (argv, err)
+        assert not (out / "results.csv").exists()
 
 
 def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
@@ -369,7 +376,7 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
     # it, with the thresholds rebuilt to match, already overshoots.
     k_1 = critical_values(draws, all_pair_moments(toy_family, toy_noise), 2.0).ranks[1]
     assert k_1 - 1 > k
-    below = {pair: float(np.sort(draws.column(*pair))[k_1 - 2]) for pair in [(2, 1), (3, 1)]}
+    below = {pair: float(np.sort(column(draws, *pair))[k_1 - 2]) for pair in [(2, 1), (3, 1)]}
     one_below = dataclasses.replace(
         bad, ranks={1: k_1 - 1, 2: k}, critical={**bad.critical, **below}
     )
@@ -396,7 +403,7 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         allowance = saved.alpha_plus * saved.pair_dims[(2, 1)] ** 0.5
         threshold = saved.critical[(2, 1)]
         moved = [
-            float(np.median(draws.column(2, 1))) + allowance,
+            float(np.median(column(draws, 2, 1))) + allowance,
             math.nextafter(threshold, math.inf),
             math.nextafter(threshold, -math.inf),
         ]
@@ -414,7 +421,7 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         # rank of the reference's own level).
         k = saved.ranks[1] + 1
         rebuilt = {
-            pair: float(np.sort(draws.column(*pair))[k - 1])
+            pair: float(np.sort(column(draws, *pair))[k - 1])
             + saved.alpha_plus * math.sqrt(saved.pair_dims[pair])
             for pair in draws.comparisons(1)
         }

@@ -56,6 +56,7 @@ from reference import (
     pair_variance,
     prediction_weights,
     risk_profile,
+    successors,
 )
 
 DRAW_RTOL = 1e-8
@@ -383,7 +384,7 @@ def test_excess_risk_matches(case):
     noise = NoiseSpec.known(variances)
     m = family.models[2]
     m_prev = family.predecessor(m)
-    pairs = [(mp, m_prev) for mp in family.successors(m_prev)]
+    pairs = [(mp, m_prev) for mp in successors(family, m_prev)]
     est = excess_risk_mc(family, noise, m, x_candidate=1.5, n_sim=700, seed=47)
 
     scale = np.sqrt(variances)

@@ -32,6 +32,7 @@ from smaselect.selector import payment_theory_cap
 from conftest import small_families
 from reference import (
     aic_equivalence_check,
+    column,
     oracle_index,
     pair_norms,
     prediction_weights,
@@ -289,7 +290,7 @@ def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
     # The dict the table used to hold: each pair's draw of its reference's
     # rank, plus the bias allowance, bit for bit.
     old = {
-        pair: np.sort(draws.column(*pair))[table.ranks[pair[1]] - 1]
+        pair: np.sort(column(draws, *pair))[table.ranks[pair[1]] - 1]
         + table.alpha_plus * math.sqrt(table.pair_dims[pair])
         for pair in draws.order.index
     }

@@ -17,7 +17,6 @@ standard deviations or the presmoothing residuals.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .errors import (
     NonFiniteInput,
     NotOrderedPair,
     TailTooDeepWarning,
+    warn,
 )
 from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
@@ -443,7 +443,7 @@ def calibration_table(
     if clipped := table.tail_clipped:
         shown = ", ".join(f"({m},{mr})" for m, mr in clipped[:5]) + ("..." if clipped[5:] else "")
         message = f"{len(clipped)} pair(s) clipped to the maximum draw: {shown}"
-        warnings.warn(TailTooDeepWarning(message), stacklevel=3)
+        warn(TailTooDeepWarning(message))
     return table
 
 

@@ -14,6 +14,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -317,10 +318,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
-        # A warning reads "<Category>: <message>", without the source line.
-        warnings.showwarning = lambda message, category, *_: print(
-            f"{category.__name__}: {message}", file=sys.stderr
-        )
+        # A warning reads "<Category>: <message>", without the source line, and
+        # shows once per text (pool threads issue it from another frame).
+        say = cache(partial(print, file=sys.stderr))
+        warnings.showwarning = lambda message, category, *_: say(f"{category.__name__}: {message}")
         try:
             if "config" not in vars(args):  # bounds-check reads no config
                 return args.func(args)

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and how it warns."""
+
+import sys
+import warnings
 
 
 class SmaError(Exception):
@@ -56,3 +59,12 @@ class TailTooDeepWarning(UserWarning):
 
 class CalibrationWarning(UserWarning):
     """Non-fatal irregularity during threshold calibration."""
+
+
+def warn(warning: Warning) -> None:
+    """Issue ``warning`` at the first frame outside the package, so it names the
+    caller's line by any path (Python 3.12's ``skip_file_prefixes``, by hand)."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("smaselect."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(warning, stacklevel=level)

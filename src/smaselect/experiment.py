@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,10 +51,7 @@ def fourier_derivative_values(points: np.ndarray, n_terms: int) -> np.ndarray:
         k = j // 2
         w = 2.0 * np.pi * k
         phase = w * points
-        if j % 2 == 0:
-            out[j - 1] = -np.sqrt(2.0) * w * np.sin(phase)
-        else:
-            out[j - 1] = np.sqrt(2.0) * w * np.cos(phase)
+        out[j - 1] = np.sqrt(2.0) * w * (-np.sin(phase) if j % 2 == 0 else np.cos(phase))
     return out
 
 
@@ -230,11 +228,7 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
     else:
         sd = np.asarray(profile["values"], dtype=float)
     return Scenario(
-        grid=grid,
-        design=design,
-        coefficients=coeff,
-        f_true=f_true,
-        sigma=NoiseSpec.known(sd**2),
+        grid=grid, design=design, coefficients=coeff, f_true=f_true, sigma=NoiseSpec.known(sd**2)
     )
 
 
@@ -306,6 +300,24 @@ class ComparisonResult:
     known_table: CalibrationTable
 
 
+def replicate(
+    study: Study, table_known: CalibrationTable, m_star: int, target: np.ndarray, rep: int
+) -> ReplicateRecord:
+    """Replicate ``rep`` of ``run_comparison`` (its whole body, so its ``partial``
+    pickles and a profiler can call it in the main thread): the known-noise and
+    multiplier selections on data vector ``rep``, and the loss against
+    ``target`` of the oracle's ``m_star`` and of each selection."""
+    family = study.family
+    y = study.data(rep)
+    stats = test_statistics(family, y)
+    m_known = sma_select(stats, table_known, models=family.models).m_hat
+    _, table_boot = study.multiplier(y, study.config.m_dagger, stream_tag=rep)
+    m_boot = sma_select(stats, table_boot, models=family.models).m_hat
+    losses = np.sum((family.outputs(family.reduce(y)) - target) ** 2, axis=1)
+    picks = (m_star, m_known, m_boot)
+    return ReplicateRecord(rep, *picks, *(float(losses[family.models.index(m)]) for m in picks))
+
+
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     """Oracle vs known-noise vs residual-multiplier selection over replicates.
 
@@ -318,36 +330,12 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     config, scenario, family = study.config, study.scenario, study.family
     _, table_known = study.known()
 
-    report = oracle(
-        family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode
-    )
+    report = oracle(family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode)
     report = payment_for_adaptation(family, scenario.sigma, report, table_known)
     target = family.weight_matrix @ best_linear_coefficients(family, scenario.f_true)
-
-    def run_rep(rep: int) -> ReplicateRecord:
-        y = study.data(rep)
-        stats = test_statistics(family, y)
-        m_known = sma_select(stats, table_known, models=family.models).m_hat
-        _, table_boot = study.multiplier(y, config.m_dagger, stream_tag=rep)
-        m_boot = sma_select(stats, table_boot, models=family.models).m_hat
-
-        fits = dict(zip(family.models, family.outputs(family.reduce(y))))
-
-        def loss(m: int) -> float:
-            return float(np.sum((fits[m] - target) ** 2))
-
-        return ReplicateRecord(
-            rep=rep,
-            m_oracle=report.m_star,
-            m_sma_known=m_known,
-            m_sma_boot=m_boot,
-            loss_oracle=loss(report.m_star),
-            loss_known=loss(m_known),
-            loss_boot=loss(m_boot),
-        )
-
+    body = partial(replicate, study, table_known, report.m_star, target)
     with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-        records = list(pool.map(run_rep, range(config.n_hist)))
+        records = list(pool.map(body, range(config.n_hist)))
     return ComparisonResult(records=records, oracle_report=report, known_table=table_known)
 
 

@@ -45,7 +45,6 @@ selector all read and pass on; a list is laid out once, where it enters.
 from __future__ import annotations
 
 import operator
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,6 +58,7 @@ from .errors import (
     NotOrderedPair,
     SingularGram,
     SingularGramWarning,
+    warn,
 )
 from .rng import is_integer
 
@@ -506,12 +506,7 @@ def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamil
         gram_inv, truncated = _pinv_gram(block @ block.T, m)
         if truncated:
             deficient.append(m)
-            warnings.warn(
-                SingularGramWarning(
-                    f"model {m}: rank-deficient Gram, pseudo-inverse applied"
-                ),
-                stacklevel=2,
-            )
+            warn(SingularGramWarning(f"model {m}: rank-deficient Gram, pseudo-inverse applied"))
         coefficients[i, :m] = gram_inv @ projected[:m]
 
     # R^T R = W_M^T W_M with min(q, M) rows: W_M itself, or its Gram's root.

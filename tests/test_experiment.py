@@ -1,14 +1,25 @@
 import math
+import pickle
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from smaselect import ConfigInvalid, NoiseSpec
+from smaselect import (
+    ConfigInvalid,
+    DesignMatrix,
+    NoiseSpec,
+    SingularGramWarning,
+    TailTooDeepWarning,
+    build_projection_family,
+)
 from smaselect.bootstrap import bootstrap_calibrate
-from smaselect.calibration import critical_values, sample_joint_draws
+from smaselect.calibration import calibrate, critical_values, sample_joint_draws
 from smaselect.experiment import (
     ExperimentConfig,
     Seeds,
+    Study,
     fourier_derivative_values,
     fourier_values,
     generate_scenario,
@@ -16,12 +27,13 @@ from smaselect.experiment import (
     meta_record,
     quantile_ratio_tables,
     ratios_csv,
+    replicate,
     results_csv,
     run_comparison,
     scenario_family,
     sweep_csv,
 )
-from smaselect.moments import all_pair_moments
+from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
 from reference import risk_profile
 
@@ -171,6 +183,78 @@ def test_random_design_full_vector_takes_the_general_kernel():
     assert scenario_family(cfg, scenario).increments is None
     two = run_comparison(small_config(**fields, n_workers=2))
     assert run_comparison(cfg).records == two.records
+
+
+def shared(cfg):
+    """The study, known-noise table and loss target, as ``run_comparison`` builds them."""
+    study = Study.of(cfg)
+    family = study.family
+    target = family.weight_matrix @ best_linear_coefficients(family, study.scenario.f_true)
+    return study, study.known()[1], target
+
+
+@pytest.mark.parametrize(
+    "mode", [{}, {"mode": "power_loss", "power_a": 1.0}], ids=["probabilistic", "power"]
+)
+def test_replicate_pickles_and_maps_to_run_comparison(mode):
+    cfg = small_config(**mode)
+    result = run_comparison(cfg)
+    study, table, target = shared(cfg)
+    body = partial(replicate, study, table, result.oracle_report.m_star, target)
+    body = pickle.loads(pickle.dumps(body))
+    assert list(map(body, range(cfg.n_hist))) == result.records
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"weighting": "derivative"}, {"weighting": "full_vector", "random_design": True}],
+    ids=["prediction", "derivative", "gram-route"],
+)
+def test_replicate_losses_equal_the_per_model_sums(fields):
+    # One array sum over every model's estimate gives each model's loss bit
+    # for bit: each row is summed alone, as a per-model sum sums it.
+    cfg = small_config(**fields, coefficient_rule={"kind": "paper4"})
+    study, table, target = shared(cfg)
+    family = study.family
+    assert (family.increments is None) == ("random_design" in fields)
+    for rep in range(cfg.n_hist):
+        rec = replicate(study, table, family.models[-1], target, rep)
+        outputs = family.outputs(family.reduce(study.data(rep)))
+        for m, loss in zip(
+            (rec.m_oracle, rec.m_sma_known, rec.m_sma_boot),
+            (rec.loss_oracle, rec.loss_known, rec.loss_boot),
+        ):
+            assert loss == float(np.sum((outputs[family.models.index(m)] - target) ** 2))
+
+
+@pytest.mark.parametrize(
+    "issue, category",
+    [
+        (lambda: Study.of(small_config(x_level=8.0)).known(), TailTooDeepWarning),
+        (
+            lambda: calibrate(Study.of(small_config()).family, np.ones(48), 400, 3, 8.0, 1.0),
+            TailTooDeepWarning,
+        ),
+        # Nine trigonometric features on six points: the leading Grams past
+        # six are singular.
+        (lambda: Study.of(small_config(n=6, models=tuple(range(1, 10)))), SingularGramWarning),
+        (
+            lambda: build_projection_family(
+                DesignMatrix(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
+                np.eye(3),
+                [2, 3],
+            ),
+            SingularGramWarning,
+        ),
+    ],
+    ids=["study-tail", "calibrate-tail", "study-gram", "family-gram"],
+)
+def test_a_package_warning_names_the_callers_line(issue, category):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        issue()
+    hits = [w for w in caught if issubclass(w.category, category)]
+    assert hits and {w.filename for w in hits} == {__file__}
 
 
 def test_zero_noise_limit_selects_bias_optimal():

@@ -19,6 +19,7 @@ from .calibration import (
     power_loss_critical_values,
     power_loss_params,
     propagation_failures,
+    sample_draws,
     sample_joint_draws,
 )
 from .errors import (

@@ -69,7 +69,7 @@ def bootstrap_calibrate(
     _check_workers(n_workers)
     return calibrate(
         family, residuals, n_sim, seed, x_level, alpha_plus, mode, power_a, stream_tag=stream_tag
-    )[1]
+    )
 
 
 @dataclass(frozen=True)

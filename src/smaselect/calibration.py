@@ -2,8 +2,8 @@
 
 The joint law of all pairwise noise magnitudes is sampled once; empirical
 tail quantiles, each reference's multiplicity-corrected rank, and the final
-critical values are all read off the same draw matrix, so the family-wise
-propagation guarantee holds exactly in-sample.
+critical values are all read off the same draws, one reference's at a time,
+so the family-wise propagation guarantee holds exactly in-sample.
 
 One table builder serves both threshold modes and both noise sources: the
 probabilistic mode with a common level whose rank each reference raises by
@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,16 +68,7 @@ class JointDrawMatrix:
         draws = self.draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 2 or draws.shape[1] != len(self.order.pairs):
             raise DimensionMismatch("draw matrix needs one column per pair of its order")
-        # One pass over the draws: read as unsigned integers, every
-        # nonnegative finite double lies below the bits of +inf, and +inf,
-        # NaN and every value with the sign bit set lie at or above them.
-        # Only a matrix that fails this is scanned again, to tell the
-        # cases apart (-0.0 passes both checks).
-        if draws.view(np.uint64).max(initial=0) >= _INF_BITS:
-            if not np.isfinite(draws).all():
-                raise NonFiniteInput("draw matrix contains NaN or infinite values")
-            if (draws < 0).any():
-                raise DimensionMismatch("draws must be nonnegative magnitudes")
+        _check_draws(draws)
 
     @property
     def n_sim(self) -> int:
@@ -97,33 +89,46 @@ class JointDrawMatrix:
         return JointDrawMatrix(self.draws[:, cols].copy(), order, self.seed)
 
 
-def _sample_scaled_norms(
-    family: ModelFamily,
-    scale: np.ndarray,
-    n_sim: int,
-    seed: int,
-    order: PairOrder,
-    stream_tag: int = 0,
-) -> JointDrawMatrix:
-    """Draw matrix for noise ``scale * N(0, I_n)`` rows over the pairs of ``order``.
+def _check_draws(draws: np.ndarray) -> None:
+    """Refuse draws that are not nonnegative finite magnitudes."""
+    # One pass over the draws: read as unsigned integers, every
+    # nonnegative finite double lies below the bits of +inf, and +inf,
+    # NaN and every value with the sign bit set lie at or above them.
+    # Only draws that fail this are scanned again, to tell the cases
+    # apart (-0.0 passes both checks).
+    if draws.view(np.uint64).max(initial=0) >= _INF_BITS:
+        if not np.isfinite(draws).all():
+            raise NonFiniteInput("draw matrix contains NaN or infinite values")
+        if (draws < 0).any():
+            raise DimensionMismatch("draws must be nonnegative magnitudes")
 
-    Shared core of the known-noise and residual-multiplier paths: they
-    differ only in the per-coordinate scale vector.  Row block ``b`` always
-    reads stream ``(seed, stream_tag, b)``.
-    """
+
+def _squares(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int, order: PairOrder):
+    """Squared magnitudes of the pairs of ``order`` (rows) under noise
+    ``scale * N(0, I_n)`` (columns), row block ``b`` from stream ``(seed,
+    stream_tag, b)``: known and multiplier noise differ only in ``scale``."""
     if not (is_integer(n_sim) and n_sim >= 1):
         raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
     scale = family.vector(scale, "noise scale")
     # Column-major, so each column's order statistics read contiguous memory.
-    # The kernel writes each block's squares straight into its columns, and
-    # one in-place square root turns them into magnitudes.
+    # The kernel writes each block's squares straight into its columns.
     columns = np.empty((len(order.pairs), n_sim))
     for b, start, stop in block_bounds(n_sim):
         z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
         xi = family.reduce(np.multiply(z, scale, out=z))
         family.pair_squares(xi, order, out=columns[:, start:stop])
-    np.sqrt(columns, out=columns)
-    return JointDrawMatrix(columns.T, order, seed)
+    return columns
+
+
+def sample_draws(
+    family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int = 0
+) -> JointDrawMatrix:
+    """Draw matrix for noise ``scale * N(0, I_n)`` rows over every pair of
+    the family, in its canonical order: the draws ``calibrate`` reads with
+    the same arguments."""
+    order = pair_order(family.models)
+    columns = _squares(family, scale, n_sim, seed, stream_tag, order)
+    return JointDrawMatrix(np.sqrt(columns, out=columns).T, order, seed)
 
 
 def _check_workers(n_workers) -> None:
@@ -147,7 +152,7 @@ def sample_joint_draws(
     """
     scale = np.sqrt(noise_variances(sigma))
     _check_workers(n_workers)
-    return _sample_scaled_norms(family, scale, n_sim, seed, pair_order(family.models))
+    return sample_draws(family, scale, n_sim, seed)
 
 
 def _tail_rank(t: float, n: int) -> int:
@@ -407,44 +412,68 @@ def calibration_table(
     dimensions.  Both modes read one reference's columns at a time, so
     nothing the size of the draws is built besides the draws themselves.
     """
+    return _table(
+        draws.order, draws.n_sim, draws.seed, lambda _, cols: draws.draws.T[cols],
+        pair_dims, alpha_plus, levels, moments,
+    )
+
+
+def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) -> CalibrationTable:
+    """``calibration_table`` on ``n`` realizations of the pairs of ``order``,
+    reference by reference: ``rows(ref, cols)`` gives one group's draws,
+    one row per comparison, and is not read after the next call."""
     _check_level(alpha_plus, "alpha_plus")
-    n = draws.n_sim
     power = isinstance(levels, PowerLossParams)
     # One partial selection per reference at the rank of x: no corrected rank is lower.
     k_x = None if power else _tail_rank(levels, n)
     ranks: dict[int, int] = {}
-    z = np.empty(len(draws.order.pairs))
-    for m_ref, _, _, cols in draws.order.groups:
+    z = np.empty(len(order.pairs))
+    for m_ref, ref, _, cols in order.groups:
+        block = rows(ref, cols)
         if power:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
             k = _tail_rank(levels.x[m_ref], n)
-            z[cols] = _order_statistic(draws.draws.T[cols], k)
+            z[cols] = _order_statistic(block, k)
         else:
-            k, tail = _max_t(draws.draws.T[cols], k_x, levels)
+            k, tail = _max_t(block, k_x, levels)
             z[cols] = tail[:, k - k_x]
         ranks[m_ref] = k
 
     dims = pair_values(pair_dims)
-    allowance = alpha_plus * np.sqrt(dims.at(draws.order, "dimension"))
+    allowance = alpha_plus * np.sqrt(dims.at(order, "dimension"))
     table = CalibrationTable(
         x_level=0.0 if power else levels,
         alpha_plus=alpha_plus,
         ranks=ranks,
-        critical=PairValues(draws.order, z + allowance),
+        critical=PairValues(order, z + allowance),
         pair_dims=dims,
         mode="power_loss" if power else "probabilistic",
         moments=dict(moments) if moments is not None else None,
         power_a=levels.a if power else None,
         per_model_levels=dict(levels.x) if power else None,
         n_sim=n,
-        seed=draws.seed,
+        seed=seed,
     )
     if clipped := table.tail_clipped:
         shown = ", ".join(f"({m},{mr})" for m, mr in clipped[:5]) + ("..." if clipped[5:] else "")
         message = f"{len(clipped)} pair(s) clipped to the maximum draw: {shown}"
         warn(TailTooDeepWarning(message))
     return table
+
+
+def _running_sums(steps: np.ndarray, buf: np.ndarray, ref: int, cols) -> np.ndarray:
+    """Reference ``ref``'s draws, one row per larger model, from the step
+    weights ``steps`` (models x realizations), in ``buf``: the running sums
+    ``ModelFamily.pair_windows`` adds, left to right from step ``ref + 1``,
+    then their square roots, so the draw matrix's columns bit for bit."""
+    block = buf[ref + 1 :]
+    block[0] = steps[ref + 1]
+    for j in range(1, len(block)):
+        np.add(block[j - 1], steps[ref + 1 + j], block[j])
+    np.sqrt(block, out=block)
+    _check_draws(block)
+    return block
 
 
 def critical_values(
@@ -475,9 +504,9 @@ def calibrate(
     mode: str = "probabilistic",
     power_a: float | None = None,
     stream_tag: int = 0,
-) -> tuple[JointDrawMatrix, CalibrationTable]:
-    """Draws under noise ``scale * N(0, I_n)`` and the table built on them,
-    both over every pair of the family, in its canonical order.
+) -> CalibrationTable:
+    """The table on ``sample_draws`` with the same arguments: draws under
+    noise ``scale * N(0, I_n)``, over every pair, in the canonical order.
 
     The one path from a per-coordinate noise scale to thresholds: known
     noise passes its standard deviations, multiplier calibration its
@@ -485,8 +514,9 @@ def calibrate(
     ``AllZeroResiduals``.  The bias allowance uses the pair variance
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
-    variances.  Draws on a subset of pairs are ``draws.restricted(pairs)``.
-    """
+    variances.  With ``increments`` no pairs x ``n_sim`` array is held:
+    each reference's draws are rebuilt in one buffer from models x ``n_sim``
+    step weights.  Other families read the draw matrix."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -499,8 +529,14 @@ def calibrate(
             raise DimensionMismatch("power-loss mode needs the exponent a")
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
     order = pair_order(family.models)
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, order, stream_tag)
-    return draws, calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
+    if family.increments is None:
+        draws = sample_draws(family, scale, n_sim, seed, stream_tag)
+        return calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
+    # Each realization's step weights: the windows of adjacent models, the first alone.
+    steps_order = pair_order(family.models, zip(family.models, (0,) + family.models[:-1]))
+    steps = _squares(family, scale, n_sim, seed, stream_tag, steps_order)
+    rows = partial(_running_sums, steps, np.empty_like(steps))
+    return _table(order, n_sim, seed, rows, _pair_traces(family, root, order), alpha_plus, levels)
 
 
 def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .bootstrap import validity_diagnostics
+from .bootstrap import presmooth, validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
-from .calibration import propagation_failures
+from .calibration import propagation_failures, sample_draws
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
@@ -93,8 +93,9 @@ def _outdir(args) -> Path:
 
 
 def _calibrated(args, cfg: ExperimentConfig):
-    """Family, data vector (``--data`` if given, else data vector 0), draws and
-    table for ``--noise``: the study's known noise, or multipliers on the data."""
+    """Study, data vector (``--data`` if given, else data vector 0), noise
+    scale and its table for ``--noise``: the study's known noise standard
+    deviations, or the residuals of the data off the pilot."""
     study = Study.of(cfg)
     if getattr(args, "data", None):
         try:
@@ -108,16 +109,17 @@ def _calibrated(args, cfg: ExperimentConfig):
     else:
         y = study.data(0)
     if args.noise == "known":
-        return (study.family, y, *study.known())
-    return (study.family, y, *study.multiplier(y, cfg.m_dagger))
+        return study, y, np.sqrt(study.scenario.sigma.variances), study.known()
+    return study, y, presmooth(study.family, y, cfg.m_dagger), study.multiplier(y, cfg.m_dagger)
 
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
-    _, _, draws, table = _calibrated(args, cfg)
+    study, _, scale, table = _calibrated(args, cfg)
     io.save_table(table, out / "calibration.json")
     print(f"calibration table ({args.noise}, {table.mode}) -> {out / 'calibration.json'}")
     if args.self_test:
+        draws = sample_draws(study.family, scale, table.n_sim, table.seed)
         failures = propagation_failures(draws, io.load_table(out / "calibration.json"))
         if failures:
             for f in failures:
@@ -129,8 +131,8 @@ def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_select(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
-    family, y, _, table = _calibrated(args, cfg)
-    result = sma_select(test_statistics(family, y), table, models=family.models)
+    study, y, _, table = _calibrated(args, cfg)
+    result = sma_select(test_statistics(study.family, y), table, models=study.family.models)
     io.save_json(result.to_dict(), out / "selection.json")
     io.save_table(table, out / "calibration.json")
     print(f"selected model: {result.m_hat} -> {out / 'selection.json'}")

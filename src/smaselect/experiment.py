@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import presmooth
-from .calibration import MODES, CalibrationTable, JointDrawMatrix, calibrate
+from .calibration import MODES, CalibrationTable, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
 from .family import DesignMatrix, ModelFamily, build_projection_family
 from .moments import NoiseSpec, best_linear_coefficients
@@ -263,18 +263,18 @@ class Study:
         noise = stream(self.config.seeds.noise, rep).standard_normal(self.config.n) * sd
         return self.scenario.f_true + noise
 
-    def known(self) -> tuple[JointDrawMatrix, CalibrationTable]:
-        """Draws and table on the noise standard deviations, calibration seed."""
+    def known(self) -> CalibrationTable:
+        """The table on the noise standard deviations, calibration seed."""
         sd = np.sqrt(self.scenario.sigma.variances)
         return self._calibrate(sd, self.config.seeds.calibration, 0)
 
-    def multiplier(self, y, m_dagger: int, stream_tag: int = 0) -> tuple:
-        """Draws and table on the residuals of ``y`` off the ``m_dagger``
-        pilot, bootstrap seed."""
+    def multiplier(self, y, m_dagger: int, stream_tag: int = 0) -> CalibrationTable:
+        """The table on the residuals of ``y`` off the ``m_dagger`` pilot,
+        bootstrap seed."""
         scale = presmooth(self.family, y, m_dagger)
         return self._calibrate(scale, self.config.seeds.bootstrap, stream_tag)
 
-    def _calibrate(self, scale, seed: int, stream_tag: int):
+    def _calibrate(self, scale, seed: int, stream_tag: int) -> CalibrationTable:
         c = self.config
         return calibrate(
             self.family, scale, c.n_sim, seed, c.x_level, c.alpha_plus, c.mode, c.power_a,
@@ -311,7 +311,7 @@ def replicate(
     y = study.data(rep)
     stats = test_statistics(family, y)
     m_known = sma_select(stats, table_known, models=family.models).m_hat
-    _, table_boot = study.multiplier(y, study.config.m_dagger, stream_tag=rep)
+    table_boot = study.multiplier(y, study.config.m_dagger, stream_tag=rep)
     m_boot = sma_select(stats, table_boot, models=family.models).m_hat
     losses = np.sum((family.outputs(family.reduce(y)) - target) ** 2, axis=1)
     picks = (m_star, m_known, m_boot)
@@ -328,7 +328,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     """
     study = Study.of(config)
     config, scenario, family = study.config, study.scenario, study.family
-    _, table_known = study.known()
+    table_known = study.known()
 
     report = oracle(family, scenario.f_true, scenario.sigma, config.alpha_plus, mode=config.mode)
     report = payment_for_adaptation(family, scenario.sigma, report, table_known)
@@ -351,11 +351,11 @@ def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, Rati
     pairs = study.family.pairs()
     if not pairs:
         raise ConfigInvalid("threshold ratios need at least two models: the family has no pair")
-    _, table_known = study.known()
+    table_known = study.known()
     y = study.data(0)
     tables = {}
     for md in dict.fromkeys(int(m) for m in m_daggers):
-        _, table_boot = study.multiplier(y, md)
+        table_boot = study.multiplier(y, md)
         ratios = {}
         for pair in pairs:
             z_known = table_known.threshold(*pair)
@@ -388,7 +388,7 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     for md in m_dagger_list:
         md = int(md)
         try:
-            _, table = study.multiplier(y, md)
+            table = study.multiplier(y, md)
             out[md] = {"m_hat": sma_select(stats, table, models=study.family.models).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}

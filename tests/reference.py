@@ -1,18 +1,19 @@
 """Reference routes the tests compare the library against.
 
 The library holds every estimator in reduced coordinates and every
-diagnostic in low-rank form, and reads multiplicity-corrected ranks and
-multiplier draws off its one calibration path.  The helpers here give the
-tests the dense ``q x n`` operators, the dense ``n x n`` validity
+diagnostic in low-rank form, reads multiplicity-corrected ranks off its
+one calibration path and draws off its one sampler.  The helpers here
+give the tests the dense ``q x n`` operators, the dense ``n x n`` validity
 diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
 a direct loop over its definition, the smallest-accepted rule as a loop
 over references, tables of hand-set thresholds, the pair layout worked
 out pair by pair, one pair's draw column, each reference's larger models,
-and single-purpose views of that path, without the library carrying
-them.  The paper's side results that ``sma`` never runs live here too, as
-oracles: one pair's empirical tail function, the variance-ordering check,
-the bias/variance risk profile, the Monte-Carlo excess-risk functional
-and the AIC equivalence.
+and single-purpose views of those paths (draws in any pair order, a
+table built on the draw matrix), without the library carrying them.  The
+paper's side results that ``sma`` never runs live here too, as oracles:
+one pair's empirical tail function, the variance-ordering check, the
+bias/variance risk profile, the Monte-Carlo excess-risk functional and
+the AIC equivalence.
 """
 
 import math
@@ -23,16 +24,19 @@ import numpy as np
 
 from smaselect import (
     CalibrationTable,
+    JointDrawMatrix,
     NotOrderedPair,
     PairValues,
     SelectionResult,
     ValidityDiagnostics,
     calibrate,
+    power_loss_params,
+    sample_draws,
 )
 from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import (
     _order_statistic,
-    _sample_scaled_norms,
+    _squares,
     _tail_rank,
     calibration_table,
 )
@@ -178,11 +182,45 @@ def pair_variance(family, sigma, m: int, m_ref: int):
 
 
 def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
-    """The multiplier draw matrix: ``calibrate`` on the residual scale."""
+    """The draws a multiplier table on the residual scale reads: ``sample_draws``,
+    on a scale that ``calibrate``'s checks accept."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        draws, _ = calibrate(family, residuals, n_sim, seed, 2.0, 0.0, stream_tag=stream_tag)
-    return draws
+        calibrate(family, residuals, n_sim, seed, 2.0, 0.0, stream_tag=stream_tag)
+    return sample_draws(family, residuals, n_sim, seed, stream_tag)
+
+
+def sample_in_order(family, scale, n_sim, seed, order, stream_tag=0):
+    """Draws over the pairs of any ``PairOrder``, such as one holding a model
+    alone: ``sample_draws``' streams and pair kernel, in that order's layout."""
+    columns = _squares(family, scale, n_sim, seed, stream_tag, order)
+    return JointDrawMatrix(np.sqrt(columns).T, order, seed)
+
+
+def matrix_table(family, scale, n_sim, seed, x_level, alpha_plus, mode, stream_tag=0):
+    """``calibrate``'s table (power-loss exponent 1) built on the draw matrix
+    ``sample_draws`` returns, with the dimensions and levels taken from the
+    public trace routes."""
+    variances = np.asarray(scale) * scale
+    levels = x_level
+    if mode == "power_loss":
+        levels = power_loss_params(family.models, single_traces(family, variances), 1.0)
+    draws = sample_draws(family, scale, n_sim, seed, stream_tag)
+    return calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
+
+
+def same_table(table, want) -> bool:
+    """Equal ranks, ``n_sim`` and seed, and critical values and dimensions
+    equal bit for bit, pair by pair in the same layout."""
+    return (
+        table.ranks == want.ranks
+        and (table.n_sim, table.seed) == (want.n_sim, want.seed)
+        and all(
+            getattr(table, key).order.pairs == getattr(want, key).order.pairs
+            and getattr(table, key).array.tobytes() == getattr(want, key).array.tobytes()
+            for key in ("critical", "pair_dims")
+        )
+    )
 
 
 def corrected_ranks(draws, x_level: float) -> dict[int, int]:
@@ -494,7 +532,7 @@ def excess_risk_mc(family, sigma, m: int, x_candidate: float, n_sim: int, seed: 
     scale = np.sqrt(variances)
     pairs = [(mp, m_prev) for mp in successors(family, m_prev)]
     order = pair_order(family.models, pairs + [(m, 0)])
-    draws = _sample_scaled_norms(family, scale, n_sim, seed, order)
+    draws = sample_in_order(family, scale, n_sim, seed, order)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
     p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]

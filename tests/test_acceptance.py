@@ -23,7 +23,7 @@ from smaselect import (
     sample_joint_draws,
     validity_diagnostics,
 )
-from smaselect.calibration import _sample_scaled_norms, power_loss_params
+from smaselect.calibration import power_loss_params
 from smaselect.cli import bounds_check_grid, main as cli_main
 from smaselect.experiment import fourier_values
 from smaselect.family import pair_order
@@ -40,6 +40,7 @@ from reference import (
     multiplier_draws,
     pair_operator,
     pair_variance,
+    sample_in_order,
     successors,
     tail_quantile,
 )
@@ -259,7 +260,7 @@ def test_criterion_08_bootstrap_familywise_coverage():
     for rep in range(n_rep):
         eps = stream(8080, rep).standard_normal(400)
         resid = presmooth(family, f_true + eps, 20)
-        draws = _sample_scaled_norms(family, resid, 1000, 8181, order, stream_tag=rep)
+        draws = sample_in_order(family, resid, 1000, 8181, order, stream_tag=rep)
         k = correction_rank(draws, 1, x)
         ok = True
         for pair in pairs:

@@ -26,6 +26,7 @@ from smaselect import (
     presmooth,
     qf_lower,
     qf_upper,
+    sample_draws,
     sample_joint_draws,
     sma_select,
     validity_diagnostics,
@@ -180,6 +181,10 @@ def _calibrate(sc, fam, seed=1, n_sim=10, **kwargs):
     return calibrate(fam, np.sqrt(sc.sigma.variances), n_sim, seed, 2.0, 1.0, **kwargs)
 
 
+def _draws(sc, fam):
+    return sample_draws(fam, np.sqrt(sc.sigma.variances), 200, 1)
+
+
 # Levels, allowances, scales, seeds, stream ids and counts outside their
 # domain, on a derivative-loss family whose model 1 (the constant) has zero
 # variance, so no power-loss level exists for it.  Each level raises the
@@ -269,7 +274,7 @@ BAD_SCALARS = {
     ),
     "calibration_table-alpha_plus-string": (
         lambda sc, fam: calibration_table(
-            _calibrate(sc, fam, n_sim=200)[0], dict.fromkeys(fam.pairs(), 1.0), "1", 2.0
+            _draws(sc, fam), dict.fromkeys(fam.pairs(), 1.0), "1", 2.0
         ),
         DimensionMismatch,
         "alpha_plus",
@@ -318,7 +323,7 @@ BAD_SCALARS = {
         "table",
     ),
     "propagation_failures-table-none": (
-        lambda sc, fam: propagation_failures(_calibrate(sc, fam, n_sim=200)[0], None),
+        lambda sc, fam: propagation_failures(_draws(sc, fam), None),
         DimensionMismatch,
         "table",
     ),

@@ -27,6 +27,7 @@ from smaselect import (
     power_loss_critical_values,
     power_loss_params,
     propagation_failures,
+    sample_draws,
     sample_joint_draws,
 )
 from smaselect import calibration
@@ -511,6 +512,23 @@ def test_table_builds_nothing_the_size_of_the_draws(mode, layout):
     assert peak <= draws.draws.nbytes / 4
 
 
+@pytest.mark.parametrize("n_sim", [1000, 20_000])
+def test_calibrate_builds_no_draw_matrix(n_sim):
+    # A multiplier table on the paper config (37 models, 666 pairs) keeps
+    # models x n_sim step weights and one reference's rows at a time, so its
+    # peak allocation stays below half of the pairs x n_sim draw matrix.
+    study = Study.of(ExperimentConfig(n=200))
+    family = study.family
+    resid = presmooth(family, study.data(0), 20)
+    tracemalloc.start()
+    try:
+        calibrate(family, resid, n_sim, 4004, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(family.pairs()) * n_sim * 8 / 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     draws=draw_matrices(),
@@ -663,9 +681,10 @@ def test_missing_pair_is_named(toy_extended_family):
     # A power-loss table loaded without a reference's level names it.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        draws, power = calibrate(
+        power = calibrate(
             toy_extended_family, np.ones(8), 200, 3, 2.0, 1.0, mode="power_loss", power_a=1.0
         )
+    draws = sample_draws(toy_extended_family, np.ones(8), 200, 3)
     d = power.to_dict()
     del d["per_model_levels"]["2"]
     with pytest.raises(MissingPair, match="no power-loss level for reference 2"):
@@ -820,9 +839,8 @@ def test_calibrate_known_scale_matches_two_step_path(toy_extended_family, mode):
     # both paths; the clipped pairs are compared below.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailTooDeepWarning)
-        draws, table = calibrate(
-            family, np.sqrt(noise.variances), 3000, 41, 2.0, 1.0, mode, power_a=1.0
-        )
+        table = calibrate(family, np.sqrt(noise.variances), 3000, 41, 2.0, 1.0, mode, power_a=1.0)
+        draws = sample_draws(family, np.sqrt(noise.variances), 3000, 41)
         reference = sample_joint_draws(family, noise, 3000, seed=41)
         if mode == "power_loss":
             dims = single_traces(family, noise.variances)
@@ -906,7 +924,7 @@ def test_table_load_takes_null_metadata(toy_family, toy_noise):
 def _power_table(family, noise, n_sim, seed) -> CalibrationTable:
     """A power-loss table (a = 1) under ``noise``: one that carries levels."""
     scale = np.sqrt(noise.variances)
-    return calibrate(family, scale, n_sim, seed, 2.0, 1.0, "power_loss", 1.0)[1]
+    return calibrate(family, scale, n_sim, seed, 2.0, 1.0, "power_loss", 1.0)
 
 
 @pytest.mark.parametrize("key", ["critical", "pair_dims", "per_model_levels"])

@@ -190,7 +190,7 @@ def shared(cfg):
     study = Study.of(cfg)
     family = study.family
     target = family.weight_matrix @ best_linear_coefficients(family, study.scenario.f_true)
-    return study, study.known()[1], target
+    return study, study.known(), target
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ any pair list, any row count and one data vector.
 """
 
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +28,14 @@ from smaselect import (
     CalibrationTable,
     DesignMatrix,
     NonFiniteInput,
+    TailTooDeepWarning,
     build_projection_family,
     calibrate,
+    propagation_failures,
+    sample_draws,
     sample_joint_draws,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.calibration import _sample_scaled_norms
 from smaselect.errors import DimensionMismatch
 from smaselect.experiment import ExperimentConfig, Seeds, generate_scenario, scenario_family
 from smaselect.family import pair_order
@@ -333,7 +337,7 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
     rng = np.random.default_rng(5)
     subset = _pair_lists(family, rng)["mixed_shuffled"]
     order = pair_order(family.models, subset)
-    multiplier = _sample_scaled_norms(family, scale, 700, 11, order, stream_tag=3)
+    multiplier = reference.sample_in_order(family, scale, 700, 11, order, stream_tag=3)
     assert list(multiplier.order.index) == subset
     assert np.array_equal(
         multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
@@ -349,7 +353,7 @@ def test_sampler_grouping_equals_grouping_from_columns(name):
     rng = np.random.default_rng(6)
     scale = np.full(family.n, 0.7)
     for pairs in _pair_lists(family, rng).values():
-        draws = _sample_scaled_norms(family, scale, 40, 2, pair_order(family.models, pairs))
+        draws = reference.sample_in_order(family, scale, 40, 2, pair_order(family.models, pairs))
         assert draws.order.pairs == tuple(pairs)
         if pairs == family.pairs():
             assert draws.order is pair_order(family.models)
@@ -362,8 +366,58 @@ def test_sampler_grouping_equals_grouping_from_columns(name):
 
 @pytest.mark.parametrize("name", ["increments", "general"])
 def test_overflowing_squares_raise_non_finite(name):
-    # A finite scale whose squares overflow: the in-place squares are inf
-    # (or NaN from inf - inf), and calibrate refuses the draw matrix.
+    # A finite scale whose squares overflow: the variances are inf, and
+    # calibrate refuses them before drawing.
     family = FAMILIES[name]()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NonFiniteInput, match="noise variances"
+    ):
         calibrate(family, np.full(family.n, 1e200), 600, 1, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["increments", "general_paper"])
+def test_overflowing_draws_raise_non_finite(name):
+    # Finite variances, 1e308, whose squared draws overflow: the streamed
+    # per-reference check (increments) and the draw matrix's (the general
+    # kernel) refuse them with one message.  The "general" family's draws
+    # stay below its scale, so no finite variance overflows them.
+    family = FAMILIES[name]()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NonFiniteInput, match="draw matrix contains NaN or infinite values"
+    ):
+        calibrate(family, np.full(family.n, 1e154), 600, 1, 2.0, 1.0)
+
+
+def _study_family(**fields):
+    config = ExperimentConfig(**fields).validate()
+    return scenario_family(config, generate_scenario(config))
+
+
+TABLE_FAMILIES = {
+    **WITH_ONE_MODEL,
+    "paper_gaps": lambda: _study_family(n=200, models=(1, 3, 6, 10, 15, 21)),
+    "derivative": lambda: _study_family(
+        n=150, p_max=60, models=tuple(range(2, 16)), m_dagger=12, weighting="derivative"
+    ),
+}
+
+
+@pytest.mark.parametrize("n_sim", [1, 700, 1000])
+@pytest.mark.parametrize("name", sorted(TABLE_FAMILIES))
+def test_calibrate_equals_the_table_on_sample_draws(name, n_sim):
+    # calibrate streams a family with increments reference by reference
+    # from its step weights; the table must be the one built on the draw
+    # matrix, bit for bit, and pass the self-test on those draws.  One
+    # block (1 row), and blocks that do not fill 512 rows (700, 1000).
+    family = TABLE_FAMILIES[name]()
+    scale = np.random.default_rng(n_sim).uniform(0.5, 2.0, family.n)
+    dims = list(single_traces(family, scale * scale).values())
+    modes = ["probabilistic"] + (["power_loss"] if min(dims) > 0 and dims == sorted(dims) else [])
+    for mode, stream_tag in itertools.product(modes, [0, 3, 2**32 - 1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailTooDeepWarning)
+            table = calibrate(family, scale, n_sim, 17, 2.0, 1.0, mode, 1.0, stream_tag)
+            want = reference.matrix_table(family, scale, n_sim, 17, 2.0, 1.0, mode, stream_tag)
+        assert reference.same_table(table, want), (mode, stream_tag)
+        draws = sample_draws(family, scale, n_sim, 17, stream_tag)
+        assert propagation_failures(draws, table) == [], (mode, stream_tag)

@@ -13,12 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smaselect import CalibrationTable, calibrate, propagation_failures, sma_select
+from smaselect import CalibrationTable, calibrate, propagation_failures, sample_draws, sma_select
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.bootstrap import presmooth
 from smaselect.experiment import MODES, WEIGHTINGS, ExperimentConfig, Seeds
 from smaselect.moments import single_traces
 from conftest import small_families
+from reference import matrix_table, same_table
 
 N_SIM = 300
 
@@ -57,8 +58,12 @@ def test_every_calibrated_table_propagates_on_its_draws(family, seed, x_level, a
     pilot = presmooth(family, _data(family, rng, known), family.models[0])
     for scale in (known, pilot):
         for mode in _modes(family, scale):
-            draws, table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
-            assert propagation_failures(draws, table) == [], mode
+            table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
+            assert propagation_failures(sample_draws(family, scale, N_SIM, seed), table) == [], mode
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = matrix_table(family, scale, N_SIM, seed, x_level, alpha_plus, mode)
+            assert same_table(table, want), mode
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +86,7 @@ def test_selection_does_not_grow_with_level_or_allowance(
     for mode in _modes(family, scale):
 
         def m_hat(x, a):
-            return sma_select(statistics, _calibrate(family, scale, seed, x, a, mode)[1]).m_hat
+            return sma_select(statistics, _calibrate(family, scale, seed, x, a, mode)).m_hat
 
         chosen = m_hat(x_level, alpha_plus)
         assert m_hat(x_level + more_level, alpha_plus) <= chosen, mode
@@ -103,8 +108,8 @@ def test_thresholds_scale_exactly_with_the_noise(family, seed, x_level, alpha_pl
     # power-loss levels (ratios of traces) stay put.
     scale = np.random.default_rng(seed).uniform(0.5, 2.0, family.n)
     for mode in _modes(family, scale):
-        _, table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
-        _, scaled = _calibrate(family, 2.0**k * scale, seed, x_level, alpha_plus, mode)
+        table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
+        scaled = _calibrate(family, 2.0**k * scale, seed, x_level, alpha_plus, mode)
         np.testing.assert_array_equal(scaled.critical.array, 2.0**k * table.critical.array)
         assert scaled.ranks == table.ranks, mode
         assert scaled.tail_clipped == table.tail_clipped, mode
@@ -121,7 +126,7 @@ def test_thresholds_scale_exactly_with_the_noise(family, seed, x_level, alpha_pl
 def test_every_calibrated_table_survives_json(family, seed, x_level, alpha_plus):
     scale = np.random.default_rng(seed).uniform(0.5, 2.0, family.n)
     for mode in _modes(family, scale):
-        table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)[1]
+        table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
         assert CalibrationTable.from_dict(json.loads(json.dumps(table.to_dict()))) == table
 
 

@@ -21,6 +21,7 @@ from smaselect import (
     critical_values,
     oracle,
     payment_for_adaptation,
+    sample_draws,
     sample_joint_draws,
     sma_select,
 )
@@ -286,7 +287,8 @@ def test_statistics_are_read_only_and_equal_the_dict(toy_extended_family):
 
 def test_table_critical_is_read_only_and_equals_the_dict(toy_extended_family):
     family = toy_extended_family
-    draws, table = calibrate(family, np.full(family.n, 0.8), 2000, 5, 2.0, 1.0)
+    table = calibrate(family, np.full(family.n, 0.8), 2000, 5, 2.0, 1.0)
+    draws = sample_draws(family, np.full(family.n, 0.8), 2000, 5)
     # The dict the table used to hold: each pair's draw of its reference's
     # rank, plus the bias allowance, bit for bit.
     old = {
@@ -415,15 +417,13 @@ def test_payment_theory_cap_values(toy_family, toy_noise):
     # the benchmark's predecessor (4 log 3 for model 2 on the toy family's
     # dimensions 1, 2, 3), or 0 for the first model.
     scale = np.sqrt(toy_noise.variances)
-    _, table = calibrate(toy_family, scale, 1000, 229, 2.0, 1.0)
+    table = calibrate(toy_family, scale, 1000, 229, 2.0, 1.0)
     cap = payment_theory_cap(toy_family, toy_noise, 3, table)
     expected = 2 * math.sqrt(3) + math.sqrt(2 * (2 + math.log(3)))
     assert cap == pytest.approx(expected, rel=1e-12)
     assert cap == pytest.approx(5.9535, abs=1e-4)
 
-    _, power_table = calibrate(
-        toy_family, scale, 1000, 229, 2.0, 1.0, mode="power_loss", power_a=1.0
-    )
+    power_table = calibrate(toy_family, scale, 1000, 229, 2.0, 1.0, mode="power_loss", power_a=1.0)
     assert power_table.level(2) == pytest.approx(4 * math.log(3), rel=1e-12)
     power = payment_theory_cap(toy_family, toy_noise, 3, power_table)
     expected_power = math.sqrt(3) + math.sqrt(2 * (4 * math.log(3) + math.log(3)))

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -198,17 +198,37 @@ def familywise_exceedance(
     return _exceeding(draws.draws[:, cols].T, z) / draws.n_sim
 
 
-def _max_t(block: np.ndarray, k_x: int, x_level: float) -> tuple[int, np.ndarray]:
+def _first_passing(passes, size: int, start: int) -> int:
+    """Smallest ``j`` in ``[0, size)`` with ``passes(j)`` (``size`` for none), ``passes``
+    being false then true: doubling strides out from ``start`` bracket the change,
+    then a bisection finds it, in at most ``2 ceil(log2 size) + 1`` probes."""
+    lo, hi, step = -1, size, 1  # passes(-1) is false and passes(size) true
+    if passes(start):
+        hi = start
+        while (j := hi - step) > lo and passes(j):
+            hi, step = j, 2 * step
+        lo = max(j, lo)
+    else:
+        lo = start
+        while (j := lo + step) < hi and not passes(j):
+            lo, step = j, 2 * step
+        hi = min(j, hi)
+    return bisect_left(range(hi), True, lo=lo + 1, key=passes)
+
+
+def _max_t(block: np.ndarray, k_x: int, x_level: float, near=None) -> tuple[int, np.ndarray]:
     """Max-T rank ``k`` of one reference and the sorted ranks ``k_x..n`` of each
     row of ``block``, its comparisons' draws.  ``k`` is the smallest rank ``>= k_x``
-    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison), by
-    bisection (the count falls as ``k`` rises) over the realizations above rank ``k_x``."""
+    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison), searched
+    over the realizations above rank ``k_x`` from rank ``near`` (the tail's middle by default).
+    The count only falls as the rank rises, so any start gives the same ``k``."""
     n, level = block.shape[1], math.exp(-x_level)
     tail = np.sort(np.partition(block, k_x - 1, axis=1)[:, k_x - 1 :], axis=1)
     if block.shape[0] == 1:
         return k_x, tail
     top = block.take(np.flatnonzero((block > tail[:, :1]).any(axis=0)), axis=1)
-    k = bisect_left(range(len(tail.T)), True, key=lambda j: _exceeding(top, tail.T[j]) / n <= level)
+    start = len(tail.T) // 2 if near is None else near - k_x
+    k = _first_passing(lambda j: _exceeding(top, tail.T[j]) / n <= level, len(tail.T), start)
     return k_x + k, tail
 
 
@@ -427,7 +447,7 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) ->
     # One partial selection per reference at the rank of x: no corrected rank is lower.
     k_x = None if power else _tail_rank(levels, n)
     ranks: dict[int, int] = {}
-    z = np.empty(len(order.pairs))
+    z, k = np.empty(len(order.pairs)), None
     for m_ref, ref, _, cols in order.groups:
         block = rows(ref, cols)
         if power:
@@ -436,7 +456,7 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) ->
             k = _tail_rank(levels.x[m_ref], n)
             z[cols] = _order_statistic(block, k)
         else:
-            k, tail = _max_t(block, k_x, levels)
+            k, tail = _max_t(block, k_x, levels, k)  # searched from the previous rank
             z[cols] = tail[:, k - k_x]
         ranks[m_ref] = k
 
@@ -474,6 +494,12 @@ def _running_sums(steps: np.ndarray, buf: np.ndarray, ref: int, cols) -> np.ndar
     np.sqrt(block, out=block)
     _check_draws(block)
     return block
+
+
+@lru_cache(maxsize=16)
+def _step_order(models: tuple[int, ...]) -> PairOrder:
+    """Each realization's step weights: the windows of adjacent models, the first alone."""
+    return pair_order(models, zip(models, (0,) + models[:-1]))
 
 
 def critical_values(
@@ -532,9 +558,7 @@ def calibrate(
     if family.increments is None:
         draws = sample_draws(family, scale, n_sim, seed, stream_tag)
         return calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
-    # Each realization's step weights: the windows of adjacent models, the first alone.
-    steps_order = pair_order(family.models, zip(family.models, (0,) + family.models[:-1]))
-    steps = _squares(family, scale, n_sim, seed, stream_tag, steps_order)
+    steps = _squares(family, scale, n_sim, seed, stream_tag, _step_order(family.models))
     rows = partial(_running_sums, steps, np.empty_like(steps))
     return _table(order, n_sim, seed, rows, _pair_traces(family, root, order), alpha_plus, levels)
 

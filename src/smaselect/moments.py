@@ -19,6 +19,7 @@ of a matrix no larger than ``min(q, M, r)`` square.  On a family with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,8 +153,13 @@ def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     return _single_traces(family, family.noise_root(variances))
 
 
+@lru_cache(maxsize=16)
+def _single_order(models: tuple[int, ...]) -> PairOrder:
+    return pair_order(models, [(m, 0) for m in models])
+
+
 def _single_traces(family: ModelFamily, root: np.ndarray) -> dict[int, float]:
-    order = pair_order(family.models, [(m, 0) for m in family.models])
+    order = _single_order(family.models)
     return dict(zip(family.models, _pair_traces(family, root, order).array.tolist()))
 
 

@@ -283,13 +283,19 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
     # Every start rank and level agrees with the definition: the smallest
     # rank k >= k_x at which no more than e^-x of the realizations has a
     # draw strictly above its row's rank-k value.  The tail is sorted.
+    # The search may start at any rank of the tail and ends at the same rank,
+    # the one of the full-sort oracle.
     ordered = np.sort(block, axis=1)
     fwe = [np.mean(np.any(block > ordered[:, [k - 1]], axis=0)) for k in range(1, 5)]
+    draws, dims = two_pair_draws(block.T), {(2, 1): 1.0, (3, 1): 1.0}
     for k_x in range(1, 5):
         for x in (0.0, 0.6, math.log(5.0), 8.0):
-            k, tail = _max_t(block, k_x, x)
-            assert k == next(k for k in range(k_x, 5) if fwe[k - 1] <= math.exp(-x))
-            np.testing.assert_array_equal(tail, ordered[:, k_x - 1 :])
+            want = next(k for k in range(k_x, 5) if fwe[k - 1] <= math.exp(-x))
+            assert full_sort_oracle(draws, dims, 0.0, x, k_x)[1] == {1: want}
+            for near in (None, *range(k_x, 5)):
+                k, tail = _max_t(block, k_x, x, near)
+                assert k == want
+                np.testing.assert_array_equal(tail, ordered[:, k_x - 1 :])
     # From rank 2 up only the upper tail is selected and sorted.
     np.testing.assert_array_equal(_max_t(block, 2, 0.6)[1], [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
     # No realization lies above its rank-k_x values (every column all zero):
@@ -299,9 +305,10 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
         calibration, "_exceeding", lambda b, z: widths.append(b.shape[1]) or _exceeding(b, z)
     )
     for k_x in range(1, 5):
-        k, tail = _max_t(np.zeros((2, 4)), k_x, 8.0)
-        assert k == k_x
-        np.testing.assert_array_equal(tail, np.zeros((2, 5 - k_x)))
+        for near in (None, *range(k_x, 5)):
+            k, tail = _max_t(np.zeros((2, 4)), k_x, 8.0, near)
+            assert k == k_x
+            np.testing.assert_array_equal(tail, np.zeros((2, 5 - k_x)))
     assert widths and set(widths) == {0}
 
 
@@ -309,9 +316,46 @@ def test_max_t_single_comparison_keeps_rank_of_x():
     # One comparison needs no multiplicity correction, even at a level no rank meets.
     row = np.array([[3.0, 1.0, 2.0, 0.0]])
     for k_x in range(1, 5):
-        k, tail = _max_t(row, k_x, 8.0)
-        assert k == k_x
-        np.testing.assert_array_equal(tail, [[0.0, 1.0, 2.0, 3.0][k_x - 1 :]])
+        for near in (None, *range(k_x, 5)):
+            k, tail = _max_t(row, k_x, 8.0, near)
+            assert k == k_x
+            np.testing.assert_array_equal(tail, [[0.0, 1.0, 2.0, 3.0][k_x - 1 :]])
+
+
+def _search_fault():
+    """The first search by ``calibration._first_passing`` -- every size 1..140,
+    every answer ``0..size`` (``size`` when no index passes) and every start --
+    that returns another index, probes outside ``[0, size)`` or probes more
+    than ``2 ceil(log2 size) + 1`` times; ``None`` when every search is right."""
+    for size in range(1, 141):
+        bound = 2 * math.ceil(math.log2(size)) + 1
+        for answer in range(size + 1):
+            for start in range(size):
+                probes = []
+                got = calibration._first_passing(
+                    lambda j: probes.append(j) or j >= answer, size, start
+                )
+                inside = 0 <= min(probes) and max(probes) < size
+                if got != answer or len(probes) > bound or not inside:
+                    return size, answer, start, got, probes
+    return None
+
+
+def test_search_from_any_start_finds_the_first_passing_index(monkeypatch):
+    assert _search_fault() is None
+    # A search that trusts a passing start without walking down is caught,
+    # and so is the max-T rank it gives (the strict-ranks block: rank 2 at
+    # x = 0.6, the search started at rank 4).
+    block = np.array([[0.5, 0.1, 0.5, 0.3], [2.0, 2.0, 1.0, 2.0]])
+    assert _max_t(block, 1, 0.6, 4)[0] == 2
+    real = calibration._first_passing
+    monkeypatch.setattr(
+        calibration,
+        "_first_passing",
+        lambda passes, size, start: start if passes(start) else real(passes, size, start),
+    )
+    assert _search_fault() is not None
+    assert _max_t(block, 1, 0.6, 4)[0] == 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -536,18 +580,21 @@ def test_calibrate_builds_no_draw_matrix(n_sim):
     power_levels=st.lists(st.floats(0.0, 8.0), min_size=5, max_size=5),
     alpha_plus=st.sampled_from([0.0, 1.0]),
     t=st.floats(0.0, 8.0),
+    start=st.integers(0, 2**16),
 )
-def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t):
+def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus, t, start):
     n = draws.n_sim
     pair_dims = {p: float(p[0] - p[1]) for p in draws.order.index}
     sorted_draws, rank, critical, clipped = full_sort_oracle(draws, pair_dims, alpha_plus, x)
-    # Each reference's one step, from every start rank a table could take.
+    # Each reference's one step, from every rank of x a table could take,
+    # its search started at the tail's middle or at any offset into the tail.
     for k_x in sorted({1, _tail_rank(x, n), n}):
         _, want, _, _ = full_sort_oracle(draws, pair_dims, alpha_plus, x, k_x)
         for m_ref, _, _, cols in draws.order.groups:
-            k, tail = _max_t(draws.draws.T[cols], k_x, x)
-            assert k == want[m_ref]
-            assert np.array_equal(tail, sorted_draws[cols, k_x - 1 :])
+            for near in (None, k_x + start % (n - k_x + 1)):
+                k, tail = _max_t(draws.draws.T[cols], k_x, x, near)
+                assert k == want[m_ref]
+                assert np.array_equal(tail, sorted_draws[cols, k_x - 1 :])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, x)

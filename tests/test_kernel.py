@@ -23,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smaselect.calibration as calibration_module
 import smaselect.family as family_module
+import smaselect.moments as moments_module
 from smaselect import (
     CalibrationTable,
     DesignMatrix,
@@ -140,8 +142,13 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
     # A list becomes a layout where it enters; the sampler's row blocks,
     # the traces and the moments read that layout instead of building it
     # again, so an excess-risk run over several row blocks lays out once.
+    # The two lists every table reads again, calibrate's step windows and
+    # the (m, 0) singles of single_traces and of power-loss calibrate, are
+    # laid out once per model tuple: a repeat call lays out none.  The
+    # other entry points' lists depend on a model, and take one per call.
     family, scenario = _paper_like()
     sigma = scenario.sigma
+    sd = np.sqrt(sigma.variances)
     pair_order(family.models)  # the canonical layout, built once per model tuple
     table = CalibrationTable(
         x_level=2.0,
@@ -159,14 +166,33 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
         return real(models, pairs)
 
     monkeypatch.setattr(family_module, "_layout", spy)
-    for entry in (
-        lambda: excess_risk_mc(family, sigma, 5, 2.0, 3 * BLOCK_ROWS, seed=1),
-        lambda: single_traces(family, sigma.variances),
-        lambda: payment_theory_cap(family, sigma, 5, table),
-    ):
+    entries = {  # entry point: its layouts on a fresh model tuple, then on a repeat call
+        "excess_risk_mc": (
+            lambda: excess_risk_mc(family, sigma, 5, 2.0, 3 * BLOCK_ROWS, seed=1),
+            1,
+            1,
+        ),
+        "payment_theory_cap": (lambda: payment_theory_cap(family, sigma, 5, table), 1, 1),
+        "single_traces": (lambda: single_traces(family, sigma.variances), 1, 0),
+        "calibrate": (lambda: calibrate(family, sd, 3 * BLOCK_ROWS, 1, 2.0, 1.0), 1, 0),
+        "calibrate_power": (  # the step windows and the singles
+            lambda: calibrate(family, sd, 3 * BLOCK_ROWS, 1, 2.0, 1.0, "power_loss", 1.0),
+            2,
+            0,
+        ),
+    }
+    for name, (entry, fresh, repeat) in entries.items():
+        # As on a fresh model tuple: no list is cached yet but the canonical one.
+        calibration_module._step_order.cache_clear()
+        moments_module._single_order.cache_clear()
         calls.clear()
-        entry()
-        assert len(calls) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            entry()
+            assert len(calls) == len(set(calls)) == fresh, name
+            calls.clear()
+            entry()
+        assert len(calls) == repeat, name
 
 
 def _plain(index) -> list:

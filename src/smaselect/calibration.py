@@ -41,6 +41,8 @@ from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_
 
 MODES = ("probabilistic", "power_loss")
 
+_CHUNK_ROWS = 64  # rows of normals drawn at a time (see ``_squares``); not in the output format
+
 # The bits of +inf as an unsigned 64-bit integer (see ``JointDrawMatrix``).
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
@@ -106,17 +108,29 @@ def _check_draws(draws: np.ndarray) -> None:
 def _squares(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int, order: PairOrder):
     """Squared magnitudes of the pairs of ``order`` (rows) under noise
     ``scale * N(0, I_n)`` (columns), row block ``b`` from stream ``(seed,
-    stream_tag, b)``: known and multiplier noise differ only in ``scale``."""
+    stream_tag, b)``: known and multiplier noise differ only in ``scale``.
+    A block's normals are drawn and reduced ``_CHUNK_ROWS`` rows at a time (a generator
+    fills its output in sequence) into one reused ``BLOCK_ROWS x r`` block that the pair
+    kernel reads whole: the working set is an ``n``-wide chunk of ``_CHUNK_ROWS + 1`` rows
+    plus that block, and only ``BLOCK_ROWS`` is part of the output format."""
     if not (is_integer(n_sim) and n_sim >= 1):
         raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
     scale = family.vector(scale, "noise scale")
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns.
     columns = np.empty((len(order.pairs), n_sim))
-    for b, start, stop in block_bounds(n_sim):
-        z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
-        xi = family.reduce(np.multiply(z, scale, out=z))
-        family.pair_squares(xi, order, out=columns[:, start:stop])
+    blocks = block_bounds(n_sim)
+    chunk = np.empty((_CHUNK_ROWS + 1, family.n))
+    xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
+    for b, start, stop in blocks:
+        gen = stream(seed, stream_tag, b)
+        # The last chunk takes a lone last row: numpy reduces one row by a
+        # matrix-vector product, whose bits differ from the matrix product's.
+        bounds = [*range(0, max(stop - start - 1, 1), _CHUNK_ROWS), stop - start]
+        for lo, hi in zip(bounds, bounds[1:]):
+            z = gen.standard_normal(out=chunk[: hi - lo])
+            family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
+        family.pair_squares(xi[: stop - start], order, out=columns[:, start:stop])
     return columns
 
 

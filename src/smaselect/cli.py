@@ -110,7 +110,8 @@ def _calibrated(args, cfg: ExperimentConfig):
         y = study.data(0)
     if args.noise == "known":
         return study, y, np.sqrt(study.scenario.sigma.variances), study.known()
-    return study, y, presmooth(study.family, y, cfg.m_dagger), study.multiplier(y, cfg.m_dagger)
+    residuals = presmooth(study.family, y, cfg.m_dagger)
+    return study, y, residuals, study.multiplier(residuals)
 
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:

@@ -268,11 +268,10 @@ class Study:
         sd = np.sqrt(self.scenario.sigma.variances)
         return self._calibrate(sd, self.config.seeds.calibration, 0)
 
-    def multiplier(self, y, m_dagger: int, stream_tag: int = 0) -> CalibrationTable:
-        """The table on the residuals of ``y`` off the ``m_dagger`` pilot,
-        bootstrap seed."""
-        scale = presmooth(self.family, y, m_dagger)
-        return self._calibrate(scale, self.config.seeds.bootstrap, stream_tag)
+    def multiplier(self, residuals, stream_tag: int = 0) -> CalibrationTable:
+        """The table on a data vector's presmoothing ``residuals``
+        (``presmooth``), bootstrap seed."""
+        return self._calibrate(residuals, self.config.seeds.bootstrap, stream_tag)
 
     def _calibrate(self, scale, seed: int, stream_tag: int) -> CalibrationTable:
         c = self.config
@@ -311,7 +310,7 @@ def replicate(
     y = study.data(rep)
     stats = test_statistics(family, y)
     m_known = sma_select(stats, table_known, models=family.models).m_hat
-    table_boot = study.multiplier(y, study.config.m_dagger, stream_tag=rep)
+    table_boot = study.multiplier(presmooth(family, y, study.config.m_dagger), stream_tag=rep)
     m_boot = sma_select(stats, table_boot, models=family.models).m_hat
     losses = np.sum((family.outputs(family.reduce(y)) - target) ** 2, axis=1)
     picks = (m_star, m_known, m_boot)
@@ -355,7 +354,7 @@ def quantile_ratio_tables(config: ExperimentConfig, m_daggers) -> dict[int, Rati
     y = study.data(0)
     tables = {}
     for md in dict.fromkeys(int(m) for m in m_daggers):
-        table_boot = study.multiplier(y, md)
+        table_boot = study.multiplier(presmooth(study.family, y, md))
         ratios = {}
         for pair in pairs:
             z_known = table_known.threshold(*pair)
@@ -388,7 +387,7 @@ def mdagger_sweep(config: ExperimentConfig, m_dagger_list) -> dict[int, dict]:
     for md in m_dagger_list:
         md = int(md)
         try:
-            table = study.multiplier(y, md)
+            table = study.multiplier(presmooth(study.family, y, md))
             out[md] = {"m_hat": sma_select(stats, table, models=study.family.models).m_hat}
         except AllZeroResiduals as exc:
             out[md] = {"error": "AllZeroResiduals", "detail": str(exc)}

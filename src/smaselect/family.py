@@ -18,8 +18,8 @@ coefficients are ever nonzero.  So the family keeps, per model, the
 ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R`` has ``min(q, M)``
 rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``,
 one row per pair and one column per row of ``xi``, written into an array
-the caller may pass: the sampler passes each row block of its column-major
-draw matrix, so the squares are computed where the draws are kept.
+the caller may pass: the sampler draws normals in 64-row chunks and hands
+the kernel each reduced 512-row block with its columns of the draw matrix.
 Noise with variances ``v`` enters as one root ``R_v`` (``noise_root``,
 ``R_v^T R_v = Q^T diag(v) Q``): a trace is the kernel summed over the rows
 of ``R_v``, and a variance spectrum that of ``(D_m - D_ref) R_v^T``.
@@ -345,9 +345,10 @@ class ModelFamily:
             raise NonFiniteInput(f"{what} contains NaN or infinite values")
         return v
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Reduced coordinates ``Q^T v`` of a vector, or of each row of a matrix."""
-        return v @ self.basis
+    def reduce(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Reduced coordinates ``Q^T v`` of a vector, or of each row of a
+        matrix, written to ``out`` if given."""
+        return np.matmul(v, self.basis, out=out)
 
     def outputs(self, xi: np.ndarray) -> np.ndarray:
         """Estimates ``K_m y`` of every model (rows) from ``xi = Q^T y``."""

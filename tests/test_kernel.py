@@ -16,6 +16,7 @@ any pair list, any row count and one data vector.
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from smaselect import (
     TailTooDeepWarning,
     build_projection_family,
     calibrate,
+    presmooth,
     propagation_failures,
     sample_draws,
     sample_joint_draws,
@@ -368,6 +370,56 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
     assert np.array_equal(
         multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
     )
+
+
+@pytest.mark.parametrize("n_sim", [1, 63, 64, 65, 511, 512, 513, 577, 1100])
+@pytest.mark.parametrize("name", ["increments", "general_paper"])
+def test_chunked_normals_equal_whole_block_draws(name, n_sim):
+    # The sampler draws and reduces each block's normals in chunks of 64
+    # rows; a lone last row joins the chunk before it (65, 577), since one
+    # row would be reduced by a matrix-vector product.  Every count on
+    # either side of a chunk or block boundary, a 12-row chunk (1100) and a
+    # one-row block (1, 513): the draws are the whole-block oracle's bits,
+    # in the canonical and a shuffled order, and calibrate's table is the
+    # one built on sample_draws' matrix.
+    family = FAMILIES[name]()
+    _, scenario = _paper_like()
+    sd = np.sqrt(scenario.sigma.variances)
+    y = scenario.f_true + sd * np.random.default_rng(8).standard_normal(family.n)
+    scales = {"known": sd, "residual": presmooth(family, y, 6)}
+    subset = _pair_lists(family, np.random.default_rng(5))["mixed_shuffled"]
+    for (kind, scale), stream_tag in itertools.product(scales.items(), [0, 3]):
+        want = _reference_draws(family, scale, n_sim, 9, family.pairs(), stream_tag)
+        draws = sample_draws(family, scale, n_sim, 9, stream_tag)
+        assert np.array_equal(draws.draws, want), (kind, stream_tag)
+        shuffled = reference.sample_in_order(
+            family, scale, n_sim, 9, pair_order(family.models, subset), stream_tag
+        )
+        want = _reference_draws(family, scale, n_sim, 9, subset, stream_tag)
+        assert np.array_equal(shuffled.draws, want), (kind, stream_tag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailTooDeepWarning)
+            table = calibrate(family, scale, n_sim, 9, 2.0, 1.0, stream_tag=stream_tag)
+            want = reference.matrix_table(
+                family, scale, n_sim, 9, 2.0, 1.0, "probabilistic", stream_tag
+            )
+        assert reference.same_table(table, want), (kind, stream_tag)
+
+
+def test_sampler_memory_does_not_scale_with_block_rows_times_n():
+    # At n = 2,000 one 512-row block of normals is 8.2 MB; the sampler holds
+    # a 65-row chunk of them (1.04 MB) and a 512 x r block of their reduced
+    # coordinates, so its working memory stays near 1.2 MB.
+    family = _study_family(n=2000, p_max=10, models=tuple(range(1, 11)), m_dagger=5)
+    scale = np.full(family.n, 0.7)
+    sample_draws(family, scale, 1000, 5)  # the pair layout is cached, as in any later call
+    tracemalloc.start()
+    try:
+        draws = sample_draws(family, scale, 1000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - draws.draws.nbytes < 2e6, peak
 
 
 @pytest.mark.parametrize("name", ["increments", "general"])

@@ -230,20 +230,33 @@ def _first_passing(passes, size: int, start: int) -> int:
     return bisect_left(range(hi), True, lo=lo + 1, key=passes)
 
 
-def _max_t(block: np.ndarray, k_x: int, x_level: float, near=None) -> tuple[int, np.ndarray]:
-    """Max-T rank ``k`` of one reference and the sorted ranks ``k_x..n`` of each
-    row of ``block``, its comparisons' draws.  ``k`` is the smallest rank ``>= k_x``
-    whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one comparison), searched
-    over the realizations above rank ``k_x`` from rank ``near`` (the tail's middle by default).
-    The count only falls as the rank rises, so any start gives the same ``k``."""
+def _max_t(block: np.ndarray, k_x: int, x_level: float, near=None, squared=False):
+    """Max-T rank ``k`` of one reference and each row's draw of rank ``k``, the rows of
+    ``block`` being its comparisons' draws (their squares if ``squared``).  ``k`` is the
+    smallest rank ``>= k_x`` whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one
+    comparison), searched from rank ``near``, the previous reference's (the tail's middle by
+    default), in the band of ranks ``lo..n``, ``lo = max(k_x, near - ceil((n - k_x + 1) / 8))``:
+    only those are selected, sorted, rooted and counted, over the realizations above rank
+    ``lo``.  The count only falls as the rank rises, so the band gives the same ``k`` unless
+    rank ``lo > k_x`` already meets the level; the step is then redone from ``k_x``."""
     n, level = block.shape[1], math.exp(-x_level)
-    tail = np.sort(np.partition(block, k_x - 1, axis=1)[:, k_x - 1 :], axis=1)
-    if block.shape[0] == 1:
-        return k_x, tail
-    top = block.take(np.flatnonzero((block > tail[:, :1]).any(axis=0)), axis=1)
-    start = len(tail.T) // 2 if near is None else near - k_x
-    k = _first_passing(lambda j: _exceeding(top, tail.T[j]) / n <= level, len(tail.T), start)
-    return k_x + k, tail
+    if len(block) == 1:
+        z = _order_statistic(block, k_x)
+        return k_x, np.sqrt(z) if squared else z
+    band = k_x if near is None else max(k_x, near + (k_x - n - 1) // 8)
+    for lo in dict.fromkeys((band, k_x)):
+        tail = np.sort(np.partition(block, lo - 1, axis=1)[:, lo - 1 :], axis=1)
+        # Realizations exceeding at rank lo; on squares, plus some that never exceed.
+        top = block.take(np.flatnonzero((block > tail[:, :1]).any(axis=0)), axis=1)
+        if lo > k_x and top.shape[1] / n <= level:
+            continue  # rank lo already meets the level
+        if squared:
+            np.sqrt(tail, out=tail)
+            np.sqrt(top, out=top)
+        start = len(tail.T) // 2 if near is None else near - lo
+        j = _first_passing(lambda j: _exceeding(top, tail.T[j]) / n <= level, len(tail.T), start)
+        if j or lo == k_x:
+            return lo + j, tail[:, j]
 
 
 @dataclass(frozen=True)
@@ -452,13 +465,15 @@ def calibration_table(
     )
 
 
-def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) -> CalibrationTable:
+def _table(
+    order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None, squared=False
+) -> CalibrationTable:
     """``calibration_table`` on ``n`` realizations of the pairs of ``order``,
-    reference by reference: ``rows(ref, cols)`` gives one group's draws,
-    one row per comparison, and is not read after the next call."""
+    reference by reference: ``rows(ref, cols)`` gives one group's draws (their
+    squares if ``squared``), one row per comparison, and is not read after the next call."""
     _check_level(alpha_plus, "alpha_plus")
     power = isinstance(levels, PowerLossParams)
-    # One partial selection per reference at the rank of x: no corrected rank is lower.
+    # The rank of x: no corrected rank is lower, and each search is banded from there up.
     k_x = None if power else _tail_rank(levels, n)
     ranks: dict[int, int] = {}
     z, k = np.empty(len(order.pairs)), None
@@ -470,9 +485,10 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) ->
             k = _tail_rank(levels.x[m_ref], n)
             z[cols] = _order_statistic(block, k)
         else:
-            k, tail = _max_t(block, k_x, levels, k)  # searched from the previous rank
-            z[cols] = tail[:, k - k_x]
+            k, z[cols] = _max_t(block, k_x, levels, k, squared)  # near the previous rank
         ranks[m_ref] = k
+    if power and squared:
+        np.sqrt(z, out=z)
 
     dims = pair_values(pair_dims)
     allowance = alpha_plus * np.sqrt(dims.at(order, "dimension"))
@@ -497,16 +513,16 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None) ->
 
 
 def _running_sums(steps: np.ndarray, buf: np.ndarray, ref: int, cols) -> np.ndarray:
-    """Reference ``ref``'s draws, one row per larger model, from the step
-    weights ``steps`` (models x realizations), in ``buf``: the running sums
-    ``ModelFamily.pair_windows`` adds, left to right from step ``ref + 1``,
-    then their square roots, so the draw matrix's columns bit for bit."""
+    """Reference ``ref``'s squared draws, one row per larger model, from the
+    step weights ``steps`` (models x realizations), in ``buf``: the running
+    sums ``ModelFamily.pair_windows`` adds, left to right from step ``ref + 1``,
+    so the draw matrix's squared columns bit for bit.  Sums of nonnegative
+    steps only grow down the rows, so the last row is the one checked."""
     block = buf[ref + 1 :]
     block[0] = steps[ref + 1]
     for j in range(1, len(block)):
         np.add(block[j - 1], steps[ref + 1 + j], block[j])
-    np.sqrt(block, out=block)
-    _check_draws(block)
+    _check_draws(block[-1])
     return block
 
 
@@ -555,8 +571,8 @@ def calibrate(
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
     variances.  With ``increments`` no pairs x ``n_sim`` array is held:
-    each reference's draws are rebuilt in one buffer from models x ``n_sim``
-    step weights.  Other families read the draw matrix."""
+    each reference's squared draws are rebuilt in one buffer from models x
+    ``n_sim`` step weights.  Other families read the draw matrix."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -573,8 +589,10 @@ def calibrate(
         draws = sample_draws(family, scale, n_sim, seed, stream_tag)
         return calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
     steps = _squares(family, scale, n_sim, seed, stream_tag, _step_order(family.models))
+    _check_draws(steps)
     rows = partial(_running_sums, steps, np.empty_like(steps))
-    return _table(order, n_sim, seed, rows, _pair_traces(family, root, order), alpha_plus, levels)
+    dims = _pair_traces(family, root, order)
+    return _table(order, n_sim, seed, rows, dims, alpha_plus, levels, squared=True)
 
 
 def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:

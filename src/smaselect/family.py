@@ -421,12 +421,14 @@ class ModelFamily:
         gathers each pair's entry, none in the padding: the block row's bits.
         """
         k = len(order.models)
+        # Steps of one coordinate each are the weights themselves: a reduceat would copy them.
+        one = len(order.step_starts) == len(weights)
+        steps = weights if one else np.add.reduceat(weights, order.step_starts, axis=0)
         if weights.ndim == 1:
             padded = np.zeros(2 * k - 1)
-            np.add.reduceat(weights, order.step_starts, out=padded[:k])
+            padded[:k] = steps
             sums = np.add.accumulate(padded[order.hankel_steps], axis=1)
             return sums.ravel().take(order.hankel, out=out)
-        steps = np.add.reduceat(weights, order.step_starts, axis=0)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
         buf = np.empty((2,) + steps.shape)

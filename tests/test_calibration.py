@@ -282,9 +282,9 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
         assert _max_t(block, 1, x)[0] == want
     # Every start rank and level agrees with the definition: the smallest
     # rank k >= k_x at which no more than e^-x of the realizations has a
-    # draw strictly above its row's rank-k value.  The tail is sorted.
-    # The search may start at any rank of the tail and ends at the same rank,
-    # the one of the full-sort oracle.
+    # draw strictly above its row's rank-k value.  The search may start at
+    # any rank of the tail and ends at the same rank and rank-k draws, those
+    # of the full-sort oracle.
     ordered = np.sort(block, axis=1)
     fwe = [np.mean(np.any(block > ordered[:, [k - 1]], axis=0)) for k in range(1, 5)]
     draws, dims = two_pair_draws(block.T), {(2, 1): 1.0, (3, 1): 1.0}
@@ -293,11 +293,13 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
             want = next(k for k in range(k_x, 5) if fwe[k - 1] <= math.exp(-x))
             assert full_sort_oracle(draws, dims, 0.0, x, k_x)[1] == {1: want}
             for near in (None, *range(k_x, 5)):
-                k, tail = _max_t(block, k_x, x, near)
+                k, z = _max_t(block, k_x, x, near)
                 assert k == want
-                np.testing.assert_array_equal(tail, ordered[:, k_x - 1 :])
-    # From rank 2 up only the upper tail is selected and sorted.
-    np.testing.assert_array_equal(_max_t(block, 2, 0.6)[1], [[0.3, 0.5, 0.5], [2.0, 2.0, 2.0]])
+                assert z.tobytes() == ordered[:, k - 1].tobytes()
+    # From rank 2 up, rank 2 meets the level and its draws are returned.
+    k, z = _max_t(block, 2, 0.6)
+    assert k == 2
+    np.testing.assert_array_equal(z, [0.3, 2.0])
     # No realization lies above its rank-k_x values (every column all zero):
     # the rank stays k_x, and the bisection counts over no realization.
     widths = []
@@ -306,9 +308,9 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
     )
     for k_x in range(1, 5):
         for near in (None, *range(k_x, 5)):
-            k, tail = _max_t(np.zeros((2, 4)), k_x, 8.0, near)
+            k, z = _max_t(np.zeros((2, 4)), k_x, 8.0, near)
             assert k == k_x
-            np.testing.assert_array_equal(tail, np.zeros((2, 5 - k_x)))
+            np.testing.assert_array_equal(z, np.zeros(2))
     assert widths and set(widths) == {0}
 
 
@@ -317,9 +319,9 @@ def test_max_t_single_comparison_keeps_rank_of_x():
     row = np.array([[3.0, 1.0, 2.0, 0.0]])
     for k_x in range(1, 5):
         for near in (None, *range(k_x, 5)):
-            k, tail = _max_t(row, k_x, 8.0, near)
+            k, z = _max_t(row, k_x, 8.0, near)
             assert k == k_x
-            np.testing.assert_array_equal(tail, [[0.0, 1.0, 2.0, 3.0][k_x - 1 :]])
+            np.testing.assert_array_equal(z, [[0.0, 1.0, 2.0, 3.0][k_x - 1]])
 
 
 def _search_fault():
@@ -592,9 +594,9 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
         _, want, _, _ = full_sort_oracle(draws, pair_dims, alpha_plus, x, k_x)
         for m_ref, _, _, cols in draws.order.groups:
             for near in (None, k_x + start % (n - k_x + 1)):
-                k, tail = _max_t(draws.draws.T[cols], k_x, x, near)
+                k, z = _max_t(draws.draws.T[cols], k_x, x, near)
                 assert k == want[m_ref]
-                assert np.array_equal(tail, sorted_draws[cols, k_x - 1 :])
+                assert z.tobytes() == sorted_draws[cols, k - 1].tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws, pair_dims, alpha_plus, x)
@@ -619,6 +621,61 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
         assert tail_quantile(draws, *pair, t) == sorted_draws[draws.order.index[pair], k - 1]
     clip_warnings = [w for w in caught if issubclass(w.category, TailTooDeepWarning)]
     assert len(clip_warnings) == (k == n)
+
+
+def _band_step(block, k_x, x, near, squared):
+    """``_max_t``'s rank and draws, and the ranks (0-based) it partitioned at."""
+    partitions, partition = [], np.partition
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            np, "partition", lambda a, kth, **kw: partitions.append(kth) or partition(a, kth, **kw)
+        )
+        k, z = _max_t(block, k_x, x, near, squared)
+    return k, z, partitions
+
+
+def test_band_miss_redoes_the_step_from_the_rank_of_x():
+    # Three comparisons' max-T rank at x = 2 lies far below the sample's top
+    # rank: a search from there misses its band of ceil(55 / 8) = 7 ranks,
+    # and the step is redone from the rank of x, on draws and on their squares.
+    rng = np.random.default_rng(40)
+    squares = rng.standard_normal((3, 400)) ** 2
+    draws = np.sqrt(squares)
+    k_x, level = _tail_rank(2.0, 400), math.exp(-2.0)
+    ordered = np.sort(draws, axis=1)
+    fwe = [np.mean(np.any(draws > ordered[:, [k - 1]], axis=0)) for k in range(1, 401)]
+    want = next(k for k in range(k_x, 401) if fwe[k - 1] <= level)
+    assert (k_x, want) == (346, 382)
+    for block, squared in ((draws, False), (squares, True)):
+        k, z, partitions = _band_step(block, k_x, 2.0, 400, squared)
+        assert partitions == [400 - 7 - 1, k_x - 1]
+        assert k == want
+        assert z.tobytes() == ordered[:, k - 1].tobytes()
+        # Started at the answer, the band holds it: one partition.
+        k, z, partitions = _band_step(block, k_x, 2.0, want, squared)
+        assert (k, partitions) == (want, [want - 7 - 1])
+        assert z.tobytes() == ordered[:, k - 1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=draw_matrices(), x=st.floats(0.0, 8.0), start=st.integers(0, 2**16))
+def test_band_search_matches_full_sort_from_any_near(draws, x, start):
+    # The band below any start rank gives the full sort's rank and draws, on
+    # draws and on their squares, and the step is redone from the rank of x
+    # exactly when the band's lowest rank lo > k_x already meets the level.
+    n, k_x = draws.n_sim, _tail_rank(x, draws.n_sim)
+    near = k_x + start % (n - k_x + 1)
+    lo = max(k_x, near - math.ceil((n - k_x + 1) / 8))
+    pair_dims = {p: 1.0 for p in draws.order.pairs}
+    for values, squared in ((draws.draws, False), (draws.draws * draws.draws, True)):
+        rooted = JointDrawMatrix(np.sqrt(values) if squared else values, draws.order, seed=0)
+        sorted_draws, want, _, _ = full_sort_oracle(rooted, pair_dims, 0.0, x)
+        for m_ref, _, _, cols in draws.order.groups:
+            k, z, partitions = _band_step(values.T[cols], k_x, x, near, squared)
+            assert k == want[m_ref]
+            assert z.tobytes() == sorted_draws[cols, k - 1].tobytes()
+            if len(draws.comparisons(m_ref)) > 1:
+                assert partitions == [lo - 1] if k > lo or lo == k_x else [lo - 1, k_x - 1]
 
 
 def test_pair_norms_on_shuffled_subset(toy_extended_family):

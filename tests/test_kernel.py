@@ -466,6 +466,18 @@ def test_overflowing_draws_raise_non_finite(name):
         calibrate(family, np.full(family.n, 1e154), 600, 1, 2.0, 1.0)
 
 
+def test_overflowing_running_sums_raise_non_finite():
+    # Finite step weights whose running sums overflow: the streamed table
+    # checks the steps once and each reference's last row, its largest sums.
+    family, scale = FAMILIES["increments"](), np.full(60, 3e153)
+    order = calibration_module._step_order(family.models)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = calibration_module._squares(family, scale, 600, 1, 0, order)
+        assert np.isfinite(steps).all() and not np.isfinite(steps.sum(axis=0)).all()
+        with pytest.raises(NonFiniteInput, match="draw matrix contains NaN or infinite values"):
+            calibrate(family, scale, 600, 1, 2.0, 1.0)
+
+
 def _study_family(**fields):
     config = ExperimentConfig(**fields).validate()
     return scenario_family(config, generate_scenario(config))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -233,16 +233,13 @@ def _first_passing(passes, size: int, start: int) -> int:
 def _max_t(block: np.ndarray, k_x: int, x_level: float, near=None, squared=False):
     """Max-T rank ``k`` of one reference and each row's draw of rank ``k``, the rows of
     ``block`` being its comparisons' draws (their squares if ``squared``).  ``k`` is the
-    smallest rank ``>= k_x`` whose family-wise exceedance is at most ``e^-x`` (``k_x`` for one
-    comparison), searched from rank ``near``, the previous reference's (the tail's middle by
-    default), in the band of ranks ``lo..n``, ``lo = max(k_x, near - ceil((n - k_x + 1) / 8))``:
+    smallest rank from ``k_x``, the rank of x, whose family-wise exceedance is at most ``e^-x``,
+    searched from rank ``near``, the previous reference's (the tail's middle by default), in
+    the band of ranks ``lo..n``, ``lo = max(k_x, near - ceil((n - k_x + 1) / 8))``:
     only those are selected, sorted, rooted and counted, over the realizations above rank
     ``lo``.  The count only falls as the rank rises, so the band gives the same ``k`` unless
     rank ``lo > k_x`` already meets the level; the step is then redone from ``k_x``."""
     n, level = block.shape[1], math.exp(-x_level)
-    if len(block) == 1:
-        z = _order_statistic(block, k_x)
-        return k_x, np.sqrt(z) if squared else z
     band = k_x if near is None else max(k_x, near + (k_x - n - 1) // 8)
     for lo in dict.fromkeys((band, k_x)):
         tail = np.sort(np.partition(block, lo - 1, axis=1)[:, lo - 1 :], axis=1)
@@ -314,12 +311,8 @@ class CalibrationTable:
     @property
     def tail_clipped(self) -> tuple[tuple[int, int], ...]:
         """Pairs whose reference takes rank ``n_sim``, the sample maximum."""
-        if self.n_sim not in self.ranks.values():
-            return ()
-        clipped = np.zeros(len(self.critical), dtype=bool)
-        for m_ref, _, _, cols in self.critical.order.groups:
-            clipped[cols] = self.ranks.get(m_ref) == self.n_sim
-        return tuple(pair for pair, top in zip(self.critical, clipped.tolist()) if top)
+        top = {m_ref for m_ref, k in self.ranks.items() if k == self.n_sim}
+        return tuple(pair for pair in self.critical if pair[1] in top)
 
     def level(self, m_ref: int) -> float:
         """Tail level the thresholds against reference ``m_ref`` were
@@ -445,7 +438,6 @@ def calibration_table(
     pair_dims: Mapping[tuple[int, int], float],
     alpha_plus: float,
     levels: float | PowerLossParams,
-    moments: dict[tuple[int, int], PairMoments] | None = None,
 ) -> CalibrationTable:
     """Thresholds ``z + alpha_plus * sqrt(dim)`` for every pair in ``draws``.
 
@@ -459,15 +451,11 @@ def calibration_table(
     dimensions.  Both modes read one reference's columns at a time, so
     nothing the size of the draws is built besides the draws themselves.
     """
-    return _table(
-        draws.order, draws.n_sim, draws.seed, lambda _, cols: draws.draws.T[cols],
-        pair_dims, alpha_plus, levels, moments,
-    )
+    rows = lambda _, cols: draws.draws.T[cols]
+    return _table(draws.order, draws.n_sim, draws.seed, rows, pair_dims, alpha_plus, levels)
 
 
-def _table(
-    order, n, seed, rows, pair_dims, alpha_plus, levels, moments=None, squared=False
-) -> CalibrationTable:
+def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, squared=False) -> CalibrationTable:
     """``calibration_table`` on ``n`` realizations of the pairs of ``order``,
     reference by reference: ``rows(ref, cols)`` gives one group's draws (their
     squares if ``squared``), one row per comparison, and is not read after the next call."""
@@ -499,7 +487,6 @@ def _table(
         critical=PairValues(order, z + allowance),
         pair_dims=dims,
         mode="power_loss" if power else "probabilistic",
-        moments=dict(moments) if moments is not None else None,
         power_a=levels.a if power else None,
         per_model_levels=dict(levels.x) if power else None,
         n_sim=n,
@@ -538,13 +525,13 @@ def critical_values(
     x_level: float | PowerLossParams,
     alpha_plus: float = 0.0,
 ) -> CalibrationTable:
-    """``calibration_table`` with the pair moments' traces as dimensions.
+    """``calibration_table`` with the pair moments attached and their traces as dimensions.
 
     ``x_level`` is the probabilistic level or power-loss parameters, as in
     ``calibration_table``; ``power_loss_critical_values`` is the same call.
     """
     pair_dims = PairValues(draws.order, [moments[pair].p_pair for pair in draws.order.pairs])
-    return calibration_table(draws, pair_dims, alpha_plus, x_level, moments)
+    return replace(calibration_table(draws, pair_dims, alpha_plus, x_level), moments=dict(moments))
 
 
 power_loss_critical_values = critical_values
@@ -570,9 +557,9 @@ def calibrate(
     ``AllZeroResiduals``.  The bias allowance uses the pair variance
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
-    variances.  With ``increments`` no pairs x ``n_sim`` array is held:
-    each reference's squared draws are rebuilt in one buffer from models x
-    ``n_sim`` step weights.  Other families read the draw matrix."""
+    variances.  The table reads each reference's squared draws as one block
+    of rows: with ``increments`` rebuilt in one buffer from models x ``n_sim``
+    step weights, so no pairs x ``n_sim`` array is held; otherwise rows of the squared draws."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -586,11 +573,12 @@ def calibrate(
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
     order = pair_order(family.models)
     if family.increments is None:
-        draws = sample_draws(family, scale, n_sim, seed, stream_tag)
-        return calibration_table(draws, _pair_traces(family, root, order), alpha_plus, levels)
-    steps = _squares(family, scale, n_sim, seed, stream_tag, _step_order(family.models))
-    _check_draws(steps)
-    rows = partial(_running_sums, steps, np.empty_like(steps))
+        squares = _squares(family, scale, n_sim, seed, stream_tag, order)
+        rows = lambda _, cols: squares[cols]
+    else:
+        squares = _squares(family, scale, n_sim, seed, stream_tag, _step_order(family.models))
+        rows = partial(_running_sums, squares, np.empty_like(squares))
+    _check_draws(squares)
     dims = _pair_traces(family, root, order)
     return _table(order, n_sim, seed, rows, dims, alpha_plus, levels, squared=True)
 

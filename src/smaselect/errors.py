@@ -61,10 +61,17 @@ class CalibrationWarning(UserWarning):
     """Non-fatal irregularity during threshold calibration."""
 
 
+_PASSED_OVER = ("smaselect.", "concurrent.futures.", "threading")  # modules ``warn`` names no line of
+
+
 def warn(warning: Warning) -> None:
-    """Issue ``warning`` at the first frame outside the package, so it names the
-    caller's line by any path (Python 3.12's ``skip_file_prefixes``, by hand)."""
-    frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals.get("__name__", "").startswith("smaselect."):
+    """Issue ``warning`` at the first frame outside the package and a thread pool's
+    machinery, so it names the caller's line by any path (Python 3.12's
+    ``skip_file_prefixes``, by hand); on a worker thread, which has no such frame,
+    at the outermost package frame (``experiment.replicate``'s line)."""
+    frame, level, outermost = sys._getframe(1), 2, 2
+    while frame and (name := frame.f_globals.get("__name__", "")).startswith(_PASSED_OVER):
+        if name.startswith("smaselect."):
+            outermost = level
         frame, level = frame.f_back, level + 1
-    warnings.warn(warning, stacklevel=level)
+    warnings.warn(warning, stacklevel=level if frame else outermost)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -315,13 +316,18 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
 
 
 def test_max_t_single_comparison_keeps_rank_of_x():
-    # One comparison needs no multiplicity correction, even at a level no rank meets.
-    row = np.array([[3.0, 1.0, 2.0, 0.0]])
-    for k_x in range(1, 5):
-        for near in (None, *range(k_x, 5)):
-            k, z = _max_t(row, k_x, 8.0, near)
-            assert k == k_x
-            np.testing.assert_array_equal(z, [[0.0, 1.0, 2.0, 3.0][k_x - 1]])
+    # One comparison needs no multiplicity correction: at the rank of x, at
+    # most n - k_x <= n e^-x realizations lie above it, so the search, from
+    # any start, returns that rank and its draw, the rank-n clip of a level no
+    # rank meets (x = 8) included, on draws and on their squares.
+    for row in (np.array([[3.0, 1.0, 2.0, 0.0]]), np.array([[2.0, 1.0, 2.0, 1.0, 0.0, 2.0]])):
+        n, ordered = row.shape[1], np.sort(row[0])
+        for x in (0.0, 0.2, 0.5, 0.7, 1.0, 1.5, 8.0):
+            k_x = _tail_rank(x, n)
+            for near, squared in itertools.product((None, *range(k_x, n + 1)), (False, True)):
+                k, z = _max_t(row * row if squared else row, k_x, x, near, squared)
+                assert k == k_x, (x, near, squared)
+                assert z.tobytes() == ordered[k_x - 1 : k_x].tobytes(), (x, near, squared)
 
 
 def _search_fault():
@@ -466,11 +472,9 @@ def full_sort_oracle(draws, pair_dims, alpha_plus, levels, k_x=None):
             continue
         pairs = [p for p in draws.order.index if p[1] == m_ref]
         k = _tail_rank(levels, n) if k_x is None else k_x
-        if len(pairs) > 1:
-            row_max = ranks[[draws.order.index[p] for p in pairs]].max(axis=0)
-            reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
-            k += int(np.argmax(reached[k:] / n <= math.exp(-levels)))
-        rank[m_ref] = k
+        row_max = ranks[[draws.order.index[p] for p in pairs]].max(axis=0)
+        reached = np.cumsum(np.bincount(row_max, minlength=n + 1)[::-1])[::-1]
+        rank[m_ref] = k + int(np.argmax(reached[k:] / n <= math.exp(-levels)))
     critical, clipped = {}, []
     for (m, m_ref), col in sorted(draws.order.index.items(), key=lambda kv: kv[1]):
         if rank[m_ref] == n:
@@ -534,6 +538,24 @@ def test_table_ignores_the_pair_layout(levels):
         assert max(by_canonical.ranks.values()) > _tail_rank(2.0, 600)
     else:
         assert by_canonical.tail_clipped
+
+
+def test_tail_clipped_names_the_pairs_at_rank_n_sim_in_critical_order():
+    # Power-loss levels past log(600) = 6.4 put references 2 and 4 at rank
+    # n_sim; in a layout listing pairs by larger model first, the clipped
+    # pairs are those against 2 or 4, in critical's order, not the canonical.
+    models = (1, 2, 3, 4, 5, 6)
+    order = pair_order(models, [(m, r) for m in models for r in models if r < m])
+    values = np.abs(np.random.default_rng(64).standard_normal((600, len(order.pairs))))
+    params = PowerLossParams(a=1.0, alpha={}, x={1: 0.5, 2: 7.0, 3: 2.0, 4: 9.0, 5: 1.0})
+    table = _table(JointDrawMatrix(values, order, seed=0), params)
+    assert {m_ref for m_ref, k in table.ranks.items() if k == 600} == {2, 4}
+    want = tuple(pair for pair in order.pairs if pair[1] in (2, 4))
+    assert table.tail_clipped == want
+    canonical = tuple(pair for pair in pair_order(models).pairs if pair[1] in (2, 4))
+    assert tuple(table.critical) == order.pairs and want != canonical
+    # A table with no reference at rank n_sim clips nothing.
+    assert _table(JointDrawMatrix(values, order, seed=0), 2.0).tail_clipped == ()
 
 
 @pytest.mark.parametrize("layout", ["F", "C"])
@@ -674,8 +696,7 @@ def test_band_search_matches_full_sort_from_any_near(draws, x, start):
             k, z, partitions = _band_step(values.T[cols], k_x, x, near, squared)
             assert k == want[m_ref]
             assert z.tobytes() == sorted_draws[cols, k - 1].tobytes()
-            if len(draws.comparisons(m_ref)) > 1:
-                assert partitions == [lo - 1] if k > lo or lo == k_x else [lo - 1, k_x - 1]
+            assert partitions == ([lo - 1] if k > lo or lo == k_x else [lo - 1, k_x - 1])
 
 
 def test_pair_norms_on_shuffled_subset(toy_extended_family):

@@ -1,7 +1,9 @@
+import inspect
 import math
 import pickle
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,22 @@ def test_a_package_warning_names_the_callers_line(issue, category):
         issue()
     hits = [w for w in caught if issubclass(w.category, category)]
     assert hits and {w.filename for w in hits} == {__file__}
+
+
+def test_a_pool_threads_warning_names_the_replicate_line():
+    # Power-loss levels past log(n_sim) clip pairs in the known table (built
+    # here) and in each replicate's multiplier table (built on a pool thread,
+    # which has no frame outside the package and the pool's machinery): the
+    # latter name experiment.replicate's line, never a file under concurrent/.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_comparison(small_config(mode="power_loss", power_a=1.0, n_workers=2))
+    hits = [w for w in caught if issubclass(w.category, TailTooDeepWarning)]
+    assert {w.filename for w in hits} == {__file__, inspect.getsourcefile(replicate)}
+    lines, first = inspect.getsourcelines(replicate)
+    pooled = [w.lineno for w in hits if w.filename != __file__]
+    assert pooled and all(first <= line < first + len(lines) for line in pooled)
+    assert not any("concurrent" in Path(w.filename).parts for w in hits)
 
 
 def test_zero_noise_limit_selects_bias_optimal():

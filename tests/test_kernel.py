@@ -483,12 +483,21 @@ def _study_family(**fields):
     return scenario_family(config, generate_scenario(config))
 
 
+def _random_design(weighting, models):
+    return _study_family(
+        n=120, p_max=40, models=models, m_dagger=10, random_design=True, weighting=weighting
+    )
+
+
 TABLE_FAMILIES = {
     **WITH_ONE_MODEL,
     "paper_gaps": lambda: _study_family(n=200, models=(1, 3, 6, 10, 15, 21)),
     "derivative": lambda: _study_family(
         n=150, p_max=60, models=tuple(range(2, 16)), m_dagger=12, weighting="derivative"
     ),
+    # A random design keeps no increments under full-vector or derivative loss.
+    "random_full_vector": lambda: _random_design("full_vector", tuple(range(1, 16))),
+    "random_derivative": lambda: _random_design("derivative", tuple(range(2, 16))),
 }
 
 
@@ -496,9 +505,10 @@ TABLE_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(TABLE_FAMILIES))
 def test_calibrate_equals_the_table_on_sample_draws(name, n_sim):
     # calibrate streams a family with increments reference by reference
-    # from its step weights; the table must be the one built on the draw
-    # matrix, bit for bit, and pass the self-test on those draws.  One
-    # block (1 row), and blocks that do not fill 512 rows (700, 1000).
+    # from its step weights, and passes _table rows of the squared draws
+    # otherwise; the table must be the one built on the rooted draw matrix,
+    # bit for bit, and pass the self-test on those draws.  One block (1
+    # row), and blocks that do not fill 512 rows (700, 1000).
     family = TABLE_FAMILIES[name]()
     scale = np.random.default_rng(n_sim).uniform(0.5, 2.0, family.n)
     dims = list(single_traces(family, scale * scale).values())

@@ -230,28 +230,28 @@ def _first_passing(passes, size: int, start: int) -> int:
     return bisect_left(range(hi), True, lo=lo + 1, key=passes)
 
 
-def _max_t(block: np.ndarray, k_x: int, x_level: float, near=None, squared=False):
+def _max_t(block: np.ndarray, k_x: int, x_level: float, near: int, squared=False):
     """Max-T rank ``k`` of one reference and each row's draw of rank ``k``, the rows of
     ``block`` being its comparisons' draws (their squares if ``squared``).  ``k`` is the
     smallest rank from ``k_x``, the rank of x, whose family-wise exceedance is at most ``e^-x``,
-    searched from rank ``near``, the previous reference's (the tail's middle by default), in
-    the band of ranks ``lo..n``, ``lo = max(k_x, near - ceil((n - k_x + 1) / 8))``:
-    only those are selected, sorted, rooted and counted, over the realizations above rank
-    ``lo``.  The count only falls as the rank rises, so the band gives the same ``k`` unless
-    rank ``lo > k_x`` already meets the level; the step is then redone from ``k_x``."""
+    searched from rank ``near`` in the band of ranks ``lo..n``, ``lo = max(k_x, near -
+    ceil((n - k_x + 1) / 8))``: only those are selected, sorted, rooted and counted, over the
+    realizations above rank ``lo``, whose number is the count at ``lo`` (on squares, a bound
+    above it).  The count only falls as the rank rises, so the band gives the same ``k`` unless
+    rank ``lo > k_x`` already meets the level; the step is then redone from ``k_x``, and ends
+    there uncounted when that number at ``k_x`` already meets the level."""
     n, level = block.shape[1], math.exp(-x_level)
-    band = k_x if near is None else max(k_x, near + (k_x - n - 1) // 8)
-    for lo in dict.fromkeys((band, k_x)):
+    for lo in dict.fromkeys((max(k_x, near + (k_x - n - 1) // 8), k_x)):
         tail = np.sort(np.partition(block, lo - 1, axis=1)[:, lo - 1 :], axis=1)
         # Realizations exceeding at rank lo; on squares, plus some that never exceed.
         top = block.take(np.flatnonzero((block > tail[:, :1]).any(axis=0)), axis=1)
-        if lo > k_x and top.shape[1] / n <= level:
+        if (met := top.shape[1] / n <= level) and lo > k_x:
             continue  # rank lo already meets the level
         if squared:
             np.sqrt(tail, out=tail)
             np.sqrt(top, out=top)
-        start = len(tail.T) // 2 if near is None else near - lo
-        j = _first_passing(lambda j: _exceeding(top, tail.T[j]) / n <= level, len(tail.T), start)
+        passes = lambda j: _exceeding(top, tail.T[j]) / n <= level
+        j = 0 if met else _first_passing(passes, len(tail.T), near - lo)
         if j or lo == k_x:
             return lo + j, tail[:, j]
 
@@ -312,7 +312,7 @@ class CalibrationTable:
     def tail_clipped(self) -> tuple[tuple[int, int], ...]:
         """Pairs whose reference takes rank ``n_sim``, the sample maximum."""
         top = {m_ref for m_ref, k in self.ranks.items() if k == self.n_sim}
-        return tuple(pair for pair in self.critical if pair[1] in top)
+        return tuple(pair for pair in self.critical if pair[1] in top) if top else ()
 
     def level(self, m_ref: int) -> float:
         """Tail level the thresholds against reference ``m_ref`` were
@@ -461,10 +461,10 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, squared=False) -
     squares if ``squared``), one row per comparison, and is not read after the next call."""
     _check_level(alpha_plus, "alpha_plus")
     power = isinstance(levels, PowerLossParams)
-    # The rank of x: no corrected rank is lower, and each search is banded from there up.
+    # The rank of x: no corrected rank is lower.  The first search starts at its tail's middle.
     k_x = None if power else _tail_rank(levels, n)
     ranks: dict[int, int] = {}
-    z, k = np.empty(len(order.pairs)), None
+    z, k = np.empty(len(order.pairs)), None if power else k_x + (n - k_x + 1) // 2
     for m_ref, ref, _, cols in order.groups:
         block = rows(ref, cols)
         if power:
@@ -473,7 +473,7 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, squared=False) -
             k = _tail_rank(levels.x[m_ref], n)
             z[cols] = _order_statistic(block, k)
         else:
-            k, z[cols] = _max_t(block, k_x, levels, k, squared)  # near the previous rank
+            k, z[cols] = _max_t(block, k_x, levels, k, squared)
         ranks[m_ref] = k
     if power and squared:
         np.sqrt(z, out=z)

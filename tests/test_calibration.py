@@ -268,7 +268,7 @@ def test_multiplicity_all_zero_column_needs_no_correction():
     col = np.abs(rng.standard_normal(20_000))
     block = np.vstack([np.zeros(20_000), col])
     # Even from rank 1, the max-T rank is the other column's own rank of x.
-    k, tail = _max_t(block, 1, 2.0)
+    k, tail = _max_t(block, 1, 2.0, 10_001)  # searched from the tail's middle rank
     np.testing.assert_array_equal(tail[0], 0)
     assert k == _tail_rank(2.0, 20_000)
     assert correction_rank(two_pair_draws(block.T), 1, 2.0) == _tail_rank(2.0, 20_000)
@@ -280,7 +280,7 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
     # the family-wise exceedance is 1 at rank 1, 1/2 at rank 2 and 0 at rank 3.
     block = np.array([[0.5, 0.1, 0.5, 0.3], [2.0, 2.0, 1.0, 2.0]])
     for x, want in ((0.0, 1), (0.6, 2), (math.log(5.0), 3)):
-        assert _max_t(block, 1, x)[0] == want
+        assert _max_t(block, 1, x, 3)[0] == want
     # Every start rank and level agrees with the definition: the smallest
     # rank k >= k_x at which no more than e^-x of the realizations has a
     # draw strictly above its row's rank-k value.  The search may start at
@@ -293,26 +293,27 @@ def test_strict_ranks_count_smaller_draws(monkeypatch):
         for x in (0.0, 0.6, math.log(5.0), 8.0):
             want = next(k for k in range(k_x, 5) if fwe[k - 1] <= math.exp(-x))
             assert full_sort_oracle(draws, dims, 0.0, x, k_x)[1] == {1: want}
-            for near in (None, *range(k_x, 5)):
+            for near in range(k_x, 5):
                 k, z = _max_t(block, k_x, x, near)
                 assert k == want
                 assert z.tobytes() == ordered[:, k - 1].tobytes()
     # From rank 2 up, rank 2 meets the level and its draws are returned.
-    k, z = _max_t(block, 2, 0.6)
+    k, z = _max_t(block, 2, 0.6, 3)
     assert k == 2
     np.testing.assert_array_equal(z, [0.3, 2.0])
     # No realization lies above its rank-k_x values (every column all zero):
-    # the rank stays k_x, and the bisection counts over no realization.
+    # that free count of zero already meets the level, so the rank stays k_x
+    # and no count is taken at all.
     widths = []
     monkeypatch.setattr(
         calibration, "_exceeding", lambda b, z: widths.append(b.shape[1]) or _exceeding(b, z)
     )
     for k_x in range(1, 5):
-        for near in (None, *range(k_x, 5)):
+        for near in range(k_x, 5):
             k, z = _max_t(np.zeros((2, 4)), k_x, 8.0, near)
             assert k == k_x
             np.testing.assert_array_equal(z, np.zeros(2))
-    assert widths and set(widths) == {0}
+    assert widths == []
 
 
 def test_max_t_single_comparison_keeps_rank_of_x():
@@ -324,7 +325,7 @@ def test_max_t_single_comparison_keeps_rank_of_x():
         n, ordered = row.shape[1], np.sort(row[0])
         for x in (0.0, 0.2, 0.5, 0.7, 1.0, 1.5, 8.0):
             k_x = _tail_rank(x, n)
-            for near, squared in itertools.product((None, *range(k_x, n + 1)), (False, True)):
+            for near, squared in itertools.product(range(k_x, n + 1), (False, True)):
                 k, z = _max_t(row * row if squared else row, k_x, x, near, squared)
                 assert k == k_x, (x, near, squared)
                 assert z.tobytes() == ordered[k_x - 1 : k_x].tobytes(), (x, near, squared)
@@ -615,7 +616,7 @@ def test_partial_selection_matches_full_sort(draws, x, power_levels, alpha_plus,
     for k_x in sorted({1, _tail_rank(x, n), n}):
         _, want, _, _ = full_sort_oracle(draws, pair_dims, alpha_plus, x, k_x)
         for m_ref, _, _, cols in draws.order.groups:
-            for near in (None, k_x + start % (n - k_x + 1)):
+            for near in (k_x + (n - k_x + 1) // 2, k_x + start % (n - k_x + 1)):
                 k, z = _max_t(draws.draws.T[cols], k_x, x, near)
                 assert k == want[m_ref]
                 assert z.tobytes() == sorted_draws[cols, k - 1].tobytes()
@@ -677,6 +678,57 @@ def test_band_miss_redoes_the_step_from_the_rank_of_x():
         k, z, partitions = _band_step(block, k_x, 2.0, want, squared)
         assert (k, partitions) == (want, [want - 7 - 1])
         assert z.tobytes() == ordered[:, k - 1].tobytes()
+
+
+def test_band_miss_ends_at_the_rank_of_x_when_its_free_count_meets_the_level(monkeypatch):
+    # Three comparisons that rise together (each twice the last) exceed
+    # together: 400 - 346 = 54 <= 400 e^-2 realizations lie above the rank of
+    # x = 2.  A search from the top rank misses its band (rank 393 already
+    # meets the level), is redone from the rank of x, and ends there on the
+    # free count of the realizations above it: no count is taken, on draws and
+    # on their squares, and the rank and draws are the full sort's.
+    u = np.abs(np.random.default_rng(42).standard_normal(400))
+    order = pair_order((1, 2, 3, 4), [(2, 1), (3, 1), (4, 1)])
+    draws = JointDrawMatrix(np.column_stack([u, 2 * u, 4 * u]), order, seed=0)
+    pair_dims = dict.fromkeys(draws.order.pairs, 1.0)
+    sorted_draws, want, _, _ = full_sort_oracle(draws, pair_dims, 0.0, 2.0)
+    k_x = _tail_rank(2.0, 400)
+    assert (k_x, want[1]) == (346, 346)
+    counts = []
+    monkeypatch.setattr(
+        calibration, "_exceeding", lambda b, z: counts.append(z) or _exceeding(b, z)
+    )
+    block = draws.draws.T
+    for values, squared in ((block, False), (block * block, True)):
+        k, z, partitions = _band_step(values, k_x, 2.0, 400, squared)
+        assert (k, partitions) == (k_x, [400 - 7 - 1, k_x - 1])
+        assert z.tobytes() == sorted_draws[:, k_x - 1].tobytes()
+    assert counts == []
+
+
+def test_first_reference_searches_a_band_below_its_tail_middle(monkeypatch):
+    # The paper config's first reference (36 comparisons) at x = 2 on 1000
+    # draws: the rank of x is 865, its search starts at the middle rank
+    # 865 + 136 // 2 = 933 of its tail, and the band from 933 - 17 = 916
+    # holds its max-T rank, so it partitions once, at that band's rank.
+    # Every later reference starts at the rank before it.
+    study = Study.of(ExperimentConfig(n=200))
+    family, c = study.family, study.config
+    resid = presmooth(family, study.data(0), c.m_dagger)
+    steps = []
+
+    def step(block, k_x, x, near, squared=False):
+        k, z, partitions = _band_step(block, k_x, x, near, squared)
+        steps.append((k_x, near, partitions, k))
+        return k, z
+
+    monkeypatch.setattr(calibration, "_max_t", step)
+    table = calibrate(family, resid, 1000, c.seeds.bootstrap, 2.0, c.alpha_plus)
+    assert len(steps) == 36
+    k_x, near, partitions, k = steps[0]
+    assert (k_x, near, partitions) == (865, 933, [915])
+    assert k > 916 and table.ranks[family.models[0]] == k
+    assert [s[1] for s in steps[1:]] == [s[3] for s in steps[:-1]]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Reference-scale simulation study.
 
-Builds the default scenario (n = 200 midpoint grid, 37 nested trigonometric
-models, pilot dimension 20, level 2, bias allowance 1, 1000 calibration
-draws, 100 replicates) and runs the three-way comparison between the
-risk-optimal benchmark, the known-noise selector and the residual-multiplier
-selector.  Results land in CSV/JSON form under --out.
+Runs the three-way comparison between the risk-optimal benchmark, the
+known-noise selector and the residual-multiplier selector on
+configs/paper.json (n = 200 midpoint grid, 37 nested trigonometric models,
+pilot dimension 20, level 2, bias allowance 1, 1000 calibration draws,
+100 replicates), then the threshold-ratio table, the pilot sweep and the
+validity diagnostics.  Results land in CSV/JSON form under --out.
 
-Use --quick for a desk-scale version of the same pipeline.
+Use --quick for configs/quick.json, a desk-scale version of the same study.
 """
 
 import argparse
@@ -17,30 +18,7 @@ from pathlib import Path
 
 from smaselect.cli import main as cli_main
 
-FULL = {
-    "n": 200,
-    "p_max": 200,
-    "models": list(range(1, 38)),
-    "m_dagger": 20,
-    "x_level": 2.0,
-    "alpha_plus": 1.0,
-    "n_sim": 1000,
-    "n_hist": 100,
-    "noise_profile": {"kind": "linear", "sigma_lo": 0.5, "sigma_hi": 2.0},
-    "coefficient_rule": {"kind": "paper4"},
-    "weighting": "prediction",
-    "seeds": {"data": 1001, "noise": 2002, "calibration": 3003, "bootstrap": 4004},
-}
-
-QUICK = dict(
-    FULL,
-    n=100,
-    p_max=60,
-    models=list(range(1, 16)),
-    m_dagger=12,
-    n_sim=400,
-    n_hist=20,
-)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main() -> int:
@@ -52,7 +30,8 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = dict(QUICK if args.quick else FULL, n_workers=args.workers)
+    cfg = json.loads((CONFIGS / ("quick.json" if args.quick else "paper.json")).read_text())
+    cfg["n_workers"] = args.workers
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(cfg, indent=2))
 

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,20 +218,7 @@ def test_exact_correction_matches_bisection_multi_reference(toy_extended_family)
         assert_matches_bisection(draws, x)
 
 
-PAPER_CONFIG = {
-    "n": 200,
-    "p_max": 200,
-    "models": list(range(1, 38)),
-    "m_dagger": 20,
-    "x_level": 2.0,
-    "alpha_plus": 1.0,
-    "n_sim": 1000,
-    "n_hist": 100,
-    "noise_profile": {"kind": "linear", "sigma_lo": 0.5, "sigma_hi": 2.0},
-    "coefficient_rule": {"kind": "paper4"},
-    "weighting": "prediction",
-    "seeds": {"data": 1001, "noise": 2002, "calibration": 3003, "bootstrap": 4004},
-}
+PAPER_CONFIG = json.loads((Path(__file__).resolve().parents[1] / "configs" / "paper.json").read_text())
 
 
 def test_exact_rank_equals_bisection_rank_paper_config():

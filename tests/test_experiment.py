@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import pickle
 import warnings
@@ -400,6 +401,23 @@ def test_default_config_matches_reference_simulation_settings():
     assert cfg.n_sim == 1000
     assert cfg.n_hist == 100
     assert cfg.p_max == 200
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_committed_configs_resolve_and_vary_the_paper_config():
+    configs = {path.stem: json.loads(path.read_text()) for path in CONFIGS.glob("*.json")}
+    assert {"paper", "quick", "paper-noise4", "derivative"} <= configs.keys()
+    for config in configs.values():
+        ExperimentConfig.from_dict(config)
+    paper = configs["paper"]
+    for name, differing in (
+        ("quick", {"n", "p_max", "models", "m_dagger", "n_sim", "n_hist"}),
+        ("paper-noise4", {"noise_profile"}),
+    ):
+        assert list(configs[name]) == list(paper), name
+        assert {key for key in paper if configs[name][key] != paper[key]} == differing, name
 
 
 def test_mdagger_sweep_variance_shrinks_with_sample_size():

@@ -20,7 +20,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,8 +104,9 @@ def _check_draws(draws: np.ndarray) -> None:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
 
 
-def _squares(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int, order: PairOrder):
-    """Squared magnitudes of the pairs of ``order`` (rows) under noise
+def _squares(family: ModelFamily, scale, n_sim, seed, stream_tag, order: PairOrder, steps=False):
+    """Squared magnitudes of the pairs of ``order`` (rows), or with ``steps`` of
+    each model step (``ModelFamily.step_squares``), under noise
     ``scale * N(0, I_n)`` (columns), row block ``b`` from stream ``(seed,
     stream_tag, b)``: known and multiplier noise differ only in ``scale``.
     A block's normals are drawn and reduced ``_CHUNK_ROWS`` rows at a time (a generator
@@ -118,7 +118,8 @@ def _squares(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int,
     scale = family.vector(scale, "noise scale")
     # Column-major, so each column's order statistics read contiguous memory.
     # The kernel writes each block's squares straight into its columns.
-    columns = np.empty((len(order.pairs), n_sim))
+    kernel = family.step_squares if steps else family.pair_squares
+    columns = np.empty((len(family.models) if steps else len(order.pairs), n_sim))
     blocks = block_bounds(n_sim)
     chunk = np.empty((_CHUNK_ROWS + 1, family.n))
     xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
@@ -130,7 +131,7 @@ def _squares(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int,
         for lo, hi in zip(bounds, bounds[1:]):
             z = gen.standard_normal(out=chunk[: hi - lo])
             family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
-        family.pair_squares(xi[: stop - start], order, out=columns[:, start:stop])
+        kernel(xi[: stop - start], order, out=columns[:, start:stop])
     return columns
 
 
@@ -451,22 +452,29 @@ def calibration_table(
     dimensions.  Both modes read one reference's columns at a time, so
     nothing the size of the draws is built besides the draws themselves.
     """
-    rows = lambda _, cols: draws.draws.T[cols]
-    return _table(draws.order, draws.n_sim, draws.seed, rows, pair_dims, alpha_plus, levels)
+    blocks = _row_blocks(draws.draws.T, draws.order)
+    return _table(draws.order, draws.n_sim, draws.seed, blocks, pair_dims, alpha_plus, levels)
 
 
-def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, squared=False) -> CalibrationTable:
-    """``calibration_table`` on ``n`` realizations of the pairs of ``order``,
-    reference by reference: ``rows(ref, cols)`` gives one group's draws (their
-    squares if ``squared``), one row per comparison, and is not read after the next call."""
+def _row_blocks(rows: np.ndarray, order: PairOrder):
+    """Each group of ``order`` with its rows of ``rows`` (one per pair), largest reference first."""
+    return ((group, rows[group[3]]) for group in reversed(order.groups))
+
+
+def _table(order, n, seed, blocks, pair_dims, alpha_plus, levels, squared=False):
+    """``calibration_table`` on ``n`` realizations of the pairs of ``order``:
+    ``blocks`` yields each group of ``order``, largest reference first, with its draws (their
+    squares if ``squared``), one row per comparison, not read after the next is asked for."""
     _check_level(alpha_plus, "alpha_plus")
     power = isinstance(levels, PowerLossParams)
-    # The rank of x: no corrected rank is lower.  The first search starts at its tail's middle.
-    k_x = None if power else _tail_rank(levels, n)
-    ranks: dict[int, int] = {}
-    z, k = np.empty(len(order.pairs)), None if power else k_x + (n - k_x + 1) // 2
-    for m_ref, ref, _, cols in order.groups:
-        block = rows(ref, cols)
+    # The rank of x: no corrected rank is lower.  The first search starts
+    # there, and each later one at the rank before it.
+    k_x = k = None if power else _tail_rank(levels, n)
+    ranks = dict.fromkeys(m_ref for m_ref, *_ in order.groups)
+    z = np.empty(len(order.pairs))
+    for (m_ref, _, _, cols), block in blocks:
+        if squared:  # a streamed block's largest sums, its last row (dense squares were checked)
+            _check_draws(block[-1])
         if power:
             if m_ref not in levels.x:
                 raise MissingPair(f"power-loss level missing for reference {m_ref}")
@@ -497,26 +505,6 @@ def _table(order, n, seed, rows, pair_dims, alpha_plus, levels, squared=False) -
         message = f"{len(clipped)} pair(s) clipped to the maximum draw: {shown}"
         warn(TailTooDeepWarning(message))
     return table
-
-
-def _running_sums(steps: np.ndarray, buf: np.ndarray, ref: int, cols) -> np.ndarray:
-    """Reference ``ref``'s squared draws, one row per larger model, from the
-    step weights ``steps`` (models x realizations), in ``buf``: the running
-    sums ``ModelFamily.pair_windows`` adds, left to right from step ``ref + 1``,
-    so the draw matrix's squared columns bit for bit.  Sums of nonnegative
-    steps only grow down the rows, so the last row is the one checked."""
-    block = buf[ref + 1 :]
-    block[0] = steps[ref + 1]
-    for j in range(1, len(block)):
-        np.add(block[j - 1], steps[ref + 1 + j], block[j])
-    _check_draws(block[-1])
-    return block
-
-
-@lru_cache(maxsize=16)
-def _step_order(models: tuple[int, ...]) -> PairOrder:
-    """Each realization's step weights: the windows of adjacent models, the first alone."""
-    return pair_order(models, zip(models, (0,) + models[:-1]))
 
 
 def critical_values(
@@ -558,8 +546,9 @@ def calibrate(
     traces under the variances ``scale**2``; in power-loss mode the
     per-reference levels come from the single-model traces of the same
     variances.  The table reads each reference's squared draws as one block
-    of rows: with ``increments`` rebuilt in one buffer from models x ``n_sim``
-    step weights, so no pairs x ``n_sim`` array is held; otherwise rows of the squared draws."""
+    of rows, largest reference first: with ``increments`` the family's
+    ``window_blocks`` of models x ``n_sim`` step weights, so no pairs x
+    ``n_sim`` array is held; otherwise rows of the squared draws."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -572,15 +561,12 @@ def calibrate(
             raise DimensionMismatch("power-loss mode needs the exponent a")
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
     order = pair_order(family.models)
-    if family.increments is None:
-        squares = _squares(family, scale, n_sim, seed, stream_tag, order)
-        rows = lambda _, cols: squares[cols]
-    else:
-        squares = _squares(family, scale, n_sim, seed, stream_tag, _step_order(family.models))
-        rows = partial(_running_sums, squares, np.empty_like(squares))
+    steps = family.increments is not None
+    squares = _squares(family, scale, n_sim, seed, stream_tag, order, steps)
     _check_draws(squares)
+    blocks = family.window_blocks(squares, order) if steps else _row_blocks(squares, order)
     dims = _pair_traces(family, root, order)
-    return _table(order, n_sim, seed, rows, dims, alpha_plus, levels, squared=True)
+    return _table(order, n_sim, seed, blocks, dims, alpha_plus, levels, squared=True)
 
 
 def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:

@@ -31,11 +31,11 @@ diagonal -- prediction loss on any design, and the trigonometric families
 under every loss -- a pair difference is a window of coordinates and
 ``|(K_m - K_ref) y|^2 = sum_{j in (m_ref, m]} g_j xi_j^2`` with
 ``g = diag G``: a running sum of nonnegative increments.  The family then
-stores ``g`` as ``increments`` and the pair kernel uses it, building a
-block's windows by length into two ``M``-row buffers and one data vector's
-by one cumulative sum over the Hankel matrix its zero-padded steps are
-gathered into, in the same order of additions; otherwise (or for a
-rank-deficient leading block) it uses ``D_m``.
+stores ``g`` as ``increments`` and the pair kernel uses it, adding each
+window's steps right to left: a block's by one suffix recursion
+(``ModelFamily.window_blocks``), one data vector's by one cumulative sum
+over the reversed Hankel matrix of its zero-padded steps, in the same order
+of additions; otherwise (or for a rank-deficient leading block) ``D_m``.
 
 Every pair list over a model tuple has one layout, ``pair_order``, which
 the kernel, the moments, the draw matrix, the table builder and the
@@ -44,7 +44,6 @@ selector all read and pass on; a list is laid out once, where it enters.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,11 +134,10 @@ class PairOrder:
     contiguous (as in the canonical order), so indexing by them takes no
     copy.  Pair ``i`` covers model steps ``first[i]..last[i]`` (step ``j``
     is coordinates ``[models[j - 1], models[j])``, from 0 for ``j = 0``);
-    ``windows[d]`` holds the first step of each window of ``d + 1`` steps
-    and those pairs' columns; for one data vector's ``k x k`` window sums
-    (``ModelFamily.pair_windows``, ``k`` models), ``hankel_steps[i, d]``,
-    ``i + d``, gathers the Hankel matrix of its zero-padded steps, and
-    ``hankel[i]``, ``first[i] * k + last[i] - first[i]``, is pair ``i``'s.
+    for one data vector's ``k x k`` window sums (``ModelFamily.pair_windows``,
+    ``k`` models), ``hankel_steps[e, d]``, ``k - 1 + e - d``, gathers the
+    reversed Hankel matrix of its steps, zero-padded in front, and
+    ``hankel[i]``, ``last[i] * k + last[i] - first[i]``, is pair ``i``'s.
     ``starts`` holds each group's first column, for ``np.logical_and.reduceat``
     over contiguous groups, and ``step_starts`` each step's first coordinate.
     Orders are shared (see ``pair_order``), so nothing here is written.
@@ -151,7 +149,6 @@ class PairOrder:
     groups: tuple
     first: np.ndarray
     last: np.ndarray
-    windows: tuple
     hankel_steps: np.ndarray
     hankel: np.ndarray
     starts: np.ndarray
@@ -196,10 +193,7 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         cols.append(col)
         first.append(0 if ref is None else ref + 1)
         last.append(positions[m])
-    windows = [([], []) for _ in range(max(map(operator.sub, last, first), default=-1) + 1)]
-    for col, (lo, hi) in enumerate(zip(first, last)):
-        windows[hi - lo][0].append(lo)
-        windows[hi - lo][1].append(col)
+    k = len(models)
     return PairOrder(
         models=models,
         pairs=pairs,
@@ -210,9 +204,8 @@ def _layout(models: tuple[int, ...], pairs: tuple) -> PairOrder:
         ),
         first=_frozen(first),
         last=_frozen(last),
-        windows=tuple((_as_slice(f), _as_slice(rows)) for f, rows in windows),
-        hankel_steps=_frozen(np.add.outer(range(len(models)), range(len(models)))),
-        hankel=_frozen([lo * len(models) + hi - lo for lo, hi in zip(first, last)]),
+        hankel_steps=_frozen(np.subtract.outer(range(k - 1, 2 * k - 1), range(k))),
+        hankel=_frozen([hi * k + hi - lo for lo, hi in zip(first, last)]),
         starts=_frozen([cols[0] for _, _, cols in groups.values()]),
         step_starts=_frozen((0,) + models[:-1]),
     )
@@ -379,7 +372,7 @@ class ModelFamily:
         buffer reused across references (a data vector takes its row).
         """
         if self.increments is not None:
-            return self.pair_windows((xi * xi * self.increments).T, order, out)
+            return self.pair_windows(self.step_squares(xi, order), order, out)
         if xi.ndim == 1:
             return self.pair_squares(xi[None], order, None if out is None else out[:, None])[:, 0]
         if out is None:
@@ -394,50 +387,70 @@ class ModelFamily:
             out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
         return out
 
-    def pair_windows(
-        self, weights: np.ndarray, order: PairOrder, out: np.ndarray | None = None
+    def step_squares(
+        self, xi: np.ndarray, order: PairOrder, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per pair of ``order``, the sum of ``weights[j]`` over the window ``(m_ref, m]``.
+        """Each model step's ``sum g_j xi_j^2`` over its coordinates (``k x B``)
+        for the rows of ``xi`` (``B x r``), or for one ``xi`` (``k``), written
+        to ``out`` if given: the steps ``pair_windows`` adds up to every
+        pair's square.  Needs ``increments``."""
+        weights = (xi * xi * self.increments).T
+        if len(order.step_starts) < len(weights):
+            return np.add.reduceat(weights, order.step_starts, axis=0, out=out)
+        # Steps of one coordinate each are the weights themselves, which a reduceat copies slowly.
+        if out is None:
+            return weights
+        out[...] = weights
+        return out
 
-        ``weights`` is ``(M, B)`` and nonnegative, or ``(M,)`` for one data
-        vector; the result, written to ``out`` if given, is
-        ``(len(order.pairs), B)``, or ``(len(order.pairs),)``.  Each model
-        step is summed once; then a block of rows builds the windows by
-        length, every start at once: the windows of ``d + 1`` steps are
-        those of ``d`` steps plus the next step, one vectorised addition
-        into one of two ``M``-row buffers, and each length's windows are
-        scattered to their pairs' rows of ``out``.  So every window is a
-        running sum from its first step to its last, as the steps are added
-        left to right, and ``out`` is the only array of the result's size.
-        A difference of prefix sums would take fewer additions but cancels
-        on small windows; a running sum of nonnegative terms keeps every
-        window's relative precision.
+    def pair_windows(
+        self, steps: np.ndarray, order: PairOrder, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per pair of ``order``, the sum of the step weights ``steps`` over its
+        model steps ``first..last``: the window ``(m_ref, m]``.
 
-        One data vector takes one pass, not two numpy calls per length:
-        ``order.hankel_steps`` gathers its ``k`` steps (one per model),
-        zero-padded to ``2k - 1``, into the Hankel matrix
-        ``H[i, d] = steps[i + d]``, whose cumulative sum along ``d`` adds
-        steps ``i..i + d`` left to right, as the loop does; ``order.hankel``
-        gathers each pair's entry, none in the padding: the block row's bits.
+        ``steps`` is ``(k, B)`` and nonnegative, one row per model step, or
+        ``(k,)`` for one data vector; the result, written to ``out`` if
+        given, is ``(pairs, B)``, or ``(pairs,)``.  Each window adds its
+        steps right to left: a block of rows copies ``window_blocks``'
+        blocks to their pairs' rows.  A running sum of ``w`` nonnegative
+        steps is within ``(w - 1) 2^-53`` of their exact sum, relatively; a
+        difference of prefix sums would cancel.
+
+        One data vector takes one pass: ``order.hankel_steps`` gathers its
+        ``k`` steps, zero-padded in front to ``2k - 1``, into the reversed
+        Hankel matrix ``H[e, d] = steps[e - d]``, whose cumulative sum along
+        ``d`` adds steps ``e`` down to ``e - d`` as the block kernel does,
+        and ``order.hankel`` gathers each pair's entry, none in the padding.
         """
-        k = len(order.models)
-        # Steps of one coordinate each are the weights themselves: a reduceat would copy them.
-        one = len(order.step_starts) == len(weights)
-        steps = weights if one else np.add.reduceat(weights, order.step_starts, axis=0)
-        if weights.ndim == 1:
+        if steps.ndim == 1:
+            k = len(steps)
             padded = np.zeros(2 * k - 1)
-            padded[:k] = steps
+            padded[k - 1 :] = steps
             sums = np.add.accumulate(padded[order.hankel_steps], axis=1)
             return sums.ravel().take(order.hankel, out=out)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
-        buf = np.empty((2,) + steps.shape)
-        sums = steps
-        for d, (starts, rows) in enumerate(order.windows):
-            if d:
-                sums = np.add(sums[: k - d], steps[d:], out=buf[d % 2, : k - d])
-            out[rows] = sums[starts]
+        for (*_, cols), block in self.window_blocks(steps, order):
+            out[cols] = block
         return out
+
+    def window_blocks(self, steps: np.ndarray, order: PairOrder):
+        """``(group, block)`` per group of ``order``, largest reference first:
+        ``block`` holds the window sums of the step weights ``steps``
+        (``k x B``) of the group's pairs, one row per larger model.  One
+        descending suffix recursion in one ``k x B`` buffer: step ``j`` is
+        added to every row above it, so row ``e`` holds steps ``e`` down to
+        ``j``, and the reference whose windows start at step ``j`` reads its
+        rows there, one vectorised addition per reference.  A slice's block
+        is a view, valid until the next is asked for."""
+        by_first = {0 if group[1] is None else group[1] + 1: group for group in order.groups}
+        buf = np.empty(steps.shape)
+        for j in range(len(steps) - 1, min(by_first, default=len(steps)) - 1, -1):
+            buf[j] = steps[j]
+            buf[j + 1 :] += buf[j]
+            if group := by_first.get(j):
+                yield group, buf[group[2]]
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""

@@ -101,15 +101,16 @@ def joint_norms_from_noise(family, noise, pairs=None) -> np.ndarray:
 
 
 def pair_windows(family, weights: np.ndarray, pairs) -> np.ndarray:
-    """The window sums of ``ModelFamily.pair_windows`` through a running
-    buffer: ``running[s, j]`` is steps ``s..j`` added left to right, one
-    vectorised addition per model across every start, and each pair gathers
-    its ``(first, last)`` entry."""
+    """The window sums of ``ModelFamily.pair_squares`` on the weights of
+    each coordinate, through a running table: ``running[s, e]`` is steps ``e`` down to ``s`` added right to
+    left, one vectorised addition per model across every end, and each pair
+    gathers its ``(first, last)`` entry."""
     steps = np.add.reduceat(weights, (0,) + family.models[:-1], axis=0)
-    running = np.empty((len(steps),) + steps.shape)
-    for j, step in enumerate(steps):
-        np.add(running[:j, j - 1], step, out=running[:j, j])
-        running[j, j] = step
+    k = len(steps)
+    running = np.empty((k,) + steps.shape)
+    running[range(k), range(k)] = steps
+    for s in range(k - 2, -1, -1):
+        np.add(running[s + 1, s + 1 :], steps[s], out=running[s, s + 1 :])
     first = [0 if m_ref == 0 else family.models.index(m_ref) + 1 for _, m_ref in pairs]
     last = [family.models.index(m) for m, _ in pairs]
     if any(f > l for f, l in zip(first, last)):
@@ -121,9 +122,9 @@ def pair_layout(models, pairs) -> dict:
     """The layout ``pair_order`` builds, worked out pair by pair with plain
     lists: each pair's column and model steps, the references in the order
     they first appear with their larger models' positions and their
-    columns, the pairs of each window length, the padded step each cell of
-    the ``k x k`` grid of window sums by first step and length adds last,
-    and each pair's cell in that grid, row-major."""
+    columns, the padded step each cell of the ``k x k`` grid of window sums
+    by last step and length adds last (the steps padded with ``k - 1``
+    zeros in front), and each pair's cell in that grid, row-major."""
     models = list(models)
     first = [0 if m_ref == 0 else models.index(m_ref) + 1 for _, m_ref in pairs]
     last = [models.index(m) for m, _ in pairs]
@@ -132,18 +133,14 @@ def pair_layout(models, pairs) -> dict:
         cols = [i for i, (_, r) in enumerate(pairs) if r == m_ref]
         positions = [models.index(pairs[i][0]) for i in cols]
         groups.append((m_ref, None if m_ref == 0 else models.index(m_ref), positions, cols))
-    windows = []
-    for d in range(max((l - f for f, l in zip(first, last)), default=-1) + 1):
-        rows = [i for i in range(len(pairs)) if last[i] - first[i] == d]
-        windows.append(([first[i] for i in rows], rows))
+    k = len(models)
     return {
         "index": {pair: i for i, pair in enumerate(pairs)},
         "groups": groups,
         "first": first,
         "last": last,
-        "windows": windows,
-        "hankel_steps": [[i + d for d in range(len(models))] for i in range(len(models))],
-        "hankel": [f * len(models) + (l - f) for f, l in zip(first, last)],
+        "hankel_steps": [[k - 1 + e - d for d in range(k)] for e in range(k)],
+        "hankel": [l * k + (l - f) for f, l in zip(first, last)],
         "starts": [cols[0] for *_, cols in groups],
     }
 

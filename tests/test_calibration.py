@@ -694,12 +694,13 @@ def test_band_miss_ends_at_the_rank_of_x_when_its_free_count_meets_the_level(mon
     assert counts == []
 
 
-def test_first_reference_searches_a_band_below_its_tail_middle(monkeypatch):
-    # The paper config's first reference (36 comparisons) at x = 2 on 1000
-    # draws: the rank of x is 865, its search starts at the middle rank
-    # 865 + 136 // 2 = 933 of its tail, and the band from 933 - 17 = 916
-    # holds its max-T rank, so it partitions once, at that band's rank.
-    # Every later reference starts at the rank before it.
+def test_largest_reference_searches_one_band_at_the_rank_of_x(monkeypatch):
+    # The paper config at x = 2 on 1000 draws: the rank of x is 865.  The
+    # table walks the references largest first, and the first, with one
+    # comparison, starts its search at the rank of x: its band starts there
+    # too, so it partitions once, at that rank, and keeps it.  Every later
+    # reference starts at the rank before it, and the ranks keep the
+    # canonical order of the references.
     study = Study.of(ExperimentConfig(n=200))
     family, c = study.family, study.config
     resid = presmooth(family, study.data(0), c.m_dagger)
@@ -707,16 +708,16 @@ def test_first_reference_searches_a_band_below_its_tail_middle(monkeypatch):
 
     def step(block, k_x, x, near, squared=False):
         k, z, partitions = _band_step(block, k_x, x, near, squared)
-        steps.append((k_x, near, partitions, k))
+        steps.append((len(block), k_x, near, partitions, k))
         return k, z
 
     monkeypatch.setattr(calibration, "_max_t", step)
     table = calibrate(family, resid, 1000, c.seeds.bootstrap, 2.0, c.alpha_plus)
-    assert len(steps) == 36
-    k_x, near, partitions, k = steps[0]
-    assert (k_x, near, partitions) == (865, 933, [915])
-    assert k > 916 and table.ranks[family.models[0]] == k
-    assert [s[1] for s in steps[1:]] == [s[3] for s in steps[:-1]]
+    assert [s[0] for s in steps] == list(range(1, 37))
+    assert steps[0][1:] == (865, 865, [864], 865)
+    assert table.ranks[family.models[-2]] == 865
+    assert [s[2] for s in steps[1:]] == [s[4] for s in steps[:-1]]
+    assert list(table.ranks) == list(family.models[:-1])
 
 
 @settings(max_examples=100, deadline=None)

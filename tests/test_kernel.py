@@ -1,20 +1,22 @@
 """The pair kernel, written in place, against the running-buffer kernel.
 
 ``ModelFamily.pair_squares`` writes its squares straight into the caller's
-array.  For a block of rows, window sums are built by window length and
-scattered to their rows, and the sampler hands it each row block of the
+array.  For a block of rows, window sums are built by one suffix recursion
+over the model steps (``window_blocks``) and copied to their rows, one
+block per reference, and the sampler hands it each row block of the
 column-major draw matrix.  One data vector (a 1-D ``xi``) is gathered by
-``PairOrder.hankel_steps`` into the Hankel matrix of its zero-padded model
-steps, summed cumulatively along its rows and gathered by
+``PairOrder.hankel_steps`` into the reversed Hankel matrix of its
+zero-padded model steps, summed cumulatively along its rows and gathered by
 ``PairOrder.hankel``; on the general ``D_m`` route it takes its row of the
-block.  ``reference.pair_squares`` is the kernel these replaced: a
-``M x M x B`` running buffer gathered into a fresh array.  All three add
-every window's steps left to right from its first step, so the results
-must be equal bit for bit, on increments and general ``D_m`` families, for
-any pair list, any row count and one data vector.
+block.  ``reference.pair_squares`` is a ``M x M x B`` running table
+gathered into a fresh array.  All three add every window's steps right to
+left, from its last step down to its first, so the results must be equal
+bit for bit, on increments and general ``D_m`` families, for any pair list,
+any row count and one data vector.
 """
 
 import dataclasses
+from fractions import Fraction
 import itertools
 import tracemalloc
 import warnings
@@ -127,15 +129,15 @@ def test_canonical_pairs_in_any_sequence_skip_regrouping(name, monkeypatch):
 
     monkeypatch.setattr(family_module, "_layout", spy)
     xi = family.reduce(np.ones((2, family.n)))
-    weights = np.ones((family.largest, 2))
+    steps = np.ones((len(family.models), 2))
     for pairs in (canonical, tuple(family.pairs()), family.pairs()):
         order = pair_order(family.models, pairs)
-        family.pair_windows(weights, order)
+        family.pair_windows(steps, order)
         family.pair_squares(xi, order)
     pairwise_statistics(family, np.ones(family.n))
     assert calls == []
     order = pair_order(family.models, list(canonical[::-1]))
-    family.pair_windows(weights, order)
+    family.pair_windows(steps, order)
     family.pair_squares(xi, order)
     assert calls == [canonical[::-1]]
 
@@ -144,9 +146,9 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
     # A list becomes a layout where it enters; the sampler's row blocks,
     # the traces and the moments read that layout instead of building it
     # again, so an excess-risk run over several row blocks lays out once.
-    # The two lists every table reads again, calibrate's step windows and
-    # the (m, 0) singles of single_traces and of power-loss calibrate, are
-    # laid out once per model tuple: a repeat call lays out none.  The
+    # calibrate reads the canonical layout alone, its step weights included,
+    # and the (m, 0) singles of single_traces and of power-loss calibrate
+    # are laid out once per model tuple: a repeat call lays out none.  The
     # other entry points' lists depend on a model, and take one per call.
     family, scenario = _paper_like()
     sigma = scenario.sigma
@@ -176,16 +178,15 @@ def test_each_entry_point_lays_out_its_pair_list_once(monkeypatch):
         ),
         "payment_theory_cap": (lambda: payment_theory_cap(family, sigma, 5, table), 1, 1),
         "single_traces": (lambda: single_traces(family, sigma.variances), 1, 0),
-        "calibrate": (lambda: calibrate(family, sd, 3 * BLOCK_ROWS, 1, 2.0, 1.0), 1, 0),
-        "calibrate_power": (  # the step windows and the singles
+        "calibrate": (lambda: calibrate(family, sd, 3 * BLOCK_ROWS, 1, 2.0, 1.0), 0, 0),
+        "calibrate_power": (  # the singles
             lambda: calibrate(family, sd, 3 * BLOCK_ROWS, 1, 2.0, 1.0, "power_loss", 1.0),
-            2,
+            1,
             0,
         ),
     }
     for name, (entry, fresh, repeat) in entries.items():
         # As on a fresh model tuple: no list is cached yet but the canonical one.
-        calibration_module._step_order.cache_clear()
         moments_module._single_order.cache_clear()
         calls.clear()
         with warnings.catch_warnings():
@@ -235,7 +236,6 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
     assert groups == expected["groups"]
     assert order.first.tolist() == expected["first"]
     assert order.last.tolist() == expected["last"]
-    assert [(_plain(f), _plain(rows)) for f, rows in order.windows] == expected["windows"]
     assert order.hankel_steps.tolist() == expected["hankel_steps"]
     assert order.hankel.tolist() == expected["hankel"]
     assert not order.hankel_steps.flags.writeable and not order.hankel.flags.writeable
@@ -268,6 +268,38 @@ def test_pair_order_matches_the_pair_by_pair_layout(case, seed):
                 assert np.array_equal(vector, got[:, 0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=models_and_pairs(), seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4))
+def test_window_routes_agree_and_keep_each_sums_precision(case, seed, b):
+    # The block kernel, the one-vector route and the blocks window_blocks
+    # streams to calibrate's table agree bit for bit on any pair order over
+    # models with gaps, and a window of w steps is within (w - 1) 2^-53 of
+    # the exact sum of its steps, relatively: the bound of a running sum of
+    # nonnegative terms, whatever the direction it adds them in.
+    models, pairs = case
+    if len(set(pairs)) < len(pairs):
+        return
+    order = pair_order(models, pairs)
+    rng = np.random.default_rng(seed)
+    design = DesignMatrix(rng.standard_normal((models[-1], models[-1] + 3)))
+    family = build_projection_family(design, reference.prediction_weights(design), models)
+    r = family.basis.shape[1]
+    xi = rng.standard_normal((b, r)) * np.exp(rng.uniform(-4.0, 4.0, r))
+    block = family.pair_squares(xi, order)
+    for row in range(b):
+        assert np.array_equal(family.pair_squares(xi[row], order), block[:, row])
+    steps = family.step_squares(xi, order)
+    streamed = np.full_like(block, np.nan)
+    for (*_, cols), rows in family.window_blocks(steps, order):
+        streamed[cols] = rows
+    assert np.array_equal(streamed, block)
+    for i, (lo, hi) in enumerate(zip(order.first.tolist(), order.last.tolist())):
+        for row in range(b):
+            exact = sum(map(Fraction, steps[lo : hi + 1, row].tolist()))
+            error = abs(Fraction(block[i, row]) - exact)
+            assert error <= (hi - lo) * Fraction(1, 2**53) * exact, (pairs[i], row)
+
+
 @pytest.mark.parametrize("name", sorted(WITH_ONE_MODEL))
 def test_family_takes_the_kernel_its_name_says(name):
     assert (WITH_ONE_MODEL[name]().increments is not None) == name.startswith("increments")
@@ -296,7 +328,7 @@ def test_pair_squares_equal_running_buffer_kernel(name):
 
 @pytest.mark.parametrize("name", sorted(WITH_ONE_MODEL))
 def test_pair_squares_fill_a_strided_out(name):
-    # 37 rows, and one row, which takes the by-length loop as any block
+    # 37 rows, and one row, which takes the suffix recursion as any block
     # does; then one data vector into a strided column.  An empty pair
     # list has nothing to write, so its result shares no memory.
     family = WITH_ONE_MODEL[name]()
@@ -324,7 +356,7 @@ def test_pair_squares_fill_a_strided_out(name):
 
 def test_paper_config_statistics_equal_running_buffer_kernel():
     # The paper's n = 200, 37-model family has 36 window lengths, against at
-    # most 11 in FAMILIES: each data vector takes the one-row Hankel gather.
+    # most 11 in FAMILIES: each data vector takes the reversed Hankel gather.
     config = ExperimentConfig(n=200).validate()
     scenario = generate_scenario(config)
     family = scenario_family(config, scenario)
@@ -470,9 +502,9 @@ def test_overflowing_running_sums_raise_non_finite():
     # Finite step weights whose running sums overflow: the streamed table
     # checks the steps once and each reference's last row, its largest sums.
     family, scale = FAMILIES["increments"](), np.full(60, 3e153)
-    order = calibration_module._step_order(family.models)
+    order = pair_order(family.models)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = calibration_module._squares(family, scale, 600, 1, 0, order)
+        steps = calibration_module._squares(family, scale, 600, 1, 0, order, steps=True)
         assert np.isfinite(steps).all() and not np.isfinite(steps.sum(axis=0)).all()
         with pytest.raises(NonFiniteInput, match="draw matrix contains NaN or infinite values"):
             calibrate(family, scale, 600, 1, 2.0, 1.0)

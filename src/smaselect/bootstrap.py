@@ -26,21 +26,22 @@ RESIDUAL_FLOOR = 1e-12
 
 
 def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the leading pilot block."""
+    """Orthonormal columns spanning the pilot block, read-only: one SVD per family and m_dagger."""
     if not (is_integer(m_dagger) and 1 <= m_dagger <= family.p):
         raise DimensionMismatch(f"pilot dimension {m_dagger!r} is not an integer in 1..{family.p}")
-    block = family.design.leading_block(m_dagger)
-    _, svals, vt = np.linalg.svd(block, full_matrices=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        raise SingularGram(m_dagger, f"pilot block {m_dagger} has no positive spectrum")
-    keep = svals > GRAM_CUTOFF * svals[0]
-    return vt[keep].T
+    if (basis := family.pilots.get(int(m_dagger))) is None:
+        _, svals, vt = np.linalg.svd(family.design.leading_block(m_dagger), full_matrices=False)
+        if svals.size == 0 or svals[0] <= 0.0:
+            raise SingularGram(m_dagger, f"pilot block {m_dagger} has no positive spectrum")
+        basis = family.pilots.setdefault(int(m_dagger), vt[svals > GRAM_CUTOFF * svals[0]].T)
+    basis.flags.writeable = False  # on each return: a family's unpickled copy is writeable
+    return basis
 
 
 def presmooth(family: ModelFamily, y, m_dagger: int) -> np.ndarray:
-    """Residuals of the data off the leading pilot block: the multiplier
-    noise scale.  Residuals within ``RESIDUAL_FLOOR`` of the data scale
-    raise ``AllZeroResiduals``."""
+    """Residuals of the data off the family's one ``pilot_basis`` per ``m_dagger``:
+    the multiplier noise scale.  Residuals within ``RESIDUAL_FLOOR`` of the
+    data scale raise ``AllZeroResiduals``."""
     y = family.vector(y)
     basis = pilot_basis(family, m_dagger)
     residuals = y - basis @ (basis.T @ y)

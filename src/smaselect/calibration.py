@@ -552,7 +552,7 @@ def calibrate(
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
-    root = family.noise_root(scale * scale)
+    root = family.trace_root(scale * scale)
     if mode not in MODES:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
     levels = x_level

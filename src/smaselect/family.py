@@ -20,9 +20,11 @@ rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``,
 one row per pair and one column per row of ``xi``, written into an array
 the caller may pass: the sampler draws normals in 64-row chunks and hands
 the kernel each reduced 512-row block with its columns of the draw matrix.
-Noise with variances ``v`` enters as one root ``R_v`` (``noise_root``,
-``R_v^T R_v = Q^T diag(v) Q``): a trace is the kernel summed over the rows
-of ``R_v``, and a variance spectrum that of ``(D_m - D_ref) R_v^T``.
+Noise with variances ``v`` enters a trace through ``trace_root``, whose rows'
+kernel squares sum to it: with ``increments`` (below) the one row
+``sqrt(diag(Q^T diag(v) Q))``, else the root ``R_v`` (``noise_root``,
+``R_v^T R_v = Q^T diag(v) Q``), which alone gives a variance spectrum, that
+of ``(D_m - D_ref) R_v^T``.
 
 The basis is nested: when ``Psi_M`` has full row rank, ``Q[:, :m]`` spans
 the leading ``m`` rows, so ``K_m y = A Pi_m xi`` with ``A = W_M L^-T`` and
@@ -45,7 +47,7 @@ selector all read and pass on; a list is laid out once, where it enters.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -311,6 +313,7 @@ class ModelFamily:
     reduced: np.ndarray
     rank_deficient: tuple[int, ...] = ()
     increments: np.ndarray | None = None
+    pilots: dict = field(default_factory=dict, init=False, repr=False)  # pilot_basis by m_dagger
 
     @property
     def q(self) -> int:
@@ -349,10 +352,19 @@ class ModelFamily:
 
     def noise_root(self, variances) -> np.ndarray:
         """Upper-triangular ``R_v`` (``r x r``) with ``R_v^T R_v = Q^T diag(v) Q``,
-        ``v = variances``: the noise in reduced coordinates.  ``F = D_m R_v^T``
-        gives ``F F^T`` the nonzero spectrum of ``Var(K_m y)``."""
+        ``v = variances``, read only for the spectrum of ``Var(K_m y)`` (that of
+        ``F F^T``, ``F = D_m R_v^T``) and as a Gram-route family's ``trace_root``."""
         variances = self.vector(variances, "noise variances")
         return np.linalg.qr(self.basis * np.sqrt(variances)[:, None], mode="r")
+
+    def trace_root(self, variances) -> np.ndarray:
+        """Rows whose pair squares sum to each variance trace: ``R_v``, or with ``increments``
+        the one row (a vector) ``sqrt(diag(Q^T diag(v) Q))``, all a window's trace reads."""
+        if self.increments is None:
+            return self.noise_root(variances)
+        variances = self.vector(variances, "noise variances")
+        # Each contiguous row is summed pairwise, more accurately than by a matrix product.
+        return np.sqrt(np.add.reduce(np.square(self.basis.T, order="C") * variances, axis=1))
 
     def pair_squares(
         self, xi: np.ndarray, order: PairOrder, out: np.ndarray | None = None

@@ -3,17 +3,17 @@
 Everything here is closed-form matrix arithmetic in the family's reduced
 coordinates: pairwise variance traces and operator norms, and the best
 linear fit each replicate's loss is measured against.
-The noise enters as the family's reduced root ``R_v`` (``R_v^T R_v =
-Q^T diag(v) Q``, ``r x r``).  A variance trace is the pair kernel's
-squared magnitude ``ModelFamily.pair_squares`` summed over the rows of
-``R_v``, the same kernel that gives draws and statistics.
-The variance of ``(K_m - K_ref) y`` has the nonzero spectrum of ``F F^T``
-with ``F = (D_m - D_ref) R_v^T``, so an operator norm is the top eigenvalue
-of a matrix no larger than ``min(q, M, r)`` square.  On a family with
-``increments`` ``g`` the pair reads only the coordinate window
-``w = [m_ref, m)``, and the same spectrum is that of the window's block of
-``diag(sqrt g) R_v^T R_v diag(sqrt g)``: a ``|w| x |w|`` eigenproblem,
-``1 x 1`` for adjacent model sizes.
+A variance trace is the pair kernel ``ModelFamily.pair_squares``, which
+gives draws and statistics, summed over the rows of ``trace_root``: on a
+family with ``increments`` the one row ``sqrt(diag(Q^T diag(v) Q))``, else
+the reduced root ``R_v`` (``R_v^T R_v = Q^T diag(v) Q``, ``r x r``), which
+operator norms read on every family.  The variance of ``(K_m - K_ref) y``
+has the nonzero spectrum of ``F F^T`` with ``F = (D_m - D_ref) R_v^T``, so
+an operator norm is the top eigenvalue of a matrix no larger than
+``min(q, M, r)`` square.  On a family with ``increments`` ``g`` the pair
+reads only the coordinate window ``w = [m_ref, m)``, and the same spectrum
+is that of the window's block of ``diag(sqrt g) R_v^T R_v diag(sqrt g)``:
+a ``|w| x |w|`` eigenproblem, ``1 x 1`` for adjacent model sizes.
 """
 
 from __future__ import annotations
@@ -74,17 +74,18 @@ def _pair_moments(
     """Moments of each listed pair; ``(m, 0)`` gives model ``m``'s own estimate.
 
     The top eigenvalue is that of the pair's ``|w| x |w|`` window block on a
-    family with ``increments``, else that of ``F F^T``.  The traces come from
-    ``pair_traces``, so a table built on these moments and one built by
-    ``calibration.calibrate`` carry the same dimensions.  The top eigenvalue
-    never exceeds the trace; clipping it there absorbs the rounding between
-    the trace sum and the eigensolve.
+    family with ``increments``, else that of ``F F^T``.  The traces read
+    ``pair_traces``' ``trace_root``, so a table built on these moments and
+    one built by ``calibration.calibrate`` carry the same dimensions.  The
+    top eigenvalue never exceeds the trace; clipping it there absorbs the
+    rounding between the trace sum and the eigensolve.
     """
     order = pair_order(family.models, pairs)
     variances = noise_variances(sigma)
     root = family.noise_root(variances)
     tops = (_gram_tops if family.increments is None else _window_tops)(family, root, order)
-    traces = _pair_traces(family, root, order).array.tolist()
+    rows = root if family.increments is None else family.trace_root(variances)
+    traces = _pair_traces(family, rows, order).array.tolist()
     return {
         pair: PairMoments(p_pair=trace, lambda_pair=min(max(float(top), 0.0), trace))
         for pair, trace, top in zip(order.pairs, traces, tops)
@@ -138,19 +139,20 @@ def pair_traces(family: ModelFamily, variances, pairs=None) -> PairValues:
     ``variances``, in the order of ``pairs`` (default: every pair, canonical).
 
     Each is the sum of the pair's squared magnitudes over the rows of the
-    noise root.  A pair ``(m, 0)`` gives model ``m``'s own trace.
+    family's ``trace_root``.  A pair ``(m, 0)`` gives model ``m``'s own trace.
     """
-    return _pair_traces(family, family.noise_root(variances), pair_order(family.models, pairs))
+    return _pair_traces(family, family.trace_root(variances), pair_order(family.models, pairs))
 
 
 def _pair_traces(family: ModelFamily, root: np.ndarray, order: PairOrder) -> PairValues:
-    """``pair_traces`` from the noise root ``R_v``, over a ``PairOrder`` the caller holds."""
-    return PairValues(order, family.pair_squares(root, order).sum(axis=1))
+    """``pair_traces`` from a ``trace_root``, over a ``PairOrder`` the caller holds."""
+    squares = family.pair_squares(root, order)
+    return PairValues(order, squares if root.ndim == 1 else squares.sum(axis=1))
 
 
 def single_traces(family: ModelFamily, variances) -> dict[int, float]:
     """Variance traces ``tr Var(K_m y)`` of every model."""
-    return _single_traces(family, family.noise_root(variances))
+    return _single_traces(family, family.trace_root(variances))
 
 
 @lru_cache(maxsize=16)

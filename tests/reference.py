@@ -8,8 +8,10 @@ diagnostics, the prediction loss as a ``p x p`` root, the oracle index as
 a direct loop over its definition, the smallest-accepted rule as a loop
 over references, tables of hand-set thresholds, the pair layout worked
 out pair by pair, one pair's draw column, each reference's larger models,
-and single-purpose views of those paths (draws in any pair order, a
-table built on the draw matrix), without the library carrying them.  The
+the variance traces over the QR noise root and in exact rational
+arithmetic, the pilot basis computed afresh, and single-purpose views of
+those paths (draws in any pair order, a table built on the draw matrix),
+without the library carrying them.  The
 paper's side results that ``sma`` never runs live here too, as oracles:
 one pair's empirical tail function, the variance-ordering check, the
 bias/variance risk profile, the Monte-Carlo excess-risk functional and
@@ -19,6 +21,7 @@ the AIC equivalence.
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from smaselect.errors import (
     SingularGram,
     TailTooDeepWarning,
 )
-from smaselect.family import _pinv_gram, noise_variances, pair_order, pair_values
+from smaselect.family import GRAM_CUTOFF, _pinv_gram, noise_variances, pair_order, pair_values
 from smaselect.moments import (
     _pair_moments,
     _pair_traces,
@@ -160,6 +163,42 @@ def pair_squares(family, xi: np.ndarray, pairs) -> np.ndarray:
             diff = diff - estimates[ref]
         out[cols] = np.einsum("kfb,kfb->kb", diff, diff)
     return out
+
+
+def qr_pair_traces(family, variances, pairs=None) -> PairValues:
+    """Variance traces over the rows of the noise root ``R_v`` (one QR of the
+    scaled basis) on every family: the trace route the one-row trace root
+    replaced on a family with increments."""
+    order = pair_order(family.models, pairs)
+    return _pair_traces(family, family.noise_root(variances), order)
+
+
+def exact_pair_traces(family, variances, pairs=None) -> list[Fraction]:
+    """Variance traces of a family with increments in exact rational arithmetic
+    on the floats the family holds: ``sum g_j (Q^T diag(v) Q)_jj`` over each
+    pair's coordinate window ``[m_ref, m)``, in the order of ``pair_order``."""
+    g = [Fraction(x) for x in family.increments.tolist()]
+    v = [Fraction(x) for x in family.vector(variances).tolist()]
+    diagonal = [
+        sum((vi * Fraction(q) ** 2 for vi, q in zip(v, column)), Fraction(0))
+        for column in family.basis.T.tolist()
+    ]
+    weighted = [gj * dj for gj, dj in zip(g, diagonal)]
+    order = pair_order(family.models, pairs)
+    return [sum(weighted[m_ref:m], Fraction(0)) for m, m_ref in order.pairs]
+
+
+def fresh_pilot_basis(family, m_dagger: int) -> np.ndarray:
+    """``pilot_basis`` computed afresh, with nothing kept: the right singular
+    vectors of the leading pilot block above the relative cutoff."""
+    _, svals, vt = np.linalg.svd(family.design.leading_block(m_dagger), full_matrices=False)
+    return vt[svals > GRAM_CUTOFF * svals[0]].T
+
+
+def residuals_off(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``presmooth``'s two projection passes of ``y`` off the span of ``basis``."""
+    residuals = y - basis @ (basis.T @ y)
+    return residuals - basis @ (basis.T @ residuals)
 
 
 def projector_matrix(basis) -> np.ndarray:
@@ -532,7 +571,7 @@ def excess_risk_mc(family, sigma, m: int, x_candidate: float, n_sim: int, seed: 
     draws = sample_in_order(family, scale, n_sim, seed, order)
     compared, own_norm2 = draws.draws[:, :-1], draws.draws[:, -1] ** 2
 
-    p_m = _pair_traces(family, family.noise_root(variances), order)[(m, 0)]
+    p_m = _pair_traces(family, family.trace_root(variances), order)[(m, 0)]
     if x_candidate <= 0:
         fired = np.ones(n_sim, dtype=bool)
     else:

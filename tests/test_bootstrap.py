@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,9 +18,18 @@ from smaselect import (
 )
 from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import _tail_rank, familywise_exceedance
+from smaselect.experiment import fourier_values
 from smaselect.moments import pair_traces, single_traces
 from conftest import orthonormal_rows_design
-from reference import column, multiplier_draws, pair_variance, projector_matrix, successors
+from reference import (
+    column,
+    fresh_pilot_basis,
+    multiplier_draws,
+    pair_variance,
+    projector_matrix,
+    residuals_off,
+    successors,
+)
 
 
 def test_presmooth_toy_coordinates(toy_family):
@@ -209,3 +220,40 @@ def test_validity_diagnostics_applicability_ratio():
 def test_validity_diagnostics_requires_truth(toy_family):
     with pytest.raises(RequiresKnownTruth):
         validity_diagnostics(toy_family, NoiseSpec.known([1.0] * 4), None, 3, 2.0)
+
+
+def test_one_pilot_svd_per_family_and_pilot_dimension(monkeypatch):
+    # presmooth and the validity diagnostics read the family's one pilot
+    # basis per m_dagger: one SVD of the pilot block, kept read-only, off
+    # which the residuals are, bit for bit, those off a basis computed afresh.
+    n = 40
+    grid = (np.arange(n) + 0.5) / n
+    design = DesignMatrix(fourier_values(grid, 12) / np.sqrt(n))
+    family = build_projection_family(design, design.entries.T, range(1, 9))
+    rng = np.random.default_rng(7)
+    f_true = rng.standard_normal(6) @ design.entries[:6]
+    sigma = NoiseSpec.known(rng.uniform(0.5, 2.0, n) ** 2)
+    ys = f_true + rng.standard_normal((3, n)) * np.sqrt(sigma.variances)
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    residuals = [presmooth(family, y, 5) for y in ys]
+    validity_diagnostics(family, sigma, f_true, 5, 2.0)
+    assert len(calls) == 1
+    basis = pilot_basis(family, 5)
+    presmooth(family, ys[0], 6)
+    presmooth(family, ys[1], 5)
+    assert len(calls) == 2 and pilot_basis(family, 5) is basis and set(family.pilots) == {5, 6}
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    fresh = fresh_pilot_basis(family, 5)
+    assert basis.shape == fresh.shape and basis.tobytes() == fresh.tobytes()
+    for y, r in zip(ys, residuals):
+        assert r.tobytes() == residuals_off(fresh, y).tobytes()
+    # A family made from this one starts with no pilot basis of its own; a
+    # pickled one carries its bases, read-only as well.
+    assert dataclasses.replace(family, increments=None).pilots == {}
+    copy = pickle.loads(pickle.dumps(family))
+    calls.clear()
+    assert not pilot_basis(copy, 5).flags.writeable and not calls
+    assert pilot_basis(copy, 5).tobytes() == basis.tobytes()

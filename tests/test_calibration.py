@@ -1107,19 +1107,34 @@ def test_table_load_refuses_values_that_are_not_numbers(toy_family, toy_noise, k
 
 
 def test_one_noise_root_per_variance_vector(toy_family, toy_noise, monkeypatch):
-    # The traces and the top eigenvalues (or, in power-loss mode, the
-    # single-model and pair traces) share one QR of the scaled basis.
-    calls = []
-    noise_root = type(toy_family).noise_root
+    # The noise root R_v, one QR of the scaled basis, is made only where its
+    # rows are read: all_pair_moments makes one for its top eigenvalues (its
+    # traces share it on a Gram-route family), calibrate on a family with
+    # increments none and no QR at all in either mode (its traces read the
+    # one-row trace root), and calibrate on a Gram-route family one per
+    # table, which its single-model and pair traces share.
+    calls, qrs = [], []
+    noise_root, qr = type(toy_family).noise_root, np.linalg.qr
     monkeypatch.setattr(
         type(toy_family), "noise_root", lambda self, v: calls.append(1) or noise_root(self, v)
     )
-    all_pair_moments(toy_family, toy_noise)
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(1) or qr(*a, **k))
+    gram = dataclasses.replace(toy_family, increments=None)
+    def count(call) -> tuple[int, int]:
+        calls.clear()
+        qrs.clear()
+        call()
+        return len(calls), len(qrs)
+
+    for family in (toy_family, gram):
+        assert count(lambda: all_pair_moments(family, toy_noise)) == (1, 1), family.increments
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for mode in ("probabilistic", "power_loss"):
-            calibrate(toy_family, np.ones(4), 100, 1, 2.0, 1.0, mode=mode, power_a=1.0)
-    assert len(calls) == 3
+        for (family, per_table), mode in itertools.product(
+            [(toy_family, 0), (gram, 1)], ["probabilistic", "power_loss"]
+        ):
+            table = lambda: calibrate(family, np.ones(4), 100, 1, 2.0, 1.0, mode, 1.0)
+            assert count(table) == (per_table, per_table), (family.increments, mode)
 
 
 def test_traces_and_table_dimensions_are_pair_values(toy_family, toy_noise):

@@ -1,6 +1,10 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smaselect import (
@@ -10,14 +14,18 @@ from smaselect import (
     NonFiniteInput,
     NotOrderedPair,
     build_projection_family,
+    calibrate,
 )
 from smaselect import test_statistics as pairwise_statistics
-from smaselect.moments import single_variance
-from conftest import orthonormal_rows_design
+from smaselect.family import pair_order
+from smaselect.moments import all_pair_moments, pair_traces, single_traces, single_variance
+from conftest import orthonormal_rows_design, small_families
 from reference import (
     check_ordering,
+    exact_pair_traces,
     pair_operator,
     pair_variance,
+    qr_pair_traces,
     risk_profile,
     risk_profile_csv_rows,
 )
@@ -150,3 +158,72 @@ def test_noise_spec_validation():
     with pytest.raises(DimensionMismatch):
         NoiseSpec.known([[1.0, 1.0]])
     assert NoiseSpec.homogeneous(2.0, 3).variances.tolist() == [4.0, 4.0, 4.0]
+
+
+def _relative_errors(values, exact) -> list[float]:
+    """Relative error of each float trace against its exact value (an exact
+    zero must be met exactly)."""
+    return [
+        float(abs(Fraction(x) - e) / e) if e else (0.0 if x == 0 else math.inf)
+        for x, e in zip(values, exact)
+    ]
+
+
+def _trace_tolerance(family) -> float:
+    """The stated relative tolerance of a trace on a family with increments:
+    one unit roundoff per term of the sums a trace takes (the ``n`` products
+    of a diagonal entry, the ``r`` coordinates and ``k`` model steps of a
+    window), plus four for the products, the square root and its square.
+    Every term is nonnegative, so the bound is relative to the trace itself."""
+    return (family.n + family.basis.shape[1] + len(family.models) + 4) * 2.0**-53
+
+
+def _check_trace_routes(family, scale) -> tuple[float, float]:
+    """The worst relative errors of the one-row and the QR trace routes
+    against exact pair and single traces under the variances ``scale**2``,
+    after checking the one-row route against the stated tolerance and that
+    ``calibrate``'s dimensions, ``pair_traces`` and ``all_pair_moments``'
+    traces agree bit for bit."""
+    v = scale * scale
+    singles = [(m, 0) for m in family.models]
+    traces = pair_traces(family, v)
+    exact = exact_pair_traces(family, v) + exact_pair_traces(family, v, singles)
+    row = _relative_errors([*traces.array, *single_traces(family, v).values()], exact)
+    qr_traces = [*qr_pair_traces(family, v).array, *qr_pair_traces(family, v, singles).array]
+    qr = _relative_errors(qr_traces, exact)
+    assert max(row) <= _trace_tolerance(family), (max(row), family.models)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = calibrate(family, scale, 50, 3, 2.0, 1.0)
+    moments = all_pair_moments(family, NoiseSpec.known(v))
+    assert table.pair_dims.order is traces.order is pair_order(family.models)
+    assert table.pair_dims.array.tobytes() == traces.array.tobytes()
+    p_pair = np.array([moments[pair].p_pair for pair in traces.order.pairs])
+    assert p_pair.tobytes() == traces.array.tobytes()
+    return max(row), max(qr)
+
+
+def test_one_row_traces_are_no_less_accurate_than_the_qr_route(toy_family, toy_extended_family):
+    # On a family with increments a trace reads only diag(Q^T diag(v) Q), so
+    # the trace root is one row; checked against exact rational traces on
+    # every conftest family with increments, it meets the stated tolerance,
+    # and its worst error is no larger than that of the traces over the rows
+    # of the QR noise root it replaced.
+    worst = {"row": 0.0, "qr": 0.0}
+
+    def record(family, seed):
+        scale = np.random.default_rng(seed).uniform(0.5, 2.0, family.n)
+        row, qr = _check_trace_routes(family, scale)
+        worst["row"], worst["qr"] = max(worst["row"], row), max(worst["qr"], qr)
+
+    record(toy_family, 1)
+    record(toy_extended_family, 2)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(small_families(kinds=("prediction", "derivative")), st.integers(0, 2**32 - 1))
+    def sweep(family, seed):
+        assume(family.increments is not None)
+        record(family, seed)
+
+    sweep()
+    assert 0.0 < worst["row"] <= worst["qr"], worst

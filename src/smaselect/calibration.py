@@ -186,7 +186,7 @@ def _tail_rank(t: float, n: int) -> int:
 
 def _order_statistic(values: np.ndarray, k: int) -> np.ndarray:
     """Rank-``k`` (1-based) value along the last axis, by one partial selection."""
-    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+    return np.partition(values, k - 1, axis=-1)[..., k - 1].copy()  # frees the partitioned copy
 
 
 def _exceeding(block: np.ndarray, z: np.ndarray) -> int:
@@ -525,6 +525,20 @@ def critical_values(
 power_loss_critical_values = critical_values
 
 
+def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int = 0):
+    """The canonical ``PairOrder`` and, largest reference first, each group with the squares of
+    its pairs' ``sample_draws`` (a row each, checked in one pass, read before the next group):
+    with ``increments`` from the family's ``window_blocks`` of models x ``n_sim`` step weights,
+    holding no pairs x ``n_sim`` array.  A scale zero everywhere raises ``AllZeroResiduals``."""
+    if not family.vector(scale, "noise scale").any():
+        raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
+    order = pair_order(family.models)
+    steps = family.increments is not None
+    squares = _squares(family, scale, n_sim, seed, stream_tag, order, steps)
+    _check_draws(squares)
+    return order, family.window_blocks(squares, order) if steps else _row_blocks(squares, order)
+
+
 def calibrate(
     family: ModelFamily,
     scale,
@@ -536,41 +550,29 @@ def calibrate(
     power_a: float | None = None,
     stream_tag: int = 0,
 ) -> CalibrationTable:
-    """The table on ``sample_draws`` with the same arguments: draws under
-    noise ``scale * N(0, I_n)``, over every pair, in the canonical order.
-
-    The one path from a per-coordinate noise scale to thresholds: known
-    noise passes its standard deviations, multiplier calibration its
-    presmoothing residuals.  A scale that is zero everywhere raises
-    ``AllZeroResiduals``.  The bias allowance uses the pair variance
-    traces under the variances ``scale**2``; in power-loss mode the
-    per-reference levels come from the single-model traces of the same
-    variances.  The table reads each reference's squared draws as one block
-    of rows, largest reference first: with ``increments`` the family's
-    ``window_blocks`` of models x ``n_sim`` step weights, so no pairs x
-    ``n_sim`` array is held; otherwise rows of the squared draws."""
+    """The table on ``draw_blocks``: the one path from a per-coordinate noise scale to
+    thresholds.  Known noise passes its standard deviations, multiplier calibration its
+    presmoothing residuals.  The bias allowance uses the pair variance traces under the
+    variances ``scale**2``; in power-loss mode the per-reference levels come from the
+    single-model traces of the same variances."""
     scale = family.vector(scale, "noise scale")
-    if not scale.any():
-        raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
     root = family.trace_root(scale * scale)
     if mode not in MODES:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
+    order, blocks = draw_blocks(family, scale, n_sim, seed, stream_tag)  # AllZeroResiduals first
     levels = x_level
     if mode == "power_loss":
         if power_a is None:
             raise DimensionMismatch("power-loss mode needs the exponent a")
         levels = power_loss_params(family.models, _single_traces(family, root), power_a)
-    order = pair_order(family.models)
-    steps = family.increments is not None
-    squares = _squares(family, scale, n_sim, seed, stream_tag, order, steps)
-    _check_draws(squares)
-    blocks = family.window_blocks(squares, order) if steps else _row_blocks(squares, order)
     dims = _pair_traces(family, root, order)
     return _table(order, n_sim, seed, blocks, dims, alpha_plus, levels, squared=True)
 
 
-def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> list[str]:
-    """Exact in-sample check of a table on its draws, one line per failure.
+def propagation_failures(
+    family: ModelFamily, scale, table: CalibrationTable, stream_tag: int = 0
+) -> list[str]:
+    """Exact in-sample check of a table on its ``draw_blocks``, rooted, one line per failure.
 
     Each threshold must equal its pair's draw at the reference's rank (as
     ``calibration_table`` selects it) plus ``alpha_plus * sqrt(dim)`` bit for
@@ -580,24 +582,23 @@ def propagation_failures(draws: JointDrawMatrix, table: CalibrationTable) -> lis
     probabilistic mode the smallest at or above the level's own rank that
     meets it (the draws above the rank below must not), in power-loss mode
     the level's own rank.  A pair the table lacks or a reference without a
-    rank raises ``MissingPair``; draws of another ``n_sim``, or a table that
-    is not a ``CalibrationTable``, ``DimensionMismatch``.
+    rank raises ``MissingPair``; a table that is not a ``CalibrationTable``,
+    or records no seed, ``DimensionMismatch``.
     """
     _check_table(table)
-    n = draws.n_sim
-    if n != table.n_sim:
-        raise DimensionMismatch(f"draws have {n} rows, the table was calibrated on {table.n_sim}")
-    critical = table.critical.at(draws.order, "critical value")
-    allowance = table.alpha_plus * np.sqrt(table.pair_dims.at(draws.order, "dimension"))
-    columns, failures = np.arange(len(critical)), []
-    for m_ref, _, _, cols in draws.order.groups:
+    n = table.n_sim
+    order, blocks = draw_blocks(family, scale, n, table.seed, stream_tag)
+    critical = table.critical.at(order, "critical value")
+    allowance = table.alpha_plus * np.sqrt(table.pair_dims.at(order, "dimension"))
+    failures = []
+    for (m_ref, _, _, cols), squares in blocks:
         if m_ref not in table.ranks:
             raise MissingPair(f"no rank for reference {m_ref}")
         k, level = table.ranks[m_ref], table.level(m_ref)
         k_level, target = _tail_rank(level, n), math.exp(-level)
-        block = draws.draws.T[cols]
+        block = np.sqrt(squares)  # compare draws, not squares: below 2^-511 squaring loses bits
         z = _order_statistic(block, k)
-        pairs = [draws.order.pairs[i] for i in columns[cols].tolist()]
+        pairs = order.pairs[cols]  # canonical groups are slices
         expected = (z + allowance[cols]).tolist()
         for pair, threshold, rebuilt in zip(pairs, critical[cols].tolist(), expected):
             if threshold != rebuilt:

@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from .bootstrap import presmooth, validity_diagnostics
 from .bounds import QFParams, qf_lower, qf_upper
-from .calibration import propagation_failures, sample_draws
+from .calibration import propagation_failures
 from .errors import (
     AllZeroResiduals,
     ConfigInvalid,
@@ -115,13 +115,12 @@ def _calibrated(args, cfg: ExperimentConfig):
 
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(args)
+    path = _outdir(args) / "calibration.json"
     study, _, scale, table = _calibrated(args, cfg)
-    io.save_table(table, out / "calibration.json")
-    print(f"calibration table ({args.noise}, {table.mode}) -> {out / 'calibration.json'}")
+    io.save_table(table, path)
+    print(f"calibration table ({args.noise}, {table.mode}) -> {path}")
     if args.self_test:
-        draws = sample_draws(study.family, scale, table.n_sim, table.seed)
-        failures = propagation_failures(draws, io.load_table(out / "calibration.json"))
+        failures = propagation_failures(study.family, scale, io.load_table(path))
         if failures:
             for f in failures:
                 print(f"self-test FAIL: {f}", file=sys.stderr)

@@ -10,8 +10,8 @@ over references, tables of hand-set thresholds, the pair layout worked
 out pair by pair, one pair's draw column, each reference's larger models,
 the variance traces over the QR noise root and in exact rational
 arithmetic, the pilot basis computed afresh, and single-purpose views of
-those paths (draws in any pair order, a table built on the draw matrix),
-without the library carrying them.  The
+those paths (draws in any pair order, a table built on the draw matrix
+and its self-test on that matrix), without the library carrying them.  The
 paper's side results that ``sma`` never runs live here too, as oracles:
 one pair's empirical tail function, the variance-ordering check, the
 bias/variance risk profile, the Monte-Carlo excess-risk functional and
@@ -38,7 +38,10 @@ from smaselect import (
 )
 from smaselect.bootstrap import pilot_basis
 from smaselect.calibration import (
+    _check_table,
+    _exceeding,
     _order_statistic,
+    _row_blocks,
     _squares,
     _tail_rank,
     calibration_table,
@@ -243,6 +246,49 @@ def matrix_table(family, scale, n_sim, seed, x_level, alpha_plus, mode, stream_t
         levels = power_loss_params(family.models, single_traces(family, variances), 1.0)
     draws = sample_draws(family, scale, n_sim, seed, stream_tag)
     return calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
+
+
+def matrix_propagation_failures(draws, table) -> list[str]:
+    """``propagation_failures`` on a draw matrix in any pair order, read through
+    ``JointDrawMatrix`` rather than ``calibration.draw_blocks``: the same exact
+    check, in the same walk (largest reference first), so the two return the
+    same lines on the same draws.  Draws of another ``n_sim`` than the table
+    was calibrated on raise ``DimensionMismatch``."""
+    _check_table(table)
+    n = draws.n_sim
+    if n != table.n_sim:
+        raise DimensionMismatch(f"draws have {n} rows, the table was calibrated on {table.n_sim}")
+    critical = table.critical.at(draws.order, "critical value")
+    allowance = table.alpha_plus * np.sqrt(table.pair_dims.at(draws.order, "dimension"))
+    columns, failures = np.arange(len(critical)), []
+    for (m_ref, _, _, cols), block in _row_blocks(draws.draws.T, draws.order):
+        if m_ref not in table.ranks:
+            raise MissingPair(f"no rank for reference {m_ref}")
+        k, level = table.ranks[m_ref], table.level(m_ref)
+        k_level, target = _tail_rank(level, n), math.exp(-level)
+        z = _order_statistic(block, k)
+        pairs = [draws.order.pairs[i] for i in columns[cols].tolist()]
+        expected = (z + allowance[cols]).tolist()
+        for pair, threshold, rebuilt in zip(pairs, critical[cols].tolist(), expected):
+            if threshold != rebuilt:
+                failures.append(f"pair {pair}: threshold {threshold!r} is not {rebuilt!r}, "
+                                f"reference {m_ref}'s rank-{k} draw plus the allowance")
+        if table.mode == "probabilistic":
+            if k < k_level or k > k_level and (
+                _exceeding(block, _order_statistic(block, k - 1)) / n <= target
+            ):
+                failures.append(f"reference {m_ref}'s rank {k} is not the smallest from "
+                                f"rank {k_level} whose exceedance is at most {target:.4f}")
+            counts = {f"reference {m_ref}": _exceeding(block, z)}
+        else:
+            if k != k_level:
+                failures.append(f"reference {m_ref}'s rank {k} is not {k_level}, "
+                                f"the rank of its level {level!r}")
+            per_pair = np.count_nonzero(block > z[:, None], axis=1).tolist()
+            counts = {f"pair {pair}": c for pair, c in zip(pairs, per_pair)}
+        failures += [f"{what}: exceedance {c / n:.4f} > {target:.4f}"
+                     for what, c in counts.items() if c / n > target]
+    return failures
 
 
 def same_table(table, want) -> bool:

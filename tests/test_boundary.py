@@ -323,9 +323,35 @@ BAD_SCALARS = {
         "table",
     ),
     "propagation_failures-table-none": (
-        lambda sc, fam: propagation_failures(_draws(sc, fam), None),
+        lambda sc, fam: propagation_failures(fam, np.sqrt(sc.sigma.variances), None),
         DimensionMismatch,
         "table",
+    ),
+    # The self-test samples its table's draws as calibrate does, so it
+    # refuses the scales calibrate refuses, and a loaded table that records
+    # no seed to sample them from.
+    **{
+        f"propagation_failures-scale-{name}": (
+            lambda sc, fam, scale=scale: propagation_failures(
+                fam, scale(fam), _calibrate(sc, fam, n_sim=200)
+            ),
+            error,
+            "noise scale",
+        )
+        for name, scale, error in [
+            ("zero", lambda fam: np.zeros(fam.n), AllZeroResiduals),
+            ("short", lambda fam: np.ones(fam.n - 1), DimensionMismatch),
+            ("nan", lambda fam: np.full(fam.n, np.nan), NonFiniteInput),
+        ]
+    },
+    "propagation_failures-seed-null": (
+        lambda sc, fam: propagation_failures(
+            fam,
+            np.sqrt(sc.sigma.variances),
+            CalibrationTable.from_dict(_calibrate(sc, fam, n_sim=200).to_dict() | {"seed": None}),
+        ),
+        DimensionMismatch,
+        "seed",
     ),
     # The bounds returned NaN or 0.0 for a NaN level, raised a bare
     # TypeError for text and a bare ValueError for a negative trace; a text

@@ -52,6 +52,7 @@ from reference import (
     correction_rank,
     excess_risk_mc,
     joint_norms_from_noise,
+    matrix_propagation_failures,
     multiplier_draws,
     pair_norms,
     pair_variance,
@@ -178,7 +179,7 @@ def test_tail_rank_is_the_smallest_meeting_its_level(toy_family, toy_noise):
     params = power_loss_params([1, 2, 3], {1: 2.0, 2: 5.0, 3: 6.0}, a=0.5)
     assert math.exp(-params.x[1]) * 500 == pytest.approx(32.0)
     table = power_loss_critical_values(draws, toy_moments(toy_family, toy_noise), params, 1.0)
-    assert propagation_failures(draws, table) == []
+    assert propagation_failures(toy_family, np.sqrt(toy_noise.variances), table) == []
 
 
 def test_tail_quantile_monotone_in_t(toy_family, toy_noise):
@@ -823,25 +824,31 @@ def test_in_sample_propagation_exact(toy_family, toy_noise):
 
 def test_missing_pair_is_named(toy_extended_family):
     # The self-test and the exceedance name the pair that the table or the
-    # thresholds lack, for the critical values and for the dimensions.
+    # thresholds lack, for the critical values and for the dimensions.  The
+    # self-test reads every pair of the family; the matrix oracle reads the
+    # draws it is given, here restricted to the table's pairs.
     draws = sample_joint_draws(toy_extended_family, NoiseSpec.homogeneous(1.0, 8), 200, seed=3)
     dims = {(2, 1): 1.0, (3, 1): 2.0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibration_table(draws.restricted(dims), dims, 1.0, 2.0)
-    assert propagation_failures(draws.restricted(dims), table) == []
+    assert matrix_propagation_failures(draws.restricted(dims), table) == []
     with pytest.raises(MissingPair, match=r"no critical value for pair \(4, 1\)"):
-        propagation_failures(draws, table)
-    # The self-test also names a reference without a rank, and refuses
-    # draws of another n_sim than the table was calibrated on.
+        propagation_failures(toy_extended_family, np.ones(8), table)
+    # Both also name a reference without a rank, and the oracle refuses
+    # draws of another n_sim than the table was calibrated on (the
+    # self-test samples at the table's own n_sim).
     with pytest.raises(MissingPair, match="no rank for reference 1"):
-        propagation_failures(draws.restricted(dims), dataclasses.replace(table, ranks={}))
+        matrix_propagation_failures(draws.restricted(dims), dataclasses.replace(table, ranks={}))
+    full = dataclasses.replace(table, critical=dict.fromkeys(draws.order.index, 5.0))
+    ranked_one = dataclasses.replace(full, pair_dims=full.critical)  # only reference 1 ranked
+    with pytest.raises(MissingPair, match="no rank for reference 5"):  # largest reference first
+        propagation_failures(toy_extended_family, np.ones(8), ranked_one)
     fewer = JointDrawMatrix(draws.restricted(dims).draws[:100], table.critical.order, 3)
     with pytest.raises(DimensionMismatch, match="100 rows"):
-        propagation_failures(fewer, table)
-    full = dataclasses.replace(table, critical=dict.fromkeys(draws.order.index, 5.0))
+        matrix_propagation_failures(fewer, table)
     with pytest.raises(MissingPair, match=r"no dimension for pair \(4, 1\)"):
-        propagation_failures(draws, full)
+        propagation_failures(toy_extended_family, np.ones(8), full)
     with pytest.raises(MissingPair, match=r"no threshold for pair \(3, 1\)"):
         familywise_exceedance(draws, 1, {(2, 1): 1.0})
     # A power-loss table loaded without a reference's level names it.
@@ -850,11 +857,10 @@ def test_missing_pair_is_named(toy_extended_family):
         power = calibrate(
             toy_extended_family, np.ones(8), 200, 3, 2.0, 1.0, mode="power_loss", power_a=1.0
         )
-    draws = sample_draws(toy_extended_family, np.ones(8), 200, 3)
     d = power.to_dict()
     del d["per_model_levels"]["2"]
     with pytest.raises(MissingPair, match="no power-loss level for reference 2"):
-        propagation_failures(draws, CalibrationTable.from_dict(d))
+        propagation_failures(toy_extended_family, np.ones(8), CalibrationTable.from_dict(d))
 
 
 def test_fresh_draw_propagation(toy_family, toy_noise):
@@ -1173,7 +1179,8 @@ def test_table_rejects_negative_dimensions_and_bad_allowance(toy_family, toy_noi
     draws = sample_joint_draws(toy_family, toy_noise, 2000, seed=131)
     table = critical_values(draws, toy_moments(toy_family, toy_noise), 2.0, 1.0)
     zero = table.to_dict() | {"critical": dict.fromkeys(table.to_dict()["critical"], 0.0)}
-    assert propagation_failures(draws, CalibrationTable.from_dict(zero))
+    scale = np.sqrt(toy_noise.variances)
+    assert propagation_failures(toy_family, scale, CalibrationTable.from_dict(zero))
     # Negative dimensions would make every tail NaN, so the self-test would
     # see no exceedance at all; a NaN allowance would do the same.
     corrupt = zero | {"pair_dims": dict.fromkeys(zero["pair_dims"], -4.0)}

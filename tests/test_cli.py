@@ -370,6 +370,7 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
         pair_dims={pair: 1.0 for pair in critical},
         mode="probabilistic",
         n_sim=draws.n_sim,
+        seed=draws.seed,
     )
     # Reference 1's corrected rank lies above the rank of x; one rank below
     # it, with the thresholds rebuilt to match, already overshoots.
@@ -380,12 +381,13 @@ def test_propagation_selftest_flags_uncorrected_table(toy_family, toy_noise):
         bad, ranks={1: k_1 - 1, 2: k}, critical={**bad.critical, **below}
     )
     for table in (bad, one_below):
-        failures = propagation_failures(draws, table)
+        failures = propagation_failures(toy_family, np.sqrt(toy_noise.variances), table)
         assert failures == [failures[0]] and failures[0].startswith("reference 1: exceedance")
 
 
 def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp_path):
     draws = sample_joint_draws(toy_family, toy_noise, 20_000, seed=73)
+    scale = np.sqrt(toy_noise.variances)
     moments = all_pair_moments(toy_family, toy_noise)
     params = power_loss_params([1, 2, 3], {1: 1.0, 2: 2.0, 3: 3.0}, a=1.0)
     tables = {
@@ -395,7 +397,7 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
     for flagged, table in tables.items():
         save_table(table, tmp_path / "calibration.json")
         saved = load_table(tmp_path / "calibration.json")
-        assert propagation_failures(draws, saved) == []
+        assert propagation_failures(toy_family, scale, saved) == []
         # Move one saved threshold off its order statistic, to the median or
         # by one ulp either way: the self-test must read the saved value, not
         # rebuild it from the draws, and compare it bit for bit.
@@ -411,7 +413,7 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         # A rank moved while its thresholds stay disagrees with them.
         mutants.append(dataclasses.replace(saved, ranks={**saved.ranks, 1: saved.ranks[1] + 1}))
         for mutant in mutants:
-            failures = propagation_failures(draws, mutant)
+            failures = propagation_failures(toy_family, scale, mutant)
             assert failures and flagged in failures[0] and "pair (2, 1)" in failures[0]
             assert all("is not" in f and "reference 1's" in f for f in failures)
         # Reference 1's rank raised by one with its thresholds rebuilt there:
@@ -427,7 +429,7 @@ def test_propagation_selftest_checks_saved_thresholds(toy_family, toy_noise, tmp
         raised = dataclasses.replace(
             saved, ranks={**saved.ranks, 1: k}, critical={**saved.critical, **rebuilt}
         )
-        failures = propagation_failures(draws, raised)
+        failures = propagation_failures(toy_family, scale, raised)
         assert len(failures) == 1 and failures[0].startswith(f"reference 1's rank {k} is not")
 
 

@@ -539,7 +539,7 @@ def test_calibrate_equals_the_table_on_sample_draws(name, n_sim):
     # calibrate streams a family with increments reference by reference
     # from its step weights, and passes _table rows of the squared draws
     # otherwise; the table must be the one built on the rooted draw matrix,
-    # bit for bit, and pass the self-test on those draws.  One block (1
+    # bit for bit, and pass the self-test on its own stream.  One block (1
     # row), and blocks that do not fill 512 rows (700, 1000).
     family = TABLE_FAMILIES[name]()
     scale = np.random.default_rng(n_sim).uniform(0.5, 2.0, family.n)
@@ -551,5 +551,4 @@ def test_calibrate_equals_the_table_on_sample_draws(name, n_sim):
             table = calibrate(family, scale, n_sim, 17, 2.0, 1.0, mode, 1.0, stream_tag)
             want = reference.matrix_table(family, scale, n_sim, 17, 2.0, 1.0, mode, stream_tag)
         assert reference.same_table(table, want), (mode, stream_tag)
-        draws = sample_draws(family, scale, n_sim, 17, stream_tag)
-        assert propagation_failures(draws, table) == [], (mode, stream_tag)
+        assert propagation_failures(family, scale, table, stream_tag) == [], (mode, stream_tag)

@@ -6,20 +6,30 @@ weighting, and rank-deficient designs.  Noise scales are a known one and the
 presmoothing residuals of a data vector, as in multiplier calibration.
 """
 
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smaselect import CalibrationTable, calibrate, propagation_failures, sample_draws, sma_select
+from smaselect import (
+    CalibrationTable,
+    SingularGramWarning,
+    build_projection_family,
+    calibrate,
+    propagation_failures,
+    sample_draws,
+    sma_select,
+)
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.bootstrap import presmooth
 from smaselect.experiment import MODES, WEIGHTINGS, ExperimentConfig, Seeds
 from smaselect.moments import single_traces
 from conftest import small_families
-from reference import matrix_table, same_table
+from reference import column, matrix_propagation_failures, matrix_table, same_table
 
 N_SIM = 300
 
@@ -59,11 +69,73 @@ def test_every_calibrated_table_propagates_on_its_draws(family, seed, x_level, a
     for scale in (known, pilot):
         for mode in _modes(family, scale):
             table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
-            assert propagation_failures(sample_draws(family, scale, N_SIM, seed), table) == [], mode
+            assert propagation_failures(family, scale, table) == [], mode
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = matrix_table(family, scale, N_SIM, seed, x_level, alpha_plus, mode)
             assert same_table(table, want), mode
+
+
+def _one_model(family):
+    """The family's largest model alone: a family without pairs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularGramWarning)
+        return build_projection_family(family.design, family.weight_matrix, family.models[-1:])
+
+
+def _mutants(table, draws, pick: int) -> list[CalibrationTable]:
+    """The self-test's mutants of ``table``: one pair's threshold one ulp above and one
+    below, and one reference's rank raised by one with its thresholds rebuilt there
+    (``pick`` chooses the pair and the reference below rank ``n_sim``)."""
+    if not draws.order.pairs:
+        return []
+    pair = draws.order.pairs[pick % len(draws.order.pairs)]
+    mutants = [
+        dataclasses.replace(
+            table, critical={**table.critical, pair: math.nextafter(table.critical[pair], to)}
+        )
+        for to in (math.inf, -math.inf)
+    ]
+    if raisable := [m_ref for m_ref, k in table.ranks.items() if k < table.n_sim]:
+        m_ref = raisable[pick % len(raisable)]
+        k = table.ranks[m_ref] + 1
+        rebuilt = {
+            p: float(np.sort(column(draws, *p))[k - 1])
+            + table.alpha_plus * math.sqrt(table.pair_dims[p])
+            for p in draws.comparisons(m_ref)
+        }
+        ranks = {**table.ranks, m_ref: k}
+        mutants.append(dataclasses.replace(table, ranks=ranks, critical={**table.critical, **rebuilt}))
+    return mutants
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.one_of(small_families(), small_families().map(_one_model)),
+    seed=st.integers(0, 2**32 - 1),
+    x_level=st.floats(0.25, 4.0),
+    alpha_plus=st.floats(0.0, 2.0),
+    pick=st.integers(0, 2**16),
+)
+def test_the_streamed_self_test_prints_the_matrix_oracles_lines(
+    family, seed, x_level, alpha_plus, pick
+):
+    # propagation_failures reads calibrate's own blocks, rooted; the oracle
+    # reads sample_draws' matrix of the same arguments.  Both must print the
+    # same lines on the table (none) and on each of its mutants (some), on
+    # increments and Gram-route families, with model gaps or one model, for
+    # a known scale and presmoothing residuals, in both modes.
+    rng = np.random.default_rng(seed)
+    known = rng.uniform(0.5, 2.0, family.n)
+    pilot = presmooth(family, _data(family, rng, known), family.models[0])
+    for scale in (known, pilot):
+        draws = sample_draws(family, scale, N_SIM, seed)
+        for mode in _modes(family, scale):
+            table = _calibrate(family, scale, seed, x_level, alpha_plus, mode)
+            for mutant in [table, *_mutants(table, draws, pick)]:
+                failures = propagation_failures(family, scale, mutant)
+                assert failures == matrix_propagation_failures(draws, mutant), mode
+                assert (failures == []) == (mutant is table), (mode, failures)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,7 +40,7 @@ from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_
 
 MODES = ("probabilistic", "power_loss")
 
-_CHUNK_ROWS = 64  # rows of normals drawn at a time (see ``_squares``); not in the output format
+_CHUNK_ROWS = 64  # rows of normals drawn at a time (see ``draw_blocks``); not in the output format
 
 # The bits of +inf as an unsigned 64-bit integer (see ``JointDrawMatrix``).
 _INF_BITS = np.float64(np.inf).view(np.uint64)
@@ -53,8 +53,8 @@ class JointDrawMatrix:
     Column ``i`` holds the magnitude of the difference statistic for pair
     ``order.pairs[i]``; all columns of a row come from the same
     realization, preserving the joint law.  ``order`` is the pair layout
-    the draws were sampled in (the family's canonical ``PairOrder`` unless
-    a sampler was given another): ``order.index`` maps pairs to columns and
+    of the columns (``sample_draws`` gives the family's canonical
+    ``PairOrder``): ``order.index`` maps pairs to columns and
     ``order.groups`` holds each reference's columns.  Nothing is sorted:
     order statistics are selected on demand.
     """
@@ -104,46 +104,18 @@ def _check_draws(draws: np.ndarray) -> None:
             raise DimensionMismatch("draws must be nonnegative magnitudes")
 
 
-def _squares(family: ModelFamily, scale, n_sim, seed, stream_tag, order: PairOrder, steps=False):
-    """Squared magnitudes of the pairs of ``order`` (rows), or with ``steps`` of
-    each model step (``ModelFamily.step_squares``), under noise
-    ``scale * N(0, I_n)`` (columns), row block ``b`` from stream ``(seed,
-    stream_tag, b)``: known and multiplier noise differ only in ``scale``.
-    A block's normals are drawn and reduced ``_CHUNK_ROWS`` rows at a time (a generator
-    fills its output in sequence) into one reused ``BLOCK_ROWS x r`` block that the pair
-    kernel reads whole: the working set is an ``n``-wide chunk of ``_CHUNK_ROWS + 1`` rows
-    plus that block, and only ``BLOCK_ROWS`` is part of the output format."""
-    if not (is_integer(n_sim) and n_sim >= 1):
-        raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
-    scale = family.vector(scale, "noise scale")
-    # Column-major, so each column's order statistics read contiguous memory.
-    # The kernel writes each block's squares straight into its columns.
-    kernel = family.step_squares if steps else family.pair_squares
-    columns = np.empty((len(family.models) if steps else len(order.pairs), n_sim))
-    blocks = block_bounds(n_sim)
-    chunk = np.empty((_CHUNK_ROWS + 1, family.n))
-    xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
-    for b, start, stop in blocks:
-        gen = stream(seed, stream_tag, b)
-        # The last chunk takes a lone last row: numpy reduces one row by a
-        # matrix-vector product, whose bits differ from the matrix product's.
-        bounds = [*range(0, max(stop - start - 1, 1), _CHUNK_ROWS), stop - start]
-        for lo, hi in zip(bounds, bounds[1:]):
-            z = gen.standard_normal(out=chunk[: hi - lo])
-            family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
-        kernel(xi[: stop - start], order, out=columns[:, start:stop])
-    return columns
-
-
 def sample_draws(
     family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int = 0
 ) -> JointDrawMatrix:
     """Draw matrix for noise ``scale * N(0, I_n)`` rows over every pair of
-    the family, in its canonical order: the draws ``calibrate`` reads with
-    the same arguments."""
-    order = pair_order(family.models)
-    columns = _squares(family, scale, n_sim, seed, stream_tag, order)
-    return JointDrawMatrix(np.sqrt(columns, out=columns).T, order, seed)
+    the family, in its canonical order: ``draw_blocks`` rooted into one
+    pairs x ``n_sim`` array, the draws ``calibrate`` reads with the same arguments."""
+    order, blocks = draw_blocks(family, scale, n_sim, seed, stream_tag)
+    # Column-major, so each column's order statistics read contiguous memory.
+    rows = np.empty((len(order.pairs), n_sim))
+    for (*_, cols), block in blocks:
+        np.sqrt(block, out=rows[cols])
+    return JointDrawMatrix(rows.T, order, seed)
 
 
 def _check_workers(n_workers) -> None:
@@ -527,14 +499,37 @@ power_loss_critical_values = critical_values
 
 def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: int = 0):
     """The canonical ``PairOrder`` and, largest reference first, each group with the squares of
-    its pairs' ``sample_draws`` (a row each, checked in one pass, read before the next group):
-    with ``increments`` from the family's ``window_blocks`` of models x ``n_sim`` step weights,
-    holding no pairs x ``n_sim`` array.  A scale zero everywhere raises ``AllZeroResiduals``."""
-    if not family.vector(scale, "noise scale").any():
+    its pairs under noise ``scale * N(0, I_n)`` (a row each, read before the next group), row
+    block ``b`` from stream ``(seed, stream_tag, b)``: known and multiplier noise differ only in
+    ``scale``.  With ``increments`` the family's ``window_blocks`` sum, in place, the models x
+    ``n_sim`` step weights ``step_squares`` writes, holding no pairs x ``n_sim`` array; else
+    ``pair_squares`` writes every pair's row.  Either is checked in one pass.  A block's normals
+    are drawn and reduced ``_CHUNK_ROWS`` rows at a time (a generator fills its output in
+    sequence) into one reused ``BLOCK_ROWS x r`` block that the kernel reads whole: the working
+    set is an ``n``-wide chunk of ``_CHUNK_ROWS + 1`` rows plus that block, and only
+    ``BLOCK_ROWS`` is part of the output format.  A scale zero everywhere raises
+    ``AllZeroResiduals``."""
+    scale = family.vector(scale, "noise scale")
+    if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
+    if not (is_integer(n_sim) and n_sim >= 1):
+        raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
     order = pair_order(family.models)
     steps = family.increments is not None
-    squares = _squares(family, scale, n_sim, seed, stream_tag, order, steps)
+    kernel = family.step_squares if steps else family.pair_squares
+    squares = np.empty((len(family.models) if steps else len(order.pairs), n_sim))
+    blocks = block_bounds(n_sim)
+    chunk = np.empty((_CHUNK_ROWS + 1, family.n))
+    xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
+    for b, start, stop in blocks:
+        gen = stream(seed, stream_tag, b)
+        # The last chunk takes a lone last row: numpy reduces one row by a
+        # matrix-vector product, whose bits differ from the matrix product's.
+        bounds = [*range(0, max(stop - start - 1, 1), _CHUNK_ROWS), stop - start]
+        for lo, hi in zip(bounds, bounds[1:]):
+            z = gen.standard_normal(out=chunk[: hi - lo])
+            family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
+        kernel(xi[: stop - start], order, out=squares[:, start:stop])
     _check_draws(squares)
     return order, family.window_blocks(squares, order) if steps else _row_blocks(squares, order)
 

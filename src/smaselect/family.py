@@ -19,7 +19,7 @@ coefficients are ever nonzero.  So the family keeps, per model, the
 rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``,
 one row per pair and one column per row of ``xi``, written into an array
 the caller may pass: the sampler draws normals in 64-row chunks and hands
-the kernel each reduced 512-row block with its columns of the draw matrix.
+it (``step_squares`` with increments) each reduced 512-row block to write.
 Noise with variances ``v`` enters a trace through ``trace_root``, whose rows'
 kernel squares sum to it: with ``increments`` (below) the one row
 ``sqrt(diag(Q^T diag(v) Q))``, else the root ``R_v`` (``noise_root``,
@@ -443,7 +443,7 @@ class ModelFamily:
             return sums.ravel().take(order.hankel, out=out)
         if out is None:
             out = np.empty((len(order.pairs), steps.shape[1]))
-        for (*_, cols), block in self.window_blocks(steps, order):
+        for (*_, cols), block in self.window_blocks(steps.copy(), order):  # it consumes its steps
             out[cols] = block
         return out
 
@@ -451,18 +451,17 @@ class ModelFamily:
         """``(group, block)`` per group of ``order``, largest reference first:
         ``block`` holds the window sums of the step weights ``steps``
         (``k x B``) of the group's pairs, one row per larger model.  One
-        descending suffix recursion in one ``k x B`` buffer: step ``j`` is
-        added to every row above it, so row ``e`` holds steps ``e`` down to
-        ``j``, and the reference whose windows start at step ``j`` reads its
-        rows there, one vectorised addition per reference.  A slice's block
+        descending suffix recursion in ``steps`` itself, which it consumes:
+        step ``j`` is added to every row above it, so row ``e`` holds steps
+        ``e`` down to ``j``, and the reference whose windows start at step
+        ``j`` reads its rows there, one vectorised addition per reference.
+        Step ``j`` is read before any addition reaches it.  A slice's block
         is a view, valid until the next is asked for."""
         by_first = {0 if group[1] is None else group[1] + 1: group for group in order.groups}
-        buf = np.empty(steps.shape)
         for j in range(len(steps) - 1, min(by_first, default=len(steps)) - 1, -1):
-            buf[j] = steps[j]
-            buf[j + 1 :] += buf[j]
+            steps[j + 1 :] += steps[j]
             if group := by_first.get(j):
-                yield group, buf[group[2]]
+                yield group, steps[group[2]]
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs ``(m, m_ref)`` with ``m > m_ref``, canonical order."""

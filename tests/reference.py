@@ -10,8 +10,9 @@ over references, tables of hand-set thresholds, the pair layout worked
 out pair by pair, one pair's draw column, each reference's larger models,
 the variance traces over the QR noise root and in exact rational
 arithmetic, the pilot basis computed afresh, and single-purpose views of
-those paths (draws in any pair order, a table built on the draw matrix
-and its self-test on that matrix), without the library carrying them.  The
+those paths (draws in any pair order from the streams' whole-block
+normals, a table built on those draws and its self-test on a draw
+matrix), without the library carrying them.  The
 paper's side results that ``sma`` never runs live here too, as oracles:
 one pair's empirical tail function, the variance-ordering check, the
 bias/variance risk profile, the Monte-Carlo excess-risk functional and
@@ -42,7 +43,6 @@ from smaselect.calibration import (
     _exceeding,
     _order_statistic,
     _row_blocks,
-    _squares,
     _tail_rank,
     calibration_table,
 )
@@ -63,6 +63,7 @@ from smaselect.moments import (
     pair_traces,
     single_traces,
 )
+from smaselect.rng import block_bounds, is_integer, stream
 from smaselect.selector import _accepted
 
 
@@ -231,20 +232,29 @@ def multiplier_draws(family, residuals, n_sim, seed, stream_tag=0):
 
 def sample_in_order(family, scale, n_sim, seed, order, stream_tag=0):
     """Draws over the pairs of any ``PairOrder``, such as one holding a model
-    alone: ``sample_draws``' streams and pair kernel, in that order's layout."""
-    columns = _squares(family, scale, n_sim, seed, stream_tag, order)
-    return JointDrawMatrix(np.sqrt(columns).T, order, seed)
+    alone, in that order's layout: per row block, the stream's normals drawn
+    whole and put through the running-table ``pair_squares`` above, apart
+    from the library's chunked sampler and in-place window sums."""
+    if not (is_integer(n_sim) and n_sim >= 1):
+        raise DimensionMismatch(f"n_sim must be an integer >= 1, got {n_sim!r}")
+    scale = family.vector(scale, "noise scale")
+    draws = np.empty((n_sim, len(order.pairs)))
+    for b, start, stop in block_bounds(n_sim):
+        z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
+        squares = pair_squares(family, family.reduce(z * scale), order.pairs)
+        draws[start:stop] = np.sqrt(squares).T
+    return JointDrawMatrix(draws, order, seed)
 
 
 def matrix_table(family, scale, n_sim, seed, x_level, alpha_plus, mode, stream_tag=0):
-    """``calibrate``'s table (power-loss exponent 1) built on the draw matrix
-    ``sample_draws`` returns, with the dimensions and levels taken from the
-    public trace routes."""
+    """``calibrate``'s table (power-loss exponent 1) built on the canonical
+    draw matrix of ``sample_in_order``, with the dimensions and levels taken
+    from the public trace routes."""
     variances = np.asarray(scale) * scale
     levels = x_level
     if mode == "power_loss":
         levels = power_loss_params(family.models, single_traces(family, variances), 1.0)
-    draws = sample_draws(family, scale, n_sim, seed, stream_tag)
+    draws = sample_in_order(family, scale, n_sim, seed, pair_order(family.models), stream_tag)
     return calibration_table(draws, pair_traces(family, variances), alpha_plus, levels)
 
 

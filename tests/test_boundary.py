@@ -45,6 +45,7 @@ ENTRY_POINTS = {
     "test_statistics": lambda fam, v: pairwise_statistics(fam, v),
     "presmooth": lambda fam, v: presmooth(fam, v, 2),
     "calibrate": lambda fam, v: calibrate(fam, v, 10, 1, 2.0, 1.0),
+    "sample_draws": lambda fam, v: sample_draws(fam, v, 10, seed=1),
     "bootstrap_calibrate": lambda fam, v: bootstrap_calibrate(fam, v, 2.0, 1.0, 10, seed=1),
     "aic_equivalence_check": lambda fam, v: aic_equivalence_check(fam, 1.0, v),
     "oracle": lambda fam, v: oracle(fam, v, NOISE, 1.0),
@@ -73,10 +74,10 @@ def test_vector_entry_points_reject_bad_vectors(toy_family, entry, bad):
         ENTRY_POINTS[entry](toy_family, vector)
 
 
-@pytest.mark.parametrize("entry", ["bootstrap_calibrate", "calibrate", "presmooth"])
+@pytest.mark.parametrize("entry", ["bootstrap_calibrate", "calibrate", "presmooth", "sample_draws"])
 def test_all_zero_noise_scale_is_rejected(toy_family, entry):
     # A zero scale gives all-zero thresholds, under which the selector
-    # falls through to the largest model.
+    # falls through to the largest model, and an all-zero draw matrix.
     with pytest.raises(AllZeroResiduals):
         ENTRY_POINTS[entry](toy_family, np.zeros(4))
 

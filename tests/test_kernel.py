@@ -3,8 +3,10 @@
 ``ModelFamily.pair_squares`` writes its squares straight into the caller's
 array.  For a block of rows, window sums are built by one suffix recursion
 over the model steps (``window_blocks``) and copied to their rows, one
-block per reference, and the sampler hands it each row block of the
-column-major draw matrix.  One data vector (a 1-D ``xi``) is gathered by
+block per reference; the sampler writes each row block of its buffer
+through it, or through ``step_squares`` on a family with increments, and
+the tests' draws come from ``reference.sample_in_order``, which draws each
+block's normals whole.  One data vector (a 1-D ``xi``) is gathered by
 ``PairOrder.hankel_steps`` into the reversed Hankel matrix of its
 zero-padded model steps, summed cumulatively along its rows and gathered by
 ``PairOrder.hankel``; on the general ``D_m`` route it takes its row of the
@@ -26,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smaselect.calibration as calibration_module
 import smaselect.family as family_module
 import smaselect.moments as moments_module
 from smaselect import (
@@ -289,8 +290,11 @@ def test_window_routes_agree_and_keep_each_sums_precision(case, seed, b):
     for row in range(b):
         assert np.array_equal(family.pair_squares(xi[row], order), block[:, row])
     steps = family.step_squares(xi, order)
+    before = steps.copy()
+    family.pair_windows(steps, order)
+    assert steps.tobytes() == before.tobytes()  # the public method leaves its argument as it was
     streamed = np.full_like(block, np.nan)
-    for (*_, cols), rows in family.window_blocks(steps, order):
+    for (*_, cols), rows in family.window_blocks(steps.copy(), order):  # it consumes its steps
         streamed[cols] = rows
     assert np.array_equal(streamed, block)
     for i, (lo, hi) in enumerate(zip(order.first.tolist(), order.last.tolist())):
@@ -370,14 +374,12 @@ def test_paper_config_statistics_equal_running_buffer_kernel():
         assert np.array_equal(pairwise_statistics(family, y).array, expected)
 
 
-def _reference_draws(family, scale, n_sim, seed, pairs, stream_tag=0):
-    """Draws block by block from the streams, through the running-buffer kernel."""
-    out = np.empty((n_sim, len(pairs)))
-    for b, start, stop in block_bounds(n_sim):
-        z = stream(seed, stream_tag, b).standard_normal((stop - start, family.n))
-        squares = reference.pair_squares(family, family.reduce(z * scale), pairs)
-        out[start:stop] = np.sqrt(squares).T
-    return out
+def _same_columns(oracle, draws):
+    """Every column of ``oracle`` but a model alone's equals ``draws``' column of its pair."""
+    for pair, col in oracle.order.index.items():
+        if pair[1]:  # the library samples no model alone
+            column = draws.draws[:, draws.order.index[pair]]
+            assert np.array_equal(oracle.draws[:, col], column), pair
 
 
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
@@ -388,20 +390,18 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
     family = FAMILIES[name]()
     _, scenario = _paper_like()
     scale = np.sqrt(scenario.sigma.variances)
-    pairs = family.pairs()
     # Three blocks, the last a short one.
     n_sim = 1100
     draws = sample_joint_draws(family, scenario.sigma, n_sim, seed=9, n_workers=n_workers)
-    assert np.array_equal(draws.draws, _reference_draws(family, scale, n_sim, 9, pairs))
+    want = reference.sample_in_order(family, scale, n_sim, 9, pair_order(family.models))
+    assert np.array_equal(draws.draws, want.draws)
 
     rng = np.random.default_rng(5)
     subset = _pair_lists(family, rng)["mixed_shuffled"]
     order = pair_order(family.models, subset)
     multiplier = reference.sample_in_order(family, scale, 700, 11, order, stream_tag=3)
     assert list(multiplier.order.index) == subset
-    assert np.array_equal(
-        multiplier.draws, _reference_draws(family, scale, 700, 11, subset, stream_tag=3)
-    )
+    _same_columns(multiplier, sample_draws(family, scale, 700, 11, stream_tag=3))
 
 
 @pytest.mark.parametrize("n_sim", [1, 63, 64, 65, 511, 512, 513, 577, 1100])
@@ -412,8 +412,8 @@ def test_chunked_normals_equal_whole_block_draws(name, n_sim):
     # row would be reduced by a matrix-vector product.  Every count on
     # either side of a chunk or block boundary, a 12-row chunk (1100) and a
     # one-row block (1, 513): the draws are the whole-block oracle's bits,
-    # in the canonical and a shuffled order, and calibrate's table is the
-    # one built on sample_draws' matrix.
+    # in the canonical order and, pair for pair, in a shuffled one, and
+    # calibrate's table is the one built on the oracle's draws.
     family = FAMILIES[name]()
     _, scenario = _paper_like()
     sd = np.sqrt(scenario.sigma.variances)
@@ -421,14 +421,15 @@ def test_chunked_normals_equal_whole_block_draws(name, n_sim):
     scales = {"known": sd, "residual": presmooth(family, y, 6)}
     subset = _pair_lists(family, np.random.default_rng(5))["mixed_shuffled"]
     for (kind, scale), stream_tag in itertools.product(scales.items(), [0, 3]):
-        want = _reference_draws(family, scale, n_sim, 9, family.pairs(), stream_tag)
+        want = reference.sample_in_order(
+            family, scale, n_sim, 9, pair_order(family.models), stream_tag
+        )
         draws = sample_draws(family, scale, n_sim, 9, stream_tag)
-        assert np.array_equal(draws.draws, want), (kind, stream_tag)
+        assert np.array_equal(draws.draws, want.draws), (kind, stream_tag)
         shuffled = reference.sample_in_order(
             family, scale, n_sim, 9, pair_order(family.models, subset), stream_tag
         )
-        want = _reference_draws(family, scale, n_sim, 9, subset, stream_tag)
-        assert np.array_equal(shuffled.draws, want), (kind, stream_tag)
+        _same_columns(shuffled, draws)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TailTooDeepWarning)
             table = calibrate(family, scale, n_sim, 9, 2.0, 1.0, stream_tag=stream_tag)
@@ -504,7 +505,9 @@ def test_overflowing_running_sums_raise_non_finite():
     family, scale = FAMILIES["increments"](), np.full(60, 3e153)
     order = pair_order(family.models)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = calibration_module._squares(family, scale, 600, 1, 0, order, steps=True)
+        # The step weights of the stream's whole-block normals.
+        normals = [stream(1, 0, b).standard_normal((hi - lo, 60)) for b, lo, hi in block_bounds(600)]
+        steps = np.hstack([family.step_squares(family.reduce(z * scale), order) for z in normals])
         assert np.isfinite(steps).all() and not np.isfinite(steps.sum(axis=0)).all()
         with pytest.raises(NonFiniteInput, match="draw matrix contains NaN or infinite values"):
             calibrate(family, scale, 600, 1, 2.0, 1.0)

@@ -32,7 +32,7 @@ def pilot_basis(family: ModelFamily, m_dagger: int) -> np.ndarray:
     if (basis := family.pilots.get(int(m_dagger))) is None:
         _, svals, vt = np.linalg.svd(family.design.leading_block(m_dagger), full_matrices=False)
         if svals.size == 0 or svals[0] <= 0.0:
-            raise SingularGram(m_dagger, f"pilot block {m_dagger} has no positive spectrum")
+            raise SingularGram(f"pilot block {m_dagger} has no positive spectrum")
         basis = family.pilots.setdefault(int(m_dagger), vt[svals > GRAM_CUTOFF * svals[0]].T)
     basis.flags.writeable = False  # on each return: a family's unpickled copy is writeable
     return basis
@@ -143,7 +143,7 @@ def validity_diagnostics(
     s_mat = (psi * variances) @ psi.T
     vals, vecs = np.linalg.eigh(s_mat)
     if vals.min() <= 0:
-        raise SingularGram(p_dim, "noise-weighted Gram is degenerate")
+        raise SingularGram("noise-weighted Gram is degenerate")
     s_inv_half = (vecs / np.sqrt(vals)) @ vecs.T
     delta_psi = float(np.max(np.linalg.norm(s_inv_half @ psi, axis=0) * sig))
 

@@ -35,6 +35,7 @@ from .errors import (
     warn,
 )
 from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
+from .family import real_array
 from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
 from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_seed, stream
 
@@ -66,7 +67,7 @@ class JointDrawMatrix:
     def __post_init__(self):
         # A float array view passes through uncopied (the sampler's
         # column-major one included); anything else is converted first.
-        draws = self.draws = np.asarray(self.draws, dtype=float)
+        draws = self.draws = real_array(self.draws, "draws")
         if draws.ndim != 2 or draws.shape[1] != len(self.order.pairs):
             raise DimensionMismatch("draw matrix needs one column per pair of its order")
         _check_draws(draws)
@@ -172,16 +173,19 @@ def familywise_exceedance(
     """Fraction of rows where any comparison against ``m_ref`` exceeds its threshold.
 
     Exceedance is strict, mirroring the selector's rejection rule; for
-    continuous draws this matches the non-strict convention almost surely.
-    A comparison without a threshold raises ``MissingPair``.
+    continuous draws this matches the non-strict convention almost surely.  A missing
+    threshold raises ``MissingPair``, a non-finite one ``NonFiniteInput``, text
+    ``DimensionMismatch``.
     """
     cols = next((cols for ref, _, _, cols in draws.order.groups if ref == m_ref), None)
     if cols is None:
         raise NotOrderedPair(f"no comparisons available for reference {m_ref}")
     try:
-        z = np.array([thresholds[p] for p in draws.comparisons(m_ref)])
+        z = real_array([thresholds[p] for p in draws.comparisons(m_ref)], "thresholds")
     except KeyError as missing:
         raise MissingPair(f"no threshold for pair {missing.args[0]}") from None
+    if not np.isfinite(z).all():
+        raise NonFiniteInput("thresholds contain NaN or infinite values")
     return _exceeding(draws.draws[:, cols].T, z) / draws.n_sim
 
 
@@ -489,8 +493,12 @@ def critical_values(
 
     ``x_level`` is the probabilistic level or power-loss parameters, as in
     ``calibration_table``; ``power_loss_critical_values`` is the same call.
+    A pair of ``draws`` without a moment raises ``MissingPair``.
     """
-    pair_dims = PairValues(draws.order, [moments[pair].p_pair for pair in draws.order.pairs])
+    try:
+        pair_dims = PairValues(draws.order, [moments[pair].p_pair for pair in draws.order.pairs])
+    except KeyError as missing:
+        raise MissingPair(f"no moment for pair {missing.args[0]}") from None
     return replace(calibration_table(draws, pair_dims, alpha_plus, x_level), moments=dict(moments))
 
 

@@ -15,10 +15,6 @@ class DimensionMismatch(SmaError):
 class SingularGram(SmaError):
     """A Gram matrix is numerically meaningless (all-zero spectrum)."""
 
-    def __init__(self, model: int, message: str | None = None):
-        self.model = model
-        super().__init__(message or f"Gram matrix for model {model} is singular")
-
 
 class NotOrderedPair(SmaError):
     """A pairwise operation was called with m <= m_ref."""

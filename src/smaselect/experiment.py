@@ -228,7 +228,7 @@ def generate_scenario(config: ExperimentConfig) -> Scenario:
     else:
         sd = np.asarray(profile["values"], dtype=float)
     return Scenario(
-        grid=grid, design=design, coefficients=coeff, f_true=f_true, sigma=NoiseSpec.known(sd**2)
+        grid=grid, design=design, coefficients=coeff, f_true=f_true, sigma=NoiseSpec(sd**2)
     )
 
 

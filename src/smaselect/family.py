@@ -118,7 +118,7 @@ def _pinv_gram(gram: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
     vals, vecs = np.linalg.eigh(gram)
     top = vals.max() if vals.size else 0.0
     if top <= 0.0:
-        raise SingularGram(m, f"model {m}: Gram matrix has no positive spectrum")
+        raise SingularGram(f"model {m}: Gram matrix has no positive spectrum")
     cutoff = GRAM_CUTOFF * top
     keep = vals > cutoff
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
@@ -243,7 +243,7 @@ class PairValues(Mapping):
     __slots__ = ("order", "array")
 
     def __init__(self, order: PairOrder, values, _owned: bool = False):
-        array = values if _owned else np.array(values, dtype=float)
+        array = values if _owned else real_array(values, "pair values").copy()
         if array.shape != (len(order.pairs),):
             raise DimensionMismatch("need one value per pair")
         array.flags.writeable = False
@@ -311,13 +311,8 @@ class ModelFamily:
     basis: np.ndarray
     coefficients: np.ndarray
     reduced: np.ndarray
-    rank_deficient: tuple[int, ...] = ()
     increments: np.ndarray | None = None
     pilots: dict = field(default_factory=dict, init=False, repr=False)  # pilot_basis by m_dagger
-
-    @property
-    def q(self) -> int:
-        return self.weight_matrix.shape[0]
 
     @property
     def n(self) -> int:
@@ -550,7 +545,6 @@ def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamil
         basis=basis,
         coefficients=coefficients,
         reduced=root @ coefficients,
-        rank_deficient=tuple(deficient),
         increments=increments,
     )
 

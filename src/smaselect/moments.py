@@ -45,16 +45,6 @@ class NoiseSpec:
             raise DimensionMismatch("noise variances must be > 0")
         object.__setattr__(self, "variances", arr)
 
-    @classmethod
-    def known(cls, variances) -> "NoiseSpec":
-        return cls(variances=variances)
-
-    @classmethod
-    def homogeneous(cls, sigma: float, n: int) -> "NoiseSpec":
-        """Variance ``sigma**2`` at each of ``n`` observations; ``sigma`` is
-        checked as a level is, so text or a negative value is refused."""
-        return cls.known(np.full(n, float(_check_level(sigma, "sigma")) ** 2))
-
 
 @dataclass(frozen=True)
 class PairMoments:
@@ -64,7 +54,8 @@ class PairMoments:
     lambda_pair: float
 
     def __post_init__(self):
-        if not (0 <= self.lambda_pair <= self.p_pair * (1 + 1e-9) + 1e-300):
+        p_pair = _check_level(self.p_pair, "p_pair")
+        if not 0 <= _check_level(self.lambda_pair, "lambda_pair") <= p_pair * (1 + 1e-9) + 1e-300:
             raise DimensionMismatch("need 0 <= lambda_pair <= p_pair")
 
 

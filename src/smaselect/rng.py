@@ -30,7 +30,8 @@ def is_integer(value) -> bool:
 
 def is_real(value) -> bool:
     """True for a real number that is not a bool (NaN and infinities included)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # A float, the common case, skips the slower abstract-class check.
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:

@@ -26,7 +26,7 @@ def toy_family(toy_design):
 
 @pytest.fixture
 def toy_noise():
-    return NoiseSpec.known([1.0, 1.0, 1.0, 1.0])
+    return NoiseSpec([1.0, 1.0, 1.0, 1.0])
 
 
 @pytest.fixture

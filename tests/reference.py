@@ -430,7 +430,7 @@ def dense_validity_diagnostics(family, sigma, f_true, m_dagger, x_level) -> Vali
     s_mat = (psi * variances) @ psi.T
     vals, vecs = np.linalg.eigh(s_mat)
     if vals.min() <= 0:
-        raise SingularGram(p_dim, "noise-weighted Gram is degenerate")
+        raise SingularGram("noise-weighted Gram is degenerate")
     s_inv_half = (vecs / np.sqrt(vals)) @ vecs.T
     delta_psi = float(np.max(np.linalg.norm(s_inv_half @ psi, axis=0) * sig))
 
@@ -557,7 +557,7 @@ def check_ordering(family, sigma) -> OrderingReport:
     """
     factors = family.reduced @ family.noise_root(noise_variances(sigma)).T
     variances = factors @ factors.transpose(0, 2, 1)
-    padded = family.q > variances.shape[1]
+    padded = family.weight_matrix.shape[0] > variances.shape[1]
     verdicts: dict[tuple[int, int], bool] = {}
     mins: dict[tuple[int, int], float] = {}
     for i, (m_ref, m) in enumerate(zip(family.models, family.models[1:])):

@@ -72,7 +72,7 @@ def test_criterion_01_exact_moment_identities(toy_family, toy_noise):
         models = sorted(rng.choice(np.arange(1, p + 1), size=k, replace=False).tolist())
         family = build_projection_family(design, np.eye(design.p), models)
         sigma = float(rng.uniform(0.3, 3.0))
-        noise = NoiseSpec.homogeneous(sigma, n)
+        noise = NoiseSpec(np.full(n, sigma**2))
         for m, m_ref in family.pairs():
             got = pair_variance(family, noise, m, m_ref)
             rel_p = abs(got.p_pair - sigma**2 * (m - m_ref)) / (sigma**2 * (m - m_ref))
@@ -111,7 +111,7 @@ def _vectorized_select(family, table, stats_matrix, pair_cols):
 def test_criterion_03_propagation_frequency():
     start = time.perf_counter()
     family = _harness_family()
-    noise = NoiseSpec.homogeneous(1.0, 100)
+    noise = NoiseSpec(np.full(100, 1.0))
     cal = sample_joint_draws(family, noise, 20_000, seed=777)
     table = critical_values(cal, all_pair_moments(family, noise), x_level=2.0, alpha_plus=0.0)
 
@@ -129,7 +129,7 @@ def test_criterion_03_propagation_frequency():
 
 def _harness_sparse():
     family = _harness_family()
-    noise = NoiseSpec.homogeneous(1.0, 100)
+    noise = NoiseSpec(np.full(100, 1.0))
     f_true = np.zeros(100)
     f_true[:3] = [4.0, 2.5, 1.5]
     return family, noise, f_true
@@ -206,7 +206,7 @@ def _fidelity_setup():
     grid = (np.arange(1, n + 1) - 0.5) / n
     design = DesignMatrix(fourier_values(grid, p) / math.sqrt(n))
     family = build_projection_family(design, np.eye(design.p), range(1, p + 1))
-    noise = NoiseSpec.homogeneous(1.0, n)
+    noise = NoiseSpec(np.full(n, 1.0))
     theta = 2.0 / np.arange(1, p + 1)
     f_true = design.entries.T @ theta  # exactly inside the pilot span
     return family, noise, f_true
@@ -290,7 +290,7 @@ def test_criterion_09_qf_bound_grid():
 
 def test_criterion_10_power_loss_budgets(toy_extended_family):
     start = time.perf_counter()
-    noise = NoiseSpec.homogeneous(1.0, 8)
+    noise = NoiseSpec(np.full(8, 1.0))
     dims = {m: float(m) for m in toy_extended_family.models}
     params = power_loss_params(toy_extended_family.models, dims, a=1.0)
     ok = True

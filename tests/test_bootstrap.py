@@ -121,7 +121,7 @@ def test_effective_dims_reduce_to_known_noise():
     family = build_projection_family(design, np.eye(design.p), [1, 3, 6])
     sd = rng.uniform(0.5, 2.0, size=25)
     dims = pair_traces(family, sd**2)
-    noise = NoiseSpec.known(sd**2)
+    noise = NoiseSpec(sd**2)
     for pair, val in dims.items():
         assert val == pytest.approx(pair_variance(family, noise, *pair).p_pair, rel=1e-12)
     singles = single_traces(family, sd**2)
@@ -194,7 +194,7 @@ def test_validity_diagnostics_span_bias_vanishes():
     family = build_projection_family(design, np.eye(design.p), [2, 4, 8])
     theta = rng.standard_normal(4)
     f = design.entries[:4].T @ theta
-    diag = validity_diagnostics(family, NoiseSpec.homogeneous(1.0, 40), f, 4, 2.0)
+    diag = validity_diagnostics(family, NoiseSpec(np.full(40, 1.0)), f, 4, 2.0)
     assert diag.bias_sup <= 1e-10
     assert diag.bias_l2 <= 1e-10
     # Homogeneous case: per-coordinate distortion is the projector diagonal.
@@ -210,7 +210,7 @@ def test_validity_diagnostics_applicability_ratio():
     design = orthonormal_rows_design(rng, p=37, n=200)
     family = build_projection_family(design, np.eye(design.p), list(range(1, 38)))
     diag = validity_diagnostics(
-        family, NoiseSpec.homogeneous(1.0, 200), np.zeros(200), 20, 2.0
+        family, NoiseSpec(np.full(200, 1.0)), np.zeros(200), 20, 2.0
     )
     assert diag.applicability_ratio == pytest.approx(37**2 * math.log(200) / 200, rel=1e-12)
     assert diag.applicability_ratio == pytest.approx(36.3, abs=0.05)
@@ -219,7 +219,7 @@ def test_validity_diagnostics_applicability_ratio():
 
 def test_validity_diagnostics_requires_truth(toy_family):
     with pytest.raises(RequiresKnownTruth):
-        validity_diagnostics(toy_family, NoiseSpec.known([1.0] * 4), None, 3, 2.0)
+        validity_diagnostics(toy_family, NoiseSpec([1.0] * 4), None, 3, 2.0)
 
 
 def test_one_pilot_svd_per_family_and_pilot_dimension(monkeypatch):
@@ -232,7 +232,7 @@ def test_one_pilot_svd_per_family_and_pilot_dimension(monkeypatch):
     family = build_projection_family(design, design.entries.T, range(1, 9))
     rng = np.random.default_rng(7)
     f_true = rng.standard_normal(6) @ design.entries[:6]
-    sigma = NoiseSpec.known(rng.uniform(0.5, 2.0, n) ** 2)
+    sigma = NoiseSpec(rng.uniform(0.5, 2.0, n) ** 2)
     ys = f_true + rng.standard_normal((3, n)) * np.sqrt(sigma.variances)
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))

@@ -4,23 +4,33 @@ Without the check a NaN in the response propagates: the oracle silently
 returns the largest model, and risks, biases and diagnostics come out NaN.
 """
 
+import ast
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smaselect
 from smaselect import (
     AllZeroResiduals,
     BadExponent,
     CalibrationTable,
     DesignMatrix,
     DimensionMismatch,
+    JointDrawMatrix,
+    MissingPair,
     NoiseSpec,
     NonFiniteInput,
+    PairMoments,
+    PairValues,
     QFParams,
     bootstrap_calibrate,
     build_projection_family,
     calibrate,
+    critical_values,
+    familywise_exceedance,
     norm_upper,
     oracle,
     presmooth,
@@ -34,12 +44,13 @@ from smaselect import (
 from smaselect import test_statistics as pairwise_statistics
 from smaselect.calibration import calibration_table, power_loss_params, propagation_failures
 from smaselect.experiment import ExperimentConfig, Study, generate_scenario, scenario_family
+from smaselect.family import pair_order
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
 from smaselect.selector import OracleReport, payment_for_adaptation, payment_theory_cap
 from reference import aic_equivalence_check, check_ordering, excess_risk_mc, risk_profile
 
-NOISE = NoiseSpec.homogeneous(1.0, 4)
+NOISE = NoiseSpec(np.full(4, 1.0))
 
 ENTRY_POINTS = {
     "test_statistics": lambda fam, v: pairwise_statistics(fam, v),
@@ -117,12 +128,14 @@ def test_family_rejects_a_weighting_that_is_not_q_by_p(toy_design, weighting):
 
 # The array boundaries besides the length-n vectors: each converts through
 # ``family.real_array``.  numpy raised a bare ValueError for text and, for
-# complex values, warned and dropped the imaginary part.
+# complex values, warned and dropped the imaginary part (a draw matrix and
+# pair values raised a bare TypeError).
 ARRAY_BOUNDARIES = {
     "design": lambda fam, a: DesignMatrix(a),
     "weights": lambda fam, a: build_projection_family(fam.design, a, [1, 2, 3]),
     "NoiseSpec": lambda fam, a: NoiseSpec(a),
-    "NoiseSpec.known": lambda fam, a: NoiseSpec.known(a),
+    "PairValues": lambda fam, a: PairValues(pair_order(fam.models), a),
+    "JointDrawMatrix": lambda fam, a: JointDrawMatrix(a, pair_order(fam.models), seed=1),
 }
 
 BAD_ARRAYS = {
@@ -134,7 +147,7 @@ BAD_ARRAYS = {
 @pytest.mark.parametrize("bad", sorted(BAD_ARRAYS))
 @pytest.mark.parametrize("entry", sorted(ARRAY_BOUNDARIES))
 def test_array_boundaries_reject_text_and_complex(toy_family, entry, bad):
-    shapes = {"design": (3, 4), "weights": (3, 3)}
+    shapes = {"design": (3, 4), "weights": (3, 3), "PairValues": (3,), "JointDrawMatrix": (2, 3)}
     with pytest.raises(DimensionMismatch, match="real numbers"):
         ARRAY_BOUNDARIES[entry](toy_family, BAD_ARRAYS[bad](shapes.get(entry, (4,))))
 
@@ -155,7 +168,7 @@ NOISE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(NOISE_ENTRY_POINTS))
 def test_noise_of_wrong_length_is_rejected(toy_family, entry):
     with pytest.raises(DimensionMismatch):
-        NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec.homogeneous(1.0, 5))
+        NOISE_ENTRY_POINTS[entry](toy_family, NoiseSpec(np.full(5, 1.0)))
 
 
 @pytest.mark.parametrize("entry", sorted(NOISE_ENTRY_POINTS))
@@ -373,11 +386,35 @@ BAD_SCALARS = {
         DimensionMismatch,
         "p_trace",
     ),
-    "NoiseSpec.homogeneous-sigma-string": (
-        lambda sc, fam: NoiseSpec.homogeneous("1", 4),
-        DimensionMismatch,
-        "sigma",
+    # A NaN threshold counted no exceedance, so a check on it passed; text
+    # raised numpy's UFuncTypeError, a pair without a moment a bare KeyError.
+    **{
+        f"familywise_exceedance-thresholds-{name}": (
+            lambda sc, fam, value=value: familywise_exceedance(
+                d := _draws(sc, fam), 1, dict.fromkeys(d.comparisons(1), value)
+            ),
+            error,
+            match,
+        )
+        for name, value, error, match in [
+            ("nan", math.nan, NonFiniteInput, "thresholds"),
+            ("string", "1", DimensionMismatch, "thresholds must be real numbers"),
+        ]
+    },
+    "critical_values-moments-missing": (
+        lambda sc, fam: critical_values(_draws(sc, fam), {}, 2.0),
+        MissingPair,
+        "no moment",
     ),
+    # Moments took an infinite trace and a bool, and text raised a bare TypeError.
+    **{
+        f"PairMoments-{name}": (lambda sc, fam, args=args: PairMoments(*args), error, match)
+        for name, args, error, match in [
+            ("p_pair-inf", (math.inf, 1.0), NonFiniteInput, "p_pair"),
+            ("lambda_pair-bool", (1.0, True), DimensionMismatch, "lambda_pair"),
+            ("p_pair-string", ("1", 0.5), DimensionMismatch, "p_pair"),
+        ]
+    },
 }
 
 
@@ -403,3 +440,46 @@ def test_out_of_domain_scalars_are_rejected(derivative_scenario, case):
     call, error, *match = BAD_SCALARS[case]
     with pytest.raises(error, match=match[0] if match else None):
         call(*derivative_scenario)
+
+
+# Exported names with no case in a table of this module: records that only
+# the library builds, and an alias of a name that has its cases.
+UNCHECKED_EXPORTS = {
+    "ModelFamily": "a record only build_projection_family builds",
+    "SelectionResult": "a record only sma_select builds",
+    "OracleReport": "a record only oracle builds",
+    "ValidityDiagnostics": "a record only validity_diagnostics builds",
+    "power_loss_critical_values": "an alias of critical_values",
+}
+
+
+def _exports() -> set[str]:
+    """Every public name ``smaselect`` exports, less its exceptions and warnings."""
+    return {
+        name
+        for name, value in vars(smaselect).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and not (isinstance(value, type) and issubclass(value, Exception))
+    }
+
+
+def test_every_export_has_a_boundary_case_or_a_reason():
+    # A name counts as checked when a table above (a module-level dict)
+    # names it, under the name this module imports it by.
+    tree = ast.parse(Path(__file__).read_text())
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    checked = {
+        imported.get(node.id, node.id)
+        for table in tree.body
+        if isinstance(table, ast.Assign) and isinstance(table.value, ast.Dict)
+        for node in ast.walk(table.value)
+        if isinstance(node, ast.Name)
+    }
+    assert sorted(_exports() - checked - UNCHECKED_EXPORTS.keys()) == []
+    assert sorted(UNCHECKED_EXPORTS.keys() - _exports()) == []

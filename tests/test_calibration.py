@@ -212,7 +212,7 @@ def test_exact_correction_matches_bisection_toy(toy_family, toy_noise):
 
 
 def test_exact_correction_matches_bisection_multi_reference(toy_extended_family):
-    noise = NoiseSpec.homogeneous(1.0, 8)
+    noise = NoiseSpec(np.full(8, 1.0))
     draws = sample_joint_draws(toy_extended_family, noise, 5000, seed=49)
     assert len(draws.references()) == 5
     for x in (1.0, 2.0, 3.0):
@@ -549,6 +549,13 @@ def test_tail_clipped_names_the_pairs_at_rank_n_sim_in_critical_order():
 
 
 @pytest.mark.parametrize("layout", ["F", "C"])
+def test_a_float_draw_matrix_is_not_copied(layout):
+    # The sampler's column-major view included: a draw matrix holds no second copy.
+    values = np.asarray(np.ones((5, 3)), order=layout)
+    assert JointDrawMatrix(values, pair_order((1, 2, 3)), seed=0).draws is values
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])
 @pytest.mark.parametrize("mode", ["probabilistic", "power_loss"])
 def test_table_builds_nothing_the_size_of_the_draws(mode, layout):
     # The paper config's shape: 37 models, 666 pairs, 1000 draws; "F" is
@@ -827,7 +834,7 @@ def test_missing_pair_is_named(toy_extended_family):
     # thresholds lack, for the critical values and for the dimensions.  The
     # self-test reads every pair of the family; the matrix oracle reads the
     # draws it is given, here restricted to the table's pairs.
-    draws = sample_joint_draws(toy_extended_family, NoiseSpec.homogeneous(1.0, 8), 200, seed=3)
+    draws = sample_joint_draws(toy_extended_family, NoiseSpec(np.full(8, 1.0)), 200, seed=3)
     dims = {(2, 1): 1.0, (3, 1): 2.0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -967,7 +974,7 @@ def test_excess_risk_zero_level_closed_form(toy_family, toy_noise):
 
 
 def test_excess_risk_meets_power_budget(toy_extended_family):
-    noise = NoiseSpec.homogeneous(1.0, 8)
+    noise = NoiseSpec(np.full(8, 1.0))
     dims = {m: float(m) for m in toy_extended_family.models}
     params = power_loss_params(toy_extended_family.models, dims, a=1.0)
     est = excess_risk_mc(
@@ -1005,7 +1012,7 @@ def test_excess_risk_rejects_empty_sample(toy_family, toy_noise):
 @pytest.mark.parametrize("mode", ["probabilistic", "power_loss"])
 def test_calibrate_known_scale_matches_two_step_path(toy_extended_family, mode):
     family = toy_extended_family
-    noise = NoiseSpec.known(np.linspace(0.5, 2.0, 8) ** 2)
+    noise = NoiseSpec(np.linspace(0.5, 2.0, 8) ** 2)
     moments = all_pair_moments(family, noise)
     # The power-loss levels of the larger models lie beyond the sample on
     # both paths; the clipped pairs are compared below.
@@ -1249,7 +1256,7 @@ def test_reversed_pair_in_table_input_is_refused(toy_family, toy_noise):
 def test_correction_monotone_in_level(x):
     design = DesignMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
     family = build_projection_family(design, np.eye(design.p), [1, 2, 3])
-    noise = NoiseSpec.homogeneous(1.0, 4)
+    noise = NoiseSpec(np.full(4, 1.0))
     draws = sample_joint_draws(family, noise, 8000, seed=137)
     k_lo = correction_rank(draws, 1, x)
     k_hi = correction_rank(draws, 1, x + 0.5)

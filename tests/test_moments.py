@@ -42,7 +42,7 @@ def test_toy_pair_variance(toy_family, toy_noise):
 
 def test_toy_pair_variance_heteroscedastic(toy_family):
     # Direct matrix arithmetic oracle: V = K diag(1,4,9,1) K^T on coordinates 2,3.
-    noise = NoiseSpec.known([1.0, 4.0, 9.0, 1.0])
+    noise = NoiseSpec([1.0, 4.0, 9.0, 1.0])
     pm = pair_variance(toy_family, noise, 3, 1)
     k = pair_operator(toy_family, 3, 1)
     v = k @ np.diag([1.0, 4.0, 9.0, 1.0]) @ k.T
@@ -99,7 +99,7 @@ def test_projection_moment_identity(seed, sigma):
     rng = np.random.default_rng(seed)
     design = orthonormal_rows_design(rng, p=7, n=18)
     family = build_projection_family(design, np.eye(design.p), [1, 3, 4, 7])
-    noise = NoiseSpec.homogeneous(sigma, 18)
+    noise = NoiseSpec(np.full(18, sigma**2))
     for m, m_ref in family.pairs():
         pm = pair_variance(family, noise, m, m_ref)
         assert pm.p_pair == pytest.approx(sigma**2 * (m - m_ref), rel=1e-10)
@@ -114,7 +114,7 @@ def test_rank_one_pairs_have_equal_trace_and_norm(seed):
     family = build_projection_family(
         design, np.atleast_2d(rng.standard_normal(4)), [1, 2, 4]
     )
-    noise = NoiseSpec.known(rng.uniform(0.5, 2.0, size=10))
+    noise = NoiseSpec(rng.uniform(0.5, 2.0, size=10))
     for m, m_ref in family.pairs():
         pm = pair_variance(family, noise, m, m_ref)
         assert pm.lambda_pair == pytest.approx(pm.p_pair, rel=1e-10, abs=1e-12)
@@ -140,7 +140,7 @@ def test_variance_column_monotone_when_ordered(seed):
     rng = np.random.default_rng(seed)
     design = DesignMatrix(rng.standard_normal((5, 14)))
     family = build_projection_family(design, np.eye(design.p), [1, 2, 3, 5])
-    noise = NoiseSpec.known(rng.uniform(0.5, 3.0, size=14))
+    noise = NoiseSpec(rng.uniform(0.5, 3.0, size=14))
     if check_ordering(family, noise).ordered:
         profile = risk_profile(family, rng.standard_normal(14), noise)
         variances = [r.variance for r in profile]
@@ -149,15 +149,15 @@ def test_variance_column_monotone_when_ordered(seed):
 
 def test_noise_spec_validation():
     with pytest.raises(DimensionMismatch):
-        NoiseSpec.known([1.0, -1.0])
+        NoiseSpec([1.0, -1.0])
     with pytest.raises(DimensionMismatch):
-        NoiseSpec.known([1.0, 0.0])
+        NoiseSpec([1.0, 0.0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteInput):
-            NoiseSpec.known([1.0, bad])
+            NoiseSpec([1.0, bad])
     with pytest.raises(DimensionMismatch):
-        NoiseSpec.known([[1.0, 1.0]])
-    assert NoiseSpec.homogeneous(2.0, 3).variances.tolist() == [4.0, 4.0, 4.0]
+        NoiseSpec([[1.0, 1.0]])
+    assert NoiseSpec(np.full(3, 2.0**2)).variances.tolist() == [4.0, 4.0, 4.0]
 
 
 def _relative_errors(values, exact) -> list[float]:
@@ -195,7 +195,7 @@ def _check_trace_routes(family, scale) -> tuple[float, float]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = calibrate(family, scale, 50, 3, 2.0, 1.0)
-    moments = all_pair_moments(family, NoiseSpec.known(v))
+    moments = all_pair_moments(family, NoiseSpec(v))
     assert table.pair_dims.order is traces.order is pair_order(family.models)
     assert table.pair_dims.array.tobytes() == traces.array.tobytes()
     p_pair = np.array([moments[pair].p_pair for pair in traces.order.pairs])

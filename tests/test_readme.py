@@ -14,6 +14,6 @@ def test_readme_python_blocks_run_in_order(capsys):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["family"].q == 3
+    assert namespace["family"].weight_matrix.shape[0] == 3
     assert namespace["result"].m_hat in namespace["family"].models
     assert capsys.readouterr().out

@@ -27,6 +27,7 @@ from smaselect import (
     DesignMatrix,
     NoiseSpec,
     NotOrderedPair,
+    SingularGramWarning,
     build_projection_family,
     sample_joint_draws,
     validity_diagnostics,
@@ -172,12 +173,18 @@ def case(request):
 
 
 def test_expected_shapes_are_covered():
+    # Each rank-deficient model is named by its warning.
+    with pytest.warns(SingularGramWarning) as deficient_warnings:
+        deficient = FAMILIES["duplicate_row"]()
+    with pytest.warns(SingularGramWarning) as wide_warnings:
+        wide = FAMILIES["n_below_m"]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        deficient = FAMILIES["duplicate_row"]()
-        wide = FAMILIES["n_below_m"]()
         derivative = FAMILIES["derivative"]()
-    assert deficient.rank_deficient and wide.rank_deficient
+    named = lambda record: [str(w.message).partition(": rank-deficient")[0] for w in record]
+    assert named(deficient_warnings) == ["model 3", "model 4", "model 6"]
+    assert named(wide_warnings) == ["model 8", "model 10"]
+    assert deficient.increments is None and wide.increments is None
     assert wide.basis.shape == (6, 6)  # r = min(M, n) = n
     assert np.all(derivative.weight_matrix[:, 0] == 0.0)
 
@@ -219,7 +226,7 @@ def test_materialized_operators_match(case):
 def test_known_noise_draws_match(case):
     family, ops, variances, _ = case
     pairs = family.pairs()
-    draws = sample_joint_draws(family, NoiseSpec.known(variances), 700, seed=41)
+    draws = sample_joint_draws(family, NoiseSpec(variances), 700, seed=41)
     expected = dense_draws(ops, np.sqrt(variances), 700, 41, pairs)
     assert_columns_close(draws.draws, expected, DRAW_RTOL)
 
@@ -247,7 +254,7 @@ def test_multiplier_draws_and_dims_match(case):
 
 def test_moments_match(case):
     family, ops, variances, _ = case
-    noise = NoiseSpec.known(variances)
+    noise = NoiseSpec(variances)
     moments = all_pair_moments(family, noise)
     assert list(moments) == family.pairs()
     checks = [(moments[(m, r)], ops[m] - ops[r]) for m, r in family.pairs()]
@@ -265,7 +272,7 @@ def _load(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         family = FAMILIES[name]()
-    return family, NoiseSpec.known(np.random.default_rng(7).uniform(0.25, 4.0, family.n))
+    return family, NoiseSpec(np.random.default_rng(7).uniform(0.25, 4.0, family.n))
 
 
 @pytest.mark.parametrize("name", ["derivative", "prediction", "subvector"])
@@ -339,7 +346,7 @@ def test_window_moments_match_dense_on_trigonometric_families(seed, family):
     assert family.increments is not None
     variances = np.random.default_rng(seed).uniform(0.1, 5.0, family.n)
     ops = dense_operators(family)
-    for (m, m_ref), mom in all_pair_moments(family, NoiseSpec.known(variances)).items():
+    for (m, m_ref), mom in all_pair_moments(family, NoiseSpec(variances)).items():
         v = dense_variance(ops[m] - ops[m_ref], variances)
         top = max(float(np.linalg.eigvalsh(v)[-1]), 0.0)
         assert abs(mom.lambda_pair - top) <= MOMENT_RTOL * max(float(np.trace(v)), 1e-300)
@@ -359,7 +366,7 @@ def test_risk_profile_matches(case):
     family, ops, variances, rng = case
     f = rng.standard_normal(family.n)
     target = family.weight_matrix @ best_linear_coefficients(family, f)
-    for point in risk_profile(family, f, NoiseSpec.known(variances)):
+    for point in risk_profile(family, f, NoiseSpec(variances)):
         op = ops[point.m]
         bias2 = float(np.sum((op @ f - target) ** 2))
         var = float(np.sum(op * op * variances))
@@ -369,7 +376,7 @@ def test_risk_profile_matches(case):
 
 def test_check_ordering_matches(case):
     family, ops, variances, _ = case
-    report = check_ordering(family, NoiseSpec.known(variances))
+    report = check_ordering(family, NoiseSpec(variances))
     for m_ref, m in zip(family.models, family.models[1:]):
         v_lo = dense_variance(ops[m_ref], variances)
         v_hi = dense_variance(ops[m], variances)
@@ -381,7 +388,7 @@ def test_check_ordering_matches(case):
 
 def test_excess_risk_matches(case):
     family, ops, variances, _ = case
-    noise = NoiseSpec.known(variances)
+    noise = NoiseSpec(variances)
     m = family.models[2]
     m_prev = family.predecessor(m)
     pairs = [(mp, m_prev) for mp in successors(family, m_prev)]
@@ -436,13 +443,13 @@ def _diagnostics_cases():
     return {
         "paper": (paper, scenario.sigma, scenario.f_true, config.m_dagger),
         "toy_2k_above_n": (
-            toy, NoiseSpec.known([1.0, 4.0, 0.25, 2.0]), np.array([0.3, -1.0, 2.0, 0.7]), 3
+            toy, NoiseSpec([1.0, 4.0, 0.25, 2.0]), np.array([0.3, -1.0, 2.0, 0.7]), 3
         ),
         "random_heteroscedastic": (
-            random, NoiseSpec.known(rng.uniform(0.2, 5.0, 30)), rng.standard_normal(30), 5
+            random, NoiseSpec(rng.uniform(0.2, 5.0, 30)), rng.standard_normal(30), 5
         ),
         "truncated_pilot": (
-            truncated, NoiseSpec.known(rng.uniform(0.2, 5.0, 14)), rng.standard_normal(14), 9
+            truncated, NoiseSpec(rng.uniform(0.2, 5.0, 14)), rng.standard_normal(14), 9
         ),
     }
 

@@ -400,7 +400,7 @@ def test_oracle_matches_definition_loop(name):
 
 def test_oracle_requires_truth(toy_family):
     with pytest.raises(RequiresKnownTruth):
-        oracle(toy_family, None, NoiseSpec.known([1.0] * 4), 1.0)
+        oracle(toy_family, None, NoiseSpec([1.0] * 4), 1.0)
 
 
 def test_payment_zero_for_smallest_oracle(toy_family, toy_noise):

@@ -20,8 +20,6 @@ UNREAD = {
 }
 
 UNREAD_MEMBERS = UNREAD | {
-    "ModelFamily.q": "the loss dimension the README names, asserted by test_readme",
-    "NoiseSpec.homogeneous": "the README's library example builds its noise with it",
     "single_traces": "the README names it; ROADMAP item 1a plans it as the bench's trace route",
 }
 

@@ -383,30 +383,27 @@ class PowerLossParams:
     x: dict[int, float]
 
 
-def power_loss_params(models, p_singles, a: float) -> PowerLossParams:
+def power_loss_params(models, p_singles: Mapping[int, float], a: float) -> PowerLossParams:
     """Budgets ``alpha_m`` and levels ``x_ref`` from single-model dimensions.
 
     For each model ``m`` with predecessor ``ref``, the level attached to
     ``ref`` is ``2 (1 + a) log(p_m / p_min)`` and the budget for ``m`` is
     ``sqrt(3) (p_m / p_min)^(-1-a)``; the level indexing follows the
-    next-smaller-model convention.  A NaN or infinite dimension raises
-    ``NonFiniteInput``; one that is not > 0 or not nondecreasing,
-    ``DimensionMismatch``.
+    next-smaller-model convention.  Sizes are integers (not bools) and dimensions levels
+    (``rng._check_level``), > 0 and nondecreasing: a missing one raises ``MissingPair``, a
+    NaN or infinite one ``NonFiniteInput`` and any other fault ``DimensionMismatch``.
     """
     if not (is_number(a) and a > 0):
         raise BadExponent("power-loss exponent a must be a finite number > 0")
-    models = [int(m) for m in models]
-    dims = {m: float(p_singles[m]) for m in models}
-    vals = [dims[m] for m in models]
-    if not all(map(math.isfinite, vals)):
-        raise NonFiniteInput("single-model dimensions must be finite")
-    if min(vals) <= 0:
-        raise DimensionMismatch("single-model dimensions must be > 0")
-    if any(b < a_ for a_, b in zip(vals, vals[1:])):
-        raise DimensionMismatch("single-model dimensions must be nondecreasing")
-    p0 = dims[models[0]]
-    alpha = {m: math.sqrt(3.0) * (dims[m] / p0) ** (-1.0 - a) for m in models}
-    x = {ref: 2.0 * (1.0 + a) * math.log(dims[m] / p0) for ref, m in zip(models, models[1:])}
+    if not (models := list(models)) or not all(map(is_integer, models)):
+        raise DimensionMismatch(f"model sizes must be a nonempty list of integers, got {models!r}")
+    if missing := [m for m in models if m not in p_singles]:
+        raise MissingPair(f"no dimension for model {missing[0]}")
+    dims = [float(_check_level(p_singles[m], f"dimension of model {m}")) for m in models]
+    if min(dims) <= 0 or any(q < p for p, q in zip(dims, dims[1:])):
+        raise DimensionMismatch("single-model dimensions must be > 0 and nondecreasing")
+    alpha = {m: math.sqrt(3.0) * (p / dims[0]) ** (-1.0 - a) for m, p in zip(models, dims)}
+    x = {ref: 2.0 * (1.0 + a) * math.log(p / dims[0]) for ref, p in zip(models, dims[1:])}
     return PowerLossParams(a=a, alpha=alpha, x=x)
 
 
@@ -496,9 +493,10 @@ def critical_values(
     A pair of ``draws`` without a moment raises ``MissingPair``.
     """
     try:
-        pair_dims = PairValues(draws.order, [moments[pair].p_pair for pair in draws.order.pairs])
+        dims = [getattr(moments[pair], "p_pair", None) for pair in draws.order.pairs]
     except KeyError as missing:
         raise MissingPair(f"no moment for pair {missing.args[0]}") from None
+    pair_dims = PairValues(draws.order, dims)
     return replace(calibration_table(draws, pair_dims, alpha_plus, x_level), moments=dict(moments))
 
 

@@ -19,7 +19,7 @@ from .calibration import MODES, CalibrationTable, _check_table
 from .errors import DimensionMismatch, NonFiniteInput, RequiresKnownTruth
 from .family import ModelFamily, PairValues, noise_variances, pair_order, pair_values
 from .moments import NoiseSpec, pair_traces, single_variance
-from .rng import _check_level
+from .rng import _check_level, is_integer
 
 
 def test_statistics(family: ModelFamily, y) -> PairValues:
@@ -78,7 +78,7 @@ def _accepted(statistics, thresholds: Mapping[tuple[int, int], float], models):
     """The sorted models, their accept flags and the statistics as
     ``PairValues``: ``sma_select``'s rule against any finite thresholds."""
     named = {m for pair in statistics for m in pair} if models is None else models
-    order = _model_order(tuple(named))
+    order = _model_order(*named)
     if not order.models:
         what = "the statistics name no model" if models is None else "the model list is empty"
         raise DimensionMismatch(f"cannot select: {what}")
@@ -92,10 +92,12 @@ def _accepted(statistics, thresholds: Mapping[tuple[int, int], float], models):
     return order.models, flags, statistics
 
 
-@lru_cache(maxsize=16)
-def _model_order(models: tuple):
-    """The canonical ``PairOrder`` of a model list's sorted distinct sizes."""
-    return pair_order(tuple(sorted({int(m) for m in models})))
+@lru_cache(maxsize=16, typed=True)
+def _model_order(*models):
+    """The ``PairOrder`` of distinct integer sizes; typed, so ``True`` never reads ``1``'s."""
+    if not all(map(is_integer, models)):
+        raise DimensionMismatch(f"model sizes must be integers, got {list(models)!r}")
+    return pair_order(tuple(sorted(set(map(int, models)))))
 
 
 @dataclass(frozen=True)

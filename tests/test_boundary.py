@@ -406,6 +406,47 @@ BAD_SCALARS = {
         MissingPair,
         "no moment",
     ),
+    # A number in place of a moment raised a bare AttributeError.
+    "critical_values-moments-float": (
+        lambda sc, fam: critical_values(_draws(sc, fam), dict.fromkeys(fam.pairs(), 1.0), 2.0),
+        DimensionMismatch,
+        "real numbers",
+    ),
+    # Model sizes are integers, not bools: a fractional size was truncated
+    # and a bool read as model 1; an empty list raised a bare ValueError, a
+    # model without a dimension a bare KeyError, and a text or bool
+    # dimension was read as its float.
+    **{
+        f"power_loss_params-models-{name}": (
+            lambda sc, fam, models=models: power_loss_params(models, {1: 1.0, 2: 2.0, 3: 3.0}, 1.0),
+            DimensionMismatch,
+            "model sizes",
+        )
+        for name, models in [("float", [1, 2.5, 3]), ("bool", [True, 2, 3]), ("empty", [])]
+    },
+    "power_loss_params-dimension-missing": (
+        lambda sc, fam: power_loss_params([1, 2, 3], {1: 1.0, 2: 2.0}, 1.0),
+        MissingPair,
+        "model 3",
+    ),
+    **{
+        f"power_loss_params-dimension-{name}": (
+            lambda sc, fam, dim=dim: power_loss_params([1, 2, 3], {1: 1.0, 2: dim, 3: 3.0}, 1.0),
+            DimensionMismatch,
+            "dimension of model 2",
+        )
+        for name, dim in [("string", "2"), ("bool", True)]
+    },
+    **{
+        f"sma_select-models-{name}": (
+            lambda sc, fam, models=models: sma_select(
+                pairwise_statistics(fam, sc.f_true), _table(2.0), models=models
+            ),
+            DimensionMismatch,
+            "model sizes",
+        )
+        for name, models in [("float", [1, 2.5, 3]), ("bool", [True, 2, 3])]
+    },
     # Moments took an infinite trace and a bool, and text raised a bare TypeError.
     **{
         f"PairMoments-{name}": (lambda sc, fam, args=args: PairMoments(*args), error, match)

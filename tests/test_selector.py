@@ -151,6 +151,17 @@ def test_sma_empty_model_list_is_named():
         sma_select({}, table)
 
 
+@pytest.mark.parametrize("size", [True, 1.0])
+def test_a_size_equal_to_a_cached_integer_is_still_refused(size):
+    # The model order is cached per list; an equal bool or float must not
+    # read the entry its integer left.
+    stats = {(2, 1): 0.5, (3, 1): 0.5, (3, 2): 0.5}
+    table = threshold_table(dict.fromkeys(stats, 1.0))
+    assert sma_select(stats, table, models=[1, 2, 3]).models == (1, 2, 3)
+    with pytest.raises(DimensionMismatch, match="model sizes must be integers"):
+        sma_select(stats, table, models=[size, 2, 3])
+
+
 def test_sma_explicit_models_for_singleton():
     result = sma_select({}, threshold_table({}), models=[4])
     assert result.m_hat == 4

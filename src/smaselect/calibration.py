@@ -34,8 +34,8 @@ from .errors import (
     TailTooDeepWarning,
     warn,
 )
-from .family import ModelFamily, PairOrder, PairValues, noise_variances, pair_order, pair_values
-from .family import real_array
+from .family import ModelFamily, PairOrder, PairValues, model_sizes, noise_variances, pair_order
+from .family import pair_values, real_array
 from .moments import NoiseSpec, PairMoments, _pair_traces, _single_traces
 from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_seed, stream
 
@@ -389,14 +389,14 @@ def power_loss_params(models, p_singles: Mapping[int, float], a: float) -> Power
     For each model ``m`` with predecessor ``ref``, the level attached to
     ``ref`` is ``2 (1 + a) log(p_m / p_min)`` and the budget for ``m`` is
     ``sqrt(3) (p_m / p_min)^(-1-a)``; the level indexing follows the
-    next-smaller-model convention.  Sizes are integers (not bools) and dimensions levels
-    (``rng._check_level``), > 0 and nondecreasing: a missing one raises ``MissingPair``, a
-    NaN or infinite one ``NonFiniteInput`` and any other fault ``DimensionMismatch``.
+    next-smaller-model convention.  ``models`` is an ordered model list
+    (``family.model_sizes``) and dimensions levels (``rng._check_level``), > 0 and
+    nondecreasing: a missing one raises ``MissingPair``, a NaN or infinite one
+    ``NonFiniteInput`` and any other fault ``DimensionMismatch``.
     """
     if not (is_number(a) and a > 0):
         raise BadExponent("power-loss exponent a must be a finite number > 0")
-    if not (models := list(models)) or not all(map(is_integer, models)):
-        raise DimensionMismatch(f"model sizes must be a nonempty list of integers, got {models!r}")
+    models = model_sizes(models)
     if missing := [m for m in models if m not in p_singles]:
         raise MissingPair(f"no dimension for model {missing[0]}")
     dims = [float(_check_level(p_singles[m], f"dimension of model {m}")) for m in models]

@@ -20,7 +20,7 @@ from . import __version__
 from .bootstrap import presmooth
 from .calibration import MODES, CalibrationTable, calibrate
 from .errors import AllZeroResiduals, ConfigInvalid, DimensionMismatch
-from .family import DesignMatrix, ModelFamily, build_projection_family
+from .family import DesignMatrix, ModelFamily, build_projection_family, model_sizes
 from .moments import NoiseSpec, best_linear_coefficients
 from .rng import is_integer, is_number, is_seed, stream
 from .selector import OracleReport, oracle, payment_for_adaptation, sma_select, test_statistics
@@ -95,13 +95,12 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name} must be a finite number")
         if not isinstance(self.random_design, bool):
             raise ConfigInvalid("random_design must be true or false")
-        if not all(is_integer(m) for m in self.models):
-            raise ConfigInvalid("models must be integers")
-        models = tuple(int(m) for m in self.models)
-        if not models or any(b <= a for a, b in zip(models, models[1:])):
-            raise ConfigInvalid("models must be a nonempty strictly increasing list")
-        if not (1 <= self.m_dagger <= max(models) <= self.p_max):
-            raise ConfigInvalid("need 1 <= m_dagger <= max(models) <= p_max")
+        try:
+            models = model_sizes(self.models, self.p_max)
+        except DimensionMismatch as exc:
+            raise ConfigInvalid(f"models: {exc}") from None
+        if not 1 <= self.m_dagger <= models[-1]:
+            raise ConfigInvalid("need 1 <= m_dagger <= max(models)")
         if self.n < 1 or self.n_sim < 1 or self.n_hist < 1 or self.n_workers < 1:
             raise ConfigInvalid("counts must be >= 1")
         if self.x_level < 0 or self.alpha_plus < 0:

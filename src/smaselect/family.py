@@ -80,6 +80,17 @@ def real_array(values, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what} must be real numbers: {exc}") from None
 
 
+def model_sizes(models, p: int | None = None) -> tuple[int, ...]:
+    """``models`` as ints if a nonempty, strictly increasing list of integers (not bools)
+    in ``1..p`` (``p`` unbounded if ``None``); anything else raises ``DimensionMismatch``."""
+    models = tuple(models)
+    rule = "integers >= 1" if p is None else f"integers in 1..{p}"
+    ordered = all(map(is_integer, models)) and all(a < b for a, b in zip(models, models[1:]))
+    if not (ordered and models and models[0] >= 1 and (p is None or models[-1] <= p)):
+        raise DimensionMismatch(f"model sizes must be strictly increasing {rule}: {models}")
+    return tuple(map(int, models))
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Feature vectors as columns of a ``p x n`` matrix."""
@@ -500,17 +511,7 @@ def build_projection_family(design: DesignMatrix, weights, models) -> ModelFamil
     norm ``sum_j g_j xi_j^2``.  The same holds for variance traces, each a
     sum of such norms over the rows of the noise root.
     """
-    models = tuple(models)
-    if not all(map(is_integer, models)):
-        raise DimensionMismatch(f"model sizes must be integers, got {list(models)!r}")
-    models = tuple(map(int, models))
-    if not models:
-        raise DimensionMismatch("model list is empty")
-    if any(b <= a for a, b in zip(models, models[1:])):
-        raise DimensionMismatch("model list must be strictly increasing")
-    if models[0] < 1 or models[-1] > design.p:
-        raise DimensionMismatch("model sizes must lie in 1..p")
-
+    models = model_sizes(models, design.p)
     W = real_array(weights, "W")
     if W.ndim != 2 or W.shape[1] != design.p:
         raise DimensionMismatch("W must be a q x p matrix, p the feature dimension")

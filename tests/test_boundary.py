@@ -5,6 +5,7 @@ returns the largest model, and risks, biases and diagnostics come out NaN.
 """
 
 import ast
+import json
 import math
 import types
 from pathlib import Path
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 import smaselect
+from smaselect import cli
 from smaselect import (
     AllZeroResiduals,
     BadExponent,
     CalibrationTable,
+    ConfigInvalid,
     DesignMatrix,
     DimensionMismatch,
     JointDrawMatrix,
@@ -124,6 +127,37 @@ def test_family_rejects_non_finite_weighting(toy_design, weighting):
 def test_family_rejects_a_weighting_that_is_not_q_by_p(toy_design, weighting):
     with pytest.raises(DimensionMismatch):
         build_projection_family(toy_design, weighting, [1, 2, 3])
+
+
+# One model-list rule (``family.model_sizes``) for the family, the power-loss
+# levels and the config.  ``power_loss_params`` took unordered, repeated and
+# zero sizes, and a config took model 0 until the family build refused it.
+BAD_MODEL_LISTS = {
+    "empty": [],
+    "unordered": [2, 1, 3],
+    "repeated": [1, 1, 2],
+    "zero": [0, 1],
+    "bool": [True, 2],
+    "float": [1, 2.5, 3],
+}
+
+
+@pytest.mark.parametrize("models", BAD_MODEL_LISTS.values(), ids=BAD_MODEL_LISTS.keys())
+def test_every_model_list_reads_one_rule(toy_design, models):
+    with pytest.raises(DimensionMismatch, match="model sizes"):
+        build_projection_family(toy_design, np.eye(toy_design.p), models)
+    # Every size has a valid dimension, so only the list is at fault.
+    with pytest.raises(DimensionMismatch, match="model sizes"):
+        power_loss_params(models, {0: 0.5, 1: 1.0, 2: 1.0, 3: 4.0}, 1.0)
+    with pytest.raises(ConfigInvalid, match="model sizes"):
+        ExperimentConfig(n=40, p_max=12, models=tuple(models), m_dagger=1).validate()
+
+
+def test_config_with_model_zero_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({"n": 40, "p_max": 12, "models": [0, 1, 2], "m_dagger": 2}))
+    assert cli.main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # The array boundaries besides the length-n vectors: each converts through

@@ -38,7 +38,7 @@ from smaselect.experiment import (
 )
 from smaselect.moments import all_pair_moments, best_linear_coefficients
 from smaselect.rng import stream
-from reference import risk_profile
+from reference import check_ordering, risk_profile
 
 
 def small_config(**overrides):
@@ -418,6 +418,31 @@ def test_committed_configs_resolve_and_vary_the_paper_config():
     ):
         assert list(configs[name]) == list(paper), name
         assert {key for key in paper if configs[name][key] != paper[key]} == differing, name
+
+
+# Per committed config: adjacent pairs whose variance gap is indefinite, of
+# all adjacent pairs, and the smallest gap eigenvalue.  Every config uses the
+# linear heteroscedastic noise profile, and none meets the PSD ordering the
+# method assumes (README, test oracles).
+ORDERING_VERDICTS = {
+    "paper": (36, 36, -0.394871),
+    "paper-noise4": (36, 36, -6.31794),
+    "quick": (14, 14, -0.395161),
+    "derivative": (13, 14, -101.331),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_committed_configs_variance_ordering_verdicts(path):
+    config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    scenario = generate_scenario(config)
+    report = check_ordering(scenario_family(config, scenario), scenario.sigma)
+    indefinite = sum(not ok for ok in report.pair_ordered.values())
+    smallest = min(report.min_eigenvalues.values())
+    expected_indefinite, pairs, expected_smallest = ORDERING_VERDICTS[path.stem]
+    assert (indefinite, len(report.pair_ordered)) == (expected_indefinite, pairs)
+    # The pinned values carry six significant digits.
+    assert smallest == pytest.approx(expected_smallest, rel=1e-5)
 
 
 def test_mdagger_sweep_variance_shrinks_with_sample_size():

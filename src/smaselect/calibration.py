@@ -16,9 +16,12 @@ standard deviations or the presmoothing residuals.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from bisect import bisect_left
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +45,10 @@ from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_
 MODES = ("probabilistic", "power_loss")
 
 _CHUNK_ROWS = 64  # rows of normals drawn at a time (see ``draw_blocks``); not in the output format
+
+# The one draw helper, built once, and the threads in ``calibrate`` (see ``draw_blocks``).
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="smaselect-draw")
+_TABLES: set[int] = set()
 
 # The bits of +inf as an unsigned 64-bit integer (see ``JointDrawMatrix``).
 _INF_BITS = np.float64(np.inf).view(np.uint64)
@@ -120,7 +127,7 @@ def sample_draws(
 
 
 def _check_workers(n_workers) -> None:
-    """Refuse a worker count that is not an integer >= 1; a table takes one thread."""
+    """Refuse a worker count that is not an integer >= 1; no table reads it."""
     if not (is_integer(n_workers) and n_workers >= 1):
         raise DimensionMismatch(f"n_workers must be an integer >= 1, got {n_workers!r}")
 
@@ -513,8 +520,9 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
     are drawn and reduced ``_CHUNK_ROWS`` rows at a time (a generator fills its output in
     sequence) into one reused ``BLOCK_ROWS x r`` block that the kernel reads whole: the working
     set is an ``n``-wide chunk of ``_CHUNK_ROWS + 1`` rows plus that block, and only
-    ``BLOCK_ROWS`` is part of the output format.  A scale zero everywhere raises
-    ``AllZeroResiduals``."""
+    ``BLOCK_ROWS`` is part of the output format.  With ``increments`` and no other thread in
+    ``calibrate``, ``_HELPER`` claims blocks too (in the caller's context, quarter chunks each,
+    cancelled if not yet started).  A scale zero everywhere raises ``AllZeroResiduals``."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -525,17 +533,30 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
     kernel = family.step_squares if steps else family.pair_squares
     squares = np.empty((len(family.models) if steps else len(order.pairs), n_sim))
     blocks = block_bounds(n_sim)
-    chunk = np.empty((_CHUNK_ROWS + 1, family.n))
-    xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
-    for b, start, stop in blocks:
-        gen = stream(seed, stream_tag, b)
-        # The last chunk takes a lone last row: numpy reduces one row by a
-        # matrix-vector product, whose bits differ from the matrix product's.
-        bounds = [*range(0, max(stop - start - 1, 1), _CHUNK_ROWS), stop - start]
-        for lo, hi in zip(bounds, bounds[1:]):
-            z = gen.standard_normal(out=chunk[: hi - lo])
-            family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
-        kernel(xi[: stop - start], order, out=squares[:, start:stop])
+    todo = iter(blocks)  # the interpreter lock makes a list iterator's next() atomic
+
+    def draw(rows: int):
+        chunk = np.empty((rows + 1, family.n))
+        xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
+        for b, start, stop in todo:
+            gen = stream(seed, stream_tag, b)
+            # The last chunk takes a lone last row: numpy reduces one row by a
+            # matrix-vector product, whose bits differ from the matrix product's.
+            bounds = [*range(0, max(stop - start - 1, 1), rows), stop - start]
+            for lo, hi in zip(bounds, bounds[1:]):
+                z = gen.standard_normal(out=chunk[: hi - lo])
+                family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
+            kernel(xi[: stop - start], order, out=squares[:, start:stop])
+
+    lone = steps and len(blocks) > 1 and _TABLES <= {threading.get_ident()}
+    rows = _CHUNK_ROWS // 4 if lone else _CHUNK_ROWS  # two 17-row chunks hold < 65 rows
+    helper = _HELPER.submit(contextvars.copy_context().run, draw, rows) if lone else None
+    try:
+        draw(rows)
+    finally:  # a helper that has started is waited for, to the end of its last block
+        error = helper and not helper.cancel() and helper.exception()
+    if error:
+        raise error
     _check_draws(squares)
     return order, family.window_blocks(squares, order) if steps else _row_blocks(squares, order)
 
@@ -560,14 +581,18 @@ def calibrate(
     root = family.trace_root(scale * scale)
     if mode not in MODES:
         raise DimensionMismatch(f"unknown calibration mode {mode!r}")
-    order, blocks = draw_blocks(family, scale, n_sim, seed, stream_tag)  # AllZeroResiduals first
-    levels = x_level
-    if mode == "power_loss":
-        if power_a is None:
-            raise DimensionMismatch("power-loss mode needs the exponent a")
-        levels = power_loss_params(family.models, _single_traces(family, root), power_a)
-    dims = _pair_traces(family, root, order)
-    return _table(order, n_sim, seed, blocks, dims, alpha_plus, levels, squared=True)
+    _TABLES.add(me := threading.get_ident())  # one operation, as is each read or discard
+    try:
+        order, blocks = draw_blocks(family, scale, n_sim, seed, stream_tag)  # AllZeroResiduals 1st
+        levels = x_level
+        if mode == "power_loss":
+            if power_a is None:
+                raise DimensionMismatch("power-loss mode needs the exponent a")
+            levels = power_loss_params(family.models, _single_traces(family, root), power_a)
+        dims = _pair_traces(family, root, order)
+        return _table(order, n_sim, seed, blocks, dims, alpha_plus, levels, squared=True)
+    finally:
+        _TABLES.discard(me)
 
 
 def propagation_failures(

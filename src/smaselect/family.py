@@ -46,7 +46,7 @@ selector all read and pass on; a list is laid out once, where it enters.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,12 +83,12 @@ def real_array(values, what: str) -> np.ndarray:
 def model_sizes(models, p: int | None = None) -> tuple[int, ...]:
     """``models`` as ints if a nonempty, strictly increasing list of integers (not bools)
     in ``1..p`` (``p`` unbounded if ``None``); anything else raises ``DimensionMismatch``."""
-    models = tuple(models)
+    sizes = tuple(models) if isinstance(models, Iterable) else ()
     rule = "integers >= 1" if p is None else f"integers in 1..{p}"
-    ordered = all(map(is_integer, models)) and all(a < b for a, b in zip(models, models[1:]))
-    if not (ordered and models and models[0] >= 1 and (p is None or models[-1] <= p)):
+    ordered = all(map(is_integer, sizes)) and all(a < b for a, b in zip(sizes, sizes[1:]))
+    if not (ordered and sizes and sizes[0] >= 1 and (p is None or sizes[-1] <= p)):
         raise DimensionMismatch(f"model sizes must be strictly increasing {rule}: {models}")
-    return tuple(map(int, models))
+    return tuple(map(int, sizes))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,19 @@ def test_every_model_list_reads_one_rule(toy_design, models):
         ExperimentConfig(n=40, p_max=12, models=tuple(models), m_dagger=1).validate()
 
 
+# A lone integer is no model list: ``tuple(models)`` raised a bare TypeError.
+NOT_A_LIST = {
+    "config": (ConfigInvalid, lambda: ExperimentConfig(n=10, models=5).validate()),
+    "power_loss_params": (DimensionMismatch, lambda: power_loss_params(3, {3: 1.0}, 1.0)),
+}
+
+
+@pytest.mark.parametrize("error, call", NOT_A_LIST.values(), ids=NOT_A_LIST.keys())
+def test_a_model_list_that_is_not_a_list_is_refused(error, call):
+    with pytest.raises(error, match="model sizes"):
+        call()
+
+
 def test_config_with_model_zero_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "zero.json"
     config.write_text(json.dumps({"n": 40, "p_max": 12, "models": [0, 1, 2], "m_dagger": 2}))
@@ -239,8 +252,8 @@ def _draws(sc, fam):
 # error ``calibrate`` raises for it.  A seed masked to 64 bits would alias
 # another stream: 2**64 drew seed 0's matrix, -1 that of 2**64 - 1 and 1.5
 # that of 1.  A draw count must be an integer >= 1: 2.5 and True raised a
-# bare TypeError.  A table is built on one thread, but the two wrappers that
-# still take a worker count refuse one that is not an integer >= 1.
+# bare TypeError.  No table reads a worker count, but the two wrappers that
+# still take one refuse one that is not an integer >= 1.
 BAD_SCALARS = {
     "calibrate-power-model-1": (
         lambda sc, fam: _calibrate(sc, fam, mode="power_loss", power_a=1.0),

@@ -20,6 +20,9 @@ any row count and one data vector.
 import dataclasses
 from fractions import Fraction
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smaselect.calibration as calibration
 import smaselect.family as family_module
 import smaselect.moments as moments_module
 from smaselect import (
@@ -385,8 +389,8 @@ def _same_columns(oracle, draws):
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_draws_equal_running_buffer_kernel(name, n_workers):
-    # The wrapper checks n_workers and samples on one thread: its draws
-    # are the same bits whatever worker count it is handed.
+    # The wrapper checks n_workers and does not read it: its draws are the
+    # same bits whatever worker count it is handed.
     family = FAMILIES[name]()
     _, scenario = _paper_like()
     scale = np.sqrt(scenario.sigma.variances)
@@ -404,14 +408,15 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
     _same_columns(multiplier, sample_draws(family, scale, 700, 11, stream_tag=3))
 
 
-@pytest.mark.parametrize("n_sim", [1, 63, 64, 65, 511, 512, 513, 577, 1100])
+@pytest.mark.parametrize("n_sim", [1, 63, 64, 65, 511, 512, 513, 528, 529, 577, 1100])
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
 def test_chunked_normals_equal_whole_block_draws(name, n_sim):
     # The sampler draws and reduces each block's normals in chunks of 64
-    # rows; a lone last row joins the chunk before it (65, 577), since one
-    # row would be reduced by a matrix-vector product.  Every count on
-    # either side of a chunk or block boundary, a 12-row chunk (1100) and a
-    # one-row block (1, 513): the draws are the whole-block oracle's bits,
+    # rows, or of 16 when the draw helper joins a draw of several blocks; a
+    # lone last row joins the chunk before it (65; 529 and 577 helped),
+    # since one row would be reduced by a matrix-vector product.  Every
+    # count on either side of a chunk or block boundary, a 12-row chunk
+    # (1100) and a one-row block (1, 513): the draws are the whole-block oracle's bits,
     # in the canonical order and, pair for pair, in a shuffled one, and
     # calibrate's table is the one built on the oracle's draws.
     family = FAMILIES[name]()
@@ -439,10 +444,158 @@ def test_chunked_normals_equal_whole_block_draws(name, n_sim):
         assert reference.same_table(table, want), (kind, stream_tag)
 
 
+HELPER = "smaselect-draw"  # the draw helper's thread name prefix
+
+
+def _draw_scenario(how, family, scale, n_sim, monkeypatch):
+    """``calibrate``'s table and ``draw_blocks``' rooted blocks at ``n_sim`` (seed 9), with
+    the threads that drew their blocks.  ``alone``: on a family with increments, the caller
+    waits for the helper to claim a block before it draws its own.  ``in_flight``: a
+    one-block ``calibrate`` on another thread is held mid-draw, so another table is in
+    flight.  ``busy``: another task holds the helper; the call must return while it does."""
+    drawn, helper_in, held, release = [], threading.Event(), threading.Event(), threading.Event()
+
+    def held_stream(seed, tag, b):
+        if threading.current_thread().name.startswith(HELPER):
+            helper_in.set()
+        elif how == "alone" and family.increments is not None:
+            assert helper_in.wait(10)
+        if tag == 7:
+            held.set()
+            release.wait(10)
+        else:
+            drawn.append(threading.current_thread().name)
+        return stream(seed, tag, b)
+
+    monkeypatch.setattr(calibration, "stream", held_stream)
+    if how == "in_flight":
+        args = (family, scale, 100, 1, 2.0, 1.0)
+        other = threading.Thread(target=calibrate, args=args, kwargs={"stream_tag": 7})
+        other.start()
+    elif how == "busy":
+        other = calibration._HELPER.submit(lambda: held.set() or release.wait(10))
+    try:
+        assert how == "alone" or held.wait(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailTooDeepWarning)
+            table = calibrate(family, scale, n_sim, 9, 2.0, 1.0)
+        _, blocks = calibration.draw_blocks(family, scale, n_sim, 9)
+        rooted = [(cols, np.sqrt(block)) for (*_, cols), block in blocks]
+        assert how != "busy" or not other.done()  # returned while the helper was held
+    finally:
+        release.set()
+        if how == "in_flight":
+            other.join()
+        elif how == "busy":
+            other.result()
+    return table, rooted, set(drawn)
+
+
+@pytest.mark.parametrize("n_sim", [600, 1000, 1100, 2600])
+@pytest.mark.parametrize("name", ["increments", "general_paper"])
+def test_helped_and_serial_draws_keep_every_bit(name, n_sim, monkeypatch):
+    # 2, 2, 3 and 6 blocks, each with a short last block: the table and the
+    # streamed squares are the same bits whether the helper draws beside the
+    # caller, another table in flight keeps it out, or another task holds it.
+    # It joins only a family with increments: the dense pair kernel of one
+    # without gained nothing from it and held two blocks' temporaries.
+    family = FAMILIES[name]()
+    scale = np.random.default_rng(n_sim).uniform(0.5, 2.0, family.n)
+    want = reference.sample_in_order(family, scale, n_sim, 9, pair_order(family.models))
+    runs = {how: _draw_scenario(how, family, scale, n_sim, monkeypatch)
+            for how in ("in_flight", "alone", "busy")}
+    serial = runs["in_flight"][0]
+    assert reference.same_table(
+        serial, reference.matrix_table(family, scale, n_sim, 9, 2.0, 1.0, "probabilistic")
+    )
+    caller = threading.current_thread().name
+    for how, (table, rooted, drawers) in runs.items():
+        assert reference.same_table(table, serial), how
+        for cols, block in rooted:
+            assert np.array_equal(block, want.draws[:, cols].T), how
+        helped = {d for d in drawers if d.startswith(HELPER)}
+        joins = how == "alone" and family.increments is not None
+        assert drawers - helped == {caller} and bool(helped) == joins, (how, drawers)
+
+
+def test_concurrent_tables_keep_their_bits_and_unregister():
+    # More calibrating threads than cores, switching often: every table is
+    # the oracle's, and no thread is left registered as building one.
+    family = FAMILIES["increments"]()
+    scale = np.full(family.n, 0.7)
+    want = {tag: reference.matrix_table(family, scale, 1100, 4, 2.0, 1.0, "probabilistic", tag)
+            for tag in range(4)}
+    got = {}
+
+    def build(tag):
+        for _ in range(3):
+            table = calibrate(family, scale, 1100, 4, 2.0, 1.0, stream_tag=tag)
+            got.setdefault(tag, []).append(table)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(tag,)) for tag in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(reference.same_table(table, want[tag]) for tag in want for table in got[tag])
+    assert [len(got[tag]) for tag in want] == [3] * 4 and not calibration._TABLES
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails", [None, "caller", "helper"])
+def test_draw_blocks_waits_for_a_started_helper(fails, monkeypatch):
+    # The helper takes a block and is slow to finish it: draw_blocks returns,
+    # or raises, only after the helper's task is done, and an error in a
+    # helper's block is raised in the caller as itself.
+    family = FAMILIES["increments"]()
+    helper_in, finished = threading.Event(), []
+
+    def slow_stream(seed, tag, b):
+        if threading.current_thread().name.startswith(HELPER):
+            helper_in.set()
+            time.sleep(0.2)
+            if fails == "helper":
+                raise BlockFailed(b)
+        else:
+            assert helper_in.wait(10)
+            if fails == "caller":
+                raise BlockFailed(b)
+        return stream(seed, tag, b)
+
+    def submit(fn, *args):
+        def run():
+            try:
+                return fn(*args)
+            finally:
+                finished.append(threading.current_thread().name)
+        return real_submit(run)
+
+    real_submit = calibration._HELPER.submit
+    monkeypatch.setattr(calibration, "stream", slow_stream)
+    monkeypatch.setattr(calibration._HELPER, "submit", submit)
+    scale = np.full(family.n, 0.7)
+    if fails:
+        with pytest.raises(BlockFailed):
+            calibration.draw_blocks(family, scale, 1100, 3)
+    else:
+        calibration.draw_blocks(family, scale, 1100, 3)
+    assert len(finished) == 1 and finished[0].startswith(HELPER), finished
+
+
 def test_sampler_memory_does_not_scale_with_block_rows_times_n():
     # At n = 2,000 one 512-row block of normals is 8.2 MB; the sampler holds
-    # a 65-row chunk of them (1.04 MB) and a 512 x r block of their reduced
-    # coordinates, so its working memory stays near 1.2 MB.
+    # a 65-row chunk of them (1.04 MB), or with the draw helper two 17-row
+    # chunks (0.54 MB), and a 512 x r block of their reduced coordinates per
+    # thread, so its working memory stays near 1.2 MB.
     family = _study_family(n=2000, p_max=10, models=tuple(range(1, 11)), m_dagger=5)
     scale = np.full(family.n, 0.7)
     sample_draws(family, scale, 1000, 5)  # the pair layout is cached, as in any later call
@@ -486,17 +639,23 @@ def test_overflowing_squares_raise_non_finite(name):
         calibrate(family, np.full(family.n, 1e200), 600, 1, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("name", ["increments", "general_paper"])
-def test_overflowing_draws_raise_non_finite(name):
+@pytest.mark.parametrize(
+    "name, n_sim",
+    [pytest.param(name, n_sim, id=name + ("" if n_sim == 600 else f"-{n_sim}"))
+     for n_sim in (600, 2600) for name in ("increments", "general_paper")],
+)
+def test_overflowing_draws_raise_non_finite(name, n_sim):
     # Finite variances, 1e308, whose squared draws overflow: the streamed
     # per-reference check (increments) and the draw matrix's (the general
     # kernel) refuse them with one message.  The "general" family's draws
-    # stay below its scale, so no finite variance overflows them.
+    # stay below its scale, so no finite variance overflows them.  The
+    # caller's error state holds in the draw helper too: with warnings as
+    # errors, an overflow warning from either thread would raise instead.
     family = FAMILIES[name]()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        NonFiniteInput, match="draw matrix contains NaN or infinite values"
-    ):
-        calibrate(family, np.full(family.n, 1e154), 600, 1, 2.0, 1.0)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="draw matrix contains NaN or infinite values"):
+            calibrate(family, np.full(family.n, 1e154), n_sim, 1, 2.0, 1.0)
 
 
 def test_overflowing_running_sums_raise_non_finite():

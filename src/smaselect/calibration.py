@@ -534,8 +534,10 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
     squares = np.empty((len(family.models) if steps else len(order.pairs), n_sim))
     blocks = block_bounds(n_sim)
     todo = iter(blocks)  # the interpreter lock makes a list iterator's next() atomic
+    lone = steps and len(blocks) > 1 and _TABLES <= {threading.get_ident()}
+    rows = _CHUNK_ROWS // 4 if lone else _CHUNK_ROWS  # two 17-row chunks hold < 65 rows
 
-    def draw(rows: int):
+    def draw():
         chunk = np.empty((rows + 1, family.n))
         xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
         for b, start, stop in todo:
@@ -548,11 +550,9 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
                 family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
             kernel(xi[: stop - start], order, out=squares[:, start:stop])
 
-    lone = steps and len(blocks) > 1 and _TABLES <= {threading.get_ident()}
-    rows = _CHUNK_ROWS // 4 if lone else _CHUNK_ROWS  # two 17-row chunks hold < 65 rows
-    helper = _HELPER.submit(contextvars.copy_context().run, draw, rows) if lone else None
+    helper = _HELPER.submit(contextvars.copy_context().run, draw) if lone else None
     try:
-        draw(rows)
+        draw()
     finally:  # a helper that has started is waited for, to the end of its last block
         error = helper and not helper.cancel() and helper.exception()
     if error:

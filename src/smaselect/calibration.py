@@ -16,7 +16,6 @@ standard deviations or the presmoothing residuals.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import threading
 from bisect import bisect_left
@@ -44,7 +43,7 @@ from .rng import _check_level, block_bounds, is_integer, is_number, is_real, is_
 
 MODES = ("probabilistic", "power_loss")
 
-_CHUNK_ROWS = 64  # rows of normals drawn at a time (see ``draw_blocks``); not in the output format
+_CHUNK_ROWS = 32  # rows of normals drawn at a time (see ``draw_blocks``); not in the output format
 
 # The one draw helper, built once, and the threads in ``calibrate`` (see ``draw_blocks``).
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="smaselect-draw")
@@ -521,8 +520,8 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
     sequence) into one reused ``BLOCK_ROWS x r`` block that the kernel reads whole: the working
     set is an ``n``-wide chunk of ``_CHUNK_ROWS + 1`` rows plus that block, and only
     ``BLOCK_ROWS`` is part of the output format.  With ``increments`` and no other thread in
-    ``calibrate``, ``_HELPER`` claims blocks too (in the caller's context, quarter chunks each,
-    cancelled if not yet started).  A scale zero everywhere raises ``AllZeroResiduals``."""
+    ``calibrate``, ``_HELPER`` claims blocks too, under the caller's ``np.errstate``, cancelled
+    if not yet started.  A scale zero everywhere raises ``AllZeroResiduals``."""
     scale = family.vector(scale, "noise scale")
     if not scale.any():
         raise AllZeroResiduals("noise scale is zero everywhere; calibration is degenerate")
@@ -535,22 +534,23 @@ def draw_blocks(family: ModelFamily, scale, n_sim: int, seed: int, stream_tag: i
     blocks = block_bounds(n_sim)
     todo = iter(blocks)  # the interpreter lock makes a list iterator's next() atomic
     lone = steps and len(blocks) > 1 and _TABLES <= {threading.get_ident()}
-    rows = _CHUNK_ROWS // 4 if lone else _CHUNK_ROWS  # two 17-row chunks hold < 65 rows
+    errors = {**np.geterr(), "call": np.geterrcall()}  # numpy < 2 keeps these per thread
 
     def draw():
-        chunk = np.empty((rows + 1, family.n))
+        chunk = np.empty((_CHUNK_ROWS + 1, family.n))
         xi = np.empty((blocks[0][2], family.basis.shape[1]))  # the first block is the longest
-        for b, start, stop in todo:
-            gen = stream(seed, stream_tag, b)
-            # The last chunk takes a lone last row: numpy reduces one row by a
-            # matrix-vector product, whose bits differ from the matrix product's.
-            bounds = [*range(0, max(stop - start - 1, 1), rows), stop - start]
-            for lo, hi in zip(bounds, bounds[1:]):
-                z = gen.standard_normal(out=chunk[: hi - lo])
-                family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
-            kernel(xi[: stop - start], order, out=squares[:, start:stop])
+        with np.errstate(**errors):  # the caller's, on the helper's thread too
+            for b, start, stop in todo:
+                gen = stream(seed, stream_tag, b)
+                # The last chunk takes a lone last row: numpy reduces one row by a
+                # matrix-vector product, whose bits differ from the matrix product's.
+                bounds = [*range(0, max(stop - start - 1, 1), _CHUNK_ROWS), stop - start]
+                for lo, hi in zip(bounds, bounds[1:]):
+                    z = gen.standard_normal(out=chunk[: hi - lo])
+                    family.reduce(np.multiply(z, scale, out=z), out=xi[lo:hi])
+                kernel(xi[: stop - start], order, out=squares[:, start:stop])
 
-    helper = _HELPER.submit(contextvars.copy_context().run, draw) if lone else None
+    helper = _HELPER.submit(draw) if lone else None
     try:
         draw()
     finally:  # a helper that has started is waited for, to the end of its last block

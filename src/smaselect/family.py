@@ -412,14 +412,14 @@ class ModelFamily:
         for the rows of ``xi`` (``B x r``), or for one ``xi`` (``k``), written
         to ``out`` if given: the steps ``pair_windows`` adds up to every
         pair's square.  Needs ``increments``."""
-        weights = (xi * xi * self.increments).T
-        if len(order.step_starts) < len(weights):
-            return np.add.reduceat(weights, order.step_starts, axis=0, out=out)
+        weights = xi * xi
+        weights *= self.increments  # in place: one B x r temporary, not two
+        if len(order.step_starts) < len(weights.T):
+            return np.add.reduceat(weights.T, order.step_starts, axis=0, out=out)
         # Steps of one coordinate each are the weights themselves, which a reduceat copies slowly.
-        if out is None:
-            return weights
-        out[...] = weights
-        return out
+        if out is not None:
+            out[...] = weights.T
+        return weights.T if out is None else out
 
     def pair_windows(
         self, steps: np.ndarray, order: PairOrder, out: np.ndarray | None = None

@@ -408,15 +408,14 @@ def test_draws_equal_running_buffer_kernel(name, n_workers):
     _same_columns(multiplier, sample_draws(family, scale, 700, 11, stream_tag=3))
 
 
-@pytest.mark.parametrize("n_sim", [1, 63, 64, 65, 511, 512, 513, 528, 529, 577, 1100])
+@pytest.mark.parametrize("n_sim", [1, 31, 32, 33, 63, 64, 65, 511, 512, 513, 528, 529, 545, 577, 1100])
 @pytest.mark.parametrize("name", ["increments", "general_paper"])
 def test_chunked_normals_equal_whole_block_draws(name, n_sim):
-    # The sampler draws and reduces each block's normals in chunks of 64
-    # rows, or of 16 when the draw helper joins a draw of several blocks; a
-    # lone last row joins the chunk before it (65; 529 and 577 helped),
-    # since one row would be reduced by a matrix-vector product.  Every
-    # count on either side of a chunk or block boundary, a 12-row chunk
-    # (1100) and a one-row block (1, 513): the draws are the whole-block oracle's bits,
+    # The sampler draws and reduces each block's normals in chunks of 32
+    # rows, on whichever thread claims the block; a lone last row joins the
+    # chunk before it (33, 65, 545 and 577), since one row would be reduced
+    # by a matrix-vector product.  Every count on either side of a chunk or
+    # block boundary, a 12-row chunk (1100) and a one-row block (1, 513): the draws are the whole-block oracle's bits,
     # in the canonical order and, pair for pair, in a shuffled one, and
     # calibrate's table is the one built on the oracle's draws.
     family = FAMILIES[name]()
@@ -593,8 +592,8 @@ def test_draw_blocks_waits_for_a_started_helper(fails, monkeypatch):
 
 def test_sampler_memory_does_not_scale_with_block_rows_times_n():
     # At n = 2,000 one 512-row block of normals is 8.2 MB; the sampler holds
-    # a 65-row chunk of them (1.04 MB), or with the draw helper two 17-row
-    # chunks (0.54 MB), and a 512 x r block of their reduced coordinates per
+    # a 33-row chunk of them (0.53 MB), or with the draw helper one per
+    # thread (1.06 MB), and a 512 x r block of their reduced coordinates per
     # thread, so its working memory stays near 1.2 MB.
     family = _study_family(n=2000, p_max=10, models=tuple(range(1, 11)), m_dagger=5)
     scale = np.full(family.n, 0.7)

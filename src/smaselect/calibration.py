@@ -363,7 +363,7 @@ class CalibrationTable:
             mode=read("mode", MODES.__contains__, f"one of {MODES}"),
             power_a=read("power_a", lambda a: a is None or is_number(a), "null or finite"),
             per_model_levels=read("per_model_levels", keys=int)
-            if d.get("per_model_levels")
+            if d.get("per_model_levels") is not None
             else None,
             n_sim=read("n_sim", lambda n: n is None or is_integer(n) and n > 0, "null or >= 1"),
             seed=read("seed", lambda s: s is None or is_seed(s), "null or a 64-bit seed"),

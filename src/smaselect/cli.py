@@ -76,14 +76,18 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides).validate()
 
 
-def _m_dagger_list(args) -> list[int]:
-    """``--m-dagger-list`` as integers (empty when not given)."""
+def _m_dagger_list(args, cfg: ExperimentConfig) -> list[int]:
+    """``--m-dagger-list`` as pilot sizes in ``1..p_max`` (empty when not given)."""
     try:
-        return [int(v) for v in args.m_dagger_list.split(",")] if args.m_dagger_list else []
+        sizes = [int(v) for v in args.m_dagger_list.split(",")] if args.m_dagger_list else []
+        if all(1 <= md <= cfg.p_max for md in sizes):
+            return sizes
     except ValueError:
-        raise ConfigInvalid(
-            f"--m-dagger-list needs comma-separated integers, got {args.m_dagger_list!r}"
-        ) from None
+        pass
+    raise ConfigInvalid(
+        f"--m-dagger-list needs comma-separated integers in 1..{cfg.p_max}, "
+        f"got {args.m_dagger_list!r}"
+    )
 
 
 def _outdir(args) -> Path:
@@ -160,8 +164,8 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    md_list = _m_dagger_list(args) or sorted(
-        {max(2, cfg.m_dagger // 2), cfg.m_dagger, max(cfg.models)}
+    md_list = _m_dagger_list(args, cfg) or sorted(
+        md for md in {max(2, cfg.m_dagger // 2), cfg.m_dagger, max(cfg.models)} if md <= cfg.p_max
     )
     out = _outdir(args)
     sweep = mdagger_sweep(cfg, md_list)
@@ -171,7 +175,7 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_ratios(args, cfg: ExperimentConfig) -> int:
-    md_list = _m_dagger_list(args)
+    md_list = _m_dagger_list(args, cfg)
     tables = quantile_ratio_tables(cfg, [cfg.m_dagger, *md_list])
     table = tables[cfg.m_dagger]
     out = _outdir(args)

@@ -18,8 +18,9 @@ coefficients are ever nonzero.  So the family keeps, per model, the
 ``D_m = R C_m``, where ``R^T R = W_M^T W_M`` and ``R`` has ``min(q, M)``
 rows.  One kernel, ``pair_squares``, gives every ``|(D_m - D_ref) xi|^2``,
 one row per pair and one column per row of ``xi``, written into an array
-the caller may pass: the sampler draws normals in 64-row chunks and hands
-it (``step_squares`` with increments) each reduced 512-row block to write.
+the caller may pass: the sampler draws normals ``calibration._CHUNK_ROWS``
+rows at a time and hands it (``step_squares`` with increments) each reduced
+512-row block to write.
 Noise with variances ``v`` enters a trace through ``trace_root``, whose rows'
 kernel squares sum to it: with ``increments`` (below) the one row
 ``sqrt(diag(Q^T diag(v) Q))``, else the root ``R_v`` (``noise_root``,

@@ -234,13 +234,33 @@ def test_ratios_on_a_family_without_pairs_is_a_config_error(one_model_config, tm
 
 @pytest.mark.parametrize("command", ["sweep", "ratios"])
 def test_non_integer_m_dagger_list_is_a_config_error(config_file, tmp_path, command):
-    proc = _run_sma(
-        command, "--config", config_file, "--out", tmp_path / "o", "--m-dagger-list", "5,x"
-    )
-    assert proc.returncode == cli.EXIT_CONFIG == 2
-    assert "config error" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "o").exists()
+    # "0" and "13" are integers outside the config's pilot sizes 1..p_max = 12.
+    for sizes in ("5,x", "0", "13"):
+        proc = _run_sma(
+            command, "--config", config_file, "--out", tmp_path / "o", "--m-dagger-list", sizes
+        )
+        assert proc.returncode == cli.EXIT_CONFIG == 2, sizes
+        assert "config error" in proc.stderr, (sizes, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+def test_sweep_default_pilots_stay_within_p_max(tmp_path):
+    config = tmp_path / "p1.json"
+    config.write_text(json.dumps(
+        {"n": 20, "p_max": 1, "models": [1], "m_dagger": 1, "n_sim": 100, "n_hist": 2}
+    ))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in (out / "sweep.csv").read_text().splitlines()[1:]] == ["1"]
+
+
+def test_one_model_power_table_round_trips(one_model_config, tmp_path):
+    out = tmp_path / "out"
+    argv = ["calibrate", "--noise", "known", "--mode", "power", "--a", "1"]
+    assert cli.main([*argv, "--config", str(one_model_config), "--out", str(out)]) == 0
+    path = out / "calibration.json"
+    assert load_table(path).to_dict() == json.loads(path.read_text())
 
 
 def test_diagnose_requires_validate(config_file, tmp_path):

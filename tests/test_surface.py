@@ -2,8 +2,8 @@
 property its modules define, has a reader in the product.
 
 A name counts as read when the code of ``src/`` (other than the package's
-``__init__.py``), ``bench/`` or ``scripts/`` names it as a variable or an
-attribute; its own ``def`` or ``class`` line does not count, nor does a
+``__init__.py``), ``bench/`` or ``scripts/`` (other than CI's checks,
+``ci_checks.py``) names it as a variable or an attribute; its own ``def`` or ``class`` line does not count, nor does a
 mention in a docstring or comment.  The few names no product path reads
 are listed with the reason they stay.
 """
@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smaselect"
 INIT = PACKAGE / "__init__.py"
+CI_CHECKS = ROOT / "scripts" / "ci_checks.py"
 
 UNREAD = {
     "norm_upper": "ROADMAP item 3: the bracket of the exact power-loss quantile search",
@@ -53,7 +54,7 @@ def _read() -> set[str]:
     names = set()
     for top in ("src", "bench", "scripts"):
         for path in (ROOT / top).rglob("*.py"):
-            if path == INIT:
+            if path in (INIT, CI_CHECKS):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):

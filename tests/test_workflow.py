@@ -1,19 +1,20 @@
 """The CI workflow file parses, every step of every job runs something, and
-every inline Python program in it compiles.
+the bench-smoke job runs each check of ``scripts/ci_checks.py`` once.
 
 An unquoted ": " in one step name once made the whole file invalid YAML, so
-no job ran and no local check reported it.  The inline programs, heredocs
-fed to ``python3 -`` and ``python3 -c`` bodies, run only in CI, so a syntax
-error in one would otherwise show up there first.
+no job ran and no local check reported it.  The job's checks live in the
+script, so they run locally too; an inline Python program in the workflow
+would run only in CI.
 """
 
+import importlib.util
 import re
-import textwrap
 from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_every_workflow_step_runs_or_uses_something():
@@ -26,21 +27,12 @@ def test_every_workflow_step_runs_or_uses_something():
             assert "run" in step or "uses" in step, f"job {name}: a step runs nothing: {step}"
 
 
-HEREDOC = re.compile(r"python3 - <<'(\w+)'\n(.*?)^\1$", re.M | re.S)
-INLINE = re.compile(r"python3 -c '([^']*)'")
-
-
-def test_every_inline_python_program_compiles():
-    yaml = pytest.importorskip("yaml")
+def test_the_workflow_runs_every_ci_check_once():
+    spec = importlib.util.spec_from_file_location("ci_checks", ROOT / "scripts" / "ci_checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
     text = WORKFLOW.read_text()
-    programs = []
-    for name, job in yaml.safe_load(text)["jobs"].items():
-        for step in job["steps"]:
-            run = step.get("run", "")
-            bodies = [body for _, body in HEREDOC.findall(run)] + INLINE.findall(run)
-            programs += [(f"{name}: {step.get('name', '')}", body) for body in bodies]
-    # Every invocation in the file is one the patterns above read.
-    assert programs
-    assert len(programs) == text.count("python3 - <<") + text.count("python3 -c ")
-    for where, body in programs:
-        compile(textwrap.dedent(body), where, "exec")
+    called = re.findall(r"python3 scripts/ci_checks\.py (\w+)", text)
+    # Each check once, none the script lacks, in the order the script runs them all.
+    assert called == list(checks.CHECKS)
+    assert "python3 - " not in text and "python3 -c" not in text

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""The checks of CI's bench-smoke job, one function each, runnable locally.
+"""The checks of CI's bench-smoke job, runnable locally.
 
     python3 scripts/ci_checks.py [NAME ...]
 
-With no NAME, runs every check in CI's order; a run of several stops at the first that fails.
-One NAME runs in this process, several each in a process of their own, since some checks patch
-library functions, read ``tracemalloc`` or count the draw helper's threads.  The script works in
-the repository root, reads ``src/`` ahead of any installed smaselect and writes under
-``sma_out/`` (the bench under ``bench/out/``).  A check that reads another's files names it.
+With no NAME, runs every check in CI's order and stops at the first that fails.  One NAME runs in
+this process, several each in a process of their own, since some checks patch library functions,
+read ``tracemalloc`` or count the draw helper's threads.  Needs smaselect installed, as CI installs
+it (``pip install -e .``, which puts ``sma`` on the path).  Works in the repository root and writes
+under ``sma_out/`` (the bench under ``bench/out/``); a check that reads another's files names it.
 """
 
-import argparse
 import csv
 import dataclasses
 import json
@@ -21,46 +20,58 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
+from smaselect import calibrate, calibration, calibration_table, cli, power_loss_params, presmooth
+from smaselect import propagation_failures, sample_draws
+from smaselect.errors import ConfigInvalid
+from smaselect.experiment import ExperimentConfig, Study, replicate, run_comparison
+from smaselect.family import pair_order
+from smaselect.io import load_table
+from smaselect.moments import best_linear_coefficients, pair_traces, single_traces
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from smaselect import calibrate, calibration, calibration_table, cli, power_loss_params  # noqa: E402
-from smaselect import presmooth, propagation_failures, sample_draws  # noqa: E402
-from smaselect.errors import ConfigInvalid  # noqa: E402
-from smaselect.experiment import ExperimentConfig, Study, replicate, run_comparison  # noqa: E402
-from smaselect.family import pair_order  # noqa: E402
-from smaselect.io import load_table  # noqa: E402
-from smaselect.moments import best_linear_coefficients, pair_traces, single_traces  # noqa: E402
-
-SMA = [sys.executable, "-m", "smaselect.cli"]
 NOISES = ("known", "bootstrap")
 CHECKS = {}
 
 
 def check(fn):
-    """Register ``fn`` as the check named after it, in CI's order."""
+    """Register ``fn`` as the check named after it, run after those registered before it."""
     CHECKS[fn.__name__] = fn
     return fn
 
 
 def sma(*argv, code=0) -> str:
     """Run the CLI, require exit code ``code`` and return its stderr (echoed)."""
-    run = subprocess.run([*SMA, *argv], stderr=subprocess.PIPE, text=True)
+    run = subprocess.run(["sma", *argv], stderr=subprocess.PIPE, text=True)
     sys.stderr.write(run.stderr)
     assert run.returncode == code, (argv, run.returncode)
     return run.stderr
 
 
-def write_json(path, value):
-    Path(path).write_text(json.dumps(value))
+def sma_each_noise(*argv):
+    """Run the CLI once per noise, with ``{noise}`` in ``argv`` replaced by its name."""
+    for noise in NOISES:
+        sma(*(arg.format(noise=noise) for arg in argv))
+
+
+def python(*argv) -> str:
+    """Run a Python script, require exit code 0 and return its stdout (echoed)."""
+    run = subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, text=True)
+    print(run.stdout, end="")
+    assert run.returncode == 0, argv
+    return run.stdout
+
+
+def bench(*argv):
+    """Run the bench for a second: it exits 0, and its last line's JSON reads ``"correct": true``."""
+    stdout = python("bench/run.py", *argv, "--seconds", "1")
+    assert json.loads(stdout.splitlines()[-1])["correct"] is True, argv
 
 
 def two_workers(out, file, *argv):
@@ -69,6 +80,10 @@ def two_workers(out, file, *argv):
     for w in ("1", "2"):
         sma(*argv, "--workers", w, "--out", f"{out}-w{w}")
     assert Path(f"{out}-w1/{file}").read_bytes() == Path(f"{out}-w2/{file}").read_bytes(), (out, file)
+
+
+def write_json(path, value):
+    Path(path).write_text(json.dumps(value))
 
 
 def grep(pattern, *paths) -> list[tuple[str, int, str]]:
@@ -102,80 +117,58 @@ def same(table, want, *tag):
         assert mine.order is theirs.order and mine.array.tobytes() == theirs.array.tobytes(), (*tag, key)
 
 
-def selections(prefix, models):
-    """Both noises' ``{prefix}-{noise}/selection.json`` record every canonical pair and every
-    model, and the smallest accepted model as m_hat."""
-    pairs = {f"{m}:{r}" for i, r in enumerate(models) for m in models[i + 1 :]}
+def select_both(config, out, self_test=True, models=None):
+    """For both noises on ``config``: the self-test in both modes unless not ``self_test``, and
+    select, whose ``{out}-select-{noise}/selection.json`` records every canonical pair and every
+    model (``models``, or those in the run's meta.json), and the smallest accepted model as m_hat."""
     for noise in NOISES:
-        selection = json.load(open(f"{prefix}-{noise}/selection.json"))
+        argv = ["--noise", noise, "--config", config]
+        if self_test:
+            sma("calibrate", "--self-test", *argv, "--out", f"{out}-{noise}")
+            sma("calibrate", "--self-test", *argv, "--mode", "power", "--a", "1", "--out", f"{out}-{noise}-power")
+        sma("select", *argv, "--out", f"{out}-select-{noise}")
+        listed = models or json.load(open(f"{out}-select-{noise}/meta.json"))["config"]["models"]
+        pairs = {f"{m}:{r}" for i, r in enumerate(listed) for m in listed[i + 1 :]}
+        selection = json.load(open(f"{out}-select-{noise}/selection.json"))
         assert set(selection["stats"]) == pairs, noise
-        assert sorted(map(int, selection["accepted"])) == sorted(models), noise
+        assert sorted(map(int, selection["accepted"])) == sorted(listed), noise
         assert selection["m_hat"] == min(int(m) for m, ok in selection["accepted"].items() if ok), noise
 
 
-def self_test_and_select(name):
-    """For both noises on ``sma_out/{name}.json``: the self-test in both modes, and select."""
-    for noise in NOISES:
-        config = ["--noise", noise, "--config", f"sma_out/{name}.json"]
-        sma("calibrate", "--self-test", *config, "--out", f"sma_out/{name}-{noise}")
-        sma("calibrate", "--self-test", *config, "--mode", "power", "--a", "1",
-            "--out", f"sma_out/{name}-{noise}-power")
-        sma("select", *config, "--out", f"sma_out/{name}-select-{noise}")
-
-
-def bench(*argv):
-    """Run the bench for a second: it exits 0, and its last line's JSON reads ``"correct": true``."""
-    argv = [sys.executable, "bench/run.py", *argv, "--seconds", "1"]
-    run = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
-    print(run.stdout, end="")
-    assert run.returncode == 0 and json.loads(run.stdout.splitlines()[-1])["correct"] is True, argv
-
-
-@check
-def known_screen():
-    """Known-noise screen, checked against the recorded selections."""
-    bench("--workload", "known-screen")
-
-
-@check
-def known_screen_seed1():
-    """Known-noise screen at a seed the recorded selections do not hold (one-row statistics pass,
-    structural checks only)."""
-    bench("--workload", "known-screen", "--seed", "1")
-
-
-@check
-def known_screen_trace():
-    """Known-noise screen traced per layer (times the window-eigenproblem pair moments), checked
-    against the recorded selections."""
-    bench("--workload", "known-screen", "--trace", "1")
-
-
-@check
-def paper_study():
-    """Paper study, checked against the recorded selections and multiplier thresholds."""
-    bench("--workload", "paper-study")
-
-
-@check
-def paper_study_seed1():
-    """Paper study at a seed the recorded selections do not hold (per-reference tail selection,
-    structural checks only)."""
-    bench("--workload", "paper-study", "--seed", "1")
-
-
-@check
-def paper_study_trace():
-    """Paper study traced per layer, checked against the recorded selections and multiplier
-    thresholds."""
-    bench("--workload", "paper-study", "--trace", "1")
-
-
-@check
-def derivative_power_2w():
-    """Derivative loss in power-loss mode (the workload's n_workers=2 is recorded but sets no
-    table's threads), checked against the recorded selections and multiplier thresholds."""
-    bench("--workload", "derivative-power-2w")
+# The checks that are one call: name -> (docstring, function, its arguments split at spaces).
+CALLS = {
+    "known_screen": ("Known-noise screen, checked against the recorded selections.",
+                     bench, "--workload known-screen"),
+    "known_screen_seed1": ("Known-noise screen at a seed the recorded selections do not hold (one-row "
+                           "statistics pass, structural checks only).", bench, "--workload known-screen --seed 1"),
+    "known_screen_trace": ("Known-noise screen traced per layer (times the window-eigenproblem pair "
+                           "moments), checked against the recorded selections.",
+                           bench, "--workload known-screen --trace 1"),
+    "paper_study": ("Paper study, checked against the recorded selections and multiplier thresholds.",
+                    bench, "--workload paper-study"),
+    "paper_study_seed1": ("Paper study at a seed the recorded selections do not hold (per-reference tail "
+                          "selection, structural checks only).", bench, "--workload paper-study --seed 1"),
+    "paper_study_trace": ("Paper study traced per layer, checked against the recorded selections and "
+                          "multiplier thresholds.", bench, "--workload paper-study --trace 1"),
+    "derivative_power_2w": ("Derivative loss in power-loss mode (the workload's n_workers=2 is recorded but "
+                            "sets no table's threads), checked against the recorded selections and multiplier "
+                            "thresholds.", bench, "--workload derivative-power-2w"),
+    "noise4_workers": ("The yardstick config (the paper config with noise x 4, whose selections spread over "
+                       "5-12) writes the same results at one and two workers.",
+                       two_workers, "sma_out/noise4 results.csv simulate --config configs/paper-noise4.json"),
+    "power_self_test": ("CLI calibration self-test in power-loss mode (per-pair propagation check), known "
+                        "noise and multiplier.", sma_each_noise,
+                        "calibrate --self-test --noise {noise} --mode power --a 1 --out sma_out/{noise}-power"),
+    "bounds_check": ("CLI Monte-Carlo falsification of the quadratic-form tail bounds exits 0 (no "
+                     "violations).", sma, "bounds-check --out sma_out/bounds"),
+    "quick_study": ("Quick paper study end to end (simulate, ratios, sweep, diagnose).",
+                    python, "scripts/run_paper_sim.py --quick --workers 2 --out sma_out/quick"),
+    "ratios": ("Ratios over three pilot dimensions on the quick config (one known table, one multiplier "
+               "table per pilot).  Reads quick_study's config.",
+               sma, "ratios --config sma_out/quick/config.json --out sma_out/quick-ratios --m-dagger-list 9,12,15"),
+}
+for name, (doc, fn, args) in CALLS.items():
+    CHECKS[name] = partial(fn, *args.split())
 
 
 @check
@@ -187,16 +180,11 @@ def self_test():
     one ulp either way, and on reference 1 when its rank is raised by one with its thresholds
     rebuilt there from sample_draws' matrix; no rounding allowance (TAIL_ULPS) is left in src/, and
     the max-T rank builds no index array (no argpartition or argsort in calibration.py)."""
-    for noise in NOISES:
-        sma("calibrate", "--self-test", "--noise", noise, "--out", f"sma_out/{noise}")
+    sma_each_noise("calibrate", "--self-test", "--noise", "{noise}", "--out", "sma_out/{noise}")
     # The draws each table was built on: sma's default config, data vector 0.
     study, family, c, resid = default_study()
-    sd = np.sqrt(study.scenario.sigma.variances)
-    scales = {"known": sd, "bootstrap": resid}
-    draws = {
-        "known": sample_draws(family, sd, c.n_sim, c.seeds.calibration),
-        "bootstrap": sample_draws(family, resid, c.n_sim, c.seeds.bootstrap),
-    }
+    scales = {"known": np.sqrt(study.scenario.sigma.variances), "bootstrap": resid}
+    seeds = {"known": c.seeds.calibration, "bootstrap": c.seeds.bootstrap}
     for noise in NOISES:
         path = f"sma_out/{noise}/calibration.json"
         table = json.load(open(path))
@@ -223,11 +211,12 @@ def self_test():
         # Every threshold rebuilt at reference 1's rank plus one still
         # meets the level, but that rank is not the smallest that does.
         k = saved.ranks[1] + 1
-        matrix, index = draws[noise].draws, draws[noise].order.index
+        draws = sample_draws(family, scales[noise], c.n_sim, seeds[noise])
+        matrix, index = draws.draws, draws.order.index
         rebuilt = {
             p: float(np.sort(matrix[:, index[p]])[k - 1])
             + saved.alpha_plus * math.sqrt(saved.pair_dims[p])
-            for p in draws[noise].comparisons(1)
+            for p in draws.comparisons(1)
         }
         raised = dataclasses.replace(
             saved, ranks={**saved.ranks, 1: k}, critical={**saved.critical, **rebuilt}
@@ -248,7 +237,7 @@ def self_test_rss():
     write_json("sma_out/paper-20k.json", dict(json.load(open("configs/paper.json")), n_sim=20_000))
     for noise in NOISES:
         for mode in ("prob", "power"):
-            argv = [*SMA, "calibrate", "--self-test", "--noise", noise, "--mode", mode, "--a", "1",
+            argv = ["sma", "calibrate", "--self-test", "--noise", noise, "--mode", mode, "--a", "1",
                     "--config", "sma_out/paper-20k.json", "--out", f"sma_out/paper-20k-{noise}-{mode}"]
             child = subprocess.Popen(argv)
             _, status, usage = os.wait4(child.pid, 0)
@@ -314,9 +303,8 @@ def chunks():
     config, its layouts cached, peaks below 1.5 MB under tracemalloc (a 512 x n block of normals
     per stream block took 2.06 MB)."""
     write_json("sma_out/chunks.json", {"n": 200, "n_sim": 1100})
-    for noise in NOISES:
-        sma("calibrate", "--self-test", "--noise", noise, "--config", "sma_out/chunks.json",
-            "--out", f"sma_out/chunks-{noise}")
+    sma_each_noise("calibrate", "--self-test", "--noise", "{noise}", "--config", "sma_out/chunks.json",
+                   "--out", "sma_out/chunks-{noise}")
     study, family, c, resid = default_study()
     calibrate(family, resid, c.n_sim, c.seeds.bootstrap, c.x_level, c.alpha_plus)  # fills the layout caches
     tracemalloc.start()
@@ -406,22 +394,6 @@ def workers():
 
 
 @check
-def noise4_workers():
-    """The yardstick config (the paper config with noise x 4, whose selections spread over 5-12)
-    writes the same results at one and two workers."""
-    two_workers("sma_out/noise4", "results.csv", "simulate", "--config", "configs/paper-noise4.json")
-
-
-@check
-def power_self_test():
-    """CLI calibration self-test in power-loss mode (per-pair propagation check), known noise and
-    multiplier."""
-    for noise in NOISES:
-        sma("calibrate", "--self-test", "--noise", noise, "--mode", "power", "--a", "1",
-            "--out", f"sma_out/{noise}-power")
-
-
-@check
 def diagnose():
     """CLI validity diagnostics on the default paper config (low-rank path); with noise 1e-150 a term
     overflows the floats and the run exits 5 without a traceback; no test oracle is defined in
@@ -435,19 +407,6 @@ def diagnose():
               code=5)
     assert re.search("^non-finite input: ", err, re.M) and "Traceback" not in err, err
     absent(r"def (tail_quantile|excess_risk_mc|risk_profile|aic_equivalence_check|check_ordering)", "src")
-
-
-@check
-def bounds_check():
-    """CLI Monte-Carlo falsification of the quadratic-form tail bounds exits 0 (no violations)."""
-    sma("bounds-check", "--out", "sma_out/bounds")
-
-
-@check
-def quick_study():
-    """Quick paper study end to end (simulate, ratios, sweep, diagnose)."""
-    argv = ["scripts/run_paper_sim.py", "--quick", "--workers", "2", "--out", "sma_out/quick"]
-    subprocess.run([sys.executable, *argv], check=True)
 
 
 @check
@@ -494,9 +453,8 @@ def quick_power():
 def select():
     """CLI select starts from simulate's study (data vector 0 is rep 0 of the quick results.csv),
     and a one-model config selects and sweeps but refuses ratios.  Reads quick_study's output."""
-    for noise in NOISES:
-        sma("select", "--noise", noise, "--config", "sma_out/quick/config.json",
-            "--out", f"sma_out/quick-select-{noise}")
+    sma_each_noise("select", "--noise", "{noise}", "--config", "sma_out/quick/config.json",
+                   "--out", "sma_out/quick-select-{noise}")
     rep0 = next(csv.DictReader(open("sma_out/quick/results.csv")))
     assert rep0["rep"] == "0", rep0
     for noise, column in (("known", "m_sma_known"), ("bootstrap", "m_sma_boot")):
@@ -504,8 +462,7 @@ def select():
         assert m_hat == int(rep0[column]), (noise, m_hat, rep0)
     write_json("sma_out/one-model.json",
                {"n": 60, "p_max": 20, "models": [5], "m_dagger": 5, "n_sim": 200, "n_hist": 3})
-    for noise in NOISES:
-        sma("select", "--noise", noise, "--config", "sma_out/one-model.json", "--out", "sma_out/one-model")
+    sma_each_noise("select", "--noise", "{noise}", "--config", "sma_out/one-model.json", "--out", "sma_out/one-model")
     sma("sweep", "--config", "sma_out/one-model.json", "--out", "sma_out/one-model", "--m-dagger-list", "3,5")
     sma("ratios", "--config", "sma_out/one-model.json", "--out", "sma_out/one-model-ratios", code=2)
 
@@ -527,14 +484,6 @@ def degenerate():
 
 
 @check
-def ratios():
-    """Ratios over three pilot dimensions on the quick config (one known table, one multiplier
-    table per pilot).  Reads quick_study's config."""
-    sma("ratios", "--config", "sma_out/quick/config.json", "--out", "sma_out/quick-ratios",
-        "--m-dagger-list", "9,12,15")
-
-
-@check
 def derivative_workers():
     """Derivative-loss demo (configs/derivative.json) writes the same results at one and two
     workers, and no script defines a config of its own."""
@@ -546,10 +495,8 @@ def derivative_workers():
 def derivative_select():
     """CLI select on the derivative demo's config with both noise sources records every canonical
     pair and every model, and the smallest accepted model as m_hat."""
-    for noise in NOISES:
-        sma("select", "--noise", noise, "--config", "configs/derivative.json",
-            "--out", f"sma_out/derivative-select-{noise}")
-    selections("sma_out/derivative-select", json.load(open("configs/derivative.json"))["models"])
+    config = "configs/derivative.json"
+    select_both(config, "sma_out/derivative", self_test=False, models=json.load(open(config))["models"])
 
 
 @check
@@ -558,10 +505,8 @@ def gram():
     self-test in both modes and select with both noise sources records every canonical pair and
     every model, and the smallest accepted model as m_hat."""
     write_json("sma_out/gram.json", {"n": 200, "weighting": "full_vector", "random_design": True})
-    study = Study.of(ExperimentConfig.from_dict(json.load(open("sma_out/gram.json"))))
-    assert study.family.increments is None
-    self_test_and_select("gram")
-    selections("sma_out/gram-select", study.config.models)
+    assert Study.of(ExperimentConfig.from_dict(json.load(open("sma_out/gram.json")))).family.increments is None
+    select_both("sma_out/gram.json", "sma_out/gram")
 
 
 @check
@@ -574,8 +519,7 @@ def gaps():
     write_json("sma_out/gaps.json", config)
     study = Study.of(ExperimentConfig.from_dict(config))
     assert study.family.increments is not None
-    self_test_and_select("gaps")
-    selections("sma_out/gaps-select", config["models"])
+    select_both("sma_out/gaps.json", "sma_out/gaps", models=config["models"])
     # The CLI's one-data-vector statistics equal, bit for bit, data
     # vector 0's row of the block kernel (B = 1, the by-length loop).
     family, order = study.family, pair_order(study.family.models)
@@ -593,26 +537,20 @@ def deleted_names():
            "src", "scripts", "README.md")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("names", nargs="*", metavar="NAME", help=f"one of: {' '.join(CHECKS)}")
-    names = ap.parse_args().names or list(CHECKS)
-    if unknown := sorted(set(names) - set(CHECKS)):
-        ap.error(f"no check named {', '.join(unknown)}")
+def main(names) -> int:
+    if unknown := [name for name in names if name not in CHECKS]:
+        sys.exit(f"no check named {' '.join(unknown)}; the checks, in CI's order: {' '.join(CHECKS)}")
     os.chdir(ROOT)
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.getenv("PYTHONPATH")]))
     Path("sma_out").mkdir(exist_ok=True)
     if len(names) == 1:
         CHECKS[names[0]]()
         return 0
-    for name in names:
-        start = time.perf_counter()
-        code = subprocess.run([sys.executable, __file__, name]).returncode
-        print(f"{name}: {'failed' if code else 'ok'} in {time.perf_counter() - start:.1f} s", flush=True)
-        if code:
+    for name in names or CHECKS:
+        if code := subprocess.run([sys.executable, __file__, name]).returncode:
+            print(f"{name} failed", file=sys.stderr)
             return code
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
